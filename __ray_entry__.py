@@ -2336,49 +2336,6 @@ def _merged_bm25(sf_dir: str):
     )
 
 
-def _salted_bm25(sf_dir: str):
-    """BM25 over an index built through the SALTED shuffle exchange
-    (mode='shuffle', term_salt=4: key = (segpart, term-range bucket)) —
-    must be rank-identical to the fused-build oracle."""
-    import hashlib as _h
-    import os as _os
-
-    import pyarrow as pa
-
-    from lucene_ray.index import manifest as mfst
-    from lucene_ray.index.build import build_index
-    from lucene_ray.search.query import TermQuery
-    from lucene_ray.search.searcher import IndexSearcher
-
-    slug = _h.sha256(_os.path.realpath(sf_dir).encode()).hexdigest()[:12]
-    idx = _os.path.join("/tmp", "lucene_ray_idx", f"salted-{slug}")
-    if mfst.latest_generation(idx) is None:
-        build_index(
-            _os.path.join(sf_dir, "documents.parquet"),
-            idx,
-            docs_per_segment=128,
-            mode="shuffle",
-            term_salt=4,
-            content_column="text",
-            meta_columns=("doc_id", "lang", "source"),
-        )
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, term in enumerate(ft.QUERY_TERMS):
-        hits = searcher.search(TermQuery(term), 10)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
-
-
 def _distributed_bm25(sf_dir: str):
     import pyarrow as pa
 
@@ -2448,14 +2405,13 @@ def _grouped_family(sf_dir: str):
 
 
 def _bm25_variants(sf_dir: str):
-    """One driver entry certifying all three execution paths against the
-    same oracle: actor-pool distributed search, tiered force-merged index,
-    and the salted-shuffle-built index (each must be rank-identical)."""
+    """One entry for the BM25 top-k variants: actor-pool distributed
+    search and the tiered force-merged index (each must be rank-identical
+    to the same oracle), plus the query-side variants."""
     return _concat_family(
         [
             ("distributed", _distributed_bm25(sf_dir)),
             ("merged", _merged_bm25(sf_dir)),
-            ("salted", _salted_bm25(sf_dir)),
             ("disjunction", ft.bm25_disjunction_topk(sf_dir)),
             ("boosted", ft.bm25_boosted_topk(sf_dir)),
             ("common_terms", ft.common_terms_topk(sf_dir)),
@@ -6746,7 +6702,7 @@ SELECT v.variant, b.*
 FROM (WITH {_TOKS}, {_LT},
 q(qid, term) AS (VALUES {_QTERMS_VALUES}),
 {_BM25_COMMON}) b
-CROSS JOIN (VALUES ('distributed'), ('merged'), ('salted')) v(variant)
+CROSS JOIN (VALUES ('distributed'), ('merged')) v(variant)
 UNION ALL
 SELECT 'disjunction', b.*
 FROM (WITH {_TOKS}, {_LT},

@@ -82,7 +82,6 @@ def bench_index_build(sf: float, num_cpus: int) -> dict:
         idx_dir,
         analyzer="standard",
         docs_per_segment=512,
-        mode="fused",
         resume=False,
     )
     elapsed = time.time() - t0

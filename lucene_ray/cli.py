@@ -1,6 +1,6 @@
 """CLI entry points (reference demo/IndexFiles.java:130-148, SearchFiles.java).
 
-    python -m lucene_ray.cli build  --corpus DIR [--index DIR] [--mode fused]
+    python -m lucene_ray.cli build  --corpus DIR [--index DIR]
                                     [--docs-per-segment N] [--analyzer standard]
     python -m lucene_ray.cli search --index DIR --query "t1 t2 ..." [-k 10]
                                     [--op should|must] [--workers N]
@@ -34,7 +34,6 @@ def cmd_build(args) -> int:
         args.index,
         analyzer=args.analyzer,
         docs_per_segment=args.docs_per_segment,
-        mode=args.mode,
         content_column=args.content_column,
         resume=not args.no_resume,
         index_options=args.index_options,
@@ -286,7 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     b = sub.add_parser("build")
     b.add_argument("--corpus", required=True)
     b.add_argument("--index", required=True)
-    b.add_argument("--mode", default="fused", choices=["fused", "shuffle"])
     b.add_argument("--docs-per-segment", type=int, default=65536)
     b.add_argument("--analyzer", default="standard")
     b.add_argument("--content-column", default="content")

@@ -1,38 +1,27 @@
-"""The index-build driver: Ray Data pipelines from Parquet corpus to segments.
+"""Index build: one Ray Data pipeline from Parquet corpus to segments.
 
-Two pipeline shapes over the same stages (SURVEY §3.1 restatement):
+    plan_segments (parquet metadata only: whole row groups per segment)
+    -> map_batches(_fused_build_task), one task per segment: read each row
+       group once, analyze, merge the fragment vocabularies, sort,
+       block-encode and write one immutable segment plus its stored fields
+    -> commit: one new manifest generation from the per-segment meta.json
 
-``mode="shuffle"`` (the north-star shape):
-    fragment descriptors -> map_batches(AnalyzerStage actor pool)
-        -> postings rows (segpart, term, docid, tf)
-    -> groupby(segpart).map_groups(segment build)        # THE all-to-all
-    -> per-segment encoded files + metrics
-  The shuffle key is ``segpart`` — a *uniform* key (contiguous docid ranges),
-  not the Zipfian ``term``: term skew is absorbed inside each partition's
-  vectorized Arrow sort instead of the exchange, which eliminates hot-key
-  skew by construction (SURVEY §4 skew row).  Hot-term *salting* is therefore
-  unnecessary in the build; the merge path k-way-merges pre-sorted runs.
+Each task is the DWPT analogue (a thread-private in-RAM segment, reference
+index/DocumentsWriterPerThread.java:406-512, SURVEY §3.1): embarrassingly
+parallel, and the postings never cross the object store.
+``build_index_local`` runs the same builder and commit step in-process,
+for unit tests and tiny fixtures.
 
-``mode="fused"`` (zero-shuffle scale path):
-    one task per segment reads its own row-group range, analyzes, sorts and
-    encodes locally — the DWPT analogue (a thread-private in-RAM segment,
-    reference index/DocumentsWriterPerThread.java:406-512).  Embarrassingly
-    parallel; preferred at 100 TB because postings triples (~1-2x raw text)
-    never cross the object store.
-
-Both modes:
 - docIDs are deterministic: global docID = (row-group order in the sorted
   file list) x (row order within the group); segments are unions of whole
   row groups, so ``doc_base`` is a prefix sum (LeafReaderContext docBase
   semantics).
 - writes are atomic + resumable at segment granularity: a rerun skips
   segments whose lineage signature matches (manifest.segment_is_complete).
-- a separate cheap pass (no tokenization) writes the stored-fields tables
-  (docid, repo, path, commit, lang, sha256) — the per-row content sha256
-  invariant column.
-- ``index_options="positions"`` (phrase support) works in both modes: the
-  fused path carries flat per-row position arrays; shuffle-mode rows carry
-  an Arrow list<int32> column through the exchange (salted runs included).
+- the stored-fields tables (docid, meta..., sha256 of the content) are
+  written from the same fragment read that feeds the analyzer.
+- ``index_options`` positions / offsets / payloads ride the per-segment
+  row sort as flat per-row arrays.
 """
 
 from __future__ import annotations
@@ -40,9 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import time
-import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -52,7 +39,6 @@ from .. import store
 from ..analysis.analyzers import make_analyzer
 from ..smallfloat import int_to_byte4_array
 from . import manifest as mf
-from .segment import build_segment
 
 DEFAULT_DOCS_PER_SEGMENT = 65536
 
@@ -126,148 +112,7 @@ def _read_fragment(path: str, row_group: int, columns: list[str] | None) -> pa.T
     return pq.ParquetFile(path).read_row_group(row_group, columns=columns)
 
 
-# --- analysis stage (stateful actor) -------------------------------------
-
-class AnalyzerStage:
-    """Actor-pool stage: fragment descriptor batch -> postings rows.
-
-    The analyzer (DFA tables, lowercase table) is built ONCE per actor in
-    ``__init__`` (reference Analyzer reuse strategy, SURVEY §2.2); each
-    ``__call__`` processes one row-group descriptor and emits the exploded
-    (segpart, term, docid, tf) Arrow table, zero-copy into the object store.
-    """
-
-    def __init__(
-        self,
-        analyzer: str = "standard",
-        content_column: str = "content",
-        index_options: str = "docs_freqs",
-        term_salt: int = 1,
-    ):
-        self.analyzer = make_analyzer(analyzer)
-        self.content_column = content_column
-        self.index_options = index_options
-        self.term_salt = term_salt
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_tables = []
-        for row in batch.to_pylist():
-            out_tables.append(self.analyze_fragment(row))
-        return (
-            pa.concat_tables(out_tables)
-            if out_tables
-            else _empty_postings(self.index_options == "positions")
-        )
-
-    def analyze_fragment_ids(self, desc: dict, tbl: pa.Table | None = None) -> dict:
-        """Vectorized fragment analysis -> dictionary-encoded postings.
-
-        Returns {vocab (UTF-8-byte-sorted list[str]), tids, docids
-        (segment-local), tfs, lengths (per fragment row)}.  ``tbl`` lets a
-        caller that already read the fragment (fused doc-table path) skip
-        the second read.
-        """
-        if tbl is None:
-            tbl = _read_fragment(desc["path"], desc["row_group"], [self.content_column])
-        texts = tbl.column(self.content_column).to_pylist()
-        off_s = off_e = None
-        if self.index_options in ("offsets", "payloads"):
-            # payloads ride the offsets analysis: the default payload
-            # source is the occurrence's char START OFFSET (the
-            # TokenOffsetPayloadTokenFilter analogue — occurrence-specific
-            # and recomputable, which the tests exploit)
-            (
-                vocab, tids, docs, tfs, lengths, pos, off_s, off_e,
-            ) = self.analyzer.analyze_batch_offsets(texts)
-        elif self.index_options == "positions":
-            vocab, tids, docs, tfs, lengths, pos = self.analyzer.analyze_batch_positions(texts)
-        else:
-            vocab, tids, docs, tfs, lengths = self.analyzer.analyze_batch(texts)
-            pos = None
-        return {
-            "vocab": vocab,
-            "tids": tids,
-            "docids": docs + desc["local_base"],
-            "tfs": tfs,
-            "lengths": lengths,
-            "positions": pos,
-            "off_s": off_s,
-            "off_e": off_e,
-            "n_rows": len(texts),
-        }
-
-    def analyze_fragment(self, desc: dict) -> pa.Table:
-        r = self.analyze_fragment_ids(desc)
-        if not r["vocab"]:
-            return _empty_postings(self.index_options == "positions")
-        # DICTIONARY-encoded term column: the exchange ships int32 indices
-        # plus one small per-block dictionary instead of a materialized
-        # string per posting row (~25% less shuffle bytes on code corpora);
-        # consumers cast back to strings after the shuffle
-        terms = pa.DictionaryArray.from_arrays(
-            pa.array(np.asarray(r["tids"], dtype=np.int32)),
-            pa.array(r["vocab"], type=pa.large_string()),
-        )
-        n = len(r["tids"])
-        cols = {
-            "segpart": pa.array(np.full(n, desc["seg_id"], dtype=np.int32)),
-            "term": terms,
-            "docid": pa.array(r["docids"].astype(np.int32)),
-            "tf": pa.array(r["tfs"].astype(np.int32)),
-        }
-        if r["positions"] is not None:
-            # per-row position list rides the exchange as an Arrow list column
-            offsets = np.concatenate(([0], np.cumsum(r["tfs"], dtype=np.int64)))
-            cols["pos"] = pa.LargeListArray.from_arrays(
-                pa.array(offsets, pa.int64()),
-                pa.array(r["positions"].astype(np.int32)),
-            )
-        if self.term_salt > 1:
-            # order-preserving term-range bucket from the first UTF-8 byte
-            fb = np.array(
-                [t.encode("utf-8")[0] if t else 0 for t in r["vocab"]], dtype=np.int64
-            )
-            buckets = fb * self.term_salt // 256
-            cols["salt"] = pa.array(buckets[r["tids"]].astype(np.int32))
-        return pa.table(cols)
-
-
-def _empty_postings(with_pos: bool = False) -> pa.Table:
-    cols = {
-        "segpart": pa.array([], type=pa.int32()),
-        "term": pa.DictionaryArray.from_arrays(
-            pa.array([], type=pa.int32()), pa.array([], type=pa.large_string())
-        ),
-        "docid": pa.array([], type=pa.int32()),
-        "tf": pa.array([], type=pa.int32()),
-    }
-    if with_pos:
-        cols["pos"] = pa.array([], type=pa.large_list(pa.int32()))
-    return pa.table(cols)
-
-
-# --- stored-fields / sha256 pass -----------------------------------------
-
-class DocTableStage:
-    """Cheap pass (no tokenization): stored-fields table + sha256 invariant."""
-
-    def __init__(self, content_column: str, meta_columns: list[str], docs_dir: str):
-        self.content_column = content_column
-        self.meta_columns = meta_columns
-        self.docs_dir = docs_dir
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for desc in batch.to_pylist():
-            tbl = _read_fragment(
-                desc["path"], desc["row_group"], self.meta_columns + [self.content_column]
-            )
-            _write_doc_fragment(
-                tbl, desc, self.meta_columns, self.content_column, self.docs_dir
-            )
-            rows.append({"seg_id": desc["seg_id"], "rows": len(tbl)})
-        return pa.Table.from_pylist(rows) if rows else pa.table({"seg_id": pa.array([], pa.int32()), "rows": pa.array([], pa.int64())})
-
+# --- stored fields (docid, meta..., sha256) -----------------------------
 
 def _write_doc_fragment(
     tbl: pa.Table,
@@ -276,8 +121,7 @@ def _write_doc_fragment(
     content_column: str,
     docs_dir: str,
 ) -> None:
-    """Write one stored-fields fragment (docid, meta..., sha256) — shared
-    by the standalone doc-table pass and the fused build path."""
+    """Write one stored-fields fragment (docid, meta..., sha256)."""
     shas = [
         hashlib.sha256((t or "").encode("utf-8")).hexdigest()
         for t in tbl.column(content_column).to_pylist()
@@ -293,84 +137,7 @@ def _write_doc_fragment(
     store.pq_write(out, path)
 
 
-# --- segment build (post-shuffle / fused) --------------------------------
-
-def _build_segment_from_rows(tbl: pa.Table, seg: dict, index_dir: str) -> dict:
-    """Shuffle-side segment build from a postings row table (term, docid,
-    tf[, pos list]) in ANY row order; handles the positions list column."""
-    import pyarrow.compute as pc
-
-    from .segment import build_segment_from_ids
-
-    if pa.types.is_dictionary(tbl.schema.field("term").type):
-        i = tbl.schema.get_field_index("term")
-        tbl = tbl.set_column(
-            i, "term", pc.cast(tbl.column("term"), pa.large_string())
-        )
-
-    has_pos = "pos" in tbl.column_names
-    cols = ["term", "docid", "tf"] + (["pos"] if has_pos else [])
-    tbl = tbl.select(cols).sort_by([("term", "ascending"), ("docid", "ascending")])
-    term_col = tbl.column("term").combine_chunks()
-    dict_arr = pc.dictionary_encode(term_col)
-    if isinstance(dict_arr, pa.ChunkedArray):
-        dict_arr = dict_arr.combine_chunks()
-    tids = dict_arr.indices.to_numpy().astype(np.int64)
-    uniq = dict_arr.dictionary  # first-occurrence order == sorted order
-    docids = tbl.column("docid").to_numpy()
-    tfs = tbl.column("tf").to_numpy()
-    lengths = np.bincount(
-        docids.astype(np.int64), weights=tfs.astype(np.int64), minlength=seg["max_doc"]
-    ).astype(np.int64)
-    positions = None
-    if has_pos:
-        pos_col = tbl.column("pos").combine_chunks()
-        positions = pos_col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    seg_dir = os.path.join(index_dir, seg["name"])
-    meta = {
-        "name": seg["name"],
-        "max_doc": seg["max_doc"],
-        "doc_base": seg["doc_base"],
-        "lineage": seg["lineage"],
-    }
-    t0 = time.time()
-    metrics = build_segment_from_ids(
-        uniq,
-        tids,
-        docids,
-        tfs,
-        int_to_byte4_array(lengths),
-        None,
-        seg_dir,
-        meta,
-        presorted=True,
-        positions=positions,
-    )
-    metrics["encode_sec"] = round(time.time() - t0, 3)
-    return metrics
-
-
-def _build_segment_from_postings(
-    terms, docids, tfs, seg: dict, index_dir: str
-) -> dict:
-    lengths = np.bincount(
-        np.asarray(docids, dtype=np.int64),
-        weights=np.asarray(tfs, dtype=np.int64),
-        minlength=seg["max_doc"],
-    ).astype(np.int64)
-    norms = int_to_byte4_array(lengths)
-    seg_dir = os.path.join(index_dir, seg["name"])
-    meta = {
-        "name": seg["name"],
-        "max_doc": seg["max_doc"],
-        "doc_base": seg["doc_base"],
-        "lineage": seg["lineage"],
-    }
-    t0 = time.time()
-    metrics = build_segment(terms, docids, tfs, norms, None, seg_dir, meta)
-    metrics["encode_sec"] = round(time.time() - t0, 3)
-    return metrics
-
+# --- segment build -----------------------------------------------------
 
 def _fragments_with_local_base(seg: dict) -> list[dict]:
     out = []
@@ -419,17 +186,18 @@ class FusedSegmentBuilder:
         index_dir: str,
         analyzer: str,
         content_column: str,
-        segs_by_id: dict,
         index_options: str = "docs_freqs",
         meta_columns: list[str] | None = None,
         write_doc_tables: bool = False,
         index_sort: tuple[str, str] | None = None,
         term_vectors: bool = False,
     ):
+        # the analyzer (DFA tables, lowercase table) is built once per
+        # builder and reused across fragments (reference Analyzer reuse
+        # strategy, SURVEY §2.2)
+        self.analyzer = make_analyzer(analyzer)
         self.index_dir = index_dir
         self.term_vectors = term_vectors
-        self.stage = AnalyzerStage(analyzer, content_column, index_options)
-        self.segs_by_id = segs_by_id
         self.index_options = index_options
         self.meta_columns = list(meta_columns or [])
         self.write_doc_tables = write_doc_tables
@@ -438,38 +206,57 @@ class FusedSegmentBuilder:
             raise ValueError("index_sort needs write_doc_tables (the sort field is a stored field)")
         self.index_sort = tuple(index_sort) if index_sort else None
 
+    def _analyze(self, frag: dict, texts: list) -> dict:
+        """Vectorized fragment analysis -> dictionary-encoded postings:
+        {vocab (UTF-8-byte-sorted list[str]), tids, docids (segment-local),
+        tfs, lengths (per fragment row), positions, off_s, off_e}."""
+        off_s = off_e = pos = None
+        if self.index_options in ("offsets", "payloads"):
+            # payloads ride the offsets analysis: the default payload
+            # source is the occurrence's char START OFFSET (the
+            # TokenOffsetPayloadTokenFilter analogue — occurrence-specific
+            # and recomputable, which the tests exploit)
+            (
+                vocab, tids, docs, tfs, lengths, pos, off_s, off_e,
+            ) = self.analyzer.analyze_batch_offsets(texts)
+        elif self.index_options == "positions":
+            vocab, tids, docs, tfs, lengths, pos = self.analyzer.analyze_batch_positions(texts)
+        else:
+            vocab, tids, docs, tfs, lengths = self.analyzer.analyze_batch(texts)
+        return {
+            "vocab": vocab,
+            "tids": tids,
+            "docids": docs + frag["local_base"],
+            "tfs": tfs,
+            "lengths": lengths,
+            "positions": pos,
+            "off_s": off_s,
+            "off_e": off_e,
+        }
+
     def build_one(self, seg: dict) -> dict:
         from .segment import build_segment_from_ids
 
         # ONE read per fragment: the same table feeds the analyzer AND the
-        # stored-fields writer (the old standalone doc-table pass re-read
-        # the whole corpus — a full second scan at 100 TB)
+        # stored-fields writer
+        columns = [self.content_column]
+        if self.write_doc_tables:
+            columns = self.meta_columns + columns
         frags = []
         doc_tbls = []  # buffered only for index_sort (needs the permutation)
         for frag in _fragments_with_local_base(seg):
-            if self.write_doc_tables:
-                tbl = _read_fragment(
-                    frag["path"],
-                    frag["row_group"],
-                    self.meta_columns + [self.content_column],
+            tbl = _read_fragment(frag["path"], frag["row_group"], columns)
+            if self.index_sort is not None:
+                doc_tbls.append(tbl)
+            elif self.write_doc_tables:
+                _write_doc_fragment(
+                    tbl,
+                    frag,
+                    self.meta_columns,
+                    self.content_column,
+                    os.path.join(self.index_dir, "docs"),
                 )
-                if self.index_sort is not None:
-                    doc_tbls.append(tbl)
-                else:
-                    _write_doc_fragment(
-                        tbl,
-                        frag,
-                        self.meta_columns,
-                        self.content_column,
-                        os.path.join(self.index_dir, "docs"),
-                    )
-                frags.append(
-                    self.stage.analyze_fragment_ids(
-                        frag, tbl.select([self.content_column])
-                    )
-                )
-            else:
-                frags.append(self.stage.analyze_fragment_ids(frag))
+            frags.append(self._analyze(frag, tbl.column(self.content_column).to_pylist()))
         vocab_set: set[str] = set()
         for fr in frags:
             vocab_set.update(fr["vocab"])
@@ -537,8 +324,7 @@ class FusedSegmentBuilder:
         }
         if sort_meta is not None:
             meta["index_sort"] = sort_meta
-        t0 = time.time()
-        metrics = build_segment_from_ids(
+        return build_segment_from_ids(
             pa.array(vocab, type=pa.large_string()),
             tids,
             docs.astype(np.int32),
@@ -553,8 +339,6 @@ class FusedSegmentBuilder:
             payloads=payloads,
             term_vectors=self.term_vectors,
         )
-        metrics["encode_sec"] = round(time.time() - t0, 3)
-        return metrics
 
     def _apply_index_sort(
         self, seg: dict, doc_tbls: list[pa.Table], docs: np.ndarray, lengths: np.ndarray
@@ -585,15 +369,55 @@ class FusedSegmentBuilder:
         )
         return old2new[docs], lengths[new_order], [field, direction]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for desc in batch.to_pylist():
-            seg = self.segs_by_id[desc["seg_id"]]
-            t0 = time.time()
-            metrics = self.build_one(seg)
-            metrics["task_sec"] = round(time.time() - t0, 3)
-            rows.append({"seg_id": seg["seg_id"], "metrics": json.dumps(metrics)})
-        return pa.Table.from_pylist(rows)
+
+# --- build entry points --------------------------------------------------
+
+def _plan(corpus_paths, index_dir: str, docs_per_segment: int, resume: bool):
+    """Plan the segments; split them into (to build, already complete)."""
+    store.makedirs(index_dir)
+    segments = plan_segments(corpus_paths, docs_per_segment)
+    todo, skipped = [], []
+    for seg in segments:
+        seg_dir = os.path.join(index_dir, seg["name"])
+        if resume and mf.segment_is_complete(seg_dir, seg["lineage"]["signature"]):
+            skipped.append(seg)
+        else:
+            todo.append(seg)
+    return segments, todo, skipped
+
+
+def _commit(
+    index_dir: str, segments: list[dict], skipped: list[dict], t_start: float, **fields
+) -> dict:
+    """Commit the next manifest generation, assembled from per-segment
+    meta.json (stats were written by the build; skipped segments keep the
+    files of the earlier run).  ``fields`` are the build settings."""
+    gen = (mf.latest_generation(index_dir) or 0) + 1
+    seg_entries = []
+    for seg in segments:
+        seg_dir = os.path.join(index_dir, seg["name"])
+        meta = store.read_json(os.path.join(seg_dir, "meta.json"))
+        seg_entries.append(
+            {
+                "name": seg["name"],
+                "dir": seg_dir,
+                "doc_base": seg["doc_base"],
+                "max_doc": seg["max_doc"],
+                "stats": meta["stats"],
+                "metrics": meta.get("metrics", {}),
+                "lineage": meta.get("lineage", seg["lineage"]),
+                "docs_dir": os.path.join(index_dir, "docs", seg["name"]),
+            }
+        )
+    manifest = {
+        "generation": gen,
+        **fields,
+        "segments": seg_entries,
+        "built_sec": round(time.time() - t_start, 3),
+        "skipped_segments": [s["name"] for s in skipped],
+    }
+    mf.write_manifest(index_dir, manifest)
+    return manifest
 
 
 def build_index_local(
@@ -608,81 +432,32 @@ def build_index_local(
     index_options: str = "docs_freqs",
     term_vectors: bool = False,
 ) -> dict:
-    """In-process build (no Ray): same stages, serial loop.  Used by unit
-    tests and tiny fixtures; the Ray pipeline (build_index) is the real path."""
+    """In-process build (no Ray): the same builder and commit as
+    ``build_index``, in a serial loop.  Used by unit tests and tiny
+    fixtures; writes the same segment and stored-field files."""
     t_start = time.time()
-    store.makedirs(index_dir)
-    segments = plan_segments(corpus_paths, docs_per_segment)
+    segments, todo, skipped = _plan(corpus_paths, index_dir, docs_per_segment, resume)
     builder = FusedSegmentBuilder(
-        index_dir, analyzer, content_column, {s["seg_id"]: s for s in segments},
-        index_options=index_options, term_vectors=term_vectors,
+        index_dir,
+        analyzer,
+        content_column,
+        index_options=index_options,
+        meta_columns=list(meta_columns),
+        write_doc_tables=write_doc_tables,
+        term_vectors=term_vectors,
     )
-    doc_stage = DocTableStage(
-        content_column, list(meta_columns), os.path.join(index_dir, "docs")
+    for seg in todo:
+        builder.build_one(seg)
+    return _commit(
+        index_dir, segments, skipped, t_start,
+        analyzer=analyzer,
+        mode="local",
+        docs_per_segment=docs_per_segment,
+        index_options=index_options,
+        term_vectors=bool(term_vectors),
+        index_sort=None,
     )
-    skipped = []
-    for seg in segments:
-        seg_dir = os.path.join(index_dir, seg["name"])
-        if resume and mf.segment_is_complete(seg_dir, seg["lineage"]["signature"]):
-            skipped.append(seg)
-            continue
-        builder(pa.Table.from_pylist([{"seg_id": seg["seg_id"]}]))
-        if write_doc_tables:
-            doc_stage(pa.Table.from_pylist(_fragments_with_local_base(seg)))
-    gen = (mf.latest_generation(index_dir) or 0) + 1
-    seg_entries = []
-    for seg in segments:
-        seg_dir = os.path.join(index_dir, seg["name"])
-        meta = store.read_json(os.path.join(seg_dir, "meta.json"))
-        seg_entries.append(
-            {
-                "name": seg["name"],
-                "dir": seg_dir,
-                "doc_base": seg["doc_base"],
-                "max_doc": seg["max_doc"],
-                "stats": meta["stats"],
-                "metrics": meta.get("metrics", {}),
-                "lineage": meta.get("lineage", seg["lineage"]),
-                "docs_dir": os.path.join(index_dir, "docs", seg["name"]),
-            }
-        )
-    manifest = {
-        "generation": gen,
-        "analyzer": analyzer,
-        "mode": "local",
-        "docs_per_segment": docs_per_segment,
-        "index_options": index_options,
-        "term_vectors": bool(term_vectors),
-        "index_sort": None,
-        "segments": seg_entries,
-        "built_sec": round(time.time() - t_start, 3),
-        "skipped_segments": [s["name"] for s in skipped],
-    }
-    mf.write_manifest(index_dir, manifest)
-    return manifest
 
-
-def _resolve_concurrency(concurrency: int | None, n_tasks: int) -> int | tuple[int, int]:
-    """Ray Data requires explicit ``concurrency`` for callable-class stages.
-
-    Default: a FIXED pool sized min(cluster CPUs, tasks).  Autoscaling
-    ``(1, cap)`` ramps up too slowly for short builds — measured 22s vs
-    15s for the same 49-segment build — and on a real cluster the build is
-    the only tenant anyway.
-    """
-    if concurrency is not None:
-        return concurrency
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    except Exception:
-        cpus = 0
-    return max(1, min(cpus or (os.cpu_count() or 4), max(1, n_tasks)))
-
-
-# stateless task bodies for the fused pipeline (per-worker reuse comes from
-# the analyzer-table module singletons, not actor state)
 
 def _fused_build_task(
     batch: pa.Table,
@@ -696,6 +471,9 @@ def _fused_build_task(
     index_sort: tuple[str, str] | None = None,
     term_vectors: bool = False,
 ) -> pa.Table:
+    """Stateless task body: build the segments named in ``batch``.  The
+    per-worker reuse comes from the analyzer-table module singletons, not
+    actor state."""
     import ray
 
     segs_by_id = ray.get(segs_ref) if not isinstance(segs_ref, dict) else segs_ref
@@ -703,33 +481,16 @@ def _fused_build_task(
         index_dir,
         analyzer,
         content_column,
-        segs_by_id,
         index_options=index_options,
         meta_columns=meta_columns,
         write_doc_tables=write_doc_tables,
         index_sort=index_sort,
         term_vectors=term_vectors,
     )
-    return builder(batch)
+    for seg_id in batch.column("seg_id").to_pylist():
+        builder.build_one(segs_by_id[seg_id])
+    return batch
 
-
-def _analyze_task(
-    batch: pa.Table,
-    analyzer: str,
-    content_column: str,
-    index_options: str = "docs_freqs",
-    term_salt: int = 1,
-) -> pa.Table:
-    return AnalyzerStage(analyzer, content_column, index_options, term_salt)(batch)
-
-
-def _doc_table_task(
-    batch: pa.Table, content_column: str, meta_columns: list[str], docs_dir: str
-) -> pa.Table:
-    return DocTableStage(content_column, meta_columns, docs_dir)(batch)
-
-
-# --- the driver ----------------------------------------------------------
 
 def build_index(
     corpus_paths: list[str] | str,
@@ -739,241 +500,66 @@ def build_index(
     mode: str = "fused",
     content_column: str = "content",
     meta_columns: tuple[str, ...] = ("repo", "path", "commit", "lang"),
-    concurrency: int | None = None,
     write_doc_tables: bool = True,
     resume: bool = True,
     index_options: str = "docs_freqs",
-    term_salt: int = 1,
     index_sort: tuple[str, str] | None = None,
     term_vectors: bool = False,
 ) -> dict:
     """Run the full build; returns the committed manifest dict.
 
+    ``mode`` only accepts ``"fused"``, the one build pipeline.
+
     ``index_sort=(field, "asc"|"desc")`` sorts each segment's docids by a
     stored meta column at flush (reference index/Sorter.java /
-    IndexWriterConfig.setIndexSort) — fused mode only; enables
-    early-terminating sort-field top-k when the query sort matches.
-
-    ``term_salt`` > 1 (shuffle mode only) salts the exchange key with an
-    order-preserving term-range bucket so a hot partition's sort fans out.
+    IndexWriterConfig.setIndexSort); enables early-terminating sort-field
+    top-k when the query sort matches.
 
     Must be called with Ray already initialised (or lets Ray Data
     auto-init).  Never calls ray.init()/shutdown() itself.
     """
+    if mode != "fused":
+        raise ValueError(f"unknown build mode {mode!r}: the only pipeline is 'fused'")
+    import ray
     import ray.data as rd
 
     t_start = time.time()
-    store.makedirs(index_dir)
-    segments = plan_segments(corpus_paths, docs_per_segment)
-
-    todo = []
-    skipped = []
-    for seg in segments:
-        seg_dir = os.path.join(index_dir, seg["name"])
-        if resume and mf.segment_is_complete(seg_dir, seg["lineage"]["signature"]):
-            skipped.append(seg)
-        else:
-            todo.append(seg)
-
-    segs_by_id = {s["seg_id"]: s for s in segments}
-    metrics_by_seg: dict[int, dict] = {}
-
+    segments, todo, skipped = _plan(corpus_paths, index_dir, docs_per_segment, resume)
     if todo:
-        if mode == "fused":
-            # Stateless TASKS, not an actor pool: the only per-worker state
-            # (tokenizer DFA tables) is a module-level singleton reused
-            # across tasks in each worker process, so tasks get actor-style
-            # state reuse without paying a fresh pool spin-up (~5s/32 CPUs)
-            # per build.  Segment descriptors are broadcast once via
-            # ray.put, not shipped per task.
-            import ray
-
-            segs_ref = ray.put(segs_by_id)
-            # dispatch biggest segments first: the input byte size (parquet
-            # row-group metadata) predicts task duration, so the stragglers
-            # run in the first wave instead of dangling off the last one
-            order = sorted(todo, key=lambda s: -s.get("n_bytes", 0))
-            ds = rd.from_items([{"seg_id": s["seg_id"]} for s in order])
-            out = ds.map_batches(
-                _fused_build_task,
-                fn_kwargs=dict(
-                    index_dir=index_dir,
-                    analyzer=analyzer,
-                    content_column=content_column,
-                    segs_ref=segs_ref,
-                    index_options=index_options,
-                    meta_columns=list(meta_columns),
-                    write_doc_tables=write_doc_tables,
-                    index_sort=index_sort,
-                    term_vectors=term_vectors,
-                ),
-                batch_size=1,
-                batch_format="pyarrow",
-                num_cpus=1,
-            )
-            for row in out.take_all():
-                metrics_by_seg[row["seg_id"]] = json.loads(row["metrics"])
-        elif mode == "shuffle":
-            if index_options in ("offsets", "payloads"):
-                raise NotImplementedError(
-                    "index_options='offsets'/'payloads' is fused-mode only (the offset "
-                    "streams ride the fused per-segment sort; the shuffle "
-                    "exchange would need two more per-row list columns)"
-                )
-            frag_rows = [f for s in todo for f in _fragments_with_local_base(s)]
-            ds = rd.from_items(frag_rows)
-            # stateless tasks (same rationale as the fused path: analyzer
-            # tables are module singletons, so tasks get actor-style reuse
-            # without a fresh pool spin-up per build)
-            post = ds.map_batches(
-                _analyze_task,
-                fn_kwargs=dict(
-                    analyzer=analyzer,
-                    content_column=content_column,
-                    index_options=index_options,
-                    term_salt=term_salt,
-                ),
-                batch_size=4,
-                batch_format="pyarrow",
-                num_cpus=1,
-            )
-
-            if term_salt <= 1:
-
-                def build_group(group: pa.Table) -> pa.Table:
-                    seg_id = int(group.column("segpart")[0].as_py())
-                    seg = segs_by_id[seg_id]
-                    metrics = _build_segment_from_rows(group, seg, index_dir)
-                    return pa.Table.from_pylist(
-                        [{"seg_id": seg_id, "metrics": json.dumps(metrics)}]
-                    )
-
-                out = post.groupby("segpart").map_groups(build_group, batch_format="pyarrow")
-                for row in out.take_all():
-                    metrics_by_seg[row["seg_id"]] = json.loads(row["metrics"])
-            else:
-                # SALTED exchange: key = (segpart, term-RANGE bucket).  A hot
-                # segment's sort fans out over `term_salt` groups; buckets are
-                # contiguous UTF-8 ranges (first byte), so the finalize step
-                # CONCATENATES the sorted runs in bucket order — term order is
-                # preserved, no re-sort (SURVEY §4 skew row: range-salting so
-                # concatenation preserves order).  Production would sample the
-                # term distribution for balanced boundaries, like sort does.
-                # fresh run-id subdir per build invocation: stale buckets left
-                # by a previous killed run (possibly with a different
-                # term_salt or schema) must never be concatenated in
-                base_runs_dir = os.path.join(index_dir, ".runs")
-                store.rmtree(base_runs_dir)
-                runs_dir = os.path.join(base_runs_dir, uuid.uuid4().hex[:12])
-
-                def build_run(group: pa.Table) -> pa.Table:
-                    import pyarrow.compute as pc
-
-                    seg_id = int(group.column("segpart")[0].as_py())
-                    salt = int(group.column("salt")[0].as_py())
-                    seg = segs_by_id[seg_id]
-                    if pa.types.is_dictionary(group.schema.field("term").type):
-                        gi = group.schema.get_field_index("term")
-                        group = group.set_column(
-                            gi, "term", pc.cast(group.column("term"), pa.large_string())
-                        )
-                    run_cols = ["term", "docid", "tf"] + (
-                        ["pos"] if "pos" in group.column_names else []
-                    )
-                    tbl = group.select(run_cols).sort_by(
-                        [("term", "ascending"), ("docid", "ascending")]
-                    )
-                    d = os.path.join(runs_dir, seg["name"])
-                    store.pq_write(tbl, os.path.join(d, f"bucket_{salt:04d}.parquet"))
-                    return pa.Table.from_pylist([{"seg_id": seg_id, "salt": salt}])
-
-                post.groupby(["segpart", "salt"]).map_groups(
-                    build_run, batch_format="pyarrow"
-                ).materialize()
-
-                def finalize(batch: pa.Table) -> pa.Table:
-                    rows = []
-                    for r in batch.to_pylist():
-                        seg = segs_by_id[r["seg_id"]]
-                        d = os.path.join(runs_dir, seg["name"])
-                        buckets = sorted(
-                            f for f in store.listdir(d) if f.startswith("bucket_")
-                        )
-                        # each salt value writes at most one bucket this run
-                        assert len(buckets) <= term_salt, (d, buckets)
-                        tbls = [store.pq_read(os.path.join(d, f)) for f in buckets]
-                        tbl = pa.concat_tables(tbls)  # bucket order == term order
-                        metrics = _build_segment_from_rows(tbl, seg, index_dir)
-                        rows.append(
-                            {"seg_id": seg["seg_id"], "metrics": json.dumps(metrics)}
-                        )
-                    return pa.Table.from_pylist(rows)
-
-                out = rd.from_items([{"seg_id": s["seg_id"]} for s in todo]).map_batches(
-                    finalize, batch_size=1, batch_format="pyarrow", num_cpus=1
-                )
-                for row in out.take_all():
-                    metrics_by_seg[row["seg_id"]] = json.loads(row["metrics"])
-                store.rmtree(base_runs_dir)
-        else:
-            raise ValueError(f"unknown mode: {mode}")
-
-        # segments with zero postings never appear in the grouped output
-        for seg in todo:
-            if seg["seg_id"] not in metrics_by_seg:
-                metrics_by_seg[seg["seg_id"]] = _build_segment_from_postings(
-                    pa.array([], type=pa.large_string()),
-                    np.empty(0, dtype=np.int32),
-                    np.empty(0, dtype=np.int32),
-                    seg,
-                    index_dir,
-                )
-
-    if write_doc_tables and todo and mode != "fused":
-        docs_dir = os.path.join(index_dir, "docs")
-        frag_rows = [f for s in todo for f in _fragments_with_local_base(s)]
-        rd.from_items(frag_rows).map_batches(
-            _doc_table_task,
+        # Stateless TASKS, not an actor pool: the only per-worker state
+        # (tokenizer DFA tables) is a module-level singleton reused across
+        # tasks in each worker process, so tasks get actor-style state reuse
+        # without paying a fresh pool spin-up (~5s/32 CPUs) per build.
+        # Segment descriptors are broadcast once via ray.put, not shipped
+        # per task.
+        segs_ref = ray.put({s["seg_id"]: s for s in segments})
+        # dispatch biggest segments first: the input byte size (parquet
+        # row-group metadata) predicts task duration, so the stragglers run
+        # in the first wave instead of dangling off the last one
+        order = sorted(todo, key=lambda s: -s.get("n_bytes", 0))
+        rd.from_items([{"seg_id": s["seg_id"]} for s in order]).map_batches(
+            _fused_build_task,
             fn_kwargs=dict(
+                index_dir=index_dir,
+                analyzer=analyzer,
                 content_column=content_column,
+                segs_ref=segs_ref,
+                index_options=index_options,
                 meta_columns=list(meta_columns),
-                docs_dir=docs_dir,
+                write_doc_tables=write_doc_tables,
+                index_sort=index_sort,
+                term_vectors=term_vectors,
             ),
-            batch_size=8,
+            batch_size=1,
             batch_format="pyarrow",
             num_cpus=1,
-        ).materialize()
-
-    # commit: assemble the manifest from per-segment meta.json (stats were
-    # written by the build tasks; skipped segments keep their prior entry)
-    gen = (mf.latest_generation(index_dir) or 0) + 1
-    seg_entries = []
-    for seg in segments:
-        seg_dir = os.path.join(index_dir, seg["name"])
-        meta = store.read_json(os.path.join(seg_dir, "meta.json"))
-        seg_entries.append(
-            {
-                "name": seg["name"],
-                "dir": seg_dir,
-                "doc_base": seg["doc_base"],
-                "max_doc": seg["max_doc"],
-                "stats": meta["stats"],
-                "metrics": meta.get("metrics", {}),
-                "lineage": meta.get("lineage", seg["lineage"]),
-                "docs_dir": os.path.join(index_dir, "docs", seg["name"]),
-            }
-        )
-    manifest = {
-        "generation": gen,
-        "analyzer": analyzer,
-        "mode": mode,
-        "docs_per_segment": docs_per_segment,
-        "index_options": index_options,
-        "term_vectors": bool(term_vectors),
-        "index_sort": list(index_sort) if index_sort else None,
-        "segments": seg_entries,
-        "built_sec": round(time.time() - t_start, 3),
-        "skipped_segments": [s["name"] for s in skipped],
-    }
-    mf.write_manifest(index_dir, manifest)
-    return manifest
+        ).take_all()
+    return _commit(
+        index_dir, segments, skipped, t_start,
+        analyzer=analyzer,
+        mode=mode,
+        docs_per_segment=docs_per_segment,
+        index_options=index_options,
+        term_vectors=bool(term_vectors),
+        index_sort=list(index_sort) if index_sort else None,
+    )

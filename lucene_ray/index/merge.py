@@ -657,7 +657,10 @@ def merge_segments_task(
     # with docids shifted to the merged segment's local space, so the
     # doc_base + docid invariant survives any number of merge levels
     # (reference SegmentMerger.mergeFields rewrites stored fields too).
+    # Fragments are named by their ordinal in this merge, so names stay the
+    # same length at every merge level; readers sort by docid anyway.
     docs_out = None
+    n_frags = 0
     for e, live, lpfx, lbase in zip(seg_entries, lives, live_prefix, live_bases):
         src = e.get("docs_dir")
         if src and store.isdir(src):
@@ -677,7 +680,8 @@ def merge_segments_task(
                     new_ids = old_ids.astype(np.int64) + lbase
                 i = tbl.schema.get_field_index("docid")
                 tbl = tbl.set_column(i, "docid", pa.array(new_ids.astype(np.int32)))
-                store.pq_write(tbl, os.path.join(docs_out, f"{e['name']}-{f}"))
+                store.pq_write(tbl, os.path.join(docs_out, f"part_{n_frags:06d}.parquet"))
+                n_frags += 1
     return metrics
 
 
@@ -729,7 +733,7 @@ def _apply_merges(index_dir: str, manifest: dict, plans: list[list[int]]) -> dic
                     # meta max_doc = LIVE docs after delete expunge
                     "max_doc": meta["max_doc"],
                     "stats": meta["stats"],
-                    "metrics": meta.get("metrics", {}),
+                    "metrics": {**meta.get("metrics", {}), **metrics},
                     "lineage": meta.get("lineage", {}),
                     "docs_dir": os.path.join(index_dir, "docs", name),
                 }

@@ -89,7 +89,6 @@ def build_multi_field_index(
     index_dir: str,
     fields: list[FieldSpec],
     docs_per_segment: int = 4096,
-    mode: str = "fused",
     meta_columns: tuple[str, ...] | None = None,
 ) -> dict:
     """One sub-index per field; returns {field: manifest}.  Stored-field
@@ -112,7 +111,6 @@ def build_multi_field_index(
             os.path.join(index_dir, spec.name),
             analyzer=spec.analyzer,
             docs_per_segment=docs_per_segment,
-            mode=mode,
             content_column=spec.column,
             meta_columns=meta_columns,
             write_doc_tables=(i == 0),

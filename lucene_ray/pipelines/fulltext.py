@@ -109,7 +109,6 @@ def ensure_index(
             idx,
             analyzer=analyzer,
             docs_per_segment=docs_per_segment,
-            mode="fused",
             content_column="text",
             meta_columns=("doc_id", "lang", "source", "n_chars"),
             index_options=index_options,
@@ -254,7 +253,6 @@ def _derived_term_stats(sf_dir: str, src: str, tag: str, analyzer, column: str):
             idx,
             analyzer=analyzer,
             docs_per_segment=DOCS_PER_SEGMENT,
-            mode="fused",
             content_column=column,
             meta_columns=("doc_id",),
         )
@@ -1688,7 +1686,6 @@ def ensure_block_index(sf_dir: str) -> str:
             idx,
             analyzer="standard",
             docs_per_segment=DOCS_PER_SEGMENT,
-            mode="fused",
             content_column="text",
             meta_columns=("doc_id", "lang", "source", "n_chars", "parent"),
             index_options="docs_freqs",

@@ -1,8 +1,7 @@
-"""Ray Data build pipelines: fused and shuffle modes must produce
-identical indexes (same stats, same query results), and the distributed
-searcher must agree with the in-process one."""
+"""The Ray Data build and the in-process build write the same index
+(byte-identical files, same stats, same query results), and the
+distributed searcher agrees with the in-process one."""
 
-import math
 import os
 
 import pyarrow.parquet as pq
@@ -36,20 +35,38 @@ def _results(index_dir):
     ], s.collection_stats
 
 
-def test_fused_and_shuffle_modes_match_local(ray_session, corpus_dir, tmp_path_factory):
+def _index_files(index_dir):
+    """{relative path: bytes} of every file but the manifests, which hold
+    build timings (segment meta.json holds none)."""
+    out = {}
+    for root, _dirs, files in os.walk(index_dir):
+        for f in files:
+            if not f.startswith("manifest-"):
+                path = os.path.join(root, f)
+                with open(path, "rb") as fh:
+                    out[os.path.relpath(path, index_dir)] = fh.read()
+    return out
+
+
+def test_build_index_matches_local(ray_session, corpus_dir, tmp_path_factory):
     root = tmp_path_factory.mktemp("ray_idx")
     local_dir = str(root / "local")
     fused_dir = str(root / "fused")
-    shuffle_dir = str(root / "shuffle")
     build_index_local(corpus_dir, local_dir, docs_per_segment=120)
-    build_index(corpus_dir, fused_dir, docs_per_segment=120, mode="fused")
-    build_index(corpus_dir, shuffle_dir, docs_per_segment=120, mode="shuffle",
-                write_doc_tables=False)
+    build_index(corpus_dir, fused_dir, docs_per_segment=120)
+    local_files = _index_files(local_dir)
+    assert any(f.endswith("bloom.npy") for f in local_files)
+    assert any(f.startswith("docs" + os.sep) for f in local_files)
+    assert local_files == _index_files(fused_dir)
     r_local, cs_local = _results(local_dir)
     r_fused, cs_fused = _results(fused_dir)
-    r_shuffle, cs_shuffle = _results(shuffle_dir)
-    assert cs_local == cs_fused == cs_shuffle
-    assert r_local == r_fused == r_shuffle
+    assert cs_local == cs_fused
+    assert r_local == r_fused
+
+
+def test_unknown_build_mode_rejected(tmp_path):
+    with pytest.raises(ValueError, match="fused"):
+        build_index(str(tmp_path / "corpus"), str(tmp_path / "i"), mode="shuffle")
 
 
 def test_distributed_searcher_matches(ray_session, corpus_dir, tmp_path_factory):

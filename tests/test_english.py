@@ -2,6 +2,7 @@
 units, chain semantics (stop + stem + norms), synonym expansion."""
 
 import io
+import os
 import zipfile
 
 import numpy as np
@@ -28,6 +29,9 @@ PORTER_GOLDEN = (
 )
 
 
+@pytest.mark.skipif(
+    not os.path.isfile(PORTER_GOLDEN), reason="reference checkout not available"
+)
 def test_porter_golden_vectors():
     """Every one of the reference's 23,531 porterTestData pairs."""
     with zipfile.ZipFile(PORTER_GOLDEN) as z:

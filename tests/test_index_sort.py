@@ -84,7 +84,6 @@ def test_positions_survive_remap(ray_session, tmp_path):
 
     common = dict(
         docs_per_segment=200,
-        mode="fused",
         content_column="text",
         meta_columns=("doc_id", "n_chars"),
         index_options="positions",

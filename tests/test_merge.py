@@ -167,6 +167,68 @@ def test_merge_preserves_stored_fields(tmp_path, ray_session):
     check_invariant()
 
 
+def test_fragment_names_stay_short_across_merge_levels(tmp_path, ray_session):
+    """20 merge levels (add one segment, force-merge to one, repeat): the
+    stored-field fragment names keep a fixed length, and every stored row
+    still lines up with its global docid."""
+    import hashlib
+    import os
+
+    import pyarrow.parquet as pq
+
+    from lucene_ray.index.deletes import add_documents
+
+    levels = 20
+    tbl = generate_corpus(20 + 2 * levels, seed=5)
+    d = tmp_path / "corpus"
+    d.mkdir()
+    pq.write_table(tbl.slice(0, 20), str(d / "corpus.parquet"), row_group_size=10)
+    idx = str(tmp_path / "idx")
+    build_index_local(str(d), idx, docs_per_segment=10)
+    for level in range(levels):
+        add_documents(
+            idx,
+            tbl.slice(20 + 2 * level, 2),
+            content_column="content",
+            meta_columns=("repo", "path", "commit", "lang"),
+        )
+        man = force_merge(idx, max_segments=1)
+    assert len(man["segments"]) == 1
+    seg = man["segments"][0]
+    shas = [hashlib.sha256(c.encode("utf-8")).hexdigest() for c in tbl.column("content").to_pylist()]
+    seen = []
+    for f in os.listdir(seg["docs_dir"]):
+        assert len(f) <= len("part_000000.parquet"), f
+        dt = pq.read_table(os.path.join(seg["docs_dir"], f))
+        for docid, sha in zip(dt.column("docid").to_pylist(), dt.column("sha256").to_pylist()):
+            assert sha == shas[seg["doc_base"] + docid]
+            seen.append(docid)
+    assert sorted(seen) == list(range(len(shas)))
+
+
+def test_merged_entries_keep_merge_metrics(tmp_path, ray_session):
+    """The manifest entry of a merged segment carries the merge task's
+    metrics (merge_sec, merged_from, section_postings) beside the
+    segment's own."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path / "corpus"
+    d.mkdir()
+    pq.write_table(generate_corpus(80, seed=9), str(d / "corpus.parquet"), row_group_size=20)
+    idx = str(tmp_path / "idx")
+    before = build_index_local(str(d), idx, docs_per_segment=20)
+    man = force_merge(idx, max_segments=2)
+    names = [s["name"] for s in before["segments"]]
+    merged = [s for s in man["segments"] if s["name"] not in names]
+    assert merged
+    for seg in merged:
+        m = seg["metrics"]
+        assert m["merge_sec"] >= 0
+        assert m["section_postings"] > 0
+        assert m["n_postings"] > 0
+        assert m["merged_from"] and set(m["merged_from"]) <= set(names)
+
+
 def test_gc_and_generations(small_index, ray_session):
     # after force_merge in the earlier test: old segments unreferenced once
     # generations are pruned

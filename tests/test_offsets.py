@@ -70,18 +70,6 @@ def test_offsets_checkindex_and_corruption(off_idx, tmp_path):
     assert any("end offset" in e for e in rep["errors"])
 
 
-def test_offsets_shuffle_mode_rejected(tmp_path, ray_session):
-    import pyarrow.parquet as _pq
-
-    d = tmp_path / "c"
-    d.mkdir()
-    _pq.write_table(generate_corpus(50, seed=1), str(d / "c.parquet"))
-    from lucene_ray.index.build import build_index
-
-    with pytest.raises(NotImplementedError, match="fused-mode only"):
-        build_index(str(d), str(tmp_path / "i"), mode="shuffle", index_options="offsets")
-
-
 def test_offsets_survive_merge_with_deletes(tmp_path, ray_session):
     """Offsets carry through the sectioned merge with delete expunge: the
     reconstruction invariant must hold on the merged segment."""
