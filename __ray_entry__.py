@@ -2048,37 +2048,20 @@ def _ann_rrf_hybrid(sf_dir: str):
     the brute cosine top-RRF_CAND for embedding qid (documents and
     embeddings share the 0..N id space); fused score = sum of
     1/(60 + rank), ties by doc id."""
-    import pyarrow as pa
-
     from lucene_ray.ops import ann
-    from lucene_ray.pipelines import fulltext as ft_
     from lucene_ray.search.collector import rrf
     from lucene_ray.search.query import TermQuery
     from lucene_ray.search.searcher import IndexSearcher
 
-    searcher = IndexSearcher(ft_.ensure_index(sf_dir))
+    searcher = IndexSearcher(ft.ensure_index(sf_dir))
     q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
     vec = ann.brute_topk(_embs(sf_dir), q, k=RRF_CAND).to_pandas()
-    qids, rnks, docs = [], [], []
+    ranked = []
     for qid in ANN_QUERY_IDS:
-        lex = [
-            doc
-            for doc, _s in searcher.search(
-                TermQuery(ft.QUERY_TERMS[qid]), RRF_CAND
-            )
-        ]
+        lex = [doc for doc, _s in searcher.search(TermQuery(ft.QUERY_TERMS[qid]), RRF_CAND)]
         v = vec[vec.query_id == qid].sort_values("rnk")["neighbor_id"].tolist()
-        for rnk, (doc, _s) in enumerate(rrf([lex, v], 10), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "neighbor_id": pa.array(docs, pa.int64()),
-        }
-    )
+        ranked.append((qid, [doc for doc, _s in rrf([lex, v], 10)]))
+    return ft.ranked_table(ranked).rename_columns(["query_id", "rnk", "neighbor_id"])
 
 
 def _ann_ivf(sf_dir: str):
@@ -2309,8 +2292,6 @@ def _merged_bm25(sf_dir: str):
     """BM25 over an index that went through tiered force-merge: many tiny
     segments -> 1.  Results must equal the unmerged oracle rank-identically
     (SegmentMerger invariant: impacts/skips rebuilt, docIDs preserved)."""
-    import pyarrow as pa
-
     from lucene_ray.index import manifest as mfst
     from lucene_ray.index.merge import force_merge
     from lucene_ray.search.query import TermQuery
@@ -2319,45 +2300,15 @@ def _merged_bm25(sf_dir: str):
     idx = ft.ensure_index(sf_dir, docs_per_segment=64)
     if len(mfst.read_manifest(idx)["segments"]) > 1:
         force_merge(idx, max_segments=1)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, term in enumerate(ft.QUERY_TERMS):
-        hits = searcher.search(TermQuery(term), 10)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+    return ft.hits_table(IndexSearcher(idx), [TermQuery(t) for t in ft.QUERY_TERMS], 10)
 
 
 def _distributed_bm25(sf_dir: str):
-    import pyarrow as pa
-
     from lucene_ray.search.query import TermQuery
     from lucene_ray.search.searcher import DistributedSearcher
 
-    idx = ft.ensure_index(sf_dir)
-    searcher = DistributedSearcher(idx, num_workers=2)
-    qids, rnks, docs = [], [], []
-    for qid, term in enumerate(ft.QUERY_TERMS):
-        hits = searcher.search(TermQuery(term), 10)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+    searcher = DistributedSearcher(ft.ensure_index(sf_dir), num_workers=2)
+    return ft.hits_table(searcher, [TermQuery(t) for t in ft.QUERY_TERMS], 10)
 
 
 def _concat_rows(*parts):
@@ -2366,7 +2317,7 @@ def _concat_rows(*parts):
     import pandas as pd
 
     return pd.concat(
-        [p if isinstance(p, pd.DataFrame) else p.to_pandas() for p in parts],
+        [p if isinstance(p, pd.DataFrame) else ft.gather(p).to_pandas() for p in parts],
         ignore_index=True,
     )
 
@@ -2379,7 +2330,7 @@ def _concat_family(parts, col: str = "family"):
 
     dfs = []
     for label, r in parts:
-        df = r if isinstance(r, pd.DataFrame) else r.to_pandas()
+        df = r if isinstance(r, pd.DataFrame) else ft.gather(r).to_pandas()
         df = df.copy()
         df[col] = label
         dfs.append(df)
@@ -2426,32 +2377,18 @@ def _bm25_variants(sf_dir: str):
 
 
 def _page2_bm25(sf_dir: str):
-    import pyarrow as pa
-
     from lucene_ray.search.query import TermQuery
     from lucene_ray.search.searcher import IndexSearcher
 
-    idx = ft.ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
+    searcher = IndexSearcher(ft.ensure_index(sf_dir))
+    ranked = []
     for qid, term in enumerate(ft.QUERY_TERMS):
         page1 = searcher.search(TermQuery(term), 10)
         if not page1:
             continue
         after = (float(page1[-1][1]), int(page1[-1][0]))
-        for rnk, (doc, _s) in enumerate(
-            searcher.search_after(TermQuery(term), 10, after), start=1
-        ):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+        ranked.append((qid, [d for d, _s in searcher.search_after(TermQuery(term), 10, after)]))
+    return ft.ranked_table(ranked)
 
 
 def _ann_sq8(sf_dir: str):
@@ -2750,49 +2687,45 @@ def _term_stats_family(sf_dir: str):
     as one analyzer-tagged family (same schema, two indexes)."""
     import pandas as pd
 
+    arms = [
+        (name, ft.term_stats_all(sf_dir, analyzer=name))
+        for name in (
+            "standard",
+            "code",
+            "english_minimal",
+            "synonym",
+            "edge_ngram",
+            "ngram",
+            "reverse",
+            "mapped",
+            "custom_chain",
+            "pattern",
+            "common_grams",
+            "fingerprint",
+            "keyword_repeat",
+            "synonym_graph",
+        )
+    ]
+    arms += [
+        (name, ft.path_term_stats(sf_dir, reverse=rev))
+        for name, rev in (("path_hierarchy", False), ("path_hierarchy_reverse", True))
+    ]
+    arms += [
+        (name, ft.contact_term_stats(sf_dir, analyzer=name))
+        for name in ("classic", "uax29_url_email")
+    ]
+    arms += [
+        ("cjk_bigram", ft.cjk_term_stats(sf_dir)),
+        ("ja", ft.ja_term_stats(sf_dir)),
+        ("ko", ft.ko_term_stats(sf_dir)),
+        ("icu_folding", ft.icu_term_stats(sf_dir)),
+        ("zh", ft.zh_term_stats(sf_dir)),
+    ]
     parts = []
-    for name in (
-        "standard",
-        "code",
-        "english_minimal",
-        "synonym",
-        "edge_ngram",
-        "ngram",
-        "reverse",
-        "mapped",
-        "custom_chain",
-        "pattern",
-        "common_grams",
-        "fingerprint",
-        "keyword_repeat",
-        "synonym_graph",
-    ):
-        p = ft.term_stats_all(sf_dir, analyzer=name).to_pandas()
+    for name, ds in arms:
+        p = ft.gather(ds, ft.TERM_STATS_SCHEMA).to_pandas()
         p.insert(0, "analyzer", name)
         parts.append(p)
-    for name, rev in (("path_hierarchy", False), ("path_hierarchy_reverse", True)):
-        p = ft.path_term_stats(sf_dir, reverse=rev).to_pandas()
-        p.insert(0, "analyzer", name)
-        parts.append(p)
-    for name in ("classic", "uax29_url_email"):
-        p = ft.contact_term_stats(sf_dir, analyzer=name).to_pandas()
-        p.insert(0, "analyzer", name)
-        parts.append(p)
-    p = ft.cjk_term_stats(sf_dir).to_pandas()
-    p.insert(0, "analyzer", "cjk_bigram")
-    parts.append(p)
-    p = ft.ja_term_stats(sf_dir).to_pandas()
-    p.insert(0, "analyzer", "ja")
-    parts.append(p)
-    p = ft.ko_term_stats(sf_dir).to_pandas()
-    p.insert(0, "analyzer", "ko")
-    parts.append(p)
-    p = ft.icu_term_stats(sf_dir).to_pandas()
-    p.insert(0, "analyzer", "icu_folding")
-    parts.append(p)
-    p = ft.zh_term_stats(sf_dir).to_pandas()
-    p.insert(0, "analyzer", "zh")
-    parts.append(p)
     return pd.concat(parts, ignore_index=True)
 
 
@@ -2955,26 +2888,26 @@ def _proximity_family(sf_dir: str):
     ordered (greedy chain), containing/notContaining (windows filtered by
     third-term containment) and or-slot sources; unordered rows carry
     n_starts = -1 (its count is boolean-match only)."""
-    un = ft.proximity_matches(sf_dir).to_pandas()
+    un = ft.gather(ft.proximity_matches(sf_dir)).to_pandas()
     un["n_starts"] = -1
-    cont = ft.containing_proximity_matches(sf_dir).to_pandas()
+    cont = ft.gather(ft.containing_proximity_matches(sf_dir)).to_pandas()
     cont = cont.rename(columns={"n": "n_starts"})
-    disj = ft.or_proximity_matches(sf_dir).to_pandas()
+    disj = ft.gather(ft.or_proximity_matches(sf_dir)).to_pandas()
     disj = disj.rename(columns={"n": "n_starts"})
     # queryparser/surround language (booleans + W/N distance + truncation),
     # parsed then evaluated per segment; match-set only (n_starts = -1)
-    sur = ft.surround_matches(sf_dir).to_pandas()
+    sur = ft.gather(ft.surround_matches(sf_dir)).to_pandas()
     sur["n_starts"] = -1
     # SpanQuery family (queries/spans): distinct-span counts from the
     # compositional span algebra, oracle-compiled from the same ASTs
-    spn = ft.span_matches(sf_dir).to_pandas().rename(columns={"n": "n_starts"})
+    spn = ft.gather(ft.span_matches(sf_dir)).to_pandas().rename(columns={"n": "n_starts"})
     # FieldMaskingSpanQuery (queries/spans/FieldMaskingSpanQuery.java):
     # masked clauses read the title sub-index's positions
-    msk = ft.field_masked_matches(sf_dir).to_pandas().rename(
+    msk = ft.gather(ft.field_masked_matches(sf_dir)).to_pandas().rename(
         columns={"n": "n_starts"}
     )
     # TermAutomatonQuery (sandbox): graph proximity, match-set only
-    auto = ft.automaton_matches(sf_dir).to_pandas()
+    auto = ft.gather(ft.automaton_matches(sf_dir)).to_pandas()
     auto["n_starts"] = -1
     return _concat_family(
         [
@@ -2990,7 +2923,7 @@ def _proximity_family(sf_dir: str):
             # flexible) over the minimal-interval algebra
             (
                 "intervals_fn",
-                ft.intervals_fn_matches(sf_dir)
+                ft.gather(ft.intervals_fn_matches(sf_dir))
                 .to_pandas()
                 .rename(columns={"n": "n_starts"}),
             ),
@@ -2998,19 +2931,19 @@ def _proximity_family(sf_dir: str):
             # 50-entry cap): exact / multi-slot / sloppy phrase freqs
             (
                 "phrase_exact",
-                ft.phrase_counts(sf_dir)
+                ft.gather(ft.phrase_counts(sf_dir))
                 .to_pandas()
                 .rename(columns={"phrase_freq": "n_starts"}),
             ),
             (
                 "phrase_multi",
-                ft.multi_phrase_counts(sf_dir)
+                ft.gather(ft.multi_phrase_counts(sf_dir))
                 .to_pandas()
                 .rename(columns={"phrase_freq": "n_starts"}),
             ),
             (
                 "phrase_sloppy",
-                ft.phrase_sloppy_counts(sf_dir)
+                ft.gather(ft.phrase_sloppy_counts(sf_dir))
                 .to_pandas()
                 .rename(columns={"sloppy_freq": "n_starts"}),
             ),

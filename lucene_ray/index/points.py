@@ -312,6 +312,8 @@ class PointTree:
             blo = int(mins[node][dim]) // width  # == Math.floorDiv
             bhi = int(maxs[node][dim]) // width
             s, e = int(start[node]), int(end[node])
+            if s == e:
+                continue  # an empty segment's root cell holds no point
             if blo == bhi:
                 # whole cell inside one bucket: count wholesale
                 counts[blo] = counts.get(blo, 0) + (e - s)

@@ -156,27 +156,37 @@ def match_batch(batch: pa.Table, queries: list[tuple]) -> pa.Table:
 def percolate_counts(ds, queries: list[tuple] | None = None) -> pa.Table:
     """Stream the dataset through the registered queries; reduce partials
     to one row per query: (qid, n_matches, sum_doc, min_doc, max_doc)."""
+    queries = queries if queries is not None else MONITOR_QUERIES
+    return _reduce_matches(
+        ds.map_batches(lambda b: match_batch(b, queries), batch_format="pyarrow")
+    )
+
+
+MATCH_SCHEMA = pa.schema(
+    [(c, pa.int64()) for c in ("qid", "n_matches", "sum_doc", "min_doc", "max_doc")]
+)
+
+
+def _reduce_matches(parts) -> pa.Table:
+    """Per-batch match partials (MATCH_SCHEMA) -> one row per query in qid
+    order."""
     from ray.data.aggregate import Max, Min, Sum
 
-    queries = queries if queries is not None else MONITOR_QUERIES
+    from .util import gather
+
     part = (
-        ds.map_batches(
-            lambda b: match_batch(b, queries), batch_format="pyarrow"
-        )
-        .groupby("qid")
-        .aggregate(
-            Sum("n_matches"), Sum("sum_doc"), Min("min_doc"), Max("max_doc")
+        gather(
+            parts.groupby("qid").aggregate(
+                Sum("n_matches", alias_name="n_matches"),
+                Sum("sum_doc", alias_name="sum_doc"),
+                Min("min_doc", alias_name="min_doc"),
+                Max("max_doc", alias_name="max_doc"),
+            ),
+            MATCH_SCHEMA,
         )
         .to_pandas()
+        .sort_values("qid")
     )
-    part = part.rename(
-        columns={
-            "sum(n_matches)": "n_matches",
-            "sum(sum_doc)": "sum_doc",
-            "min(min_doc)": "min_doc",
-            "max(max_doc)": "max_doc",
-        }
-    ).sort_values("qid")
     # zero-match queries keep sentinel min/max; normalize to -1
     part.loc[part["n_matches"] == 0, ["min_doc", "max_doc"]] = -1
     return pa.Table.from_pandas(part.reset_index(drop=True), preserve_index=False)
@@ -251,9 +261,7 @@ class ExactPercolator:
 
 def percolate_counts_exact(ds, queries: list[tuple] | None = None) -> pa.Table:
     """percolate_counts via the MemoryIndex exact path (actor pool)."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    part = (
+    return _reduce_matches(
         ds.map_batches(
             ExactPercolator,
             fn_constructor_kwargs={"queries": queries},
@@ -261,22 +269,7 @@ def percolate_counts_exact(ds, queries: list[tuple] | None = None) -> pa.Table:
             concurrency=(1, 4),
             batch_size=256,
         )
-        .groupby("qid")
-        .aggregate(
-            Sum("n_matches"), Sum("sum_doc"), Min("min_doc"), Max("max_doc")
-        )
-        .to_pandas()
     )
-    part = part.rename(
-        columns={
-            "sum(n_matches)": "n_matches",
-            "sum(sum_doc)": "sum_doc",
-            "min(min_doc)": "min_doc",
-            "max(max_doc)": "max_doc",
-        }
-    ).sort_values("qid")
-    part.loc[part["n_matches"] == 0, ["min_doc", "max_doc"]] = -1
-    return pa.Table.from_pandas(part.reset_index(drop=True), preserve_index=False)
 
 
 def _filter_terms(q: tuple) -> tuple[list[str], int]:
@@ -413,7 +406,6 @@ def percolate_counts_presearch(
     index builds once per actor in __init__, batches stream through) —
     identical output, registry-size-independent per-batch cost."""
     import ray
-    from ray.data.aggregate import Max, Min, Sum
 
     queries = queries if queries is not None else MONITOR_QUERIES
     if ray.is_initialized():
@@ -421,26 +413,11 @@ def percolate_counts_presearch(
         # session deadlocks with the whole CPU budget parked in the pool
         avail = int(ray.cluster_resources().get("CPU", concurrency + 2))
         concurrency = max(1, min(concurrency, avail - 2))
-    part = (
+    return _reduce_matches(
         ds.map_batches(
             PresearchPercolator,
             fn_constructor_kwargs={"queries": queries},
             batch_format="pyarrow",
             concurrency=concurrency,
         )
-        .groupby("qid")
-        .aggregate(
-            Sum("n_matches"), Sum("sum_doc"), Min("min_doc"), Max("max_doc")
-        )
-        .to_pandas()
     )
-    part = part.rename(
-        columns={
-            "sum(n_matches)": "n_matches",
-            "sum(sum_doc)": "sum_doc",
-            "min(min_doc)": "min_doc",
-            "max(max_doc)": "max_doc",
-        }
-    ).sort_values("qid")
-    part.loc[part["n_matches"] == 0, ["min_doc", "max_doc"]] = -1
-    return pa.Table.from_pandas(part.reset_index(drop=True), preserve_index=False)

@@ -95,6 +95,23 @@ def minhash_signature(shingles: list[str]) -> np.ndarray:
     return ((a * base[None, :] + b) % np.uint64(MINHASH_P)).min(axis=1)
 
 
+def gather(result, schema=None):
+    """A bounded Ray Dataset (a pyarrow Table passes through) as one Arrow
+    table on the driver.  ``Dataset.to_pandas()`` of an all-empty result
+    has no columns; Arrow blocks straight out of one map keep their
+    schema, but Ray drops empty blocks after a shuffle or a chained map,
+    so a reduced result names its ``schema`` for that case."""
+    import pyarrow as pa
+    import ray
+
+    if isinstance(result, pa.Table):
+        return result
+    tables = [t for t in ray.get(result.to_arrow_refs()) if t.num_columns]
+    if not tables:
+        return (schema or pa.schema([])).empty_table()
+    return pa.concat_tables(tables, promote_options="default")
+
+
 def strip_schema_metadata(batch):
     """Drop Arrow schema metadata (pandas round-trip blobs make schemas
     unhashable, so every Ray groupby reduce logs "Failed to hash the

@@ -8,6 +8,21 @@ postings encode/decode round-trip, norms/SmallFloat quantization,
 CollectionStatistics partial+final aggregation, float32 BM25 and the
 WAND/impacts pruned query path.
 
+Every index-wide answer has one shape — a partial per segment, then one
+final merge (SURVEY §3.2):
+
+- scatter: ``segment_map(idx, fn, **kw)`` calls ``fn(reader, doc_base,
+  **kw) -> pa.Table`` once per manifest segment, the reader opened at the
+  commit (live docs and doc-values updates applied), and streams the
+  partials as a Ray Dataset.  Scoring kernels get the ``Weight`` the
+  driver built once with ``IndexSearcher.make_weight``;
+- reduce: the caller's own step — a Ray groupby, or a partial top-k;
+- gather: ``gather(ds, schema)`` pulls a bounded result to the driver as
+  one Arrow table, typed even when every partial is empty;
+- searcher-driven top-k families return ``hits_table(searcher, queries,
+  k)`` rows (qid, rnk, doc_id), one call per arm when a key column (fn,
+  sim, method, ...) tells the arms apart.
+
 The index cache lives under /tmp (one per sf_dir), built by the Ray Data
 pipeline in lucene_ray.index.build (fused mode: embarrassingly parallel,
 no shuffle).  docs_per_segment is set small so even the 500-doc driver
@@ -26,9 +41,9 @@ import pyarrow as pa
 from ..index import manifest as mf
 from ..index.build import build_index
 from ..index.postings import decode_term
-from ..index.segment import SegmentReader
+from ..ops.util import gather
 from ..search.query import TermQuery, bool_query
-from ..search.searcher import IndexSearcher
+from ..search.searcher import IndexSearcher, open_segment
 from ..smallfloat import LENGTH_TABLE
 
 DOCS_PER_SEGMENT = 200
@@ -118,52 +133,159 @@ def ensure_index(
     return idx
 
 
-def _segment_dirs(idx: str) -> list[dict]:
-    man = mf.read_manifest(idx)
-    return [
-        {"dir": s["dir"], "doc_base": s["doc_base"]} for s in man["segments"]
-    ]
+# --- scatter / gather ----------------------------------------------------
+
+def segment_map(idx: str, fn, **kw):
+    """The scatter half of every per-segment pipeline: one Ray Data row per
+    manifest segment, on which ``fn(reader, doc_base, **kw) -> pa.Table``
+    runs with the segment's reader opened at the commit (live docs and
+    doc-values updates applied, as IndexSearcher opens it).  Returns the
+    Dataset of concatenated partials; it streams, and the caller adds its
+    own reduce (groupby, partial top-k merge, gather)."""
+    import ray.data as rd
+
+    segs = mf.read_manifest(idx)["segments"]
+
+    def _segments(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            [
+                fn(open_segment(segs[i]), segs[i]["doc_base"], **kw)
+                for i in batch.column("seg").to_pylist()
+            ]
+        )
+
+    return rd.from_items([{"seg": i} for i in range(len(segs))]).map_batches(
+        _segments, batch_format="pyarrow"
+    )
+
+
+def ranked_table(ranked) -> pa.Table:
+    """(qid, rnk, doc_id) int64 rows from ``(qid, doc ids in rank order)``
+    pairs, rnk counting from 1."""
+    qids, rnks, docs = [], [], []
+    for qid, ids in ranked:
+        ids = [int(d) for d in ids]
+        qids += [qid] * len(ids)
+        rnks += range(1, len(ids) + 1)
+        docs += ids
+    return pa.table(
+        {
+            "qid": pa.array(qids, pa.int64()),
+            "rnk": pa.array(rnks, pa.int64()),
+            "doc_id": pa.array(docs, pa.int64()),
+        }
+    )
+
+
+def hits_table(searcher, queries, k: int, **search_kw) -> pa.Table:
+    """(qid, rnk, doc_id) for ``enumerate(queries)``: the hits of
+    ``searcher.search(q, k, **search_kw)`` in rank order.  A ``None``
+    query has no hits but keeps its qid."""
+    return ranked_table(
+        (qid, [] if q is None else [d for d, _s in searcher.search(q, k, **search_kw)])
+        for qid, q in enumerate(queries)
+    )
+
+
+def _keyed_concat(col: str, arms, col_type=pa.string()) -> pa.Table:
+    """Concatenate ``(label, table)`` arms under a leading ``col`` column
+    holding each arm's label."""
+    return pa.concat_tables(
+        [t.add_column(0, col, pa.array([label] * len(t), col_type)) for label, t in arms]
+    )
+
+
+def _top_rows(
+    parts: pa.Table,
+    order: list[str],
+    ascending: list[bool],
+    k: int,
+    by=("qid",),
+    cols=("doc_id",),
+) -> pa.Table:
+    """Final merge of gathered per-segment partial top-k rows: per ``by``
+    group, the first k rows by ``order`` as (*by, rnk, *cols)."""
+    by = list(by)
+    df = parts.to_pandas().sort_values(by + order, ascending=[True] * len(by) + ascending)
+    df = df.groupby(by, sort=True).head(k).copy()
+    df["rnk"] = df.groupby(by).cumcount() + 1
+    schema = pa.schema(
+        [parts.schema.field(c) for c in by]
+        + [pa.field("rnk", pa.int64())]
+        + [parts.schema.field(c) for c in cols]
+    )
+    return pa.Table.from_pandas(df[schema.names], schema=schema, preserve_index=False)
+
+
+def _schema(**cols) -> pa.Schema:
+    return pa.schema(list(cols.items()))
+
+
+def _corpus(sf_dir: str, columns: list[str]):
+    """documents.parquet as a Ray Dataset of ``columns``."""
+    import ray.data as rd
+
+    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=columns)
+
+
+def _paired_segments(idx: str, field: str) -> dict[int, dict]:
+    """doc_base -> manifest entry of a multi-field index's ``field``
+    sub-index.  The sub-indexes share one segmentation, so a kernel
+    mapped over one opens its twin segment by doc_base."""
+    return {s["doc_base"]: s for s in mf.read_manifest(os.path.join(idx, field))["segments"]}
+
+
+def _terms_query(terms):
+    """One term as a TermQuery, several as a SHOULD disjunction."""
+    if len(terms) == 1:
+        return TermQuery(terms[0])
+    return bool_query(should=[TermQuery(t) for t in terms])
+
+
+def _terms_weight(searcher: IndexSearcher, terms):
+    """The Weight (index-wide collection + term statistics) kernels score
+    ``terms`` with — built once on the driver, shipped to every segment."""
+    return searcher.make_weight(bool_query(should=[TermQuery(t) for t in terms]))
+
+
+def _alive(reader, docs: np.ndarray) -> np.ndarray:
+    """Mask over ``docs``: True where the document is not deleted."""
+    return np.ones(len(docs), bool) if reader.live is None else reader.live[docs]
 
 
 # --- term-level dumps (Ray pipelines over the segment list) ---------------
 
-def _seg_term_stats(batch: pa.Table) -> pa.Table:
-    tables = []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        # zero-copy Arrow view over the term offsets/bytes arrays — no
-        # per-term Python objects in the vocab dump
-        tables.append(
-            pa.table(
-                {
-                    "term": r.terms_array().cast(pa.string()),
-                    "df": pa.array(np.asarray(r.enc.doc_freq, dtype=np.int64)),
-                    "ttf": pa.array(np.asarray(r.enc.total_term_freq, dtype=np.int64)),
-                }
-            )
-        )
-    return pa.concat_tables(tables)
+TERM_STATS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("doc_freq", pa.int64()), ("total_term_freq", pa.int64())]
+)
+
+
+def _seg_term_stats(r, doc_base: int) -> pa.Table:
+    # zero-copy Arrow view over the term offsets/bytes arrays — no
+    # per-term Python objects in the vocab dump
+    return pa.table(
+        {
+            "term": r.terms_array().cast(pa.string()),
+            "df": pa.array(np.asarray(r.enc.doc_freq, dtype=np.int64)),
+            "ttf": pa.array(np.asarray(r.enc.total_term_freq, dtype=np.int64)),
+        }
+    )
+
+
+def _term_stats_ds(idx: str):
+    from ray.data.aggregate import Sum
+
+    return (
+        segment_map(idx, _seg_term_stats)
+        .groupby("term")
+        .aggregate(Sum("df", alias_name="doc_freq"), Sum("ttf", alias_name="total_term_freq"))
+    )
 
 
 def term_stats_all(sf_dir: str, analyzer: str = "standard"):
-    """(term, doc_freq, total_term_freq) summed across segments."""
-    import ray.data as rd
-
-    idx = ensure_index(sf_dir, analyzer=analyzer)
-    ds = rd.from_items(_segment_dirs(idx))
-    agg = ds.map_batches(_seg_term_stats, batch_format="pyarrow").groupby("term").sum(
-        ["df", "ttf"]
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "term": b.column("term"),
-                "doc_freq": b.column("sum(df)"),
-                "total_term_freq": b.column("sum(ttf)"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    """(term, doc_freq, total_term_freq) summed across segments
+    (TERM_STATS_SCHEMA)."""
+    return _term_stats_ds(ensure_index(sf_dir, analyzer=analyzer))
 
 
 def _path_values(ids, sources, langs):
@@ -240,8 +362,6 @@ def _ensure_derived_corpus(sf_dir: str, tag: str, column: str, make_values) -> s
 
 def _derived_term_stats(sf_dir: str, src: str, tag: str, analyzer, column: str):
     """Build (once) + term-stats over a derived-corpus index."""
-    import ray.data as rd
-
     idx = index_dir_for(sf_dir, analyzer=tag)
     if mf.latest_generation(idx) is None:
         build_index(
@@ -256,20 +376,7 @@ def _derived_term_stats(sf_dir: str, src: str, tag: str, analyzer, column: str):
             content_column=column,
             meta_columns=("doc_id",),
         )
-    ds = rd.from_items(_segment_dirs(idx))
-    agg = ds.map_batches(_seg_term_stats, batch_format="pyarrow").groupby("term").sum(
-        ["df", "ttf"]
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "term": b.column("term"),
-                "doc_freq": b.column("sum(df)"),
-                "total_term_freq": b.column("sum(ttf)"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return _term_stats_ds(idx)
 
 
 def _contact_values(ids, sources, langs):
@@ -524,19 +631,16 @@ def path_term_stats(sf_dir: str, reverse: bool = False):
     )
 
 
-def _seg_postings(batch: pa.Table, terms: list[str]) -> pa.Table:
+def _seg_postings(r, base: int, terms: list[str]) -> pa.Table:
     out_t, out_d, out_f = [], [], []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        base = row["doc_base"]
-        for t in terms:
-            tid = r.term_id(t)
-            if tid is None:
-                continue
-            docs, freqs = decode_term(r.enc, tid)
-            out_t.extend([t] * len(docs))
-            out_d.extend((docs + base).tolist())
-            out_f.extend(freqs.tolist())
+    for t in terms:
+        tid = r.term_id(t)
+        if tid is None:
+            continue
+        docs, freqs = decode_term(r.enc, tid)
+        out_t.extend([t] * len(docs))
+        out_d.extend((docs + base).tolist())
+        out_f.extend(freqs.tolist())
     return pa.table(
         {
             "term": pa.array(out_t, pa.string()),
@@ -548,15 +652,7 @@ def _seg_postings(batch: pa.Table, terms: list[str]) -> pa.Table:
 
 def term_postings(sf_dir: str, terms: list[str] | None = None):
     """Decoded posting lists (term, doc_id, tf) for the query vocabulary."""
-    import ray.data as rd
-
-    idx = ensure_index(sf_dir)
-    ds = rd.from_items(_segment_dirs(idx))
-    return ds.map_batches(
-        _seg_postings,
-        batch_format="pyarrow",
-        fn_kwargs={"terms": terms or QUERY_TERMS},
-    )
+    return segment_map(ensure_index(sf_dir), _seg_postings, terms=terms or QUERY_TERMS)
 
 
 TV_SAMPLE_DOCS = [0, 3, 17, 42, 99, 123, 250, 311]
@@ -566,25 +662,20 @@ def term_vectors_dump(sf_dir: str, doc_ids: list[int] | None = None):
     """(term, doc_id, tf) straight from the per-doc forward index
     (IndexReader.getTermVector analogue) for the sample docs — must agree
     row-for-row with the inverted postings."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir, term_vectors=True)
     sample = doc_ids or TV_SAMPLE_DOCS
 
-    def _seg_tv(batch: pa.Table) -> pa.Table:
+    def _seg_tv(r, base: int) -> pa.Table:
         out_t, out_d, out_f = [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            base = row["doc_base"]
-            for gdoc in sample:
-                local = gdoc - base
-                if not (0 <= local < r.max_doc):
-                    continue
-                tids, tfs = r.term_vector(local)
-                for tid, tf in zip(tids, tfs):
-                    out_t.append(r.term_string(int(tid)))
-                    out_d.append(gdoc)
-                    out_f.append(int(tf))
+        for gdoc in sample:
+            local = gdoc - base
+            if not (0 <= local < r.max_doc):
+                continue
+            tids, tfs = r.term_vector(local)
+            for tid, tf in zip(tids, tfs):
+                out_t.append(r.term_string(int(tid)))
+                out_d.append(gdoc)
+                out_f.append(int(tf))
         return pa.table(
             {
                 "term": pa.array(out_t, pa.string()),
@@ -593,8 +684,7 @@ def term_vectors_dump(sf_dir: str, doc_ids: list[int] | None = None):
             }
         )
 
-    ds = rd.from_items(_segment_dirs(idx))
-    return ds.map_batches(_seg_tv, batch_format="pyarrow")
+    return segment_map(idx, _seg_tv)
 
 
 # MoreLikeThis (queries/mlt/MoreLikeThis.java): interesting terms come
@@ -610,12 +700,10 @@ def mlt_topk(sf_dir: str, k: int = 10) -> pa.Table:
     Term selection: tf >= MLT_MIN_TF, df >= MLT_MIN_DF, score =
     tf * (ln((docCount+1)/(df+1)) + 1), top MLT_MAX_TERMS by (score desc,
     term asc); the selected terms run as a SHOULD disjunction."""
-    from ..search.query import TermQuery, bool_query
-
     idx = ensure_index(sf_dir, term_vectors=True)
     searcher = IndexSearcher(idx)
     dc = searcher.collection_stats.doc_count
-    sids, rnks, docs = [], [], []
+    ranked = []
     for sid, seed in enumerate(MLT_SEEDS):
         reader = None
         for r, s in zip(searcher.readers, searcher.manifest["segments"]):
@@ -636,25 +724,9 @@ def mlt_topk(sf_dir: str, k: int = 10) -> pa.Table:
         sel = [t for _, t in cand[:MLT_MAX_TERMS]]
         if not sel:
             continue
-        q = bool_query(should=[TermQuery(t) for t in sel])
-        hits = searcher.search(q, k + 1)
-        rnk = 0
-        for doc, _s in hits:
-            if doc == seed:
-                continue
-            rnk += 1
-            if rnk > k:
-                break
-            sids.append(sid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "sid": pa.array(sids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+        hits = searcher.search(bool_query(should=[TermQuery(t) for t in sel]), k + 1)
+        ranked.append((sid, [d for d, _s in hits if d != seed][:k]))
+    return ranked_table(ranked).rename_columns(["sid", "rnk", "doc_id"])
 
 
 # MoreLikeThisQuery (queries/mlt/MoreLikeThisQuery.java): the like-TEXT
@@ -679,8 +751,8 @@ def mlt_text_topk(sf_dir: str, k: int = 10) -> pa.Table:
     searcher = IndexSearcher(idx)
     dc = searcher.collection_stats.doc_count
     ana = make_analyzer("standard")
-    sids, rnks, docs = [], [], []
-    for sid, text in enumerate(MLT_TEXTS):
+    queries = []
+    for text in MLT_TEXTS:
         qf = Counter(ana.tokens(text))
         stats = searcher.term_statistics(set(qf))
         cand = []
@@ -690,20 +762,8 @@ def mlt_text_topk(sf_dir: str, k: int = 10) -> pa.Table:
                 cand.append((float(tf) * (np.log((dc + 1.0) / (df + 1.0)) + 1.0), t))
         cand.sort(key=lambda x: (-x[0], x[1]))
         sel = [t for _, t in cand[:MLT_MAX_TERMS]]
-        if not sel:
-            continue
-        q = bool_query(should=[TermQuery(t) for t in sel])
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            sids.append(sid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "sid": pa.array(sids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+        queries.append(bool_query(should=[TermQuery(t) for t in sel]) if sel else None)
+    return hits_table(searcher, queries, k).rename_columns(["sid", "rnk", "doc_id"])
 
 
 # FuzzyLikeThisQuery (sandbox/queries/FuzzyLikeThisQuery.java): fuzzify
@@ -734,26 +794,22 @@ def _flt_sources() -> list[tuple[int, str]]:
     return out
 
 
-def _seg_flt_candidates(batch: pa.Table, sources: list) -> pa.Table:
+def _seg_flt_candidates(r, base: int, sources: list) -> pa.Table:
     """Per-segment FuzzyTermsEnum scan: dictionary terms within
     FLT_MAX_EDITS Damerau edits of each source term, with partial df."""
     from ..search.multiterm import fuzzy_term_dists_multi
 
     q, s, v, d, df = [], [], [], [], []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        df_arr = np.asarray(r.enc.doc_freq, np.int64)
-        scans = fuzzy_term_dists_multi(
-            r, sorted({t for _, t in sources}), FLT_MAX_EDITS
-        )
-        for qid, src in sources:
-            tids, dists = scans[src]
-            for tid, dist in zip(tids, dists):
-                q.append(qid)
-                s.append(src)
-                v.append(r.term_string(int(tid)))
-                d.append(int(dist))
-                df.append(int(df_arr[tid]))
+    df_arr = np.asarray(r.enc.doc_freq, np.int64)
+    scans = fuzzy_term_dists_multi(r, sorted({t for _, t in sources}), FLT_MAX_EDITS)
+    for qid, src in sources:
+        tids, dists = scans[src]
+        for tid, dist in zip(tids, dists):
+            q.append(qid)
+            s.append(src)
+            v.append(r.term_string(int(tid)))
+            d.append(int(dist))
+            df.append(int(df_arr[tid]))
     return pa.table(
         {
             "qid": pa.array(q, pa.int64()),
@@ -765,41 +821,34 @@ def _seg_flt_candidates(batch: pa.Table, sources: list) -> pa.Table:
     )
 
 
-def _seg_flt_score(batch: pa.Table, sel: list, k: int) -> pa.Table:
+def _seg_flt_score(r, base: int, sel: list, k: int) -> pa.Table:
     """Constant-score disjunction per segment: score(doc) = sum of the
     selected variants' f32 scores (exact in f64: <= maxNumTerms f32
     addends with a tiny exponent spread, so addition order cannot
     matter); per-segment top-k by (score desc, doc asc)."""
     out_q, out_d, out_s = [], [], []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        base = row["doc_base"]
-        acc: dict[int, np.ndarray] = {}
-        matched: dict[int, np.ndarray] = {}
-        for qid, variant, score in sel:
-            tid = r.term_id(variant)
-            if tid is None:
-                continue
-            docs, _ = decode_term(r.enc, tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
-            a = acc.get(qid)
-            if a is None:
-                a = acc[qid] = np.zeros(r.max_doc, np.float64)
-                matched[qid] = np.zeros(r.max_doc, bool)
-            a[docs] += np.float64(score)
-            matched[qid][docs] = True
-        for qid, a in acc.items():
-            # membership, not score > 0: a zero-boost variant still MATCHES
-            # (the oracle's docscore ranks such docs too)
-            hit = np.flatnonzero(matched[qid])
-            if not len(hit):
-                continue
-            order = np.lexsort((hit, -a[hit]))[:k]
-            for i in order:
-                out_q.append(qid)
-                out_d.append(int(hit[i]) + base)
-                out_s.append(float(a[hit[i]]))
+    acc: dict[int, np.ndarray] = {}
+    matched: dict[int, np.ndarray] = {}
+    for qid, variant, score in sel:
+        tid = r.term_id(variant)
+        if tid is None:
+            continue
+        docs = decode_term(r.enc, tid)[0]
+        docs = docs[_alive(r, docs)]
+        a = acc.get(qid)
+        if a is None:
+            a = acc[qid] = np.zeros(r.max_doc, np.float64)
+            matched[qid] = np.zeros(r.max_doc, bool)
+        a[docs] += np.float64(score)
+        matched[qid][docs] = True
+    for qid, a in acc.items():
+        # membership, not score > 0: a zero-boost variant still MATCHES
+        # (the oracle's docscore ranks such docs too)
+        hit = np.flatnonzero(matched[qid])
+        order = np.lexsort((hit, -a[hit]))[:k]
+        out_q.extend([qid] * len(order))
+        out_d.extend((hit[order] + base).tolist())
+        out_s.extend(a[hit[order]].tolist())
     return pa.table(
         {
             "qid": pa.array(out_q, pa.int64()),
@@ -817,25 +866,22 @@ def fuzzy_like_this_topk(sf_dir: str, k: int = FLT_K) -> pa.Table:
     -> driver-side variant selection (bounded by |sources| x |dictionary
     hits|, a few hundred rows) -> broadcast of <= maxNumTerms scored terms
     -> one postings decode per segment with per-segment top-k."""
-    import ray.data as rd
+    from ray.data.aggregate import Sum
 
     idx = ensure_index(sf_dir)
     sources = _flt_sources()
     man = mf.read_manifest(idx)
     n_docs = int(mf.collection_stats_from(man)["max_doc"])
 
+    keys = ["qid", "source", "variant", "dist"]
     cand = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(
-            _seg_flt_candidates,
-            batch_format="pyarrow",
-            fn_kwargs={"sources": sources},
-        )
-        .groupby(["qid", "source", "variant", "dist"])
-        .sum("df")
+        segment_map(idx, _seg_flt_candidates, sources=sources)
+        .groupby(keys)
+        .aggregate(Sum("df", alias_name="df"))
     )
     # driver pull bounded: |sources| x |dict terms within 1 edit|
-    cp = cand.to_pandas().rename(columns={"sum(df)": "df"})
+    cp = gather(cand, _schema(qid=pa.int64(), source=pa.string(), variant=pa.string(),
+                              dist=pa.int64(), df=pa.int64())).to_pandas()
 
     sel: list[tuple[int, str, float]] = []  # (qid, variant, f32 score)
     for (qid, src), g in cp.groupby(["qid", "source"], sort=False):
@@ -866,59 +912,26 @@ def fuzzy_like_this_topk(sf_dir: str, k: int = FLT_K) -> pa.Table:
         rows.sort(key=lambda r: (-np.float32(r[1]), r[0]))
         final.extend((qid, v, s) for v, s in rows[:FLT_MAX_TERMS])
 
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(
-            _seg_flt_score,
-            batch_format="pyarrow",
-            fn_kwargs={"sel": final, "k": k},
-        )
-        .to_pandas()
+    parts = gather(segment_map(idx, _seg_flt_score, sel=final, k=k))
+    return _top_rows(parts, ["score", "doc_id"], [False, True], k).rename_columns(
+        ["sid", "rnk", "doc_id"]
     )
-    out_q, out_r, out_d = [], [], []
-    for qid, g in parts.groupby("qid", sort=True):
-        g = g.sort_values(["score", "doc_id"], ascending=[False, True]).head(k)
-        for rnk, doc in enumerate(g["doc_id"], 1):
-            out_q.append(int(qid))
-            out_r.append(rnk)
-            out_d.append(int(doc))
+
+
+def _seg_norms(r, base: int) -> pa.Table:
+    norms = np.asarray(r.norms, dtype=np.int64)
     return pa.table(
         {
-            "sid": pa.array(out_q, pa.int64()),
-            "rnk": pa.array(out_r, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
+            "doc_id": pa.array(base + np.arange(r.max_doc, dtype=np.int64)),
+            "norm_byte": pa.array(norms),
+            "dl_quantized": pa.array(LENGTH_TABLE.astype(np.int64)[norms]),
         }
     )
 
 
-def _seg_norms(batch: pa.Table) -> pa.Table:
-    tables = []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        norms = np.asarray(r.norms, dtype=np.int64)
-        docs = row["doc_base"] + np.arange(r.max_doc, dtype=np.int64)
-        tables.append(
-            pa.table(
-                {
-                    "doc_id": pa.array(docs),
-                    "norm_byte": pa.array(norms),
-                    "dl_quantized": pa.array(
-                        LENGTH_TABLE.astype(np.int64)[norms]
-                    ),
-                }
-            )
-        )
-    return pa.concat_tables(tables)
-
-
 def doc_norms(sf_dir: str):
     """(doc_id, norm_byte, dl_quantized): the SmallFloat norm pipeline."""
-    import ray.data as rd
-
-    idx = ensure_index(sf_dir)
-    return rd.from_items(_segment_dirs(idx)).map_batches(
-        _seg_norms, batch_format="pyarrow"
-    )
+    return segment_map(ensure_index(sf_dir), _seg_norms)
 
 
 def collection_stats(sf_dir: str) -> pa.Table:
@@ -951,11 +964,10 @@ def _top_terms_by(sf_dir: str, key: str, k: int) -> "pd.DataFrame":
         kth = np.partition(-v, k - 1)[k - 1]
         return batch.filter(pa.array(-v <= kth))
 
-    cands = (
-        term_stats_all(sf_dir)
-        .map_batches(_partial, batch_format="pyarrow")
-        .to_pandas()  # <= k * num_blocks rows by construction
-    )
+    cands = gather(  # <= k * num_blocks rows by construction
+        term_stats_all(sf_dir).map_batches(_partial, batch_format="pyarrow"),
+        TERM_STATS_SCHEMA,
+    ).to_pandas()
     return cands.sort_values([key, "term"], ascending=[False, True]).head(k)
 
 
@@ -989,27 +1001,12 @@ def bm25_topk(
     from ..analysis.analyzers import make_analyzer
 
     idx = ensure_index(sf_dir, analyzer=analyzer)
-    searcher = IndexSearcher(idx)
     an = make_analyzer(analyzer) if analyzer != "standard" else None
-    qids, rnks, docs = [], [], []
-    for qid, term in enumerate(QUERY_TERMS):
-        if an is not None:
-            toks = an.tokens(term)
-            if not toks:
-                continue
-            term = toks[0]
-        hits = searcher.search(TermQuery(term), k, score_mode=score_mode)
-        for rnk, (doc, _score) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+    queries = []
+    for term in QUERY_TERMS:
+        toks = [term] if an is None else an.tokens(term)
+        queries.append(TermQuery(toks[0]) if toks else None)
+    return hits_table(IndexSearcher(idx), queries, k, score_mode=score_mode)
 
 
 def bm25_topk_remote(sf_dir: str, k: int = 10) -> pa.Table:
@@ -1031,22 +1028,11 @@ def bm25_topk_remote(sf_dir: str, k: int = 10) -> pa.Table:
 
 def bm25_disjunction_topk(sf_dir: str, k: int = 10, score_mode: str = "TOP_SCORES") -> pa.Table:
     """Boolean SHOULD (WAND-pruned) top-k per query: (qid, rnk, doc_id)."""
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, terms in enumerate(DISJUNCTIONS):
-        q = bool_query(should=[TermQuery(t) for t in terms])
-        hits = searcher.search(q, k, score_mode=score_mode)
-        for rnk, (doc, _score) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [bool_query(should=[TermQuery(t) for t in terms]) for terms in DISJUNCTIONS],
+        k,
+        score_mode=score_mode,
     )
 
 
@@ -1063,52 +1049,40 @@ GROUPED_QUERIES = [
 ]
 
 
+def _scored_matches(reader, queries, weight):
+    """(qid, live matching docs, their scores) for each non-empty query
+    of ``queries`` (term tuples) in one segment — dense COMPLETE
+    scoring."""
+    from ..search.oracle import _clause_scores
+
+    for qid, terms in enumerate(queries):
+        docs, scores = _clause_scores(_terms_query(terms), weight, reader, 1.0)
+        m = _alive(reader, docs)
+        if m.any():
+            yield qid, docs[m], scores[m]
+
+
 def _seg_grouped_partials(
-    batch: pa.Table, queries: list, field: str, k: int, weight_stats: dict
+    reader, doc_base: int, queries: list, field: str, k: int, weight
 ) -> pa.Table:
     """Per-segment pass: score every match (dense COMPLETE semantics),
     attach the group key from the stored column, keep top-k per (query,
     group).  The FirstPass/TopGroups collector state, as one vectorized
     stage (reference grouping/FirstPassGroupingCollector.java)."""
-    from ..search.bm25 import CollectionStatistics, TermStatistics
-    from ..search.oracle import _clause_scores
-    from ..search.query import TermQuery, Weight, bool_query
-
-    weight = Weight(
-        collection_stats=CollectionStatistics(**weight_stats["collection"]),
-        term_stats={
-            t: TermStatistics(t, df, ttf)
-            for t, (df, ttf) in weight_stats["terms"].items()
-        },
-    )
     out_qid, out_grp, out_doc, out_score = [], [], [], []
-    for row in batch.to_pylist():
-        reader = SegmentReader(row["dir"])
-        doc_base = row["doc_base"]
-        groups = reader.stored_column(field).to_numpy(zero_copy_only=False)
-        for qid, terms in enumerate(queries):
-            q = (
-                TermQuery(terms[0])
-                if len(terms) == 1
-                else bool_query(should=[TermQuery(t) for t in terms])
-            )
-            docs, scores = _clause_scores(q, weight, reader, 1.0)
-            if reader.live is not None and len(docs):
-                m = reader.live[docs]
-                docs, scores = docs[m], scores[m]
-            if len(docs) == 0:
-                continue
-            sc64 = scores.astype(np.float64)
-            g = groups[docs]
-            for grp in np.unique(g):
-                sel = g == grp
-                d, s = docs[sel], sc64[sel]
-                order = np.lexsort((d, -s))[:k]
-                for i in order:
-                    out_qid.append(qid)
-                    out_grp.append(str(grp))
-                    out_doc.append(int(d[i]) + doc_base)
-                    out_score.append(float(s[i]))
+    groups = reader.stored_column(field).to_numpy(zero_copy_only=False)
+    for qid, docs, scores in _scored_matches(reader, queries, weight):
+        sc64 = scores.astype(np.float64)
+        g = groups[docs]
+        for grp in np.unique(g):
+            sel = g == grp
+            d, s = docs[sel], sc64[sel]
+            order = np.lexsort((d, -s))[:k]
+            for i in order:
+                out_qid.append(qid)
+                out_grp.append(str(grp))
+                out_doc.append(int(d[i]) + doc_base)
+                out_score.append(float(s[i]))
     return pa.table(
         {
             "qid": pa.array(out_qid, pa.int64()),
@@ -1119,53 +1093,26 @@ def _seg_grouped_partials(
     )
 
 
-def _seg_group_all(
-    batch: pa.Table, queries: list, field: str, weight_stats: dict
-) -> pa.Table:
+def _seg_group_all(reader, doc_base: int, queries: list, field: str, weight) -> pa.Table:
     """Per-segment AllGroups/AllGroupHeads partials: per (qid, grp) the
     matching-doc count and the segment-best head (f32 score desc, docid
     asc) — reference grouping/AllGroupsCollector.java (the group SET) and
     AllGroupHeadsCollector.java (one best doc per group, over ALL
     groups)."""
-    from ..search.bm25 import CollectionStatistics, TermStatistics
-    from ..search.oracle import _clause_scores
-    from ..search.query import TermQuery, Weight, bool_query
-
-    weight = Weight(
-        collection_stats=CollectionStatistics(**weight_stats["collection"]),
-        term_stats={
-            t: TermStatistics(t, df, ttf)
-            for t, (df, ttf) in weight_stats["terms"].items()
-        },
-    )
     cols = {c: [] for c in ("qid", "grp", "n", "head_doc", "head_score")}
-    for row in batch.to_pylist():
-        reader = SegmentReader(row["dir"])
-        doc_base = row["doc_base"]
-        groups = reader.stored_column(field).to_numpy(zero_copy_only=False)
-        for qid, terms in enumerate(queries):
-            q = (
-                TermQuery(terms[0])
-                if len(terms) == 1
-                else bool_query(should=[TermQuery(t) for t in terms])
-            )
-            docs, scores = _clause_scores(q, weight, reader, 1.0)
-            if reader.live is not None and len(docs):
-                m = reader.live[docs]
-                docs, scores = docs[m], scores[m]
-            if len(docs) == 0:
-                continue
-            s32 = scores.astype(np.float32)
-            g = groups[docs]
-            for grp in np.unique(g):
-                sel = g == grp
-                d, s = docs[sel], s32[sel]
-                i = int(np.lexsort((d, -s))[0])
-                cols["qid"].append(qid)
-                cols["grp"].append(str(grp))
-                cols["n"].append(int(sel.sum()))
-                cols["head_doc"].append(int(d[i]) + doc_base)
-                cols["head_score"].append(float(s[i]))
+    groups = reader.stored_column(field).to_numpy(zero_copy_only=False)
+    for qid, docs, scores in _scored_matches(reader, queries, weight):
+        s32 = scores.astype(np.float32)
+        g = groups[docs]
+        for grp in np.unique(g):
+            sel = g == grp
+            d, s = docs[sel], s32[sel]
+            i = int(np.lexsort((d, -s))[0])
+            cols["qid"].append(qid)
+            cols["grp"].append(str(grp))
+            cols["n"].append(int(sel.sum()))
+            cols["head_doc"].append(int(d[i]) + doc_base)
+            cols["head_score"].append(float(s[i]))
     return pa.table(
         {
             "qid": pa.array(cols["qid"], pa.int64()),
@@ -1183,34 +1130,13 @@ def group_all(sf_dir: str) -> tuple[pa.Table, pa.Table]:
     grp_rnk, grp, rnk, doc_id): ``all_groups`` rows carry the matching-doc
     count in doc_id (the group SET plus its size), ``all_group_heads``
     rows carry the global head docid; grp_rnk ranks groups by grp ASC."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    terms = sorted({t for q in GROUPED_QUERIES for t in q})
-    stats = searcher.term_statistics(set(terms))
-    weight_stats = {
-        "collection": {
-            "max_doc": searcher.collection_stats.max_doc,
-            "doc_count": searcher.collection_stats.doc_count,
-            "sum_total_term_freq": searcher.collection_stats.sum_total_term_freq,
-            "sum_doc_freq": searcher.collection_stats.sum_doc_freq,
-        },
-        "terms": {t: (stats[t].doc_freq, stats[t].total_term_freq) for t in terms},
-    }
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(
-            _seg_group_all,
-            batch_format="pyarrow",
-            fn_kwargs={
-                "queries": GROUPED_QUERIES,
-                "field": GROUP_FIELD,
-                "weight_stats": weight_stats,
-            },
+    weight = _terms_weight(IndexSearcher(idx), {t for q in GROUPED_QUERIES for t in q})
+    part = gather(  # bounded: segments x qids x groups
+        segment_map(
+            idx, _seg_group_all, queries=GROUPED_QUERIES, field=GROUP_FIELD, weight=weight
         )
-        .to_pandas()  # bounded: segments x qids x groups
-    )
+    ).to_pandas()
     agg_n = part.groupby(["qid", "grp"], sort=True)["n"].sum().reset_index()
     agg_n["grp_rnk"] = agg_n.groupby("qid").cumcount() + 1
     groups_tbl = agg_n.rename(columns={"n": "doc_id"})
@@ -1236,40 +1162,24 @@ def grouped_topk(sf_dir: str) -> pa.Table:
     rnk, doc_id).  Two-pass grouping collapsed into one distributed pass:
     per-segment per-group top-k partials -> Ray groupby reduce -> tiny
     driver group-ranking step (bounded by n_queries * n_groups * k)."""
-    import pandas as pd
-    import ray.data as rd
-
     idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    terms = sorted({t for q in GROUPED_QUERIES for t in q})
-    stats = searcher.term_statistics(set(terms))
-    weight_stats = {
-        "collection": {
-            "max_doc": searcher.collection_stats.max_doc,
-            "doc_count": searcher.collection_stats.doc_count,
-            "sum_total_term_freq": searcher.collection_stats.sum_total_term_freq,
-            "sum_doc_freq": searcher.collection_stats.sum_doc_freq,
-        },
-        "terms": {t: (stats[t].doc_freq, stats[t].total_term_freq) for t in terms},
-    }
-    ds = rd.from_items(_segment_dirs(idx)).map_batches(
-        lambda b: _seg_grouped_partials(
-            b, GROUPED_QUERIES, GROUP_FIELD, K_IN_GROUP, weight_stats
-        ),
-        batch_format="pyarrow",
+    weight = _terms_weight(IndexSearcher(idx), {t for q in GROUPED_QUERIES for t in q})
+    ds = segment_map(
+        idx,
+        _seg_grouped_partials,
+        queries=GROUPED_QUERIES,
+        field=GROUP_FIELD,
+        k=K_IN_GROUP,
+        weight=weight,
     )
 
     def _reduce_group(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values(["score", "doc_id"], ascending=[False, True]).head(
-            K_IN_GROUP
-        )
-        return df
+        return df.sort_values(["score", "doc_id"], ascending=[False, True]).head(K_IN_GROUP)
 
-    part = (
-        ds.groupby(["qid", "grp"])
-        .map_groups(_reduce_group, batch_format="pandas")
-        .to_pandas()
-    )
+    part = gather(
+        ds.groupby(["qid", "grp"]).map_groups(_reduce_group, batch_format="pandas"),
+        _schema(qid=pa.int64(), grp=pa.string(), doc_id=pa.int64(), score=pa.float64()),
+    ).to_pandas()
     # group heads: best (score desc, doc asc) row per (qid, grp)
     part = part.sort_values(["qid", "grp", "score", "doc_id"],
                             ascending=[True, True, False, True])
@@ -1299,14 +1209,15 @@ HIGHLIGHT_WINDOW = 8
 HIGHLIGHT_K = 5
 
 
-def _seg_highlight(batch: pa.Table, window: int) -> pa.Table:
+def _seg_highlight(reader, doc_base: int, hits: list, window: int) -> pa.Table:
+    """Best passage of every (qid, doc_id, terms) hit inside this segment."""
     out = {"qid": [], "doc_id": [], "pstart": [], "n_hits": [], "n_uniq": []}
-    readers: dict[str, SegmentReader] = {}
-    for row in batch.to_pylist():
-        reader = readers.setdefault(row["dir"], SegmentReader(row["dir"]))
-        local = row["doc_id"] - row["doc_base"]
+    for qid, doc_id, terms in hits:
+        local = doc_id - doc_base
+        if not 0 <= local < reader.max_doc:
+            continue
         pos_term: list[tuple[np.ndarray, int]] = []
-        for ti, t in enumerate(row["terms"]):
+        for ti, t in enumerate(terms):
             tid = reader.term_id(t)
             if tid is None:
                 continue
@@ -1333,8 +1244,8 @@ def _seg_highlight(batch: pa.Table, window: int) -> pa.Table:
             key = (-n_uniq, -n_hits, int(p))
             if best is None or key < best[0]:
                 best = (key, int(p), n_hits, n_uniq)
-        out["qid"].append(row["qid"])
-        out["doc_id"].append(row["doc_id"])
+        out["qid"].append(qid)
+        out["doc_id"].append(doc_id)
         out["pstart"].append(best[1])
         out["n_hits"].append(best[2])
         out["n_uniq"].append(best[3])
@@ -1346,33 +1257,15 @@ def highlight_passages(sf_dir: str, k: int = HIGHLIGHT_K) -> pa.Table:
     query's top-k BM25 docs.  Search is the ordinary distributed machinery;
     highlighting fans out per segment over the (k*queries)-bounded doc
     list."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir, index_options="positions")
     searcher = IndexSearcher(idx)
-    items = []
-    segs = searcher.manifest["segments"]
-    for qid, terms in enumerate(DISJUNCTIONS):
-        hits = searcher.search(
-            bool_query(should=[TermQuery(t) for t in terms]), k
-        )
-        for doc, _s in hits:
-            for r, s in zip(searcher.readers, segs):
-                if s["doc_base"] <= doc < s["doc_base"] + r.max_doc:
-                    items.append(
-                        {
-                            "dir": s["dir"],
-                            "doc_base": s["doc_base"],
-                            "qid": qid,
-                            "doc_id": doc,
-                            "terms": list(terms),
-                        }
-                    )
-                    break
-    ds = rd.from_items(items).map_batches(
-        lambda b: _seg_highlight(b, HIGHLIGHT_WINDOW), batch_format="pyarrow"
-    )
-    return ds.to_pandas().sort_values(["qid", "doc_id"]).reset_index(drop=True)
+    hits = [
+        (qid, doc, terms)
+        for qid, terms in enumerate(DISJUNCTIONS)
+        for doc, _s in searcher.search(bool_query(should=[TermQuery(t) for t in terms]), k)
+    ]
+    ds = segment_map(idx, _seg_highlight, hits=hits, window=HIGHLIGHT_WINDOW)
+    return gather(ds).to_pandas().sort_values(["qid", "doc_id"]).reset_index(drop=True)
 
 
 # query-time join (lucene/join JoinUtil.createJoinQuery, ScoreMode.Max):
@@ -1394,63 +1287,40 @@ JOIN_FIELD = "source"
 JOIN_SCORE_SCALE = float(1 << 40)
 
 
-def _seg_join_from(batch: pa.Table, queries: list, field: str, weight_stats: dict) -> pa.Table:
+JOIN_FROM_SCHEMA = _schema(
+    qid=pa.int64(),
+    val=pa.string(),
+    max_s=pa.float64(),
+    min_s=pa.float64(),
+    sum_i=pa.int64(),
+    cnt=pa.int64(),
+)
+
+
+def _seg_join_from(reader, doc_base: int, queries: list, field: str, weight) -> pa.Table:
     """Phase 1: per-segment per-(qid, join_value) from-score PARTIALS
     carrying every JoinUtil score mode at once: max/min of the float32
     scores plus the exact integer-surrogate sum and match count."""
-    from ..search.bm25 import CollectionStatistics, TermStatistics
-    from ..search.oracle import _clause_scores
-    from ..search.query import TermQuery, Weight, bool_query
-
-    weight = Weight(
-        collection_stats=CollectionStatistics(**weight_stats["collection"]),
-        term_stats={
-            t: TermStatistics(t, df, ttf)
-            for t, (df, ttf) in weight_stats["terms"].items()
-        },
-    )
-    out = {k: [] for k in ("qid", "val", "max_s", "min_s", "sum_i", "cnt")}
-    for row in batch.to_pylist():
-        reader = SegmentReader(row["dir"])
-        vals = reader.stored_column(field).to_numpy(zero_copy_only=False)
-        for qid, terms in enumerate(queries):
-            q = (
-                TermQuery(terms[0])
-                if len(terms) == 1
-                else bool_query(should=[TermQuery(t) for t in terms])
-            )
-            docs, scores = _clause_scores(q, weight, reader, 1.0)
-            if reader.live is not None and len(docs):
-                m = reader.live[docs]
-                docs, scores = docs[m], scores[m]
-            if len(docs) == 0:
-                continue
-            s32 = scores.astype(np.float32)
-            scaled = s32.astype(np.float64) * JOIN_SCORE_SCALE
-            # unconditional round (ADVICE r3): scores below ~2^-17 have f32
-            # ulp < 2^-40 and fall off the grid — they quantize with
-            # <= 2^-41 rounding error instead of crashing the whole query
-            # (ubiquitous terms on huge corpora produce such scores)
-            s_int = np.round(scaled).astype(np.int64)
-            v = vals[docs]
-            for val in np.unique(v):
-                m = v == val
-                out["qid"].append(qid)
-                out["val"].append(str(val))
-                out["max_s"].append(float(s32[m].max()))
-                out["min_s"].append(float(s32[m].min()))
-                out["sum_i"].append(int(s_int[m].sum()))
-                out["cnt"].append(int(m.sum()))
-    return pa.table(
-        {
-            "qid": pa.array(out["qid"], pa.int64()),
-            "val": pa.array(out["val"], pa.string()),
-            "max_s": pa.array(out["max_s"], pa.float64()),
-            "min_s": pa.array(out["min_s"], pa.float64()),
-            "sum_i": pa.array(out["sum_i"], pa.int64()),
-            "cnt": pa.array(out["cnt"], pa.int64()),
-        }
-    )
+    out = {k: [] for k in JOIN_FROM_SCHEMA.names}
+    vals = reader.stored_column(field).to_numpy(zero_copy_only=False)
+    for qid, docs, scores in _scored_matches(reader, queries, weight):
+        s32 = scores.astype(np.float32)
+        scaled = s32.astype(np.float64) * JOIN_SCORE_SCALE
+        # unconditional round (ADVICE r3): scores below ~2^-17 have f32
+        # ulp < 2^-40 and fall off the grid — they quantize with
+        # <= 2^-41 rounding error instead of crashing the whole query
+        # (ubiquitous terms on huge corpora produce such scores)
+        s_int = np.round(scaled).astype(np.int64)
+        v = vals[docs]
+        for val in np.unique(v):
+            m = v == val
+            out["qid"].append(qid)
+            out["val"].append(str(val))
+            out["max_s"].append(float(s32[m].max()))
+            out["min_s"].append(float(s32[m].min()))
+            out["sum_i"].append(int(s_int[m].sum()))
+            out["cnt"].append(int(m.sum()))
+    return pa.table(out, schema=JOIN_FROM_SCHEMA)
 
 
 JOIN_SCORE_MODES = ("max", "total", "avg", "min")
@@ -1466,76 +1336,46 @@ def join_topk(sf_dir: str, k: int = 10) -> pa.Table:
     TOTAL/AVG use the exact 2^-40 integer-surrogate sum, so combine order
     can't perturb ranks; AVG's double division of the same ints is
     bit-identical in numpy and the DuckDB oracle."""
-    import ray
-    import ray.data as rd
     from ray.data.aggregate import Max, Min, Sum
 
     idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    terms = sorted({t for q in JOIN_QUERIES for t in q})
-    stats = searcher.term_statistics(set(terms))
-    weight_stats = {
-        "collection": {
-            "max_doc": searcher.collection_stats.max_doc,
-            "doc_count": searcher.collection_stats.doc_count,
-            "sum_total_term_freq": searcher.collection_stats.sum_total_term_freq,
-            "sum_doc_freq": searcher.collection_stats.sum_doc_freq,
-        },
-        "terms": {t: (stats[t].doc_freq, stats[t].total_term_freq) for t in terms},
-    }
-    segs = _segment_dirs(idx)
-    part = (
-        rd.from_items(segs)
-        .map_batches(
-            lambda b: _seg_join_from(b, JOIN_QUERIES, JOIN_FIELD, weight_stats),
-            batch_format="pyarrow",
-        )
+    weight = _terms_weight(IndexSearcher(idx), {t for q in JOIN_QUERIES for t in q})
+    part = gather(
+        segment_map(idx, _seg_join_from, queries=JOIN_QUERIES, field=JOIN_FIELD, weight=weight)
         .groupby(["qid", "val"])
-        .aggregate(Max("max_s"), Min("min_s"), Sum("sum_i"), Sum("cnt"))
-        .to_pandas()
-    )
+        .aggregate(
+            Max("max_s", alias_name="max_s"),
+            Min("min_s", alias_name="min_s"),
+            Sum("sum_i", alias_name="sum_i"),
+            Sum("cnt", alias_name="cnt"),
+        ),
+        JOIN_FROM_SCHEMA,
+    ).to_pandas()
     # value->score maps are join-key-bounded (not corpus-bounded): ship once
     joined: dict[str, dict[int, dict[str, float]]] = {m: {} for m in JOIN_SCORE_MODES}
     for _, r in part.iterrows():
         qid = int(r["qid"])
-        joined["max"].setdefault(qid, {})[r["val"]] = float(r["max(max_s)"])
-        joined["min"].setdefault(qid, {})[r["val"]] = float(r["min(min_s)"])
-        joined["total"].setdefault(qid, {})[r["val"]] = float(r["sum(sum_i)"])
-        joined["avg"].setdefault(qid, {})[r["val"]] = float(r["sum(sum_i)"]) / float(
-            r["sum(cnt)"]
-        )
-    joined_ref = ray.put(joined)
+        joined["max"].setdefault(qid, {})[r["val"]] = float(r["max_s"])
+        joined["min"].setdefault(qid, {})[r["val"]] = float(r["min_s"])
+        joined["total"].setdefault(qid, {})[r["val"]] = float(r["sum_i"])
+        joined["avg"].setdefault(qid, {})[r["val"]] = float(r["sum_i"]) / float(r["cnt"])
 
-    def _seg_to_side(batch: pa.Table) -> pa.Table:
-        jmaps = ray.get(joined_ref)
+    def _seg_to_side(reader, doc_base: int) -> pa.Table:
         out_mode, out_qid, out_doc, out_score = [], [], [], []
-        for row in batch.to_pylist():
-            reader = SegmentReader(row["dir"])
-            doc_base = row["doc_base"]
-            vals = reader.stored_column(JOIN_FIELD).to_numpy(zero_copy_only=False)
-            live = reader.live
-            # factorize once: the python lookup walks UNIQUE join values
-            # (key-bounded), the per-doc expansion is a numpy gather
-            uniq, inv = np.unique(vals, return_inverse=True)
-            for mode, jmap in jmaps.items():
-                for qid, vmap in jmap.items():
-                    uscore = np.array(
-                        [vmap.get(u, np.nan) for u in uniq], dtype=np.float64
-                    )
-                    sc = uscore[inv]
-                    mask = ~np.isnan(sc)
-                    if live is not None:
-                        mask &= live
-                    docs = np.nonzero(mask)[0]
-                    if len(docs) == 0:
-                        continue
-                    s = sc[docs]
-                    order = np.lexsort((docs, -s))[:k]
-                    for i in order:
-                        out_mode.append(mode)
-                        out_qid.append(qid)
-                        out_doc.append(int(docs[i]) + doc_base)
-                        out_score.append(float(s[i]))
+        vals = reader.stored_column(JOIN_FIELD).to_numpy(zero_copy_only=False)
+        # factorize once: the python lookup walks UNIQUE join values
+        # (key-bounded), the per-doc expansion is a numpy gather
+        uniq, inv = np.unique(vals, return_inverse=True)
+        for mode, jmap in joined.items():
+            for qid, vmap in jmap.items():
+                sc = np.array([vmap.get(u, np.nan) for u in uniq], dtype=np.float64)[inv]
+                docs = np.nonzero(~np.isnan(sc))[0]
+                docs = docs[_alive(reader, docs)]
+                order = np.lexsort((docs, -sc[docs]))[:k]
+                out_mode.extend([mode] * len(order))
+                out_qid.extend([qid] * len(order))
+                out_doc.extend((docs[order] + doc_base).tolist())
+                out_score.extend(sc[docs[order]].tolist())
         return pa.table(
             {
                 "mode": pa.array(out_mode, pa.string()),
@@ -1545,20 +1385,8 @@ def join_topk(sf_dir: str, k: int = 10) -> pa.Table:
             }
         )
 
-    cand = (
-        rd.from_items(segs)
-        .map_batches(_seg_to_side, batch_format="pyarrow")
-        .to_pandas()
-    )
-    cand = cand.sort_values(
-        ["mode", "qid", "score", "doc_id"], ascending=[True, True, False, True]
-    )
-    cand = cand.groupby(["mode", "qid"], sort=True).head(k)
-    cand["rnk"] = cand.groupby(["mode", "qid"]).cumcount() + 1
-    return pa.Table.from_pandas(
-        cand[["mode", "qid", "rnk", "doc_id"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    cand = gather(segment_map(idx, _seg_to_side))
+    return _top_rows(cand, ["score", "doc_id"], [False, True], k, by=("mode", "qid"))
 
 
 # --- index-time block join (lucene/join ToParent/ToChildBlockJoinQuery) --
@@ -1693,8 +1521,11 @@ def ensure_block_index(sf_dir: str) -> str:
     return idx
 
 
+BLOCK_JOIN_SCHEMA = _schema(mode=pa.string(), qid=pa.int64(), doc_id=pa.int64(), jscore=pa.float64())
+
+
 def _seg_block_join(
-    batch: pa.Table, queries: list, weight_stats: dict, child_sources: tuple, k: int
+    reader, base: int, queries: list, weight, child_sources: tuple, k: int
 ) -> pa.Table:
     """Per-segment block-join partials.  Blocks never split segments, so a
     parent's child aggregate is COMPLETE within one segment; each mode
@@ -1711,18 +1542,9 @@ def _seg_block_join(
         parent_docids,
         to_parent_partials,
     )
-    from ..search.bm25 import CollectionStatistics, TermStatistics
     from ..search.oracle import _clause_scores
-    from ..search.query import TermQuery, Weight, bool_query
 
-    weight = Weight(
-        collection_stats=CollectionStatistics(**weight_stats["collection"]),
-        term_stats={
-            t: TermStatistics(t, df, ttf)
-            for t, (df, ttf) in weight_stats["terms"].items()
-        },
-    )
-    out = {c: [] for c in ("mode", "qid", "doc_id", "jscore")}
+    out = {c: [] for c in BLOCK_JOIN_SCHEMA.names}
 
     def emit(mode, qid, pids, jscores):
         order = np.lexsort((pids, -jscores))[:k]
@@ -1732,57 +1554,36 @@ def _seg_block_join(
             out["doc_id"].append(int(pids[i]))
             out["jscore"].append(float(jscores[i]))
 
-    for row in batch.to_pylist():
-        reader = SegmentReader(row["dir"])
-        base = row["doc_base"]
-        check_join_index(reader, BLOCK_BUCKET)
-        parents = parent_docids(reader)
-        for qid, terms in enumerate(queries):
-            q = (
-                TermQuery(terms[0])
-                if len(terms) == 1
-                else bool_query(should=[TermQuery(t) for t in terms])
-            )
-            docs, scores = _clause_scores(q, weight, reader, 1.0)
-            if len(docs) == 0:
-                continue
-            pids, mx, mn, sum_i, cnt = to_parent_partials(docs, scores, parents)
-            gids = pids + base
-            emit("block_max", qid, gids, mx.astype(np.float64))
-            emit("block_min", qid, gids, mn.astype(np.float64))
-            emit("block_total", qid, gids, sum_i.astype(np.float64))
-            emit("block_avg", qid, gids, sum_i / cnt)
-            emit("block_none", qid, gids, np.zeros(len(gids)))
-        src = reader.stored_column("source").to_numpy(zero_copy_only=False)
-        matched = parents[np.isin(src[parents], np.asarray(child_sources))]
-        kids = children_of(matched, parents)[:k]
-        emit("block_children", 0, kids + base, np.zeros(len(kids)))
-        # ToChildBlockJoinQuery with doScores=true: the PARENT's score
-        # (here: the qid-0 ToParent-max aggregate) propagates to every
-        # child (join/ToChildBlockJoinQuery.java parentScore passthrough)
-        q0 = JOIN_QUERIES[0]
-        q = (
-            TermQuery(q0[0])
-            if len(q0) == 1
-            else bool_query(should=[TermQuery(t) for t in q0])
-        )
-        docs, scores = _clause_scores(q, weight, reader, 1.0)
-        if len(docs):
-            pids, mx, _mn, _si, _c = to_parent_partials(docs, scores, parents)
-            kids2 = children_of(pids, parents)
-            # parent of child c = first parent docid > c
-            pdoc = parents[np.searchsorted(parents, kids2)]
-            sc = mx[np.searchsorted(pids, pdoc)].astype(np.float64)
-            # per-segment partial top-k children by (parent score, docid)
-            emit("block_child_scores", 0, kids2 + base, sc)
-    return pa.table(
-        {
-            "mode": pa.array(out["mode"], pa.string()),
-            "qid": pa.array(out["qid"], pa.int64()),
-            "doc_id": pa.array(out["doc_id"], pa.int64()),
-            "jscore": pa.array(out["jscore"], pa.float64()),
-        }
-    )
+    check_join_index(reader, BLOCK_BUCKET)
+    parents = parent_docids(reader)
+    for qid, terms in enumerate(queries):
+        docs, scores = _clause_scores(_terms_query(terms), weight, reader, 1.0)
+        if len(docs) == 0:
+            continue
+        pids, mx, mn, sum_i, cnt = to_parent_partials(docs, scores, parents)
+        gids = pids + base
+        emit("block_max", qid, gids, mx.astype(np.float64))
+        emit("block_min", qid, gids, mn.astype(np.float64))
+        emit("block_total", qid, gids, sum_i.astype(np.float64))
+        emit("block_avg", qid, gids, sum_i / cnt)
+        emit("block_none", qid, gids, np.zeros(len(gids)))
+    src = reader.stored_column("source").to_numpy(zero_copy_only=False)
+    matched = parents[np.isin(src[parents], np.asarray(child_sources))]
+    kids = children_of(matched, parents)[:k]
+    emit("block_children", 0, kids + base, np.zeros(len(kids)))
+    # ToChildBlockJoinQuery with doScores=true: the PARENT's score
+    # (here: the qid-0 ToParent-max aggregate) propagates to every
+    # child (join/ToChildBlockJoinQuery.java parentScore passthrough)
+    docs, scores = _clause_scores(_terms_query(JOIN_QUERIES[0]), weight, reader, 1.0)
+    if len(docs):
+        pids, mx, _mn, _si, _c = to_parent_partials(docs, scores, parents)
+        kids2 = children_of(pids, parents)
+        # parent of child c = first parent docid > c
+        pdoc = parents[np.searchsorted(parents, kids2)]
+        sc = mx[np.searchsorted(pids, pdoc)].astype(np.float64)
+        # per-segment partial top-k children by (parent score, docid)
+        emit("block_child_scores", 0, kids2 + base, sc)
+    return pa.table(out, schema=BLOCK_JOIN_SCHEMA)
 
 
 def block_join_topk(sf_dir: str, k: int = 10) -> pa.Table:
@@ -1790,43 +1591,18 @@ def block_join_topk(sf_dir: str, k: int = 10) -> pa.Table:
     index docid (parent for the to_parent modes, child for the to_child
     arm).  One per-segment pass computes every mode's partial top-k; the
     driver merges only segment heads (bounded by segments x modes x k)."""
-    import ray.data as rd
-
     idx = ensure_block_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    terms = sorted({t for q in JOIN_QUERIES for t in q})
-    stats = searcher.term_statistics(set(terms))
-    weight_stats = {
-        "collection": {
-            "max_doc": searcher.collection_stats.max_doc,
-            "doc_count": searcher.collection_stats.doc_count,
-            "sum_total_term_freq": searcher.collection_stats.sum_total_term_freq,
-            "sum_doc_freq": searcher.collection_stats.sum_doc_freq,
-        },
-        "terms": {t: (stats[t].doc_freq, stats[t].total_term_freq) for t in terms},
-    }
-    cand = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(
-            _seg_block_join,
-            batch_format="pyarrow",
-            fn_kwargs={
-                "queries": JOIN_QUERIES,
-                "weight_stats": weight_stats,
-                "child_sources": BLOCK_CHILD_SOURCES,
-                "k": k,
-            },
-        )
-        .to_pandas()
+    cand = segment_map(
+        idx,
+        _seg_block_join,
+        queries=JOIN_QUERIES,
+        weight=_terms_weight(IndexSearcher(idx), {t for q in JOIN_QUERIES for t in q}),
+        child_sources=BLOCK_CHILD_SOURCES,
+        k=k,
     )
-    cand = cand.sort_values(
-        ["mode", "qid", "jscore", "doc_id"], ascending=[True, True, False, True]
-    )
-    cand = cand.groupby(["mode", "qid"], sort=True).head(k)
-    cand["rnk"] = cand.groupby(["mode", "qid"]).cumcount() + 1
-    return pa.Table.from_pandas(
-        cand[["mode", "qid", "rnk", "doc_id"]].reset_index(drop=True),
-        preserve_index=False,
+    # an empty corpus has no blocks, so no segments: name the schema
+    return _top_rows(
+        gather(cand, BLOCK_JOIN_SCHEMA), ["jscore", "doc_id"], [False, True], k, by=("mode", "qid")
     )
 
 
@@ -1839,55 +1615,39 @@ def distinct_values_groups(sf_dir: str) -> pa.Table:
     and the driver counts the tiny result.  Family shape: (qid, grp_rnk
     by grp, grp, 0, doc_id = n_distinct) — counts ride the doc_id column
     exactly like the all_groups sizes."""
-    import ray.data as rd
+    schema = _schema(qid=pa.int64(), grp=pa.string(), val=pa.string())
 
-    idx = ensure_index(sf_dir)
-
-    def _seg(batch: pa.Table) -> pa.Table:
-        out = {"qid": [], "grp": [], "val": []}
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            grp_col = r.stored_column(GROUP_FIELD).to_numpy(zero_copy_only=False)
-            lang_col = r.stored_column("lang").to_numpy(zero_copy_only=False)
-            for qid, terms in enumerate(GROUPED_QUERIES):
-                matched = []
-                for t in terms:
-                    tid = r.term_id(t)
-                    if tid is None:
-                        continue
-                    docs, _ = r.decode_term_cached(tid)
-                    if r.live is not None:
-                        docs = docs[r.live[docs]]
-                    matched.append(docs)
-                if not matched:
+    def _seg(r, doc_base: int) -> pa.Table:
+        out = {c: [] for c in schema.names}
+        grp_col = r.stored_column(GROUP_FIELD).to_numpy(zero_copy_only=False)
+        lang_col = r.stored_column("lang").to_numpy(zero_copy_only=False)
+        for qid, terms in enumerate(GROUPED_QUERIES):
+            matched = []
+            for t in terms:
+                tid = r.term_id(t)
+                if tid is None:
                     continue
-                docs = np.unique(np.concatenate(matched))
-                pairs = np.unique(
-                    np.char.add(
-                        np.char.add(grp_col[docs].astype(str), "\x1f"),
-                        lang_col[docs].astype(str),
-                    )
+                docs, _ = r.decode_term_cached(tid)
+                matched.append(docs[_alive(r, docs)])
+            if not matched:
+                continue
+            docs = np.unique(np.concatenate(matched))
+            pairs = np.unique(
+                np.char.add(
+                    np.char.add(grp_col[docs].astype(str), "\x1f"),
+                    lang_col[docs].astype(str),
                 )
-                for pv in pairs:
-                    g, v = pv.split("\x1f")
-                    out["qid"].append(qid)
-                    out["grp"].append(g)
-                    out["val"].append(v)
-        return pa.table(
-            {
-                "qid": pa.array(out["qid"], pa.int64()),
-                "grp": pa.array(out["grp"], pa.string()),
-                "val": pa.array(out["val"], pa.string()),
-            }
-        )
+            )
+            for pv in pairs:
+                g, v = pv.split("\x1f")
+                out["qid"].append(qid)
+                out["grp"].append(g)
+                out["val"].append(v)
+        return pa.table(out, schema=schema)
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .groupby(["qid", "grp", "val"])
-        .count()
-        .to_pandas()
-    )
+    part = gather(
+        segment_map(ensure_index(sf_dir), _seg).groupby(["qid", "grp", "val"]).count(), schema
+    ).to_pandas()
     agg = (
         part.groupby(["qid", "grp"], sort=True)
         .size()
@@ -1919,81 +1679,42 @@ def block_grouped_topk(sf_dir: str) -> pa.Table:
     never crosses the exchange.  (qid, grp_rnk, grp, rnk, doc_id): grp =
     parent block docid (string, the family's group-key column), doc_id =
     child block-index docid."""
-    import ray.data as rd
-
     from ..search.blockjoin import parent_docids
-    from ..search.bm25 import CollectionStatistics, TermStatistics
     from ..search.oracle import _clause_scores
-    from ..search.query import Weight
 
     idx = ensure_block_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    terms = sorted({t for q in JOIN_QUERIES for t in q})
-    stats = searcher.term_statistics(set(terms))
-    weight_stats = {
-        "collection": {
-            "max_doc": searcher.collection_stats.max_doc,
-            "doc_count": searcher.collection_stats.doc_count,
-            "sum_total_term_freq": searcher.collection_stats.sum_total_term_freq,
-            "sum_doc_freq": searcher.collection_stats.sum_doc_freq,
-        },
-        "terms": {t: (stats[t].doc_freq, stats[t].total_term_freq) for t in terms},
-    }
+    weight = _terms_weight(IndexSearcher(idx), {t for q in JOIN_QUERIES for t in q})
 
-    def _seg(batch: pa.Table) -> pa.Table:
-        weight = Weight(
-            collection_stats=CollectionStatistics(**weight_stats["collection"]),
-            term_stats={
-                t: TermStatistics(t, df, ttf)
-                for t, (df, ttf) in weight_stats["terms"].items()
-            },
-        )
-        out = {"qid": [], "grp": [], "doc_id": [], "score": []}
-        for row in batch.to_pylist():
-            reader = SegmentReader(row["dir"])
-            base = row["doc_base"]
-            parents = parent_docids(reader)
-            for qid, qterms in enumerate(JOIN_QUERIES):
-                q = (
-                    TermQuery(qterms[0])
-                    if len(qterms) == 1
-                    else bool_query(should=[TermQuery(t) for t in qterms])
-                )
-                docs, scores = _clause_scores(q, weight, reader, 1.0)
-                if not len(docs):
-                    continue
-                # the parent is the first parent docid ABOVE the child
-                pdoc = parents[np.searchsorted(parents, docs)]
-                s64 = scores.astype(np.float64)
-                order = np.lexsort((docs, -s64, pdoc))
-                pd_sorted = pdoc[order]
-                grp_ids, first = np.unique(pd_sorted, return_index=True)
-                # segment-local top-N groups by (best child score, grp)
-                best = s64[order][first]
-                gsel = np.lexsort((grp_ids, -best))[:N_GROUPS]
-                bounds = np.append(first, len(order))
-                for gi in gsel:
-                    rows = order[bounds[gi] : bounds[gi + 1]][:K_IN_GROUP]
-                    gid = int(grp_ids[gi]) + base
-                    for r in rows:
-                        out["qid"].append(qid)
-                        out["grp"].append(str(gid))
-                        out["doc_id"].append(int(docs[r]) + base)
-                        out["score"].append(float(scores[r]))
-        return pa.table(
-            {
-                "qid": pa.array(out["qid"], pa.int64()),
-                "grp": pa.array(out["grp"], pa.string()),
-                "doc_id": pa.array(out["doc_id"], pa.int64()),
-                "score": pa.array(out["score"], pa.float64()),
-            }
-        )
+    schema = _schema(qid=pa.int64(), grp=pa.string(), doc_id=pa.int64(), score=pa.float64())
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
+    def _seg(reader, base: int) -> pa.Table:
+        out = {c: [] for c in schema.names}
+        parents = parent_docids(reader)
+        for qid, qterms in enumerate(JOIN_QUERIES):
+            docs, scores = _clause_scores(_terms_query(qterms), weight, reader, 1.0)
+            if not len(docs):
+                continue
+            # the parent is the first parent docid ABOVE the child
+            pdoc = parents[np.searchsorted(parents, docs)]
+            s64 = scores.astype(np.float64)
+            order = np.lexsort((docs, -s64, pdoc))
+            pd_sorted = pdoc[order]
+            grp_ids, first = np.unique(pd_sorted, return_index=True)
+            # segment-local top-N groups by (best child score, grp)
+            best = s64[order][first]
+            gsel = np.lexsort((grp_ids, -best))[:N_GROUPS]
+            bounds = np.append(first, len(order))
+            for gi in gsel:
+                rows = order[bounds[gi] : bounds[gi + 1]][:K_IN_GROUP]
+                gid = int(grp_ids[gi]) + base
+                for r in rows:
+                    out["qid"].append(qid)
+                    out["grp"].append(str(gid))
+                    out["doc_id"].append(int(docs[r]) + base)
+                    out["score"].append(float(scores[r]))
+        return pa.table(out, schema=schema)
+
+    part = gather(segment_map(idx, _seg), schema).to_pandas()
     # global group rank by (best child score desc, grp asc), then
     # within-group child rank — rows per group are already complete
     part = part.sort_values(
@@ -2039,21 +1760,10 @@ def function_range_topk(sf_dir: str, k: int = 10) -> pa.Table:
     range, SCORED BY THE VALUE — (qid, rnk, doc_id)."""
     from ..search.query import FunctionRangeQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (expr, lo, hi) in enumerate(FUNCTION_RANGE_QUERIES):
-        q = FunctionRangeQuery(expr, lo, hi)
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [FunctionRangeQuery(expr, lo, hi) for expr, lo, hi in FUNCTION_RANGE_QUERIES],
+        k,
     )
 
 
@@ -2069,28 +1779,15 @@ FUNCTION_SCORE_FIELD = "n_chars"
 def function_score_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """FunctionScoreQuery top-k: BM25 score boosted by ln(1 + n_chars)
     (queries/function boostByValue over a long-field DoubleValuesSource)."""
-    from ..search.query import FunctionScoreQuery, TermQuery, bool_query
+    from ..search.query import FunctionScoreQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, terms in enumerate(FUNCTION_SCORE_QUERIES):
-        inner = (
-            TermQuery(terms[0])
-            if len(terms) == 1
-            else bool_query(should=[TermQuery(t) for t in terms])
-        )
-        q = FunctionScoreQuery(inner, FUNCTION_SCORE_FIELD)
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [
+            FunctionScoreQuery(_terms_query(terms), FUNCTION_SCORE_FIELD)
+            for terms in FUNCTION_SCORE_QUERIES
+        ],
+        k,
     )
 
 
@@ -2106,25 +1803,15 @@ def covering_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """CoveringQuery top-k (sandbox CoveringQuery.java): docs matching at
     least ``1 + n_chars % 3`` of the term clauses, scored by the sum of
     the matching clauses' BM25 scores (qid, rnk, doc_id)."""
-    from ..search.query import CoveringQuery, TermQuery
+    from ..search.query import CoveringQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, terms in enumerate(COVERING_QUERIES):
-        q = CoveringQuery(
-            tuple(TermQuery(t) for t in terms), FUNCTION_SCORE_FIELD, 3
-        )
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [
+            CoveringQuery(tuple(TermQuery(t) for t in terms), FUNCTION_SCORE_FIELD, 3)
+            for terms in COVERING_QUERIES
+        ],
+        k,
     )
 
 
@@ -2150,17 +1837,9 @@ def feature_topk(sf_dir: str, k: int = 10) -> pa.Table:
     composition — text MUST clause + FeatureQuery SHOULD clause — so the
     final score is BM25 + feature(fn(quantized n_chars)).  One arm per
     feature function, (fn, qid, rnk, doc_id)."""
-    from ..search.query import (
-        BoostQuery,
-        DistanceFeatureQuery,
-        FeatureQuery,
-        TermQuery,
-        bool_query,
-    )
+    from ..search.query import BoostQuery, DistanceFeatureQuery, FeatureQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    fns, qids, rnks, docs = [], [], [], []
+    searcher = IndexSearcher(ensure_index(sf_dir))
     arms = [
         (fn_label, FeatureQuery(FUNCTION_SCORE_FIELD, **kwargs))
         for fn_label, kwargs in FEATURE_ARMS
@@ -2180,21 +1859,22 @@ def feature_topk(sf_dir: str, k: int = 10) -> pa.Table:
             ),
         )
     )
-    for fn_label, feat in arms:
-        for qid, terms in enumerate(FUNCTION_SCORE_QUERIES):
-            q = bool_query(must=[TermQuery(t) for t in terms], should=[feat])
-            for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-                fns.append(fn_label)
-                qids.append(qid)
-                rnks.append(rnk)
-                docs.append(doc)
-    return pa.table(
-        {
-            "fn": pa.array(fns, pa.string()),
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return _keyed_concat(
+        "fn",
+        (
+            (
+                fn_label,
+                hits_table(
+                    searcher,
+                    [
+                        bool_query(must=[TermQuery(t) for t in terms], should=[feat])
+                        for terms in FUNCTION_SCORE_QUERIES
+                    ],
+                    k,
+                ),
+            )
+            for fn_label, feat in arms
+        ),
     )
 
 
@@ -2214,21 +1894,10 @@ def synonym_topk(sf_dir: str, k: int = 10) -> pa.Table:
     pseudo-term with df=max, ttf=sum, per-doc freq=sum(boost*tf)."""
     from ..search.query import SynonymQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (terms, boosts) in enumerate(SYNONYM_QUERIES):
-        hits = searcher.search(SynonymQuery(terms, boosts), k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [SynonymQuery(terms, boosts) for terms, boosts in SYNONYM_QUERIES],
+        k,
     )
 
 
@@ -2240,22 +1909,10 @@ def blended_topk(sf_dir: str, rewrite: str = "dismax", k: int = 10) -> pa.Table:
     comparable in one family."""
     from ..search.query import BlendedTermQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (terms, boosts) in enumerate(SYNONYM_QUERIES):
-        q = BlendedTermQuery(terms, boosts, rewrite=rewrite)
-        hits = searcher.search(q, k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [BlendedTermQuery(terms, boosts, rewrite=rewrite) for terms, boosts in SYNONYM_QUERIES],
+        k,
     )
 
 
@@ -2272,21 +1929,10 @@ def phrase_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """Exact-phrase BM25 top-k over a positions index: (qid, rnk, doc_id)."""
     from ..search.query import PhraseQuery
 
-    idx = ensure_index(sf_dir, index_options="positions")
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, words in enumerate(PHRASES):
-        hits = searcher.search(PhraseQuery(tuple(words)), k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir, index_options="positions")),
+        [PhraseQuery(tuple(words)) for words in PHRASES],
+        k,
     )
 
 
@@ -2430,7 +2076,7 @@ def phrase_wildcard_topk(
     cs = searcher.collection_stats
     avgdl = cs.sum_total_term_freq * 1.0 / cs.doc_count
     ql_lut = np.array([byte4_to_int(b) for b in range(256)], dtype=np.int64)
-    qids, rnks, docs = [], [], []
+    ranked = []
     for qid, slots in enumerate(PW_PHRASES):
         # segment optimization OFF for the oracle arm: pruned segments
         # would shrink multi-term df sums segment-dependently, which no
@@ -2449,9 +2095,8 @@ def phrase_wildcard_topk(
             if any(len(s) == 0 for s in per_seg):
                 continue  # a slot collected nothing here: cannot match
             d, pf = multi_phrase_matches_segment(reader, per_seg)
-            if reader.live is not None and len(d):
-                m = reader.live[d]
-                d, pf = d[m], pf[m]
+            m = _alive(reader, d)
+            d, pf = d[m], pf[m]
             if not len(d):
                 continue
             ql = ql_lut[reader.norms[d]]
@@ -2464,85 +2109,71 @@ def phrase_wildcard_topk(
             continue
         dd = np.concatenate(all_docs)
         ss = np.concatenate(all_scores)
-        top = np.lexsort((dd, -ss))[:k]
-        for rnk, i in enumerate(top, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(int(dd[i]))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+        ranked.append((qid, dd[np.lexsort((dd, -ss))[:k]]))
+    return ranked_table(ranked)
 
 
 def _seg_positional_matches(
-    batch: pa.Table, queries: list, kind: str, out_col: str | None
+    r, base: int, queries: list, kind: str, out_col: str | None
 ) -> pa.Table:
     """Per-segment positional matches for EVERY query of one pipeline —
-    the map_batches kernel behind the distributed phrase / proximity
-    entries.  Each input row is a segment descriptor (dir, doc_base); the
-    reader is opened in the task, so the driver never holds segment state
-    (VERDICT r2 "driver-serial pipelines" fix).  Output rows are global
-    (qid, doc_id[, out_col]) matches only — never postings."""
+    the segment_map kernel behind the distributed phrase / proximity
+    entries; the reader is opened in the task, so the driver never holds
+    segment state (VERDICT r2 "driver-serial pipelines" fix).  Output rows
+    are global (qid, doc_id[, out_col]) matches only — never postings."""
     from ..search import multiterm as mt
 
     qids: list[int] = []
     docs: list[int] = []
     ns: list[int] = []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        base = row["doc_base"]
-        for qid, payload in enumerate(queries):
-            if kind == "phrase":
-                d, n = mt.phrase_matches_segment(r, tuple(payload))
-            elif kind == "multi_phrase":
-                d, n = mt.multi_phrase_matches_segment(
-                    r, tuple(tuple(s) for s in payload)
-                )
-            elif kind == "sloppy":
-                terms, slop = payload
-                d, n = mt.sloppy_phrase_matches_segment(r, tuple(terms), slop)
-            elif kind == "proximity":
-                d, n = mt.proximity_matches_segment(r, tuple(payload[0]), payload[1])
-            elif kind == "ordered_proximity":
-                d, n = mt.ordered_proximity_matches_segment(
-                    r, tuple(payload[0]), payload[1]
-                )
-            elif kind == "containing_proximity":
-                terms, w, f, neg = payload
-                d, n = mt.containing_proximity_matches_segment(
-                    r, tuple(terms), w, f, negate=neg
-                )
-            elif kind == "or_proximity":
-                d, n = mt.or_proximity_matches_segment(
-                    r, tuple(tuple(s) for s in payload[0]), payload[1]
-                )
-            elif kind == "surround":
-                from ..search.surround import parse_surround, surround_matches_segment
+    for qid, payload in enumerate(queries):
+        if kind == "phrase":
+            d, n = mt.phrase_matches_segment(r, tuple(payload))
+        elif kind == "multi_phrase":
+            d, n = mt.multi_phrase_matches_segment(
+                r, tuple(tuple(s) for s in payload)
+            )
+        elif kind == "sloppy":
+            terms, slop = payload
+            d, n = mt.sloppy_phrase_matches_segment(r, tuple(terms), slop)
+        elif kind == "proximity":
+            d, n = mt.proximity_matches_segment(r, tuple(payload[0]), payload[1])
+        elif kind == "ordered_proximity":
+            d, n = mt.ordered_proximity_matches_segment(
+                r, tuple(payload[0]), payload[1]
+            )
+        elif kind == "containing_proximity":
+            terms, w, f, neg = payload
+            d, n = mt.containing_proximity_matches_segment(
+                r, tuple(terms), w, f, negate=neg
+            )
+        elif kind == "or_proximity":
+            d, n = mt.or_proximity_matches_segment(
+                r, tuple(tuple(s) for s in payload[0]), payload[1]
+            )
+        elif kind == "surround":
+            from ..search.surround import parse_surround, surround_matches_segment
 
-                d, n = surround_matches_segment(r, parse_surround(payload))
-            elif kind == "spans":
-                from ..search.spans import span_matches_segment
+            d, n = surround_matches_segment(r, parse_surround(payload))
+        elif kind == "spans":
+            from ..search.spans import span_matches_segment
 
-                d, n = span_matches_segment(r, payload)
-            elif kind == "automaton":
-                from ..search.automaton import term_automaton_matches_segment
+            d, n = span_matches_segment(r, payload)
+        elif kind == "automaton":
+            from ..search.automaton import term_automaton_matches_segment
 
-                d = term_automaton_matches_segment(r, payload)
-                n = np.empty(0, np.int64)
-            elif kind == "intervals_fn":
-                from ..search.intervals import interval_matches_segment
+            d = term_automaton_matches_segment(r, payload)
+            n = np.empty(0, np.int64)
+        elif kind == "intervals_fn":
+            from ..search.intervals import interval_matches_segment
 
-                d, n = interval_matches_segment(r, payload)
-            else:  # pragma: no cover
-                raise ValueError(kind)
-            qids.extend([qid] * len(d))
-            docs.extend((np.asarray(d, np.int64) + base).tolist())
-            if out_col is not None:
-                ns.extend(np.asarray(n, np.int64).tolist())
+            d, n = interval_matches_segment(r, payload)
+        else:  # pragma: no cover
+            raise ValueError(kind)
+        qids.extend([qid] * len(d))
+        docs.extend((np.asarray(d, np.int64) + base).tolist())
+        if out_col is not None:
+            ns.extend(np.asarray(n, np.int64).tolist())
     cols = {
         "qid": pa.array(qids, pa.int64()),
         "doc_id": pa.array(docs, pa.int64()),
@@ -2553,18 +2184,12 @@ def _seg_positional_matches(
 
 
 def _positional_matches_ds(idx: str, queries: list, kind: str, out_col: str | None):
-    """Dataset of positional matches: one task per segment group, all
-    queries evaluated against the open reader (amortizes the mmap/dict
-    open across the query batch, the SegmentSearchWorker pattern without
-    long-lived actors — match sets stream out, nothing gathers on the
-    driver)."""
-    import ray.data as rd
-
-    ds = rd.from_items(_segment_dirs(idx))
-    return ds.map_batches(
-        _seg_positional_matches,
-        batch_format="pyarrow",
-        fn_kwargs={"queries": queries, "kind": kind, "out_col": out_col},
+    """Dataset of positional matches: all queries evaluated against each
+    open segment reader (amortizes the mmap/dict open across the query
+    batch, the SegmentSearchWorker pattern without long-lived actors —
+    match sets stream out, nothing gathers on the driver)."""
+    return segment_map(
+        idx, _seg_positional_matches, queries=queries, kind=kind, out_col=out_col
     )
 
 
@@ -2599,42 +2224,33 @@ def range_filtered_topk(sf_dir: str, k: int = 10) -> pa.Table:
     idx = ensure_index(sf_dir)
     build_point_index(idx, POINT_FIELDS)
     searcher = IndexSearcher(idx)
-    methods, qids, rnks, docs = [], [], [], []
-    for qid, (term, lo, hi) in enumerate(RANGE_FILTERED_QUERIES):
-        dv = StoredFieldRange("n_chars", lo, hi)
-        per_method = {}
-        for method, filt in (
-            ("dv", dv),
-            (
-                "index_or_dv",
-                IndexOrDocValuesQuery(
-                    index_query=PointBoxQuery(POINT_FIELDS, (lo, None), (hi, None)),
-                    dv_query=dv,
-                ),
-            ),
-        ):
-            hits = searcher.search(
-                bool_query(must=[TermQuery(term)], filter=[filt]), k
+    dv = [StoredFieldRange("n_chars", lo, hi) for _, lo, hi in RANGE_FILTERED_QUERIES]
+    filters = {
+        "dv": dv,
+        "index_or_dv": [
+            IndexOrDocValuesQuery(
+                index_query=PointBoxQuery(POINT_FIELDS, (lo, None), (hi, None)),
+                dv_query=f,
             )
-            per_method[method] = hits
-            for rnk, (doc, _s) in enumerate(hits, start=1):
-                methods.append(method)
-                qids.append(qid)
-                rnks.append(rnk)
-                docs.append(doc)
-        assert per_method["dv"] == per_method["index_or_dv"], (
-            "IndexOrDocValuesQuery diverged from the dv filter",
-            term,
-            lo,
-            hi,
-        )
-    return pa.table(
-        {
-            "method": pa.array(methods, pa.large_string()),
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+            for (_, lo, hi), f in zip(RANGE_FILTERED_QUERIES, dv)
+        ],
+    }
+    hits = {
+        method: [
+            searcher.search(bool_query(must=[TermQuery(term)], filter=[f]), k)
+            for (term, _, _), f in zip(RANGE_FILTERED_QUERIES, fs)
+        ]
+        for method, fs in filters.items()
+    }
+    for q, a, b in zip(RANGE_FILTERED_QUERIES, hits["dv"], hits["index_or_dv"]):
+        assert a == b, ("IndexOrDocValuesQuery diverged from the dv filter", q)
+    return _keyed_concat(
+        "method",
+        (
+            (method, ranked_table((qid, [d for d, _s in h]) for qid, h in enumerate(hs)))
+            for method, hs in hits.items()
+        ),
+        pa.large_string(),
     )
 
 
@@ -2672,7 +2288,7 @@ def knn_index_topk(
     seed = StoredFieldFilter("lang", seed_lang) if seed_lang else None
     # PatienceKnnVectorQuery default: max(7, 0.3*k)
     pat = max(7, int(0.3 * (k + 1))) if patience else None
-    qids, rnks, nbrs = [], [], []
+    ranked = []
     for j, qid in enumerate(q_ids):
         hits = searcher.search(
             KnnFloatVectorQuery(
@@ -2681,23 +2297,8 @@ def knn_index_topk(
             ),
             k + 1,
         )
-        rnk = 0
-        for doc, _s in hits:
-            if doc == int(qid):
-                continue
-            rnk += 1
-            if rnk > k:
-                break
-            qids.append(int(qid))
-            rnks.append(rnk)
-            nbrs.append(doc)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "neighbor_id": pa.array(nbrs, pa.int64()),
-        }
-    )
+        ranked.append((int(qid), [d for d, _s in hits if d != int(qid)][:k]))
+    return ranked_table(ranked).rename_columns(["query_id", "rnk", "neighbor_id"])
 
 
 # classic query-parser strings exercised end-to-end (grouping, AND/OR/NOT,
@@ -2814,20 +2415,7 @@ def parsed_topk(sf_dir: str, k: int = 10) -> pa.Table:
         (s, parse_precedence(s, analyzer, stored_fields=("lang", "source")))
         for s in PRECEDENCE_PARSED_QUERIES
     ]
-    qids, rnks, docs = [], [], []
-    for qid, (s, q) in enumerate(parses):
-        hits = searcher.search(q, k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+    return hits_table(searcher, [q for _s, q in parses], k)
 
 
 POINT_FIELDS = ("n_chars", "doc_id")
@@ -2903,8 +2491,8 @@ def point_box_topk(sf_dir: str, k: int = 10) -> pa.Table:
     segment contributes a bounded partial (local top-k + local count); the
     global merge is tiny.  Trees and triangle tables are persisted
     per-segment artifacts (build once, resumable); query fan-out is a
-    map_batches over the segment list."""
-    import ray.data as rd
+    segment_map over the segment list."""
+    import pyarrow.compute as pc
 
     from ..index.points import PointTree, build_point_index, point_file
     from ..index.shapes import ShapeReader, build_shape_index
@@ -2915,22 +2503,22 @@ def point_box_topk(sf_dir: str, k: int = 10) -> pa.Table:
     build_point_index(idx, POINT_FIELDS)
     build_shape_index(idx, "rect", synth_rect_shapes)
 
-    searcher = DistributedSearcher(idx, num_workers=4)
-    fams, qids, rnks, docs, nms = [], [], [], [], []
-    bm25_hits = {}
-    for qid, (term, clo, chi, dlo, dhi) in enumerate(POINT_BOX_QUERIES):
-        q = bool_query(
-            must=[TermQuery(term)],
-            filter=[PointBoxQuery(POINT_FIELDS, (clo, dlo), (chi, dhi))],
-        )
-        bm25_hits[qid] = searcher.search(q, k)
+    box = hits_table(
+        DistributedSearcher(idx, num_workers=4),
+        [
+            bool_query(
+                must=[TermQuery(term)],
+                filter=[PointBoxQuery(POINT_FIELDS, (clo, dlo), (chi, dhi))],
+            )
+            for term, clo, chi, dlo, dhi in POINT_BOX_QUERIES
+        ],
+        k,
+    )
 
     # per-segment bounded partials: (family, qid, doc_id, cnt) where
     # doc_id=-1 rows carry the segment-local count and doc_id>=0 rows are
     # the segment-local ascending top-k
-    def _seg(batch: pa.Table) -> pa.Table:
-        from ..index.segment import SegmentReader
-
+    def _seg(reader, doc_base: int) -> pa.Table:
         out = {"family": [], "qid": [], "doc_id": [], "cnt": []}
 
         def emit(family, qid, ids):
@@ -2944,70 +2532,42 @@ def point_box_topk(sf_dir: str, k: int = 10) -> pa.Table:
                 out["doc_id"].append(int(d))
                 out["cnt"].append(0)
 
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "_".join(POINT_FIELDS)))
-            for qid, (_t, clo, chi, dlo, dhi) in enumerate(POINT_BOX_QUERIES):
-                got, _ = tree.intersect((clo, dlo), (chi, dhi))
-                emit("box", qid, got + row["doc_base"])
-            sr = ShapeReader(row["dir"], "rect")
-            ids = (
-                SegmentReader(row["dir"])
-                .stored_column("doc_id")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            for qid, (qxlo, qxhi, qylo, qyhi) in enumerate(SHAPE_BOX_QUERIES):
-                for rel in ("intersects", "within", "disjoint"):
-                    local = sr.query_box(qxlo, qxhi, qylo, qyhi, rel)
-                    emit(f"shape_{rel}", qid, np.sort(ids[local]))
-            for qid, (px, py) in enumerate(SHAPE_POINT_QUERIES):
-                local = sr.query_point(px, py)
-                emit("shape_contains_pt", qid, np.sort(ids[local]))
+        tree = PointTree.load(point_file(reader.src_dir, "_".join(POINT_FIELDS)))
+        for qid, (_t, clo, chi, dlo, dhi) in enumerate(POINT_BOX_QUERIES):
+            got, _ = tree.intersect((clo, dlo), (chi, dhi))
+            emit("box", qid, got + doc_base)
+        sr = ShapeReader(reader.src_dir, "rect")
+        ids = reader.stored_column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        for qid, (qxlo, qxhi, qylo, qyhi) in enumerate(SHAPE_BOX_QUERIES):
+            for rel in ("intersects", "within", "disjoint"):
+                local = sr.query_box(qxlo, qxhi, qylo, qyhi, rel)
+                emit(f"shape_{rel}", qid, np.sort(ids[local]))
+        for qid, (px, py) in enumerate(SHAPE_POINT_QUERIES):
+            local = sr.query_point(px, py)
+            emit("shape_contains_pt", qid, np.sort(ids[local]))
         return pa.table(
-            {
-                "family": pa.array(out["family"], pa.string()),
-                "qid": pa.array(out["qid"], pa.int64()),
-                "doc_id": pa.array(out["doc_id"], pa.int64()),
-                "cnt": pa.array(out["cnt"], pa.int64()),
-            }
+            out,
+            schema=_schema(family=pa.string(), qid=pa.int64(), doc_id=pa.int64(), cnt=pa.int64()),
         )
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
+    part = gather(segment_map(idx, _seg))
+    counts = part.to_pandas().query("doc_id < 0").groupby(["family", "qid"])["cnt"].sum()
+    # box ranks come from the BM25 search, shape ranks from the docid
+    # order; n_match is the tree count either way
+    shapes = part.filter(
+        pc.and_(pc.greater_equal(part["doc_id"], 0), pc.not_equal(part["family"], "box"))
     )
-    counts = part[part.doc_id < 0].groupby(["family", "qid"])["cnt"].sum()
-    tops = part[part.doc_id >= 0].sort_values(["family", "qid", "doc_id"])
-    tops = tops.groupby(["family", "qid"], sort=True).head(k)
-    for (fam, qid), grp in tops.groupby(["family", "qid"], sort=True):
-        n_match = int(counts.get((fam, qid), 0))
-        if fam == "box":
-            # ranks come from the BM25 search; n_match from the tree count
-            continue
-        for rnk, d in enumerate(grp["doc_id"].tolist(), start=1):
-            fams.append(fam)
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(d)
-            nms.append(n_match)
-    for qid, hits in bm25_hits.items():
-        n_match = int(counts.get(("box", qid), 0))
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            fams.append("box")
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-            nms.append(n_match)
-    tbl = pa.table(
-        {
-            "family": pa.array(fams, pa.string()),
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-            "n_match": pa.array(nms, pa.int64()),
-        }
+    tbl = pa.concat_tables(
+        [
+            _keyed_concat("family", [("box", box)]),
+            _top_rows(shapes, ["doc_id"], [True], k, by=("family", "qid")),
+        ]
     )
+    n_match = [
+        int(counts.get((f, q), 0))
+        for f, q in zip(tbl["family"].to_pylist(), tbl["qid"].to_pylist())
+    ]
+    tbl = tbl.append_column("n_match", pa.array(n_match, pa.int64()))
     return tbl.sort_by([("family", "ascending"), ("qid", "ascending"), ("rnk", "ascending")])
 
 
@@ -3100,64 +2660,41 @@ def geo_distance_topk(sf_dir: str, k: int = 10) -> pa.Table:
     radius; dist2 = floor(sortkey * 2^52) (monotone integer surrogate so
     the family schema stays int64).  Per segment: geo-tree box candidates
     -> exact vectorized sort-key verify -> bounded partial top-k."""
-    import ray.data as rd
-
     from ..index.points import PointTree, build_point_index_fn, point_file
 
     idx = ensure_index(sf_dir)
     build_point_index_fn(idx, "geo", _geo_values)
     thresholds = [geo_sortkey_threshold(r) for _, _, r in GEO_DISTANCE_QUERIES]
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(reader, doc_base: int) -> pa.Table:
         out = {"qid": [], "doc_id": [], "dist2": []}
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "geo"))
-            gids_col = (
-                SegmentReader(row["dir"])
-                .stored_column("doc_id")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            for qid, (qlat, qlon, radius) in enumerate(GEO_DISTANCE_QUERIES):
-                cand_parts = [
-                    tree.intersect((b[0], b[2]), (b[1] + 1, b[3] + 1))[0]
-                    for b in _geo_cap_boxes(qlat, qlon, radius)
-                ]
-                cand = np.unique(np.concatenate(cand_parts))
-                if not len(cand):
-                    continue
-                gids = gids_col[cand]
-                lat = ((gids * 37) % 18000) / 100.0 - 90.0
-                lon = ((gids * 53) % 36000) / 100.0 - 180.0
-                sk = _geo_sortkey(lat, lon, qlat, qlon)
-                keep = sk <= thresholds[qid]
-                gids, sk = gids[keep], sk[keep]
-                d2 = np.floor(sk * GEO_KEY_SCALE).astype(np.int64)
-                if len(gids) > k:
-                    order = np.lexsort((gids, d2))[:k]
-                    gids, d2 = gids[order], d2[order]
-                out["qid"].extend([qid] * len(gids))
-                out["doc_id"].extend(gids.tolist())
-                out["dist2"].extend(d2.tolist())
+        tree = PointTree.load(point_file(reader.src_dir, "geo"))
+        gids_col = reader.stored_column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        for qid, (qlat, qlon, radius) in enumerate(GEO_DISTANCE_QUERIES):
+            cand_parts = [
+                tree.intersect((b[0], b[2]), (b[1] + 1, b[3] + 1))[0]
+                for b in _geo_cap_boxes(qlat, qlon, radius)
+            ]
+            cand = np.unique(np.concatenate(cand_parts))
+            if not len(cand):
+                continue
+            gids = gids_col[cand]
+            lat = ((gids * 37) % 18000) / 100.0 - 90.0
+            lon = ((gids * 53) % 36000) / 100.0 - 180.0
+            sk = _geo_sortkey(lat, lon, qlat, qlon)
+            keep = sk <= thresholds[qid]
+            gids, sk = gids[keep], sk[keep]
+            d2 = np.floor(sk * GEO_KEY_SCALE).astype(np.int64)
+            if len(gids) > k:
+                order = np.lexsort((gids, d2))[:k]
+                gids, d2 = gids[order], d2[order]
+            out["qid"].extend([qid] * len(gids))
+            out["doc_id"].extend(gids.tolist())
+            out["dist2"].extend(d2.tolist())
         return pa.table({c: pa.array(out[c], pa.int64()) for c in out})
 
-    cand = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    empty = pa.table(
-        {c: pa.array([], pa.int64()) for c in ("qid", "rnk", "doc_id", "dist2")}
-    )
-    if cand.empty:  # all-empty blocks lose their schema through to_pandas
-        return empty
-    cand = cand.sort_values(["qid", "dist2", "doc_id"])
-    cand = cand.groupby("qid", sort=True).head(k)
-    cand["rnk"] = cand.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        cand[["qid", "rnk", "doc_id", "dist2"]].reset_index(drop=True),
-        preserve_index=False,
-    ).cast(empty.schema)
+    cand = gather(segment_map(idx, _seg))
+    return _top_rows(cand, ["dist2", "doc_id"], [True, True], k, cols=("doc_id", "dist2"))
 
 
 def point_distance_topk(sf_dir: str, k: int = 10) -> pa.Table:
@@ -3171,17 +2708,15 @@ def point_distance_topk(sf_dir: str, k: int = 10) -> pa.Table:
       LatLonPointPrototypeQueries.nearest; PointTree.nearest), per
       segment a partial (dist², docid) top-k, global merge of ≤
       k·segments candidates."""
-    import ray.data as rd
-
     from ..index.points import PointTree, build_point_index, point_file
 
     idx = ensure_index(sf_dir)
     build_point_index(idx, POINT_FIELDS)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(reader, base: int) -> pa.Table:
         out = {"family": [], "qid": [], "doc_id": [], "dist2": []}
 
-        def emit(family, qid, docs, d2, base):
+        def emit(family, qid, docs, d2):
             # per-segment partial top-k by (dist, docid)
             if len(docs) > k:
                 order = np.lexsort((docs, d2))[:k]
@@ -3191,34 +2726,20 @@ def point_distance_topk(sf_dir: str, k: int = 10) -> pa.Table:
             out["doc_id"].extend((docs + base).tolist())
             out["dist2"].extend(d2.tolist())
 
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "_".join(POINT_FIELDS)))
-            for qid, (cx, cy, r2) in enumerate(POINT_DISTANCE_QUERIES):
-                docs, d2, _stats = tree.intersect_distance((cx, cy), r2)
-                emit("radius", qid, docs, d2, row["doc_base"])
-                ndocs, nd2, _nstats = tree.nearest((cx, cy), k)
-                emit("nearest", qid, ndocs, nd2, row["doc_base"])
+        tree = PointTree.load(point_file(reader.src_dir, "_".join(POINT_FIELDS)))
+        for qid, (cx, cy, r2) in enumerate(POINT_DISTANCE_QUERIES):
+            docs, d2, _stats = tree.intersect_distance((cx, cy), r2)
+            emit("radius", qid, docs, d2)
+            ndocs, nd2, _nstats = tree.nearest((cx, cy), k)
+            emit("nearest", qid, ndocs, nd2)
         return pa.table(
-            {
-                "family": pa.array(out["family"], pa.string()),
-                **{
-                    c: pa.array(out[c], pa.int64())
-                    for c in ("qid", "doc_id", "dist2")
-                },
-            }
+            out,
+            schema=_schema(family=pa.string(), qid=pa.int64(), doc_id=pa.int64(), dist2=pa.int64()),
         )
 
-    cand = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    cand = cand.sort_values(["family", "qid", "dist2", "doc_id"])
-    cand = cand.groupby(["family", "qid"], sort=True).head(k)
-    cand["rnk"] = cand.groupby(["family", "qid"]).cumcount() + 1
-    return pa.Table.from_pandas(
-        cand[["family", "qid", "rnk", "doc_id", "dist2"]].reset_index(drop=True),
-        preserve_index=False,
+    cand = gather(segment_map(idx, _seg))
+    return _top_rows(
+        cand, ["dist2", "doc_id"], [True, True], k, by=("family", "qid"), cols=("doc_id", "dist2")
     )
 
 
@@ -3238,24 +2759,13 @@ def filtered_topk(sf_dir: str, k: int = 10) -> pa.Table:
     runs among docs whose ``lang``/``source`` matches."""
     from ..search.query import StoredFieldFilter
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (term, field, value) in enumerate(FILTERED_QUERIES):
-        q = bool_query(
-            must=[TermQuery(term)], filter=[StoredFieldFilter(field, value)]
-        )
-        hits = searcher.search(q, k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [
+            bool_query(must=[TermQuery(term)], filter=[StoredFieldFilter(field, value)])
+            for term, field, value in FILTERED_QUERIES
+        ],
+        k,
     )
 
 
@@ -3290,30 +2800,26 @@ def ensure_multifield_index(sf_dir: str) -> str:
     return idx
 
 
+def _multifield_clauses() -> list:
+    """MULTIFIELD_QUERIES as (text MUST, lang MUST) clause lists."""
+    from ..index.multifield import FieldedClause
+
+    return [
+        [
+            FieldedClause("text", TermQuery(term), "MUST"),
+            FieldedClause("lang", TermQuery(lang), "MUST"),
+        ]
+        for term, lang in MULTIFIELD_QUERIES
+    ]
+
+
 def multifield_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """Cross-field conjunction top-k (qid, rnk, doc_id): score =
     BM25_text(term) + BM25_lang(value), each clause with ITS field's
     statistics (FieldInfos per-field stats semantics)."""
-    from ..index.multifield import FieldedClause, MultiFieldSearcher
+    from ..index.multifield import MultiFieldSearcher
 
-    ms = MultiFieldSearcher(ensure_multifield_index(sf_dir))
-    qids, rnks, docs = [], [], []
-    for qid, (term, lang) in enumerate(MULTIFIELD_QUERIES):
-        clauses = [
-            FieldedClause("text", TermQuery(term), "MUST"),
-            FieldedClause("lang", TermQuery(lang), "MUST"),
-        ]
-        for rnk, (doc, _s) in enumerate(ms.search(clauses, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+    return hits_table(MultiFieldSearcher(ensure_multifield_index(sf_dir)), _multifield_clauses(), k)
 
 
 def multifield_perfield_topk(sf_dir: str, k: int = 10) -> pa.Table:
@@ -3322,7 +2828,7 @@ def multifield_perfield_topk(sf_dir: str, k: int = 10) -> pa.Table:
     multifield_topk, but the text field scores with ClassicSimilarity
     while the lang field keeps BM25 — each clause through ITS field's
     similarity AND stats."""
-    from ..index.multifield import FieldedClause, MultiFieldSearcher
+    from ..index.multifield import MultiFieldSearcher
     from ..search.similarities import ClassicSimilarity, PerFieldSimilarityWrapper
 
     ms = MultiFieldSearcher(
@@ -3331,23 +2837,7 @@ def multifield_perfield_topk(sf_dir: str, k: int = 10) -> pa.Table:
             default=None, per_field={"text": ClassicSimilarity()}
         ),
     )
-    qids, rnks, docs = [], [], []
-    for qid, (term, lang) in enumerate(MULTIFIELD_QUERIES):
-        clauses = [
-            FieldedClause("text", TermQuery(term), "MUST"),
-            FieldedClause("lang", TermQuery(lang), "MUST"),
-        ]
-        for rnk, (doc, _s) in enumerate(ms.search(clauses, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+    return hits_table(ms, _multifield_clauses(), k)
 
 
 MULTIFIELD_PARSE_QUERIES = [
@@ -3366,22 +2856,13 @@ def multifield_parsed_topk(sf_dir: str, k: int = 10) -> pa.Table:
     field's statistics."""
     from ..index.multifield import MultiFieldSearcher, parse_multifield
 
-    ms = MultiFieldSearcher(ensure_combined_index(sf_dir))
-    qids, rnks, docs = [], [], []
-    for qid, qs in enumerate(MULTIFIELD_PARSE_QUERIES):
-        clauses = parse_multifield(
-            qs, ("text", "title"), {"title": TITLE_BOOST}
-        )
-        for rnk, (doc, _s) in enumerate(ms.search(clauses, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        MultiFieldSearcher(ensure_combined_index(sf_dir)),
+        [
+            parse_multifield(qs, ("text", "title"), {"title": TITLE_BOOST})
+            for qs in MULTIFIELD_PARSE_QUERIES
+        ],
+        k,
     )
 
 
@@ -3393,27 +2874,12 @@ def classic_topk(sf_dir: str, k: int = 10) -> pa.Table:
     return _sim_topk(sf_dir, ClassicSimilarity(), k)
 
 
-def _sim_topk(sf_dir: str, sim, k: int, score_mode: str = "TOP_SCORES") -> pa.Table:
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx, similarity=sim)
-    qids, rnks, docs = [], [], []
-    for qid, term in enumerate(QUERY_TERMS):
-        if score_mode == "COMPLETE":
-            hits = searcher.search(
-                TermQuery(term), k, total_hits_threshold=np.inf, score_mode="COMPLETE"
-            )
-        else:
-            hits = searcher.search(TermQuery(term), k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+def _sim_topk(sf_dir: str, sim, k: int, **search_kw) -> pa.Table:
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir), similarity=sim),
+        [TermQuery(t) for t in QUERY_TERMS],
+        k,
+        **search_kw,
     )
 
 
@@ -3442,7 +2908,7 @@ def similarity_topk(sf_dir: str, k: int = 10) -> pa.Table:
         SweetSpotSimilarity,
     )
 
-    parts = []
+    arms = []
     for name, sim in (
         ("classic", ClassicSimilarity()),
         ("boolean", BooleanSimilarity()),
@@ -3480,16 +2946,12 @@ def similarity_topk(sf_dir: str, k: int = 10) -> pa.Table:
         # invalid, COMPLETE mode only (see _IndriDirichletScorer)
         ("indri", IndriDirichletSimilarity()),
     ):
-        t = _sim_topk(
-            sf_dir, sim, k,
-            score_mode="COMPLETE" if name in ("sweetspot", "indri") else "TOP_SCORES",
+        complete = {"total_hits_threshold": np.inf, "score_mode": "COMPLETE"}
+        arms.append(
+            (name, _sim_topk(sf_dir, sim, k, **(complete if name in ("sweetspot", "indri") else {})))
         )
-        parts.append(
-            t.add_column(0, "sim", pa.array([name] * len(t), pa.string()))
-        )
-    t = indri_and_topk(sf_dir, k)
-    parts.append(t.add_column(0, "sim", pa.array(["indri_and"] * len(t), pa.string())))
-    return pa.concat_tables(parts)
+    arms.append(("indri_and", indri_and_topk(sf_dir, k)))
+    return _keyed_concat("sim", arms)
 
 
 # (t1, t2) pairs with boosts (1.0, 0.5) — exact binary fractions so the
@@ -3508,22 +2970,12 @@ def indri_and_topk(sf_dir: str, k: int = 10) -> pa.Table:
     from ..search.query import IndriAndQuery
     from ..search.similarities import IndriDirichletSimilarity
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx, similarity=IndriDirichletSimilarity())
-    qids, rnks, docs = [], [], []
-    for qid, pair in enumerate(INDRI_AND_QUERIES):
-        q = IndriAndQuery(tuple(pair), INDRI_AND_BOOSTS)
-        hits = searcher.search(q, k, total_hits_threshold=np.inf, score_mode="COMPLETE")
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir), similarity=IndriDirichletSimilarity()),
+        [IndriAndQuery(tuple(pair), INDRI_AND_BOOSTS) for pair in INDRI_AND_QUERIES],
+        k,
+        total_hits_threshold=np.inf,
+        score_mode="COMPLETE",
     )
 
 
@@ -3563,21 +3015,7 @@ def delete_search_topk(sf_dir: str, k: int = 10) -> pa.Table:
     shutil.rmtree(clone, ignore_errors=True)
     clone_for_deletes(idx, clone)
     delete_by_query(clone, StoredFieldFilter("lang", DELETE_LANG))
-    searcher = IndexSearcher(clone)
-    qids, rnks, docs = [], [], []
-    for qid, term in enumerate(QUERY_TERMS):
-        hits = searcher.search(TermQuery(term), k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+    return hits_table(IndexSearcher(clone), [TermQuery(t) for t in QUERY_TERMS], k)
 
 
 SLOPPY_PHRASES = [
@@ -3605,26 +3043,41 @@ def bm25_boosted_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """Boosted SHOULD disjunctions (BoostQuery per clause): (qid, rnk, doc_id)."""
     from ..search.query import BoostQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, clauses in enumerate(BOOSTED_DISJUNCTIONS):
-        q = bool_query(should=[BoostQuery(TermQuery(t), b) for t, b in clauses])
-        hits = searcher.search(q, k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [
+            bool_query(should=[BoostQuery(TermQuery(t), b) for t, b in clauses])
+            for clauses in BOOSTED_DISJUNCTIONS
+        ],
+        k,
     )
 
 
 PREFIXES = ["sp", "wi", "c", "ba", "jo"]
+
+
+SUGGEST_SCHEMA = _schema(qid=pa.int64(), term=pa.string(), weight=pa.int64())
+
+
+def _summed_topn(ds, n: int):
+    """(qid, term, weight) partials summed per (qid, term), then each
+    block's top n per qid — the suggesters' bounded exchange."""
+    from ray.data.aggregate import Sum
+
+    from ..search import suggest
+
+    return (
+        ds.groupby(["qid", "term"])
+        .aggregate(Sum("weight", alias_name="weight"))
+        .map_batches(lambda b: suggest.partial_topn(b, n), batch_format="pyarrow")
+    )
+
+
+def _suggest_rows(cand: pa.Table, n: int, order=("weight", "term"), ascending=(False, True)):
+    """The suggesters' final merge of gathered candidates: (qid, rnk, term,
+    weight), the top n per qid by (weight DESC, term ASC) unless told
+    otherwise."""
+    return _top_rows(cand, list(order), list(ascending), n, cols=("term", "weight"))
 
 
 def suggest_prefix(sf_dir: str, n: int = 10) -> pa.Table:
@@ -3632,51 +3085,22 @@ def suggest_prefix(sf_dir: str, n: int = 10) -> pa.Table:
     HighFrequencyDictionary analogue): top-N dictionary terms under each
     prefix by (doc_freq DESC, term ASC), summed across segments.
     (qid, rnk, term, weight)."""
-    import ray.data as rd
-
     from ..search import suggest
 
-    idx = ensure_index(sf_dir)
     prefixes = PREFIXES
 
-    def _seg(batch: pa.Table) -> pa.Table:
-        qids, terms, ws = [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            q, t, w = suggest.segment_completions(r, prefixes)
-            qids += q
-            terms += t
-            ws += w
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "term": pa.array(terms, pa.string()),
-                "weight": pa.array(ws, pa.int64()),
-            }
-        )
+    def _seg(r, doc_base: int) -> pa.Table:
+        q, t, w = suggest.segment_completions(r, prefixes)
+        return pa.table({"qid": q, "term": t, "weight": w}, schema=SUGGEST_SCHEMA)
 
-    ds = rd.from_items(_segment_dirs(idx)).map_batches(_seg, batch_format="pyarrow")
-    agg = ds.groupby(["qid", "term"]).sum("weight")
-    agg = agg.map_batches(
-        lambda b: suggest.partial_topn(
-            b.rename_columns(["qid", "term", "weight"]), n
-        ),
-        batch_format="pyarrow",
-    )
-    # final merge: <= n * num_blocks rows per prefix
-    df = agg.to_pandas()
-    df = df.sort_values(["qid", "weight", "term"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    out = pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    cand = gather(_summed_topn(segment_map(ensure_index(sf_dir), _seg), n), SUGGEST_SCHEMA)
+    out = _suggest_rows(cand, n)
+    df = out.to_pandas()
     # WFST topology cross-check (suggest/fst/WFSTCompletionLookup.java):
     # the max-weight-pushed trie's best-first top_n must equal the
     # scan-and-sort result for every prefix — percolator discipline: two
     # paths, asserted identical, ONE oracle-backed output
-    all_rows = agg.to_pandas()
+    all_rows = cand.to_pandas()
     fst_src = all_rows.groupby("term", sort=False)["weight"].max()
     fst = suggest.WFSTCompletion(
         fst_src.index.tolist(), fst_src.to_numpy().tolist()
@@ -3712,12 +3136,8 @@ def regex_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     bounds the merge."""
     import re as _re
 
-    import ray.data as rd
-
-    from ..search import suggest
     from ..search.regexp import UnsupportedRegexp, _prefix_upper, compile_regexp
 
-    idx = ensure_index(sf_dir)
     patterns = REGEX_SUGGEST_QUERIES
 
     def _pattern_prefix(p: str) -> str:
@@ -3726,46 +3146,24 @@ def regex_suggest(sf_dir: str, n: int = 10) -> pa.Table:
         except UnsupportedRegexp:
             return ""
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         rxs = [_re.compile(p) for p in patterns]
         prefixes = [_pattern_prefix(p) for p in patterns]
         qids, terms, ws = [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            df = np.asarray(r.enc.doc_freq)
-            for qid, (rx, pfx) in enumerate(zip(rxs, prefixes)):
-                lo = pfx.encode("utf-8") if pfx else None
-                hi = _prefix_upper(lo) if lo else None
-                for tid in r.term_id_range(lo, hi):
-                    t = r.term_string(tid)
-                    if rx.match(t):
-                        qids.append(qid)
-                        terms.append(t)
-                        ws.append(int(df[tid]))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "term": pa.array(terms, pa.string()),
-                "weight": pa.array(ws, pa.int64()),
-            }
-        )
+        df = np.asarray(r.enc.doc_freq)
+        for qid, (rx, pfx) in enumerate(zip(rxs, prefixes)):
+            lo = pfx.encode("utf-8") if pfx else None
+            hi = _prefix_upper(lo) if lo else None
+            for tid in r.term_id_range(lo, hi):
+                t = r.term_string(tid)
+                if rx.match(t):
+                    qids.append(qid)
+                    terms.append(t)
+                    ws.append(int(df[tid]))
+        return pa.table({"qid": qids, "term": terms, "weight": ws}, schema=SUGGEST_SCHEMA)
 
-    ds = rd.from_items(_segment_dirs(idx)).map_batches(_seg, batch_format="pyarrow")
-    agg = ds.groupby(["qid", "term"]).sum("weight")
-    agg = agg.map_batches(
-        lambda b: suggest.partial_topn(
-            b.rename_columns(["qid", "term", "weight"]), n
-        ),
-        batch_format="pyarrow",
-    )
-    df = agg.to_pandas()
-    df = df.sort_values(["qid", "weight", "term"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    agg = _summed_topn(segment_map(ensure_index(sf_dir), _seg), n)
+    return _suggest_rows(gather(agg, SUGGEST_SCHEMA), n)
 
 
 # (context word, completion prefix) — empty prefix = any next word
@@ -3824,32 +3222,11 @@ def freetext_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     vectorized bigram partials (query-bounded output) -> one small
     groupby sum -> partial top-N -> driver merge.  (qid, rnk, term,
     weight)."""
-    import ray.data as rd
-
-    from ..search import suggest
-
-    src = os.path.join(sf_dir, "documents.parquet")
-    ds = rd.read_parquet(src, columns=["text"])
-    parts = ds.map_batches(
-        _freetext_partials,
-        batch_format="pyarrow",
-        fn_kwargs={"queries": FREETEXT_QUERIES},
+    parts = _corpus(sf_dir, ["text"]).map_batches(
+        _freetext_partials, batch_format="pyarrow", fn_kwargs={"queries": FREETEXT_QUERIES}
     )
-    agg = parts.groupby(["qid", "term"]).sum("weight")
-    agg = agg.map_batches(
-        lambda b: suggest.partial_topn(
-            b.rename_columns(["qid", "term", "weight"]), n
-        ),
-        batch_format="pyarrow",
-    )
-    df = agg.to_pandas()  # bounded: <= n * num_blocks rows per qid
-    df = df.sort_values(["qid", "weight", "term"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    # bounded: <= n * num_blocks rows per qid
+    return _suggest_rows(gather(_summed_topn(parts, n), SUGGEST_SCHEMA), n)
 
 
 # AnalyzingInfixSuggester lookups: a token prefix that may match EITHER
@@ -3908,32 +3285,11 @@ def infix_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     tokens with edge grams for exactly this).  Top-N by (weight DESC,
     text ASC); the reference's blender sort by weight is the same
     ordering.  (qid, rnk, term, weight)."""
-    import ray.data as rd
-
-    from ..search import suggest
-
-    src = os.path.join(sf_dir, "documents.parquet")
-    ds = rd.read_parquet(src, columns=["text"])
-    parts = ds.map_batches(
-        _infix_partials,
-        batch_format="pyarrow",
-        fn_kwargs={"queries": INFIX_QUERIES},
+    parts = _corpus(sf_dir, ["text"]).map_batches(
+        _infix_partials, batch_format="pyarrow", fn_kwargs={"queries": INFIX_QUERIES}
     )
-    agg = parts.groupby(["qid", "term"]).sum("weight")
-    agg = agg.map_batches(
-        lambda b: suggest.partial_topn(
-            b.rename_columns(["qid", "term", "weight"]), n
-        ),
-        batch_format="pyarrow",
-    )
-    df = agg.to_pandas()  # bounded: <= n * num_blocks rows per qid
-    df = df.sort_values(["qid", "weight", "term"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    # bounded: <= n * num_blocks rows per qid
+    return _suggest_rows(gather(_summed_topn(parts, n), SUGGEST_SCHEMA), n)
 
 
 def blended_weights(
@@ -3966,21 +3322,16 @@ def blended_infix_suggest(
     blending happens BEFORE any top-n trimming; the reference's
     numFactor candidate-pool cut is an approximation we don't reproduce
     — we blend every entry exactly.  Top-n by (score DESC, term ASC)."""
-    import ray.data as rd
+    from ray.data.aggregate import Sum
 
     from ..search import suggest
 
-    src = os.path.join(sf_dir, "documents.parquet")
-    ds = rd.read_parquet(src, columns=["text"])
-    parts = ds.map_batches(
-        _infix_partials,
-        batch_format="pyarrow",
-        fn_kwargs={"queries": INFIX_QUERIES},
+    parts = _corpus(sf_dir, ["text"]).map_batches(
+        _infix_partials, batch_format="pyarrow", fn_kwargs={"queries": INFIX_QUERIES}
     )
-    agg = parts.groupby(["qid", "term"]).sum("weight")
+    agg = parts.groupby(["qid", "term"]).aggregate(Sum("weight", alias_name="weight"))
 
     def _blend(b: pa.Table) -> pa.Table:
-        b = b.rename_columns(["qid", "term", "weight"])
         qid = b.column("qid").to_numpy()
         terms = b.column("term").to_pylist()
         pos = np.empty(len(terms), np.int64)
@@ -4001,14 +3352,8 @@ def blended_infix_suggest(
     agg = agg.map_batches(
         lambda b: suggest.partial_topn(_blend(b), n), batch_format="pyarrow"
     )
-    df = agg.to_pandas()  # bounded: <= n * num_blocks rows per qid
-    df = df.sort_values(["qid", "weight", "term"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    # bounded: <= n * num_blocks rows per qid
+    return _suggest_rows(gather(agg, SUGGEST_SCHEMA), n)
 
 
 # DocumentDictionary suggester: entries from STORED doc content (title =
@@ -4025,12 +3370,11 @@ def document_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     string.  Duplicate titles collapse to their max weight (the
     highest-weight surface form wins, the suggester's dedup rule).
     Top-n by (weight DESC, entry ASC): (qid, rnk, term, weight)."""
-    import ray.data as rd
+    from ray.data.aggregate import Max
 
     from ..search import suggest
 
-    src = os.path.join(sf_dir, "documents.parquet")
-    ds = rd.read_parquet(src, columns=["text", "n_chars"])
+    ds = _corpus(sf_dir, ["text", "n_chars"])
 
     def _titles(batch: pa.Table) -> pa.Table:
         import polars as pl
@@ -4051,13 +3395,12 @@ def document_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     agg = (
         ds.map_batches(_titles, batch_format="pyarrow")
         .groupby("term")
-        .max("weight")
+        .aggregate(Max("weight", alias_name="weight"))
     )
 
-    def _cand(batch: pa.Table) -> pa.Table:
+    def _cand(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        b = batch.rename_columns(["term", "weight"])
         out = []
         for qid, pref in enumerate(DOC_SUGGEST_QUERIES):
             m = pc.starts_with(b.column("term"), pref)
@@ -4069,28 +3412,15 @@ def document_suggest(sf_dir: str, n: int = 10) -> pa.Table:
                     )
                 )
         if not out:
-            return pa.table(
-                {
-                    "qid": pa.array([], pa.int64()),
-                    "term": pa.array([], pa.string()),
-                    "weight": pa.array([], pa.int64()),
-                }
-            )
-        t = pa.concat_tables(out)
-        return t.select(["qid", "term", "weight"])
+            return SUGGEST_SCHEMA.empty_table()
+        return pa.concat_tables(out).select(["qid", "term", "weight"])
 
     cand = agg.map_batches(_cand, batch_format="pyarrow")
     cand = cand.map_batches(
         lambda b: suggest.partial_topn(b, n), batch_format="pyarrow"
     )
-    df = cand.to_pandas()  # bounded: <= n * num_blocks rows per qid
-    df = df.sort_values(["qid", "weight", "term"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    # bounded: <= n * num_blocks rows per qid
+    return _suggest_rows(gather(cand, SUGGEST_SCHEMA), n)
 
 
 # ContextQuery (suggest/document/ContextQuery.java wrapping a
@@ -4108,12 +3438,11 @@ def context_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     duplicate surface forms keep their best score (the NRTSuggester
     surface dedup).  (qid, rnk, term, weight=score) top-n by
     (score DESC, term ASC)."""
-    import ray.data as rd
+    from ray.data.aggregate import Max
 
     from ..search import suggest
 
-    src = os.path.join(sf_dir, "documents.parquet")
-    ds = rd.read_parquet(src, columns=["text", "lang", "n_chars"])
+    ds = _corpus(sf_dir, ["text", "lang", "n_chars"])
 
     def _entries(batch: pa.Table) -> pa.Table:
         import polars as pl
@@ -4135,12 +3464,11 @@ def context_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     agg = (
         ds.map_batches(_entries, batch_format="pyarrow")
         .groupby(["term", "ctx"])
-        .max("weight")
+        .aggregate(Max("weight", alias_name="weight"))
     )
 
-    def _score(batch: pa.Table) -> pa.Table:
+    def _score(b: pa.Table) -> pa.Table:
         # context filter + score = weight * boost; qid-independent
-        b = batch.rename_columns(["term", "ctx", "weight"])
         ctxs = b.column("ctx").to_pylist()
         keep = [i for i, c in enumerate(ctxs) if c in CONTEXT_SUGGEST_BOOSTS]
         b = b.take(pa.array(keep, pa.int64()))
@@ -4160,13 +3488,12 @@ def context_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     best = (
         agg.map_batches(_score, batch_format="pyarrow")
         .groupby("term")
-        .max("weight")
+        .aggregate(Max("weight", alias_name="weight"))
     )
 
-    def _cand(batch: pa.Table) -> pa.Table:
+    def _cand(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        b = batch.rename_columns(["term", "weight"])
         out = []
         for qid, pref in enumerate(DOC_SUGGEST_QUERIES):
             m = pc.starts_with(b.column("term"), pref)
@@ -4182,26 +3509,14 @@ def context_suggest(sf_dir: str, n: int = 10) -> pa.Table:
                     )
                 )
         if not out:
-            return pa.table(
-                {
-                    "qid": pa.array([], pa.int64()),
-                    "term": pa.array([], pa.string()),
-                    "weight": pa.array([], pa.int64()),
-                }
-            )
+            return SUGGEST_SCHEMA.empty_table()
         return pa.concat_tables(out)
 
     cand = best.map_batches(_cand, batch_format="pyarrow").map_batches(
         lambda b: suggest.partial_topn(b, n), batch_format="pyarrow"
     )
-    df = cand.to_pandas()  # bounded: <= n * num_blocks rows per qid
-    df = df.sort_values(["qid", "weight", "term"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    # bounded: <= n * num_blocks rows per qid
+    return _suggest_rows(gather(cand, SUGGEST_SCHEMA), n)
 
 
 WORDBREAK_QUERIES = ["sparkjoin", "windowbatch", "customerorder", "thegroup"]
@@ -4219,54 +3534,46 @@ def wordbreak_suggest(sf_dir: str, n: int = WORDBREAK_TOP_N) -> pa.Table:
     vocabulary-bounded groupby sums them, validity (both sides present
     SOMEWHERE) is decided on the summed dfs — not per segment.
     (qid, rnk, term='left right', weight)."""
-    import ray.data as rd
+    from ray.data.aggregate import Sum
 
-    idx = ensure_index(sf_dir)
     queries = WORDBREAK_QUERIES
+    schema = _schema(qid=pa.int64(), si=pa.int64(), dfl=pa.int64(), dfr=pa.int64())
 
-    def _seg(batch: pa.Table) -> pa.Table:
-        qids, sis, dfl, dfr = [], [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            df = np.asarray(r.enc.doc_freq)
+    def _seg(r, doc_base: int) -> pa.Table:
+        out = {c: [] for c in schema.names}
+        df = np.asarray(r.enc.doc_freq)
 
-            def seg_df(t: str) -> int:
-                tid = r.term_id(t)
-                return int(df[tid]) if tid is not None else 0
+        def seg_df(t: str) -> int:
+            tid = r.term_id(t)
+            return int(df[tid]) if tid is not None else 0
 
-            for qid, w in enumerate(queries):
-                for i in range(1, len(w)):
-                    qids.append(qid)
-                    sis.append(i)
-                    dfl.append(seg_df(w[:i]))
-                    dfr.append(seg_df(w[i:]))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "si": pa.array(sis, pa.int64()),
-                "dfl": pa.array(dfl, pa.int64()),
-                "dfr": pa.array(dfr, pa.int64()),
-            }
-        )
+        for qid, w in enumerate(queries):
+            for i in range(1, len(w)):
+                out["qid"].append(qid)
+                out["si"].append(i)
+                out["dfl"].append(seg_df(w[:i]))
+                out["dfr"].append(seg_df(w[i:]))
+        return pa.table(out, schema=schema)
 
-    ds = rd.from_items(_segment_dirs(idx)).map_batches(_seg, batch_format="pyarrow")
-    agg = ds.groupby(["qid", "si"]).sum(["dfl", "dfr"]).to_pandas()
+    agg = gather(
+        segment_map(ensure_index(sf_dir), _seg)
+        .groupby(["qid", "si"])
+        .aggregate(Sum("dfl", alias_name="dfl"), Sum("dfr", alias_name="dfr")),
+        schema,
+    ).to_pandas()
     # bounded: sum(len(w)) rows total, never corpus-scaled
-    agg = agg.rename(columns={"sum(dfl)": "dfl", "sum(dfr)": "dfr"})
     agg = agg[(agg.dfl > 0) & (agg.dfr > 0)]
-    agg["term"] = [
-        f"{queries[q][:i]} {queries[q][i:]}" for q, i in zip(agg.qid, agg.si)
-    ]
-    agg["weight"] = agg.dfl + agg.dfr
-    agg = agg.sort_values(
-        ["qid", "weight", "term"], ascending=[True, False, True]
+    cand = pa.table(
+        {
+            "qid": pa.array(agg.qid, pa.int64()),
+            "term": pa.array(
+                [f"{queries[q][:i]} {queries[q][i:]}" for q, i in zip(agg.qid, agg.si)],
+                pa.string(),
+            ),
+            "weight": pa.array(agg.dfl + agg.dfr, pa.int64()),
+        }
     )
-    agg = agg.groupby("qid", sort=True).head(n)
-    agg["rnk"] = agg.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        agg[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    return _suggest_rows(cand, n)
 
 
 SPELL_QUERIES = ["cusotmer", "fitler", "windwo", "spakr", "streem"]
@@ -4283,49 +3590,8 @@ def spell_suggest(sf_dir: str, n: int = SPELL_TOP_N) -> pa.Table:
     stay oracle-exact).  Candidate scan is the vectorized FuzzyQuery DP per
     segment; doc freqs sum across segments via one small groupby.
     (qid, rnk, term, weight=df)."""
-    import ray.data as rd
-
-    from ..search.multiterm import fuzzy_term_dists
-
-    idx = ensure_index(sf_dir)
-
-    def _seg(batch: pa.Table) -> pa.Table:
-        qids, terms, dfs, dists = [], [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            vocab = r.terms_array()
-            for qid, q in enumerate(SPELL_QUERIES):
-                ids, dd = fuzzy_term_dists(r, q, SPELL_MAX_EDITS)
-                keep = dd > 0  # never suggest the input itself
-                for tid, dist in zip(ids[keep], dd[keep]):
-                    qids.append(qid)
-                    terms.append(vocab[int(tid)].as_py())
-                    dfs.append(int(r.enc.doc_freq[int(tid)]))
-                    dists.append(int(dist))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "term": pa.array(terms, pa.string()),
-                "df": pa.array(dfs, pa.int64()),
-                "dist": pa.array(dists, pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Min, Sum
-
-    ds = rd.from_items(_segment_dirs(idx)).map_batches(_seg, batch_format="pyarrow")
-    # dist is identical wherever the term appears (same dictionary DP), so
-    # Min is just "the" distance; df sums across segments
-    agg = ds.groupby(["qid", "term"]).aggregate(Sum("df"), Min("dist"))
-    df = agg.to_pandas().rename(columns={"sum(df)": "weight", "min(dist)": "dist"})
-    df = df.sort_values(
-        ["qid", "dist", "weight", "term"], ascending=[True, True, False, True]
-    )
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
+    return _suggest_rows(
+        spell_candidates(sf_dir), n, order=("dist", "weight", "term"), ascending=(True, False, True)
     )
 
 
@@ -4337,61 +3603,51 @@ def spell_suggest_jaro(sf_dir: str, n: int = SPELL_TOP_N) -> pa.Table:
     similarity DESC, then doc freq DESC, then term ASC.  The jw doubles
     are bit-identical to DuckDB's jaro_winkler_similarity, so ranks stay
     hash-exact.  (qid, rnk, term, weight=df)."""
-    import pandas as pd
-
     from ..search.suggest import jaro_winkler
 
     base = spell_candidates(sf_dir)
-    base["jw"] = [
-        jaro_winkler(t, SPELL_QUERIES[q]) for t, q in zip(base.term, base.qid)
+    jw = [
+        jaro_winkler(t, SPELL_QUERIES[q])
+        for t, q in zip(base["term"].to_pylist(), base["qid"].to_pylist())
     ]
-    base = base.sort_values(
-        ["qid", "jw", "weight", "term"], ascending=[True, False, False, True]
-    )
-    base = base.groupby("qid", sort=True).head(n)
-    base["rnk"] = base.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        base[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
+    return _suggest_rows(
+        base.append_column("jw", pa.array(jw, pa.float64())),
+        n,
+        order=("jw", "weight", "term"),
+        ascending=(False, False, True),
     )
 
 
 def spell_candidates(sf_dir: str):
-    """Aggregated (qid, term, weight, dist) Damerau candidates — the
+    """Aggregated (qid, term, weight=df, dist) Damerau candidates — the
     shared distributed phase behind both spell comparators."""
-    import ray.data as rd
-
     from ray.data.aggregate import Min, Sum
 
     from ..search.multiterm import fuzzy_term_dists
 
-    idx = ensure_index(sf_dir)
+    schema = _schema(qid=pa.int64(), term=pa.string(), weight=pa.int64(), dist=pa.int64())
 
-    def _seg(batch: pa.Table) -> pa.Table:
-        qids, terms, dfs, dists = [], [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            vocab = r.terms_array()
-            for qid, q in enumerate(SPELL_QUERIES):
-                ids, dd = fuzzy_term_dists(r, q, SPELL_MAX_EDITS)
-                keep = dd > 0
-                for tid, dist in zip(ids[keep], dd[keep]):
-                    qids.append(qid)
-                    terms.append(vocab[int(tid)].as_py())
-                    dfs.append(int(r.enc.doc_freq[int(tid)]))
-                    dists.append(int(dist))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "term": pa.array(terms, pa.string()),
-                "df": pa.array(dfs, pa.int64()),
-                "dist": pa.array(dists, pa.int64()),
-            }
-        )
+    def _seg(r, doc_base: int) -> pa.Table:
+        out = {c: [] for c in schema.names}
+        vocab = r.terms_array()
+        for qid, q in enumerate(SPELL_QUERIES):
+            ids, dd = fuzzy_term_dists(r, q, SPELL_MAX_EDITS)
+            keep = dd > 0  # never suggest the input itself
+            for tid, dist in zip(ids[keep], dd[keep]):
+                out["qid"].append(qid)
+                out["term"].append(vocab[int(tid)].as_py())
+                out["weight"].append(int(r.enc.doc_freq[int(tid)]))
+                out["dist"].append(int(dist))
+        return pa.table(out, schema=schema)
 
-    ds = rd.from_items(_segment_dirs(idx)).map_batches(_seg, batch_format="pyarrow")
-    agg = ds.groupby(["qid", "term"]).aggregate(Sum("df"), Min("dist"))
-    return agg.to_pandas().rename(columns={"sum(df)": "weight", "min(dist)": "dist"})
+    # dist is identical wherever the term appears (same dictionary DP), so
+    # Min is just "the" distance; df sums across segments
+    agg = (
+        segment_map(ensure_index(sf_dir), _seg)
+        .groupby(["qid", "term"])
+        .aggregate(Sum("weight", alias_name="weight"), Min("dist", alias_name="dist"))
+    )
+    return gather(agg, schema)
 
 
 # FuzzySuggester (suggest/analyzing/FuzzySuggester.java) reference
@@ -4414,50 +3670,32 @@ def fuzzy_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     term ASC — the reference's weight-ordered FST traversal.  Per-segment
     vectorized prefix-DP scan, doc freqs summed via one small groupby.
     (qid, rnk, term, weight)."""
-    import ray.data as rd
+    from ray.data.aggregate import Sum
 
     from ..search.multiterm import fuzzy_prefix_dists
 
-    idx = ensure_index(sf_dir)
+    def _seg(r, doc_base: int) -> pa.Table:
+        import pyarrow.compute as pc
 
-    def _seg(batch: pa.Table) -> pa.Table:
         qids, terms, dfs = [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            vocab = r.terms_array()
-            for qid, q in enumerate(FUZZY_SUGGEST_QUERIES):
-                if len(q) < FUZZY_MIN_LENGTH:
-                    import pyarrow.compute as pc
+        vocab = r.terms_array()
+        for qid, q in enumerate(FUZZY_SUGGEST_QUERIES):
+            if len(q) < FUZZY_MIN_LENGTH:
+                ids = np.nonzero(pc.starts_with(vocab, q).to_numpy(zero_copy_only=False))[0]
+            else:
+                ids, _ = fuzzy_prefix_dists(r, q, FUZZY_MAX_EDITS, FUZZY_NON_FUZZY_PREFIX)
+            for tid in ids:
+                qids.append(qid)
+                terms.append(vocab[int(tid)].as_py())
+                dfs.append(int(r.enc.doc_freq[int(tid)]))
+        return pa.table({"qid": qids, "term": terms, "weight": dfs}, schema=SUGGEST_SCHEMA)
 
-                    ids = np.nonzero(
-                        pc.starts_with(vocab, q).to_numpy(zero_copy_only=False)
-                    )[0]
-                else:
-                    ids, _ = fuzzy_prefix_dists(
-                        r, q, FUZZY_MAX_EDITS, FUZZY_NON_FUZZY_PREFIX
-                    )
-                for tid in ids:
-                    qids.append(qid)
-                    terms.append(vocab[int(tid)].as_py())
-                    dfs.append(int(r.enc.doc_freq[int(tid)]))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "term": pa.array(terms, pa.string()),
-                "weight": pa.array(dfs, pa.int64()),
-            }
-        )
-
-    ds = rd.from_items(_segment_dirs(idx)).map_batches(_seg, batch_format="pyarrow")
-    df = ds.groupby(["qid", "term"]).sum("weight").to_pandas()
-    df = df.rename(columns={"sum(weight)": "weight"})
-    df = df.sort_values(["qid", "weight", "term"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(n)
-    df["rnk"] = df.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["qid", "rnk", "term", "weight"]].reset_index(drop=True),
-        preserve_index=False,
+    agg = (
+        segment_map(ensure_index(sf_dir), _seg)
+        .groupby(["qid", "term"])
+        .aggregate(Sum("weight", alias_name="weight"))
     )
+    return _suggest_rows(gather(agg, SUGGEST_SCHEMA), n)
 
 
 TERM_RANGES = [("a", "d"), ("m", "s"), ("s", None), (None, "h")]
@@ -4476,10 +3714,9 @@ def prefix_scored_matches(sf_dir: str, k: int = 10) -> pa.Table:
     CONSTANT_SCORE rewrite the other multiterm arms use); more than
     MAX_CLAUSE_COUNT expanded terms raises the TooManyClauses error.
     (qid, rnk, doc_id)."""
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, p in enumerate(PREFIXES):
+    searcher = IndexSearcher(ensure_index(sf_dir))
+    queries = []
+    for p in PREFIXES:
         lo = p.encode("utf-8")
         hi = lo + b"\xff\xff\xff\xff"
         terms: set[str] = set()
@@ -4490,19 +3727,22 @@ def prefix_scored_matches(sf_dir: str, k: int = 10) -> pa.Table:
             raise ValueError(
                 f"TooManyClauses: prefix '{p}' expands to {len(terms)} terms"
             )
-        if not terms:
-            continue
-        q = bool_query(should=[TermQuery(t) for t in sorted(terms)])
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
+        queries.append(bool_query(should=[TermQuery(t) for t in sorted(terms)]) if terms else None)
+    return hits_table(searcher, queries, k)
+
+
+def _counts_and_hits(searcher, queries: list, k: int) -> pa.Table:
+    """The constant-score families' (qid, rnk, doc_id) shape: per query a
+    rnk=0 row carrying the match count in doc_id, then its top-k hits."""
+    counts = pa.table(
         {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
+            "qid": pa.array(range(len(queries)), pa.int64()),
+            "rnk": pa.array([0] * len(queries), pa.int64()),
+            "doc_id": pa.array([searcher.count(q) for q in queries], pa.int64()),
         }
+    )
+    return pa.concat_tables([counts, hits_table(searcher, queries, k)]).sort_by(
+        [("qid", "ascending"), ("rnk", "ascending")]
     )
 
 
@@ -4514,24 +3754,8 @@ def prefix_matches(sf_dir: str, k: int = 10) -> pa.Table:
     """
     from ..search.query import PrefixQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, p in enumerate(PREFIXES):
-        q = PrefixQuery(p)
-        qids.append(qid)
-        rnks.append(0)
-        docs.append(searcher.count(q))
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return _counts_and_hits(
+        IndexSearcher(ensure_index(sf_dir)), [PrefixQuery(p) for p in PREFIXES], k
     )
 
 
@@ -4549,24 +3773,8 @@ def term_in_set_matches(sf_dir: str, k: int = 10) -> pa.Table:
     matching docids."""
     from ..search.query import TermInSetQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, terms in enumerate(TERM_SETS):
-        q = TermInSetQuery(terms)
-        qids.append(qid)
-        rnks.append(0)
-        docs.append(searcher.count(q))
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return _counts_and_hits(
+        IndexSearcher(ensure_index(sf_dir)), [TermInSetQuery(t) for t in TERM_SETS], k
     )
 
 
@@ -4585,24 +3793,10 @@ def dv_terms_matches(sf_dir: str, k: int = 10) -> pa.Table:
     lowest matching docids."""
     from ..search.query import DocValuesTermsQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (fieldname, values) in enumerate(DV_TERM_SETS):
-        q = bool_query(filter=[DocValuesTermsQuery(fieldname, values)])
-        qids.append(qid)
-        rnks.append(0)
-        docs.append(searcher.count(q))
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return _counts_and_hits(
+        IndexSearcher(ensure_index(sf_dir)),
+        [bool_query(filter=[DocValuesTermsQuery(f, v)]) for f, v in DV_TERM_SETS],
+        k,
     )
 
 
@@ -4623,28 +3817,23 @@ def dv_numbers_matches(sf_dir: str, k: int = 10) -> pa.Table:
     column-type-generic).  Same row shape as the dv-terms arm."""
     from ..search.query import DocValuesTermsQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (fieldname, values) in enumerate(DV_NUMBER_SETS):
-        q = bool_query(filter=[DocValuesTermsQuery(fieldname, values)])
-        qids.append(qid)
-        rnks.append(0)
-        docs.append(searcher.count(q))
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return _counts_and_hits(
+        IndexSearcher(ensure_index(sf_dir)),
+        [bool_query(filter=[DocValuesTermsQuery(f, v)]) for f, v in DV_NUMBER_SETS],
+        k,
     )
 
 
 SORTED_NUMERIC_RANGES = [(100, 400), (None, 200), (250, None), (380, 390)]
+
+
+def _count_sums(ds, keys=("qid",)) -> pa.Table:
+    """Gathered per-segment (*keys, cnt) partial counts summed per key,
+    in key order."""
+    parts = gather(ds)
+    df = parts.to_pandas().groupby(list(keys), sort=True)["cnt"].sum().reset_index()
+    schema = pa.schema([parts.schema.field(c) for c in keys] + [pa.field("cnt", pa.int64())])
+    return pa.Table.from_pandas(df, schema=schema, preserve_index=False)
 
 
 def index_sorted_range_counts(sf_dir: str) -> pa.Table:
@@ -4655,30 +3844,26 @@ def index_sorted_range_counts(sf_dir: str) -> pa.Table:
     the sorted doc values (the BoundedDocIdSetIterator) — no scan, no
     per-doc compare.  n_chars ranges are [lo, hi) over the n_chars-DESC
     sorted index; (qid, cnt) summed across segments."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir, index_sort=INDEX_SORT)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qids, cnts = [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            # ascending view of the DESC-sorted doc values (negate once)
-            asc = -r.stored_column("n_chars").to_numpy()
-            for qid, (lo, hi) in enumerate(SORTED_NUMERIC_RANGES):
-                start = (
-                    0 if hi is None else int(np.searchsorted(asc, -hi, side="right"))
-                )
-                end = (
-                    len(asc)
-                    if lo is None
-                    else int(np.searchsorted(asc, -lo, side="right"))
-                )
-                n = max(0, end - start)
-                if r.live is not None and n:
-                    n = int(r.live[start:end].sum())
-                qids.append(qid)
-                cnts.append(n)
+        # ascending view of the DESC-sorted doc values (negate once)
+        asc = -r.stored_column("n_chars").to_numpy()
+        for qid, (lo, hi) in enumerate(SORTED_NUMERIC_RANGES):
+            start = (
+                0 if hi is None else int(np.searchsorted(asc, -hi, side="right"))
+            )
+            end = (
+                len(asc)
+                if lo is None
+                else int(np.searchsorted(asc, -lo, side="right"))
+            )
+            n = max(0, end - start)
+            if r.live is not None and n:
+                n = int(r.live[start:end].sum())
+            qids.append(qid)
+            cnts.append(n)
         return pa.table(
             {
                 "qid": pa.array(qids, pa.int64()),
@@ -4686,15 +3871,7 @@ def index_sorted_range_counts(sf_dir: str) -> pa.Table:
             }
         )
 
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = parts.groupby("qid", sort=True)["cnt"].sum().reset_index()
-    return pa.Table.from_pandas(agg, preserve_index=False).cast(
-        pa.schema([("qid", pa.int64()), ("cnt", pa.int64())])
-    )
+    return _count_sums(segment_map(idx, _seg))
 
 
 # --- range fields (document/RangeFieldQuery.java + LongRange.java) ---------
@@ -4730,35 +3907,31 @@ def range_field_counts(sf_dir: str) -> dict:
     newWithinQuery / newContainsQuery / newCrossesQuery counts.  Per
     segment everything is three tree traversals + one set difference;
     only (relation, qid, cnt) partials leave the task."""
-    import pandas as pd
-    import ray.data as rd
-
     from ..index.points import PointTree, build_point_index_fn, point_file
 
     idx = ensure_index(sf_dir)
     build_point_index_fn(idx, "range_field", _range_field_values)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         rels, qs, cs = [], [], []
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "range_field"))
-            for qid, (qlo, qhi) in enumerate(RANGE_FIELD_QUERIES):
-                # dims are (lo, hi); intersect bounds are [low, high)
-                inter, _ = tree.intersect((None, qlo), (qhi + 1, None))
-                within, _ = tree.intersect((qlo, None), (None, qhi + 1))
-                contains, _ = tree.intersect((None, qhi), (qlo + 1, None))
-                crosses = np.setdiff1d(
-                    inter, np.union1d(within, contains), assume_unique=True
-                )
-                for rel, got in (
-                    ("intersects", inter),
-                    ("within", within),
-                    ("contains", contains),
-                    ("crosses", crosses),
-                ):
-                    rels.append(rel)
-                    qs.append(qid)
-                    cs.append(len(got))
+        tree = PointTree.load(point_file(r.src_dir, "range_field"))
+        for qid, (qlo, qhi) in enumerate(RANGE_FIELD_QUERIES):
+            # dims are (lo, hi); intersect bounds are [low, high)
+            inter, _ = tree.intersect((None, qlo), (qhi + 1, None))
+            within, _ = tree.intersect((qlo, None), (None, qhi + 1))
+            contains, _ = tree.intersect((None, qhi), (qlo + 1, None))
+            crosses = np.setdiff1d(
+                inter, np.union1d(within, contains), assume_unique=True
+            )
+            for rel, got in (
+                ("intersects", inter),
+                ("within", within),
+                ("contains", contains),
+                ("crosses", crosses),
+            ):
+                rels.append(rel)
+                qs.append(qid)
+                cs.append(len(got))
         return pa.table(
             {
                 "relation": pa.array(rels, pa.string()),
@@ -4767,12 +3940,7 @@ def range_field_counts(sf_dir: str) -> dict:
             }
         )
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = part.groupby(["relation", "qid"], sort=True)["cnt"].sum().reset_index()
+    agg = _count_sums(segment_map(idx, _seg), ("relation", "qid")).to_pandas()
     return {
         rel: grp[["qid", "cnt"]].reset_index(drop=True)
         for rel, grp in agg.groupby("relation", sort=True)
@@ -4810,40 +3978,37 @@ def latlon_bbox_counts(sf_dir: str) -> dict:
     """{relation: (qid, cnt)} for LatLonBoundingBox newIntersects /
     newWithin / newContains / newCrosses queries — one 4-dim traversal
     per relation, CROSSES as the set difference."""
-    import ray.data as rd
-
     from ..index.points import PointTree, build_point_index_fn, point_file
 
     idx = ensure_index(sf_dir)
     build_point_index_fn(idx, "latlon_bbox", _latlon_bbox_values)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         rels, qs, cs = [], [], []
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "latlon_bbox"))
-            for qid, (qlat0, qlat1, qlon0, qlon1) in enumerate(LATLON_BBOX_QUERIES):
-                # dims: (latMin, latMax, lonMin, lonMax); bounds [low, high)
-                inter, _ = tree.intersect(
-                    (None, qlat0, None, qlon0), (qlat1 + 1, None, qlon1 + 1, None)
-                )
-                within, _ = tree.intersect(
-                    (qlat0, None, qlon0, None), (None, qlat1 + 1, None, qlon1 + 1)
-                )
-                contains, _ = tree.intersect(
-                    (None, qlat1, None, qlon1), (qlat0 + 1, None, qlon0 + 1, None)
-                )
-                crosses = np.setdiff1d(
-                    inter, np.union1d(within, contains), assume_unique=True
-                )
-                for rel, got in (
-                    ("intersects", inter),
-                    ("within", within),
-                    ("contains", contains),
-                    ("crosses", crosses),
-                ):
-                    rels.append(rel)
-                    qs.append(qid)
-                    cs.append(len(got))
+        tree = PointTree.load(point_file(r.src_dir, "latlon_bbox"))
+        for qid, (qlat0, qlat1, qlon0, qlon1) in enumerate(LATLON_BBOX_QUERIES):
+            # dims: (latMin, latMax, lonMin, lonMax); bounds [low, high)
+            inter, _ = tree.intersect(
+                (None, qlat0, None, qlon0), (qlat1 + 1, None, qlon1 + 1, None)
+            )
+            within, _ = tree.intersect(
+                (qlat0, None, qlon0, None), (None, qlat1 + 1, None, qlon1 + 1)
+            )
+            contains, _ = tree.intersect(
+                (None, qlat1, None, qlon1), (qlat0 + 1, None, qlon0 + 1, None)
+            )
+            crosses = np.setdiff1d(
+                inter, np.union1d(within, contains), assume_unique=True
+            )
+            for rel, got in (
+                ("intersects", inter),
+                ("within", within),
+                ("contains", contains),
+                ("crosses", crosses),
+            ):
+                rels.append(rel)
+                qs.append(qid)
+                cs.append(len(got))
         return pa.table(
             {
                 "relation": pa.array(rels, pa.string()),
@@ -4852,12 +4017,7 @@ def latlon_bbox_counts(sf_dir: str) -> dict:
             }
         )
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = part.groupby(["relation", "qid"], sort=True)["cnt"].sum().reset_index()
+    agg = _count_sums(segment_map(idx, _seg), ("relation", "qid")).to_pandas()
     return {
         rel: grp[["qid", "cnt"]].reset_index(drop=True)
         for rel, grp in agg.groupby("relation", sort=True)
@@ -4943,11 +4103,8 @@ def geo3d_counts(sf_dir: str) -> pa.Table:
     exact unit-sphere test runs on candidates only."""
     import math as _math
 
-    import ray.data as rd
-
     from ..index.geo3d import latlon_to_xyz
     from ..index.points import PointTree, build_point_index_fn, point_file
-    from ..index.segment import SegmentReader
 
     idx = ensure_index(sf_dir)
     build_point_index_fn(idx, "geo", _geo_values)
@@ -4962,52 +4119,35 @@ def geo3d_counts(sf_dir: str) -> pa.Table:
             _math.ceil(lon1 / 180.0 * 2147483648.0),
         )
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qs, cs = [], []
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "geo"))
-            reader = SegmentReader(row["dir"])
-            ids = (
-                reader.stored_column("doc_id")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            lat = ((ids * 37) % 18000) / 100.0 - 90.0
-            lon = ((ids * 53) % 36000) / 100.0 - 180.0
-            for qid, shape in enumerate(shapes):
-                b0, b1, l0, l1, wrap = shape.latlon_bounds()
-                e0, e1, f0, f1 = _enc_out(b0, b1, max(l0, -180.0), min(l1, 180.0))
-                if wrap:
-                    west, _ = tree.intersect((e0, f0), (e1 + 1, enc_180 + 1))
-                    east, _ = tree.intersect((e0, enc_m180), (e1 + 1, f1 + 1))
-                    cand = np.concatenate([np.asarray(west), np.asarray(east)])
-                else:
-                    hits, _ = tree.intersect((e0, f0), (e1 + 1, f1 + 1))
-                    cand = np.asarray(hits)
-                if len(cand):
-                    cand = cand.astype(np.int64)
-                    x, y, z = latlon_to_xyz(lat[cand], lon[cand])
-                    n = int(np.count_nonzero(shape.is_within(x, y, z)))
-                else:
-                    n = 0
-                qs.append(qid)
-                cs.append(n)
+        tree = PointTree.load(point_file(r.src_dir, "geo"))
+        ids = r.stored_column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        lat = ((ids * 37) % 18000) / 100.0 - 90.0
+        lon = ((ids * 53) % 36000) / 100.0 - 180.0
+        for qid, shape in enumerate(shapes):
+            b0, b1, l0, l1, wrap = shape.latlon_bounds()
+            e0, e1, f0, f1 = _enc_out(b0, b1, max(l0, -180.0), min(l1, 180.0))
+            if wrap:
+                west, _ = tree.intersect((e0, f0), (e1 + 1, enc_180 + 1))
+                east, _ = tree.intersect((e0, enc_m180), (e1 + 1, f1 + 1))
+                cand = np.concatenate([np.asarray(west), np.asarray(east)])
+            else:
+                hits, _ = tree.intersect((e0, f0), (e1 + 1, f1 + 1))
+                cand = np.asarray(hits)
+            if len(cand):
+                cand = cand.astype(np.int64)
+                x, y, z = latlon_to_xyz(lat[cand], lon[cand])
+                n = int(np.count_nonzero(shape.is_within(x, y, z)))
+            else:
+                n = 0
+            qs.append(qid)
+            cs.append(n)
         return pa.table(
             {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
         )
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = part.groupby("qid", sort=True)["cnt"].sum().reset_index()
-    return pa.table(
-        {
-            "qid": pa.array(agg["qid"].to_numpy(), pa.int64()),
-            "cnt": pa.array(agg["cnt"].to_numpy(), pa.int64()),
-        }
-    )
+    return _count_sums(segment_map(idx, _seg))
 
 
 def geo3d_sql() -> str:
@@ -5045,8 +4185,6 @@ def geo_box_counts(sf_dir: str) -> pa.Table:
     point tree; a dateline-crossing box splits into the western + eastern
     longitude ranges (LatLonPointBoundingBoxQuery's crossesDateline
     path), two disjoint intersects per segment."""
-    import ray.data as rd
-
     from ..index.points import PointTree, build_point_index_fn, point_file
 
     idx = ensure_index(sf_dir)
@@ -5054,37 +4192,25 @@ def geo_box_counts(sf_dir: str) -> pa.Table:
     enc_180 = 2147483648  # floor(180/180 * 2^31); int64 tree, no clamp
     enc_m180 = -2147483648
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qs, cs = [], []
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "geo"))
-            for qid, box in enumerate(GEO_BOXES):
-                lat0, lat1, lon0, lon1, crosses = geo_encode_bounds(box)
-                if crosses:
-                    west, _ = tree.intersect((lat0, lon0), (lat1 + 1, enc_180 + 1))
-                    east, _ = tree.intersect((lat0, enc_m180), (lat1 + 1, lon1 + 1))
-                    n = len(west) + len(east)  # disjoint lon ranges
-                else:
-                    hits, _ = tree.intersect((lat0, lon0), (lat1 + 1, lon1 + 1))
-                    n = len(hits)
-                qs.append(qid)
-                cs.append(n)
+        tree = PointTree.load(point_file(r.src_dir, "geo"))
+        for qid, box in enumerate(GEO_BOXES):
+            lat0, lat1, lon0, lon1, crosses = geo_encode_bounds(box)
+            if crosses:
+                west, _ = tree.intersect((lat0, lon0), (lat1 + 1, enc_180 + 1))
+                east, _ = tree.intersect((lat0, enc_m180), (lat1 + 1, lon1 + 1))
+                n = len(west) + len(east)  # disjoint lon ranges
+            else:
+                hits, _ = tree.intersect((lat0, lon0), (lat1 + 1, lon1 + 1))
+                n = len(hits)
+            qs.append(qid)
+            cs.append(n)
         return pa.table(
             {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
         )
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = part.groupby("qid", sort=True)["cnt"].sum().reset_index()
-    return pa.table(
-        {
-            "qid": pa.array(agg["qid"].to_numpy(), pa.int64()),
-            "cnt": pa.array(agg["cnt"].to_numpy(), pa.int64()),
-        }
-    )
+    return _count_sums(segment_map(idx, _seg))
 
 
 # --- DoublePoint / FloatPoint (document/DoublePoint.java newRangeQuery
@@ -5138,49 +4264,35 @@ def double_range_counts(sf_dir: str) -> pa.Table:
     """(qid, cnt) per DoublePoint range [lo, hi] (dim 0), plus the
     FloatPoint recount on dim 1 asserted equal in-engine when the bounds
     are exactly representable in float32 (all of DOUBLE_RANGES are)."""
-    import ray.data as rd
-
     from ..index.points import PointTree, build_point_index_fn, point_file
 
     idx = ensure_index(sf_dir)
     build_point_index_fn(idx, "double_pt", _double_point_values)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qs, cs = [], []
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "double_pt"))
-            for qid, (lo, hi) in enumerate(DOUBLE_RANGES):
-                elo = int(double_to_sortable_long(np.array([lo]))[0])
-                ehi = int(double_to_sortable_long(np.array([hi]))[0])
-                hits, _ = tree.intersect((elo, None), (ehi + 1, None))
-                flo = int(float_to_sortable_int(np.array([lo], np.float32))[0])
-                fhi = int(float_to_sortable_int(np.array([hi], np.float32))[0])
-                fhits, _ = tree.intersect((None, flo), (None, fhi + 1))
-                if len(hits) != len(fhits):
-                    # f32-representable bounds: only docs whose double
-                    # rounds across a bound could differ — none by design
-                    raise AssertionError(
-                        f"Double/Float point range disagree: q{qid} "
-                        f"{len(hits)} vs {len(fhits)}"
-                    )
-                qs.append(qid)
-                cs.append(len(hits))
+        tree = PointTree.load(point_file(r.src_dir, "double_pt"))
+        for qid, (lo, hi) in enumerate(DOUBLE_RANGES):
+            elo = int(double_to_sortable_long(np.array([lo]))[0])
+            ehi = int(double_to_sortable_long(np.array([hi]))[0])
+            hits, _ = tree.intersect((elo, None), (ehi + 1, None))
+            flo = int(float_to_sortable_int(np.array([lo], np.float32))[0])
+            fhi = int(float_to_sortable_int(np.array([hi], np.float32))[0])
+            fhits, _ = tree.intersect((None, flo), (None, fhi + 1))
+            if len(hits) != len(fhits):
+                # f32-representable bounds: only docs whose double
+                # rounds across a bound could differ — none by design
+                raise AssertionError(
+                    f"Double/Float point range disagree: q{qid} "
+                    f"{len(hits)} vs {len(fhits)}"
+                )
+            qs.append(qid)
+            cs.append(len(hits))
         return pa.table(
             {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
         )
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = part.groupby("qid", sort=True)["cnt"].sum().reset_index()
-    return pa.table(
-        {
-            "qid": pa.array(agg["qid"].to_numpy(), pa.int64()),
-            "cnt": pa.array(agg["cnt"].to_numpy(), pa.int64()),
-        }
-    )
+    return _count_sums(segment_map(idx, _seg))
 
 
 # InetAddressPoint (document/InetAddressPoint.java): every doc carries
@@ -5230,47 +4342,31 @@ def _half_point_values(reader):
 def half_float_range_counts(sf_dir: str) -> pa.Table:
     """(qid, cnt) per HalfFloatPoint range query — values and bounds go
     through the real half-float sortable-short encoding."""
-    import ray.data as rd
-
     from ..index.halffloat import half_to_sortable_short
     from ..index.points import PointTree, build_point_index_fn, point_file
 
     idx = ensure_index(sf_dir)
     build_point_index_fn(idx, "half_pt", _half_point_values)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qs, cs = [], []
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "half_pt"))
-            for qid, (lo, hi) in enumerate(HALF_FLOAT_RANGES):
-                slo = int(half_to_sortable_short([lo])[0])
-                shi = int(half_to_sortable_short([hi])[0])
-                hits, _ = tree.intersect((slo,), (shi + 1,))
-                qs.append(qid)
-                cs.append(len(hits))
+        tree = PointTree.load(point_file(r.src_dir, "half_pt"))
+        for qid, (lo, hi) in enumerate(HALF_FLOAT_RANGES):
+            slo = int(half_to_sortable_short([lo])[0])
+            shi = int(half_to_sortable_short([hi])[0])
+            hits, _ = tree.intersect((slo,), (shi + 1,))
+            qs.append(qid)
+            cs.append(len(hits))
         return pa.table(
             {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
         )
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = part.groupby("qid", sort=True)["cnt"].sum().reset_index()
-    return pa.table(
-        {
-            "qid": pa.array(agg["qid"].to_numpy(), pa.int64()),
-            "cnt": pa.array(agg["cnt"].to_numpy(), pa.int64()),
-        }
-    )
+    return _count_sums(segment_map(idx, _seg))
 
 
 def inet_range_counts(sf_dir: str) -> pa.Table:
     """(qid, cnt) per InetAddressPoint query over the derived per-doc
     IPv4 point tree (exact = degenerate range, prefix = CIDR bounds)."""
-    import ray.data as rd
-
     from ..index import inet
     from ..index.points import PointTree, build_point_index_fn, point_file
 
@@ -5290,30 +4386,18 @@ def inet_range_counts(sf_dir: str) -> pa.Table:
         (lo - inet.V4_MAPPED_BASE, hi - inet.V4_MAPPED_BASE) for lo, hi in bounds
     ]
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qs, cs = [], []
-        for row in batch.to_pylist():
-            tree = PointTree.load(point_file(row["dir"], "inet_pt"))
-            for qid, (lo, hi) in enumerate(bounds):
-                hits, _ = tree.intersect((lo,), (hi + 1,))
-                qs.append(qid)
-                cs.append(len(hits))
+        tree = PointTree.load(point_file(r.src_dir, "inet_pt"))
+        for qid, (lo, hi) in enumerate(bounds):
+            hits, _ = tree.intersect((lo,), (hi + 1,))
+            qs.append(qid)
+            cs.append(len(hits))
         return pa.table(
             {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
         )
 
-    part = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = part.groupby("qid", sort=True)["cnt"].sum().reset_index()
-    return pa.table(
-        {
-            "qid": pa.array(agg["qid"].to_numpy(), pa.int64()),
-            "cnt": pa.array(agg["cnt"].to_numpy(), pa.int64()),
-        }
-    )
+    return _count_sums(segment_map(idx, _seg))
 
 
 def range_counts(sf_dir: str) -> pa.Table:
@@ -5396,24 +4480,8 @@ def wildcard_matches(sf_dir: str, k: int = 10) -> pa.Table:
     matching docids per pattern — same shape as prefix_matches."""
     from ..search.query import WildcardQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, p in enumerate(WILDCARDS):
-        q = WildcardQuery(p)
-        qids.append(qid)
-        rnks.append(0)
-        docs.append(searcher.count(q))
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return _counts_and_hits(
+        IndexSearcher(ensure_index(sf_dir)), [WildcardQuery(p) for p in WILDCARDS], k
     )
 
 
@@ -5434,24 +4502,8 @@ def fuzzy_matches(sf_dir: str, k: int = 10) -> pa.Table:
     score): count row (rnk 0) + lowest-k matching docids per query."""
     from ..search.query import FuzzyQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (t, me) in enumerate(FUZZY_QUERIES):
-        q = FuzzyQuery(t, me)
-        qids.append(qid)
-        rnks.append(0)
-        docs.append(searcher.count(q))
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return _counts_and_hits(
+        IndexSearcher(ensure_index(sf_dir)), [FuzzyQuery(t, me) for t, me in FUZZY_QUERIES], k
     )
 
 
@@ -5471,10 +4523,9 @@ def fuzzy_scored_matches(sf_dir: str, k: int = 10) -> pa.Table:
     from ..search.multiterm import fuzzy_term_dists
     from ..search.query import BlendedTermQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (t, me) in enumerate(FUZZY_QUERIES):
+    searcher = IndexSearcher(ensure_index(sf_dir))
+    queries = []
+    for t, me in FUZZY_QUERIES:
         best: dict[str, int] = {}
         for r in searcher.readers:
             ids, dd = fuzzy_term_dists(r, t, me)
@@ -5492,24 +4543,14 @@ def fuzzy_scored_matches(sf_dir: str, k: int = 10) -> pa.Table:
             ),
             key=lambda x: (-x[1], x[0]),
         )[:FUZZY_SCORED_MAX_EXPANSIONS]
-        if not cands:
-            continue
-        q = BlendedTermQuery(
-            tuple(s for s, _ in cands),
-            tuple(b for _, b in cands),
-            rewrite="boolean",
+        queries.append(
+            BlendedTermQuery(
+                tuple(s for s, _ in cands), tuple(b for _, b in cands), rewrite="boolean"
+            )
+            if cands
+            else None
         )
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+    return hits_table(searcher, queries, k)
 
 
 # CommonTermsQuery inputs: 'dup' is the one genuinely low-df corpus term
@@ -5537,8 +4578,8 @@ def common_terms_topk(sf_dir: str, k: int = 10) -> pa.Table:
     all_terms = {t for q in COMMON_TERMS_QUERIES for t in q}
     stats = searcher.term_statistics(all_terms)
     max_doc = searcher.collection_stats.max_doc
-    qids, rnks, docs = [], [], []
-    for qid, terms in enumerate(COMMON_TERMS_QUERIES):
+    queries = []
+    for terms in COMMON_TERMS_QUERIES:
         high = [
             t
             for t in terms
@@ -5552,17 +4593,8 @@ def common_terms_topk(sf_dir: str, k: int = 10) -> pa.Table:
             )
         else:
             q = bool_query(should=[TermQuery(t) for t in (low or high)])
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+        queries.append(q)
+    return hits_table(searcher, queries, k)
 
 
 # DiversifiedTopDocsCollector key field and per-key hit cap
@@ -5570,58 +4602,38 @@ DIVERSIFY_KEY = "lang"
 DIVERSIFY_MAX_PER_KEY = 2
 
 
+DIVERSIFIED_SCHEMA = _schema(
+    qid=pa.int64(), key=pa.string(), doc_id=pa.int64(), score=pa.float64()
+)
+
+
 def _seg_diversified(
-    batch: pa.Table, queries: list, weight_stats: dict, key_field: str, m: int
+    reader, base: int, queries: list, weight, key_field: str, m: int
 ) -> pa.Table:
     """Per-segment diversified partials: each (qid, key)'s top-m hits by
     (float32 score desc, docid asc).  Per-key top-m merges associatively,
     so the driver reduce is bounded by segments x keys x m x qids rows."""
     import pandas as pd
 
-    from ..search.bm25 import CollectionStatistics, TermStatistics
-    from ..search.oracle import _clause_scores
-    from ..search.query import TermQuery, Weight
-
-    weight = Weight(
-        collection_stats=CollectionStatistics(**weight_stats["collection"]),
-        term_stats={
-            t: TermStatistics(t, df, ttf)
-            for t, (df, ttf) in weight_stats["terms"].items()
-        },
-    )
     frames = []
-    for row in batch.to_pylist():
-        reader = SegmentReader(row["dir"])
-        base = row["doc_base"]
-        keys = reader.stored_column(key_field).to_numpy(zero_copy_only=False)
-        for qid, term in enumerate(queries):
-            docs, scores = _clause_scores(TermQuery(term), weight, reader, 1.0)
-            if reader.live is not None and len(docs):
-                msk = reader.live[docs]
-                docs, scores = docs[msk], scores[msk]
-            if len(docs) == 0:
-                continue
-            s32 = scores.astype(np.float32)
-            order = np.lexsort((docs, -s32))
-            df = pd.DataFrame(
-                {
-                    "qid": qid,
-                    "key": keys[docs[order]],
-                    "doc_id": docs[order] + base,
-                    "score": s32[order].astype(np.float64),
-                }
-            )
-            frames.append(df[df.groupby("key").cumcount() < m])
-    if not frames:
-        return pa.table(
+    keys = reader.stored_column(key_field).to_numpy(zero_copy_only=False)
+    for qid, docs, scores in _scored_matches(reader, [(t,) for t in queries], weight):
+        s32 = scores.astype(np.float32)
+        order = np.lexsort((docs, -s32))
+        df = pd.DataFrame(
             {
-                "qid": pa.array([], pa.int64()),
-                "key": pa.array([], pa.string()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
+                "qid": qid,
+                "key": keys[docs[order]],
+                "doc_id": docs[order] + base,
+                "score": s32[order].astype(np.float64),
             }
         )
-    return pa.Table.from_pandas(pd.concat(frames, ignore_index=True), preserve_index=False)
+        frames.append(df[df.groupby("key").cumcount() < m])
+    if not frames:
+        return DIVERSIFIED_SCHEMA.empty_table()
+    return pa.Table.from_pandas(
+        pd.concat(frames, ignore_index=True), schema=DIVERSIFIED_SCHEMA, preserve_index=False
+    )
 
 
 def diversified_topk(sf_dir: str, k: int = 10) -> pa.Table:
@@ -5632,42 +4644,24 @@ def diversified_topk(sf_dir: str, k: int = 10) -> pa.Table:
     collector's per-key queues) followed by a global top-k of the
     survivors; docid tie-break is this engine's uniform discipline.
     (qid, rnk, doc_id)."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    stats = searcher.term_statistics(set(QUERY_TERMS))
-    weight_stats = {
-        "collection": {
-            "max_doc": searcher.collection_stats.max_doc,
-            "doc_count": searcher.collection_stats.doc_count,
-            "sum_total_term_freq": searcher.collection_stats.sum_total_term_freq,
-            "sum_doc_freq": searcher.collection_stats.sum_doc_freq,
-        },
-        "terms": {
-            t: (stats[t].doc_freq, stats[t].total_term_freq) for t in QUERY_TERMS
-        },
-    }
-    cand = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(
-            _seg_diversified,
-            batch_format="pyarrow",
-            fn_kwargs={
-                "queries": QUERY_TERMS,
-                "weight_stats": weight_stats,
-                "key_field": DIVERSIFY_KEY,
-                "m": DIVERSIFY_MAX_PER_KEY,
-            },
-        )
-        .to_pandas()
+    cand = segment_map(
+        idx,
+        _seg_diversified,
+        queries=QUERY_TERMS,
+        weight=_terms_weight(IndexSearcher(idx), QUERY_TERMS),
+        key_field=DIVERSIFY_KEY,
+        m=DIVERSIFY_MAX_PER_KEY,
     )
-    cand = cand.sort_values(["qid", "score", "doc_id"], ascending=[True, False, True])
-    cand = cand[cand.groupby(["qid", "key"]).cumcount() < DIVERSIFY_MAX_PER_KEY]
-    cand = cand.groupby("qid", sort=True).head(k).copy()
-    cand["rnk"] = cand.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        cand[["qid", "rnk", "doc_id"]].reset_index(drop=True), preserve_index=False
+    # per-key cap across segments, then the global top-k of the survivors
+    df = gather(cand).to_pandas()
+    df = df.sort_values(["qid", "score", "doc_id"], ascending=[True, False, True])
+    df = df[df.groupby(["qid", "key"]).cumcount() < DIVERSIFY_MAX_PER_KEY]
+    return _top_rows(
+        pa.Table.from_pandas(df, schema=DIVERSIFIED_SCHEMA, preserve_index=False),
+        ["score", "doc_id"],
+        [False, True],
+        k,
     )
 
 
@@ -5691,9 +4685,8 @@ def rescored_topk(sf_dir: str, first_n: int = RESCORE_FIRST_N, k: int = 10) -> p
     re-rank by the float32 combined score and return top-k.  Docs outside
     the first pass are never revisited — the rescorer's contract.
     (qid, rnk, doc_id)."""
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
+    searcher = IndexSearcher(ensure_index(sf_dir))
+    ranked = []
     for qid, (a, b, w) in enumerate(RESCORE_QUERIES):
         base = searcher.search(
             TermQuery(a), first_n, total_hits_threshold=np.inf, score_mode="COMPLETE"
@@ -5716,17 +4709,8 @@ def rescored_topk(sf_dir: str, first_n: int = RESCORE_FIRST_N, k: int = 10) -> p
             for d, s in base
         ]
         combined.sort(key=lambda t: (-t[1], t[0]))
-        for rnk, (doc, _s) in enumerate(combined[:k], start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+        ranked.append((qid, [d for d, _s in combined[:k]]))
+    return ranked_table(ranked)
 
 
 DISMAX_QUERIES = [
@@ -5740,21 +4724,10 @@ def dismax_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """DisjunctionMax top-k: (qid, rnk, doc_id)."""
     from ..search.query import DisjunctionMaxQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, (terms, tb) in enumerate(DISMAX_QUERIES):
-        q = DisjunctionMaxQuery(tuple(TermQuery(t) for t in terms), tb)
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir)),
+        [DisjunctionMaxQuery(tuple(TermQuery(t) for t in terms), tb) for terms, tb in DISMAX_QUERIES],
+        k,
     )
 
 
@@ -5765,24 +4738,8 @@ def regexp_matches(sf_dir: str, k: int = 10) -> pa.Table:
     """Regexp queries (constant score): count row (rnk 0) + lowest-k docids."""
     from ..search.query import RegexpQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, p in enumerate(REGEXPS):
-        q = RegexpQuery(p)
-        qids.append(qid)
-        rnks.append(0)
-        docs.append(searcher.count(q))
-        for rnk, (doc, _s) in enumerate(searcher.search(q, k), start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return _counts_and_hits(
+        IndexSearcher(ensure_index(sf_dir)), [RegexpQuery(p) for p in REGEXPS], k
     )
 
 
@@ -5993,32 +4950,22 @@ def _masked_span_queries():
 def field_masked_matches(sf_dir: str):
     """(qid, doc_id, n) distinct-span counts for the FieldMaskingSpanQuery
     family — per aligned (text, title) segment pair."""
-    import ray.data as rd
-
     from ..search.spans import MultiFieldSpanReader, span_matches_segment
 
     idx = ensure_masked_index(sf_dir)
-    mt_ = mf.read_manifest(os.path.join(idx, "text"))
-    ml = mf.read_manifest(os.path.join(idx, "title"))
-    rows = [
-        {"text_dir": st["dir"], "title_dir": sl["dir"], "doc_base": st["doc_base"]}
-        for st, sl in zip(mt_["segments"], ml["segments"])
-    ]
+    titles = _paired_segments(idx, "title")
     queries = _masked_span_queries()
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(text, doc_base: int) -> pa.Table:
         out_q, out_d, out_n = [], [], []
-        for row in batch.to_pylist():
-            readers = {
-                "text": SegmentReader(row["text_dir"]),
-                "title": SegmentReader(row["title_dir"]),
-            }
-            view = MultiFieldSpanReader(readers["text"], readers)
-            for qid, node in enumerate(queries):
-                docs, n = span_matches_segment(view, node)
-                out_q.extend([qid] * len(docs))
-                out_d.extend((docs + row["doc_base"]).tolist())
-                out_n.extend(n.tolist())
+        view = MultiFieldSpanReader(
+            text, {"text": text, "title": open_segment(titles[doc_base])}
+        )
+        for qid, node in enumerate(queries):
+            docs, n = span_matches_segment(view, node)
+            out_q.extend([qid] * len(docs))
+            out_d.extend((docs + doc_base).tolist())
+            out_n.extend(n.tolist())
         return pa.table(
             {
                 "qid": pa.array(out_q, pa.int64()),
@@ -6027,7 +4974,7 @@ def field_masked_matches(sf_dir: str):
             }
         )
 
-    return rd.from_items(rows).map_batches(_seg, batch_format="pyarrow")
+    return segment_map(os.path.join(idx, "text"), _seg)
 
 
 def _automaton_queries():
@@ -6147,21 +5094,13 @@ def rescore_topn_topk(sf_dir: str) -> pa.Table:
     expressions module (the DoubleValuesSource seam).  (qid, rnk,
     doc_id)."""
     from ..search.expressions import compile_expression
-    from ..search.query import TermQuery, bool_query
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
+    searcher = IndexSearcher(ensure_index(sf_dir))
+    ranked = []
     for qid, (terms, expr_src) in enumerate(RESCORE_TOPN_QUERIES):
         expr = compile_expression(expr_src)
-        inner = (
-            TermQuery(terms[0])
-            if len(terms) == 1
-            else bool_query(should=[TermQuery(t) for t in terms])
-        )
         all_docs, all_vals = [], []
         for reader, seg in zip(searcher.readers, searcher.manifest["segments"]):
-            d = None
             # match set only — reuse the non-scoring count machinery's
             # per-segment union (terms are plain postings reads)
             mask = np.zeros(reader.max_doc, dtype=bool)
@@ -6183,43 +5122,30 @@ def rescore_topn_topk(sf_dir: str) -> pa.Table:
             continue
         dd = np.concatenate(all_docs)
         vv = np.concatenate(all_vals)
-        top = np.lexsort((dd, -vv))[:RESCORE_TOPN_N]
-        for rnk, i in enumerate(top, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(int(dd[i]))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
-    )
+        ranked.append((qid, dd[np.lexsort((dd, -vv))[:RESCORE_TOPN_N]]))
+    return ranked_table(ranked)
 
 
 INTERVAL_PIVOT = 1.0  # IntervalQuery's default saturation pivot
 
 
-def _seg_interval_sloppy(batch: pa.Table, queries: list) -> pa.Table:
+def _seg_interval_sloppy(r, base: int, queries: list) -> pa.Table:
     """(qid, doc_id, fi) per segment: fixed-point sloppy interval
     frequencies (see intervals.sloppy_freq_int)."""
     from ..search.intervals import eval_intervals, min_extent, sloppy_freq_int
 
     qids, docs, fis = [], [], []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        base = row["doc_base"]
-        for qid, node in enumerate(queries):
-            me = min_extent(node)
-            res = eval_intervals(r, node)
-            for d in sorted(res):
-                if r.live is not None and not r.live[d]:
-                    continue
-                fi = sloppy_freq_int(res[d], me)
-                if fi:
-                    qids.append(qid)
-                    docs.append(base + d)
-                    fis.append(fi)
+    for qid, node in enumerate(queries):
+        me = min_extent(node)
+        res = eval_intervals(r, node)
+        for d in sorted(res):
+            if r.live is not None and not r.live[d]:
+                continue
+            fi = sloppy_freq_int(res[d], me)
+            if fi:
+                qids.append(qid)
+                docs.append(base + d)
+                fis.append(fi)
     return pa.table(
         {
             "qid": pa.array(qids, pa.int64()),
@@ -6236,28 +5162,14 @@ def interval_score_topk(sf_dir: str, k: int = 10) -> pa.Table:
     fn: expression.  freq rides the 2^-20 fixed-point grid so the
     distributed partials are combine-order exact; the final score is one
     double expression mirrored by the oracle.  (qid, rnk, doc_id)."""
-    import ray.data as rd
-
-    idx = ensure_index(sf_dir, index_options="positions")
-    ds = rd.from_items(_segment_dirs(idx))
-    parts = ds.map_batches(
-        _seg_interval_sloppy,
-        batch_format="pyarrow",
-        fn_kwargs={"queries": _fn_queries()},
-    ).to_pandas()  # bounded: one row per (query, matching doc)
     from ..search.intervals import SLOPPY_SCALE
 
-    parts["score"] = 1.0 - INTERVAL_PIVOT / (
-        INTERVAL_PIVOT + parts["fi"] / SLOPPY_SCALE
-    )
-    parts = parts.sort_values(
-        ["qid", "score", "doc_id"], ascending=[True, False, True]
-    )
-    top = parts.groupby("qid", sort=True).head(k)
-    top["rnk"] = top.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        top[["qid", "rnk", "doc_id"]].reset_index(drop=True), preserve_index=False
-    )
+    idx = ensure_index(sf_dir, index_options="positions")
+    # bounded: one row per (query, matching doc)
+    parts = gather(segment_map(idx, _seg_interval_sloppy, queries=_fn_queries()))
+    score = 1.0 - INTERVAL_PIVOT / (INTERVAL_PIVOT + parts["fi"].to_numpy() / SLOPPY_SCALE)
+    parts = parts.append_column("score", pa.array(score, pa.float64()))
+    return _top_rows(parts, ["score", "doc_id"], [False, True], k)
 
 
 def automaton_matches(sf_dir: str):
@@ -6286,21 +5198,10 @@ def span_score_topk(sf_dir: str, k: int = 10) -> pa.Table:
     doc_id)."""
     from ..search.query import SpanScoreQuery
 
-    idx = ensure_index(sf_dir, index_options="positions")
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs = [], [], []
-    for qid, node in enumerate(_span_queries()):
-        hits = searcher.search(SpanScoreQuery(node), k)
-        for rnk, (doc, _s) in enumerate(hits, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-        }
+    return hits_table(
+        IndexSearcher(ensure_index(sf_dir, index_options="positions")),
+        [SpanScoreQuery(node) for node in _span_queries()],
+        k,
     )
 
 
@@ -6429,7 +5330,10 @@ def ensure_taxonomy(idx: str, sf_dir: str) -> str:
 
     # bounded driver collect: distinct label pairs only (taxonomies are
     # small by definition; the doc-scale work stayed in the map phase)
-    pairs = ds.map_batches(_uniq, batch_format="pyarrow").to_pandas()
+    pairs = gather(
+        ds.map_batches(_uniq, batch_format="pyarrow"),
+        pa.schema([("lang", pa.string()), ("source", pa.string())]),
+    ).to_pandas()
     w = TaxonomyWriter(tax_path)
     w.add_categories(
         {f"{l}/{s}" for l, s in zip(pairs["lang"], pairs["source"])}
@@ -6438,9 +5342,7 @@ def ensure_taxonomy(idx: str, sf_dir: str) -> str:
     return tax_path
 
 
-def _seg_facet_counts(
-    batch: pa.Table, terms: list[str], tax_path: str | None = None
-) -> pa.Table:
+def _seg_facet_counts(r, doc_base: int, terms: list[str], tax_path: str | None = None) -> pa.Table:
     """Per-segment PARTIAL facet counts for the facet FAMILY: for each
     query term, matching-doc counts per (a) string facet value ('lang',
     'source' — reference facet/ FastTaxonomyFacetCounts over our
@@ -6462,180 +5364,178 @@ def _seg_facet_counts(
             vals.append(str(item["values"]))
             ns.append(item["counts"])
 
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        lang = r.stored_column("lang")
-        source = r.stored_column("source")
-        nchars = r.stored_column("n_chars").to_numpy()
-        ids_np = r.stored_column("doc_id").to_numpy()
-        # HistogramCollector (reference sandbox/facet/plain/histograms/
-        # HistogramCollector.java floorDiv buckets + HistogramCollector
-        # Manager merge = this family's groupby-sum) with the
-        # PointTreeBulkCollector.java fast path: the match-all histogram
-        # counts whole point-tree cells that land in one bucket without
-        # visiting values.  Segments with deletes fall back to the
-        # doc-values scan (the reference bulk path requires no liveDocs).
-        from ..index.points import PointTree, point_file
+    lang = r.stored_column("lang")
+    source = r.stored_column("source")
+    nchars = r.stored_column("n_chars").to_numpy()
+    ids_np = r.stored_column("doc_id").to_numpy()
+    # HistogramCollector (reference sandbox/facet/plain/histograms/
+    # HistogramCollector.java floorDiv buckets + HistogramCollector
+    # Manager merge = this family's groupby-sum) with the
+    # PointTreeBulkCollector.java fast path: the match-all histogram
+    # counts whole point-tree cells that land in one bucket without
+    # visiting values.  Segments with deletes fall back to the
+    # doc-values scan (the reference bulk path requires no liveDocs).
+    from ..index.points import PointTree, point_file
 
-        hist_tree = point_file(row["dir"], "n_chars_doc_id")
-        if r.live is None and os.path.exists(hist_tree):
-            hb, hc, _ = PointTree.load(hist_tree).histogram(0, HIST_BUCKET_W)
-        else:
-            live_nc = nchars if r.live is None else nchars[r.live]
-            hb, hc = np.unique(live_nc // HIST_BUCKET_W, return_counts=True)
-        for v, c in zip(hb, hc):
-            facets.append("histogram")
-            qids.append(0)
+    hist_tree = point_file(r.src_dir, "n_chars_doc_id")
+    if r.live is None and os.path.exists(hist_tree):
+        hb, hc, _ = PointTree.load(hist_tree).histogram(0, HIST_BUCKET_W)
+    else:
+        live_nc = nchars if r.live is None else nchars[r.live]
+        hb, hc = np.unique(live_nc // HIST_BUCKET_W, return_counts=True)
+    for v, c in zip(hb, hc):
+        facets.append("histogram")
+        qids.append(0)
+        vals.append(str(int(v)))
+        ns.append(int(c))
+    # FastTaxonomyFacetCounts analogue: one leaf-ordinal per doc
+    # (facet/taxonomy/FastTaxonomyFacetCounts.java counts int
+    # ordinals, not strings); the exchange below carries bincount
+    # partials over ordinals, rollup happens after the global sum
+    doc_ord = None
+    if tax_path is not None:
+        tax = _tax(tax_path)
+        lang_all = lang.to_numpy(zero_copy_only=False).astype(str)
+        src_all = source.to_numpy(zero_copy_only=False).astype(str)
+        pair = np.char.add(np.char.add(lang_all, "/"), src_all)
+        uniq, inv = np.unique(pair, return_inverse=True)
+        uniq_ords = np.array([tax.ordinal(p) for p in uniq], np.int64)
+        if (uniq_ords < 0).any():
+            missing = [p for p, o in zip(uniq, uniq_ords) if o < 0]
+            raise ValueError(f"labels missing from taxonomy: {missing[:5]}")
+        doc_ord = uniq_ords[inv]
+        n_ords = len(tax)
+    # one deterministic sample mask per segment (stored ids: stable
+    # under merges), shared by every term's sampled-facet pass
+    sample_mask = _sample_gate(ids_np, SAMPLE_FACET_PCT)
+    # per-doc [lo, hi] range field (range_field_counts synthesis)
+    rf_lo = (ids_np.astype(np.int64) * 17) % 2000
+    rf_hi = rf_lo + 1 + nchars.astype(np.int64) % 97
+    for qid, t in enumerate(terms):
+        tid = r.term_id(t)
+        if tid is None:
+            continue
+        docs, _ = decode_term(r.enc, tid)
+        if r.live is not None:
+            docs = docs[r.live[docs]]
+        if not len(docs):
+            continue
+        take = pa.array(docs)
+        emit("lang", qid, lang.take(take))
+        emit("source", qid, source.take(take))
+        # RandomSamplingFacetsCollector: lang counts over the doc
+        # SAMPLE only (amortization happens after the global sum)
+        sampled = docs[sample_mask[docs]]
+        if len(sampled):
+            emit("sampled_lang", qid, lang.take(pa.array(sampled)))
+        # hierarchical taxonomy dim lang/source (facet/taxonomy
+        # FacetsConfig.setHierarchical + TaxonomyFacetCounts rollup):
+        # child counts at 'lang/source', parent counts at 'lang' are
+        # the rollup sums over the children
+        import pyarrow.compute as _pc
+
+        paths = _pc.binary_join_element_wise(
+            lang.take(take).cast(pa.string()),
+            source.take(take).cast(pa.string()),
+            "/",
+        )
+        emit("taxo", qid, paths)
+        emit("taxo", qid, lang.take(take))
+        # ordinal-machinery twin of the string 'taxo' rows above:
+        # per-segment bincount over LEAF ordinals (ints on the wire)
+        if doc_ord is not None:
+            cnt = np.bincount(doc_ord[docs], minlength=n_ords)
+            for o in np.nonzero(cnt)[0]:
+                facets.append("taxo_ord_leaf")
+                qids.append(qid)
+                vals.append(str(int(o)))
+                ns.append(int(cnt[o]))
+        nc = nchars[docs]
+        idx, ok, labels = _range_labels(nc, FACET_RANGES)
+        if ok.any():
+            cnt = np.bincount(idx[ok], minlength=len(labels))
+            for i, lab in enumerate(labels):
+                if cnt[i]:
+                    facets.append("n_chars_range")
+                    qids.append(qid)
+                    vals.append(lab)
+                    ns.append(int(cnt[i]))
+        # RangeOnRangeFacetCounts: the doc's [lo, hi] RANGE counts in
+        # every CLOSED bucket it overlaps (multi-bucket membership,
+        # unlike the single-bucket n_chars point ranges above)
+        dlo, dhi = rf_lo[docs], rf_hi[docs]
+        for lab, blo, bhi in RANGE_FACET_BUCKETS:
+            c = int(((dlo <= bhi) & (dhi >= blo)).sum())
+            if c:
+                facets.append("range_on_range")
+                qids.append(qid)
+                vals.append(lab)
+                ns.append(c)
+        # Int-association facet (facet/taxonomy/
+        # TaxonomyFacetIntAssociations.java, AssociationAggregation
+        # Function.SUM over IntAssociationFacetField): each matching
+        # doc contributes its n_chars association value to its lang
+        # label; partials sum in the same (facet, qid, value, n) shape
+        lang_np = lang.take(take).to_numpy(zero_copy_only=False)
+        for lab in np.unique(lang_np):
+            facets.append("assoc_sum_lang")
+            qids.append(qid)
+            vals.append(str(lab))
+            ns.append(int(nc[lang_np == lab].sum()))
+        # LongValueFacetCounts (facet/LongValueFacetCounts.java):
+        # per-distinct-value counts of the LongValuesSource
+        # n_chars // LONG_VALUE_DIV over the matching docs
+        for v, c in zip(*np.unique(nc // LONG_VALUE_DIV, return_counts=True)):
+            facets.append("long_value")
+            qids.append(qid)
             vals.append(str(int(v)))
             ns.append(int(c))
-        # FastTaxonomyFacetCounts analogue: one leaf-ordinal per doc
-        # (facet/taxonomy/FastTaxonomyFacetCounts.java counts int
-        # ordinals, not strings); the exchange below carries bincount
-        # partials over ordinals, rollup happens after the global sum
-        doc_ord = None
-        if tax_path is not None:
-            tax = _tax(tax_path)
-            lang_all = lang.to_numpy(zero_copy_only=False).astype(str)
-            src_all = source.to_numpy(zero_copy_only=False).astype(str)
-            pair = np.char.add(np.char.add(lang_all, "/"), src_all)
-            uniq, inv = np.unique(pair, return_inverse=True)
-            uniq_ords = np.array([tax.ordinal(p) for p in uniq], np.int64)
-            if (uniq_ords < 0).any():
-                missing = [p for p, o in zip(uniq, uniq_ords) if o < 0]
-                raise ValueError(f"labels missing from taxonomy: {missing[:5]}")
-            doc_ord = uniq_ords[inv]
-            n_ords = len(tax)
-        # one deterministic sample mask per segment (stored ids: stable
-        # under merges), shared by every term's sampled-facet pass
-        sample_mask = _sample_gate(ids_np, SAMPLE_FACET_PCT)
-        # per-doc [lo, hi] range field (range_field_counts synthesis)
-        rf_lo = (ids_np.astype(np.int64) * 17) % 2000
-        rf_hi = rf_lo + 1 + nchars.astype(np.int64) % 97
-        for qid, t in enumerate(terms):
-            tid = r.term_id(t)
-            if tid is None:
-                continue
-            docs, _ = decode_term(r.enc, tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
-            if not len(docs):
-                continue
-            take = pa.array(docs)
-            emit("lang", qid, lang.take(take))
-            emit("source", qid, source.take(take))
-            # RandomSamplingFacetsCollector: lang counts over the doc
-            # SAMPLE only (amortization happens after the global sum)
-            sampled = docs[sample_mask[docs]]
-            if len(sampled):
-                emit("sampled_lang", qid, lang.take(pa.array(sampled)))
-            # hierarchical taxonomy dim lang/source (facet/taxonomy
-            # FacetsConfig.setHierarchical + TaxonomyFacetCounts rollup):
-            # child counts at 'lang/source', parent counts at 'lang' are
-            # the rollup sums over the children
-            import pyarrow.compute as _pc
-
-            paths = _pc.binary_join_element_wise(
-                lang.take(take).cast(pa.string()),
-                source.take(take).cast(pa.string()),
-                "/",
+        # FacetSet matchers (facet/facetset/MatchingFacetSetsCounts +
+        # ExactFacetSetMatcher / RangeFacetSetMatcher): one 2-dim set
+        # per doc; counts per matcher label (only nonzero emitted,
+        # matching getTopChildren's skip-zero rule)
+        d0, d1 = FACETSET_DIMS(nc)
+        for t0, t1 in FACETSET_EXACT:
+            c = int(((d0 == t0) & (d1 == t1)).sum())
+            if c:
+                facets.append("facetset_exact")
+                qids.append(qid)
+                vals.append(f"{t0}/{t1}")
+                ns.append(c)
+        for lab, (l0, h0), (l1, h1) in FACETSET_RANGES:
+            c = int(
+                ((d0 >= l0) & (d0 <= h0) & (d1 >= l1) & (d1 <= h1)).sum()
             )
-            emit("taxo", qid, paths)
-            emit("taxo", qid, lang.take(take))
-            # ordinal-machinery twin of the string 'taxo' rows above:
-            # per-segment bincount over LEAF ordinals (ints on the wire)
-            if doc_ord is not None:
-                cnt = np.bincount(doc_ord[docs], minlength=n_ords)
-                for o in np.nonzero(cnt)[0]:
-                    facets.append("taxo_ord_leaf")
-                    qids.append(qid)
-                    vals.append(str(int(o)))
-                    ns.append(int(cnt[o]))
-            nc = nchars[docs]
-            idx, ok, labels = _range_labels(nc, FACET_RANGES)
-            if ok.any():
-                cnt = np.bincount(idx[ok], minlength=len(labels))
-                for i, lab in enumerate(labels):
-                    if cnt[i]:
-                        facets.append("n_chars_range")
+            if c:
+                facets.append("facetset_range")
+                qids.append(qid)
+                vals.append(lab)
+                ns.append(c)
+        drill = (nc >= DRILL_RANGE[0]) & (nc < DRILL_RANGE[1])
+        if drill.any():
+            emit("drilldown_lang", qid, lang.take(pa.array(docs[drill])))
+        # DrillSideways over dims {lang, n_chars range}: range-bucket
+        # counts with the range dim DROPPED (lang dim still applied),
+        # plus the all-dims hit count
+        lang_match = pc.equal(lang.take(take), DRILL_LANG).to_numpy(
+            zero_copy_only=False
+        )
+        if lang_match.any():
+            idx2, ok2, labels2 = _range_labels(nc[lang_match], FACET_RANGES)
+            if ok2.any():
+                cnt2 = np.bincount(idx2[ok2], minlength=len(labels2))
+                for i, lab in enumerate(labels2):
+                    if cnt2[i]:
+                        facets.append("sideways_range")
                         qids.append(qid)
                         vals.append(lab)
-                        ns.append(int(cnt[i]))
-            # RangeOnRangeFacetCounts: the doc's [lo, hi] RANGE counts in
-            # every CLOSED bucket it overlaps (multi-bucket membership,
-            # unlike the single-bucket n_chars point ranges above)
-            dlo, dhi = rf_lo[docs], rf_hi[docs]
-            for lab, blo, bhi in RANGE_FACET_BUCKETS:
-                c = int(((dlo <= bhi) & (dhi >= blo)).sum())
-                if c:
-                    facets.append("range_on_range")
-                    qids.append(qid)
-                    vals.append(lab)
-                    ns.append(c)
-            # Int-association facet (facet/taxonomy/
-            # TaxonomyFacetIntAssociations.java, AssociationAggregation
-            # Function.SUM over IntAssociationFacetField): each matching
-            # doc contributes its n_chars association value to its lang
-            # label; partials sum in the same (facet, qid, value, n) shape
-            lang_np = lang.take(take).to_numpy(zero_copy_only=False)
-            for lab in np.unique(lang_np):
-                facets.append("assoc_sum_lang")
-                qids.append(qid)
-                vals.append(str(lab))
-                ns.append(int(nc[lang_np == lab].sum()))
-            # LongValueFacetCounts (facet/LongValueFacetCounts.java):
-            # per-distinct-value counts of the LongValuesSource
-            # n_chars // LONG_VALUE_DIV over the matching docs
-            for v, c in zip(*np.unique(nc // LONG_VALUE_DIV, return_counts=True)):
-                facets.append("long_value")
-                qids.append(qid)
-                vals.append(str(int(v)))
-                ns.append(int(c))
-            # FacetSet matchers (facet/facetset/MatchingFacetSetsCounts +
-            # ExactFacetSetMatcher / RangeFacetSetMatcher): one 2-dim set
-            # per doc; counts per matcher label (only nonzero emitted,
-            # matching getTopChildren's skip-zero rule)
-            d0, d1 = FACETSET_DIMS(nc)
-            for t0, t1 in FACETSET_EXACT:
-                c = int(((d0 == t0) & (d1 == t1)).sum())
-                if c:
-                    facets.append("facetset_exact")
-                    qids.append(qid)
-                    vals.append(f"{t0}/{t1}")
-                    ns.append(c)
-            for lab, (l0, h0), (l1, h1) in FACETSET_RANGES:
-                c = int(
-                    ((d0 >= l0) & (d0 <= h0) & (d1 >= l1) & (d1 <= h1)).sum()
-                )
-                if c:
-                    facets.append("facetset_range")
-                    qids.append(qid)
-                    vals.append(lab)
-                    ns.append(c)
-            drill = (nc >= DRILL_RANGE[0]) & (nc < DRILL_RANGE[1])
-            if drill.any():
-                emit("drilldown_lang", qid, lang.take(pa.array(docs[drill])))
-            # DrillSideways over dims {lang, n_chars range}: range-bucket
-            # counts with the range dim DROPPED (lang dim still applied),
-            # plus the all-dims hit count
-            lang_match = pc.equal(lang.take(take), DRILL_LANG).to_numpy(
-                zero_copy_only=False
-            )
-            if lang_match.any():
-                idx2, ok2, labels2 = _range_labels(nc[lang_match], FACET_RANGES)
-                if ok2.any():
-                    cnt2 = np.bincount(idx2[ok2], minlength=len(labels2))
-                    for i, lab in enumerate(labels2):
-                        if cnt2[i]:
-                            facets.append("sideways_range")
-                            qids.append(qid)
-                            vals.append(lab)
-                            ns.append(int(cnt2[i]))
-            n_hits = int((drill & lang_match).sum())
-            if n_hits:
-                facets.append("drill_hits")
-                qids.append(qid)
-                vals.append("hits")
-                ns.append(n_hits)
+                        ns.append(int(cnt2[i]))
+        n_hits = int((drill & lang_match).sum())
+        if n_hits:
+            facets.append("drill_hits")
+            qids.append(qid)
+            vals.append("hits")
+            ns.append(n_hits)
     return pa.table(
         {
             "facet": pa.array(facets, pa.string()),
@@ -6650,7 +5550,7 @@ def facet_counts(sf_dir: str):
     """(facet, qid, value, n): the facet family — string facets, numeric
     range buckets, and drill-down counts per query term — partial per
     segment, summed in one small groupby."""
-    import ray.data as rd
+    from ray.data.aggregate import Sum
 
     from ..index.points import build_point_index
 
@@ -6658,13 +5558,8 @@ def facet_counts(sf_dir: str):
     # persisted per-segment point trees feed the histogram bulk path
     build_point_index(idx, POINT_FIELDS)
     tax_path = ensure_taxonomy(idx, sf_dir)
-    ds = rd.from_items(_segment_dirs(idx))
-    partials = ds.map_batches(
-        _seg_facet_counts,
-        batch_format="pyarrow",
-        fn_kwargs={"terms": QUERY_TERMS, "tax_path": tax_path},
-    )
-    final = partials.groupby(["facet", "qid", "value"]).sum("n")
+    partials = segment_map(idx, _seg_facet_counts, terms=QUERY_TERMS, tax_path=tax_path)
+    final = partials.groupby(["facet", "qid", "value"]).aggregate(Sum("n", alias_name="n"))
 
     # per-QID groups (map_groups, not map_batches): the taxonomy rollup
     # needs every leaf-ordinal row of a qid in one call — an arbitrary
@@ -6675,7 +5570,7 @@ def facet_counts(sf_dir: str):
                 "facet": b.column("facet"),
                 "qid": b.column("qid"),
                 "value": b.column("value"),
-                "n": pc_cast_i64(b.column("sum(n)")),
+                "n": pc_cast_i64(b.column("n")),
             }
         )
         # amortizeFacetCounts: scale the sampled counts back by the
@@ -6756,44 +5651,39 @@ def dv_stats(sf_dir: str):
     PARTIAL (min, max, sum, count) rows reduce on the driver (5 rows per
     segment per query); emitted in the facet family's (facet, qid,
     value, n) shape as facet='dv_stats'."""
-    import ray.data as rd
 
-    idx = ensure_index(sf_dir)
-
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qids, langs, mins, maxs, sums, cnts = [], [], [], [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            nchars = r.stored_column("n_chars").to_numpy()
-            langcol = r.stored_column("lang").to_numpy(zero_copy_only=False)
-            for qid, t in enumerate(QUERY_TERMS):
-                tid = r.term_id(t)
-                if tid is None:
-                    continue
-                docs, _ = r.decode_term_cached(tid)
-                if r.live is not None:
-                    docs = docs[r.live[docs]]
-                if not len(docs):
-                    continue
-                v = nchars[docs]
+        nchars = r.stored_column("n_chars").to_numpy()
+        langcol = r.stored_column("lang").to_numpy(zero_copy_only=False)
+        for qid, t in enumerate(QUERY_TERMS):
+            tid = r.term_id(t)
+            if tid is None:
+                continue
+            docs, _ = r.decode_term_cached(tid)
+            if r.live is not None:
+                docs = docs[r.live[docs]]
+            if not len(docs):
+                continue
+            v = nchars[docs]
+            qids.append(qid)
+            langs.append("")  # whole-query row (DocValuesStats)
+            mins.append(int(v.min()))
+            maxs.append(int(v.max()))
+            sums.append(int(v.sum()))
+            cnts.append(len(v))
+            # sandbox facet LongAggregationsFacetRecorder: per-LABEL
+            # long aggregation partials (max per lang here) riding
+            # the same tiny reduce
+            lv = langcol[docs]
+            for lab in np.unique(lv):
                 qids.append(qid)
-                langs.append("")  # whole-query row (DocValuesStats)
-                mins.append(int(v.min()))
-                maxs.append(int(v.max()))
-                sums.append(int(v.sum()))
-                cnts.append(len(v))
-                # sandbox facet LongAggregationsFacetRecorder: per-LABEL
-                # long aggregation partials (max per lang here) riding
-                # the same tiny reduce
-                lv = langcol[docs]
-                for lab in np.unique(lv):
-                    qids.append(qid)
-                    langs.append(str(lab))
-                    m = v[lv == lab]
-                    mins.append(int(m.min()))
-                    maxs.append(int(m.max()))
-                    sums.append(int(m.sum()))
-                    cnts.append(len(m))
+                langs.append(str(lab))
+                m = v[lv == lab]
+                mins.append(int(m.min()))
+                maxs.append(int(m.max()))
+                sums.append(int(m.sum()))
+                cnts.append(len(m))
         return pa.table(
             {
                 "qid": pa.array(qids, pa.int64()),
@@ -6805,11 +5695,7 @@ def dv_stats(sf_dir: str):
             }
         )
 
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()  # <= segments * queries rows
-    )
+    parts = gather(segment_map(ensure_index(sf_dir), _seg)).to_pandas()  # <= segments * queries rows
     rows = []
     whole = parts[parts["lang"] == ""]
     for qid, g in whole.groupby("qid"):
@@ -6845,27 +5731,23 @@ def grouped_facet_counts(sf_dir: str) -> pa.Table:
     across segments (bounded by qids x langs x sources — the facet/group
     vocabulary, never the doc count) and the driver counts groups per
     (qid, lang).  Facet-shaped rows: facet='grouped_lang'."""
-    import ray.data as rd
+    schema = _schema(qid=pa.int64(), lang=pa.string(), source=pa.string())
 
-    idx = ensure_index(sf_dir)
-
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qids, langs, srcs = [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            lang = r.stored_column("lang").to_numpy(zero_copy_only=False)
-            source = r.stored_column("source").to_numpy(zero_copy_only=False)
-            for qid, t in enumerate(QUERY_TERMS):
-                tid = r.term_id(t)
-                if tid is None:
-                    continue
-                docs, _ = r.decode_term_cached(tid)
-                if r.live is not None:
-                    docs = docs[r.live[docs]]
-                for lv, sv in {(a, b) for a, b in zip(lang[docs], source[docs])}:
-                    qids.append(qid)
-                    langs.append(str(lv))
-                    srcs.append(str(sv))
+        lang = r.stored_column("lang").to_numpy(zero_copy_only=False)
+        source = r.stored_column("source").to_numpy(zero_copy_only=False)
+        for qid, t in enumerate(QUERY_TERMS):
+            tid = r.term_id(t)
+            if tid is None:
+                continue
+            docs, _ = r.decode_term_cached(tid)
+            if r.live is not None:
+                docs = docs[r.live[docs]]
+            for lv, sv in {(a, b) for a, b in zip(lang[docs], source[docs])}:
+                qids.append(qid)
+                langs.append(str(lv))
+                srcs.append(str(sv))
         return pa.table(
             {
                 "qid": pa.array(qids, pa.int64()),
@@ -6874,13 +5756,10 @@ def grouped_facet_counts(sf_dir: str) -> pa.Table:
             }
         )
 
-    triples = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .groupby(["qid", "lang", "source"])
-        .count()
-        .to_pandas()  # <= queries * langs * sources rows
-    )
+    triples = gather(  # <= queries * langs * sources rows
+        segment_map(ensure_index(sf_dir), _seg).groupby(["qid", "lang", "source"]).count(),
+        schema,
+    ).to_pandas()
     counts = (
         triples.groupby(["qid", "lang"]).size().reset_index(name="n")
     )
@@ -6954,34 +5833,32 @@ def dynamic_range_facets(sf_dir: str) -> pa.Table:
     Deviation (documented): DynamicRangeInfo's double `centroid` is
     emitted as the integer value-sum row ('dynamic_range_vsum', centroid
     = vsum/count exactly) so every facet row stays int64."""
-    import ray.data as rd
+    from ray.data.aggregate import Sum
 
-    idx = ensure_index(sf_dir)
+    schema = _schema(qid=pa.int64(), v=pa.int64(), w=pa.int64(), c=pa.int64())
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qids, vs, ws, cs = [], [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            nchars = r.stored_column("n_chars").to_numpy()
-            for qid, t in enumerate(QUERY_TERMS):
-                tid = r.term_id(t)
-                if tid is None:
-                    continue
-                docs, _ = r.decode_term_cached(tid)
-                if r.live is not None:
-                    docs = docs[r.live[docs]]
-                if not len(docs):
-                    continue
-                v = nchars[docs]
-                w = v % DYN_WEIGHT_MOD
-                keep = w != 0  # reference: zero weights are skipped
-                pairs, cnt = np.unique(
-                    np.stack([v[keep], w[keep]]), axis=1, return_counts=True
-                )
-                qids += [qid] * len(cnt)
-                vs += pairs[0].tolist()
-                ws += pairs[1].tolist()
-                cs += cnt.tolist()
+        nchars = r.stored_column("n_chars").to_numpy()
+        for qid, t in enumerate(QUERY_TERMS):
+            tid = r.term_id(t)
+            if tid is None:
+                continue
+            docs, _ = r.decode_term_cached(tid)
+            if r.live is not None:
+                docs = docs[r.live[docs]]
+            if not len(docs):
+                continue
+            v = nchars[docs]
+            w = v % DYN_WEIGHT_MOD
+            keep = w != 0  # reference: zero weights are skipped
+            pairs, cnt = np.unique(
+                np.stack([v[keep], w[keep]]), axis=1, return_counts=True
+            )
+            qids += [qid] * len(cnt)
+            vs += pairs[0].tolist()
+            ws += pairs[1].tolist()
+            cs += cnt.tolist()
         return pa.table(
             {
                 "qid": pa.array(qids, pa.int64()),
@@ -6991,17 +5868,16 @@ def dynamic_range_facets(sf_dir: str) -> pa.Table:
             }
         )
 
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
+    parts = gather(  # <= queries * distinct(n_chars) * DYN_WEIGHT_MOD rows
+        segment_map(ensure_index(sf_dir), _seg)
         .groupby(["qid", "v", "w"])
-        .sum("c")
-        .to_pandas()  # <= queries * distinct(n_chars) * DYN_WEIGHT_MOD rows
-    )
+        .aggregate(Sum("c", alias_name="c")),
+        schema,
+    ).to_pandas()
     rows = []
     for qid, g in parts.groupby("qid"):
-        v = np.repeat(g["v"].to_numpy(), g["sum(c)"].to_numpy())
-        w = np.repeat(g["w"].to_numpy(), g["sum(c)"].to_numpy())
+        v = np.repeat(g["v"].to_numpy(), g["c"].to_numpy())
+        w = np.repeat(g["w"].to_numpy(), g["c"].to_numpy())
         for k, (cnt, wsum, mn, mx, vsum) in enumerate(
             compute_dynamic_numeric_ranges(v, w, DYN_TOPN)
         ):
@@ -7109,22 +5985,6 @@ def ensure_combined_index(sf_dir: str) -> str:
     return idx
 
 
-def _combined_segment_rows(idx: str) -> list[dict]:
-    """Paired (text, title) segment descriptors for the combined index —
-    the two sub-indexes share segmentation by construction."""
-    mt_ = mf.read_manifest(os.path.join(idx, "text"))
-    ml = mf.read_manifest(os.path.join(idx, "title"))
-    return [
-        {
-            "ord": i,
-            "text_dir": st["dir"],
-            "title_dir": sl["dir"],
-            "doc_base": st["doc_base"],
-        }
-        for i, (st, sl) in enumerate(zip(mt_["segments"], ml["segments"]))
-    ]
-
-
 def _blended_tf_segment(rt, rl, term: str, title_weight: float) -> np.ndarray:
     """Dense blended tf' = tf_text + w * tf_title over one segment pair
     (bounded by docs_per_segment — lives in the worker, never the driver)."""
@@ -7138,34 +5998,33 @@ def _blended_tf_segment(rt, rl, term: str, title_weight: float) -> np.ndarray:
     return tfc
 
 
-def _seg_combined_stats(batch: pa.Table, terms: list[str], title_weight: float) -> pa.Table:
+def _seg_combined_stats(
+    rt, doc_base: int, titles: dict, terms: list[str], title_weight: float
+) -> pa.Table:
     """Phase-A partials: per segment, the blended-length sum (one float)
     and per-term blended df (one int per term) — CombinedFieldQuery's
     pseudo-field statistics (sandbox/CombinedFieldQuery.java term stats),
     gathered the way Weight gathers stats before scoring."""
     lt = LENGTH_TABLE.astype(np.float64)
-    ords, qids, dfs, dls = [], [], [], []
-    for row in batch.to_pylist():
-        rt = SegmentReader(row["text_dir"])
-        rl = SegmentReader(row["title_dir"])
-        dl_sum = float((lt[np.asarray(rt.norms)] + title_weight * lt[np.asarray(rl.norms)]).sum())
-        for qid, term in enumerate(terms):
-            ords.append(row["ord"])
-            qids.append(qid)
-            dfs.append(int((_blended_tf_segment(rt, rl, term, title_weight) > 0).sum()))
-            dls.append(dl_sum)
+    rl = open_segment(titles[doc_base])
+    dl_sum = float((lt[np.asarray(rt.norms)] + title_weight * lt[np.asarray(rl.norms)]).sum())
     return pa.table(
         {
-            "ord": pa.array(ords, pa.int64()),
-            "qid": pa.array(qids, pa.int64()),
-            "df": pa.array(dfs, pa.int64()),
-            "dl_sum": pa.array(dls, pa.float64()),
+            "doc_base": pa.array([doc_base] * len(terms), pa.int64()),
+            "qid": pa.array(range(len(terms)), pa.int64()),
+            "df": pa.array(
+                [int((_blended_tf_segment(rt, rl, t, title_weight) > 0).sum()) for t in terms],
+                pa.int64(),
+            ),
+            "dl_sum": pa.array([dl_sum] * len(terms), pa.float64()),
         }
     )
 
 
 def _seg_combined_score(
-    batch: pa.Table,
+    rt,
+    doc_base: int,
+    titles: dict,
     terms: list[str],
     title_weight: float,
     idf_by_qid: dict[int, float],
@@ -7176,31 +6035,29 @@ def _seg_combined_score(
     kept at the k-th score — only (qid, score_f32, doc_id) candidates
     cross to the reduce (the r2 dense-per-segment-on-the-driver fix)."""
     qids, scs, gdocs = [], [], []
-    for row in batch.to_pylist():
-        rt = SegmentReader(row["text_dir"])
-        rl = SegmentReader(row["title_dir"])
-        lt = LENGTH_TABLE.astype(np.float64)
-        dl = lt[np.asarray(rt.norms)] + title_weight * lt[np.asarray(rl.norms)]
-        for qid, term in enumerate(terms):
-            if qid not in idf_by_qid:
-                continue
-            idf = idf_by_qid[qid]
-            tfc = _blended_tf_segment(rt, rl, term, title_weight)
-            m = tfc > 0
-            if not m.any():
-                continue
-            sc = (
-                idf
-                * (1.0 - 1.0 / (1.0 + tfc[m] / (1.2 * ((1 - 0.75) + 0.75 * dl[m] / avgdl))))
-            ).astype(np.float32)
-            ids = np.nonzero(m)[0] + row["doc_base"]
-            if len(sc) > k:
-                kth = np.partition(-sc, k - 1)[k - 1]
-                keep = -sc <= kth
-                sc, ids = sc[keep], ids[keep]
-            qids.extend([qid] * len(sc))
-            scs.extend(sc.tolist())
-            gdocs.extend(ids.tolist())
+    rl = open_segment(titles[doc_base])
+    lt = LENGTH_TABLE.astype(np.float64)
+    dl = lt[np.asarray(rt.norms)] + title_weight * lt[np.asarray(rl.norms)]
+    for qid, term in enumerate(terms):
+        if qid not in idf_by_qid:
+            continue
+        idf = idf_by_qid[qid]
+        tfc = _blended_tf_segment(rt, rl, term, title_weight)
+        m = tfc > 0
+        if not m.any():
+            continue
+        sc = (
+            idf
+            * (1.0 - 1.0 / (1.0 + tfc[m] / (1.2 * ((1 - 0.75) + 0.75 * dl[m] / avgdl))))
+        ).astype(np.float32)
+        ids = np.nonzero(m)[0] + doc_base
+        if len(sc) > k:
+            kth = np.partition(-sc, k - 1)[k - 1]
+            keep = -sc <= kth
+            sc, ids = sc[keep], ids[keep]
+        qids.extend([qid] * len(sc))
+        scs.extend(sc.tolist())
+        gdocs.extend(ids.tolist())
     return pa.table(
         {
             "qid": pa.array(qids, pa.int64()),
@@ -7221,68 +6078,37 @@ def combined_field_topk(sf_dir: str, k: int = 10) -> pa.Table:
     idf/avgdl); the reduce sees <= (k + ties) * segments candidates per
     query.  Doubles throughout, f32 cast per candidate (the ::FLOAT
     oracle discipline)."""
-    import ray.data as rd
-
     idx = ensure_combined_index(sf_dir)
-    rows = _combined_segment_rows(idx)
-    doc_count = int(
-        mf.collection_stats_from(mf.read_manifest(os.path.join(idx, "text")))["doc_count"]
-    )
+    text = os.path.join(idx, "text")
+    titles = _paired_segments(idx, "title")
+    doc_count = int(mf.collection_stats_from(mf.read_manifest(text))["doc_count"])
 
-    stats = (
-        rd.from_items(rows)
-        .map_batches(
-            _seg_combined_stats,
-            batch_format="pyarrow",
-            fn_kwargs={"terms": QUERY_TERMS, "title_weight": TITLE_WEIGHT},
+    stats = gather(  # segments * queries rows — stats partials only
+        segment_map(
+            text, _seg_combined_stats, titles=titles, terms=QUERY_TERMS, title_weight=TITLE_WEIGHT
         )
-        .to_pandas()  # segments * queries rows — stats partials only
-        .sort_values(["qid", "ord"])
-    )
+    ).to_pandas()
     # avgdl: per-segment float64 sums added in segment order (matches the
     # single-process accumulation exactly)
-    dl_by_ord = stats.drop_duplicates("ord").sort_values("ord")["dl_sum"]
-    avgdl = float(sum(float(v) for v in dl_by_ord)) / doc_count
+    dl_by_seg = stats.drop_duplicates("doc_base").sort_values("doc_base")["dl_sum"]
+    avgdl = float(sum(float(v) for v in dl_by_seg)) / doc_count
     idf_by_qid: dict[int, float] = {}
     for qid in range(len(QUERY_TERMS)):
         df_c = int(stats[stats["qid"] == qid]["df"].sum())
         if df_c:
             idf_by_qid[qid] = float(np.log(1.0 + (doc_count - df_c + 0.5) / (df_c + 0.5)))
 
-    cands = (
-        rd.from_items(rows)
-        .map_batches(
-            _seg_combined_score,
-            batch_format="pyarrow",
-            fn_kwargs={
-                "terms": QUERY_TERMS,
-                "title_weight": TITLE_WEIGHT,
-                "idf_by_qid": idf_by_qid,
-                "avgdl": avgdl,
-                "k": k,
-            },
-        )
-        .to_pandas()  # <= (k + ties) * segments rows per query
+    cands = segment_map(  # <= (k + ties) * segments rows per query
+        text,
+        _seg_combined_score,
+        titles=titles,
+        terms=QUERY_TERMS,
+        title_weight=TITLE_WEIGHT,
+        idf_by_qid=idf_by_qid,
+        avgdl=avgdl,
+        k=k,
     )
-    qids, rnks, docs_out = [], [], []
-    for qid in sorted(idf_by_qid):
-        sub = cands[cands["qid"] == qid]
-        if not len(sub):
-            continue
-        ids = sub["doc_id"].to_numpy()
-        sc = sub["score"].to_numpy()
-        order = np.lexsort((ids, -sc))[:k]
-        for rnk, i in enumerate(order, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            docs_out.append(int(ids[i]))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs_out, pa.int64()),
-        }
-    )
+    return _top_rows(gather(cands), ["score", "doc_id"], [False, True], k)
 
 
 SORTED_QUERIES = [
@@ -7310,45 +6136,41 @@ def sorted_set_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
     search/SortedSetSortField.java + SortedSetSelector.java MIN/MAX over
     SORTED_SET doc values): vectorized per-segment selector collapse,
     bounded partial-top-k exchange, tiny driver merge."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qids, keys, gdocs_out = [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            ids = (
-                r.stored_column("doc_id")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            lang = r.stored_column("lang").to_numpy(zero_copy_only=False).astype(str)
-            src = r.stored_column("source").to_numpy(zero_copy_only=False).astype(str)
-            lt = lang < src  # unicode widths differ: compare, then pick
-            sel = {
-                "min": np.where(lt, lang, src),
-                "max": np.where(lt, src, lang),
-            }
-            for qid, (term, selector, direction) in enumerate(SORTED_SET_QUERIES):
-                tid = r.term_id(term)
-                if tid is None:
-                    continue
-                docs, _ = r.decode_term_cached(tid)
-                if r.live is not None:
-                    docs = docs[r.live[docs]]
-                if not len(docs):
-                    continue
-                vals = sel[selector][docs]
-                gdocs = ids[docs]
-                # partial top-k on (key, doc) — desc flips via the dense
-                # rank codes (strings can't negate), ships real strings
-                codes = np.unique(vals, return_inverse=True)[1].astype(np.int64)
-                key = -codes if direction == "desc" else codes
-                order = np.lexsort((gdocs, key))[:k]
-                qids.extend([qid] * len(order))
-                keys.extend(vals[order].tolist())
-                gdocs_out.extend(gdocs[order].tolist())
+        ids = (
+            r.stored_column("doc_id")
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        lang = r.stored_column("lang").to_numpy(zero_copy_only=False).astype(str)
+        src = r.stored_column("source").to_numpy(zero_copy_only=False).astype(str)
+        lt = lang < src  # unicode widths differ: compare, then pick
+        sel = {
+            "min": np.where(lt, lang, src),
+            "max": np.where(lt, src, lang),
+        }
+        for qid, (term, selector, direction) in enumerate(SORTED_SET_QUERIES):
+            tid = r.term_id(term)
+            if tid is None:
+                continue
+            docs, _ = r.decode_term_cached(tid)
+            if r.live is not None:
+                docs = docs[r.live[docs]]
+            if not len(docs):
+                continue
+            vals = sel[selector][docs]
+            gdocs = ids[docs]
+            # partial top-k on (key, doc) — desc flips via the dense
+            # rank codes (strings can't negate), ships real strings
+            codes = np.unique(vals, return_inverse=True)[1].astype(np.int64)
+            key = -codes if direction == "desc" else codes
+            order = np.lexsort((gdocs, key))[:k]
+            qids.extend([qid] * len(order))
+            keys.extend(vals[order].tolist())
+            gdocs_out.extend(gdocs[order].tolist())
         return pa.table(
             {
                 "qid": pa.array(qids, pa.int64()),
@@ -7357,32 +6179,14 @@ def sorted_set_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
             }
         )
 
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    qids, rnks, out_docs = [], [], []
+    parts = gather(segment_map(idx, _seg)).to_pandas()
+    ranked = []
     for qid, (_, _, direction) in enumerate(SORTED_SET_QUERIES):
         sub = parts[parts["qid"] == qid]
-        if not len(sub):
-            continue
-        rows = sorted(
-            zip(sub["key"].tolist(), sub["doc_id"].tolist()),
-            key=lambda r: r[1],
-        )
+        rows = sorted(zip(sub["key"].tolist(), sub["doc_id"].tolist()), key=lambda r: r[1])
         rows.sort(key=lambda r: r[0], reverse=(direction == "desc"))  # stable
-        for rnk, (_, d) in enumerate(rows[:k], start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            out_docs.append(int(d))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(out_docs, pa.int64()),
-        }
-    )
+        ranked.append((qid, [d for _, d in rows[:k]]))
+    return ranked_table(ranked)
 
 
 # SortedNumericSortField + SortedNumericSelector (search/
@@ -7402,47 +6206,43 @@ def sorted_numeric_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """(qid, rnk, doc_id) top-k under a SortedNumericSortField: per
     segment the selector collapses the value set vectorized, then the
     same bounded partial-top-k exchange as the stored-field sort."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qids, keys, gdocs_out = [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            ids = (
-                r.stored_column("doc_id")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            nch = (
-                r.stored_column("n_chars")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            vset = np.stack([nch, (ids * 7) % 1000, (ids * 13) % 1000])
-            sel = {"min": vset.min(axis=0), "max": vset.max(axis=0)}
-            for qid, (term, selector, direction) in enumerate(
-                SORTED_NUMERIC_QUERIES
-            ):
-                tid = r.term_id(term)
-                if tid is None:
-                    continue
-                docs, _ = r.decode_term_cached(tid)
-                if r.live is not None:
-                    docs = docs[r.live[docs]]
-                if not len(docs):
-                    continue
-                vals = sel[selector][docs]
-                gdocs = ids[docs]
-                key = -vals if direction == "desc" else vals
-                if len(key) > k:
-                    kth = np.partition(key, k - 1)[k - 1]
-                    keep = key <= kth
-                    key, gdocs = key[keep], gdocs[keep]
-                qids.extend([qid] * len(key))
-                keys.extend(key.tolist())
-                gdocs_out.extend(gdocs.tolist())
+        ids = (
+            r.stored_column("doc_id")
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        nch = (
+            r.stored_column("n_chars")
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        vset = np.stack([nch, (ids * 7) % 1000, (ids * 13) % 1000])
+        sel = {"min": vset.min(axis=0), "max": vset.max(axis=0)}
+        for qid, (term, selector, direction) in enumerate(
+            SORTED_NUMERIC_QUERIES
+        ):
+            tid = r.term_id(term)
+            if tid is None:
+                continue
+            docs, _ = r.decode_term_cached(tid)
+            if r.live is not None:
+                docs = docs[r.live[docs]]
+            if not len(docs):
+                continue
+            vals = sel[selector][docs]
+            gdocs = ids[docs]
+            key = -vals if direction == "desc" else vals
+            if len(key) > k:
+                kth = np.partition(key, k - 1)[k - 1]
+                keep = key <= kth
+                key, gdocs = key[keep], gdocs[keep]
+            qids.extend([qid] * len(key))
+            keys.extend(key.tolist())
+            gdocs_out.extend(gdocs.tolist())
         return pa.table(
             {
                 "qid": pa.array(qids, pa.int64()),
@@ -7451,28 +6251,7 @@ def sorted_numeric_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
             }
         )
 
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    qids, rnks, out_docs = [], [], []
-    for qid in range(len(SORTED_NUMERIC_QUERIES)):
-        sub = parts[parts["qid"] == qid]
-        if not len(sub):
-            continue
-        order = np.lexsort((sub["doc_id"].to_numpy(), sub["key"].to_numpy()))[:k]
-        for rnk, i in enumerate(order, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            out_docs.append(int(sub["doc_id"].to_numpy()[i]))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(out_docs, pa.int64()),
-        }
-    )
+    return _top_rows(gather(segment_map(idx, _seg)), ["key", "doc_id"], [True, True], k)
 
 
 # LatLonPointSortField + LatLonPointDistanceComparator (document/
@@ -7491,42 +6270,38 @@ DISTANCE_SORT_QUERIES = [
 def distance_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """(qid, rnk, doc_id) nearest-first matching docs; same bounded
     per-segment partial-top-k exchange as the other sort arms."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, doc_base: int) -> pa.Table:
         qids, keys, gdocs_out = [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            ids = (
-                r.stored_column("doc_id")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            nch = (
-                r.stored_column("n_chars")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            for qid, (term, cx, cy) in enumerate(DISTANCE_SORT_QUERIES):
-                tid = r.term_id(term)
-                if tid is None:
-                    continue
-                docs, _ = r.decode_term_cached(tid)
-                if r.live is not None:
-                    docs = docs[r.live[docs]]
-                if not len(docs):
-                    continue
-                key = (nch[docs] - cx) ** 2 + (ids[docs] - cy) ** 2
-                gdocs = ids[docs]
-                if len(key) > k:
-                    kth = np.partition(key, k - 1)[k - 1]
-                    keep = key <= kth
-                    key, gdocs = key[keep], gdocs[keep]
-                qids.extend([qid] * len(key))
-                keys.extend(key.tolist())
-                gdocs_out.extend(gdocs.tolist())
+        ids = (
+            r.stored_column("doc_id")
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        nch = (
+            r.stored_column("n_chars")
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        for qid, (term, cx, cy) in enumerate(DISTANCE_SORT_QUERIES):
+            tid = r.term_id(term)
+            if tid is None:
+                continue
+            docs, _ = r.decode_term_cached(tid)
+            if r.live is not None:
+                docs = docs[r.live[docs]]
+            if not len(docs):
+                continue
+            key = (nch[docs] - cx) ** 2 + (ids[docs] - cy) ** 2
+            gdocs = ids[docs]
+            if len(key) > k:
+                kth = np.partition(key, k - 1)[k - 1]
+                keep = key <= kth
+                key, gdocs = key[keep], gdocs[keep]
+            qids.extend([qid] * len(key))
+            keys.extend(key.tolist())
+            gdocs_out.extend(gdocs.tolist())
         return pa.table(
             {
                 "qid": pa.array(qids, pa.int64()),
@@ -7535,28 +6310,7 @@ def distance_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
             }
         )
 
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()
-    )
-    qids, rnks, out_docs = [], [], []
-    for qid in range(len(DISTANCE_SORT_QUERIES)):
-        sub = parts[parts["qid"] == qid]
-        if not len(sub):
-            continue
-        order = np.lexsort((sub["doc_id"].to_numpy(), sub["key"].to_numpy()))[:k]
-        for rnk, i in enumerate(order, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            out_docs.append(int(sub["doc_id"].to_numpy()[i]))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(out_docs, pa.int64()),
-        }
-    )
+    return _top_rows(gather(segment_map(idx, _seg)), ["key", "doc_id"], [True, True], k)
 
 
 COMPOUND_SORT_QUERIES = ["spark", "join", "window"]
@@ -7569,35 +6323,30 @@ def compound_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
     unique doc id, so per-segment partial top-k rows merge exactly (no
     tie handling needed); the exchange carries <= k * segments rows of
     (qid, lang, -n_chars, doc_id).  (qid, rnk, doc_id)."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir)
 
-    def _seg(batch: pa.Table) -> pa.Table:
+    def _seg(r, base: int) -> pa.Table:
         qids, langs, nns, gdocs_out = [], [], [], []
-        for row in batch.to_pylist():
-            r = SegmentReader(row["dir"])
-            base = row["doc_base"]
-            lang_col = r.stored_column("lang")
-            nchars = r.stored_column("n_chars").to_numpy()
-            for qid, term in enumerate(COMPOUND_SORT_QUERIES):
-                tid = r.term_id(term)
-                if tid is None:
-                    continue
-                docs, _ = r.decode_term_cached(tid)
-                if r.live is not None:
-                    docs = docs[r.live[docs]]
-                if not len(docs):
-                    continue
-                lv = lang_col.take(pa.array(docs)).to_pylist()
-                nn = (-nchars[docs]).tolist()
-                gd = (docs + base).tolist()
-                rows = sorted(zip(lv, nn, gd))[:k]
-                for lg, n_, d_ in rows:
-                    qids.append(qid)
-                    langs.append(lg)
-                    nns.append(int(n_))
-                    gdocs_out.append(int(d_))
+        lang_col = r.stored_column("lang")
+        nchars = r.stored_column("n_chars").to_numpy()
+        for qid, term in enumerate(COMPOUND_SORT_QUERIES):
+            tid = r.term_id(term)
+            if tid is None:
+                continue
+            docs, _ = r.decode_term_cached(tid)
+            if r.live is not None:
+                docs = docs[r.live[docs]]
+            if not len(docs):
+                continue
+            lv = lang_col.take(pa.array(docs)).to_pylist()
+            nn = (-nchars[docs]).tolist()
+            gd = (docs + base).tolist()
+            rows = sorted(zip(lv, nn, gd))[:k]
+            for lg, n_, d_ in rows:
+                qids.append(qid)
+                langs.append(lg)
+                nns.append(int(n_))
+                gdocs_out.append(int(d_))
         return pa.table(
             {
                 "qid": pa.array(qids, pa.int64()),
@@ -7607,18 +6356,8 @@ def compound_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
             }
         )
 
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(_seg, batch_format="pyarrow")
-        .to_pandas()  # <= k * segments * queries rows by construction
-    )
-    parts = parts.sort_values(["qid", "lang", "nn", "doc_id"])
-    parts = parts.groupby("qid", sort=True).head(k)
-    parts["rnk"] = parts.groupby("qid").cumcount() + 1
-    return pa.Table.from_pandas(
-        parts[["qid", "rnk", "doc_id"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    parts = gather(segment_map(idx, _seg))  # <= k * segments * queries rows by construction
+    return _top_rows(parts, ["lang", "nn", "doc_id"], [True, True, True], k)
 
 
 SORT_RESCORE_QUERIES = ["spark", "merge", "window"]
@@ -7636,12 +6375,9 @@ def sort_rescored_topk(
     rescorer's contract so the second pass is a bounded driver-side
     gather (one stored-column take per touched segment).
     (qid, rnk, doc_id)."""
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    man = mf.read_manifest(idx)
-    segs = [(s["doc_base"], s["dir"]) for s in man["segments"]]
-    bases = np.array([b for b, _ in segs], dtype=np.int64)
-    qids, rnks, out_docs = [], [], []
+    searcher = IndexSearcher(ensure_index(sf_dir))
+    bases = np.array([s["doc_base"] for s in searcher.manifest["segments"]], dtype=np.int64)
+    ranked = []
     for qid, term in enumerate(SORT_RESCORE_QUERIES):
         hits = searcher.search(
             TermQuery(term), first_n, total_hits_threshold=np.inf,
@@ -7654,30 +6390,19 @@ def sort_rescored_topk(
         keys = np.empty(len(gdocs), dtype=np.int64)
         for si in np.unique(seg_of):
             sel = np.flatnonzero(seg_of == si)
-            r = SegmentReader(segs[si][1])
-            col = r.stored_column("n_chars")
+            col = searcher.readers[si].stored_column("n_chars")
             keys[sel] = col.take(
                 pa.array(gdocs[sel] - bases[si])
             ).to_numpy(zero_copy_only=False)
-        order = np.lexsort((gdocs, -keys))[:k]
-        for rnk, i in enumerate(order, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            out_docs.append(int(gdocs[i]))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(out_docs, pa.int64()),
-        }
-    )
+        ranked.append((qid, gdocs[np.lexsort((gdocs, -keys))[:k]]))
+    return ranked_table(ranked)
 
 
 INDEX_SORT = ("n_chars", "desc")
 INDEX_SORTED_QUERIES = ["spark", "join", "merge", "window"]
 
 
-def _seg_index_sorted_topk(batch: pa.Table, terms: list[str], k: int) -> pa.Table:
+def _seg_index_sorted_topk(r, doc_base: int, terms: list[str], k: int) -> pa.Table:
     """EARLY-TERMINATING per-segment sort-field top-k over an index-time-
     sorted index (reference TopFieldCollector canEarlyTerminate +
     index/Sorter.java): docid order == sort order, so the first k live
@@ -7688,32 +6413,30 @@ def _seg_index_sorted_topk(batch: pa.Table, terms: list[str], k: int) -> pa.Tabl
     from ..search.scorers import NO_MORE_DOCS, PostingsCursor
 
     qids, keys, ids, visited_col, df_col = [], [], [], [], []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        assert r.meta.get("index_sort") == list(INDEX_SORT), (
-            "early termination needs the index sorted by the query sort"
-        )
-        vals = r.stored_column(INDEX_SORT[0])
-        stored_ids = r.stored_column("doc_id")
-        for qid, term in enumerate(terms):
-            tid = r.term_id(term)
-            if tid is None:
-                continue
-            cur = PostingsCursor(r, tid)
-            hit_local = []
-            visited = 0
+    assert r.meta.get("index_sort") == list(INDEX_SORT), (
+        "early termination needs the index sorted by the query sort"
+    )
+    vals = r.stored_column(INDEX_SORT[0])
+    stored_ids = r.stored_column("doc_id")
+    for qid, term in enumerate(terms):
+        tid = r.term_id(term)
+        if tid is None:
+            continue
+        cur = PostingsCursor(r, tid)
+        hit_local = []
+        visited = 0
+        doc = cur.next_doc()
+        while doc != NO_MORE_DOCS and len(hit_local) < k:
+            visited += 1
+            if r.live is None or r.live[doc]:
+                hit_local.append(doc)
             doc = cur.next_doc()
-            while doc != NO_MORE_DOCS and len(hit_local) < k:
-                visited += 1
-                if r.live is None or r.live[doc]:
-                    hit_local.append(doc)
-                doc = cur.next_doc()
-            for d in hit_local:
-                qids.append(qid)
-                keys.append(int(vals[d].as_py()))
-                ids.append(int(stored_ids[d].as_py()))
-                visited_col.append(visited)
-                df_col.append(cur.df)
+        for d in hit_local:
+            qids.append(qid)
+            keys.append(int(vals[d].as_py()))
+            ids.append(int(stored_ids[d].as_py()))
+            visited_col.append(visited)
+            df_col.append(cur.df)
     return pa.table(
         {
             "qid": pa.array(qids, pa.int64()),
@@ -7732,72 +6455,43 @@ def index_sorted_topk(sf_dir: str, k: int = 10) -> pa.Table:
     the reduce merges <= k * segments candidates by (key desc, doc_id
     asc).  Result (qid, rnk, doc_id) uses the STORED doc_id column — the
     internal docids were remapped by the sort."""
-    import ray.data as rd
-
     idx = ensure_index(sf_dir, index_sort=INDEX_SORT)
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(
-            _seg_index_sorted_topk,
-            batch_format="pyarrow",
-            fn_kwargs={"terms": INDEX_SORTED_QUERIES, "k": k},
-        )
-        .to_pandas()  # <= k * segments * queries candidate rows
+    parts = segment_map(  # <= k * segments * queries candidate rows
+        idx, _seg_index_sorted_topk, terms=INDEX_SORTED_QUERIES, k=k
     )
-    qids, rnks, out = [], [], []
-    for qid in range(len(INDEX_SORTED_QUERIES)):
-        sub = parts[parts["qid"] == qid]
-        if not len(sub):
-            continue
-        key = -sub["key"].to_numpy()  # desc
-        ids = sub["doc_id"].to_numpy()
-        order = np.lexsort((ids, key))[:k]
-        for rnk, i in enumerate(order, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            out.append(int(ids[i]))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(out, pa.int64()),
-        }
-    )
+    return _top_rows(gather(parts), ["key", "doc_id"], [False, True], k)
 
 
-def _seg_sort_field_partials(batch: pa.Table, queries: list, k: int) -> pa.Table:
+def _seg_sort_field_partials(r, base: int, queries: list, k: int) -> pa.Table:
     """Per-segment PARTIAL sort-field top-k (ties kept at the k-th value):
     only (qid, direction-adjusted key, global doc_id) candidate rows cross
     the exchange — the reduce sees <= (k + ties) * segments rows per
     query, never a doc-values column."""
     qids, keys, gdocs_out = [], [], []
-    for row in batch.to_pylist():
-        r = SegmentReader(row["dir"])
-        base = row["doc_base"]
-        for qid, (term, field, direction) in enumerate(queries):
-            tid = r.term_id(term)
-            if tid is None:
-                continue
-            docs, _ = r.decode_term_cached(tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
-            if not len(docs):
-                continue
-            vals = (
-                r.stored_column(field)
-                .take(pa.array(docs))
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            gdocs = docs + base
-            key = -vals if direction == "desc" else vals
-            if len(key) > k:
-                kth = np.partition(key, k - 1)[k - 1]
-                keep = key <= kth
-                key, gdocs = key[keep], gdocs[keep]
-            qids.extend([qid] * len(key))
-            keys.extend(key.tolist())
-            gdocs_out.extend(gdocs.tolist())
+    for qid, (term, field, direction) in enumerate(queries):
+        tid = r.term_id(term)
+        if tid is None:
+            continue
+        docs, _ = r.decode_term_cached(tid)
+        if r.live is not None:
+            docs = docs[r.live[docs]]
+        if not len(docs):
+            continue
+        vals = (
+            r.stored_column(field)
+            .take(pa.array(docs))
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        gdocs = docs + base
+        key = -vals if direction == "desc" else vals
+        if len(key) > k:
+            kth = np.partition(key, k - 1)[k - 1]
+            keep = key <= kth
+            key, gdocs = key[keep], gdocs[keep]
+        qids.extend([qid] * len(key))
+        keys.extend(key.tolist())
+        gdocs_out.extend(gdocs.tolist())
     return pa.table(
         {
             "qid": pa.array(qids, pa.int64()),
@@ -7815,37 +6509,10 @@ def sort_by_field_topk(sf_dir: str, k: int = 10) -> pa.Table:
     Per segment only the matching docs' column values are gathered and a
     partial top-k (ties kept) is emitted; the reduce sees k * segments
     rows."""
-    import ray.data as rd
-
-    idx = ensure_index(sf_dir)
-    parts = (
-        rd.from_items(_segment_dirs(idx))
-        .map_batches(
-            _seg_sort_field_partials,
-            batch_format="pyarrow",
-            fn_kwargs={"queries": SORTED_QUERIES, "k": k},
-        )
-        .to_pandas()  # <= (k + ties) * segments * queries rows by construction
+    parts = segment_map(  # <= (k + ties) * segments * queries rows by construction
+        ensure_index(sf_dir), _seg_sort_field_partials, queries=SORTED_QUERIES, k=k
     )
-    qids, rnks, out_docs = [], [], []
-    for qid in range(len(SORTED_QUERIES)):
-        sub = parts[parts["qid"] == qid]
-        if not len(sub):
-            continue
-        key = sub["key"].to_numpy()
-        gdocs = sub["doc_id"].to_numpy()
-        order = np.lexsort((gdocs, key))[:k]
-        for rnk, i in enumerate(order, start=1):
-            qids.append(qid)
-            rnks.append(rnk)
-            out_docs.append(int(gdocs[i]))
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(out_docs, pa.int64()),
-        }
-    )
+    return _top_rows(gather(parts), ["key", "doc_id"], [True, True], k)
 
 
 def doc_values_stats(sf_dir: str) -> pa.Table:
@@ -7939,39 +6606,29 @@ def quality_judged_run(sf_dir: str, k: int = QUALITY_K) -> pa.Table:
     MRR (the reference's first-5-ranks form, QualityStats.java:88-89)
     and AP (pReleventSum / maxGoodPoints, :123) derive exactly;
     quality_stats() below computes them per the reference."""
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, rnks, docs, rel, cum = [], [], [], [], []
-    for qid, term in enumerate(QUERY_TERMS):
-        # judgment set from the index postings (tf >= threshold)
-        relevant: set[int] = set()
+    import pandas as pd
+
+    searcher = IndexSearcher(ensure_index(sf_dir))
+    # judgment sets from the index postings (tf >= threshold)
+    relevant: list[set[int]] = []
+    for term in QUERY_TERMS:
+        judged: set[int] = set()
         for reader, seg in zip(searcher.readers, searcher.manifest["segments"]):
             tid = reader.term_id(term)
             if tid is None:
                 continue
             d, f = reader.decode_term_cached(tid)
-            if reader.live is not None and len(d):
-                m = reader.live[d]
-                d, f = d[m], f[m]
-            base = seg["doc_base"]
-            relevant.update((d[f >= QUALITY_REL_TF] + base).tolist())
-        good = 0
-        for rnk, (doc, _s) in enumerate(searcher.search(TermQuery(term), k), start=1):
-            is_rel = int(doc in relevant)
-            good += is_rel
-            qids.append(qid)
-            rnks.append(rnk)
-            docs.append(doc)
-            rel.append(is_rel)
-            cum.append(good)
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "rnk": pa.array(rnks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-            "relevant": pa.array(rel, pa.int64()),
-            "rel_so_far": pa.array(cum, pa.int64()),
-        }
+            m = _alive(reader, d) & (f >= QUALITY_REL_TF)
+            judged.update((d[m] + seg["doc_base"]).tolist())
+        relevant.append(judged)
+    run = hits_table(searcher, [TermQuery(t) for t in QUERY_TERMS], k)
+    qids = run["qid"].to_numpy()
+    rel = np.array(
+        [int(d in relevant[q]) for q, d in zip(qids, run["doc_id"].to_pylist())], np.int64
+    )
+    cum = pd.Series(rel, dtype=np.int64).groupby(qids).cumsum().to_numpy()
+    return run.append_column("relevant", pa.array(rel, pa.int64())).append_column(
+        "rel_so_far", pa.array(cum, pa.int64())
     )
 
 

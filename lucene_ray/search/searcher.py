@@ -127,6 +127,23 @@ def _bulk_search_segment(reader, terms_boosts, min_should_match, weight, k):
     return [(int(cand[i]), np.float32(sc[i])) for i in order]
 
 
+def open_segment(
+    seg: dict, mmap: bool = True, reader: SegmentReader | None = None
+) -> SegmentReader:
+    """One manifest entry as a reader at that commit: the segment (or a
+    reused ``reader`` of it) with the entry's live-docs mask and numeric
+    doc-values update overlays applied."""
+    if reader is None:
+        reader = SegmentReader(seg["dir"], mmap=mmap)
+    lp = seg.get("livedocs")
+    if lp and reader.live is None:
+        reader.live = store.np_load(lp)
+    # overlays are per generation; the stored-column cache keys on the
+    # overlay path
+    reader.dv_updates = seg.get("dv_updates", {})
+    return reader
+
+
 class IndexSearcher:
     def __init__(
         self,
@@ -140,20 +157,12 @@ class IndexSearcher:
         self.mmap = mmap
         self.manifest = read_manifest(index_dir, generation)
         self.generation = int(self.manifest["generation"])
-        self.readers = []
-        for seg in self.manifest["segments"]:
-            key = (seg["dir"], seg.get("livedocs"))
-            cached = _reuse.get(key) if _reuse else None
-            self.readers.append(
-                cached if cached is not None else SegmentReader(seg["dir"], mmap=mmap)
+        self.readers = [
+            open_segment(
+                seg, mmap, _reuse.get((seg["dir"], seg.get("livedocs"))) if _reuse else None
             )
-        for reader, seg in zip(self.readers, self.manifest["segments"]):
-            lp = seg.get("livedocs")
-            if lp and reader.live is None:
-                reader.live = store.np_load(lp)
-            # numeric doc-values update overlays (per generation; the
-            # stored-column cache keys on the overlay path)
-            reader.dv_updates = seg.get("dv_updates", {})
+            for seg in self.manifest["segments"]
+        ]
         cs = collection_stats_from(self.manifest)
         self.collection_stats = CollectionStatistics(
             max_doc=cs["max_doc"],

@@ -222,6 +222,33 @@ def test_distributed_searcher_masks_deletes(idx, ray_session):
         ]
 
 
+def test_segment_map_sees_live_docs(idx, tmp_path, ray_session):
+    """Scatter kernels open each manifest segment at its commit: deletes
+    made on a clone_for_deletes snapshot reach them as the live mask."""
+    from lucene_ray.index.deletes import clone_for_deletes
+    from lucene_ray.pipelines.fulltext import gather, segment_map
+
+    out, _tbl = idx
+    clone = clone_for_deletes(out, str(tmp_path / "clone"))
+    delete_by_query(clone, TermQuery("return"))
+
+    def _live(reader, doc_base):
+        n = reader.max_doc if reader.live is None else int(reader.live.sum())
+        return pa.table(
+            {"doc_base": [doc_base], "masked": [reader.live is not None], "live": [n]}
+        )
+
+    got = gather(segment_map(clone, _live)).to_pandas().sort_values("doc_base")
+    searcher = IndexSearcher(clone)
+    assert got["live"].tolist() == [
+        r.max_doc if r.live is None else int(r.live.sum()) for r in searcher.readers
+    ]
+    assert got["masked"].any()
+    assert got["live"].sum() == live_doc_count(mf.read_manifest(clone)) < 300
+    # the snapshot's deletes never reach the source index
+    assert not gather(segment_map(out, _live)).to_pandas()["masked"].any()
+
+
 def test_full_lifecycle_chain(idx, ray_session):
     """build -> delete -> natural merge -> add -> update -> delete again ->
     force merge: counts and searchability stay coherent at every step."""

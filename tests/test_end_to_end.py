@@ -55,6 +55,36 @@ def _query_set(searcher):
     return qs
 
 
+def test_segment_map_offsets_by_doc_base(built, ray_session):
+    """segment_map hands each kernel its segment's doc_base, so local
+    docid + doc_base is the global docid on a multi-segment index."""
+    from lucene_ray.pipelines.fulltext import _seg_postings, gather, segment_map
+
+    _tbl, searcher = built
+    assert len(searcher.readers) > 1
+    got = gather(segment_map(searcher.index_dir, _seg_postings, terms=["import"]))
+    want = []
+    for r, seg in zip(searcher.readers, searcher.manifest["segments"]):
+        want += (r.decode_term_cached(r.term_id("import"))[0] + seg["doc_base"]).tolist()
+    assert sorted(got["doc_id"].to_pylist()) == sorted(want)
+    assert max(want) >= searcher.manifest["segments"][-1]["doc_base"]
+
+
+def test_hits_table_is_typed_without_hits(built):
+    import pyarrow as pa
+
+    from lucene_ray.pipelines.fulltext import hits_table
+
+    _tbl, searcher = built
+    schema = pa.schema([("qid", pa.int64()), ("rnk", pa.int64()), ("doc_id", pa.int64())])
+    empty = hits_table(searcher, [TermQuery("zzzznope"), None, TermQuery("qqqq")], 10)
+    assert empty.num_rows == 0 and empty.schema == schema
+    t = hits_table(searcher, [None, TermQuery("import")], 3)
+    assert t.schema == schema
+    assert t["qid"].to_pylist() == [1, 1, 1] and t["rnk"].to_pylist() == [1, 2, 3]
+    assert t["doc_id"].to_pylist() == [d for d, _ in searcher.search(TermQuery("import"), 3)]
+
+
 @pytest.mark.parametrize("k", [1, 10, 100])
 def test_differential_complete_vs_pruned_vs_brute(built, k):
     _, searcher = built

@@ -21,8 +21,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_ray.index.check import check_index
-from lucene_ray.index.segment import SegmentReader
 from lucene_ray.pipelines import fulltext as ft
+from lucene_ray.search.searcher import IndexSearcher
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -33,10 +33,9 @@ def sorted_idx(ray_session):
 
 
 def test_docid_order_is_sort_order(sorted_idx):
-    dirs = ft._segment_dirs(sorted_idx)
-    assert dirs
-    for row in dirs:
-        r = SegmentReader(row["dir"])
+    readers = IndexSearcher(sorted_idx).readers
+    assert readers
+    for r in readers:
         assert r.meta["index_sort"] == list(ft.INDEX_SORT)
         vals = r.stored_column(ft.INDEX_SORT[0]).to_numpy(zero_copy_only=False)
         assert (np.diff(vals) <= 0).all()  # n_chars desc within the segment
@@ -51,8 +50,7 @@ def test_stored_fields_are_a_permutation(sorted_idx):
         for i, t in zip(src["doc_id"].to_pylist(), src["text"].to_pylist())
     }
     got = {}
-    for row in ft._segment_dirs(sorted_idx):
-        r = SegmentReader(row["dir"])
+    for r in IndexSearcher(sorted_idx).readers:
         ids = r.stored_column("doc_id").to_pylist()
         shas = r.stored_column("sha256").to_pylist()
         got.update(zip(ids, shas))
@@ -60,17 +58,11 @@ def test_stored_fields_are_a_permutation(sorted_idx):
 
 
 def test_early_termination_visits_fewer_docs(sorted_idx, ray_session):
-    import ray.data as rd
-
-    parts = (
-        rd.from_items(ft._segment_dirs(sorted_idx))
-        .map_batches(
-            ft._seg_index_sorted_topk,
-            batch_format="pyarrow",
-            fn_kwargs={"terms": ft.INDEX_SORTED_QUERIES, "k": 5},
+    parts = ft.gather(
+        ft.segment_map(
+            sorted_idx, ft._seg_index_sorted_topk, terms=ft.INDEX_SORTED_QUERIES, k=5
         )
-        .to_pandas()
-    )
+    ).to_pandas()
     assert len(parts)
     assert (parts["visited"] <= parts["df"]).all()
     # the whole point: at least one cursor stopped before exhausting its

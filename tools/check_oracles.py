@@ -14,13 +14,11 @@ import pandas as pd
 
 
 def to_pandas(result) -> pd.DataFrame:
-    import pyarrow as pa
+    from lucene_ray.ops.util import gather
 
     if isinstance(result, pd.DataFrame):
         return result
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result.to_pandas()  # ray Dataset
+    return gather(result).to_pandas()  # a Table, or a ray Dataset
 
 
 def normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -68,9 +66,11 @@ def run(sf_dir: str, only: list[str] | None = None) -> int:
     qs = e.queries()
     oracles = e.oracle_sql()
     failures = 0
+    total = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        total += 1
         try:
             ray_df = to_pandas(fn(sf_dir))
         except Exception as ex:
@@ -92,6 +92,7 @@ def run(sf_dir: str, only: list[str] | None = None) -> int:
             print(f"FAIL {name}: " + "; ".join(problems))
         else:
             print(f"ok   {name}: rows={len(ray_df)} match")
+    print(f"{total - failures} ok, {failures} failed of {total}")
     return failures
 
 
@@ -102,6 +103,8 @@ if __name__ == "__main__":
     only = sys.argv[2:] or None
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False)
-    rc = run(sf_dir, only)
-    ray.shutdown()
+    try:
+        rc = run(sf_dir, only)
+    finally:
+        ray.shutdown()
     sys.exit(1 if rc else 0)
