@@ -294,10 +294,11 @@ class FusedSegmentBuilder:
         offsets = None
         payloads = None
         presorted = False
-        if with_pos and len(tids):
+        if with_pos:
             # global row sort + gather of each row's position slice (the
             # offset/payload streams are 1:1 with positions and ride the
-            # same gather)
+            # same gather); a segment without postings still writes its
+            # (empty) streams, so readers see the index options it has
             pos_flat = np.concatenate(pos_parts) if pos_parts else np.empty(0, np.int64)
             order = np.lexsort((docs, tids))
             positions = _gather_row_slices(pos_flat, tfs, order)

@@ -28,14 +28,13 @@ import pyarrow.compute as pc
 
 from .dedup import _duck
 from .text import quality_stats_batch
+from .util import strip_schema_metadata
 
 
 N_OUTPUT_BUCKETS = 16
 
 
 def _quality_filter(batch: pa.Table) -> pa.Table:
-    from .util import strip_schema_metadata
-
     q = quality_stats_batch(batch)
     mask = pc.equal(q.column("is_quality"), 1)
     return strip_schema_metadata(batch.filter(mask))
@@ -58,8 +57,6 @@ def _keep_min_doc(group: pa.Table) -> pa.Table:
 def clean_corpus(ds, out_dir: str | None = None) -> pa.Table:
     """(n_docs, n_quality, n_kept) summary; optionally writes the cleaned
     corpus as bucket-partitioned parquet under ``out_dir``."""
-    from .util import strip_schema_metadata
-
     ds = ds.map_batches(strip_schema_metadata, batch_format="pyarrow")
     n_docs = ds.count()
     quality = ds.map_batches(_quality_filter, batch_format="pyarrow")
@@ -131,8 +128,6 @@ def training_mix(ds):
     from .text import doc_stats_batch
 
     def _gate(batch: pa.Table) -> pa.Table:
-        from .util import strip_schema_metadata
-
         s = doc_stats_batch(batch)
         import polars as pl
 
@@ -198,8 +193,11 @@ def training_mix(ds):
         gated_marked.union(score_rows)
         .groupby("doc_id")
         .map_groups(_lm_gate)
+        # the pandas groups come back carrying pandas schema metadata
         .map_batches(
-            lambda b: b.select(["doc_id", "text", "lang", "n_tokens"]),
+            lambda b: strip_schema_metadata(
+                b.select(["doc_id", "text", "lang", "n_tokens"])
+            ),
             batch_format="pyarrow",
         )
     )

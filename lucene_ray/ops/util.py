@@ -112,6 +112,25 @@ def gather(result, schema=None):
     return pa.concat_tables(tables, promote_options="default")
 
 
+def read_parquet(path: str, columns=None):
+    """One parquet file as a Ray Dataset of ``columns`` (every column when
+    None), read with the file's schema minus its metadata: the testdata
+    files carry a ``pandas`` metadata blob, and blocks that carry it make
+    Ray log "Failed to hash the schemas" at every shuffle."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    schema = pq.read_schema(path)
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(
+        path,
+        columns=list(columns) if columns is not None else None,
+        schema=schema.remove_metadata(),
+    )
+
+
 def strip_schema_metadata(batch):
     """Drop Arrow schema metadata (pandas round-trip blobs make schemas
     unhashable, so every Ray groupby reduce logs "Failed to hash the

@@ -41,7 +41,7 @@ import pyarrow as pa
 from ..index import manifest as mf
 from ..index.build import build_index
 from ..index.postings import decode_term
-from ..ops.util import gather
+from ..ops.util import gather, read_parquet
 from ..search.query import TermQuery, bool_query
 from ..search.searcher import IndexSearcher, open_segment
 from ..smallfloat import LENGTH_TABLE
@@ -223,9 +223,7 @@ def _schema(**cols) -> pa.Schema:
 
 def _corpus(sf_dir: str, columns: list[str]):
     """documents.parquet as a Ray Dataset of ``columns``."""
-    import ray.data as rd
-
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=columns)
+    return read_parquet(os.path.join(sf_dir, "documents.parquet"), columns)
 
 
 def _paired_segments(idx: str, field: str) -> dict[int, dict]:
@@ -2074,7 +2072,7 @@ def phrase_wildcard_topk(
     idx = ensure_index(sf_dir, index_options="positions")
     searcher = IndexSearcher(idx)
     cs = searcher.collection_stats
-    avgdl = cs.sum_total_term_freq * 1.0 / cs.doc_count
+    avgdl = cs.sum_total_term_freq * 1.0 / cs.doc_count if cs.doc_count else 1.0
     ql_lut = np.array([byte4_to_int(b) for b in range(256)], dtype=np.int64)
     ranked = []
     for qid, slots in enumerate(PW_PHRASES):
@@ -4583,7 +4581,7 @@ def common_terms_topk(sf_dir: str, k: int = 10) -> pa.Table:
         high = [
             t
             for t in terms
-            if stats[t].doc_freq / float(max_doc) > CTQ_MAX_TERM_FREQ
+            if max_doc and stats[t].doc_freq / float(max_doc) > CTQ_MAX_TERM_FREQ
         ]
         low = [t for t in terms if t not in high]
         if low and high:
@@ -5319,11 +5317,7 @@ def ensure_taxonomy(idx: str, sf_dir: str) -> str:
     tax_path = os.path.join(idx, "taxonomy.json")
     if _store.exists(tax_path):
         return tax_path
-    import ray.data as rd
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["lang", "source"]
-    )
+    ds = _corpus(sf_dir, ["lang", "source"])
 
     def _uniq(b: pa.Table) -> pa.Table:
         return b.group_by(["lang", "source"]).aggregate([])
@@ -6091,7 +6085,8 @@ def combined_field_topk(sf_dir: str, k: int = 10) -> pa.Table:
     # avgdl: per-segment float64 sums added in segment order (matches the
     # single-process accumulation exactly)
     dl_by_seg = stats.drop_duplicates("doc_base").sort_values("doc_base")["dl_sum"]
-    avgdl = float(sum(float(v) for v in dl_by_seg)) / doc_count
+    # an empty corpus has no matches to score
+    avgdl = float(sum(float(v) for v in dl_by_seg)) / doc_count if doc_count else 0.0
     idf_by_qid: dict[int, float] = {}
     for qid in range(len(QUERY_TERMS)):
         df_c = int(stats[stats["qid"] == qid]["df"].sum())

@@ -43,10 +43,16 @@ def test_query_matches_oracle(name, con, ray_session):
     assert not problems, problems
 
 
-# families that reduce per-segment (or per-batch) partials: on an empty
-# corpus every partial is empty and they must still return typed columns
-# (the other ft_* families' empty-corpus defects are ROADMAP item 5)
+# families that reduce per-segment (or per-batch) partials, divide by
+# collection statistics or need positions: on an empty corpus every
+# partial is empty and they must still return typed columns (the other
+# ft_* families' empty-corpus behaviour is ROADMAP item 5)
 EMPTY_CORPUS_FAMILIES = [
+    "ft_bm25_topk_variants",
+    "ft_combined_field_topk",
+    "ft_phrase_topk",
+    "ft_proximity_matches",
+    "ft_parsed_topk",
     "ft_top_terms",
     "ft_suggest_family",
     "ft_grouped_topk",
@@ -79,6 +85,25 @@ def test_empty_corpus_keeps_columns(name, empty_sf, con, ray_session, monkeypatc
     assert len(got) == 0
     # the family's normal columns are its oracle's
     assert sorted(got.columns) == sorted(con.sql(ORACLES[name]).df().columns)
+
+
+@pytest.fixture(scope="module")
+def empty_con(empty_sf):
+    c = duckdb.connect()
+    c.sql(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{empty_sf}/documents.parquet')"
+    )
+    for t in ["embeddings", "events"]:
+        c.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
+    return c
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracle_runs_on_empty_corpus(name, empty_con, con):
+    # the shared collection preamble's doc_count = 0 path: every oracle
+    # runs over a zero-row documents table and keeps its columns
+    got = empty_con.sql(ORACLES[name]).df()
+    assert list(got.columns) == con.sql(ORACLES[name]).columns
 
 
 def test_queries_fit_driver_cap():
