@@ -49,10 +49,15 @@ def add_indexes(
     incoming livedocs (deletes) carry over.  Raises ValueError when the
     indexes are incompatible (different analyzer / index options / term
     vectors — IndexWriter's codec-compatibility check analogue)."""
+    return mf.commit(
+        dest_index_dir,
+        lambda man, gen: _import(dest_index_dir, man, gen, src_index_dirs),
+    )
+
+
+def _import(dest_index_dir: str, dest_man: dict, gen: int, src_index_dirs) -> dict | None:
     import ray.data as rd
 
-    dest_man = mf.read_manifest(dest_index_dir)
-    gen = dest_man["generation"] + 1
     plans = []
     doc_base = sum(int(s["max_doc"]) for s in dest_man["segments"])
     for src_idx in src_index_dirs:
@@ -64,10 +69,11 @@ def add_indexes(
                 )
         for seg in src_man["segments"]:
             name = f"seg_g{gen:04d}_addidx_{len(plans):03d}"
+            src_docs = seg.get("docs_dir", "")
             plans.append(
                 {
                     "src_dir": seg["dir"],
-                    "src_docs": seg.get("docs_dir", ""),
+                    "src_docs": src_docs if src_docs and store.isdir(src_docs) else "",
                     "src_livedocs": seg.get("livedocs", ""),
                     "dst_dir": os.path.join(dest_index_dir, name),
                     "dst_docs": os.path.join(dest_index_dir, "docs", name),
@@ -78,19 +84,15 @@ def add_indexes(
                         if seg.get("livedocs")
                         else ""
                     ),
-                    "name": name,
                     "doc_base": doc_base,
-                    "max_doc": int(seg["max_doc"]),
-                    "stats": seg["stats"],
-                    "lineage": seg.get("lineage", {}),
+                    "del_count": int(seg.get("del_count", 0)),
                 }
             )
             doc_base += int(seg["max_doc"])
     if not plans:
-        return dest_man
+        return None
 
     def _copy(batch: pa.Table) -> pa.Table:
-        out = []
         for p in batch.to_pylist():
             _copy_flat_dir(p["src_dir"], p["dst_dir"])
             if p["src_docs"]:
@@ -99,8 +101,7 @@ def add_indexes(
                 store.write_bytes_atomic(
                     p["dst_livedocs"], store.read_bytes(p["src_livedocs"])
                 )
-            out.append({"name": p["name"]})
-        return pa.Table.from_pylist(out)
+        return batch.select(["dst_dir"])
 
     rd.from_items(plans).map_batches(
         _copy, batch_size=1, batch_format="pyarrow", num_cpus=1
@@ -108,20 +109,12 @@ def add_indexes(
 
     entries = []
     for p in plans:
-        entry = {
-            "name": p["name"],
-            "dir": p["dst_dir"],
-            "doc_base": p["doc_base"],
-            "max_doc": p["max_doc"],
-            "stats": p["stats"],
-            "lineage": {**p["lineage"], "imported_from": p["src_dir"]},
-            "docs_dir": p["dst_docs"] if p["src_docs"] else "",
-        }
+        entry = mf.segment_entry(
+            p["dst_dir"], p["doc_base"], p["dst_docs"] if p["src_docs"] else ""
+        )
+        entry["lineage"] = {**entry["lineage"], "imported_from": p["src_dir"]}
         if p["dst_livedocs"]:
             entry["livedocs"] = p["dst_livedocs"]
+            entry["del_count"] = p["del_count"]
         entries.append(entry)
-    new_man = dict(dest_man)
-    new_man["generation"] = gen
-    new_man["segments"] = list(dest_man["segments"]) + entries
-    mf.write_manifest(dest_index_dir, new_man)
-    return new_man
+    return {**dest_man, "segments": list(dest_man["segments"]) + entries}

@@ -210,14 +210,21 @@ def bp_reorder_merge(
     permutation (the BPReorderingMergePolicy shape: reorder happens at
     merge time); commits a new manifest generation.  Refuses an
     index-sorted index — BP would break the Sorter invariant."""
+    return mf.commit(
+        index_dir,
+        lambda man, gen: _bp_merge(
+            index_dir, man, gen, min_doc_freq, max_doc_freq, max_iters
+        ),
+    )
+
+
+def _bp_merge(index_dir, man, gen, min_doc_freq, max_doc_freq, max_iters) -> dict:
     from .sortmerge import _merge_with_order
 
-    man = mf.read_manifest(index_dir)
     if man.get("index_sort"):
         raise ValueError("BP reorder would violate the index sort")
     if man.get("index_options") in ("offsets", "payloads") or man.get("term_vectors"):
         raise NotImplementedError("BP merge supports docs_freqs/positions only")
-    gen = man["generation"] + 1
 
     readers: list[SegmentReader] = []
     kept_locals: list[np.ndarray] = []

@@ -393,32 +393,24 @@ def _commit(
     """Commit the next manifest generation, assembled from per-segment
     meta.json (stats were written by the build; skipped segments keep the
     files of the earlier run).  ``fields`` are the build settings."""
-    gen = (mf.latest_generation(index_dir) or 0) + 1
-    seg_entries = []
-    for seg in segments:
-        seg_dir = os.path.join(index_dir, seg["name"])
-        meta = store.read_json(os.path.join(seg_dir, "meta.json"))
-        seg_entries.append(
-            {
-                "name": seg["name"],
-                "dir": seg_dir,
-                "doc_base": seg["doc_base"],
-                "max_doc": seg["max_doc"],
-                "stats": meta["stats"],
-                "metrics": meta.get("metrics", {}),
-                "lineage": meta.get("lineage", seg["lineage"]),
-                "docs_dir": os.path.join(index_dir, "docs", seg["name"]),
-            }
-        )
-    manifest = {
-        "generation": gen,
-        **fields,
-        "segments": seg_entries,
-        "built_sec": round(time.time() - t_start, 3),
-        "skipped_segments": [s["name"] for s in skipped],
-    }
-    mf.write_manifest(index_dir, manifest)
-    return manifest
+
+    def mutate(_base, gen):
+        return {
+            "generation": gen,
+            **fields,
+            "segments": [
+                mf.segment_entry(
+                    os.path.join(index_dir, seg["name"]),
+                    seg["doc_base"],
+                    os.path.join(index_dir, "docs", seg["name"]),
+                )
+                for seg in segments
+            ],
+            "built_sec": round(time.time() - t_start, 3),
+            "skipped_segments": [s["name"] for s in skipped],
+        }
+
+    return mf.commit(index_dir, mutate)
 
 
 def build_index_local(

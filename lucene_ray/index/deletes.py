@@ -14,8 +14,8 @@ deleteDocuments, codecs/lucene90/Lucene90LiveDocsFormat.java):
 - a merge EXPUNGES deletes: deleted rows are dropped, surviving docids are
   renumbered dense, and downstream doc_bases re-chain (the reference also
   renumbers on merge).
-- ``update_document`` = delete-by-key + append a fresh single-doc segment
-  at the end of the manifest.
+- ``update_documents`` = delete-by-key + append a fresh segment at the
+  end of the manifest, committed as ONE generation.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import os
 import numpy as np
 
 from .. import store
+from ..search.query import DocValuesTermsQuery
 from . import manifest as mf
 
 
@@ -82,11 +83,15 @@ def _matching_local_docids(reader, query) -> np.ndarray:
 def delete_by_query(index_dir: str, query) -> dict:
     """Mark every doc matching ``query`` deleted; commit + return the new
     manifest.  Returns the unchanged manifest when nothing matches."""
+    return mf.commit(index_dir, lambda man, gen: _delete(index_dir, man, gen, query))
+
+
+def _delete(index_dir: str, man: dict, gen: int, query) -> dict | None:
+    """``man`` with every doc matching ``query`` marked deleted in
+    generation-``gen`` livedocs, or None when nothing new matched."""
     from ..search.searcher import IndexSearcher
 
-    searcher = IndexSearcher(index_dir)
-    man = searcher.manifest
-    gen = man["generation"] + 1
+    searcher = IndexSearcher(index_dir, generation=man["generation"])
     live_dir = os.path.join(index_dir, "livedocs")
     entries = []
     total_deleted = 0
@@ -110,12 +115,8 @@ def delete_by_query(index_dir: str, query) -> dict:
         entries.append(entry)
         total_deleted += newly
     if total_deleted == 0:
-        return man
-    new_man = dict(man)
-    new_man["generation"] = gen
-    new_man["segments"] = entries
-    mf.write_manifest(index_dir, new_man)
-    return new_man
+        return None
+    return {**man, "segments": entries}
 
 
 def update_numeric_docvalue(index_dir: str, query, field: str, value: int) -> dict:
@@ -130,13 +131,17 @@ def update_numeric_docvalue(index_dir: str, query, field: str, value: int) -> di
     readers overlay it in ``stored_column`` and earlier generations keep
     serving the old values (point-in-time reads).  Repeated updates merge
     (newest wins)."""
+    return mf.commit(
+        index_dir, lambda man, gen: _dv_update(index_dir, man, gen, query, field, value)
+    )
+
+
+def _dv_update(index_dir: str, man: dict, gen: int, query, field: str, value: int):
     import io
 
     from ..search.searcher import IndexSearcher
 
-    searcher = IndexSearcher(index_dir)
-    man = searcher.manifest
-    gen = man["generation"] + 1
+    searcher = IndexSearcher(index_dir, generation=man["generation"])
     dvu_dir = os.path.join(index_dir, "dvu")
     entries = []
     total = 0
@@ -164,23 +169,15 @@ def update_numeric_docvalue(index_dir: str, query, field: str, value: int) -> di
         entries.append(entry)
         total += len(hits)
     if total == 0:
-        return man
-    new_man = dict(man)
-    new_man["generation"] = gen
-    new_man["segments"] = entries
-    mf.write_manifest(index_dir, new_man)
-    return new_man
+        return None
+    return {**man, "segments": entries}
 
 
 def delete_by_key(index_dir: str, field: str, values: list[str]) -> dict:
     """Delete docs whose stored metadata ``field`` equals any of ``values``
-    (the deleteDocuments(Term...) analogue over stored columns)."""
-    from ..search.query import StoredFieldFilter
-
-    man = None
-    for v in values:
-        man = delete_by_query(index_dir, StoredFieldFilter(field, v))
-    return man if man is not None else mf.read_manifest(index_dir)
+    (the deleteDocuments(Term...) analogue over stored columns): one
+    generation, one pass of one set query over the key values."""
+    return delete_by_query(index_dir, DocValuesTermsQuery(field, tuple(values)))
 
 
 def add_documents(
@@ -193,15 +190,30 @@ def add_documents(
     """Append one fresh segment holding ``table``'s rows at the end of the
     manifest (docids continue after the current last segment).  The
     analyzer and index options come from the manifest, so the new segment
-    is scored consistently with the rest of the index."""
+    is scored consistently with the rest of the index.  ``two_phase``
+    stages the generation (``twophase.prepare_commit``) instead of
+    publishing it."""
+
+    def mutate(man, gen):
+        return _append(index_dir, man, gen, table, content_column, meta_columns)
+
+    if two_phase:
+        # IndexWriter.prepareCommit: the new segment is on storage but
+        # invisible until twophase.commit_pending publishes the manifest
+        from .twophase import prepare_commit
+
+        return prepare_commit(index_dir, mutate)
+    return mf.commit(index_dir, mutate)
+
+
+def _append(index_dir: str, man: dict, gen: int, table, content_column, meta_columns) -> dict:
+    """``man`` plus one generation-``gen`` segment holding ``table``'s rows."""
     import pyarrow as pa
 
     from ..analysis.analyzers import make_analyzer
     from ..smallfloat import int_to_byte4_array
     from .segment import build_segment_from_ids
 
-    man = mf.read_manifest(index_dir)
-    gen = man["generation"] + 1
     analyzer = make_analyzer(man.get("analyzer", "standard"))
     with_off = bool(man.get("index_options") == "offsets") or any(
         store.exists(os.path.join(s["dir"], "off_start.npy"))
@@ -296,29 +308,10 @@ def add_documents(
     stored = stored.append_column("sha256", pa.array(shas))
     store.pq_write(stored, os.path.join(docs_dir, "rg_000000.parquet"))
 
-    seg_meta = store.read_json(os.path.join(seg_dir, "meta.json"))
-    entry = {
-        "name": name,
-        "dir": seg_dir,
-        "doc_base": doc_base,
-        "max_doc": len(texts),
-        "stats": seg_meta["stats"],
-        "metrics": seg_meta.get("metrics", {}),
-        "lineage": seg_meta.get("lineage", {}),
-        "docs_dir": docs_dir,
+    return {
+        **man,
+        "segments": list(man["segments"]) + [mf.segment_entry(seg_dir, doc_base, docs_dir)],
     }
-    new_man = dict(man)
-    new_man["generation"] = gen
-    new_man["segments"] = list(man["segments"]) + [entry]
-    if two_phase:
-        # IndexWriter.prepareCommit: the new segment is on storage but
-        # invisible until twophase.commit_pending publishes the manifest
-        from .twophase import prepare_commit
-
-        prepare_commit(index_dir, new_man)
-        return new_man
-    mf.write_manifest(index_dir, new_man)
-    return new_man
 
 
 def update_documents(
@@ -327,12 +320,20 @@ def update_documents(
     table,
     content_column: str = "text",
 ) -> dict:
-    """updateDocument analogue: delete-by-key for every row's key, then
-    append the new rows as a fresh segment (IndexWriter.updateDocument —
-    atomic per manifest generation pair)."""
-    keys = table.column(key_field).to_pylist()
-    delete_by_key(index_dir, key_field, keys)
-    return add_documents(index_dir, table, content_column=content_column)
+    """updateDocument analogue: ONE generation that deletes every doc whose
+    ``key_field`` equals a row's key and appends the rows as a fresh
+    segment (IndexWriter.updateDocuments) — no generation shows the old
+    version deleted without the new one."""
+    return mf.commit(
+        index_dir,
+        lambda man, gen: _update(index_dir, man, gen, key_field, table, content_column),
+    )
+
+
+def _update(index_dir, man, gen, key_field, table, content_column) -> dict:
+    keys = DocValuesTermsQuery(key_field, tuple(table.column(key_field).to_pylist()))
+    man = _delete(index_dir, man, gen, keys) or man
+    return _append(index_dir, man, gen, table, content_column, None)
 
 
 def clone_for_deletes(src_index: str, dst_index: str) -> str:
@@ -342,10 +343,10 @@ def clone_for_deletes(src_index: str, dst_index: str) -> str:
     clone and never touch the source — the point-in-time-reader property
     at directory granularity."""
     store.makedirs(dst_index)
-    for name in store.glob_names(os.path.join(src_index, "manifest-*.json")):
+    for g in mf.generations(src_index):
         store.write_bytes_atomic(
-            os.path.join(dst_index, name),
-            store.read_bytes(os.path.join(src_index, name)),
+            mf.manifest_path(dst_index, g),
+            store.read_bytes(mf.manifest_path(src_index, g)),
         )
     return dst_index
 

@@ -21,9 +21,10 @@ from .. import store
 from . import manifest as mf
 
 
-def _referenced(man: dict) -> tuple[set, set]:
+def _referenced(*mans: dict) -> tuple[set, set]:
+    """(dirs, files) the manifests reference."""
     dirs, files = set(), set()
-    for seg in man["segments"]:
+    for seg in (seg for man in mans for seg in man["segments"]):
         dirs.add(seg["dir"].rstrip("/"))
         if seg.get("docs_dir"):
             dirs.add(seg["docs_dir"].rstrip("/"))
@@ -32,6 +33,23 @@ def _referenced(man: dict) -> tuple[set, set]:
         for p in (seg.get("dv_updates") or {}).values():
             files.add(p)
     return dirs, files
+
+
+def _sweep(index_dir: str, dead: tuple[set, set], keep_gens) -> tuple[int, int]:
+    """Remove the ``dead`` (dirs, files) that no generation in
+    ``keep_gens`` references — the IndexFileDeleter refcount sweep.
+    Returns how many dirs and files were candidates."""
+    keep_dirs, keep_files = _referenced(
+        *(mf.read_manifest(index_dir, g) for g in keep_gens)
+    )
+    dead_dirs, dead_files = dead[0] - keep_dirs, dead[1] - keep_files
+    for p in sorted(dead_files):
+        if store.exists(p):
+            store.rmtree(p) if store.isdir(p) else _rm_file(p)
+    for p in sorted(dead_dirs):
+        if store.exists(p):
+            store.rmtree(p)
+    return len(dead_dirs), len(dead_files)
 
 
 def _snapshots_path(index_dir: str) -> str:
@@ -84,41 +102,22 @@ def prune_generations(index_dir: str, keep_last: int = 1) -> dict:
     summary dict."""
     if keep_last < 1:
         raise ValueError("keep_last must be >= 1")
-    gens = sorted(
-        int(n[len("manifest-"):-len(".json")])
-        for n in store.glob_names(os.path.join(index_dir, "manifest-*.json"))
-    )
+    gens = mf.generations(index_dir)
     keep = set(gens[-keep_last:]) | {
         g for g in _read_snapshots(index_dir) if g in set(gens)
     }
     drop = [g for g in gens if g not in keep]
 
-    keep_dirs: set = set()
-    keep_files: set = set()
-    for g in keep:
-        d, f = _referenced(mf.read_manifest(index_dir, g))
-        keep_dirs |= d
-        keep_files |= f
-    dead_dirs: set = set()
-    dead_files: set = set()
-    for g in drop:
-        d, f = _referenced(mf.read_manifest(index_dir, g))
-        dead_dirs |= d - keep_dirs
-        dead_files |= f - keep_files
-
-    for p in sorted(dead_files):
-        if store.exists(p):
-            store.rmtree(p) if store.isdir(p) else _rm_file(p)
-    for p in sorted(dead_dirs):
-        if store.exists(p):
-            store.rmtree(p)
+    n_dirs, n_files = _sweep(
+        index_dir, _referenced(*(mf.read_manifest(index_dir, g) for g in drop)), keep
+    )
     for g in drop:
         _rm_file(mf.manifest_path(index_dir, g))
     return {
         "kept_generations": sorted(keep),
         "dropped_generations": drop,
-        "removed_dirs": len(dead_dirs),
-        "removed_files": len(dead_files),
+        "removed_dirs": n_dirs,
+        "removed_files": n_files,
     }
 
 

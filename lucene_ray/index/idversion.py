@@ -139,11 +139,13 @@ def versioned_update(
     usage pattern): a row is applied only when its version EXCEEDS the
     currently indexed version for its id (equal versions are stale —
     monotone global versions); applied rows go through the
-    delete-by-key + append updateDocument path in one batch.  Returns
+    delete-by-key + append updateDocument path as ONE generation, and the
+    version check reads the generation that commit replaces (a writer
+    that commits in between makes the exclusive publish raise).  Returns
     {"applied", "rejected", "manifest"}."""
-    from .deletes import update_documents
+    from . import manifest as mf
+    from .deletes import _update
 
-    pk = PKLookup(index_dir, id_field, version_field)
     # intra-batch dedupe FIRST: only the highest-version row per id may
     # apply (applying several would leave duplicate ids in the appended
     # segment, where the lowest-docid occurrence would win later lookups
@@ -156,15 +158,24 @@ def versioned_update(
             raise ValueError(f"version {newv} out of range")
         if idv not in best or newv > best[idv][1]:
             best[idv] = (i, newv)
-    keep = []
-    for idv, (i, newv) in best.items():
-        cur = pk.lookup(idv)
-        if cur is None or cur[1] < newv:
-            keep.append(i)
-    keep.sort()
-    out = {"applied": len(keep), "rejected": table.num_rows - len(keep)}
-    if keep:
-        out["manifest"] = update_documents(
-            index_dir, id_field, table.take(keep), content_column=content_column
-        )
+    out = {}
+
+    def mutate(man, gen):
+        # the latest generation here IS ``man``: if another writer has
+        # published since, it took ``gen`` and this commit will raise
+        pk = PKLookup(index_dir, id_field, version_field)
+        keep = []
+        for idv, (i, newv) in best.items():
+            cur = pk.lookup(idv)
+            if cur is None or cur[1] < newv:
+                keep.append(i)
+        keep.sort()
+        out.update(applied=len(keep), rejected=table.num_rows - len(keep))
+        if not keep:
+            return None
+        return _update(index_dir, man, gen, id_field, table.take(keep), content_column)
+
+    man = mf.commit(index_dir, mutate)
+    if out["applied"]:
+        out["manifest"] = man
     return out

@@ -685,8 +685,10 @@ def merge_segments_task(
     return metrics
 
 
-def _apply_merges(index_dir: str, manifest: dict, plans: list[list[int]]) -> dict:
-    """Run merge tasks (Ray, one task per merge) and commit a new generation.
+def _apply_merges(index_dir: str, plan) -> dict:
+    """Commit one generation that replaces each ``plan(base)`` group of
+    segment ordinals with its merged segment (a no-op when the plan is
+    empty).  Merge tasks run on Ray, one task per merge.
 
     Concurrency follows ConcurrentMergeScheduler's default thread budget
     (ConcurrentMergeScheduler.setDefaultMaxMergesAndThreads: maxThreadCount
@@ -697,80 +699,73 @@ def _apply_merges(index_dir: str, manifest: dict, plans: list[list[int]]) -> dic
     any node size."""
     import ray
 
-    segs = manifest["segments"]
-    gen = manifest["generation"] + 1
-    total_cpus = (
-        int(ray.cluster_resources().get("CPU", 8))
-        if ray.is_initialized()
-        else (os.cpu_count() or 8)
-    )
-    max_threads = max(1, min(4, total_cpus // 8))
-    task = ray.remote(num_cpus=max(1, total_cpus // max_threads))(
-        merge_segments_task
-    )
-    futures = {}
-    for mi, ordinals in enumerate(plans):
-        name = f"seg_g{gen:04d}_m{mi:04d}"
-        entries = [segs[i] for i in ordinals]
-        futures[mi] = (ordinals, name, task.remote(entries, index_dir, name))
+    def mutate(manifest, gen):
+        plans = plan(manifest)
+        if not plans:
+            return None
+        segs = manifest["segments"]
+        total_cpus = (
+            int(ray.cluster_resources().get("CPU", 8))
+            if ray.is_initialized()
+            else (os.cpu_count() or 8)
+        )
+        max_threads = max(1, min(4, total_cpus // 8))
+        task = ray.remote(num_cpus=max(1, total_cpus // max_threads))(
+            merge_segments_task
+        )
+        futures = {}
+        for mi, ordinals in enumerate(plans):
+            name = f"seg_g{gen:04d}_m{mi:04d}"
+            entries = [segs[i] for i in ordinals]
+            futures[mi] = (ordinals, name, task.remote(entries, index_dir, name))
 
-    new_entries: list[dict] = []
-    merged_ords = {i for p in plans for i in p}
-    by_first = {p[0]: mi for mi, p in enumerate(plans)}
-    for i, seg in enumerate(segs):
-        if i not in merged_ords:
-            new_entries.append(seg)
-        elif i in by_first:
-            ordinals, name, fut = futures[by_first[i]]
-            metrics = ray.get(fut)
-            seg_dir = os.path.join(index_dir, name)
-            meta = store.read_json(os.path.join(seg_dir, "meta.json"))
-            new_entries.append(
+        new_entries: list[dict] = []
+        merged_ords = {i for p in plans for i in p}
+        by_first = {p[0]: mi for mi, p in enumerate(plans)}
+        for i, seg in enumerate(segs):
+            if i not in merged_ords:
+                new_entries.append(dict(seg))
+            elif i in by_first:
+                ordinals, name, fut = futures[by_first[i]]
+                metrics = ray.get(fut)
+                # meta max_doc = LIVE docs after delete expunge
+                entry = mf.segment_entry(
+                    os.path.join(index_dir, name),
+                    segs[ordinals[0]]["doc_base"],
+                    os.path.join(index_dir, "docs", name),
+                )
+                entry["metrics"] = {**entry["metrics"], **metrics}
+                new_entries.append(entry)
+        # re-chain doc_bases: merged segments shrink when deletes are
+        # expunged, so every downstream base shifts (global docid = base +
+        # local)
+        base = 0
+        for e in new_entries:
+            e["doc_base"] = base
+            base += int(e["max_doc"])
+        return {
+            **manifest,
+            "segments": new_entries,
+            "merges": [
                 {
-                    "name": name,
-                    "dir": seg_dir,
-                    "doc_base": segs[ordinals[0]]["doc_base"],
-                    # meta max_doc = LIVE docs after delete expunge
-                    "max_doc": meta["max_doc"],
-                    "stats": meta["stats"],
-                    "metrics": {**meta.get("metrics", {}), **metrics},
-                    "lineage": meta.get("lineage", {}),
-                    "docs_dir": os.path.join(index_dir, "docs", name),
+                    "inputs": [segs[i]["name"] for i in p],
+                    "output": f"seg_g{gen:04d}_m{mi:04d}",
                 }
-            )
-    # re-chain doc_bases: merged segments shrink when deletes are expunged,
-    # so every downstream base shifts (global docid = base + local)
-    base = 0
-    for e in new_entries:
-        e["doc_base"] = base
-        base += int(e["max_doc"])
-    new_manifest = dict(manifest)
-    new_manifest["generation"] = gen
-    new_manifest["segments"] = new_entries
-    new_manifest["merges"] = [
-        {"inputs": [segs[i]["name"] for i in p], "output": f"seg_g{gen:04d}_m{mi:04d}"}
-        for mi, p in enumerate(plans)
-    ]
-    mf.write_manifest(index_dir, new_manifest)
-    return new_manifest
+                for mi, p in enumerate(plans)
+            ],
+        }
+
+    return mf.commit(index_dir, mutate)
 
 
 def maybe_merge(index_dir: str, policy=None) -> dict:
     """Natural merging under ``policy`` (default: the tiered planner)
     until its plan comes back empty — the MergePolicy seam."""
-    manifest = mf.read_manifest(index_dir)
-    plans = (policy or TieredPolicy()).plan(manifest)
-    if not plans:
-        return manifest
-    return _apply_merges(index_dir, manifest, plans)
+    return _apply_merges(index_dir, (policy or TieredPolicy()).plan)
 
 
 def force_merge(index_dir: str, max_segments: int = 1) -> dict:
-    manifest = mf.read_manifest(index_dir)
-    plans = plan_force_merge(manifest, max_segments)
-    if not plans:
-        return manifest
-    return _apply_merges(index_dir, manifest, plans)
+    return _apply_merges(index_dir, lambda m: plan_force_merge(m, max_segments))
 
 
 def expunge_deletes(index_dir: str) -> dict:
@@ -778,26 +773,23 @@ def expunge_deletes(index_dir: str) -> dict:
     (IndexWriter.forceMergeDeletes analogue): live docs renumber dense,
     masks disappear, doc_bases re-chain.  Segments without deletes are
     untouched."""
-    manifest = mf.read_manifest(index_dir)
-    plans = [
-        [i]
-        for i, s in enumerate(manifest["segments"])
-        if s.get("livedocs") and int(s.get("del_count", 0)) > 0
-    ]
-    if not plans:
-        return manifest
-    return _apply_merges(index_dir, manifest, plans)
+    return _apply_merges(
+        index_dir,
+        lambda m: [
+            [i]
+            for i, s in enumerate(m["segments"])
+            if s.get("livedocs") and int(s.get("del_count", 0)) > 0
+        ],
+    )
 
 
 def gc_unreferenced(index_dir: str) -> list[str]:
     """Delete segment dirs referenced by NO manifest generation (run after
-    old generations are pruned); returns removed dir names."""
-    import glob
-
+    old generations are pruned with ``deletion_policy.prune_generations``);
+    returns removed dir names."""
     referenced: set[str] = set()
-    for p in store.glob_names(os.path.join(index_dir, "manifest-*.json")):
-        man = store.read_json(os.path.join(index_dir, p))
-        for s in man["segments"]:
+    for g in mf.generations(index_dir):
+        for s in mf.read_manifest(index_dir, g)["segments"]:
             referenced.add(s["name"])
     removed = []
     for d in store.listdir(index_dir):
@@ -806,22 +798,3 @@ def gc_unreferenced(index_dir: str) -> list[str]:
             store.rmtree(full)
             removed.append(d)
     return removed
-
-
-def prune_generations(index_dir: str, keep: int = 2) -> list[int]:
-    """Drop all but the newest ``keep`` manifest generations."""
-    import glob
-
-    gens = sorted(
-        int(p[len("manifest-") : -len(".json")])
-        for p in store.glob_names(os.path.join(index_dir, "manifest-*.json"))
-    )
-    dropped = gens[:-keep] if keep else gens
-    for g in dropped:
-        path = mf.manifest_path(index_dir, g)
-        if store.is_remote(path):
-            fs, root = store._fs(path)
-            fs.rm(root)
-        else:
-            os.remove(path)
-    return dropped

@@ -50,14 +50,16 @@ def _docs_table(seg: dict, seg_dir: str) -> pa.Table:
 def force_merge_sorted(index_dir: str) -> dict:
     """Merge every segment of an index-sorted index into ONE segment whose
     docids ascend by the index sort; commits a new manifest generation."""
-    man = mf.read_manifest(index_dir)
+    return mf.commit(index_dir, lambda man, gen: _sorted_merge(index_dir, man, gen))
+
+
+def _sorted_merge(index_dir: str, man: dict, gen: int) -> dict:
     sort = man.get("index_sort")
     if not sort:
         raise ValueError("index has no index_sort; use the sectioned force_merge")
     field, direction = sort
     if man.get("index_options") in ("offsets", "payloads") or man.get("term_vectors"):
         raise NotImplementedError("sorted merge supports docs_freqs/positions only")
-    gen = man["generation"] + 1
 
     readers: list[SegmentReader] = []
     for seg in man["segments"]:
@@ -108,7 +110,8 @@ def _merge_with_order(
 ) -> dict:
     """Merge every segment into ONE whose new docid j holds concatenated
     kept doc ``order[j]`` — the Sorter/MergeState doc-map application
-    shared by the key-sorted merge and the BP reorder (index/bp.py)."""
+    shared by the key-sorted merge and the BP reorder (index/bp.py).
+    Returns the manifest that replaces ``man``'s segments with it."""
     n_new = len(order)
     new_of_kept = np.empty(n_new, np.int64)
     new_of_kept[order] = np.arange(n_new, dtype=np.int64)
@@ -192,19 +195,4 @@ def _merge_with_order(
         vocab, t, d, f.astype(np.int32), norms_new, cat, seg_dir, meta,
         presorted=presorted, positions=positions,
     )
-    seg_meta = store.read_json(os.path.join(seg_dir, "meta.json"))
-    entry = {
-        "name": name,
-        "dir": seg_dir,
-        "doc_base": 0,
-        "max_doc": n_new,
-        "stats": seg_meta["stats"],
-        "metrics": seg_meta.get("metrics", {}),
-        "lineage": seg_meta.get("lineage", {}),
-        "docs_dir": "",
-    }
-    new_man = dict(man)
-    new_man["generation"] = gen
-    new_man["segments"] = [entry]
-    mf.write_manifest(index_dir, new_man)
-    return new_man
+    return {**man, "segments": [mf.segment_entry(seg_dir, 0, "")]}

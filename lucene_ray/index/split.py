@@ -23,7 +23,9 @@ import os
 import numpy as np
 
 from . import manifest as mf
-from .merge import expunge_deletes, force_merge, gc_unreferenced, prune_generations
+from .addindexes import add_indexes
+from .deletion_policy import prune_generations
+from .merge import expunge_deletes, force_merge, gc_unreferenced
 from .replicate import sync
 
 
@@ -68,32 +70,31 @@ def _write_parts(index_dir, out_dirs, mask_for, compact: bool) -> list[dict]:
     manifests = []
     for part, out in enumerate(out_dirs):
         sync(index_dir, out)
-        man = mf.read_manifest(out)
-        gen = man["generation"] + 1
-        live_dir = os.path.join(out, "livedocs")
-        os.makedirs(live_dir, exist_ok=True)
-        entries = []
-        for seg in man["segments"]:
-            mine = mask_for(part, seg)
-            lp = seg.get("livedocs")
-            live = np.load(lp) if lp else np.ones(len(mine), dtype=bool)
-            live = live & mine
-            path = os.path.join(live_dir, f"{seg['name']}-g{gen:04d}.npy")
-            np.save(path, live)
-            entry = dict(seg)
-            entry["livedocs"] = path
-            entry["del_count"] = int(len(live) - live.sum())
-            entries.append(entry)
-        new_man = dict(man)
-        new_man["generation"] = gen
-        new_man["segments"] = entries
-        mf.write_manifest(out, new_man)
+
+        def mutate(man, gen, part=part, out=out):
+            live_dir = os.path.join(out, "livedocs")
+            os.makedirs(live_dir, exist_ok=True)
+            entries = []
+            for seg in man["segments"]:
+                mine = mask_for(part, seg)
+                lp = seg.get("livedocs")
+                live = np.load(lp) if lp else np.ones(len(mine), dtype=bool)
+                live = live & mine
+                path = os.path.join(live_dir, f"{seg['name']}-g{gen:04d}.npy")
+                np.save(path, live)
+                entry = dict(seg)
+                entry["livedocs"] = path
+                entry["del_count"] = int(len(live) - live.sum())
+                entries.append(entry)
+            return {**man, "segments": entries}
+
+        new_man = mf.commit(out, mutate)
         if compact:
             new_man = force_merge(out, max_segments=1)
             # a part that is already a single segment skips force_merge's
             # planner; its foreign docs still need physical expunging
             new_man = expunge_deletes(out)
-            prune_generations(out, keep=1)
+            prune_generations(out, keep_last=1)
             gc_unreferenced(out)
         manifests.append(new_man)
     return manifests
@@ -175,66 +176,9 @@ def rearrange_index(
             raise ValueError("all selectors empty: nothing to rearrange")
         sync(parts[0], out_dir)
         if len(parts) > 1:
-            result = add_indexes(out_dir, *parts[1:])
+            result = add_indexes(out_dir, parts[1:])
         else:
             result = mf.read_manifest(out_dir)
         return result
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-
-
-def add_indexes(dst_index_dir: str, *src_index_dirs: str) -> dict:
-    """IndexWriter.addIndexes(Directory...) analogue: append every source
-    index's segments (and livedocs / stored-field tables) to ``dst``,
-    rebasing doc_bases so the global-docid contract (base prefix sums)
-    holds across the combined index.  Sources must share the analyzer and
-    index options (checked).  Segments are immutable dirs, so transport is
-    an atomic copytree; the commit is one new manifest generation.  The
-    inverse of split_index: split -> add_indexes round-trips the corpus."""
-    import shutil
-
-    import numpy as np
-
-    man = mf.read_manifest(dst_index_dir)
-    gen = man["generation"] + 1
-    entries = list(man["segments"])
-    base = sum(int(s["max_doc"]) for s in entries)
-    for src in src_index_dirs:
-        sman = mf.read_manifest(src)
-        for key in ("analyzer", "index_options"):
-            if sman.get(key) != man.get(key):
-                raise ValueError(
-                    f"addIndexes config mismatch on {key!r}: "
-                    f"{sman.get(key)!r} != {man.get(key)!r}"
-                )
-        for seg in sman["segments"]:
-            new_name = f"{os.path.basename(src.rstrip('/'))}-{seg['name']}"
-            dst_seg = os.path.join(dst_index_dir, new_name)
-            if not os.path.exists(dst_seg):
-                shutil.copytree(seg["dir"], dst_seg + ".tmp-add")
-                os.replace(dst_seg + ".tmp-add", dst_seg)
-            entry = dict(seg)
-            entry["name"] = new_name
-            entry["dir"] = dst_seg
-            src_docs = seg.get("docs_dir")
-            if src_docs and os.path.isdir(src_docs):
-                dd = os.path.join(dst_index_dir, "docs", new_name)
-                if not os.path.exists(dd):
-                    shutil.copytree(src_docs, dd + ".tmp-add")
-                    os.replace(dd + ".tmp-add", dd)
-                entry["docs_dir"] = dd
-            lp = seg.get("livedocs")
-            if lp and os.path.exists(lp):
-                live_dir = os.path.join(dst_index_dir, "livedocs")
-                os.makedirs(live_dir, exist_ok=True)
-                np_path = os.path.join(live_dir, f"{new_name}-g{gen:04d}.npy")
-                np.save(np_path, np.load(lp))
-                entry["livedocs"] = np_path
-            entry["doc_base"] = base
-            base += int(seg["max_doc"])
-            entries.append(entry)
-    new_man = dict(man)
-    new_man["generation"] = gen
-    new_man["segments"] = entries
-    mf.write_manifest(dst_index_dir, new_man)
-    return new_man

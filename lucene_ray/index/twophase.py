@@ -5,16 +5,20 @@ Reference: lucene/core/src/java/org/apache/lucene/index/IndexWriter.java
 ``SegmentInfos.java`` (``prepareCommit`` writes ``pending_segments_N``,
 ``finishCommit`` renames it to ``segments_N``).  The analogue here:
 
-- ``prepare_commit`` writes ``pending-manifest-{gen}.json`` — segment
-  directories referenced by it may already exist on shared storage, but
-  readers only glob ``manifest-*.json`` so nothing is visible yet.  Only
-  ONE commit may be in flight (a second prepare raises, like the
-  reference's "prepareCommit was already called with no corresponding
-  call to commit").
-- ``commit_pending`` re-validates the generation is still the next one
-  (a concurrent committer loses, like the reference's write.lock would
-  have prevented) and atomically publishes the manifest, then removes
-  the pending file.  The publish IS the durability point.
+- ``prepare_commit(index_dir, mutate)`` stages the output of the same
+  mutation ``manifest.commit`` would publish as
+  ``pending-manifest-{gen}.json`` — segment directories referenced by it
+  may already exist on shared storage, but readers only list committed
+  generations so nothing is visible yet.  Only ONE commit may be in
+  flight (a second prepare raises, like the reference's "prepareCommit
+  was already called with no corresponding call to commit").
+- ``commit_pending`` publishes the staged manifest through
+  ``manifest.commit``.  A commit that another writer superseded (the
+  latest generation is no longer the one it was prepared on) raises
+  ValueError; a writer that publishes the same generation concurrently
+  makes the exclusive publish raise FileExistsError.  Either way the
+  pending file stays for ``rollback_pending``.  The publish IS the
+  durability point; the pending file is removed after it.
 - ``rollback_pending`` discards the pending manifest and physically
   removes every artifact it referenced that no COMMITTED generation
   references — the IndexFileDeleter decref sweep on rollback.
@@ -32,7 +36,7 @@ import os
 
 from .. import store
 from . import manifest as mf
-from .deletion_policy import _referenced, _rm_file
+from .deletion_policy import _referenced, _rm_file, _sweep
 
 
 def pending_path(index_dir: str, gen: int) -> str:
@@ -41,33 +45,25 @@ def pending_path(index_dir: str, gen: int) -> str:
 
 def pending_generation(index_dir: str) -> int | None:
     """Generation of the in-flight pending commit, if any."""
-    gens = []
-    for name in store.glob_names(os.path.join(index_dir, "pending-manifest-*.json")):
-        try:
-            gens.append(int(name[len("pending-manifest-") : -len(".json")]))
-        except ValueError:
-            continue
-    return max(gens) if gens else None
+    gens = mf.generations(index_dir, prefix="pending-manifest-")
+    return gens[-1] if gens else None
 
 
-def prepare_commit(index_dir: str, manifest: dict) -> dict:
-    """Stage ``manifest`` as the pending next commit point.  Returns a
-    token ``{"generation": gen, "path": pending_path}``."""
+def prepare_commit(index_dir: str, mutate) -> dict | None:
+    """Stage ``mutate(base, gen)`` (see ``manifest.commit``) as the
+    pending next commit point; returns the staged manifest, or None when
+    the mutation is a no-op."""
     inflight = pending_generation(index_dir)
     if inflight is not None:
         raise RuntimeError(
             f"prepareCommit already called (pending generation {inflight}) "
             "with no corresponding commit/rollback"
         )
-    gen = int(manifest["generation"])
-    latest = mf.latest_generation(index_dir)
-    if latest is not None and gen <= latest:
-        raise ValueError(
-            f"pending generation {gen} must exceed the committed {latest}"
-        )
-    path = pending_path(index_dir, gen)
-    store.write_json_atomic(path, manifest, default=mf._json_default)
-    return {"generation": gen, "path": path}
+    _base, man = mf.next_manifest(index_dir, mutate)
+    if man is not None:
+        path = pending_path(index_dir, man["generation"])
+        store.write_json_atomic(path, man, default=mf._json_default)
+    return man
 
 
 def commit_pending(index_dir: str, gen: int | None = None) -> dict:
@@ -78,14 +74,17 @@ def commit_pending(index_dir: str, gen: int | None = None) -> dict:
         if gen is None:
             raise RuntimeError("commit called with no pending commit")
     path = pending_path(index_dir, gen)
-    man = store.read_json(path)
-    latest = mf.latest_generation(index_dir)
-    if latest is not None and int(man["generation"]) <= latest:
-        raise ValueError(
-            f"generation {man['generation']} was superseded by {latest}; "
-            "roll back and re-prepare"
-        )
-    mf.write_manifest(index_dir, man)
+    pending = store.read_json(path)
+
+    def mutate(_base, next_gen):
+        if next_gen != int(pending["generation"]):
+            raise ValueError(
+                f"generation {pending['generation']} was superseded by "
+                f"{next_gen - 1}; roll back and re-prepare"
+            )
+        return pending
+
+    man = mf.commit(index_dir, mutate)
     _rm_file(path)
     return man
 
@@ -99,27 +98,12 @@ def rollback_pending(index_dir: str, gen: int | None = None) -> dict:
         if gen is None:
             return {"rolled_back": None, "removed_dirs": 0, "removed_files": 0}
     path = pending_path(index_dir, gen)
-    pend_dirs, pend_files = _referenced(store.read_json(path))
-
-    keep_dirs: set = set()
-    keep_files: set = set()
-    for name in store.glob_names(os.path.join(index_dir, "manifest-*.json")):
-        g = int(name[len("manifest-") : -len(".json")])
-        d, f = _referenced(mf.read_manifest(index_dir, g))
-        keep_dirs |= d
-        keep_files |= f
-
-    dead_files = pend_files - keep_files
-    dead_dirs = pend_dirs - keep_dirs
-    for p in sorted(dead_files):
-        if store.exists(p):
-            store.rmtree(p) if store.isdir(p) else _rm_file(p)
-    for p in sorted(dead_dirs):
-        if store.exists(p):
-            store.rmtree(p)
+    n_dirs, n_files = _sweep(
+        index_dir, _referenced(store.read_json(path)), mf.generations(index_dir)
+    )
     _rm_file(path)
     return {
         "rolled_back": gen,
-        "removed_dirs": len(dead_dirs),
-        "removed_files": len(dead_files),
+        "removed_dirs": n_dirs,
+        "removed_files": n_files,
     }

@@ -146,6 +146,29 @@ def write_bytes_atomic(path: str, data: bytes) -> None:
         fs.pipe_file(p, data)
 
 
+def create_bytes(path: str, data: bytes) -> None:
+    """Exclusive create: write ``data`` at ``path`` or raise
+    FileExistsError when it exists.  Local: tmp + hard link (readers never
+    see a partial file; ``link`` refuses an existing name).  Remote: an
+    exclusive-create open."""
+    if not is_remote(path):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+        with open(tmp, "wb") as f:
+            f.write(data)
+        try:
+            os.link(tmp, path)
+        finally:
+            os.remove(tmp)
+    else:
+        fs, p = _fs(path)
+        parent = os.path.dirname(p)
+        if parent:
+            fs.makedirs(parent, exist_ok=True)
+        with fs.open(p, "xb") as f:
+            f.write(data)
+
+
 def write_json_atomic(path: str, obj: dict, default=None) -> None:
     write_bytes_atomic(path, json.dumps(obj, indent=1, default=default).encode("utf-8"))
 

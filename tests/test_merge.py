@@ -10,6 +10,7 @@ import pytest
 from lucene_ray.corpus import generate_corpus
 from lucene_ray.index import manifest as mf
 from lucene_ray.index.build import build_index_local
+from lucene_ray.index.deletion_policy import prune_generations
 from lucene_ray.index.merge import (
     allowed_segment_count,
     force_merge,
@@ -17,7 +18,6 @@ from lucene_ray.index.merge import (
     maybe_merge,
     plan_force_merge,
     plan_merges,
-    prune_generations,
     score_candidate,
 )
 from lucene_ray.search.query import TermQuery, bool_query
@@ -232,12 +232,11 @@ def test_merged_entries_keep_merge_metrics(tmp_path, ray_session):
 def test_gc_and_generations(small_index, ray_session):
     # after force_merge in the earlier test: old segments unreferenced once
     # generations are pruned
-    dropped = prune_generations(small_index, keep=1)
+    prune_generations(small_index, keep_last=1)
     removed = gc_unreferenced(small_index)
     man = mf.read_manifest(small_index)
     live = {s["name"] for s in man["segments"]}
     assert not (set(removed) & live)
-    _ = dropped
     # index still searchable
     out, _stats = _results(small_index)
     assert any(out)

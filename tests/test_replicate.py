@@ -64,9 +64,10 @@ def test_resync_after_merge_ships_merged_and_deletes_old(primary, tmp_path):
     replica = str(tmp_path / "replica3")
     sync(primary, replica)
     force_merge(primary, max_segments=1)
-    from lucene_ray.index.merge import gc_unreferenced, prune_generations
+    from lucene_ray.index.deletion_policy import prune_generations
+    from lucene_ray.index.merge import gc_unreferenced
 
-    prune_generations(primary, keep=1)
+    prune_generations(primary, keep_last=1)
     gc_unreferenced(primary)
     stats = sync(primary, replica)
     assert stats["copied"] > 0       # the merged segment

@@ -73,13 +73,13 @@ def test_split_uncompacted_keeps_masks(src, tmp_path):
 def test_add_indexes_inverse_of_split(src, tmp_path):
     """split -> add_indexes round-trips the corpus: same content shas, same
     term counts, CheckIndex-clean combined index."""
+    from lucene_ray.index.addindexes import add_indexes
     from lucene_ray.index.check import check_index
-    from lucene_ray.index.split import add_indexes
 
     outs = [str(tmp_path / f"ai{i}") for i in range(3)]
     split_index(src, outs)
     combined = outs[0]
-    man = add_indexes(combined, outs[1], outs[2])
+    man = add_indexes(combined, [outs[1], outs[2]])
     assert sum(int(s["max_doc"]) for s in man["segments"]) == 300
     assert sorted(_doc_shas(combined)) == sorted(_doc_shas(src))
     s = IndexSearcher(combined)
@@ -88,22 +88,19 @@ def test_add_indexes_inverse_of_split(src, tmp_path):
 
 
 def test_add_indexes_rejects_config_mismatch(src, tmp_path):
-    import pytest as _pytest
+    import shutil
 
-    from lucene_ray.index import manifest as mf2
-    from lucene_ray.index.split import add_indexes
-
-    import shutil as _sh
+    from lucene_ray.index import manifest as mf
+    from lucene_ray.index.addindexes import add_indexes
 
     dst = str(tmp_path / "dstcfg")
     other = str(tmp_path / "othercfg")
-    _sh.copytree(src, dst)
-    _sh.copytree(src, other)
-    man = mf2.read_manifest(other)
-    man["analyzer"] = "code"
-    mf2.write_manifest(other, man)
-    with _pytest.raises(ValueError, match="config mismatch"):
-        add_indexes(dst, other)
+    shutil.copytree(src, dst)
+    shutil.copytree(src, other)
+    # a committed generation of ``other`` claims a different analyzer
+    mf.commit(other, lambda man, gen: {**man, "analyzer": "code"})
+    with pytest.raises(ValueError, match="incompatible analyzer"):
+        add_indexes(dst, [other])
 
 
 def test_pk_split_by_query(src, tmp_path):

@@ -61,7 +61,7 @@ def test_prepare_then_commit(tmp_path, ray_session):
 
     # a second prepare while one is in flight raises (reference contract)
     with pytest.raises(RuntimeError):
-        tp.prepare_commit(idx, {"generation": g0 + 2, "segments": []})
+        tp.prepare_commit(idx, lambda man, gen: man)
 
     man = tp.commit_pending(idx)
     assert man["generation"] == g0 + 1
