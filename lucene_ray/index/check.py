@@ -51,20 +51,21 @@ def check_segment(seg_dir: str, raise_on_error: bool = True) -> dict:
     offs = np.asarray(r.term_offsets)
     _chk(bool((np.diff(offs) >= 0).all()), f"{name}: term offsets not monotonic", errors, raise_on_error)
     prev = None
-    bl = r._bloom()
     for i in range(r.n_terms):
         t = r._term_at(i)
         if prev is not None:
             _chk(prev < t, f"{name}: terms not strictly sorted at {i}", errors, raise_on_error)
-        if bl is not None:
-            # BloomFilteringPostingsFormat invariant: never false-negative
-            _chk(
-                bloom.contains(bl, t),
-                f"{name}: bloom false negative for term {i}",
-                errors,
-                raise_on_error,
-            )
         prev = t
+    bl = r._bloom()
+    if bl is not None:
+        # the build is deterministic, so the stored bitset must equal a
+        # rebuild from the dictionary (stronger than never-false-negative)
+        _chk(
+            np.array_equal(bloom.build_bloom_from_dict(offs, np.asarray(r.term_bytes)), bl),
+            f"{name}: bloom bitset does not match the term dictionary",
+            errors,
+            raise_on_error,
+        )
 
     norms = np.asarray(r.norms)
     _chk(len(norms) == r.max_doc, f"{name}: norms length != max_doc", errors, raise_on_error)

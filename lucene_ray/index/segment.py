@@ -146,7 +146,7 @@ def build_segment_from_ids(
         # point lookups skip this segment on a bloom miss without touching
         # the dictionary pages
         np.save(
-            os.path.join(tmp, "bloom.npy"),
+            os.path.join(tmp, bloom_mod.FILE),
             bloom_mod.build_bloom_from_dict(dict_offsets, data),
         )
         for name, arr in enc.arrays().items():
@@ -341,7 +341,7 @@ class StreamingSegmentWriter:
         np.save(os.path.join(self.tmp, "terms_offsets.npy"), offsets)
         np.save(os.path.join(self.tmp, "terms_bytes.npy"), data)
         np.save(
-            os.path.join(self.tmp, "bloom.npy"),
+            os.path.join(self.tmp, bloom_mod.FILE),
             bloom_mod.build_bloom_from_dict(offsets, data),
         )
 
@@ -604,11 +604,12 @@ class SegmentReader:
 
     def _bloom(self) -> np.ndarray | None:
         """Lazy mmap of the segment's bloom bitset (absent on pre-bloom
-        segments — lookups then fall through to the dictionary)."""
+        segments and on ones whose bitset uses the earlier hash, written
+        under another name — lookups then fall through to the dictionary)."""
         bl = getattr(self, "_bloom_words", False)
         if bl is False:
             d = getattr(self, "dir", None)  # synthetic readers have no dir
-            path = os.path.join(d, "bloom.npy") if d else None
+            path = os.path.join(d, bloom_mod.FILE) if d else None
             bl = self._bloom_words = (
                 np.load(path, mmap_mode="r")
                 if path and os.path.exists(path)

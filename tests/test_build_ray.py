@@ -8,6 +8,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_ray.corpus import generate_corpus
+from lucene_ray.index import bloom
 from lucene_ray.index.build import build_index, build_index_local
 from lucene_ray.search.query import TermQuery, bool_query
 from lucene_ray.search.searcher import DistributedSearcher, IndexSearcher
@@ -55,7 +56,7 @@ def test_build_index_matches_local(ray_session, corpus_dir, tmp_path_factory):
     build_index_local(corpus_dir, local_dir, docs_per_segment=120)
     build_index(corpus_dir, fused_dir, docs_per_segment=120)
     local_files = _index_files(local_dir)
-    assert any(f.endswith("bloom.npy") for f in local_files)
+    assert any(f.endswith(bloom.FILE) for f in local_files)
     assert any(f.startswith("docs" + os.sep) for f in local_files)
     assert local_files == _index_files(fused_dir)
     r_local, cs_local = _results(local_dir)
