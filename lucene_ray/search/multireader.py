@@ -46,30 +46,6 @@ class MultiIndexSearcher(IndexSearcher):
             "term_vectors": mans[0].get("term_vectors"),
             "segments": segments,
         }
-        self._composite = composite
-        self._dirs = list(index_dirs)
-        # bypass IndexSearcher.__init__'s read_manifest with the composite
+        # IndexSearcher over the composite instead of a read manifest
         self.index_dir = index_dirs[0] if index_dirs else ""
-        self.mmap = mmap
-        self.manifest = composite
-        self.generation = -1
-        from ..index.segment import SegmentReader
-        from .. import store
-        from .bm25 import BM25Similarity, CollectionStatistics
-
-        self.readers = [SegmentReader(s["dir"], mmap=mmap) for s in segments]
-        for reader, seg in zip(self.readers, segments):
-            lp = seg.get("livedocs")
-            if lp and reader.live is None:
-                reader.live = store.np_load(lp)
-            reader.dv_updates = seg.get("dv_updates", {})
-        from ..index.manifest import collection_stats_from
-
-        cs = collection_stats_from(composite)
-        self.collection_stats = CollectionStatistics(
-            max_doc=cs["max_doc"],
-            doc_count=cs["doc_count"],
-            sum_total_term_freq=cs["sum_total_term_freq"],
-            sum_doc_freq=cs["sum_doc_freq"],
-        )
-        self.similarity = similarity if similarity is not None else BM25Similarity()
+        self._open(composite, mmap, similarity)

@@ -6,19 +6,17 @@ Reference: lucene/sandbox/src/java/org/apache/lucene/sandbox/search/
 query's wall time goes (weight creation, scorer building, scoring) plus
 match counts, without changing results.
 
-This engine's phases map naturally: CREATE_WEIGHT = the term-stats
-gather, per-segment SCORE = one vectorized search_segment call (scorer
-build and bulk scoring are fused in the dense path), plus the final
-TopDocs merge.  The profile rides back beside bit-identical hits.
+This engine's phases map naturally: CREATE_WEIGHT = the rewrite and the
+term-stats gather, per-segment SCORE = one vectorized search_segment call
+(scorer build and bulk scoring are fused in the dense path), plus the
+final TopDocs merge.  The profile rides back beside bit-identical hits.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from .searcher import DEFAULT_TOTAL_HITS_THRESHOLD, IndexSearcher, search_segment
+from .searcher import DEFAULT_TOTAL_HITS_THRESHOLD, IndexSearcher
 from .collector import merge_top_docs
 
 
@@ -35,18 +33,14 @@ class QueryProfilerSearcher(IndexSearcher):
         score_mode: str = "TOP_SCORES",
     ):
         t0 = time.perf_counter_ns()
-        weight = self.make_weight(query)
+        query, weight = self.weigh(query)
         t1 = time.perf_counter_ns()
         per_segment = []
         seg_profiles = []
-        floor = -np.inf
-        scores_so_far: list[float] = []
-        for ord_, reader in enumerate(self.readers):
+        leaves = self.leaves(query, weight, k, total_hits_threshold, score_mode)
+        for reader in self.readers:
             s0 = time.perf_counter_ns()
-            hits = search_segment(
-                reader, query, weight, k, total_hits_threshold, score_mode,
-                floor=floor,
-            )
+            ord_, hits = next(leaves)
             s1 = time.perf_counter_ns()
             seg_profiles.append(
                 {
@@ -57,14 +51,8 @@ class QueryProfilerSearcher(IndexSearcher):
                 }
             )
             per_segment.append(hits)
-            if score_mode == "TOP_SCORES":
-                scores_so_far.extend(float(s) for _d, s in hits)
-                if len(scores_so_far) >= k:
-                    scores_so_far.sort(reverse=True)
-                    del scores_so_far[k:]
-                    floor = scores_so_far[-1]
         m0 = time.perf_counter_ns()
-        merged = merge_top_docs(per_segment, k, self.doc_bases())
+        merged = merge_top_docs(per_segment, k, self.doc_bases)
         m1 = time.perf_counter_ns()
         profile = {
             "create_weight_ns": t1 - t0,
@@ -75,6 +63,3 @@ class QueryProfilerSearcher(IndexSearcher):
             "total_hits_collected": int(sum(p["n_hits"] for p in seg_profiles)),
         }
         return merged, profile
-
-    def doc_bases(self) -> list[int]:
-        return [int(s["doc_base"]) for s in self.manifest["segments"]]

@@ -1,15 +1,20 @@
-"""IndexSearcher: stats phase + per-segment top-k + merge.
+"""IndexSearcher: rewrite + weight + per-segment top-k + merge.
 
-Mirrors the reference flow (search/IndexSearcher.java:612-850): build
-index-wide CollectionStatistics/TermStatistics once per query, score each
-segment independently with dynamic pruning, reduce with TopDocs.merge
-tie-break (score desc, segment ordinal asc, docID asc).
+Mirrors the reference flow (search/IndexSearcher.java:612-850): rewrite
+the query, build index-wide CollectionStatistics/TermStatistics once per
+query (the Weight), score each segment independently with dynamic
+pruning and a min-competitive floor carried across segments, reduce with
+TopDocs.merge tie-break (score desc, segment ordinal asc, docID asc).
 
-Two execution modes:
-- in-process (used by tests / oracle comparisons),
-- ``DistributedSearcher``: a pool of Ray actors each owning a slice of
-  segments (the IndexSearcher leaf-slice analogue, :106-108) — the actor
-  holds open SegmentReaders (mmap) across queries.
+``IndexSearcher`` is the only place that does this; every other searcher
+calls it:
+- the time-limited, counting and profiled searches, and the MultiReader
+  view (``multireader.MultiIndexSearcher``),
+- ``DistributedSearcher``: a pool of Ray actors, each holding an
+  IndexSearcher over the whole commit (index-wide stats and feature
+  pivots) but scoring only its own strided slice of segment ordinals
+  (the IndexSearcher leaf-slice analogue, :106-108).  One RPC round per
+  query.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ DEFAULT_TOTAL_HITS_THRESHOLD = 1000  # IndexSearcher.java:100
 # fine inside a query actor), not a speed crossover: in this Python engine
 # the vectorized dense scan beats the per-doc WAND loop at every feasible
 # segment size — block-max pruning only wins for compiled per-doc scorers
-# like the reference's.  WAND remains the COMPLETE-mode verification arm
-# and the fallback above the gate (where a windowed dense scorer with
-# per-window impact bounds would be the next step).
+# like the reference's.  WAND is the COMPLETE-mode verification arm and
+# answers exactly above the gate; no workload or stress build makes a
+# segment that large.
 BULK_MAX_DOC = 1 << 22
 
 
@@ -116,15 +121,20 @@ def _bulk_search_segment(reader, terms_boosts, min_should_match, weight, k):
     if reader.live is not None:
         mask &= reader.live
     cand = np.nonzero(mask)[0]
-    if len(cand) == 0:
-        return []
-    sc = acc[cand].astype(np.float32)
-    if len(cand) > k:
+    return _top_k(cand, acc[cand].astype(np.float32), k)
+
+
+def _top_k(docs: np.ndarray, sc: np.ndarray, k: int) -> list[tuple[int, np.float32]]:
+    """[(doc, float32 score)] of the k best in (score desc, docid asc)
+    order — the TopScoreDocCollector tie-break — from parallel arrays:
+    a partial select keeps everything scoring >= the k-th (ties
+    included), then one lexsort of the survivors."""
+    if len(docs) > k:
         kth = np.partition(-sc, k - 1)[k - 1]  # k-th best score, negated
-        keep = -sc <= kth  # everything scoring >= the k-th (ties included)
-        cand, sc = cand[keep], sc[keep]
-    order = np.lexsort((cand, -sc))[:k]
-    return [(int(cand[i]), np.float32(sc[i])) for i in order]
+        keep = -sc <= kth
+        docs, sc = docs[keep], sc[keep]
+    order = np.lexsort((docs, -sc))[:k]
+    return [(int(docs[i]), np.float32(sc[i])) for i in order]
 
 
 def open_segment(
@@ -154,22 +164,23 @@ class IndexSearcher:
         _reuse: dict | None = None,
     ):
         self.index_dir = index_dir
+        self._open(read_manifest(index_dir, generation), mmap, similarity, _reuse)
+
+    def _open(self, manifest: dict, mmap: bool, similarity, reuse: dict | None = None):
+        """Open every segment of ``manifest`` at that commit (reusing
+        ``reuse[(dir, livedocs)]`` readers) and aggregate its statistics."""
         self.mmap = mmap
-        self.manifest = read_manifest(index_dir, generation)
-        self.generation = int(self.manifest["generation"])
+        self.manifest = manifest
+        self.generation = int(manifest["generation"])
+        segments = manifest["segments"]
         self.readers = [
             open_segment(
-                seg, mmap, _reuse.get((seg["dir"], seg.get("livedocs"))) if _reuse else None
+                seg, mmap, reuse.get((seg["dir"], seg.get("livedocs"))) if reuse else None
             )
-            for seg in self.manifest["segments"]
+            for seg in segments
         ]
-        cs = collection_stats_from(self.manifest)
-        self.collection_stats = CollectionStatistics(
-            max_doc=cs["max_doc"],
-            doc_count=cs["doc_count"],
-            sum_total_term_freq=cs["sum_total_term_freq"],
-            sum_doc_freq=cs["sum_doc_freq"],
-        )
+        self.doc_bases = [int(seg["doc_base"]) for seg in segments]
+        self.collection_stats = CollectionStatistics(**collection_stats_from(manifest))
         self.similarity = similarity if similarity is not None else BM25Similarity()
 
     def term_statistics(self, terms: set[str]) -> dict[str, TermStatistics]:
@@ -184,13 +195,22 @@ class IndexSearcher:
             out[t] = TermStatistics(t, df, ttf)
         return out
 
-    def make_weight(self, query: Query) -> Weight:
-        terms = collect_terms(query)
+    def make_weight(
+        self, query: Query, term_stats: dict[str, TermStatistics] | None = None
+    ) -> Weight:
+        if term_stats is None:
+            term_stats = self.term_statistics(collect_terms(query))
         return Weight(
             collection_stats=self.collection_stats,
-            term_stats=self.term_statistics(terms),
+            term_stats=term_stats,
             similarity=self.similarity,
         )
+
+    def weigh(self, query: Query) -> tuple[Query, Weight]:
+        """createWeight(rewrite(query)): the rewritten query and its
+        index-wide Weight — every search entry point starts here."""
+        query = self.rewrite(query)
+        return query, self.make_weight(query)
 
     def compute_feature_pivot(self, field: str) -> float:
         """FeatureField.computePivotFeatureValue (FeatureField.java): pivot
@@ -218,7 +238,7 @@ class IndexSearcher:
         avg_freq = np.float32(np.float64(ttf) / df)  # (float)((double)ttf/df)
         return float(decode_feature_value(np.array([int(avg_freq)]))[0])
 
-    def _rewrite_features(self, query: Query) -> Query:
+    def rewrite(self, query: Query) -> Query:
         """Query.rewrite analogue for SaturationFunction's pivot=None:
         resolve the pivot once per query (FeatureField SaturationFunction
         .rewrite).  Walks BooleanQuery/BoostQuery wrappers — the javadoc
@@ -234,17 +254,50 @@ class IndexSearcher:
                 )
             return query
         if isinstance(query, BoostQuery):
-            inner = self._rewrite_features(query.query)
+            inner = self.rewrite(query.query)
             return dataclasses.replace(query, query=inner) if inner is not query.query else query
         if isinstance(query, BooleanQuery):
             new_clauses = tuple(
-                dataclasses.replace(c, query=self._rewrite_features(c.query))
+                dataclasses.replace(c, query=self.rewrite(c.query))
                 for c in query.clauses
             )
             if any(n.query is not o.query for n, o in zip(new_clauses, query.clauses)):
                 return dataclasses.replace(query, clauses=new_clauses)
             return query
         return query
+
+    def leaves(
+        self,
+        query: Query,
+        weight: Weight,
+        k: int,
+        total_hits_threshold: float = DEFAULT_TOTAL_HITS_THRESHOLD,
+        score_mode: str = "TOP_SCORES",
+        ords=None,
+    ):
+        """Yield ``(ordinal, hits)`` per segment, in ordinal order, over
+        ``ords`` (default: every segment) — lazily, so a caller may stop
+        or time between leaves.  ``query`` is already rewritten and
+        ``weight`` is its index-wide Weight.
+
+        Carries the cross-segment min-competitive floor
+        (MaxScoreAccumulator.java:23-41): once k hits exist, their k-th
+        score floors every later segment's pruning.  Ties lose to earlier
+        segments, so this is exact for any increasing ``ords``."""
+        floor = -np.inf
+        scores_so_far: list[float] = []
+        for o in range(len(self.readers)) if ords is None else ords:
+            hits = search_segment(
+                self.readers[o], query, weight, k, total_hits_threshold, score_mode,
+                floor=floor,
+            )
+            yield o, hits
+            if score_mode == "TOP_SCORES":
+                scores_so_far.extend(float(s) for _, s in hits)
+                if len(scores_so_far) >= k:
+                    scores_so_far.sort(reverse=True)
+                    del scores_so_far[k:]
+                    floor = max(floor, scores_so_far[k - 1])
 
     def search(
         self,
@@ -259,28 +312,11 @@ class IndexSearcher:
         the exhaustive arm of the CheckHits.checkTopScores differential
         (SURVEY §5.3).
         """
-        query = self._rewrite_features(query)
-        weight = self.make_weight(query)
-        per_segment = []
-        # cross-segment min-competitive carry (MaxScoreAccumulator.java:
-        # 23-41): once k hits exist, their k-th score floors every later
-        # segment's pruning — ties lose to earlier segments, so exact
-        floor = -np.inf
-        scores_so_far: list[float] = []
-        for reader in self.readers:
-            hits = search_segment(
-                reader, query, weight, k, total_hits_threshold, score_mode,
-                floor=floor,
-            )
-            per_segment.append(hits)
-            if score_mode == "TOP_SCORES":
-                scores_so_far.extend(float(s) for _, s in hits)
-                if len(scores_so_far) >= k:
-                    scores_so_far.sort(reverse=True)
-                    del scores_so_far[k:]
-                    floor = max(floor, scores_so_far[k - 1])
-        doc_bases = [seg["doc_base"] for seg in self.manifest["segments"]]
-        return merge_top_docs(per_segment, k, doc_bases)
+        query, weight = self.weigh(query)
+        per_segment = [
+            hits for _, hits in self.leaves(query, weight, k, total_hits_threshold, score_mode)
+        ]
+        return merge_top_docs(per_segment, k, self.doc_bases)
 
     def search_with_time_limit(
         self,
@@ -304,32 +340,22 @@ class IndexSearcher:
         import time as _time
 
         clock = clock if clock is not None else _time.monotonic
-        weight = self.make_weight(query)
+        query, weight = self.weigh(query)
         t0 = clock()
         per_segment = []
-        floor = -np.inf
-        scores_so_far: list[float] = []
-        doc_bases = [seg["doc_base"] for seg in self.manifest["segments"]]
         terminated = False
-        for reader in self.readers:
+        leaves = self.leaves(query, weight, k)
+        for _ in self.readers:
             elapsed = clock() - t0
             if elapsed > timeout:
                 if not partial:
                     exc = TimeExceededException(timeout, elapsed, len(per_segment))
-                    exc.partial_hits = merge_top_docs(per_segment, k, doc_bases)
+                    exc.partial_hits = merge_top_docs(per_segment, k, self.doc_bases)
                     raise exc
                 terminated = True
                 break
-            hits = search_segment(reader, query, weight, k,
-                                  DEFAULT_TOTAL_HITS_THRESHOLD, "TOP_SCORES",
-                                  floor=floor)
-            per_segment.append(hits)
-            scores_so_far.extend(float(s) for _, s in hits)
-            if len(scores_so_far) >= k:
-                scores_so_far.sort(reverse=True)
-                del scores_so_far[k:]
-                floor = max(floor, scores_so_far[k - 1])
-        merged = merge_top_docs(per_segment, k, doc_bases)
+            per_segment.append(next(leaves)[1])
+        merged = merge_top_docs(per_segment, k, self.doc_bases)
         return merged, terminated, len(per_segment)
 
     def search_after(
@@ -371,7 +397,7 @@ class IndexSearcher:
             WildcardQuery,
         )
 
-        weight = self.make_weight(query)
+        query, weight = self.weigh(query)
         total = 0
         if isinstance(query, MultiPhraseQuery):
             from .multiterm import multi_phrase_matches_segment
@@ -465,12 +491,7 @@ def _function_score_search_segment(reader, query, weight: Weight, k: int):
         sc = (
             scores.astype(np.float64) * np.log(1.0 + v.astype(np.float64))
         ).astype(np.float32)
-    if len(docs) > k:
-        kth = np.partition(-sc, k - 1)[k - 1]
-        keep = -sc <= kth
-        docs, sc = docs[keep], sc[keep]
-    order = np.lexsort((docs, -sc))[:k]
-    return [(int(docs[i]), np.float32(sc[i])) for i in order]
+    return _top_k(docs, sc, k)
 
 
 def _synonym_search_segment(reader, query, weight: Weight, k: int):
@@ -492,12 +513,7 @@ def _synonym_search_segment(reader, query, weight: Weight, k: int):
         return []
     sim = weight.synonym_sim_scorer(query.terms, 1.0)
     sc = sim.score_bulk(freq[cand], np.asarray(reader.norms)[cand])
-    if len(cand) > k:
-        kth = np.partition(-sc, k - 1)[k - 1]
-        keep = -sc <= kth
-        cand, sc = cand[keep], sc[keep]
-    order = np.lexsort((cand, -sc))[:k]
-    return [(int(cand[i]), np.float32(sc[i])) for i in order]
+    return _top_k(cand, sc, k)
 
 
 def _dismax_search_segment(reader, query, weight: Weight, k: int):
@@ -505,15 +521,7 @@ def _dismax_search_segment(reader, query, weight: Weight, k: int):
     (query.dismax_dense_matches); ties by docid."""
     from .query import dismax_dense_matches
 
-    cand, sc = dismax_dense_matches(query, weight, reader)
-    if len(cand) == 0:
-        return []
-    if len(cand) > k:
-        kth = np.partition(-sc, k - 1)[k - 1]
-        keep = -sc <= kth
-        cand, sc = cand[keep], sc[keep]
-    order = np.lexsort((cand, -sc))[:k]
-    return [(int(cand[i]), np.float32(sc[i])) for i in order]
+    return _top_k(*dismax_dense_matches(query, weight, reader), k)
 
 
 def _blended_search_segment(reader, query, weight: Weight, k: int):
@@ -521,15 +529,7 @@ def _blended_search_segment(reader, query, weight: Weight, k: int):
     (query.blended_dense_matches); ties by docid."""
     from .query import blended_dense_matches
 
-    cand, sc = blended_dense_matches(query, weight, reader)
-    if len(cand) == 0:
-        return []
-    if len(cand) > k:
-        kth = np.partition(-sc, k - 1)[k - 1]
-        keep = -sc <= kth
-        cand, sc = cand[keep], sc[keep]
-    order = np.lexsort((cand, -sc))[:k]
-    return [(int(cand[i]), np.float32(sc[i])) for i in order]
+    return _top_k(*blended_dense_matches(query, weight, reader), k)
 
 
 def _multi_phrase_search_segment(reader, query, weight: Weight, k: int):
@@ -541,12 +541,7 @@ def _multi_phrase_search_segment(reader, query, weight: Weight, k: int):
     flat = tuple(t for alts in query.slots for t in alts)
     sim = weight.phrase_sim_scorer(flat, 1.0)
     sc = sim.score_bulk(freqs, np.asarray(reader.norms)[docs])
-    if len(docs) > k:
-        kth = np.partition(-sc, k - 1)[k - 1]
-        keep = -sc <= kth
-        docs, sc = docs[keep], sc[keep]
-    order = np.lexsort((docs, -sc))[:k]
-    return [(int(docs[i]), np.float32(sc[i])) for i in order]
+    return _top_k(docs, sc, k)
 
 
 def _phrase_search_segment(reader, query, weight: Weight, k: int):
@@ -561,140 +556,7 @@ def _phrase_search_segment(reader, query, weight: Weight, k: int):
     sim = weight.phrase_sim_scorer(query.terms, 1.0)
     norms = np.asarray(reader.norms)[docs]
     sc = sim.score_bulk(freqs, norms)
-    if len(docs) > k:
-        kth = np.partition(-sc, k - 1)[k - 1]
-        keep = -sc <= kth
-        docs, sc = docs[keep], sc[keep]
-    order = np.lexsort((docs, -sc))[:k]
-    return [(int(docs[i]), np.float32(sc[i])) for i in order]
-
-
-def _windowed_bulk_search_segment(
-    reader, terms_boosts, min_should_match, weight, k, window: int = 1 << 20,
-    floor: float = -np.inf,
-):
-    """Exact top-k for pure-SHOULD queries on segments ABOVE the dense gate:
-    fixed-size doc windows, dense float64 accumulation per window, windows
-    whose summed per-term impact bound cannot beat the current k-th score
-    are SKIPPED without decoding (MaxScoreBulkScorer dense-window analogue,
-    reference search/MaxScoreBulkScorer.java:28 INNER_WINDOW; bounds from
-    the CompetitiveImpactAccumulator skylines, MaxScoreCache.java:74-89).
-
-    Later windows hold strictly larger docids, so an equal-score candidate
-    there loses the (score desc, docid asc) tie — skipping on bound <= kth
-    is exact.
-    """
-    from ..index.postings import decode_block
-
-    enc = reader.enc
-    norms = np.asarray(reader.norms)
-    max_doc = reader.max_doc
-
-    terms = []
-    for term, boost in terms_boosts:
-        tid = reader.term_id(term)
-        if tid is None:
-            continue
-        sim = weight.sim_scorer(term, boost)
-        bs, bc = int(enc.block_start[tid]), int(enc.block_count[tid])
-        sd = int(enc.singleton_doc[tid])
-        if sd >= 0:
-            terms.append(
-                {"sim": sim, "sing": (sd, int(enc.singleton_freq[tid])), "bs": 0,
-                 "bc": 0, "last": None, "bmax": None}
-            )
-            continue
-        last = np.asarray(enc.block_last_doc[bs : bs + bc], dtype=np.int64)
-        # per-block max score from the impact skylines (valid upper bound:
-        # every (freq, norm) in the block is dominated by a skyline pair)
-        i0 = int(enc.block_imp_start[bs])
-        i1 = int(enc.block_imp_start[bs + bc - 1] + enc.block_imp_count[bs + bc - 1])
-        pair_scores = sim.score_bulk(
-            np.asarray(enc.imp_freq[i0:i1], dtype=np.int64),
-            np.asarray(enc.imp_norm[i0:i1], dtype=np.int64),
-        )
-        starts = np.asarray(enc.block_imp_start[bs : bs + bc], dtype=np.int64) - i0
-        bmax = np.maximum.reduceat(pair_scores, starts)
-        terms.append({"sim": sim, "sing": None, "bs": bs, "bc": bc, "last": last, "bmax": bmax})
-    if not terms:
-        return []
-
-    out_docs: list[np.ndarray] = []
-    out_scores: list[np.ndarray] = []
-    # ``floor`` carries the GLOBAL k-th score from earlier segments (the
-    # MaxScoreAccumulator analogue, search/MaxScoreAccumulator.java:23-41):
-    # a window whose bound cannot beat it is skipped even before this
-    # segment has k local hits — exact, because later segments lose ties.
-    kth = float(floor)
-    have = 0
-    for w0 in range(0, max_doc, window):
-        w1 = min(w0 + window, max_doc)
-        # upper bound for this window
-        bound = 0.0
-        spans = []
-        for t in terms:
-            if t["sing"] is not None:
-                sd, sf = t["sing"]
-                if w0 <= sd < w1:
-                    bound += float(t["sim"].score(sf, int(norms[sd])))
-                spans.append(None)
-                continue
-            last = t["last"]
-            lo = int(np.searchsorted(last, w0))  # first block with last_doc >= w0
-            hi = int(np.searchsorted(last, w1 - 1)) + 1  # blocks starting <= w1-1
-            hi = min(hi, t["bc"])
-            spans.append((lo, hi))
-            if lo < hi:
-                bound += float(t["bmax"][lo:hi].max())
-        if (have >= k or kth > -np.inf) and bound <= kth:
-            continue
-        acc = np.zeros(w1 - w0, dtype=np.float64)
-        counts = np.zeros(w1 - w0, dtype=np.int32)
-        for t, span in zip(terms, spans):
-            if t["sing"] is not None:
-                sd, sf = t["sing"]
-                if w0 <= sd < w1:
-                    acc[sd - w0] += float(t["sim"].score(sf, int(norms[sd])))
-                    counts[sd - w0] += 1
-                continue
-            lo, hi = span
-            if lo >= hi:
-                continue
-            bs = t["bs"]
-            for b in range(bs + lo, bs + hi):
-                prev = int(t["last"][b - bs - 1]) if b > bs else -1
-                docs, freqs = decode_block(enc, b, prev)
-                m = (docs >= w0) & (docs < w1)
-                if not m.any():
-                    continue
-                d = docs[m]
-                sc = t["sim"].score_bulk(freqs[m], norms[d])
-                acc[d - w0] += sc.astype(np.float64)
-                counts[d - w0] += 1
-        mask = counts >= max(min_should_match, 1)
-        if reader.live is not None:
-            mask &= reader.live[w0:w1]
-        cand = np.nonzero(mask)[0]
-        if len(cand) == 0:
-            continue
-        sc32 = acc[cand].astype(np.float32)
-        if len(cand) > k:
-            kth_local = np.partition(-sc32, k - 1)[k - 1]
-            keep = -sc32 <= kth_local
-            cand, sc32 = cand[keep], sc32[keep]
-        out_docs.append(cand + w0)
-        out_scores.append(sc32)
-        have += len(cand)
-        if have >= k:
-            all_sc = np.concatenate(out_scores)
-            if len(all_sc) >= k:
-                kth = max(kth, float(-np.partition(-all_sc, k - 1)[k - 1]))
-    if not out_docs:
-        return []
-    docs = np.concatenate(out_docs)
-    scores = np.concatenate(out_scores)
-    order = np.lexsort((docs, -scores))[:k]
-    return [(int(docs[i]), np.float32(scores[i])) for i in order]
+    return _top_k(docs, sc, k)
 
 
 def _indri_and_search_segment(reader, query, weight: Weight, k: int):
@@ -734,9 +596,7 @@ def _indri_and_search_segment(reader, query, weight: Weight, k: int):
         boost_sum += float(b)
     if boost_sum == 0:
         return []
-    sc = (total / boost_sum).astype(np.float32)
-    order = np.lexsort((docs, -sc))[:k]
-    return [(int(docs[i]), np.float32(sc[i])) for i in order]
+    return _top_k(docs, (total / boost_sum).astype(np.float32), k)
 
 
 def search_segment(
@@ -797,12 +657,8 @@ def search_segment(
         return _blended_search_segment(reader, query, weight, k)
     if allow_bulk and score_mode == "TOP_SCORES":
         flat = _flatten_should_terms(query)
-        if flat is not None:
-            if reader.max_doc <= BULK_MAX_DOC:
-                return _bulk_search_segment(reader, flat[0], flat[1], weight, k)
-            return _windowed_bulk_search_segment(
-                reader, flat[0], flat[1], weight, k, floor=floor
-            )
+        if flat is not None and reader.max_doc <= BULK_MAX_DOC:
+            return _bulk_search_segment(reader, flat[0], flat[1], weight, k)
     scorer = build_scorer(query, weight, reader, 1.0, score_mode, top_level=True)
     if scorer is None:
         return []
@@ -827,63 +683,41 @@ def search_segment(
 # --- distributed search over Ray actors ---------------------------------
 
 class SegmentSearchWorker:
-    """Owns a contiguous slice of segments; created once, reused per query
-    (stateful actor: open mmaps + term dictionaries, SURVEY §7.3)."""
+    """A service worker: an IndexSearcher over the WHOLE commit at
+    ``generation`` — index-wide term stats and feature pivots — that
+    scores only its own segment ordinals ``ords``.  Created once and
+    reused per query (stateful actor: open mmaps + term dictionaries,
+    SURVEY §7.3)."""
 
-    def __init__(
-        self,
-        seg_dirs: list[str],
-        seg_ords: list[int],
-        livedocs: list[str | None] | None = None,
-        dv_updates: list[dict | None] | None = None,
-    ):
-        self.readers = [SegmentReader(d) for d in seg_dirs]
-        if livedocs:
-            for reader, lp in zip(self.readers, livedocs):
-                if lp:
-                    reader.live = store.np_load(lp)
-        if dv_updates:
-            for reader, du in zip(self.readers, dv_updates):
-                if du:
-                    reader.dv_updates = du
-        self.ords = seg_ords
+    def __init__(self, index_dir: str, generation: int, ords: list[int]):
+        self.searcher = IndexSearcher(index_dir, generation)
+        self.ords = ords
 
-    def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
-        out = {}
-        for t in terms:
-            df = ttf = 0
-            for r in self.readers:
-                d, f = r.term_stats(t)
-                df += d
-                ttf += f
-            out[t] = (df, ttf)
-        return out
+    def term_stats(self, terms) -> dict[str, TermStatistics]:
+        """The worker's stats step: index-wide TermStatistics."""
+        return self.searcher.term_statistics(terms)
 
     def search(
         self,
         query: Query,
-        weight_stats: dict,
         k: int,
         total_hits_threshold: float,
         score_mode: str,
     ) -> list[tuple[int, list[tuple[int, float]]]]:
-        weight = Weight(
-            collection_stats=CollectionStatistics(**weight_stats["collection"]),
-            term_stats={
-                t: TermStatistics(t, df, ttf)
-                for t, (df, ttf) in weight_stats["terms"].items()
-            },
+        """[(ordinal, [(local docid, score)])] for this worker's segments."""
+        query = self.searcher.rewrite(query)
+        weight = self.searcher.make_weight(query, self.term_stats(collect_terms(query)))
+        leaves = self.searcher.leaves(
+            query, weight, k, total_hits_threshold, score_mode, self.ords
         )
-        out = []
-        for ord_, reader in zip(self.ords, self.readers):
-            hits = search_segment(reader, query, weight, k, total_hits_threshold, score_mode)
-            out.append((ord_, [(d, float(s)) for d, s in hits]))
-        return out
+        return [(o, [(d, float(s)) for d, s in hits]) for o, hits in leaves]
 
 
 class DistributedSearcher:
-    """Query coordinator: phase A gather term stats, phase B broadcast the
-    query to the actor pool, phase C TopDocs.merge (SURVEY §3.2)."""
+    """Query coordinator: broadcast the query to the actor pool — worker
+    i scores segment ordinals i, i+n, i+2n, ... — then TopDocs.merge
+    (SURVEY §3.2).  One RPC round per query: each worker derives the
+    index-wide Weight from its own view of the whole commit."""
 
     def __init__(self, index_dir: str, num_workers: int = 4, generation: int | None = None):
         import ray
@@ -891,33 +725,24 @@ class DistributedSearcher:
         self.index_dir = index_dir
         self.num_workers = num_workers
         self.manifest = read_manifest(index_dir, generation)
-        segs = self.manifest["segments"]
-        cs = collection_stats_from(self.manifest)
-        self.collection_stats = cs
-        self.doc_bases = [s["doc_base"] for s in segs]
-        n = min(num_workers, max(1, len(segs)))
-        Worker = ray.remote(SegmentSearchWorker)
-        self.workers = []
-        for i in range(n):
-            mine = [(j, s) for j, s in enumerate(segs) if j % n == i]
-            dirs = [s["dir"] for _, s in mine]
-            ords = [j for j, _ in mine]
-            lives = [s.get("livedocs") for _, s in mine]
-            dvus = [s.get("dv_updates") for _, s in mine]
-            if dirs:
-                self.workers.append(Worker.remote(dirs, ords, lives, dvus))
-        # per-term (df, ttf) cache: the index is immutable, so term stats
-        # never change — caching drops the phase-A RPC round for repeated
-        # terms (TermStates is rebuilt per query in the reference only
-        # because its readers are cheap in-process)
-        self._term_stats_cache: dict[str, tuple[int, int]] = {}
+        self.doc_bases = [s["doc_base"] for s in self.manifest["segments"]]
+        n = min(num_workers, len(self.doc_bases))
+        # a worker's whole state is (index_dir, generation, ords), so a
+        # restarted actor reopens the same commit (remote segments re-hit
+        # the node's read-through cache) and the call in flight is retried
+        Worker = ray.remote(max_restarts=1, max_task_retries=1)(SegmentSearchWorker)
+        gen = int(self.manifest["generation"])
+        self.workers = [
+            Worker.remote(index_dir, gen, list(range(i, len(self.doc_bases), n)))
+            for i in range(n)
+        ]
 
     def refresh(self) -> bool:
         """Service-level NRT refresh (SearcherManager.maybeRefresh
         analogue): when a newer manifest generation exists, rebuild the
         actor pool against it (workers re-localize only NEW segments —
-        unchanged ones hit the node's read-through cache) and drop the
-        term-stats cache.  Returns True if anything changed."""
+        unchanged ones hit the node's read-through cache).  Returns True
+        if anything changed."""
         from ..index.manifest import latest_generation
 
         gen = latest_generation(self.index_dir)
@@ -935,24 +760,9 @@ class DistributedSearcher:
     ) -> list[tuple[int, np.float32]]:
         import ray
 
-        terms = sorted(collect_terms(query))
-        missing = [t for t in terms if t not in self._term_stats_cache]
-        if missing:
-            stats_parts = ray.get([w.term_stats.remote(missing) for w in self.workers])
-            agg = {t: [0, 0] for t in missing}
-            for part in stats_parts:
-                for t, (df, ttf) in part.items():
-                    agg[t][0] += df
-                    agg[t][1] += ttf
-            for t, v in agg.items():
-                self._term_stats_cache[t] = (v[0], v[1])
-        weight_stats = {
-            "collection": self.collection_stats,
-            "terms": {t: self._term_stats_cache[t] for t in terms},
-        }
         results = ray.get(
             [
-                w.search.remote(query, weight_stats, k, total_hits_threshold, score_mode)
+                w.search.remote(query, k, total_hits_threshold, score_mode)
                 for w in self.workers
             ]
         )
@@ -964,8 +774,7 @@ class DistributedSearcher:
 
 
 def _find_reader(searcher: "IndexSearcher", doc: int):
-    for reader, seg in zip(searcher.readers, searcher.manifest["segments"]):
-        base = int(seg["doc_base"])
+    for reader, base in zip(searcher.readers, searcher.doc_bases):
         if base <= doc < base + reader.max_doc:
             return reader, doc - base
     raise ValueError(f"docid {doc} out of range")
@@ -1098,7 +907,7 @@ def explain(searcher: "IndexSearcher", query, doc: int) -> dict:
     Supported: Term / Boost / ConstantScore / Boolean trees (the scoring
     clauses the BM25 explanation decomposes)."""
     reader, local = _find_reader(searcher, doc)
-    weight = searcher.make_weight(query)
+    query, weight = searcher.weigh(query)
     node = _explain_node(searcher, query, weight, reader, local)
     if node is None:
         return {"value": 0.0, "description": "no matching term", "details": []}
@@ -1138,7 +947,7 @@ def open_if_changed(searcher: IndexSearcher) -> IndexSearcher | None:
         key = (seg["dir"], seg.get("livedocs"))
         if key not in reuse and seg["dir"] in by_dir:
             clone = copy.copy(by_dir[seg["dir"]])
-            clone.live = store.np_load(seg["livedocs"]) if seg.get("livedocs") else None
+            clone.live = None  # open_segment loads this commit's mask
             reuse[key] = clone
     return IndexSearcher(
         searcher.index_dir,

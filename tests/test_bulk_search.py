@@ -60,27 +60,6 @@ def test_bulk_matches_scorer_paths(idx, k):
                 assert np.float32(a) == np.float32(b) == np.float32(c)
 
 
-@pytest.mark.parametrize("k", [5, 10, 50])
-def test_windowed_matches_dense(idx, k):
-    """The above-gate windowed scorer (forced via tiny windows) must equal
-    the dense path and the WAND path exactly."""
-    from lucene_ray.search.searcher import _flatten_should_terms, _windowed_bulk_search_segment
-
-    s = IndexSearcher(idx)
-    for q in QUERIES:
-        flat = _flatten_should_terms(q)
-        if flat is None:
-            continue
-        weight = s.make_weight(q)
-        for reader in s.readers:
-            dense = search_segment(reader, q, weight, k, 1000, "TOP_SCORES", allow_bulk=True)
-            for window in (17, 64, 1 << 20):  # odd sizes stress boundaries
-                win = _windowed_bulk_search_segment(
-                    reader, flat[0], flat[1], weight, k, window=window
-                )
-                assert win == dense, (q, window)
-
-
 def test_bulk_used_in_searcher(idx):
     # end-to-end equality through the full searcher (merge included)
     s = IndexSearcher(idx)

@@ -52,7 +52,7 @@ def test_quantization_properties():
 
 def test_feature_functions_and_pivot_rewrite(ray_session):
     from lucene_ray.pipelines.fulltext import ensure_index
-    from lucene_ray.search.searcher import IndexSearcher
+    from lucene_ray.search.searcher import DistributedSearcher, IndexSearcher
 
     idx = ensure_index(SF_DIR)
     s = IndexSearcher(idx)
@@ -68,7 +68,16 @@ def test_feature_functions_and_pivot_rewrite(ray_session):
         must=[TermQuery("spark")],
         should=[FeatureQuery("n_chars", "satu", weight=2.0, pivot=piv)],
     )
-    assert s.search(q, 10) == s.search(explicit, 10)
+    want = s.search(q, 10)
+    assert len(want) == 10 and want == s.search(explicit, 10)
+    # one rewrite point: the time-limited search, count and the Ray
+    # service answer the pivot=None query like search
+    assert s.search_with_time_limit(q, 10, timeout=10**9) == (want, False, len(s.readers))
+    complete = s.search(q, 10_000, total_hits_threshold=np.inf, score_mode="COMPLETE")
+    assert s.count(q) == len(complete)
+    for n in (1, 2, 3):
+        got = DistributedSearcher(idx, num_workers=n).search(q, 10)
+        assert [(d, np.float32(x)) for d, x in got] == [(d, np.float32(x)) for d, x in want]
 
     # pruned == COMPLETE for every function arm
     for fn, kw in [
