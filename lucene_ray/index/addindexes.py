@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import os
 
-import pyarrow as pa
-
 from .. import store
+from ..tasks import run_tasks
 from . import manifest as mf
 
 _COMPAT_KEYS = ("analyzer", "index_options", "term_vectors")
@@ -56,8 +55,6 @@ def add_indexes(
 
 
 def _import(dest_index_dir: str, dest_man: dict, gen: int, src_index_dirs) -> dict | None:
-    import ray.data as rd
-
     plans = []
     doc_base = sum(int(s["max_doc"]) for s in dest_man["segments"])
     for src_idx in src_index_dirs:
@@ -92,20 +89,14 @@ def _import(dest_index_dir: str, dest_man: dict, gen: int, src_index_dirs) -> di
     if not plans:
         return None
 
-    def _copy(batch: pa.Table) -> pa.Table:
-        for p in batch.to_pylist():
-            _copy_flat_dir(p["src_dir"], p["dst_dir"])
-            if p["src_docs"]:
-                _copy_flat_dir(p["src_docs"], p["dst_docs"], last=None)
-            if p["src_livedocs"]:
-                store.write_bytes_atomic(
-                    p["dst_livedocs"], store.read_bytes(p["src_livedocs"])
-                )
-        return batch.select(["dst_dir"])
+    def _copy(p: dict) -> None:
+        _copy_flat_dir(p["src_dir"], p["dst_dir"])
+        if p["src_docs"]:
+            _copy_flat_dir(p["src_docs"], p["dst_docs"], last=None)
+        if p["src_livedocs"]:
+            store.write_bytes_atomic(p["dst_livedocs"], store.read_bytes(p["src_livedocs"]))
 
-    rd.from_items(plans).map_batches(
-        _copy, batch_size=1, batch_format="pyarrow", num_cpus=1
-    ).materialize()
+    run_tasks(_copy, [(p,) for p in plans])
 
     entries = []
     for p in plans:

@@ -1,16 +1,18 @@
-"""Index build: one Ray Data pipeline from Parquet corpus to segments.
+"""Index build: Parquet corpus to committed segments.
 
     plan_segments (parquet metadata only: whole row groups per segment)
-    -> map_batches(_fused_build_task), one task per segment: read each row
-       group once, analyze, merge the fragment vocabularies, sort,
-       block-encode and write one immutable segment plus its stored fields
+    -> _fused_build_task, one plain Ray task per segment (tasks.run_tasks),
+       biggest first: read each row group once, analyze, merge the fragment
+       vocabularies, sort, block-encode and write one immutable segment
+       plus its stored fields
     -> commit: one new manifest generation from the per-segment meta.json
 
 Each task is the DWPT analogue (a thread-private in-RAM segment, reference
 index/DocumentsWriterPerThread.java:406-512, SURVEY §3.1): embarrassingly
-parallel, and the postings never cross the object store.
-``build_index_local`` runs the same builder and commit step in-process,
-for unit tests and tiny fixtures.
+parallel, and the postings never cross the object store.  No rows flow
+between the tasks (each reads its own row groups), so the build does not
+go through a Ray Data pipeline.  ``build_index_local`` runs the same tasks
+in a serial in-process loop, for unit tests and tiny fixtures.
 
 - docIDs are deterministic: global docID = (row-group order in the sorted
   file list) x (row order within the group); segments are unions of whole
@@ -36,6 +38,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import store
+from ..tasks import run_tasks
 from ..analysis.analyzers import make_analyzer
 from ..smallfloat import int_to_byte4_array
 from . import manifest as mf
@@ -413,6 +416,61 @@ def _commit(
     return mf.commit(index_dir, mutate)
 
 
+def _build(
+    run, mode: str, corpus_paths, index_dir: str, docs_per_segment: int, resume: bool,
+    **settings,
+) -> dict:
+    """Plan, run one ``_fused_build_task`` per segment still to do through
+    ``run`` (``tasks.run_tasks`` or an in-process loop with its
+    signature), commit.  The input byte size (parquet row-group metadata)
+    predicts a segment's build time, so the biggest go first and the
+    stragglers run in the first wave instead of dangling off the last
+    one."""
+    t_start = time.time()
+    segments, todo, skipped = _plan(corpus_paths, index_dir, docs_per_segment, resume)
+    order = sorted(todo, key=lambda s: -s.get("n_bytes", 0))
+    run(_fused_build_task, [(seg,) for seg in order], index_dir=index_dir, **settings)
+    index_sort = settings["index_sort"]
+    return _commit(
+        index_dir, segments, skipped, t_start,
+        analyzer=settings["analyzer"],
+        mode=mode,
+        docs_per_segment=docs_per_segment,
+        index_options=settings["index_options"],
+        term_vectors=bool(settings["term_vectors"]),
+        index_sort=list(index_sort) if index_sort else None,
+    )
+
+
+def _run_in_process(fn, calls, **kwargs) -> list:
+    return [fn(*args, **kwargs) for args in calls]
+
+
+def _fused_build_task(
+    seg: dict,
+    index_dir: str,
+    analyzer: str,
+    content_column: str,
+    index_options: str = "docs_freqs",
+    meta_columns: list[str] | None = None,
+    write_doc_tables: bool = False,
+    index_sort: tuple[str, str] | None = None,
+    term_vectors: bool = False,
+) -> dict:
+    """Task body: build one segment.  Stateless — the per-worker reuse
+    comes from the analyzer-table module singletons, not actor state."""
+    return FusedSegmentBuilder(
+        index_dir,
+        analyzer,
+        content_column,
+        index_options=index_options,
+        meta_columns=meta_columns,
+        write_doc_tables=write_doc_tables,
+        index_sort=index_sort,
+        term_vectors=term_vectors,
+    ).build_one(seg)
+
+
 def build_index_local(
     corpus_paths: list[str] | str,
     index_dir: str,
@@ -424,65 +482,21 @@ def build_index_local(
     resume: bool = True,
     index_options: str = "docs_freqs",
     term_vectors: bool = False,
-) -> dict:
-    """In-process build (no Ray): the same builder and commit as
-    ``build_index``, in a serial loop.  Used by unit tests and tiny
-    fixtures; writes the same segment and stored-field files."""
-    t_start = time.time()
-    segments, todo, skipped = _plan(corpus_paths, index_dir, docs_per_segment, resume)
-    builder = FusedSegmentBuilder(
-        index_dir,
-        analyzer,
-        content_column,
-        index_options=index_options,
-        meta_columns=list(meta_columns),
-        write_doc_tables=write_doc_tables,
-        term_vectors=term_vectors,
-    )
-    for seg in todo:
-        builder.build_one(seg)
-    return _commit(
-        index_dir, segments, skipped, t_start,
-        analyzer=analyzer,
-        mode="local",
-        docs_per_segment=docs_per_segment,
-        index_options=index_options,
-        term_vectors=bool(term_vectors),
-        index_sort=None,
-    )
-
-
-def _fused_build_task(
-    batch: pa.Table,
-    index_dir: str,
-    analyzer: str,
-    content_column: str,
-    segs_ref,
-    index_options: str = "docs_freqs",
-    meta_columns: list[str] | None = None,
-    write_doc_tables: bool = False,
     index_sort: tuple[str, str] | None = None,
-    term_vectors: bool = False,
-) -> pa.Table:
-    """Stateless task body: build the segments named in ``batch``.  The
-    per-worker reuse comes from the analyzer-table module singletons, not
-    actor state."""
-    import ray
-
-    segs_by_id = ray.get(segs_ref) if not isinstance(segs_ref, dict) else segs_ref
-    builder = FusedSegmentBuilder(
-        index_dir,
-        analyzer,
-        content_column,
-        index_options=index_options,
+) -> dict:
+    """In-process build (no Ray): ``build_index`` with the segment tasks
+    run in a serial loop.  Used by unit tests and tiny fixtures; writes the
+    same segment and stored-field files."""
+    return _build(
+        _run_in_process, "local", corpus_paths, index_dir, docs_per_segment, resume,
+        analyzer=analyzer,
+        content_column=content_column,
         meta_columns=meta_columns,
         write_doc_tables=write_doc_tables,
+        index_options=index_options,
         index_sort=index_sort,
         term_vectors=term_vectors,
     )
-    for seg_id in batch.column("seg_id").to_pylist():
-        builder.build_one(segs_by_id[seg_id])
-    return batch
 
 
 def build_index(
@@ -508,51 +522,21 @@ def build_index(
     IndexWriterConfig.setIndexSort); enables early-terminating sort-field
     top-k when the query sort matches.
 
-    Must be called with Ray already initialised (or lets Ray Data
-    auto-init).  Never calls ray.init()/shutdown() itself.
+    One plain Ray task per segment (``tasks.run_tasks``), not an actor
+    pool: the only per-worker state (tokenizer DFA tables) is a
+    module-level singleton reused across tasks in each worker process.
+    Ray is auto-initialised by the first task if the caller has not
+    initialised it; this never calls ray.init()/shutdown() itself.
     """
     if mode != "fused":
         raise ValueError(f"unknown build mode {mode!r}: the only pipeline is 'fused'")
-    import ray
-    import ray.data as rd
-
-    t_start = time.time()
-    segments, todo, skipped = _plan(corpus_paths, index_dir, docs_per_segment, resume)
-    if todo:
-        # Stateless TASKS, not an actor pool: the only per-worker state
-        # (tokenizer DFA tables) is a module-level singleton reused across
-        # tasks in each worker process, so tasks get actor-style state reuse
-        # without paying a fresh pool spin-up (~5s/32 CPUs) per build.
-        # Segment descriptors are broadcast once via ray.put, not shipped
-        # per task.
-        segs_ref = ray.put({s["seg_id"]: s for s in segments})
-        # dispatch biggest segments first: the input byte size (parquet
-        # row-group metadata) predicts task duration, so the stragglers run
-        # in the first wave instead of dangling off the last one
-        order = sorted(todo, key=lambda s: -s.get("n_bytes", 0))
-        rd.from_items([{"seg_id": s["seg_id"]} for s in order]).map_batches(
-            _fused_build_task,
-            fn_kwargs=dict(
-                index_dir=index_dir,
-                analyzer=analyzer,
-                content_column=content_column,
-                segs_ref=segs_ref,
-                index_options=index_options,
-                meta_columns=list(meta_columns),
-                write_doc_tables=write_doc_tables,
-                index_sort=index_sort,
-                term_vectors=term_vectors,
-            ),
-            batch_size=1,
-            batch_format="pyarrow",
-            num_cpus=1,
-        ).take_all()
-    return _commit(
-        index_dir, segments, skipped, t_start,
+    return _build(
+        run_tasks, mode, corpus_paths, index_dir, docs_per_segment, resume,
         analyzer=analyzer,
-        mode=mode,
-        docs_per_segment=docs_per_segment,
+        content_column=content_column,
+        meta_columns=meta_columns,
+        write_doc_tables=write_doc_tables,
         index_options=index_options,
-        term_vectors=bool(term_vectors),
-        index_sort=list(index_sort) if index_sort else None,
+        index_sort=index_sort,
+        term_vectors=term_vectors,
     )

@@ -230,10 +230,9 @@ def check_index(index_dir: str, generation: int | None = None, raise_on_error: b
         base += seg["max_doc"]
 
     if use_ray:
-        import ray
+        from ..tasks import run_tasks
 
-        task = ray.remote(num_cpus=1)(check_segment)
-        reports = ray.get([task.remote(s["dir"], raise_on_error) for s in man["segments"]])
+        reports = run_tasks(check_segment, [(s["dir"], raise_on_error) for s in man["segments"]])
     else:
         reports = [check_segment(s["dir"], raise_on_error) for s in man["segments"]]
 

@@ -46,6 +46,7 @@ import numpy as np
 import pyarrow as pa
 
 from .. import store
+from ..tasks import run_tasks
 from . import manifest as mf
 from . import postings as codec
 from .segment import SegmentReader
@@ -688,7 +689,8 @@ def merge_segments_task(
 def _apply_merges(index_dir: str, plan) -> dict:
     """Commit one generation that replaces each ``plan(base)`` group of
     segment ordinals with its merged segment (a no-op when the plan is
-    empty).  Merge tasks run on Ray, one task per merge.
+    empty).  One ``merge_segments_task`` per merge, launched through
+    ``tasks.run_tasks`` like the build's segment tasks.
 
     Concurrency follows ConcurrentMergeScheduler's default thread budget
     (ConcurrentMergeScheduler.setDefaultMaxMergesAndThreads: maxThreadCount
@@ -710,14 +712,12 @@ def _apply_merges(index_dir: str, plan) -> dict:
             else (os.cpu_count() or 8)
         )
         max_threads = max(1, min(4, total_cpus // 8))
-        task = ray.remote(num_cpus=max(1, total_cpus // max_threads))(
-            merge_segments_task
+        names = [f"seg_g{gen:04d}_m{mi:04d}" for mi in range(len(plans))]
+        results = run_tasks(
+            merge_segments_task,
+            [([segs[i] for i in p], index_dir, name) for p, name in zip(plans, names)],
+            num_cpus=max(1, total_cpus // max_threads),
         )
-        futures = {}
-        for mi, ordinals in enumerate(plans):
-            name = f"seg_g{gen:04d}_m{mi:04d}"
-            entries = [segs[i] for i in ordinals]
-            futures[mi] = (ordinals, name, task.remote(entries, index_dir, name))
 
         new_entries: list[dict] = []
         merged_ords = {i for p in plans for i in p}
@@ -726,15 +726,14 @@ def _apply_merges(index_dir: str, plan) -> dict:
             if i not in merged_ords:
                 new_entries.append(dict(seg))
             elif i in by_first:
-                ordinals, name, fut = futures[by_first[i]]
-                metrics = ray.get(fut)
+                mi = by_first[i]
                 # meta max_doc = LIVE docs after delete expunge
                 entry = mf.segment_entry(
-                    os.path.join(index_dir, name),
-                    segs[ordinals[0]]["doc_base"],
-                    os.path.join(index_dir, "docs", name),
+                    os.path.join(index_dir, names[mi]),
+                    seg["doc_base"],
+                    os.path.join(index_dir, "docs", names[mi]),
                 )
-                entry["metrics"] = {**entry["metrics"], **metrics}
+                entry["metrics"] = {**entry["metrics"], **results[mi]}
                 new_entries.append(entry)
         # re-chain doc_bases: merged segments shrink when deletes are
         # expunged, so every downstream base shifts (global docid = base +
@@ -747,11 +746,8 @@ def _apply_merges(index_dir: str, plan) -> dict:
             **manifest,
             "segments": new_entries,
             "merges": [
-                {
-                    "inputs": [segs[i]["name"] for i in p],
-                    "output": f"seg_g{gen:04d}_m{mi:04d}",
-                }
-                for mi, p in enumerate(plans)
+                {"inputs": [segs[i]["name"] for i in p], "output": name}
+                for p, name in zip(plans, names)
             ],
         }
 

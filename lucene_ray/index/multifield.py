@@ -170,34 +170,24 @@ class MultiFieldSearcher:
         self.doc_bases = first
         self.n_segments = len(first)
 
-    def _weights(self, clauses: list[FieldedClause]):
-        from ..search.query import Weight, collect_terms
+    def _weigh(self, clauses: list[FieldedClause]):
+        """(clause, rewritten query, Weight) per clause, each through its
+        field's IndexSearcher: per-field stats, and a satu
+        FeatureQuery(pivot=None) resolves its pivot there."""
+        return [(c, *self.searchers[c.field].weigh(c.query)) for c in clauses]
 
-        by_field: dict[str, set[str]] = {}
-        for c in clauses:
-            by_field.setdefault(c.field, set()).update(collect_terms(c.query))
-        weights = {}
-        for f, terms in by_field.items():
-            se = self.searchers[f]
-            weights[f] = Weight(
-                collection_stats=se.collection_stats,
-                term_stats=se.term_statistics(terms),
-                similarity=se.similarity,
-            )
-        return weights
-
-    def _segment_scorer(self, clauses, weights, seg_ord: int, score_mode: str):
+    def _segment_scorer(self, weighed, seg_ord: int, score_mode: str):
         from ..search.query import build_scorer, combine_clause_scorers
 
         shoulds, musts, must_nots, filters = [], [], [], []
-        for c in clauses:
+        for c, query, weight in weighed:
             reader = self.searchers[c.field].readers[seg_ord]
             mode = (
                 "COMPLETE_NO_SCORES"
                 if c.occur in (FILTER, MUST_NOT)
                 else score_mode
             )
-            s = build_scorer(c.query, weights[c.field], reader, c.boost, mode, False)
+            s = build_scorer(query, weight, reader, c.boost, mode, False)
             if c.occur == SHOULD:
                 if s is not None:
                     shoulds.append(s)
@@ -221,10 +211,10 @@ class MultiFieldSearcher:
         from ..search.collector import TopKCollector, merge_top_docs
         from ..search.scorers import NO_MORE_DOCS
 
-        weights = self._weights(clauses)
+        weighed = self._weigh(clauses)
         per_segment = []
         for i in range(self.n_segments):
-            scorer = self._segment_scorer(clauses, weights, i, "COMPLETE")
+            scorer = self._segment_scorer(weighed, i, "COMPLETE")
             hits: list[tuple[int, np.float32]] = []
             if scorer is not None:
                 collector = TopKCollector(k, np.inf)
@@ -241,10 +231,10 @@ class MultiFieldSearcher:
     def count(self, clauses: list[FieldedClause]) -> int:
         from ..search.scorers import NO_MORE_DOCS
 
-        weights = self._weights(clauses)
+        weighed = self._weigh(clauses)
         total = 0
         for i in range(self.n_segments):
-            scorer = self._segment_scorer(clauses, weights, i, "COMPLETE_NO_SCORES")
+            scorer = self._segment_scorer(weighed, i, "COMPLETE_NO_SCORES")
             if scorer is None:
                 continue
             live = self.searchers[clauses[0].field].readers[i].live

@@ -474,31 +474,17 @@ def build_segment_points(
 def build_point_index(
     index_dir: str, fields: tuple[str, ...], leaf_size: int = LEAF_SIZE
 ) -> list[str]:
-    """Persist a point tree for every segment (Ray map_batches over the
-    segment list; each task builds one tree from segment-local columns —
-    no data crosses the exchange).  Resumable per segment."""
-    import pyarrow as pa
-    import ray.data as rd
-
+    """Persist a point tree for every segment (one Ray task per segment;
+    each task builds one tree from segment-local columns — no data crosses
+    the exchange).  Resumable per segment."""
+    from .. import store
+    from ..tasks import run_tasks
     from . import manifest as mf
 
     man = mf.read_manifest(index_dir)
     dirs = [s["dir"] for s in man["segments"]]
-    from .. import store as _store
-
-    todo = [d for d in dirs if not _store.exists(point_file(d, "_".join(fields)))]
-    if todo:
-
-        def _build(batch: pa.Table) -> pa.Table:
-            paths = [
-                build_segment_points(d, fields, leaf_size)
-                for d in batch.column("dir").to_pylist()
-            ]
-            return pa.table({"path": pa.array(paths, pa.large_string())})
-
-        rd.from_items([{"dir": d} for d in todo]).map_batches(
-            _build, batch_format="pyarrow", batch_size=1
-        ).materialize()
+    todo = [d for d in dirs if not store.exists(point_file(d, "_".join(fields)))]
+    run_tasks(build_segment_points, [(d, fields, leaf_size) for d in todo])
     return [point_file(d, "_".join(fields)) for d in dirs]
 
 
@@ -510,34 +496,23 @@ def build_point_index_fn(
     fields use (document/LongRange.java encodes [min, max] as a 2*ndim
     point; here the derivation runs segment-local in the same one-task-
     per-segment dispatch, no exchange)."""
-    import pyarrow as pa
-    import ray.data as rd
-
     from .. import store
+    from ..tasks import run_tasks
     from . import manifest as mf
     from .segment import SegmentReader
 
     man = mf.read_manifest(index_dir)
     dirs = [s["dir"] for s in man["segments"]]
     todo = [d for d in dirs if not store.exists(point_file(d, name))]
-    if todo:
 
-        def _build(batch: pa.Table) -> pa.Table:
-            paths = []
-            for d in batch.column("dir").to_pylist():
-                r = SegmentReader(d)
-                values = np.ascontiguousarray(values_fn(r), dtype=np.int64)
-                tree = PointTree.build(
-                    values, np.arange(r.max_doc, dtype=np.int64), leaf_size
-                )
-                p = point_file(d, name)
-                tree.save(p)
-                paths.append(p)
-            return pa.table({"path": pa.array(paths, pa.large_string())})
+    def _build(d: str) -> None:
+        r = SegmentReader(d)
+        values = np.ascontiguousarray(values_fn(r), dtype=np.int64)
+        PointTree.build(values, np.arange(r.max_doc, dtype=np.int64), leaf_size).save(
+            point_file(d, name)
+        )
 
-        rd.from_items([{"dir": d} for d in todo]).map_batches(
-            _build, batch_format="pyarrow", batch_size=1
-        ).materialize()
+    run_tasks(_build, [(d,) for d in todo])
     return [point_file(d, name) for d in dirs]
 
 

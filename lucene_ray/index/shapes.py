@@ -30,7 +30,7 @@ This module is the same design over this repo's int64 planar point tree:
   DISJOINT = has a shape and no triangle matches; CONTAINS (point) = the
   point is in any triangle (the union of triangles IS the polygon).
 
-Scale: the artifact is per-segment (one map_batches task per segment, no
+Scale: the artifact is per-segment (one Ray task per segment, no
 exchange), queries fan out over the segment list and return bounded
 partials (top-k + count) — the same pattern as the point-tree queries.
 """
@@ -396,27 +396,14 @@ def write_shape_artifact(path: str, polys) -> None:
 def build_shape_index(index_dir: str, name: str, shape_fn) -> list[str]:
     """One Ray task per segment (idempotent, resumable) — same dispatch as
     build_point_index: segment-local columns only, no exchange."""
-    import pyarrow as pa
-    import ray.data as rd
-
     from .. import store
+    from ..tasks import run_tasks
     from . import manifest as mf
 
     man = mf.read_manifest(index_dir)
     dirs = [s["dir"] for s in man["segments"]]
     todo = [d for d in dirs if not store.exists(shape_file(d, name))]
-    if todo:
-
-        def _build(batch: pa.Table) -> pa.Table:
-            paths = [
-                build_segment_shapes(d, name, shape_fn)
-                for d in batch.column("dir").to_pylist()
-            ]
-            return pa.table({"path": pa.array(paths, pa.large_string())})
-
-        rd.from_items([{"dir": d} for d in todo]).map_batches(
-            _build, batch_format="pyarrow", batch_size=1
-        ).materialize()
+    run_tasks(build_segment_shapes, [(d, name, shape_fn) for d in todo])
     return [shape_file(d, name) for d in dirs]
 
 

@@ -16,8 +16,8 @@ table joined to the segment's stored doc_id column:
   groups, and an id-range-partitioned embeddings layout prunes whole
   files (the same storage-level pruning the persisted IVF uses); the
   exact membership mask is applied in memory with np.isin;
-- build fans out one Ray task per segment (map_batches over the segment
-  list), resumable/idempotent per segment.
+- build fans out one Ray task per segment (tasks.run_tasks over the
+  segment list), resumable/idempotent per segment.
 
 The graph machinery itself (vectorized beam frontier, diversity pruning,
 deterministic levels) is ops/hnsw.HnswGraph — one implementation serves
@@ -88,23 +88,11 @@ def build_vector_index(
 ) -> list[str]:
     """Persist a per-segment graph for every segment (one Ray task per
     segment, resumable)."""
-    import ray.data as rd
-
+    from ..tasks import run_tasks
     from . import manifest as mf
 
     man = mf.read_manifest(index_dir)
     dirs = [s["dir"] for s in man["segments"]]
     todo = [d for d in dirs if not store.exists(vector_file(d, field))]
-    if todo:
-
-        def _build(batch: pa.Table) -> pa.Table:
-            paths = [
-                build_segment_vectors(d, emb_path, field, id_column)
-                for d in batch.column("dir").to_pylist()
-            ]
-            return pa.table({"path": pa.array(paths, pa.large_string())})
-
-        rd.from_items([{"dir": d} for d in todo]).map_batches(
-            _build, batch_format="pyarrow", batch_size=1
-        ).materialize()
+    run_tasks(build_segment_vectors, [(d, emb_path, field, id_column) for d in todo])
     return [vector_file(d, field) for d in dirs]

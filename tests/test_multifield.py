@@ -183,3 +183,43 @@ def test_multi_similarity_sums_subscorer_scores():
         assert multi.score(f, int(nb)) == np.float32(
             float(parts[0].score(f, int(nb))) + float(parts[1].score(f, int(nb)))
         )
+
+
+def test_satu_feature_clause_rewrites_pivot(tmp_path, ray_session):
+    """A satu FeatureQuery(pivot=None) clause gets its pivot from its
+    field's searcher (the field holding the stored feature column) and
+    scores like the same boolean query on that field's plain searcher."""
+    import pyarrow.compute as pc
+
+    from lucene_ray.search.query import FeatureQuery, bool_query
+
+    tbl = generate_corpus(200, seed=11)
+    tbl = tbl.append_column("n_chars", pc.utf8_length(tbl.column("content")))
+    pq.write_table(tbl, str(tmp_path / "c.parquet"), row_group_size=50)
+    out = str(tmp_path / "idx")
+    build_multi_field_index(
+        str(tmp_path / "c.parquet"),
+        out,
+        [FieldSpec("content", "content", "standard"), FieldSpec("lang", "lang", "keyword")],
+        docs_per_segment=50,
+    )
+    ms = MultiFieldSearcher(out)
+    plain = IndexSearcher(out + "/content")
+    pivot = plain.compute_feature_pivot("n_chars")
+    feature = FeatureQuery("n_chars", "satu", weight=2.0)
+    clauses = [
+        FieldedClause("content", TermQuery("def"), "MUST"),
+        FieldedClause("content", feature, "SHOULD"),
+    ]
+    got = ms.search(clauses, 10)
+    pinned = ms.search(
+        [clauses[0], FieldedClause("content", FeatureQuery("n_chars", "satu", 2.0, pivot=pivot))],
+        10,
+    )
+    want = plain.search(
+        bool_query(must=[TermQuery("def")], should=[feature]), 10,
+        total_hits_threshold=np.inf, score_mode="COMPLETE",
+    )
+    assert got and got == pinned
+    assert [(d, np.float32(s)) for d, s in got] == [(d, np.float32(s)) for d, s in want]
+    assert ms.count(clauses) == plain.count(TermQuery("def"))
