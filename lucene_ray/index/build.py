@@ -12,7 +12,11 @@ index/DocumentsWriterPerThread.java:406-512, SURVEY §3.1): embarrassingly
 parallel, and the postings never cross the object store.  No rows flow
 between the tasks (each reads its own row groups), so the build does not
 go through a Ray Data pipeline.  ``build_index_local`` runs the same tasks
-in a serial in-process loop, for unit tests and tiny fixtures.
+in a serial in-process loop, for unit tests and tiny fixtures.  The NRT
+writers (``deletes.add_documents`` / ``update_documents``) flush their
+in-memory batch through the same ``FusedSegmentBuilder.build_one`` (its
+``tables`` entry), so there is one flush path: an appended segment and a
+bulk-built one over the same rows write the same files.
 
 - docIDs are deterministic: global docID = (row-group order in the sorted
   file list) x (row order within the group); segments are unions of whole
@@ -134,9 +138,7 @@ def _write_doc_fragment(
     out = tbl.select(meta_columns)
     out = out.add_column(0, "docid", pa.array(docids))
     out = out.append_column("sha256", pa.array(shas))
-    path = os.path.join(
-        docs_dir, f"seg_{desc['seg_id']:06d}", f"rg_{desc['frag_ord']:06d}.parquet"
-    )
+    path = os.path.join(docs_dir, desc["seg_name"], f"rg_{desc['frag_ord']:06d}.parquet")
     store.pq_write(out, path)
 
 
@@ -148,7 +150,7 @@ def _fragments_with_local_base(seg: dict) -> list[dict]:
     for ord_, (path, rg, n) in enumerate(seg["fragments"]):
         out.append(
             {
-                "seg_id": seg["seg_id"],
+                "seg_name": seg["name"],
                 "frag_ord": ord_,
                 "path": path,
                 "row_group": rg,
@@ -177,6 +179,10 @@ def _gather_row_slices(flat: np.ndarray, row_lens: np.ndarray, order: np.ndarray
 
 class FusedSegmentBuilder:
     """One call = one whole segment: read -> analyze -> encode -> write.
+
+    The rows come from the segment's parquet row groups (bulk build) or
+    from in-memory Arrow tables (``build_one(seg, tables)``, the NRT
+    append); everything after the read is shared.
 
     Stays dictionary-encoded end to end: fragment vocabularies are merged
     (python set union over ~10^4 strings), per-fragment term ids remapped
@@ -237,7 +243,12 @@ class FusedSegmentBuilder:
             "off_e": off_e,
         }
 
-    def build_one(self, seg: dict) -> dict:
+    def build_one(self, seg: dict, tables: list[pa.Table] | None = None) -> dict:
+        """Build and write segment ``seg`` (a ``plan_segments`` descriptor);
+        returns its meta.  ``tables``, when given, are the in-memory rows
+        of ``seg["fragments"]`` in order (the NRT append, which flushes
+        its batch through here): their columns are selected instead of
+        reading the parquet row groups."""
         from .segment import build_segment_from_ids
 
         # ONE read per fragment: the same table feeds the analyzer AND the
@@ -248,7 +259,10 @@ class FusedSegmentBuilder:
         frags = []
         doc_tbls = []  # buffered only for index_sort (needs the permutation)
         for frag in _fragments_with_local_base(seg):
-            tbl = _read_fragment(frag["path"], frag["row_group"], columns)
+            if tables is None:
+                tbl = _read_fragment(frag["path"], frag["row_group"], columns)
+            else:
+                tbl = tables[frag["frag_ord"]].select(columns)
             if self.index_sort is not None:
                 doc_tbls.append(tbl)
             elif self.write_doc_tables:
@@ -366,7 +380,7 @@ class FusedSegmentBuilder:
         sorted_tbl = combined.take(pa.array(new_order))
         _write_doc_fragment(
             sorted_tbl,
-            {"seg_id": seg["seg_id"], "frag_ord": 0, "local_base": 0},
+            {"seg_name": seg["name"], "frag_ord": 0, "local_base": 0},
             self.meta_columns,
             self.content_column,
             os.path.join(self.index_dir, "docs"),

@@ -14,8 +14,14 @@ deleteDocuments, codecs/lucene90/Lucene90LiveDocsFormat.java):
 - a merge EXPUNGES deletes: deleted rows are dropped, surviving docids are
   renumbered dense, and downstream doc_bases re-chain (the reference also
   renumbers on merge).
-- ``update_documents`` = delete-by-key + append a fresh segment at the
-  end of the manifest, committed as ONE generation.
+- matching goes through ``IndexSearcher.weigh`` (one rewrite + index-wide
+  Weight per write), the same weight a search of that query uses.
+- ``update_documents`` = delete-by-key + a fresh segment at the end of the
+  manifest, committed as ONE generation.  The segment is flushed by the
+  bulk builder (``build.FusedSegmentBuilder.build_one`` over the in-memory
+  table, with the manifest's analyzer, index options, term vectors and
+  index sort), so it is written exactly as ``build_index`` writes the same
+  rows; ``add_documents`` is the append alone.
 """
 
 from __future__ import annotations
@@ -41,29 +47,14 @@ def load_dv_overlay(store, path):
     return np.asarray(z["docids"], np.int64), np.asarray(z["values"], np.int64)
 
 
-def _matching_local_docids(reader, query) -> np.ndarray:
+def _matching_local_docids(reader, query, weight) -> np.ndarray:
     """All local docids matching ``query`` in one segment (COMPLETE walk,
-    ignores the current live mask — re-deleting is a no-op)."""
+    ignores the current live mask — re-deleting is a no-op).  ``query`` is
+    rewritten and ``weight`` is its index-wide Weight
+    (``IndexSearcher.weigh``); matching is non-scoring."""
     from ..search.query import build_scorer
     from ..search.scorers import NO_MORE_DOCS
 
-    # a throwaway weight with stats from this segment alone is fine:
-    # matching is non-scoring
-    from ..search.bm25 import CollectionStatistics, TermStatistics
-    from ..search.query import Weight, collect_terms
-
-    stats = reader.collection_partials()
-    cs = CollectionStatistics(
-        max_doc=reader.max_doc,
-        doc_count=stats["doc_count"],
-        sum_total_term_freq=stats["sum_total_term_freq"],
-        sum_doc_freq=stats["sum_doc_freq"],
-    )
-    tstats = {}
-    for t in collect_terms(query):
-        df, ttf = reader.term_stats(t)
-        tstats[t] = TermStatistics(t, max(df, 1), max(ttf, 1))
-    weight = Weight(collection_stats=cs, term_stats=tstats)
     saved_live = reader.live
     reader.live = None  # match against ALL docs, deleted included
     try:
@@ -92,11 +83,12 @@ def _delete(index_dir: str, man: dict, gen: int, query) -> dict | None:
     from ..search.searcher import IndexSearcher
 
     searcher = IndexSearcher(index_dir, generation=man["generation"])
+    query, weight = searcher.weigh(query)
     live_dir = os.path.join(index_dir, "livedocs")
     entries = []
     total_deleted = 0
     for reader, seg in zip(searcher.readers, man["segments"]):
-        hits = _matching_local_docids(reader, query)
+        hits = _matching_local_docids(reader, query, weight)
         live = (
             np.asarray(reader.live, dtype=bool).copy()
             if reader.live is not None
@@ -142,11 +134,12 @@ def _dv_update(index_dir: str, man: dict, gen: int, query, field: str, value: in
     from ..search.searcher import IndexSearcher
 
     searcher = IndexSearcher(index_dir, generation=man["generation"])
+    query, weight = searcher.weigh(query)
     dvu_dir = os.path.join(index_dir, "dvu")
     entries = []
     total = 0
     for reader, seg in zip(searcher.readers, man["segments"]):
-        hits = _matching_local_docids(reader, query)
+        hits = _matching_local_docids(reader, query, weight)
         prev = seg.get("dv_updates", {}).get(field)
         entry = dict(seg)
         if len(hits) == 0:
@@ -207,111 +200,25 @@ def add_documents(
 
 
 def _append(index_dir: str, man: dict, gen: int, table, content_column, meta_columns) -> dict:
-    """``man`` plus one generation-``gen`` segment holding ``table``'s rows."""
-    import pyarrow as pa
+    """``man`` plus one generation-``gen`` segment holding ``table``'s rows,
+    flushed by the bulk builder with the manifest's build settings."""
+    from .build import FusedSegmentBuilder
 
-    from ..analysis.analyzers import make_analyzer
-    from ..smallfloat import int_to_byte4_array
-    from .segment import build_segment_from_ids
-
-    analyzer = make_analyzer(man.get("analyzer", "standard"))
-    with_off = bool(man.get("index_options") == "offsets") or any(
-        store.exists(os.path.join(s["dir"], "off_start.npy"))
-        for s in man["segments"][:1]
-    )
-    with_pos = with_off or bool(man.get("index_options") == "positions") or any(
-        store.exists(os.path.join(s["dir"], "pos_data.npy"))
-        for s in man["segments"][:1]
-    )
-    with_pay = bool(man.get("index_options") == "payloads") or any(
-        store.exists(os.path.join(s["dir"], "pay_data.npy"))
-        for s in man["segments"][:1]
-    )
-    with_pos = with_pos or with_pay
-    with_tv = bool(man.get("term_vectors")) or any(
-        store.exists(os.path.join(s["dir"], "tv_row_start.npy"))
-        for s in man["segments"][:1]
-    )
-    texts = table.column(content_column).to_pylist()
-    presorted = False
-    offsets = None
-    payloads = None
-    if with_pos:
-        from .build import _gather_row_slices
-
-        if with_off or with_pay:
-            (
-                vocab, tids, docs, tfs, lengths, pos, off_s, off_e,
-            ) = analyzer.analyze_batch_offsets(texts)
-        else:
-            vocab, tids, docs, tfs, lengths, pos = analyzer.analyze_batch_positions(texts)
-        tids = np.asarray(tids, dtype=np.int64)
-        docs = np.asarray(docs, dtype=np.int64)
-        tfs = np.asarray(tfs, dtype=np.int64)
-        if len(tids):
-            order = np.lexsort((docs, tids))
-            pos = _gather_row_slices(np.asarray(pos), tfs, order)
-            if with_off:
-                offsets = (
-                    _gather_row_slices(np.asarray(off_s), tfs, order),
-                    _gather_row_slices(np.asarray(off_e), tfs, order),
-                )
-            if with_pay:
-                payloads = _gather_row_slices(np.asarray(off_s), tfs, order)
-            tids, docs, tfs = tids[order], docs[order], tfs[order]
-        else:
-            if with_off:
-                offsets = (np.empty(0, np.int64), np.empty(0, np.int64))
-            if with_pay:
-                payloads = np.empty(0, np.int64)
-        presorted = True
-    else:
-        vocab, tids, docs, tfs, lengths = analyzer.analyze_batch(texts)
-        pos = None
-    norms = int_to_byte4_array(np.asarray(lengths, dtype=np.int64)).astype(np.uint8)
-    doc_base = sum(int(s["max_doc"]) for s in man["segments"])
     name = f"seg_g{gen:04d}_add"
-    seg_dir = os.path.join(index_dir, name)
-    meta = {
-        "name": name,
-        "max_doc": len(texts),
-        "doc_base": doc_base,
-        "lineage": {"signature": f"add:g{gen}"},
-    }
-    build_segment_from_ids(
-        pa.array(vocab, type=pa.large_string()),
-        np.asarray(tids, dtype=np.int64),
-        np.asarray(docs, dtype=np.int32),
-        np.asarray(tfs, dtype=np.int32),
-        norms,
-        None,
-        seg_dir,
-        meta,
-        presorted=presorted,
-        positions=pos,
-        offsets=offsets,
-        payloads=payloads,
-        term_vectors=with_tv,
+    seg = {"name": name, "fragments": [[None, 0, len(table)]], "max_doc": len(table),
+           "doc_base": sum(int(s["max_doc"]) for s in man["segments"]),
+           "lineage": {"signature": f"add:g{gen}"}}
+    cols = meta_columns or [c for c in table.column_names if c != content_column]
+    FusedSegmentBuilder(
+        index_dir, man.get("analyzer", "standard"), content_column,
+        index_options=man.get("index_options") or "docs_freqs", meta_columns=list(cols),
+        write_doc_tables=True, index_sort=man.get("index_sort"),
+        term_vectors=bool(man.get("term_vectors")),
+    ).build_one(seg, tables=[table])
+    entry = mf.segment_entry(
+        os.path.join(index_dir, name), seg["doc_base"], os.path.join(index_dir, "docs", name)
     )
-    # stored fields beside the other segments' tables
-    cols = list(meta_columns or [c for c in table.column_names if c != content_column])
-    docs_dir = os.path.join(index_dir, "docs", name)
-    import hashlib
-
-    stored = table.select(cols) if cols else table.select([])
-    stored = stored.add_column(
-        0, "docid", pa.array(np.arange(len(texts), dtype=np.int32))
-    )
-    shas = [
-        hashlib.sha256((t or "").encode("utf-8")).hexdigest() for t in texts
-    ]
-    stored = stored.append_column("sha256", pa.array(shas))
-    store.pq_write(stored, os.path.join(docs_dir, "rg_000000.parquet"))
-
-    return {
-        **man,
-        "segments": list(man["segments"]) + [mf.segment_entry(seg_dir, doc_base, docs_dir)],
-    }
+    return {**man, "segments": [*man["segments"], entry]}
 
 
 def update_documents(

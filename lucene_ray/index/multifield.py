@@ -23,8 +23,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import manifest as mf
 from .build import build_index
 from .segment import SegmentReader
@@ -207,43 +205,27 @@ class MultiFieldSearcher:
         )
 
     def search(self, clauses: list[FieldedClause], k: int):
-        """Global top-k [(docid, float32 score)] — (score desc, docid asc)."""
-        from ..search.collector import TopKCollector, merge_top_docs
-        from ..search.scorers import NO_MORE_DOCS
+        """Global top-k [(docid, float32 score)] — (score desc, docid asc).
+        Live masks come from the first clause's field (all fields share
+        one docid space)."""
+        from ..search.collector import merge_top_docs
+        from ..search.searcher import collect_top_docs
 
         weighed = self._weigh(clauses)
-        per_segment = []
-        for i in range(self.n_segments):
-            scorer = self._segment_scorer(weighed, i, "COMPLETE")
-            hits: list[tuple[int, np.float32]] = []
-            if scorer is not None:
-                collector = TopKCollector(k, np.inf)
-                live = self.searchers[clauses[0].field].readers[i].live
-                doc = scorer.advance(0)
-                while doc != NO_MORE_DOCS:
-                    if live is None or live[doc]:
-                        collector.collect(doc, scorer.score())
-                    doc = scorer.next_doc()
-                hits = collector.top_docs()
-            per_segment.append(hits)
+        per_segment = [
+            collect_top_docs(self._segment_scorer(weighed, i, "COMPLETE"), r.live, k)
+            for i, r in enumerate(self.searchers[clauses[0].field].readers)
+        ]
         return merge_top_docs(per_segment, k, self.doc_bases)
 
     def count(self, clauses: list[FieldedClause]) -> int:
-        from ..search.scorers import NO_MORE_DOCS
+        from ..search.searcher import count_live_matches
 
         weighed = self._weigh(clauses)
-        total = 0
-        for i in range(self.n_segments):
-            scorer = self._segment_scorer(weighed, i, "COMPLETE_NO_SCORES")
-            if scorer is None:
-                continue
-            live = self.searchers[clauses[0].field].readers[i].live
-            doc = scorer.advance(0)
-            while doc != NO_MORE_DOCS:
-                if live is None or live[doc]:
-                    total += 1
-                doc = scorer.next_doc()
-        return total
+        return sum(
+            count_live_matches(self._segment_scorer(weighed, i, "COMPLETE_NO_SCORES"), r.live)
+            for i, r in enumerate(self.searchers[clauses[0].field].readers)
+        )
 
 
 def parse_multi_field(text: str, analyzers: dict[str, object], default_field: str):

@@ -449,14 +449,7 @@ class IndexSearcher:
                     total += reader.max_doc
                     continue
             scorer = build_scorer(query, weight, reader, 1.0, "COMPLETE_NO_SCORES", False)
-            if scorer is None:
-                continue
-            live = reader.live
-            doc = scorer.advance(0)
-            while doc != NO_MORE_DOCS:
-                if live is None or live[doc]:
-                    total += 1
-                doc = scorer.next_doc()
+            total += count_live_matches(scorer, reader.live)
         return total
 
 
@@ -660,6 +653,18 @@ def search_segment(
         if flat is not None and reader.max_doc <= BULK_MAX_DOC:
             return _bulk_search_segment(reader, flat[0], flat[1], weight, k)
     scorer = build_scorer(query, weight, reader, 1.0, score_mode, top_level=True)
+    return collect_top_docs(scorer, reader.live, k, total_hits_threshold, score_mode, floor)
+
+
+def collect_top_docs(
+    scorer, live, k: int, total_hits_threshold: float = np.inf,
+    score_mode: str = "COMPLETE", floor: float = -np.inf,
+) -> list[tuple[int, np.float32]]:
+    """One segment's top-k from a scorer tree (None: no match): every
+    match that ``live`` keeps (None: all) goes to a TopKCollector.  In
+    TOP_SCORES mode the collector's min-competitive score, seeded by the
+    cross-segment ``floor``, feeds back into the scorer; COMPLETE mode
+    collects exhaustively."""
     if scorer is None:
         return []
     collector = TopKCollector(k, total_hits_threshold)
@@ -667,7 +672,6 @@ def search_segment(
         mc = np.nextafter(np.float32(floor), np.float32(np.inf), dtype=np.float32)
         collector.min_competitive = mc
         scorer.set_min_competitive_score(mc)
-    live = reader.live
     doc = scorer.advance(0)
     while doc != NO_MORE_DOCS:
         if live is None or live[doc]:
@@ -678,6 +682,20 @@ def search_segment(
                 scorer.set_min_competitive_score(mc)
         doc = scorer.next_doc()
     return collector.top_docs()
+
+
+def count_live_matches(scorer, live) -> int:
+    """How many of a scorer tree's matches (None: none) ``live`` keeps
+    (None: all) — the non-scoring count loop."""
+    if scorer is None:
+        return 0
+    total = 0
+    doc = scorer.advance(0)
+    while doc != NO_MORE_DOCS:
+        if live is None or live[doc]:
+            total += 1
+        doc = scorer.next_doc()
+    return total
 
 
 # --- distributed search over Ray actors ---------------------------------

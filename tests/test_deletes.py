@@ -4,6 +4,7 @@ merge-time expunge with docid renumbering, update_documents."""
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -332,3 +333,110 @@ def test_add_documents_carries_term_vectors(tmp_path, ray_session):
     man2 = force_merge(idx, max_segments=1)
     rm = SegmentReader(man2["segments"][0]["dir"])
     assert rm.has_term_vectors
+
+
+def _segment_files(seg_dir):
+    out = {}
+    for root, _dirs, files in os.walk(seg_dir):
+        for f in files:
+            p = os.path.join(root, f)
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, seg_dir)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"index_options": "docs_freqs"},
+        {"index_options": "positions"},
+        {"index_options": "offsets"},
+        {"index_options": "payloads"},
+        {"term_vectors": True},
+        {"index_sort": ("n", "desc")},
+    ],
+    ids=["docs_freqs", "positions", "offsets", "payloads", "term_vectors", "index_sort"],
+)
+def test_append_flushes_like_bulk_build(tmp_path, monkeypatch, settings):
+    """One flush path: a segment appended by add_documents is written by the
+    bulk builder from the in-memory table, so it holds the same bytes as
+    build_index_local over the same rows (only meta.json differs: names,
+    lineage, timings), with the manifest's index options and index sort."""
+    import pyarrow.compute as pc
+
+    from lucene_ray.index import build as build_mod
+    from lucene_ray.index.check import check_index
+
+    tbl = generate_corpus(90, seed=7)
+    tbl = tbl.append_column("n", pc.utf8_length(tbl.column("content")))
+    meta_columns = ("repo", "path", "commit", "lang", "n")
+    base_src, ref_src = tmp_path / "base.parquet", tmp_path / "ref.parquet"
+    pq.write_table(tbl.slice(0, 60), str(base_src), row_group_size=30)
+    pq.write_table(tbl.slice(60), str(ref_src))
+    idx, ref = str(tmp_path / "idx"), str(tmp_path / "ref")
+    build_index_local(str(base_src), idx, docs_per_segment=30, meta_columns=meta_columns,
+                      **settings)
+    ref_seg = build_index_local(str(ref_src), ref, docs_per_segment=1000,
+                                meta_columns=meta_columns, **settings)["segments"][0]
+
+    def no_parquet(*_a, **_kw):
+        raise AssertionError("the append read parquet")
+
+    monkeypatch.setattr(build_mod, "_read_fragment", no_parquet)
+    man = add_documents(idx, tbl.slice(60), content_column="content")
+    new_seg = man["segments"][-1]
+
+    got, want = _segment_files(new_seg["dir"]), _segment_files(ref_seg["dir"])
+    assert got.pop("meta.json") and want.pop("meta.json")
+    assert got == want
+    assert pq.read_table(new_seg["docs_dir"]).equals(pq.read_table(ref_seg["docs_dir"]))
+    with open(os.path.join(new_seg["dir"], "meta.json")) as fh:
+        meta = json.load(fh)
+    assert meta["index_options"] == settings.get("index_options", "docs_freqs")
+    assert meta.get("index_sort") == (list(settings["index_sort"]) if "index_sort" in settings else None)
+    assert check_index(idx, use_ray=False)["ok"]
+
+
+def test_delete_by_query_rewrites_satu_feature(tmp_path):
+    """A delete weighs its query through IndexSearcher once per write, so a
+    satu FeatureQuery(pivot=None) clause gets its pivot rewritten there."""
+    import pyarrow.compute as pc
+
+    from lucene_ray.search.query import FeatureQuery
+
+    tbl = generate_corpus(120, seed=3)
+    tbl = tbl.append_column("n_chars", pc.utf8_length(tbl.column("content")))
+    pq.write_table(tbl, str(tmp_path / "c.parquet"), row_group_size=30)
+    out = str(tmp_path / "idx")
+    build_index_local(str(tmp_path / "c.parquet"), out, docs_per_segment=30,
+                      meta_columns=("repo", "path", "n_chars"))
+    n_def = IndexSearcher(out).count(TermQuery("def"))
+    assert 0 < n_def < 120
+    man = delete_by_query(
+        out, bool_query(must=[TermQuery("def")], should=[FeatureQuery("n_chars", "satu")])
+    )
+    assert live_doc_count(man) == 120 - n_def
+    assert IndexSearcher(out).count(TermQuery("def")) == 0
+
+
+def test_writes_match_a_term_of_one_segment(idx):
+    """A term that occurs in one segment only: the index-wide weight
+    matches it there and nowhere else, for deletes and doc-values updates."""
+    from lucene_ray.index.deletes import update_numeric_docvalue
+
+    out, _tbl = idx
+    rows = pa.table(
+        {
+            "repo": pa.array(["r3", "r3"]),
+            "path": pa.array(["p/a.py", "p/b.py"]),
+            "commit": pa.array(["c3", "c3"]),
+            "lang": pa.array(["py", "py"]),
+            "content": pa.array(["zzonesegment alpha", "beta"]),
+        }
+    )
+    add_documents(out, rows, content_column="content")
+    man = update_numeric_docvalue(out, TermQuery("zzonesegment"), "n", 7)
+    assert [("dv_updates" in s) for s in man["segments"]] == [False] * 10 + [True]
+    man = delete_by_query(out, TermQuery("zzonesegment"))
+    assert [s.get("del_count", 0) for s in man["segments"]] == [0] * 10 + [1]
+    assert live_doc_count(man) == 301
