@@ -166,7 +166,7 @@ def cmd_bpmerge(args) -> int:
 
 def cmd_sortmerge(args) -> int:
     _init_ray()
-    from .index.sortmerge import force_merge_sorted
+    from .index.merge import force_merge_sorted
 
     man = force_merge_sorted(args.index)
     print(

@@ -29,11 +29,11 @@ side doc-freqs per pass instead of maintaining them incrementally under
 swaps (same fixpoint, simpler vectorization), and the partition is a
 full lexsort rather than an introselect (same resulting halves).
 
-``bp_reorder_merge`` applies the permutation through the shared
-Sorter-style doc-map merge (index/sortmerge._merge_with_order), so
-postings/norms/stored fields are rebuilt in the new order and CheckIndex
-covers the result; ``log_gap_cost`` is the compression objective the
-tests assert shrinks.
+``bp_reorder_merge`` passes the permutation as the doc map of the one
+merge executor (index/merge.merge_segments_task), so postings,
+positions, offsets, payloads, norms, term vectors and stored fields are
+rebuilt in the new order and CheckIndex covers the result;
+``log_gap_cost`` is the compression objective the tests assert shrinks.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import store
-from . import manifest as mf
 from .postings import decode_term
 from .segment import SegmentReader
 
@@ -210,49 +209,26 @@ def bp_reorder_merge(
     permutation (the BPReorderingMergePolicy shape: reorder happens at
     merge time); commits a new manifest generation.  Refuses an
     index-sorted index — BP would break the Sorter invariant."""
-    return mf.commit(
-        index_dir,
-        lambda man, gen: _bp_merge(
-            index_dir, man, gen, min_doc_freq, max_doc_freq, max_iters
-        ),
-    )
+    from .merge import _apply_merges
 
+    def plan(man: dict) -> list[list[int]]:
+        if man.get("index_sort"):
+            raise ValueError("BP reorder would violate the index sort")
+        n = len(man["segments"])
+        return [list(range(n))] if n else []
 
-def _bp_merge(index_dir, man, gen, min_doc_freq, max_doc_freq, max_iters) -> dict:
-    from .sortmerge import _merge_with_order
-
-    if man.get("index_sort"):
-        raise ValueError("BP reorder would violate the index sort")
-    if man.get("index_options") in ("offsets", "payloads") or man.get("term_vectors"):
-        raise NotImplementedError("BP merge supports docs_freqs/positions only")
-
-    readers: list[SegmentReader] = []
-    kept_locals: list[np.ndarray] = []
-    for seg in man["segments"]:
-        r = SegmentReader(seg["dir"])
-        lp = seg.get("livedocs")
-        if lp:
-            r.live = store.np_load(lp)
-        live = (
-            np.asarray(r.live, dtype=bool)
-            if r.live is not None
-            else np.ones(r.max_doc, dtype=bool)
+    def order_of(entries: list[dict]) -> np.ndarray:
+        readers: list[SegmentReader] = []
+        kept_locals: list[np.ndarray] = []
+        for seg in entries:
+            r = SegmentReader(seg["dir"])
+            lp = seg.get("livedocs")
+            live = store.np_load(lp) if lp else np.ones(r.max_doc, dtype=bool)
+            readers.append(r)
+            kept_locals.append(np.nonzero(live)[0])
+        indptr, indices, n_terms = build_forward_index(
+            readers, kept_locals, min_doc_freq, max_doc_freq
         )
-        readers.append(r)
-        kept_locals.append(np.nonzero(live)[0])
+        return bp_permutation(indptr, indices, n_terms, max_iters)
 
-    indptr, indices, n_terms = build_forward_index(
-        readers, kept_locals, min_doc_freq, max_doc_freq
-    )
-    order = bp_permutation(indptr, indices, n_terms, max_iters)
-    return _merge_with_order(
-        index_dir,
-        man,
-        readers,
-        kept_locals,
-        order,
-        gen,
-        name=f"seg_g{gen:04d}_bp",
-        signature=f"bpmerge:g{gen}",
-        index_sort=None,
-    )
+    return _apply_merges(index_dir, plan, order_of)

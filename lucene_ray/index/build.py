@@ -162,19 +162,22 @@ def _fragments_with_local_base(seg: dict) -> list[dict]:
     return out
 
 
+def _row_slices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the ragged rows [starts[i], starts[i] + lens[i]),
+    concatenated in row order."""
+    lens = np.asarray(lens, dtype=np.int64)
+    off = np.cumsum(lens) - lens
+    return np.repeat(np.asarray(starts, dtype=np.int64) - off, lens) + np.arange(
+        int(lens.sum()), dtype=np.int64
+    )
+
+
 def _gather_row_slices(flat: np.ndarray, row_lens: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Reorder a ragged array (rows of lengths ``row_lens`` concatenated in
     ``flat``) by the row permutation ``order`` — fully vectorized."""
     row_lens = np.asarray(row_lens, dtype=np.int64)
     off = np.concatenate(([0], np.cumsum(row_lens)))
-    starts = off[order]
-    lens = row_lens[order]
-    total = int(lens.sum())
-    if total == 0:
-        return flat[:0]
-    new_off = np.concatenate(([0], np.cumsum(lens[:-1])))
-    within = np.arange(total, dtype=np.int64) - np.repeat(new_off, lens)
-    return flat[np.repeat(starts, lens) + within]
+    return flat[_row_slices(off[order], row_lens[order])]
 
 
 class FusedSegmentBuilder:

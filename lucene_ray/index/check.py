@@ -14,7 +14,8 @@ segment (one Ray task per segment — segments are independent):
    and norm == quantized sum(tf) per doc
 5. segment stats == recomputed aggregates (doc_count, sum_ttf, sum_df)
 6. manifest: doc_base prefix-sum density, ordinal order, collection
-   stats == sum of segment partials
+   stats == sum of segment partials, and a declared ``index_sort`` is
+   declared by every segment's meta (whose keys 3e checks monotone)
 
 Returns a report dict; raises CheckIndexError on the first violation if
 ``raise_on_error``.
@@ -215,6 +216,7 @@ def check_segment(seg_dir: str, raise_on_error: bool = True) -> dict:
         "max_doc": r.max_doc,
         "n_terms": r.n_terms,
         "n_postings": sum_df,
+        "index_sort": sort_meta,
         "errors": errors,
     }
 
@@ -257,6 +259,14 @@ def check_index(index_dir: str, generation: int | None = None, raise_on_error: b
             if len(d):
                 _chk(bool((np.diff(d) > 0).all()), f"{seg['name']}: dv_updates[{fld}] docids not strictly ascending", errors, raise_on_error)
                 _chk(int(d[0]) >= 0 and int(d[-1]) < int(seg["max_doc"]), f"{seg['name']}: dv_updates[{fld}] docid out of range", errors, raise_on_error)
+
+    # an index sort is an index-wide promise (early termination, sorted
+    # range queries): every segment must declare it, not just be checked
+    # when it does
+    sort = man.get("index_sort")
+    if sort:
+        for seg, rep in zip(man["segments"], reports):
+            _chk(rep["index_sort"] == list(sort), f"{seg['name']}: meta index_sort {rep['index_sort']} != manifest {list(sort)}", errors, raise_on_error)
 
     cs = mf.collection_stats_from(man)
     tot_postings = sum(rep["n_postings"] for rep in reports)

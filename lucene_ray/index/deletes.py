@@ -47,6 +47,16 @@ def load_dv_overlay(store, path):
     return np.asarray(z["docids"], np.int64), np.asarray(z["values"], np.int64)
 
 
+def save_dv_overlay(store, path, docids, values) -> None:
+    """Write one overlay sidecar (ascending ``docids``, aligned ``values``);
+    the doc-values update and the merge both write through here."""
+    import io
+
+    buf = io.BytesIO()
+    np.savez_compressed(buf, docids=docids, values=values)
+    store.write_bytes_atomic(path, buf.getvalue())
+
+
 def _matching_local_docids(reader, query, weight) -> np.ndarray:
     """All local docids matching ``query`` in one segment (COMPLETE walk,
     ignores the current live mask — re-deleting is a no-op).  ``query`` is
@@ -122,17 +132,20 @@ def update_numeric_docvalue(index_dir: str, query, field: str, value: int) -> di
     npz under ``index_dir/dvu/``) referenced from the new generation;
     readers overlay it in ``stored_column`` and earlier generations keep
     serving the old values (point-in-time reads).  Repeated updates merge
-    (newest wins)."""
+    (newest wins), and merges carry the overlay through their doc map.
+    The index-sort field cannot be updated (the reference IndexWriter
+    refuses it too): a changed key would break the sort invariant that
+    early termination relies on."""
     return mf.commit(
         index_dir, lambda man, gen: _dv_update(index_dir, man, gen, query, field, value)
     )
 
 
 def _dv_update(index_dir: str, man: dict, gen: int, query, field: str, value: int):
-    import io
-
     from ..search.searcher import IndexSearcher
 
+    if field == (man.get("index_sort") or [None])[0]:
+        raise ValueError(f"cannot update docvalues field {field!r} involved in the index sort")
     searcher = IndexSearcher(index_dir, generation=man["generation"])
     query, weight = searcher.weigh(query)
     dvu_dir = os.path.join(index_dir, "dvu")
@@ -154,10 +167,8 @@ def _dv_update(index_dir: str, man: dict, gen: int, query, field: str, value: in
             values = np.concatenate([pv[keep], values])
             order = np.argsort(docids)
             docids, values = docids[order], values[order]
-        buf = io.BytesIO()
-        np.savez_compressed(buf, docids=docids, values=values)
         path = os.path.join(dvu_dir, f"{seg['name']}-{field}-g{gen:04d}.npz")
-        store.write_bytes_atomic(path, buf.getvalue())
+        save_dv_overlay(store, path, docids, values)
         entry["dv_updates"] = {**seg.get("dv_updates", {}), field: path}
         entries.append(entry)
         total += len(hits)

@@ -7,21 +7,35 @@ and scoring (index/TieredMergePolicy.java:77-83 defaults, :375-419 budget,
 candidates are runs of ADJACENT segments in manifest order.  Our global
 docID contract (global = doc_base + local, bases contiguous in manifest
 order, SURVEY §1.1 docID row) makes merges of adjacent runs preserve every
-global docID — which keeps ranking bit-reproducible across merges, a
-property the differential tests rely on.  (Lucene itself renumbers docIDs
-on merge; LogMergePolicy is likewise adjacent-only.)
+global docID of an unsorted index — which keeps ranking bit-reproducible
+across merges, a property the differential tests rely on.  (Lucene itself
+renumbers docIDs on merge; LogMergePolicy is likewise adjacent-only.)
 
-Merge task: STREAMING sectioned execution — the merged vocabulary is cut
-at term boundaries into <= section_postings-posting sections; each
-section decodes its term range from every input (contiguous block/byte
-slices), shifts docids (k-way merge degenerates to concat because input
-docid ranges are disjoint and ordered — reference DocIDMerger.java:32-122
-sequential-base path), re-encodes, and appends to a
-StreamingSegmentWriter.  Impacts and skip data are REBUILT from scratch
-exactly like SegmentMerger (SegmentMerger.java:120-160); live-docs are
-EXPUNGED with dense renumbering; stored-field tables are rewritten with
-merged-local docids.  A prefetch thread prepares section i+1 while
-section i appends (two sections in flight).
+Merge task: ONE executor, ``merge_segments_task``, runs every merge —
+tiered, forced, expunging, index-sorted and BP-reordered.  It is
+STREAMING and sectioned: the merged vocabulary is cut at term boundaries
+into <= section_postings-posting sections; each section decodes its term
+range from every input (contiguous block/byte slices), maps docids into
+the merged segment, re-encodes, and appends to a StreamingSegmentWriter.
+Impacts and skip data are REBUILT from scratch exactly like SegmentMerger
+(SegmentMerger.java:120-160); live-docs are EXPUNGED with dense
+renumbering; stored-field tables are rewritten with merged-local docids.
+A prefetch thread prepares section i+1 while section i appends (two
+sections in flight).
+
+Doc map (MergeState.DocMap / Sorter): the kept (live) docs of the inputs,
+concatenated in doc_base order, get dense ids k.  Without an order, new
+docid = k (k-way merge degenerates to concat because input docid ranges
+are disjoint and ordered — reference DocIDMerger.java:32-122
+sequential-base path), so global docids survive merges of an unsorted
+index up to expunged deletes.  With an order, new docid j holds kept doc
+``order[j]``: an index-sorted manifest derives it from the inputs' stored
+sort column (the build's stable key, ties by segment ordinal and local
+docid) and writes ``index_sort`` into the merged meta, and the BP
+reorderer (index/bp.py) passes its permutation.  Postings, positions,
+offsets, payloads, norms, term vectors, the stored ``docid`` column and
+the doc-values update overlays all follow the same map, so a sorted merge
+renumbers docs only inside the merged run's doc_base range.
 
 Commit: a new manifest generation listing the post-merge segment set;
 old segment dirs are garbage-collected only when no manifest generation
@@ -30,9 +44,9 @@ refcounting.
 
 Scale: one Ray task per planned merge (ConcurrentMergeScheduler analogue;
 merges are independent).  Peak task memory ~ 2 decoded sections
-(DEFAULT_SECTION_POSTINGS = 8M postings each) + the RAM-resident merged
-vocabulary metadata, INDEPENDENT of segment size — the 5GB reference
-max-segment policy is safe at any target.
+(DEFAULT_SECTION_POSTINGS = 1M postings each) + the RAM-resident merged
+vocabulary metadata and per-doc arrays, INDEPENDENT of postings volume —
+the 5GB reference max-segment policy is safe at any target.
 """
 
 from __future__ import annotations
@@ -49,6 +63,7 @@ from .. import store
 from ..tasks import run_tasks
 from . import manifest as mf
 from . import postings as codec
+from .deletes import load_dv_overlay, save_dv_overlay
 from .segment import SegmentReader
 
 # reference defaults, TieredMergePolicy.java:77-83
@@ -363,29 +378,37 @@ def merge_segments_task(
     out_dir: str,
     name: str,
     section_postings: int = DEFAULT_SECTION_POSTINGS,
+    index_sort: list | None = None,
+    order: np.ndarray | None = None,
 ) -> dict:
-    """STREAMING sectioned merge: decode -> shift -> re-encode one merged
-    segment in bounded term-range sections.
+    """STREAMING sectioned merge: decode -> map docids -> re-encode one
+    merged segment in bounded term-range sections.
 
     The merged vocabulary (sorted union of the input dictionaries, RAM-
     resident — postings dominate bytes by ~2 orders of magnitude) is split
     at term boundaries into sections of <= ``section_postings`` decoded
     postings; each section decodes only its term range from every input
     (``codec.decode_range`` — contiguous block/byte slices), remaps ids
-    with the per-input monotone ``pc.index_in`` map, stable-sorts by merged
-    term id (inputs are doc-base ordered, so within-term doc order is
-    preserved without a lexsort), re-encodes, and APPENDS to a
+    with the per-input monotone ``pc.index_in`` map, sorts by (merged term
+    id, new docid), re-encodes, and APPENDS to a
     ``StreamingSegmentWriter``.  Peak memory ~ one section, regardless of
     segment size — the reference streams merges the same way
     (index/SegmentMerger.java:120-160 iterator-based mergeTerms,
     DocIDMerger.java:32-122 sequential-base path; impacts/skips rebuilt).
     A single pathological term larger than the budget gets a section of
     its own (terms never split).
+
+    ``order`` is the doc map (module docstring): new docid j holds kept
+    doc ``order[j]``.  When it is None and ``index_sort`` = (field,
+    direction) is given, it is derived from the inputs' stored sort
+    column; when both are None the kept docs keep their concatenated
+    order.  Returns the segment metrics plus ``dv_updates``, the merged
+    doc-values overlay paths by field.
     """
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from .build import _gather_row_slices
+    from .build import _gather_row_slices, _row_slices
     from .segment import StreamingSegmentWriter
 
     t0 = time.time()
@@ -450,6 +473,13 @@ def merge_segments_task(
     norms = (
         np.concatenate(norm_parts) if norm_parts else np.zeros(0, dtype=np.uint8)
     )
+    if order is None and index_sort:
+        order = _index_sort_order(readers, lives, index_sort)
+    new_of_kept = None
+    if order is not None:
+        new_of_kept = np.empty(max_doc, dtype=np.int64)
+        new_of_kept[order] = np.arange(max_doc, dtype=np.int64)
+        norms = norms[order]
 
     # section boundaries from the merged per-term posting totals
     tot = np.zeros(n_merged, dtype=np.int64)
@@ -471,6 +501,8 @@ def merge_segments_task(
             ],
         },
     }
+    if index_sort:
+        meta["index_sort"] = list(index_sort)
     seg_dir = os.path.join(out_dir, name)
     writer = StreamingSegmentWriter(
         seg_dir, merged_vocab, norms, meta, with_pos,
@@ -553,28 +585,32 @@ def merge_segments_task(
         tids = np.concatenate(sec_tids) if sec_tids else np.empty(0, dtype=np.int64)
         docs = np.concatenate(sec_docs) if sec_docs else np.empty(0, dtype=np.int64)
         tfs = np.concatenate(sec_tfs) if sec_tfs else np.empty(0, dtype=np.int64)
-        # inputs are appended in doc_base order, so a STABLE sort on the
-        # term id alone leaves docids ascending within each term
-        order = np.argsort(tids, kind="stable")
+        if new_of_kept is None:
+            # inputs are appended in doc_base order, so a STABLE sort on
+            # the term id alone leaves docids ascending within each term
+            rows = np.argsort(tids, kind="stable")
+        else:
+            docs = new_of_kept[docs]
+            rows = np.lexsort((docs, tids))
         positions = None
         offsets = None
         if with_pos:
             pos_flat = (
                 np.concatenate(sec_pos) if sec_pos else np.empty(0, dtype=np.int32)
             )
-            positions = _gather_row_slices(pos_flat, tfs, order)
+            positions = _gather_row_slices(pos_flat, tfs, rows)
         if with_off:
             os_flat = np.concatenate(sec_os) if sec_os else np.empty(0, dtype=np.int32)
             oe_flat = np.concatenate(sec_oe) if sec_oe else np.empty(0, dtype=np.int32)
             offsets = (
-                _gather_row_slices(os_flat, tfs, order),
-                _gather_row_slices(oe_flat, tfs, order),
+                _gather_row_slices(os_flat, tfs, rows),
+                _gather_row_slices(oe_flat, tfs, rows),
             )
         payloads = None
         if with_pay:
             pay_flat = np.concatenate(sec_pay) if sec_pay else np.empty(0, dtype=np.int32)
-            payloads = _gather_row_slices(pay_flat, tfs, order)
-        tids, docs, tfs = tids[order] - lo, docs[order], tfs[order]
+            payloads = _gather_row_slices(pay_flat, tfs, rows)
+        tids, docs, tfs = tids[rows] - lo, docs[rows], tfs[rows]
         enc = codec.encode_postings(
             tids, docs.astype(np.int64), tfs.astype(np.int64), norms, hi - lo
         )
@@ -582,50 +618,44 @@ def merge_segments_task(
 
     def _merge_term_vectors() -> None:
         """Carry the per-doc CSR forward index through the merge: term ids
-        remap via the merged-vocab codes, docs concatenate in doc_base
-        order (= merged-local order), deleted docs drop.  No transpose is
-        needed — tv is already doc-major — and the fill is chunked
-        (~4M rows) through memmapped outputs, so memory stays bounded
-        like the postings sections (reference
+        remap via the merged-vocab codes, deleted docs drop and rows follow
+        the doc map.  No transpose is needed — tv is already doc-major —
+        and the fill is chunked (~4M rows) through memmapped outputs, so
+        memory stays bounded like the postings sections (reference
         Lucene90CompressingTermVectorsWriter.merge streams the same way).
         Only runs when EVERY input has term vectors."""
         CHUNK = 4 * 1024 * 1024
-        lens_parts: list[np.ndarray] = []
-        total = 0
-        for r, live in zip(readers, lives):
-            lens = np.diff(np.asarray(r.tv_row_start)).astype(np.int64)
-            if live is not None:
-                lens = lens[live]
-            lens_parts.append(lens)
-            total += int(lens.sum())
-        tvt, tvf, tvrs = writer.term_vector_sink(total, max_doc)
-        all_lens = np.concatenate(lens_parts) if lens_parts else np.zeros(0, np.int64)
+        # per new docid: the input it comes from and its local docid there
+        src_input = np.repeat(
+            np.arange(len(readers)), np.diff(np.append(live_bases, max_doc))
+        )
+        src_local = np.concatenate(
+            [np.arange(r.max_doc) if live is None else np.nonzero(live)[0]
+             for r, live in zip(readers, lives)]
+        ).astype(np.int64)
+        if order is not None:
+            src_input, src_local = src_input[order], src_local[order]
+        lens = np.zeros(max_doc, dtype=np.int64)
+        for i, r in enumerate(readers):
+            m = src_input == i
+            lens[m] = np.diff(np.asarray(r.tv_row_start))[src_local[m]]
+        tvt, tvf, tvrs = writer.term_vector_sink(int(lens.sum()), max_doc)
         tvrs[0] = 0
-        np.cumsum(all_lens, out=tvrs[1:])
-        off = 0
-        for r, remap, live in zip(readers, remaps, lives):
-            rs = np.asarray(r.tv_row_start)
-            n_in = len(rs) - 1
-            lens_full = np.diff(rs)
-            doc_lo = 0
-            while doc_lo < n_in:
-                doc_hi = int(
-                    np.searchsorted(rs, int(rs[doc_lo]) + CHUNK, side="left")
-                )
-                doc_hi = min(max(doc_hi, doc_lo + 1), n_in)
-                tid = np.asarray(r.tv_tid[rs[doc_lo] : rs[doc_hi]])
-                tf = np.asarray(r.tv_tf[rs[doc_lo] : rs[doc_hi]])
-                lens = lens_full[doc_lo:doc_hi]
-                if live is not None:
-                    kept = np.nonzero(live[doc_lo:doc_hi])[0]
-                    tid = _gather_row_slices(tid, lens, kept)
-                    tf = _gather_row_slices(tf, lens, kept)
-                n = len(tid)
-                tvt[off : off + n] = remap[tid]
-                tvf[off : off + n] = tf
-                off += n
-                doc_lo = doc_hi
-        assert off == total, (off, total)
+        np.cumsum(lens, out=tvrs[1:])
+        doc_lo = 0
+        while doc_lo < max_doc:
+            doc_hi = int(np.searchsorted(tvrs, int(tvrs[doc_lo]) + CHUNK, side="left"))
+            doc_hi = min(max(doc_hi, doc_lo + 1), max_doc)
+            for i, (r, remap) in enumerate(zip(readers, remaps)):
+                sel = doc_lo + np.nonzero(src_input[doc_lo:doc_hi] == i)[0]
+                if not len(sel):
+                    continue
+                rs = np.asarray(r.tv_row_start)
+                take = _row_slices(rs[src_local[sel]], lens[sel])
+                put = _row_slices(tvrs[sel], lens[sel])
+                tvt[put] = remap[np.asarray(r.tv_tid)[take]]
+                tvf[put] = np.asarray(r.tv_tf)[take]
+            doc_lo = doc_hi
         del tvt, tvf, tvrs  # flush memmaps
 
     try:
@@ -655,11 +685,12 @@ def merge_segments_task(
     metrics["section_postings"] = int(section_postings)
 
     # stored-fields doc tables: rewrite fragments into the merged docs dir
-    # with docids shifted to the merged segment's local space, so the
+    # with docids mapped to the merged segment's local space, so the
     # doc_base + docid invariant survives any number of merge levels
     # (reference SegmentMerger.mergeFields rewrites stored fields too).
     # Fragments are named by their ordinal in this merge, so names stay the
-    # same length at every merge level; readers sort by docid anyway.
+    # same length at every merge level; readers sort by docid, so a doc
+    # map only rewrites the docid column.
     docs_out = None
     n_frags = 0
     for e, live, lpfx, lbase in zip(seg_entries, lives, live_prefix, live_bases):
@@ -679,18 +710,62 @@ def merge_segments_task(
                     new_ids = lpfx[old_ids[keep]] + lbase
                 else:
                     new_ids = old_ids.astype(np.int64) + lbase
+                if new_of_kept is not None:
+                    new_ids = new_of_kept[new_ids]
                 i = tbl.schema.get_field_index("docid")
                 tbl = tbl.set_column(i, "docid", pa.array(new_ids.astype(np.int32)))
                 store.pq_write(tbl, os.path.join(docs_out, f"part_{n_frags:06d}.parquet"))
                 n_frags += 1
+
+    # doc-values update overlays (incl. soft deletes) follow the same doc
+    # map: one merged sidecar per field, deleted docs dropped
+    metrics["dv_updates"] = {}
+    fields = sorted({f for e in seg_entries for f in e.get("dv_updates") or {}})
+    for field in fields:
+        ids_parts, val_parts = [], []
+        for e, live, lpfx, lbase in zip(seg_entries, lives, live_prefix, live_bases):
+            path = (e.get("dv_updates") or {}).get(field)
+            if not path:
+                continue
+            ids, vals = load_dv_overlay(store, path)
+            if live is not None:
+                keep = live[ids]
+                ids, vals = lpfx[ids[keep]], vals[keep]
+            ids_parts.append(ids + lbase)
+            val_parts.append(vals)
+        ids, vals = np.concatenate(ids_parts), np.concatenate(val_parts)
+        if not len(ids):
+            continue
+        if new_of_kept is not None:
+            ids = new_of_kept[ids]
+            by_doc = np.argsort(ids)
+            ids, vals = ids[by_doc], vals[by_doc]
+        path = os.path.join(out_dir, "dvu", f"{name}-{field}.npz")
+        save_dv_overlay(store, path, ids, vals)
+        metrics["dv_updates"][field] = path
     return metrics
 
 
-def _apply_merges(index_dir: str, plan) -> dict:
+def _index_sort_order(readers, lives, index_sort) -> np.ndarray:
+    """Sorter's doc map for a merge: the stable argsort of the kept docs'
+    stored sort keys (the build's key, ``build._apply_index_sort``), so
+    ties keep (segment ordinal, local docid) order."""
+    field, direction = index_sort
+    parts = []
+    for r, live in zip(readers, lives):
+        k = r.stored_column(field).to_numpy(zero_copy_only=False).astype(np.int64)
+        parts.append(k if live is None else k[live])
+    v = np.concatenate(parts)
+    return np.argsort(-v if direction == "desc" else v, kind="stable")
+
+
+def _apply_merges(index_dir: str, plan, order_of=None) -> dict:
     """Commit one generation that replaces each ``plan(base)`` group of
     segment ordinals with its merged segment (a no-op when the plan is
     empty).  One ``merge_segments_task`` per merge, launched through
-    ``tasks.run_tasks`` like the build's segment tasks.
+    ``tasks.run_tasks`` like the build's segment tasks; the manifest's
+    ``index_sort`` reaches every task, and ``order_of(entries)``, when
+    given, is the doc map of the merge of those segment entries.
 
     Concurrency follows ConcurrentMergeScheduler's default thread budget
     (ConcurrentMergeScheduler.setDefaultMaxMergesAndThreads: maxThreadCount
@@ -713,10 +788,14 @@ def _apply_merges(index_dir: str, plan) -> dict:
         )
         max_threads = max(1, min(4, total_cpus // 8))
         names = [f"seg_g{gen:04d}_m{mi:04d}" for mi in range(len(plans))]
+        calls = []
+        for p, name in zip(plans, names):
+            entries = [segs[i] for i in p]
+            order = order_of(entries) if order_of else None
+            calls.append((entries, index_dir, name, DEFAULT_SECTION_POSTINGS,
+                          manifest.get("index_sort"), order))
         results = run_tasks(
-            merge_segments_task,
-            [([segs[i] for i in p], index_dir, name) for p, name in zip(plans, names)],
-            num_cpus=max(1, total_cpus // max_threads),
+            merge_segments_task, calls, num_cpus=max(1, total_cpus // max_threads)
         )
 
         new_entries: list[dict] = []
@@ -733,6 +812,9 @@ def _apply_merges(index_dir: str, plan) -> dict:
                     seg["doc_base"],
                     os.path.join(index_dir, "docs", names[mi]),
                 )
+                dv_updates = results[mi].pop("dv_updates")
+                if dv_updates:
+                    entry["dv_updates"] = dv_updates
                 entry["metrics"] = {**entry["metrics"], **results[mi]}
                 new_entries.append(entry)
         # re-chain doc_bases: merged segments shrink when deletes are
@@ -762,6 +844,15 @@ def maybe_merge(index_dir: str, policy=None) -> dict:
 
 def force_merge(index_dir: str, max_segments: int = 1) -> dict:
     return _apply_merges(index_dir, lambda m: plan_force_merge(m, max_segments))
+
+
+def force_merge_sorted(index_dir: str) -> dict:
+    """``force_merge(index_dir, 1)`` of an index that declares an
+    ``index_sort`` (every merge keeps the sort; this refuses an unsorted
+    index, so a caller relying on the sort learns it has none)."""
+    if not mf.read_manifest(index_dir).get("index_sort"):
+        raise ValueError("index has no index_sort; use the sectioned force_merge")
+    return force_merge(index_dir, 1)
 
 
 def expunge_deletes(index_dir: str) -> dict:

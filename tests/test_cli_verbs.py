@@ -87,7 +87,7 @@ def test_cli_sortmerge_and_dvupdate(tmp_path, capsys, ray_session):
     out = json.loads(capsys.readouterr().out.strip())
     assert out["segments"] == 1 and out["max_doc"] == 500
     assert main(
-        ["dvupdate", "--index", a, "--term", "spark", "--field", "n_chars",
+        ["dvupdate", "--index", a, "--term", "spark", "--field", "doc_id",
          "--value", "999999"]
     ) == 0
     out2 = json.loads(capsys.readouterr().out.strip())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lucene_ray.index import manifest as mf
-from lucene_ray.index.sortmerge import force_merge_sorted
+from lucene_ray.index.merge import force_merge_sorted
 from lucene_ray.index.segment import SegmentReader
 from lucene_ray.pipelines import fulltext as ft
 from lucene_ray.search.query import TermQuery
