@@ -233,6 +233,12 @@ def cmd_stats(args) -> int:
     out = collection_stats_from(man)
     out["segments"] = len(man["segments"])
     out["generation"] = man["generation"]
+    # where the index bytes go: each segment's files by part, summed
+    parts: dict[str, int] = {}
+    for seg in man["segments"]:
+        for part, n in seg.get("metrics", {}).get("bytes_by_part", {}).items():
+            parts[part] = parts.get(part, 0) + int(n)
+    out["bytes_by_part"] = parts
     print(json.dumps(out))
     return 0
 

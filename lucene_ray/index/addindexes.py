@@ -45,9 +45,10 @@ def add_indexes(
 ) -> dict:
     """Append every segment of each source index to the destination and
     commit one new manifest generation.  Sources are left untouched;
-    incoming livedocs (deletes) carry over.  Raises ValueError when the
-    indexes are incompatible (different analyzer / index options / term
-    vectors — IndexWriter's codec-compatibility check analogue)."""
+    incoming livedocs (deletes), doc-values updates and soft deletes carry
+    over.  Raises ValueError when the indexes are incompatible (different
+    analyzer / index options / term vectors — IndexWriter's
+    codec-compatibility check analogue)."""
     return mf.commit(
         dest_index_dir,
         lambda man, gen: _import(dest_index_dir, man, gen, src_index_dirs),
@@ -83,6 +84,12 @@ def _import(dest_index_dir: str, dest_man: dict, gen: int, src_index_dirs) -> di
                     ),
                     "doc_base": doc_base,
                     "del_count": int(seg.get("del_count", 0)),
+                    # doc-values updates and soft deletes: one copied
+                    # overlay sidecar per field under the destination's dvu/
+                    "dv_updates": {
+                        field: (src, os.path.join(dest_index_dir, "dvu", f"{name}-{field}.npz"))
+                        for field, src in (seg.get("dv_updates") or {}).items()
+                    },
                 }
             )
             doc_base += int(seg["max_doc"])
@@ -95,6 +102,8 @@ def _import(dest_index_dir: str, dest_man: dict, gen: int, src_index_dirs) -> di
             _copy_flat_dir(p["src_docs"], p["dst_docs"], last=None)
         if p["src_livedocs"]:
             store.write_bytes_atomic(p["dst_livedocs"], store.read_bytes(p["src_livedocs"]))
+        for src, dst in p["dv_updates"].values():
+            store.write_bytes_atomic(dst, store.read_bytes(src))
 
     run_tasks(_copy, [(p,) for p in plans])
 
@@ -107,5 +116,7 @@ def _import(dest_index_dir: str, dest_man: dict, gen: int, src_index_dirs) -> di
         if p["dst_livedocs"]:
             entry["livedocs"] = p["dst_livedocs"]
             entry["del_count"] = p["del_count"]
+        if p["dv_updates"]:
+            entry["dv_updates"] = {f: dst for f, (_src, dst) in p["dv_updates"].items()}
         entries.append(entry)
     return {**dest_man, "segments": list(dest_man["segments"]) + entries}

@@ -4,7 +4,14 @@ Reference: lucene/core/src/java/org/apache/lucene/index/CheckIndex.java:113,570
 — walk every structure and verify every invariant.  Ours validates, per
 segment (one Ray task per segment — segments are independent):
 
-1. term dictionary strictly sorted in UTF-8 byte order, offsets monotonic
+0. layout (before anything is derived from it): every column of the
+   segment's term/block column file is present, per-term columns have
+   n_terms entries and per-block columns n_blocks (both as in meta.json;
+   n_blocks also as doc_freq implies), singleton_doc holds exactly one
+   entry per doc_freq == 1 term, the impact and exception pools match
+   their counts, the term lengths cover the dictionary bytes, and the
+   derived block byte offsets end exactly at the packed buffers' ends
+1. term dictionary strictly sorted in UTF-8 byte order
 2. per-term postings: docids strictly increasing, in [0, max_doc);
    freqs >= 1; doc_freq == decoded count; total_term_freq == sum(freqs)
 3. impacts are UPPER BOUNDS: every block's skyline dominates every
@@ -23,12 +30,17 @@ Returns a report dict; raises CheckIndexError on the first violation if
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 
+from .. import store
 from ..smallfloat import int_to_byte4, byte4_to_int
 from . import bloom
 from . import manifest as mf
 from . import postings as codec
+from . import segment as sg
 from .segment import SegmentReader
 
 
@@ -43,14 +55,60 @@ def _chk(cond: bool, msg: str, errors: list[str], raise_on_error: bool) -> None:
         errors.append(msg)
 
 
-def check_segment(seg_dir: str, raise_on_error: bool = True) -> dict:
-    r = SegmentReader(seg_dir)
-    errors: list[str] = []
-    name = r.meta.get("name", seg_dir)
+def _check_layout(seg_dir: str, meta: dict, chk) -> None:
+    """Check 0 (module docstring) on the raw stored columns."""
+    cols = sg.read_columns(seg_dir)
+    missing = {"term_len", "term_bytes", *sg.STORED_COLUMNS} - set(cols)
+    chk(not missing, f"missing columns {sorted(missing)}")
+    if missing:
+        return
+    n_terms = len(cols["term_len"])
+    m = meta.get("metrics", {})
+    chk(n_terms == m.get("n_terms", n_terms), f"{n_terms} terms != meta n_terms {m.get('n_terms')}")
+    chk(int(cols["term_len"].sum()) == len(cols["term_bytes"]), "term lengths do not cover the dictionary bytes")
+    for c in sg.TERM_COLUMNS:
+        chk(len(cols[c]) == n_terms, f"column {c} has {len(cols[c])} entries, not n_terms {n_terms}")
+    if len(cols["doc_freq"]) != n_terms:
+        return
+    df = cols["doc_freq"].astype(np.int64)
+    n_single = int((df == 1).sum())
+    chk(len(cols["singleton_doc"]) == n_single, f"singleton_doc has {len(cols['singleton_doc'])} entries for {n_single} singleton terms")
+    n_blocks = int(((np.where(df == 1, 0, df) + codec.BLOCK_SIZE - 1) // codec.BLOCK_SIZE).sum())
+    chk(n_blocks == m.get("n_blocks", n_blocks), f"doc_freq implies {n_blocks} blocks, meta n_blocks {m.get('n_blocks')}")
+    for c in sg.BLOCK_COLUMNS:
+        chk(len(cols[c]) == n_blocks, f"column {c} has {len(cols[c])} entries, not n_blocks {n_blocks}")
+    for pool, count in (
+        ("imp_freq", "block_imp_count"), ("imp_norm", "block_imp_count"),
+        ("term_imp_freq", "term_imp_count"), ("term_imp_norm", "term_imp_count"),
+        ("exc_pos", "block_exc_count"), ("exc_high", "block_exc_count"),
+    ):
+        chk(len(cols[pool]) == int(cols[count].sum()), f"pool {pool} has {len(cols[pool])} entries, {count} sums to {int(cols[count].sum())}")
 
-    # 1. term dictionary sorted + offsets monotonic
+
+def check_segment(seg_dir: str, raise_on_error: bool = True) -> dict:
+    errors: list[str] = []
+    local = store.localize_dir(seg_dir)
+    with open(os.path.join(local, "meta.json")) as f:
+        meta = json.load(f)
+    name = meta.get("name", seg_dir)
+    _check_layout(
+        local, meta, lambda cond, msg: _chk(cond, f"{name}: {msg}", errors, raise_on_error)
+    )
+    r = None if errors else SegmentReader(seg_dir)
+    if r is not None:
+        enc = r.enc
+        for packed, bits in ((enc.packed_docs, enc.block_doc_bits), (enc.packed_freqs, enc.block_freq_bits)):
+            end = int(((enc.block_len.astype(np.int64) * bits + 7) // 8).sum())
+            _chk(end == len(packed), f"{name}: derived block offsets end at byte {end} of a {len(packed)}-byte packed buffer", errors, raise_on_error)
+    if errors:  # decoding would read past (or short of) the stored bytes
+        return {
+            "segment": name, "max_doc": int(meta["max_doc"]),
+            "n_terms": int(meta.get("metrics", {}).get("n_terms", 0)), "n_postings": 0,
+            "index_sort": meta.get("index_sort"), "errors": errors,
+        }
+
+    # 1. term dictionary sorted
     offs = np.asarray(r.term_offsets)
-    _chk(bool((np.diff(offs) >= 0).all()), f"{name}: term offsets not monotonic", errors, raise_on_error)
     prev = None
     for i in range(r.n_terms):
         t = r._term_at(i)
@@ -72,7 +130,6 @@ def check_segment(seg_dir: str, raise_on_error: bool = True) -> dict:
     _chk(len(norms) == r.max_doc, f"{name}: norms length != max_doc", errors, raise_on_error)
 
     # 2-3. postings + impacts
-    enc = r.enc
     sum_ttf = 0
     sum_df = 0
     tf_per_doc = np.zeros(r.max_doc, dtype=np.int64)

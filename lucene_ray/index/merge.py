@@ -45,8 +45,9 @@ refcounting.
 Scale: one Ray task per planned merge (ConcurrentMergeScheduler analogue;
 merges are independent).  Peak task memory ~ 2 decoded sections
 (DEFAULT_SECTION_POSTINGS = 1M postings each) + the RAM-resident merged
-vocabulary metadata and per-doc arrays, INDEPENDENT of postings volume —
-the 5GB reference max-segment policy is safe at any target.
+vocabulary, per-doc arrays and term/block columns (the writer gathers the
+latter until finalize: a few bytes per term and per 256-posting block, so
+well under a byte per posting) — the packed postings themselves stream.
 """
 
 from __future__ import annotations
@@ -385,7 +386,8 @@ def merge_segments_task(
     merged segment in bounded term-range sections.
 
     The merged vocabulary (sorted union of the input dictionaries, RAM-
-    resident — postings dominate bytes by ~2 orders of magnitude) is split
+    resident; on a small segment it and the term columns outweigh the
+    packed postings, see segment.py) is split
     at term boundaries into sections of <= ``section_postings`` decoded
     postings; each section decodes only its term range from every input
     (``codec.decode_range`` — contiguous block/byte slices), remaps ids

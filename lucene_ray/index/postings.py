@@ -9,12 +9,16 @@ java/org/apache/lucene/):
   (numpy little-endian bit matrix); only decoded values and skip/impact
   semantics must match, per SURVEY §1.3.
 - Per-block skip entry: last docID + byte offsets (level-0 skip,
-  Lucene104PostingsFormat.java:152-226).
+  Lucene104PostingsFormat.java:152-226).  Only the last docID and the bit
+  widths reach disk: the byte offsets are prefix sums of each block's
+  ``ceil(len * width / 8)`` and are derived at open (segment.py).
 - Per-block competitive impacts: the Pareto skyline of (freq, norm) pairs,
   freq strictly increasing with unsigned-byte norm
   (codecs/CompetitiveImpactAccumulator.java:26-123).
 - Singleton pulsing: docFreq==1 terms store (docID, freq) inline in the term
-  table and have no blocks (Lucene104PostingsFormat.java:138-141).
+  table and have no blocks (Lucene104PostingsFormat.java:138-141); on disk
+  the docID column holds singletons only and the freq is the term's
+  totalTermFreq.
 
 All encode paths are vectorized over the whole segment (no per-term Python
 loop): see ``encode_postings``.
@@ -64,26 +68,31 @@ def _bit_width(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EncodedPostings:
-    """Columnar encoded postings for one segment (one field).
+    """Columnar encoded postings for one segment (one field), in memory.
 
-    Per-term arrays are aligned with the sorted unique term list (not stored
-    here; see segment.py).
+    Per-term arrays are aligned with the sorted unique term list (not held
+    here; see segment.py).  The dtypes below are what ``encode_postings``
+    returns and what ``SegmentReader`` rebuilds.  On disk (segment.py) the
+    starts, offsets, block counts and lengths, singleton freqs and
+    max_freq / min_norm_at_max are not stored — they follow from the
+    counts — and every other integer column is stored at its narrowest
+    unsigned width.
     """
 
     # per term
     doc_freq: np.ndarray  # int32
     total_term_freq: np.ndarray  # int64
-    block_start: np.ndarray  # int64 index into block arrays
-    block_count: np.ndarray  # int32
+    block_start: np.ndarray  # int64 index into block arrays (derived on disk)
+    block_count: np.ndarray  # int32 ceil(doc_freq / BLOCK_SIZE), 0 for singletons
     singleton_doc: np.ndarray  # int32, -1 if df != 1
-    singleton_freq: np.ndarray  # int32
+    singleton_freq: np.ndarray  # int32 == total_term_freq where df == 1, else 0
     max_freq: np.ndarray  # int32 global max freq per term
     min_norm_at_max: np.ndarray  # uint8 — norm of global top impact (see impacts)
     term_imp_start: np.ndarray  # int64 into term-level impact arrays
     term_imp_count: np.ndarray  # int32
     # per block
     block_last_doc: np.ndarray  # int32
-    block_len: np.ndarray  # int32 number of postings in block
+    block_len: np.ndarray  # int32 number of postings in block (BLOCK_SIZE but a term's last)
     block_doc_bits: np.ndarray  # uint8
     block_freq_bits: np.ndarray  # uint8
     block_doc_off: np.ndarray  # int64 byte offset into packed_docs
@@ -107,10 +116,6 @@ class EncodedPostings:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_arrays(cls, d: dict[str, np.ndarray]) -> "EncodedPostings":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 def _segmented_skyline(keys: np.ndarray, norms: np.ndarray, freqs: np.ndarray):

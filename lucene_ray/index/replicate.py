@@ -64,9 +64,11 @@ def revision(index_dir: str) -> dict:
             for n in sorted(names):
                 add(os.path.join(root, n))
     for seg in man["segments"]:
-        lp = seg.get("livedocs")
-        if lp and os.path.exists(lp):
-            add(lp)
+        # per-commit files outside the segment dirs: the live-docs bitset
+        # and the doc-values update overlays (soft deletes included)
+        for path in [seg.get("livedocs"), *(seg.get("dv_updates") or {}).values()]:
+            if path and os.path.exists(path):
+                add(path)
     # the commit point itself ships LAST in sync()
     gen = man["generation"]
     add(manifest_path(index_dir, gen))
@@ -114,6 +116,8 @@ def sync(src_index_dir: str, dst_index_dir: str) -> dict:
         for field in _PATH_FIELDS:
             if seg.get(field):
                 seg[field] = rebase(seg[field])
+        if seg.get("dv_updates"):
+            seg["dv_updates"] = {f: rebase(p) for f, p in seg["dv_updates"].items()}
     dst_manifest = os.path.join(dst_index_dir, manifest_rel)
     tmp = dst_manifest + ".tmp-copy"
     with open(tmp, "w") as f:

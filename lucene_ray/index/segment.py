@@ -4,13 +4,47 @@ A segment is one immutable mini-index (reference: index/SegmentInfo.java,
 SegmentReader.java) produced by one partition of the build pipeline:
 
     seg_<name>/
-      terms_bytes.npy, terms_offsets.npy   sorted UTF-8 term dictionary
-      <per-term & per-block codec arrays>.npy   (see postings.EncodedPostings)
+      terms.bin                            term dictionary + every term and
+                                           block column (layout below)
+      packed_docs.npy, packed_freqs.npy    bit-packed postings blocks
       norms.npy                            uint8 per local docid
+      bloom_sm64.npy                       bloom bitset of the dictionary
+      pos_data.npy, pos_off.npy            positions (optional), with
+      [off_start.npy, off_end.npy,         offsets and payloads 1:1 with
+       pay_data.npy]                       pos_data
+      [tv_tid.npy, tv_tf.npy,              term vectors (optional)
+       tv_row_start.npy]
       docs.parquet                         stored-fields table (docid, repo,
                                            path, commit, lang, sha256)
       meta.json                            maxDoc, docBase, partial stats,
-                                           lineage + metrics (north rule)
+                                           lineage + metrics (north rule),
+                                           incl. the bytes of each part
+
+``terms.bin`` bundles the small per-term and per-block columns into one
+file (Lucene90CompoundFormat bundles a small segment's files the same
+way): an 8-byte magic, a little-endian uint32 length, a JSON column
+directory ``[[name, dtype, offset, length], ...]``, then every column,
+8-byte aligned.  Only columns that no other column determines are stored
+(the block-tree terms writer likewise keeps counts and derives file
+pointers), each at the narrowest unsigned dtype that holds its values:
+
+    dictionary  term_len (per term), term_bytes
+    per term    doc_freq, total_term_freq, term_imp_count
+    singletons  singleton_doc (one per doc_freq == 1 term, in term order)
+    per block   block_last_doc, block_doc_bits, block_freq_bits,
+                block_imp_count, block_exc_count
+    pools       imp_freq, imp_norm, term_imp_freq, term_imp_norm,
+                exc_pos, exc_high
+
+At open the reader derives the rest (``_postings_from_columns``): every
+start and byte offset is an exclusive prefix sum of a count (a block's
+packed bytes are ``ceil(block_len * bits / 8)``), block counts and lengths
+follow from doc_freq and the 256-posting block size, a singleton's freq is
+its total_term_freq, and max_freq / min_norm_at_max are the last entry of
+each term's impact skyline.  The result is the same in-memory
+``postings.EncodedPostings``, dtypes included, that ``encode_postings``
+returns, so nothing above this module sees the on-disk layout.  The
+positions' per-term row starts (prefix sums of doc_freq) are derived too.
 
 Terms are sorted in UTF-8 byte order == unicode codepoint order, matching
 Lucene's unsigned-byte term order (SURVEY §2.8).  docIDs are segment-local
@@ -26,7 +60,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import uuid
+import struct
 
 import numpy as np
 import pyarrow as pa
@@ -39,6 +73,17 @@ from .. import store
 from . import postings as codec
 
 NO_MORE_DOCS = 2**31 - 1
+
+COLUMNS_FILE = "terms.bin"
+_COLUMNS_MAGIC = b"LRTERMS1"
+# EncodedPostings arrays stored in COLUMNS_FILE, by length
+TERM_COLUMNS = ("doc_freq", "total_term_freq", "term_imp_count")
+BLOCK_COLUMNS = (
+    "block_last_doc", "block_doc_bits", "block_freq_bits", "block_imp_count",
+    "block_exc_count",
+)
+POOL_COLUMNS = ("imp_freq", "imp_norm", "term_imp_freq", "term_imp_norm", "exc_pos", "exc_high")
+STORED_COLUMNS = TERM_COLUMNS + ("singleton_doc",) + BLOCK_COLUMNS + POOL_COLUMNS
 
 
 def build_segment(
@@ -116,6 +161,11 @@ def build_segment_from_ids(
     the prefix sum of ``tfs``.  Stored as delta-friendly raw int32 (the
     reference bit-packs prox deltas, Lucene104PostingsFormat positions
     blocks; value equality is what matters for phrase semantics).
+
+    The flush is the one-section case of ``StreamingSegmentWriter``, so a
+    flushed and a merged segment over the same rows hold the same bytes.
+    It calls the writer's underscore methods: perfbench/trace.py counts
+    the public ``append_section`` / ``finalize`` as merge writes.
     """
     term_ids = np.asarray(term_ids, dtype=np.int64)
     docids = np.asarray(docids)
@@ -128,105 +178,197 @@ def build_segment_from_ids(
 
     enc = codec.encode_postings(term_ids, docids, tfs, norms, n_terms)
 
-    # build locally, publish through the Directory seam (store module): a
-    # remote seg_dir gets its files uploaded with meta.json LAST
-    tmp = store.local_build_dir(seg_dir)
-    os.makedirs(tmp, exist_ok=True)
+    with_pos = positions is not None
+    writer = StreamingSegmentWriter(
+        seg_dir, uniq, norms, meta, with_pos,
+        with_offsets=with_pos and offsets is not None,
+        with_payloads=with_pos and payloads is not None,
+    )
     try:
-        # term dictionary as bytes + offsets (bisect-able without
-        # materializing Python strings)
-        buf = pc.cast(uniq, pa.large_binary())
-        dict_offsets = np.frombuffer(buf.buffers()[1], dtype=np.int64)[
-            buf.offset : buf.offset + len(buf) + 1
-        ].copy()
-        data = np.frombuffer(buf.buffers()[2], dtype=np.uint8).copy()
-        np.save(os.path.join(tmp, "terms_offsets.npy"), dict_offsets)
-        np.save(os.path.join(tmp, "terms_bytes.npy"), data)
-        # bloom-filtered term dictionary (BloomFilteringPostingsFormat):
-        # point lookups skip this segment on a bloom miss without touching
-        # the dictionary pages
-        np.save(
-            os.path.join(tmp, bloom_mod.FILE),
-            bloom_mod.build_bloom_from_dict(dict_offsets, data),
-        )
-        for name, arr in enc.arrays().items():
-            np.save(os.path.join(tmp, f"{name}.npy"), arr)
-        np.save(os.path.join(tmp, "norms.npy"), norms.astype(np.uint8))
+        writer._append(enc, tfs, positions, offsets, payloads)
         if term_vectors:
             # forward index (TermVectorsWriter analogue,
             # codecs/lucene90/compressing/Lucene90CompressingTermVectorsWriter.java):
             # per-doc (tid, tf) rows as CSR over local docids — the same
             # flush rows transposed by one integer lexsort
             tv_order = np.lexsort((term_ids, docids))
-            np.save(os.path.join(tmp, "tv_tid.npy"), term_ids[tv_order].astype(np.int64))
-            np.save(os.path.join(tmp, "tv_tf.npy"), np.asarray(tfs)[tv_order].astype(np.int32))
-            np.save(
-                os.path.join(tmp, "tv_row_start.npy"),
-                np.searchsorted(
-                    np.asarray(docids)[tv_order], np.arange(int(meta["max_doc"]) + 1)
-                ).astype(np.int64),
-            )
-        if positions is not None:
-            np.save(os.path.join(tmp, "pos_data.npy"), np.asarray(positions, dtype=np.int32))
-            # row index of each term's first posting (for position lookup)
-            row_start = np.concatenate(
-                ([0], np.cumsum(enc.doc_freq, dtype=np.int64))
-            )
-            np.save(os.path.join(tmp, "pos_row_start.npy"), row_start)
-            np.save(
-                os.path.join(tmp, "pos_off.npy"),
-                np.concatenate(([0], np.cumsum(tfs, dtype=np.int64))),
-            )
-            if offsets is not None:
-                # per-occurrence char offsets, 1:1 with pos_data (IndexOptions
-                # DOCS_AND_FREQS_AND_POSITIONS_AND_OFFSETS; OffsetAttribute)
-                np.save(
-                    os.path.join(tmp, "off_start.npy"),
-                    np.asarray(offsets[0], dtype=np.int32),
-                )
-                np.save(
-                    os.path.join(tmp, "off_end.npy"),
-                    np.asarray(offsets[1], dtype=np.int32),
-                )
-            if payloads is not None:
-                # per-occurrence payload stream, 1:1 with pos_data (the
-                # PayloadAttribute stream, analysis/tokenattributes/
-                # PayloadAttribute.java; int32 payloads — the reference's
-                # byte[] generalization is not needed for scoring)
-                np.save(
-                    os.path.join(tmp, "pay_data.npy"),
-                    np.asarray(payloads, dtype=np.int32),
-                )
+            tid, tf, rs = writer.term_vector_sink(len(term_ids), int(meta["max_doc"]))
+            tid[:] = term_ids[tv_order]
+            tf[:] = tfs[tv_order]
+            rs[:] = np.searchsorted(docids[tv_order], np.arange(int(meta["max_doc"]) + 1))
+            del tid, tf, rs  # flush memmaps
         if doc_table is not None:
-            pq.write_table(doc_table, os.path.join(tmp, "docs.parquet"))
+            pq.write_table(doc_table, os.path.join(writer.tmp, "docs.parquet"))
+        return writer._finalize()
+    except BaseException:
+        writer.abort()
+        raise
 
-        n_postings = len(term_ids)
-        metrics = {
-            "n_terms": int(n_terms),
-            "n_postings": int(n_postings),
-            "n_blocks": int(len(enc.block_last_doc)),
-            "packed_doc_bytes": int(enc.packed_docs.nbytes),
-            "packed_freq_bytes": int(enc.packed_freqs.nbytes),
-            "freq_exception_bytes": int(enc.exc_pos.nbytes + enc.exc_high.nbytes),
-            "sum_total_term_freq": int(enc.total_term_freq.sum()),
-            "sum_doc_freq": int(enc.doc_freq.sum()),
-            "doc_count": int((norms > 0).sum()),
-        }
-        full_meta = dict(meta)
-        full_meta["metrics"] = metrics
-        full_meta["stats"] = {
-            "max_doc": int(meta["max_doc"]),
-            "doc_count": metrics["doc_count"],
-            "sum_total_term_freq": metrics["sum_total_term_freq"],
-            "sum_doc_freq": metrics["sum_doc_freq"],
-        }
-        with open(os.path.join(tmp, "meta.json"), "w") as f:
-            json.dump(full_meta, f, indent=1)
-        store.publish_dir(tmp, seg_dir)
-    finally:
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-    return metrics
+
+def _narrowest(a: np.ndarray) -> np.ndarray:
+    """``a`` at the narrowest little-endian unsigned dtype holding its
+    values (uint8 when empty), so the dtype depends only on the values."""
+    a = np.asarray(a)
+    if len(a) and int(a.min()) < 0:
+        raise ValueError("negative value in an unsigned segment column")
+    top = int(a.max()) if len(a) else 0
+    for dt in ("<u1", "<u2", "<u4", "<u8"):
+        if top <= np.iinfo(dt).max:
+            return a.astype(dt, copy=False)
+    raise ValueError(f"value {top} does not fit 64 bits")
+
+
+def _pad8(n: int) -> int:
+    return (n + 7) & ~7
+
+
+def write_columns(seg_dir: str, cols: dict[str, np.ndarray]) -> dict[str, int]:
+    """Write named non-negative integer columns into ``seg_dir``'s
+    COLUMNS_FILE (layout in the module docstring), each at its narrowest
+    dtype.  Returns the padded bytes each column takes."""
+    narrow = {name: _narrowest(a) for name, a in cols.items()}
+    entries, sizes, off = [], {}, 0
+    for name, a in narrow.items():
+        entries.append([name, a.dtype.str, off, len(a)])
+        sizes[name] = _pad8(a.nbytes)
+        off += sizes[name]
+    head = json.dumps(entries, separators=(",", ":")).encode()
+    head_len = len(_COLUMNS_MAGIC) + 4 + len(head)
+    with open(os.path.join(seg_dir, COLUMNS_FILE), "wb") as f:
+        f.write(_COLUMNS_MAGIC + struct.pack("<I", len(head)) + head)
+        f.write(bytes(_pad8(head_len) - head_len))
+        for name, a in narrow.items():
+            f.write(a.tobytes())
+            f.write(bytes(sizes[name] - a.nbytes))
+    return sizes
+
+
+def read_columns(seg_dir: str) -> dict[str, np.ndarray]:
+    """Every column of ``seg_dir``'s COLUMNS_FILE at its stored dtype
+    (views into one in-memory read of the file)."""
+    path = os.path.join(seg_dir, COLUMNS_FILE)
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"{seg_dir}: no {COLUMNS_FILE}; segments in the older layout (one "
+            ".npy file per array) cannot be opened, rebuild the index"
+        )
+    raw = np.fromfile(path, dtype=np.uint8)
+    magic = len(_COLUMNS_MAGIC)
+    if raw[:magic].tobytes() != _COLUMNS_MAGIC:
+        raise ValueError(f"{path}: not a segment column file")
+    n = int.from_bytes(raw[magic : magic + 4].tobytes(), "little")
+    base = _pad8(magic + 4 + n)
+    out = {}
+    for name, dt, off, length in json.loads(raw[magic + 4 : magic + 4 + n].tobytes()):
+        dt = np.dtype(dt)
+        out[name] = raw[base + off : base + off + length * dt.itemsize].view(dt)
+    return out
+
+
+def _stored_columns(enc: "codec.EncodedPostings") -> dict[str, np.ndarray]:
+    """The EncodedPostings columns COLUMNS_FILE keeps, in file order."""
+    return {
+        n: enc.singleton_doc[enc.doc_freq == 1] if n == "singleton_doc" else getattr(enc, n)
+        for n in STORED_COLUMNS
+    }
+
+
+def _excl_cumsum(counts: np.ndarray) -> np.ndarray:
+    """int64 exclusive prefix sum: the start of each run of ``counts``."""
+    out = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], dtype=np.int64, out=out[1:])
+    return out
+
+
+def _postings_from_columns(
+    cols: dict[str, np.ndarray], packed_docs: np.ndarray, packed_freqs: np.ndarray
+) -> "codec.EncodedPostings":
+    """Rebuild ``encode_postings``'s EncodedPostings (values and dtypes)
+    from the stored columns; see the module docstring for each rule."""
+    bs = codec.BLOCK_SIZE
+    df = cols["doc_freq"].astype(np.int32)
+    single = df == 1
+    blocked_df = np.where(single, 0, df).astype(np.int64)
+    block_count = (blocked_df + bs - 1) // bs
+    block_start = _excl_cumsum(block_count)
+    # every block is full but a term's last
+    block_len = np.full(int(block_count.sum()), bs, dtype=np.int32)
+    has = block_count > 0
+    block_len[(block_start + block_count - 1)[has]] = (
+        blocked_df[has] - bs * (block_count[has] - 1)
+    )
+    ttf = cols["total_term_freq"].astype(np.int64)
+    singleton_doc = np.full(len(df), -1, dtype=np.int32)
+    singleton_doc[single] = cols["singleton_doc"]
+    term_imp_count = cols["term_imp_count"].astype(np.int32)
+    term_imp_start = _excl_cumsum(term_imp_count)
+    term_imp_freq = cols["term_imp_freq"].astype(np.int32)
+    term_imp_norm = cols["term_imp_norm"].astype(np.uint8)
+    # a skyline ascends in freq: its last pair is the term's top impact
+    max_freq = np.zeros(len(df), dtype=np.int32)
+    min_norm_at_max = np.zeros(len(df), dtype=np.uint8)
+    has = term_imp_count > 0
+    last = (term_imp_start + term_imp_count - 1)[has]
+    max_freq[has] = term_imp_freq[last]
+    min_norm_at_max[has] = term_imp_norm[last]
+    doc_bits = cols["block_doc_bits"].astype(np.uint8)
+    freq_bits = cols["block_freq_bits"].astype(np.uint8)
+    lens = block_len.astype(np.int64)
+    block_imp_count = cols["block_imp_count"].astype(np.int32)
+    block_exc_count = cols["block_exc_count"].astype(np.int32)
+    return codec.EncodedPostings(
+        doc_freq=df,
+        total_term_freq=ttf,
+        block_start=block_start,
+        block_count=block_count.astype(np.int32),
+        singleton_doc=singleton_doc,
+        singleton_freq=np.where(single, ttf, 0).astype(np.int32),
+        max_freq=max_freq,
+        min_norm_at_max=min_norm_at_max,
+        term_imp_start=term_imp_start,
+        term_imp_count=term_imp_count,
+        block_last_doc=cols["block_last_doc"].astype(np.int32),
+        block_len=block_len,
+        block_doc_bits=doc_bits,
+        block_freq_bits=freq_bits,
+        block_doc_off=_excl_cumsum((lens * doc_bits + 7) // 8),
+        block_freq_off=_excl_cumsum((lens * freq_bits + 7) // 8),
+        block_imp_start=_excl_cumsum(block_imp_count),
+        block_imp_count=block_imp_count,
+        imp_freq=cols["imp_freq"].astype(np.int32),
+        imp_norm=cols["imp_norm"].astype(np.uint8),
+        term_imp_freq=term_imp_freq,
+        term_imp_norm=term_imp_norm,
+        block_exc_start=_excl_cumsum(block_exc_count),
+        block_exc_count=block_exc_count,
+        exc_pos=cols["exc_pos"].astype(np.uint8),
+        exc_high=cols["exc_high"].astype(np.uint8),
+        packed_docs=packed_docs,
+        packed_freqs=packed_freqs,
+    )
+
+
+def _dictionary(vocab: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets int64[n + 1], UTF-8 bytes) of a sorted term array."""
+    buf = pc.cast(vocab, pa.large_binary())
+    if not len(buf):
+        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    offs = np.frombuffer(buf.buffers()[1], dtype=np.int64)[
+        buf.offset : buf.offset + len(buf) + 1
+    ]
+    data = np.frombuffer(buf.buffers()[2], dtype=np.uint8)[offs[0] : offs[-1]].copy()
+    return offs - offs[0], data
+
+
+def _part_of(fname: str) -> str:
+    """The ``bytes_by_part`` bucket of a segment file."""
+    if fname.startswith("packed_"):
+        return "postings"
+    if fname.startswith(("pos_", "off_", "pay_")):
+        return "positions"
+    if fname.startswith("tv_"):
+        return "term_vectors"
+    return {"norms.npy": "norms", bloom_mod.FILE: "bloom", "docs.parquet": "stored"}[fname]
 
 
 class NpyAppender:
@@ -251,8 +393,6 @@ class NpyAppender:
         hlen = 128 - len(self._MAGIC) - 2
         pad = hlen - len(d) - 1
         assert pad >= 0, "header overflow"
-        import struct
-
         return self._MAGIC + struct.pack("<H", hlen) + (d + " " * pad + "\n").encode("latin1")
 
     def append(self, arr: np.ndarray) -> None:
@@ -268,46 +408,20 @@ class NpyAppender:
 
 
 class StreamingSegmentWriter:
-    """Incremental segment writer for the sectioned merge: encoded term-range
-    sections are APPENDED with running offset rebasing (block_start,
-    byte offsets, impact-pool starts), so peak memory is one section, not
-    the segment (SegmentMerger streams the same way; our on-disk layout is
-    identical to build_segment_from_ids's).
+    """The one segment writer.  The flush (``build_segment_from_ids``)
+    appends its whole encoded run as one section; the sectioned merge
+    appends term-range sections in term order, so peak memory is one
+    section of postings, not the segment (SegmentMerger streams the same
+    way).  Packed postings and positions stream to disk section by
+    section.  The term and block columns are gathered in RAM (a few bytes
+    per term and per block) and written once, at finalize, into
+    COLUMNS_FILE: none of them is an offset, so sections concatenate
+    without rebasing, and each column's dtype is chosen from its final
+    values — a flushed and a merged segment over the same rows hold the
+    same bytes.
 
     Contract: sections arrive in term order and never split a term; the
-    vocabulary and norms are known up front (term METADATA is RAM-resident
-    by design — postings dominate bytes by ~2 orders of magnitude)."""
-
-    _APPEND_DTYPES = {
-        "doc_freq": np.int32,
-        "total_term_freq": np.int64,
-        "block_start": np.int64,
-        "block_count": np.int32,
-        "singleton_doc": np.int32,
-        "singleton_freq": np.int32,
-        "max_freq": np.int32,
-        "min_norm_at_max": np.uint8,
-        "term_imp_start": np.int64,
-        "term_imp_count": np.int32,
-        "block_last_doc": np.int32,
-        "block_len": np.int32,
-        "block_doc_bits": np.uint8,
-        "block_freq_bits": np.uint8,
-        "block_doc_off": np.int64,
-        "block_freq_off": np.int64,
-        "block_imp_start": np.int64,
-        "block_imp_count": np.int32,
-        "imp_freq": np.int32,
-        "imp_norm": np.uint8,
-        "term_imp_freq": np.int32,
-        "term_imp_norm": np.uint8,
-        "block_exc_start": np.int64,
-        "block_exc_count": np.int32,
-        "exc_pos": np.uint8,
-        "exc_high": np.uint8,
-        "packed_docs": np.uint8,
-        "packed_freqs": np.uint8,
-    }
+    vocabulary and norms are known up front."""
 
     def __init__(
         self,
@@ -329,53 +443,47 @@ class StreamingSegmentWriter:
         self.with_payloads = with_payloads
         self.n_terms = len(vocab)
 
-        buf = pc.cast(vocab, pa.large_binary())
-        if len(vocab):
-            offsets = np.frombuffer(buf.buffers()[1], dtype=np.int64)[
-                buf.offset : buf.offset + len(buf) + 1
-            ].copy()
-            data = np.frombuffer(buf.buffers()[2], dtype=np.uint8).copy()
-        else:
-            offsets = np.zeros(1, dtype=np.int64)
-            data = np.empty(0, dtype=np.uint8)
-        np.save(os.path.join(self.tmp, "terms_offsets.npy"), offsets)
-        np.save(os.path.join(self.tmp, "terms_bytes.npy"), data)
+        offsets, data = _dictionary(vocab)
+        # bloom-filtered term dictionary (BloomFilteringPostingsFormat):
+        # point lookups skip this segment on a bloom miss without touching
+        # the dictionary
         np.save(
             os.path.join(self.tmp, bloom_mod.FILE),
             bloom_mod.build_bloom_from_dict(offsets, data),
         )
+        self._cols: dict[str, list[np.ndarray]] = {
+            "term_len": [np.diff(offsets)], "term_bytes": [data],
+            **{name: [] for name in STORED_COLUMNS},
+        }
 
         self.w = {
-            name: NpyAppender(os.path.join(self.tmp, f"{name}.npy"), dt)
-            for name, dt in self._APPEND_DTYPES.items()
+            name: NpyAppender(os.path.join(self.tmp, f"{name}.npy"), np.uint8)
+            for name in ("packed_docs", "packed_freqs")
         }
         if with_positions:
             self.w["pos_data"] = NpyAppender(os.path.join(self.tmp, "pos_data.npy"), np.int32)
-            self.w["pos_row_start"] = NpyAppender(
-                os.path.join(self.tmp, "pos_row_start.npy"), np.int64
-            )
             self.w["pos_off"] = NpyAppender(os.path.join(self.tmp, "pos_off.npy"), np.int64)
-            self.w["pos_row_start"].append(np.zeros(1, dtype=np.int64))
             self.w["pos_off"].append(np.zeros(1, dtype=np.int64))
         if with_offsets:
+            # per-occurrence char offsets, 1:1 with pos_data (IndexOptions
+            # DOCS_AND_FREQS_AND_POSITIONS_AND_OFFSETS; OffsetAttribute)
             self.w["off_start"] = NpyAppender(os.path.join(self.tmp, "off_start.npy"), np.int32)
             self.w["off_end"] = NpyAppender(os.path.join(self.tmp, "off_end.npy"), np.int32)
         if with_payloads:
+            # per-occurrence int32 payloads, 1:1 with pos_data (the
+            # PayloadAttribute stream; the reference's byte[] generalization
+            # is not needed for scoring)
             self.w["pay_data"] = NpyAppender(os.path.join(self.tmp, "pay_data.npy"), np.int32)
 
-        # running bases for the rebased offset arrays / accumulated metrics
+        # accumulated metrics (and the running position-stream base)
         self._blocks = 0
         self._doc_bytes = 0
         self._freq_bytes = 0
-        self._imp = 0
-        self._term_imp = 0
         self._freq_exc = 0
-        self._rows = 0
         self._pos_vals = 0
         self._terms_written = 0
         self._n_postings = 0
         self._sum_ttf = 0
-        self._sum_df = 0
 
     def append_section(
         self,
@@ -389,99 +497,83 @@ class StreamingSegmentWriter:
         the section).  ``row_tfs``/``positions`` (sorted row order) are
         required iff the writer carries positions; ``offsets`` (start, end
         streams 1:1 with positions) iff it carries offsets."""
+        self._append(enc, row_tfs, positions, offsets, payloads)
+
+    def _append(self, enc, row_tfs, positions, offsets, payloads) -> None:
+        for name, col in _stored_columns(enc).items():
+            self._cols[name].append(col)
         w = self.w
-        w["doc_freq"].append(enc.doc_freq)
-        w["total_term_freq"].append(enc.total_term_freq)
-        w["block_start"].append(enc.block_start + self._blocks)
-        w["block_count"].append(enc.block_count)
-        w["singleton_doc"].append(enc.singleton_doc)
-        w["singleton_freq"].append(enc.singleton_freq)
-        w["max_freq"].append(enc.max_freq)
-        w["min_norm_at_max"].append(enc.min_norm_at_max)
-        w["term_imp_start"].append(enc.term_imp_start + self._term_imp)
-        w["term_imp_count"].append(enc.term_imp_count)
-        w["block_last_doc"].append(enc.block_last_doc)
-        w["block_len"].append(enc.block_len)
-        w["block_doc_bits"].append(enc.block_doc_bits)
-        w["block_freq_bits"].append(enc.block_freq_bits)
-        w["block_doc_off"].append(enc.block_doc_off + self._doc_bytes)
-        w["block_freq_off"].append(enc.block_freq_off + self._freq_bytes)
-        w["block_imp_start"].append(enc.block_imp_start + self._imp)
-        w["block_imp_count"].append(enc.block_imp_count)
-        w["imp_freq"].append(enc.imp_freq)
-        w["imp_norm"].append(enc.imp_norm)
-        w["term_imp_freq"].append(enc.term_imp_freq)
-        w["term_imp_norm"].append(enc.term_imp_norm)
-        w["block_exc_start"].append(enc.block_exc_start + self._freq_exc)
-        w["block_exc_count"].append(enc.block_exc_count)
-        w["exc_pos"].append(enc.exc_pos)
-        w["exc_high"].append(enc.exc_high)
         w["packed_docs"].append(enc.packed_docs)
         w["packed_freqs"].append(enc.packed_freqs)
-
-        n_rows = int(enc.doc_freq.sum())
         if self.with_positions:
             assert positions is not None and row_tfs is not None
             w["pos_data"].append(positions)
-            df = enc.doc_freq.astype(np.int64)
-            w["pos_row_start"].append(np.cumsum(df) + self._rows)
-            w["pos_off"].append(np.cumsum(row_tfs.astype(np.int64)) + self._pos_vals)
+            w["pos_off"].append(np.cumsum(row_tfs, dtype=np.int64) + self._pos_vals)
             self._pos_vals += int(row_tfs.sum())
         if self.with_offsets:
             assert offsets is not None
-            w["off_start"].append(np.asarray(offsets[0], dtype=np.int32))
-            w["off_end"].append(np.asarray(offsets[1], dtype=np.int32))
+            w["off_start"].append(offsets[0])
+            w["off_end"].append(offsets[1])
         if self.with_payloads:
             assert payloads is not None
-            w["pay_data"].append(np.asarray(payloads, dtype=np.int32))
+            w["pay_data"].append(payloads)
 
         self._blocks += len(enc.block_last_doc)
         self._doc_bytes += int(enc.packed_docs.nbytes)
         self._freq_bytes += int(enc.packed_freqs.nbytes)
-        self._imp += len(enc.imp_freq)
-        self._term_imp += len(enc.term_imp_freq)
         self._freq_exc += len(enc.exc_pos)
-        self._rows += n_rows
         self._terms_written += len(enc.doc_freq)
-        self._n_postings += n_rows
+        self._n_postings += int(enc.doc_freq.sum())
         self._sum_ttf += int(enc.total_term_freq.sum())
-        self._sum_df += int(enc.doc_freq.sum())
 
     def term_vector_sink(
         self, total_rows: int, max_doc: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Open memmapped term-vector arrays in the tmp dir for incremental
-        fill (merge carry-through: the caller streams remapped CSR chunks
-        in merged-doc order, bounding memory to one chunk).  Layout matches
-        build_segment_from_ids's flush-time tv files, so SegmentReader
-        serves merged and flushed segments identically."""
+        fill: the flush writes its transposed rows, a merge streams
+        remapped CSR chunks in merged-doc order (memory bounded to one
+        chunk)."""
         from numpy.lib.format import open_memmap
 
-        tid = open_memmap(
-            os.path.join(self.tmp, "tv_tid.npy"),
-            mode="w+",
-            dtype=np.int64,
-            shape=(int(total_rows),),
+        def sink(name, dtype, n):
+            return open_memmap(
+                os.path.join(self.tmp, name), mode="w+", dtype=dtype, shape=(int(n),)
+            )
+
+        return (
+            sink("tv_tid.npy", np.int64, total_rows),
+            sink("tv_tf.npy", np.int32, total_rows),
+            sink("tv_row_start.npy", np.int64, int(max_doc) + 1),
         )
-        tf = open_memmap(
-            os.path.join(self.tmp, "tv_tf.npy"),
-            mode="w+",
-            dtype=np.int32,
-            shape=(int(total_rows),),
-        )
-        rs = open_memmap(
-            os.path.join(self.tmp, "tv_row_start.npy"),
-            mode="w+",
-            dtype=np.int64,
-            shape=(int(max_doc) + 1,),
-        )
-        return tid, tf, rs
 
     def finalize(self) -> dict:
+        return self._finalize()
+
+    def _finalize(self) -> dict:
         assert self._terms_written == self.n_terms, (self._terms_written, self.n_terms)
         for a in self.w.values():
             a.close()
         np.save(os.path.join(self.tmp, "norms.npy"), self.norms)
+        sizes = write_columns(
+            self.tmp,
+            {
+                name: np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+                for name, parts in self._cols.items()
+            },
+        )
+        parts = dict.fromkeys(
+            ("dictionary", "term_meta", "postings", "positions", "term_vectors",
+             "norms", "bloom", "stored"),
+            0,
+        )
+        for fname in os.listdir(self.tmp):
+            size = os.path.getsize(os.path.join(self.tmp, fname))
+            if fname == COLUMNS_FILE:
+                dict_bytes = sizes["term_len"] + sizes["term_bytes"]
+                parts["dictionary"] += dict_bytes
+                parts["term_meta"] += size - dict_bytes
+            else:
+                parts[_part_of(fname)] += size
         metrics = {
             "n_terms": int(self.n_terms),
             "n_postings": int(self._n_postings),
@@ -490,8 +582,9 @@ class StreamingSegmentWriter:
             "packed_freq_bytes": int(self._freq_bytes),
             "freq_exception_bytes": int(2 * self._freq_exc),
             "sum_total_term_freq": int(self._sum_ttf),
-            "sum_doc_freq": int(self._sum_df),
+            "sum_doc_freq": int(self._n_postings),
             "doc_count": int((self.norms > 0).sum()),
+            "bytes_by_part": parts,
         }
         full_meta = dict(self.meta)
         full_meta["metrics"] = metrics
@@ -507,18 +600,23 @@ class StreamingSegmentWriter:
         return metrics
 
     def abort(self) -> None:
+        for a in self.w.values():
+            if not a.f.closed:
+                a.f.close()
         if os.path.exists(self.tmp):
             shutil.rmtree(self.tmp)
 
 
 class SegmentReader:
-    """Opens one segment's arrays (memory-mapped) and serves term lookups,
-    postings cursors and norms.  Held inside query actors (SURVEY §2.1
-    Segment reader row)."""
+    """Opens one segment: the term and block columns are read into RAM
+    and widened (COLUMNS_FILE, one read), the packed postings, norms and
+    positions are memory-mapped.  Serves term lookups, postings cursors
+    and norms.  Held inside query actors (SURVEY §2.1 Segment reader
+    row)."""
 
     def __init__(self, seg_dir: str, mmap: bool = True, decode_cache: int = 256):
         # Directory seam: a remote seg_dir (scheme://) is synced once into
-        # the node-local read-through cache; everything below mmaps the
+        # the node-local read-through cache; everything below reads the
         # local copy (MMapDirectory fast path over any shared prefix)
         self.src_dir = seg_dir
         self.dir = seg_dir = store.localize_dir(seg_dir)
@@ -527,32 +625,23 @@ class SegmentReader:
         # branch-free decode; we amortize the Python block loop instead)
         self._decode_cache_size = decode_cache
         self._decode_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.term_offsets = np.load(os.path.join(seg_dir, "terms_offsets.npy"), mmap_mode=mm)
-        self.term_bytes = np.load(os.path.join(seg_dir, "terms_bytes.npy"), mmap_mode=mm)
-        arrays = {}
-        for name in codec.EncodedPostings.__dataclass_fields__:
-            path = os.path.join(seg_dir, f"{name}.npy")
-            if not os.path.exists(path) and name in (
-                "block_exc_start", "block_exc_count", "exc_pos", "exc_high"
-            ):
-                # pre-PFoR segment: no freq exceptions anywhere
-                n_blk = len(arrays["block_last_doc"])
-                arrays[name] = (
-                    np.zeros(n_blk, dtype=np.int64)
-                    if name == "block_exc_start"
-                    else np.zeros(n_blk, dtype=np.int32)
-                    if name == "block_exc_count"
-                    else np.empty(0, dtype=np.uint8)
-                )
-                continue
-            arrays[name] = np.load(path, mmap_mode=mm)
-        self.enc = codec.EncodedPostings.from_arrays(arrays)
+        cols = read_columns(seg_dir)
+        self.term_offsets = np.zeros(len(cols["term_len"]) + 1, dtype=np.int64)
+        np.cumsum(cols["term_len"], dtype=np.int64, out=self.term_offsets[1:])
+        self.term_bytes = cols["term_bytes"]
+        self.enc = _postings_from_columns(
+            cols,
+            np.load(os.path.join(seg_dir, "packed_docs.npy"), mmap_mode=mm),
+            np.load(os.path.join(seg_dir, "packed_freqs.npy"), mmap_mode=mm),
+        )
         self.norms = np.load(os.path.join(seg_dir, "norms.npy"), mmap_mode=mm)
         pos_path = os.path.join(seg_dir, "pos_data.npy")
         self.has_positions = os.path.exists(pos_path)
         if self.has_positions:
             self.pos_data = np.load(pos_path, mmap_mode=mm)
-            self.pos_row_start = np.load(os.path.join(seg_dir, "pos_row_start.npy"), mmap_mode=mm)
+            # row index of each term's first posting
+            self.pos_row_start = np.zeros(self.enc.doc_freq.size + 1, dtype=np.int64)
+            np.cumsum(self.enc.doc_freq, dtype=np.int64, out=self.pos_row_start[1:])
             self.pos_off = np.load(os.path.join(seg_dir, "pos_off.npy"), mmap_mode=mm)
         off_path = os.path.join(seg_dir, "off_start.npy")
         self.has_offsets = os.path.exists(off_path)
@@ -585,7 +674,7 @@ class SegmentReader:
     def _prefix_index(self) -> np.ndarray:
         """Big-endian uint64 of each term's first 8 bytes (zero-padded) —
         sorted like the dictionary, so ONE numpy searchsorted replaces
-        ~log2(V) Python bisect steps of memmap slicing; ties within an
+        ~log2(V) Python bisect steps of dictionary slicing; ties within an
         8-byte prefix are resolved with at most a few exact compares.
         Built lazily, 8 bytes/term (term METADATA is RAM-resident by
         design, like the block-tree index the reference keeps on heap)."""

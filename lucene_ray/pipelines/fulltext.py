@@ -73,7 +73,7 @@ BOOL_COUNTS = [
 
 # stored-field layout version: bump when meta_columns / segment schema
 # changes so stale /tmp caches can never be picked up by a newer build
-INDEX_LAYOUT_V = 3
+INDEX_LAYOUT_V = 4
 
 
 def index_dir_for(

@@ -7,8 +7,12 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 @pytest.fixture(scope="session")
-def ray_session():
-    """One Ray session for the whole pytest run (driver requirement)."""
+def ray_session(tmp_path_factory):
+    """One Ray session for the whole pytest run.  Its workers get a fresh
+    remote-store read-through cache: the cache trusts a remote path to name
+    the same bytes forever, and the tmp paths of an earlier pytest run
+    (reused under the same names) would otherwise be served from that run's
+    copies."""
     import ray
 
     ray.init(
@@ -17,6 +21,9 @@ def ray_session():
         include_dashboard=False,
         ignore_reinit_error=True,
         logging_level="ERROR",
+        runtime_env={"env_vars": {
+            "LUCENE_RAY_CACHE_DIR": str(tmp_path_factory.mktemp("worker_store_cache"))
+        }},
     )
     yield
     ray.shutdown()

@@ -93,3 +93,27 @@ def test_add_indexes_rejects_incompatible(ray_session, tmp_path, corpus):
     )
     with pytest.raises(ValueError, match="incompatible analyzer"):
         add_indexes(a, [c])
+
+
+def test_add_indexes_carries_dv_updates_and_soft_deletes(ray_session, tmp_path):
+    from lucene_ray.index.check import check_index
+    from lucene_ray.index.deletes import update_numeric_docvalue
+    from lucene_ray.index.softdeletes import soft_delete_by_query
+    from tests.util import dv_counts, small_dv_index
+
+    src = small_dv_index(tmp_path, "src")
+    dst = small_dv_index(tmp_path, "dst")
+    update_numeric_docvalue(src, TermQuery("spark"), "n", 999)
+    soft_delete_by_query(src, TermQuery("alpha"))
+    n999, soft_alpha, alpha = dv_counts(src)
+    assert n999 > 0 and soft_alpha == 0 < alpha
+    assert dv_counts(dst)[0] == 0
+
+    add_indexes(dst, [src])
+    # the imported half keeps its updated values and its soft deletes; the
+    # destination's own docs have neither
+    assert dv_counts(dst) == (n999, alpha, 2 * alpha)
+    for seg in mf.read_manifest(dst)["segments"]:
+        for path in (seg.get("dv_updates") or {}).values():
+            assert path.startswith(os.path.join(dst, "dvu")) and os.path.exists(path)
+    assert check_index(dst, use_ray=False)["ok"]

@@ -9,6 +9,7 @@ from lucene_ray.corpus import generate_corpus
 from lucene_ray.index.build import build_index_local
 from lucene_ray.index.check import CheckIndexError, check_index, check_segment
 from lucene_ray.index.merge import force_merge
+from lucene_ray.index.segment import read_columns, write_columns
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +65,10 @@ def test_corrupt_postings_detected(idx, tmp_path):
     bad = str(tmp_path / "bad_seg2")
     shutil.copytree(src, bad)
     # inflate a doc_freq -> decoded-count mismatch must fire
-    df = np.load(os.path.join(bad, "doc_freq.npy"))
-    df[0] += 1
-    np.save(os.path.join(bad, "doc_freq.npy"), df)
+    cols = read_columns(bad)
+    cols["doc_freq"] = cols["doc_freq"].copy()
+    cols["doc_freq"][0] += 1
+    write_columns(bad, cols)
     with pytest.raises(CheckIndexError):
         check_segment(bad)
 

@@ -132,3 +132,21 @@ def test_cli_terminfo(idx, capsys):
     assert main(["terminfo", "--index", idx, "--term", "zzzznothere"]) == 0
     out = json.loads(capsys.readouterr().out.strip())
     assert out["doc_freq"] == 0 and out["total_term_freq"] == 0
+
+
+def test_cli_stats_sums_bytes_by_part(idx, capsys):
+    import os
+
+    from lucene_ray.cli import main
+    from lucene_ray.index import manifest as mf
+
+    assert main(["stats", "--index", idx]) == 0
+    parts = json.loads(capsys.readouterr().out.strip())["bytes_by_part"]
+    segs = mf.read_manifest(idx)["segments"]
+    # every segment file but meta.json, summed over the segments
+    on_disk = sum(
+        os.path.getsize(os.path.join(s["dir"], f))
+        for s in segs for f in os.listdir(s["dir"]) if f != "meta.json"
+    )
+    assert sum(parts.values()) == on_disk
+    assert min(parts[p] for p in ("dictionary", "term_meta", "postings", "norms", "bloom")) > 0

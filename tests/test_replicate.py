@@ -80,3 +80,30 @@ def test_resync_after_merge_ships_merged_and_deletes_old(primary, tmp_path):
         for n in names:
             on_disk.add(os.path.relpath(os.path.join(root, n), replica))
     assert on_disk == set(rev["files"])
+
+
+def test_sync_ships_dv_updates_and_soft_deletes(tmp_path):
+    from lucene_ray.index.deletes import update_numeric_docvalue
+    from lucene_ray.index.deletion_policy import prune_generations
+    from lucene_ray.index.manifest import read_manifest
+    from lucene_ray.index.softdeletes import soft_delete_by_query
+    from tests.util import dv_counts, small_dv_index
+
+    src = small_dv_index(tmp_path, "src")
+    update_numeric_docvalue(src, TermQuery("spark"), "n", 999)
+    soft_delete_by_query(src, TermQuery("alpha"))
+    want = dv_counts(src)
+    assert want[0] > 0 and want[1] == 0 < want[2]
+
+    replica = str(tmp_path / "replica")
+    sync(src, replica)
+    for seg in read_manifest(replica)["segments"]:
+        for path in seg["dv_updates"].values():
+            assert path.startswith(os.path.join(replica, "dvu")) and os.path.exists(path)
+    # the primary moves on and prunes the generations (and overlays) the
+    # replica's commit was taken from
+    synced = [p for seg in read_manifest(src)["segments"] for p in seg["dv_updates"].values()]
+    update_numeric_docvalue(src, TermQuery("join"), "n", 7)
+    prune_generations(src, keep_last=1)
+    assert not all(os.path.exists(p) for p in synced)
+    assert dv_counts(replica) == want

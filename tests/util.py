@@ -71,3 +71,45 @@ def index_from_token_docs(
         index_dir,
         {"generation": 1, "analyzer": "none", "segments": seg_entries},
     )
+
+
+DV_WORDS = "spark join merge window scan alpha beta gamma delta red green blue".split()
+
+
+def small_dv_index(tmp_path, name: str, n_docs: int = 40, per_segment: int = 20) -> str:
+    """An index of ``per_segment``-doc segments over ``n_docs`` generated
+    rows (stored ``doc_id`` and numeric ``n``), built in-process."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_ray.index.build import build_index_local
+
+    rng = np.random.default_rng(7)
+    texts = [" ".join(rng.choice(DV_WORDS, size=int(rng.integers(3, 12))).tolist()) for _ in range(n_docs)]
+    tbl = pa.table({
+        "doc_id": pa.array(range(n_docs), pa.int64()),
+        "n": pa.array(rng.integers(0, 50, n_docs), pa.int64()),
+        "text": pa.array(texts),
+    })
+    src = str(tmp_path / f"{name}.parquet")
+    pq.write_table(tbl, src, row_group_size=per_segment)
+    out = str(tmp_path / name)
+    build_index_local(src, out, docs_per_segment=per_segment, content_column="text",
+                      meta_columns=("doc_id", "n"))
+    return out
+
+
+def dv_counts(index_dir: str) -> tuple[int, int, int]:
+    """(docs with stored n == 999, soft-wrapped ``alpha`` count, plain
+    ``alpha`` count) — what a doc-values update of ``n`` and a soft delete
+    of ``alpha`` change."""
+    from lucene_ray.index.softdeletes import wrap_soft_deletes
+    from lucene_ray.search.query import StoredFieldRange, TermQuery, bool_query
+    from lucene_ray.search.searcher import IndexSearcher
+
+    s = IndexSearcher(index_dir)
+    return (
+        s.count(bool_query(filter=[StoredFieldRange("n", 999, 1000)])),
+        wrap_soft_deletes(s).count(TermQuery("alpha")),
+        s.count(TermQuery("alpha")),
+    )
