@@ -5216,10 +5216,10 @@ perkey AS (
 """,
         "tx_scrub_pii": """
 SELECT doc_id,
-       len(regexp_extract_all(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}'))::BIGINT AS n_email,
-       len(regexp_extract_all(coalesce(text, ''), '\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b'))::BIGINT AS n_ipv4,
-       len(regexp_extract_all(coalesce(text, ''), '\b\d{9,}\b'))::BIGINT AS n_longnum,
-       md5(regexp_replace(regexp_replace(regexp_replace(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}', '<EMAIL>', 'g'), '\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b', '<IP>', 'g'), '\b\d{9,}\b', '<NUM>', 'g')) AS clean_sha
+       len(regexp_extract_all(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}'))::BIGINT AS n_email,
+       len(regexp_extract_all(coalesce(text, ''), '\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\b'))::BIGINT AS n_ipv4,
+       len(regexp_extract_all(coalesce(text, ''), '\b\\d{9,}\b'))::BIGINT AS n_longnum,
+       md5(regexp_replace(regexp_replace(regexp_replace(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}', '<EMAIL>', 'g'), '\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\b', '<IP>', 'g'), '\b\\d{9,}\b', '<NUM>', 'g')) AS clean_sha
 FROM documents
 """,
         "tx_stratified_sample": f"""

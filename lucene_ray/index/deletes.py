@@ -58,25 +58,17 @@ def save_dv_overlay(store, path, docids, values) -> None:
 
 
 def _matching_local_docids(reader, query, weight) -> np.ndarray:
-    """All local docids matching ``query`` in one segment (COMPLETE walk,
-    ignores the current live mask — re-deleting is a no-op).  ``query`` is
-    rewritten and ``weight`` is its index-wide Weight
-    (``IndexSearcher.weigh``); matching is non-scoring."""
+    """All local docids matching ``query`` in one segment, deleted docs
+    included (re-deleting is a no-op).  ``query`` is rewritten and
+    ``weight`` is its index-wide Weight (``IndexSearcher.weigh``);
+    matching is non-scoring."""
     from ..search.query import build_scorer
-    from ..search.scorers import NO_MORE_DOCS
+    from ..search.scorers import live_docids
 
     saved_live = reader.live
     reader.live = None  # match against ALL docs, deleted included
     try:
-        scorer = build_scorer(query, weight, reader, 1.0, "COMPLETE_NO_SCORES", False)
-        if scorer is None:
-            return np.empty(0, dtype=np.int64)
-        out = []
-        doc = scorer.advance(0)
-        while doc != NO_MORE_DOCS:
-            out.append(doc)
-            doc = scorer.next_doc()
-        return np.asarray(out, dtype=np.int64)
+        return live_docids(build_scorer(query, weight, reader, 1.0, "COMPLETE_NO_SCORES"), None)
     finally:
         reader.live = saved_live
 

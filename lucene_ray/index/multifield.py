@@ -219,11 +219,11 @@ class MultiFieldSearcher:
         return merge_top_docs(per_segment, k, self.doc_bases)
 
     def count(self, clauses: list[FieldedClause]) -> int:
-        from ..search.searcher import count_live_matches
+        from ..search.scorers import live_docids
 
         weighed = self._weigh(clauses)
         return sum(
-            count_live_matches(self._segment_scorer(weighed, i, "COMPLETE_NO_SCORES"), r.live)
+            len(live_docids(self._segment_scorer(weighed, i, "COMPLETE_NO_SCORES"), r.live))
             for i, r in enumerate(self.searchers[clauses[0].field].readers)
         )
 

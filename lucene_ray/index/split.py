@@ -110,23 +110,19 @@ def split_index_by_query(
     """PKIndexSplitter (reference misc/index/PKIndexSplitter.java:41-52):
     documents matching ``query`` go to ``out1``, the remainder to
     ``out2`` — the same sync + livedocs-mask + expunge composition as
-    split_index, with the part assignment computed per segment by a
-    non-scoring scorer pass instead of a docid rule."""
-    from ..search.searcher import NO_MORE_DOCS, IndexSearcher, build_scorer
+    split_index, with the part assignment computed per segment from the
+    query's matches (rewritten and weighed like a search of it)."""
+    from ..search.query import build_scorer
+    from ..search.scorers import live_docids
+    from ..search.searcher import IndexSearcher
 
     searcher = IndexSearcher(index_dir)
-    weight = searcher.make_weight(query)
+    query, weight = searcher.weigh(query)
     match_by_seg: dict[str, np.ndarray] = {}
     for reader, seg in zip(searcher.readers, searcher.manifest["segments"]):
         mask = np.zeros(reader.max_doc, dtype=bool)
-        scorer = build_scorer(
-            query, weight, reader, 1.0, "COMPLETE_NO_SCORES", False
-        )
-        if scorer is not None:
-            doc = scorer.advance(0)
-            while doc != NO_MORE_DOCS:
-                mask[doc] = True
-                doc = scorer.next_doc()
+        scorer = build_scorer(query, weight, reader, 1.0, "COMPLETE_NO_SCORES")
+        mask[live_docids(scorer, reader.live)] = True
         match_by_seg[seg["name"]] = mask
 
     def mask_for(part: int, seg: dict) -> np.ndarray:

@@ -97,7 +97,7 @@ def _eval_query(toks: pl.DataFrame, pos_df: pl.DataFrame | None, q: tuple):
             .select("doc_id")
             .unique()["doc_id"]
         )
-        mask = toks.select(pl.col("doc_id").is_in(hit_docs).alias("m"))["m"]
+        mask = toks.select(pl.col("doc_id").is_in(hit_docs.implode()).alias("m"))["m"]
     elif kind == "or_of":
         # disjunction of sub-specs: union of the sub evaluators
         hit = None
@@ -105,7 +105,7 @@ def _eval_query(toks: pl.DataFrame, pos_df: pl.DataFrame | None, q: tuple):
             s = _eval_query(toks, pos_df, sub)
             hit = s if hit is None else pl.concat([hit, s])
         docs = hit.unique() if hit is not None else pl.Series("doc_id", [])
-        mask = toks.select(pl.col("doc_id").is_in(docs).alias("m"))["m"]
+        mask = toks.select(pl.col("doc_id").is_in(docs.implode()).alias("m"))["m"]
     else:  # pragma: no cover
         raise ValueError(kind)
     return toks.filter(mask)["doc_id"]
@@ -130,7 +130,7 @@ def match_batch(batch: pa.Table, queries: list[tuple]) -> pa.Table:
     if any(_has_phrase(q) for q in queries):
         pos_df = (
             toks.with_columns(pl.int_ranges(pl.col("ts").list.len()).alias("p"))
-            .explode(["ts", "p"])
+            .explode(["ts", "p"], empty_as_null=True)
             .rename({"ts": "tok"})
         )
 
@@ -336,7 +336,7 @@ class PresearchPercolator:
         df = pl.from_arrow(batch.select(["doc_id", "text"]))
         toks = df.select(pl.col("doc_id"), _tok_expr().alias("ts"))
         # candidate gathering: distinct (doc, tok) x filter index
-        dt = toks.explode("ts").rename({"ts": "tok"}).unique()
+        dt = toks.explode("ts", empty_as_null=True).rename({"ts": "tok"}).unique()
         cand = (
             dt.join(self.filter_df, on="tok")
             .group_by(["doc_id", "qid"])
@@ -349,7 +349,7 @@ class PresearchPercolator:
         if any(q[0] == "phrase" for q in self.subs):
             pos_df = (
                 toks.with_columns(pl.int_ranges(pl.col("ts").list.len()).alias("p"))
-                .explode(["ts", "p"])
+                .explode(["ts", "p"], empty_as_null=True)
                 .rename({"ts": "tok"})
             )
         out_qid, out_n, out_sum, out_min, out_max = [], [], [], [], []
@@ -362,9 +362,9 @@ class PresearchPercolator:
             docs = by_s.get(sid)
             if docs is None or len(docs) == 0:
                 continue
-            sub = toks.filter(pl.col("doc_id").is_in(docs))
+            sub = toks.filter(pl.col("doc_id").is_in(docs.implode()))
             sub_pos = (
-                pos_df.filter(pl.col("doc_id").is_in(docs))
+                pos_df.filter(pl.col("doc_id").is_in(docs.implode()))
                 if q[0] == "phrase"
                 else None
             )

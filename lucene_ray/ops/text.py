@@ -61,7 +61,7 @@ def token_stats_batch(batch: pa.Table) -> pa.Table:
     )
     tf = (
         toks.select("doc_id", "ts")
-        .explode("ts")
+        .explode("ts", empty_as_null=True)
         .drop_nulls("ts")
         .group_by("doc_id", "ts")
         .len()
@@ -109,7 +109,7 @@ def doc_stats_batch(batch: pa.Table) -> pa.Table:
     )
     tf = (
         toks.select("doc_id", "ts")
-        .explode("ts")
+        .explode("ts", empty_as_null=True)
         .drop_nulls("ts")
         .group_by("doc_id", "ts")
         .len()
@@ -122,7 +122,7 @@ def doc_stats_batch(batch: pa.Table) -> pa.Table:
     # repetition: bigram counts via one explode + shift-within-doc
     big = (
         toks.select("doc_id", "ts")
-        .explode("ts")
+        .explode("ts", empty_as_null=True)
         .drop_nulls("ts")
         .with_columns(pl.col("ts").shift(-1).over("doc_id").alias("nxt"))
         .drop_nulls("nxt")
@@ -401,7 +401,7 @@ def contamination_batch(batch: pa.Table, grams: frozenset) -> pa.Table:
         .str.extract_all(TOKEN_PATTERN)
         .alias("ts")
     )
-    ex = df.select("doc_id", "ts").explode("ts")
+    ex = df.select("doc_id", "ts").explode("ts", empty_as_null=True)
     parts = [pl.col("ts").shift(-k).over("doc_id") for k in range(CONTAM_N)]
     hits = (
         ex.with_columns(pl.concat_str(parts, separator=" ").alias("gram"))

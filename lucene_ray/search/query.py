@@ -6,6 +6,13 @@ ConstantScoreQuery, BoostQuery, MatchAllDocsQuery.  Scorer selection follows
 BooleanScorerSupplier: scoring SHOULD disjunctions -> WANDScorer; MUST/FILTER
 -> conjunction; MUST_NOT -> exclusion (reference
 search/BooleanScorerSupplier.java:288-554, BooleanQuery.java rewrite).
+
+Every other query type is dense: one kernel per type in ``DENSE_KERNELS``
+computes its whole per-segment match set and float32 scores, and
+``dense_matches`` is the one entry point to them.  Top-k search, count,
+use as a Boolean clause, the doc-values side of IndexOrDocValuesQuery,
+deletes and splits all read a dense type's matches from there (the
+single Weight/Scorer per query type of the reference).
 """
 
 from __future__ import annotations
@@ -15,17 +22,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bm25 import BM25Similarity, CollectionStatistics, TermStatistics
+from .cache import cached_filter_docs
+from .multiterm import (
+    _multi_term_matches,
+    multi_phrase_matches_segment,
+    payload_check_matches_segment,
+    phrase_matches_segment,
+    sloppy_phrase_matches_segment,
+)
 from .scorers import (
     NO_MORE_DOCS,
     ConjunctionScorer,
     ConstantScoreScorer,
     ImpactsDISI,
     MatchAllScorer,
+    PrecomputedScorer,
     ReqExclScorer,
     ReqOptSumScorer,
     Scorer,
     TermScorer,
     WANDScorer,
+    live_docids,
 )
 
 SHOULD, MUST, MUST_NOT, FILTER = "SHOULD", "MUST", "MUST_NOT", "FILTER"
@@ -621,7 +638,7 @@ def collect_terms(q: Query) -> set[str]:
                       RegexpQuery, TermInSetQuery, StoredFieldFilter,
                       StoredFieldRange, FieldExistsQuery, PointBoxQuery,
                       PointMultiRangeQuery, FunctionRangeQuery,
-                      KnnFloatVectorQuery, PayloadScoreQuery,
+                      PayloadScoreQuery,
                       DocValuesTermsQuery, PointInSetQuery, FeatureQuery,
                       DistanceFeatureQuery)):
         return set()  # constant-score / payload / feature scoring needs no term stats
@@ -629,6 +646,8 @@ def collect_terms(q: Query) -> set[str]:
         return collect_terms(q.query)
     if isinstance(q, IndexOrDocValuesQuery):
         return collect_terms(q.index_query) | collect_terms(q.dv_query)
+    if isinstance(q, KnnFloatVectorQuery):
+        return {t for sub in (q.filter, q.seed) if sub is not None for t in collect_terms(sub)}
     if isinstance(q, SpanScoreQuery):
         from .spans import span_terms
 
@@ -772,67 +791,15 @@ def _estimate_filter_cost(q: Query, weight: Weight, reader) -> int:
 
 def _dv_predicate(q: Query, weight: Weight, reader):
     """() -> bool mask of len max_doc for the dv side's random-access
-    verification (live docs folded in)."""
-    import pyarrow.compute as pc
+    verification (live docs folded in): the dv query's own match set."""
 
-    def _with_live(m: np.ndarray) -> np.ndarray:
-        if getattr(reader, "live", None) is not None:
-            m = m & np.asarray(reader.live, dtype=bool)
-        return m
-
-    if isinstance(q, StoredFieldRange):
-
-        def _range() -> np.ndarray:
-            col = reader.stored_column(q.field)
-            m = np.ones(len(col), dtype=bool)
-            if q.lower is not None:
-                m &= pc.greater_equal(col, q.lower).to_numpy(zero_copy_only=False)
-            if q.upper is not None:
-                m &= pc.less(col, q.upper).to_numpy(zero_copy_only=False)
-            return _with_live(m)
-
-        return _range
-    if isinstance(q, StoredFieldFilter):
-
-        def _eq() -> np.ndarray:
-            col = reader.stored_column(q.field)
-            return _with_live(
-                pc.equal(col, q.value).to_numpy(zero_copy_only=False)
-            )
-
-        return _eq
-    if isinstance(q, DocValuesTermsQuery):
-
-        def _in() -> np.ndarray:
-            import pyarrow as pa
-
-            col = reader.stored_column(q.field)
-            return _with_live(
-                pc.is_in(
-                    col, value_set=pa.array(list(q.values), col.type)
-                ).to_numpy(zero_copy_only=False)
-            )
-
-        return _in
-
-    def _generic() -> np.ndarray:  # fallback: run the dv query outright
-        s = build_scorer(q, weight, reader, 1.0, "COMPLETE_NO_SCORES")
+    def mask() -> np.ndarray:
         m = np.zeros(reader.max_doc, dtype=bool)
-        if s is None:
-            return m
-        docs = getattr(s, "docids", None)
-        if docs is not None:
-            m[np.asarray(docs, np.int64)] = True
-            return m
-        from .scorers import NO_MORE_DOCS as _NMD
-
-        d = s.advance(0)
-        while d != _NMD:
-            m[d] = True
-            d = s.next_doc()
+        s = build_scorer(q, weight, reader, 1.0, "COMPLETE_NO_SCORES")
+        m[live_docids(s, getattr(reader, "live", None))] = True
         return m
 
-    return _generic
+    return mask
 
 
 def build_scorer(
@@ -850,8 +817,15 @@ def build_scorer(
     mirroring ScorerSupplier.setTopLevelScoringClause.  ``lead_cost`` is
     the cheapest required clause's estimated cost when this query is a
     FILTER beside one (ScorerSupplier.get(leadCost)) — only
-    IndexOrDocValuesQuery consults it.
+    IndexOrDocValuesQuery consults it.  A dense query type
+    (``DENSE_KERNELS``) is answered by ``dense_matches``.
     """
+    if type(q) in DENSE_KERNELS:
+        matches = dense_matches(q, weight, reader, boost)
+        if matches is None:
+            return None
+        return PrecomputedScorer(*matches)
+
     if isinstance(q, IndexOrDocValuesQuery):
         index_cost = _estimate_filter_cost(q.index_query, weight, reader)
         # IndexOrDocValuesQuery.java:178-183: threshold = cost >>> 3;
@@ -893,478 +867,318 @@ def build_scorer(
     if isinstance(q, BooleanQuery):
         return _boolean_scorer(q, weight, reader, boost, score_mode, top_level)
 
-    if isinstance(
-        q,
-        (PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, RegexpQuery,
-         TermInSetQuery),
-    ):
-        from .cache import cached_filter_docs
-        from .multiterm import _multi_term_matches
-        from .scorers import PrecomputedScorer
-
-        docs = cached_filter_docs(reader, q, lambda: _multi_term_matches(reader, q))
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[reader.live[docs]]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, np.full(len(docs), np.float32(boost)))
-
-    if isinstance(q, PhraseQuery):
-        from .multiterm import phrase_matches_segment, sloppy_phrase_matches_segment
-        from .scorers import PrecomputedScorer
-
-        if q.slop > 0:
-            docs, freqs = sloppy_phrase_matches_segment(reader, q.terms, q.slop)
-        else:
-            docs, freqs = phrase_matches_segment(reader, q.terms)
-        if len(docs) == 0:
-            return None
-        sim = weight.phrase_sim_scorer(q.terms, boost)
-        scores = sim.score_bulk(freqs, np.asarray(reader.norms)[docs])
-        return PrecomputedScorer(docs, scores)
-
-    if isinstance(q, MultiPhraseQuery):
-        from .multiterm import multi_phrase_matches_segment
-        from .scorers import PrecomputedScorer
-
-        docs, freqs = multi_phrase_matches_segment(reader, q.slots)
-        if len(docs) == 0:
-            return None
-        flat = tuple(t for alts in q.slots for t in alts)
-        sim = weight.phrase_sim_scorer(flat, boost)
-        scores = sim.score_bulk(freqs, np.asarray(reader.norms)[docs])
-        return PrecomputedScorer(docs, scores)
-
-    if isinstance(q, SpanScoreQuery):
-        from .scorers import PrecomputedScorer
-        from .spans import span_matches_segment, span_terms
-
-        docs, freqs = span_matches_segment(reader, q.node)
-        if len(docs) == 0:
-            return None
-        sim = weight.phrase_sim_scorer(span_terms(q.node), boost)
-        scores = sim.score_bulk(freqs, np.asarray(reader.norms)[docs])
-        return PrecomputedScorer(docs, scores)
-
-    if isinstance(q, SpanPayloadCheckQuery):
-        from .multiterm import payload_check_matches_segment
-        from .scorers import PrecomputedScorer
-
-        docs, freqs = payload_check_matches_segment(reader, q.terms, q.payloads, q.op)
-        if len(docs) == 0:
-            return None
-        sim = weight.phrase_sim_scorer(q.terms, boost)
-        scores = sim.score_bulk(freqs, np.asarray(reader.norms)[docs])
-        return PrecomputedScorer(docs, scores)
-
-    if isinstance(q, CoveringQuery):
-        from .oracle import _clause_scores
-        from .scorers import PrecomputedScorer
-
-        max_doc = reader.max_doc
-        sums = np.zeros(max_doc, dtype=np.float64)
-        cnt = np.zeros(max_doc, dtype=np.int32)
-        for c in q.clauses:
-            docs, scores = _clause_scores(c, weight, reader, boost)
-            sums[docs] += scores.astype(np.float64)
-            cnt[docs] += 1
-        vals = (
-            reader.stored_column(q.min_field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        required = np.maximum(1, 1 + vals % q.min_mod)
-        docs = np.nonzero(cnt >= required)[0]
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[reader.live[docs]]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, sums[docs].astype(np.float32))
-
-    if isinstance(q, FeatureQuery):
-        from .scorers import PrecomputedScorer
-
-        vals = (
-            reader.stored_column(q.field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        docs = np.nonzero(vals > 0)[0]
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[reader.live[docs]]
-        if len(docs) == 0:
-            return None
-        # encode -> decode: score on the 9-bit-mantissa quantized value,
-        # exactly what the reference reads back from the postings freq
-        f = decode_feature_value(encode_feature_value(vals[docs]))
-        if q.function == "linear":
-            sc = np.float32(q.weight) * f  # pure float32 multiply
-        elif q.function == "log":
-            sc = (
-                float(q.weight) * np.log(float(q.a) + f.astype(np.float64))
-            ).astype(np.float32)
-        elif q.function == "satu":
-            if q.pivot is None:
-                raise ValueError("satu FeatureQuery needs rewrite (pivot=None)")
-            pv = np.float32(q.pivot)
-            sc = np.float32(q.weight) * (np.float32(1.0) - pv / (f + pv))
-        elif q.function == "sigm":
-            if q.pivot is None:
-                raise ValueError("sigm FeatureQuery needs an explicit pivot")
-            pivot_pa = float(q.pivot) ** float(q.a)
-            fd = f.astype(np.float64)
-            sc = (
-                float(q.weight) * (1.0 - pivot_pa / (fd ** float(q.a) + pivot_pa))
-            ).astype(np.float32)
-        else:
-            raise ValueError(f"unknown feature function {q.function!r}")
-        if boost != 1.0:
-            sc = (np.float32(boost) * sc).astype(np.float32)
-        return PrecomputedScorer(docs, sc)
-
-    if isinstance(q, DistanceFeatureQuery):
-        from .scorers import PrecomputedScorer
-
-        vals = (
-            reader.stored_column(q.field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        docs = np.arange(reader.max_doc, dtype=np.int64)
-        if getattr(reader, "live", None) is not None:
-            docs = docs[reader.live[docs]]
-        if len(docs) == 0:
-            return None
-        dist = np.abs(vals[docs] - np.int64(q.origin)).astype(np.float64)
-        # one double expression, ONE float cast (reference :266) — the
-        # boost folds in BEFORE the cast, so return directly
-        sc = (float(boost) * (float(q.pivot) / (float(q.pivot) + dist))).astype(
-            np.float32
-        )
-        return PrecomputedScorer(docs, sc)
-
-    if isinstance(q, StoredFieldRange):
-        import pyarrow.compute as pc
-
-        from .scorers import PrecomputedScorer
-
-        col = reader.stored_column(q.field)
-        m = np.ones(len(col), dtype=bool)
-        if q.lower is not None:
-            m &= pc.greater_equal(col, q.lower).to_numpy(zero_copy_only=False)
-        if q.upper is not None:
-            m &= pc.less(col, q.upper).to_numpy(zero_copy_only=False)
-        if getattr(reader, "live", None) is not None:
-            m = m & reader.live
-        docs = np.nonzero(m)[0]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, np.full(len(docs), np.float32(boost)))
-
-    if isinstance(q, KnnFloatVectorQuery):
-        from .scorers import PrecomputedScorer
-
-        graph = reader.vector_index(q.field)
-        if graph is None or not len(graph.ids):
-            return None
-        accept = None
-        if q.filter is not None:
-            fs = build_scorer(
-                q.filter, weight, reader, 1.0, "COMPLETE_NO_SCORES", False
-            )
-            if fs is None:
-                return None
-            accept = np.zeros(reader.max_doc, dtype=bool)
-            fdocs = getattr(fs, "docids", None)
-            if fdocs is not None:
-                accept[np.asarray(fdocs, np.int64)] = True
-            else:
-                from .scorers import NO_MORE_DOCS as _NMD
-
-                d = fs.advance(0)
-                while d != _NMD:
-                    accept[d] = True
-                    d = fs.next_doc()
-        seeds = None
-        if q.seed is not None:
-            ss = build_scorer(
-                q.seed, weight, reader, 1.0, "COMPLETE_NO_SCORES", False
-            )
-            if ss is not None:
-                sdocs = getattr(ss, "docids", None)
-                if sdocs is None:
-                    from .scorers import NO_MORE_DOCS as _NMD
-
-                    acc = []
-                    d = ss.advance(0)
-                    while d != _NMD and len(acc) < max(2 * q.k, 16):
-                        acc.append(d)
-                        d = ss.next_doc()
-                    sdocs = acc
-                seeds = np.asarray(sdocs, np.int64)[: max(2 * q.k, 16)]
-        hits = graph.search(
-            np.asarray(q.vector, dtype=np.float32), q.k, q.ef_search,
-            accept=accept, seeds=seeds, patience=q.patience,
-        )
-        if getattr(reader, "live", None) is not None:
-            live = np.asarray(reader.live, dtype=bool)
-            hits = [(d, s) for d, s in hits if live[d]]
-        if not hits:
-            return None
-        hits.sort()  # PrecomputedScorer wants ascending docids
-        docs = np.array([d for d, _ in hits], np.int64)
-        scores = np.array([s * boost for _, s in hits], np.float32)
-        return PrecomputedScorer(docs, scores)
-
-    if isinstance(q, PointInSetQuery):
-        from .scorers import PrecomputedScorer
-
-        tree = reader.point_tree(q.fields)
-        if tree is not None:
-            docs, _stats = tree.in_set(q.dim, q.values)
-        else:
-            # fallback: stored-column isin scan (identical semantics)
-            col = reader.stored_column(q.fields[q.dim]).to_numpy(
-                zero_copy_only=False
-            )
-            docs = np.nonzero(np.isin(col, np.asarray(q.values, np.int64)))[0]
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[np.asarray(reader.live, dtype=bool)[docs]]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, np.full(len(docs), np.float32(boost)))
-
-    if isinstance(q, PointBoxQuery):
-        from .scorers import PrecomputedScorer
-
-        tree = reader.point_tree(q.fields)
-        if tree is not None:
-            docs, _stats = tree.intersect(q.lows, q.highs)
-        else:
-            # fallback: stored-column scan (identical [lo, hi) semantics)
-            m = np.ones(reader.max_doc, dtype=bool)
-            for f, lo, hi in zip(q.fields, q.lows, q.highs):
-                col = reader.stored_column(f).to_numpy(zero_copy_only=False)
-                if lo is not None:
-                    m &= col >= lo
-                if hi is not None:
-                    m &= col < hi
-            docs = np.nonzero(m)[0]
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[np.asarray(reader.live, dtype=bool)[docs]]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, np.full(len(docs), np.float32(boost)))
-
-    if isinstance(q, FunctionRangeQuery):
-        from .expressions import compile_expression
-        from .scorers import PrecomputedScorer
-
-        expr = compile_expression(q.expression)
-        bindings = {
-            v: reader.stored_column(v).to_numpy(zero_copy_only=False).astype(np.float64)
-            for v in expr.variables
-        }
-        vals = expr.evaluate(bindings)
-        m = np.ones(reader.max_doc, dtype=bool)
-        if q.lower is not None:
-            m &= (vals >= q.lower) if q.include_lower else (vals > q.lower)
-        if q.upper is not None:
-            m &= (vals <= q.upper) if q.include_upper else (vals < q.upper)
-        if getattr(reader, "live", None) is not None:
-            m &= reader.live
-        docs = np.nonzero(m)[0]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, (vals[docs] * boost).astype(np.float32))
-
-    if isinstance(q, PointMultiRangeQuery):
-        from .scorers import PrecomputedScorer
-
-        tree = reader.point_tree(q.fields)
-        parts = []
-        for lows, highs in q.boxes:
-            if tree is not None:
-                d, _stats = tree.intersect(lows, highs)
-            else:
-                m = np.ones(reader.max_doc, dtype=bool)
-                for f, lo, hi in zip(q.fields, lows, highs):
-                    col = reader.stored_column(f).to_numpy(zero_copy_only=False)
-                    if lo is not None:
-                        m &= col >= lo
-                    if hi is not None:
-                        m &= col < hi
-                d = np.nonzero(m)[0]
-            if len(d):
-                parts.append(d)
-        if not parts:
-            return None
-        docs = np.unique(np.concatenate(parts))  # overlap-deduped union
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[np.asarray(reader.live, dtype=bool)[docs]]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, np.full(len(docs), np.float32(boost)))
-
-    if isinstance(q, SynonymQuery):
-        # dense SynonymScorer as a clause (SynonymQuery.java): blended
-        # freq = sum(boost * tf), one SimScorer over blended stats
-        from .scorers import PrecomputedScorer
-
-        freq = np.zeros(reader.max_doc, dtype=np.float32)
-        for term, tb in q.term_boosts():
-            tid = reader.term_id(term)
-            if tid is None:
-                continue
-            docs, tfs = reader.decode_term_cached(tid)
-            freq[docs] += np.float32(tb) * tfs.astype(np.float32)
-        if getattr(reader, "live", None) is not None:
-            freq[~reader.live] = 0
-        cand = np.nonzero(freq)[0]
-        if len(cand) == 0:
-            return None
-        sim = weight.synonym_sim_scorer(q.terms, boost)
-        scores = sim.score_bulk(freq[cand], np.asarray(reader.norms)[cand])
-        return PrecomputedScorer(cand, scores)
-
-    if isinstance(q, PayloadScoreQuery):
-        from .scorers import PrecomputedScorer
-
-        tid = reader.term_id(q.term)
-        if tid is None or not getattr(reader, "has_payloads", False):
-            if tid is not None and not getattr(reader, "has_payloads", False):
-                raise ValueError("PayloadScoreQuery needs index_options='payloads'")
-            return None
-        docs, tfs = reader.decode_term_cached(tid)
-        r0 = int(reader.pos_row_start[tid])
-        r1 = int(reader.pos_row_start[tid + 1])
-        base = int(reader.pos_off[r0])
-        flat = np.asarray(
-            reader.pay_data[base : int(reader.pos_off[r1])], dtype=np.float64
-        )
-        starts = np.asarray(reader.pos_off[r0:r1], dtype=np.int64) - base
-        if q.func == "sum":
-            vals = np.add.reduceat(flat, starts)
-        elif q.func == "max":
-            vals = np.maximum.reduceat(flat, starts)
-        elif q.func == "min":
-            vals = np.minimum.reduceat(flat, starts)
-        elif q.func == "avg":
-            vals = np.add.reduceat(flat, starts) / tfs
-        else:
-            raise ValueError(f"unknown payload function: {q.func}")
-        if getattr(reader, "live", None) is not None and len(docs):
-            m = reader.live[docs]
-            docs, vals = docs[m], vals[m]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, (vals * boost).astype(np.float32))
-
-    if isinstance(q, StoredFieldFilter):
-        from .cache import cached_filter_docs
-        from .scorers import PrecomputedScorer
-
-        def _eval():
-            import pyarrow.compute as pc
-
-            col = reader.stored_column(q.field)
-            return np.nonzero(pc.equal(col, q.value).to_numpy(zero_copy_only=False))[0]
-
-        docs = cached_filter_docs(reader, q, _eval)
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[reader.live[docs]]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, np.full(len(docs), np.float32(boost)))
-
-    if isinstance(q, DocValuesTermsQuery):
-        from .cache import cached_filter_docs
-        from .scorers import PrecomputedScorer
-
-        def _eval_in():
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
-            col = reader.stored_column(q.field)
-            m = pc.is_in(
-                col, value_set=pa.array(list(q.values), col.type)
-            ).to_numpy(zero_copy_only=False)
-            return np.nonzero(m)[0]
-
-        docs = cached_filter_docs(reader, q, _eval_in)
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[reader.live[docs]]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, np.full(len(docs), np.float32(boost)))
-
-    if isinstance(q, IntervalQuery):
-        from .scorers import PrecomputedScorer
-        from ..search.intervals import eval_intervals, min_extent, sloppy_freq_int
-
-        res = eval_intervals(reader, q.node)
-        me = min_extent(q.node)
-        docs_l, scores_l = [], []
-        for d in sorted(res):
-            if getattr(reader, "live", None) is not None and not reader.live[d]:
-                continue
-            fi = sloppy_freq_int(res[d], me)
-            if fi:
-                docs_l.append(d)
-                # saturationFunction: w * (1 - pivot/(pivot + freq)), f32
-                scores_l.append(
-                    np.float32(
-                        boost * (1.0 - q.pivot / (q.pivot + fi / (1 << 20)))
-                    )
-                )
-        if not docs_l:
-            return None
-        return PrecomputedScorer(
-            np.asarray(docs_l, np.int64), np.asarray(scores_l, np.float32)
-        )
-
-    if isinstance(q, FieldExistsQuery):
-        from .cache import cached_filter_docs
-        from .scorers import PrecomputedScorer
-
-        def _eval_exists():
-            import pyarrow.compute as pc
-
-            col = reader.stored_column(q.field)
-            valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-            return np.nonzero(valid)[0]
-
-        docs = cached_filter_docs(reader, q, _eval_exists)
-        if getattr(reader, "live", None) is not None and len(docs):
-            docs = docs[reader.live[docs]]
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, np.full(len(docs), np.float32(boost)))
-
-    if isinstance(q, DisjunctionMaxQuery):
-        from .scorers import PrecomputedScorer
-
-        docs, scores = dismax_dense_matches(q, weight, reader, boost)
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, scores)
-
-    if isinstance(q, BlendedTermQuery):
-        from .scorers import PrecomputedScorer
-
-        docs, scores = blended_dense_matches(q, weight, reader, boost)
-        if len(docs) == 0:
-            return None
-        return PrecomputedScorer(docs, scores)
-
     raise TypeError(f"unsupported query: {q!r}")
 
 
-def dismax_dense_matches(
-    q: DisjunctionMaxQuery, weight: Weight, reader, boost: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (docid, score) matches of a DisjunctionMaxQuery in one segment:
-    per-doc max and sum of clause scores in float64, score =
+def dense_matches(q: Query, weight: Weight, reader, boost: float = 1.0):
+    """(ascending live docids, float32 scores) of a dense query type in
+    one segment, or None when nothing matches — the only place each
+    dense type's matching and scoring lives.  Its kernel
+    (``DENSE_KERNELS[type(q)]``) returns the pre-live match set (or None);
+    the live mask is applied here."""
+    matches = DENSE_KERNELS[type(q)](q, weight, reader, boost)
+    if matches is None:
+        return None
+    docs, scores = matches
+    live = getattr(reader, "live", None)
+    if live is not None and len(docs):
+        keep = live[docs]
+        docs, scores = docs[keep], scores[keep]
+    return (docs, scores) if len(docs) else None
+
+
+def _constant(docs: np.ndarray, boost: float):
+    return docs, np.full(len(docs), boost, dtype=np.float32)
+
+
+def _freq_scored(docs, freqs, reader, sim):
+    """(docs, float32 scores of ``freqs`` by the SimScorer ``sim()``), or
+    None when ``docs`` is empty — no SimScorer is built then (an empty
+    index has no average field length)."""
+    if len(docs) == 0:
+        return None
+    return docs, sim().score_bulk(freqs, np.asarray(reader.norms)[docs])
+
+
+def _column(reader, field: str, dtype) -> np.ndarray:
+    return reader.stored_column(field).to_numpy(zero_copy_only=False).astype(dtype)
+
+
+def _multi_term_dense(q, weight, reader, boost):
+    """CONSTANT_SCORE rewrite: the union of the matching terms' postings
+    (cached per reader, pre-live), score = boost."""
+    return _constant(
+        cached_filter_docs(reader, q, lambda: _multi_term_matches(reader, q)), boost
+    )
+
+
+def _phrase_dense(q: PhraseQuery, weight, reader, boost):
+    if q.slop > 0:
+        docs, freqs = sloppy_phrase_matches_segment(reader, q.terms, q.slop)
+    else:
+        docs, freqs = phrase_matches_segment(reader, q.terms)
+    return _freq_scored(docs, freqs, reader, lambda: weight.phrase_sim_scorer(q.terms, boost))
+
+
+def _multi_phrase_dense(q: MultiPhraseQuery, weight, reader, boost):
+    docs, freqs = multi_phrase_matches_segment(reader, q.slots)
+    flat = tuple(t for alts in q.slots for t in alts)
+    return _freq_scored(docs, freqs, reader, lambda: weight.phrase_sim_scorer(flat, boost))
+
+
+def _span_dense(q: SpanScoreQuery, weight, reader, boost):
+    from .spans import span_matches_segment, span_terms
+
+    docs, freqs = span_matches_segment(reader, q.node)
+    return _freq_scored(
+        docs, freqs, reader, lambda: weight.phrase_sim_scorer(span_terms(q.node), boost)
+    )
+
+
+def _payload_check_dense(q: SpanPayloadCheckQuery, weight, reader, boost):
+    docs, freqs = payload_check_matches_segment(reader, q.terms, q.payloads, q.op)
+    return _freq_scored(docs, freqs, reader, lambda: weight.phrase_sim_scorer(q.terms, boost))
+
+
+def _payload_score_dense(q: PayloadScoreQuery, weight, reader, boost):
+    tid = reader.term_id(q.term)
+    if tid is None:
+        return None
+    if not getattr(reader, "has_payloads", False):
+        raise ValueError("PayloadScoreQuery needs index_options='payloads'")
+    docs, tfs = reader.decode_term_cached(tid)
+    r0 = int(reader.pos_row_start[tid])
+    r1 = int(reader.pos_row_start[tid + 1])
+    base = int(reader.pos_off[r0])
+    flat = np.asarray(reader.pay_data[base : int(reader.pos_off[r1])], dtype=np.float64)
+    starts = np.asarray(reader.pos_off[r0:r1], dtype=np.int64) - base
+    if q.func == "sum":
+        vals = np.add.reduceat(flat, starts)
+    elif q.func == "max":
+        vals = np.maximum.reduceat(flat, starts)
+    elif q.func == "min":
+        vals = np.minimum.reduceat(flat, starts)
+    elif q.func == "avg":
+        vals = np.add.reduceat(flat, starts) / tfs
+    else:
+        raise ValueError(f"unknown payload function: {q.func}")
+    return docs, (vals * boost).astype(np.float32)
+
+
+def _covering_dense(q: CoveringQuery, weight, reader, boost):
+    from .oracle import _clause_scores
+
+    sums = np.zeros(reader.max_doc, dtype=np.float64)
+    cnt = np.zeros(reader.max_doc, dtype=np.int32)
+    for c in q.clauses:
+        docs, scores = _clause_scores(c, weight, reader, boost)
+        sums[docs] += scores.astype(np.float64)
+        cnt[docs] += 1
+    required = np.maximum(1, 1 + _column(reader, q.min_field, np.int64) % q.min_mod)
+    docs = np.nonzero(cnt >= required)[0]
+    return docs, sums[docs].astype(np.float32)
+
+
+def _feature_dense(q: FeatureQuery, weight, reader, boost):
+    vals = _column(reader, q.field, np.float64)
+    docs = np.nonzero(vals > 0)[0]
+    if len(docs) == 0:
+        return None
+    # encode -> decode: score on the 9-bit-mantissa quantized value,
+    # exactly what the reference reads back from the postings freq
+    f = decode_feature_value(encode_feature_value(vals[docs]))
+    if q.function == "linear":
+        sc = np.float32(q.weight) * f  # pure float32 multiply
+    elif q.function == "log":
+        sc = (float(q.weight) * np.log(float(q.a) + f.astype(np.float64))).astype(np.float32)
+    elif q.function == "satu":
+        if q.pivot is None:
+            raise ValueError("satu FeatureQuery needs rewrite (pivot=None)")
+        pv = np.float32(q.pivot)
+        sc = np.float32(q.weight) * (np.float32(1.0) - pv / (f + pv))
+    elif q.function == "sigm":
+        if q.pivot is None:
+            raise ValueError("sigm FeatureQuery needs an explicit pivot")
+        pivot_pa = float(q.pivot) ** float(q.a)
+        fd = f.astype(np.float64)
+        sc = (
+            float(q.weight) * (1.0 - pivot_pa / (fd ** float(q.a) + pivot_pa))
+        ).astype(np.float32)
+    else:
+        raise ValueError(f"unknown feature function {q.function!r}")
+    if boost != 1.0:
+        sc = (np.float32(boost) * sc).astype(np.float32)
+    return docs, sc
+
+
+def _distance_feature_dense(q: DistanceFeatureQuery, weight, reader, boost):
+    dist = np.abs(_column(reader, q.field, np.int64) - np.int64(q.origin)).astype(np.float64)
+    # one double expression, ONE float cast (reference :266) — the boost
+    # folds in BEFORE the cast
+    sc = (float(boost) * (float(q.pivot) / (float(q.pivot) + dist))).astype(np.float32)
+    return np.arange(reader.max_doc, dtype=np.int64), sc
+
+
+def _stored_range_dense(q: StoredFieldRange, weight, reader, boost):
+    import pyarrow.compute as pc
+
+    col = reader.stored_column(q.field)
+    m = np.ones(len(col), dtype=bool)
+    if q.lower is not None:
+        m &= pc.greater_equal(col, q.lower).to_numpy(zero_copy_only=False)
+    if q.upper is not None:
+        m &= pc.less(col, q.upper).to_numpy(zero_copy_only=False)
+    return _constant(np.nonzero(m)[0], boost)
+
+
+def _cached_column_dense(q, reader, boost, column_mask):
+    """Constant-score match on ``column_mask(stored column)`` — cached
+    per reader like a multi-term filter."""
+    def compute():
+        return np.nonzero(column_mask(reader.stored_column(q.field)))[0]
+
+    return _constant(cached_filter_docs(reader, q, compute), boost)
+
+
+def _stored_filter_dense(q: StoredFieldFilter, weight, reader, boost):
+    import pyarrow.compute as pc
+
+    return _cached_column_dense(
+        q, reader, boost,
+        lambda col: pc.equal(col, q.value).to_numpy(zero_copy_only=False),
+    )
+
+
+def _dv_terms_dense(q: DocValuesTermsQuery, weight, reader, boost):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    return _cached_column_dense(
+        q, reader, boost,
+        lambda col: pc.is_in(
+            col, value_set=pa.array(list(q.values), col.type)
+        ).to_numpy(zero_copy_only=False),
+    )
+
+
+def _field_exists_dense(q: FieldExistsQuery, weight, reader, boost):
+    import pyarrow.compute as pc
+
+    return _cached_column_dense(
+        q, reader, boost, lambda col: pc.is_valid(col).to_numpy(zero_copy_only=False)
+    )
+
+
+def _box_docs(reader, tree, fields, lows, highs) -> np.ndarray:
+    """Docids inside one [low, high) box: the BKD tree when the segment
+    has one, else a stored-column scan with identical semantics."""
+    if tree is not None:
+        return tree.intersect(lows, highs)[0]
+    m = np.ones(reader.max_doc, dtype=bool)
+    for f, lo, hi in zip(fields, lows, highs):
+        col = reader.stored_column(f).to_numpy(zero_copy_only=False)
+        if lo is not None:
+            m &= col >= lo
+        if hi is not None:
+            m &= col < hi
+    return np.nonzero(m)[0]
+
+
+def _point_box_dense(q: PointBoxQuery, weight, reader, boost):
+    tree = reader.point_tree(q.fields)
+    return _constant(_box_docs(reader, tree, q.fields, q.lows, q.highs), boost)
+
+
+def _point_multi_range_dense(q: PointMultiRangeQuery, weight, reader, boost):
+    tree = reader.point_tree(q.fields)
+    parts = [_box_docs(reader, tree, q.fields, lo, hi) for lo, hi in q.boxes]
+    parts = [d for d in parts if len(d)]
+    if not parts:
+        return None
+    return _constant(np.unique(np.concatenate(parts)), boost)  # overlap-deduped union
+
+
+def _point_in_set_dense(q: PointInSetQuery, weight, reader, boost):
+    tree = reader.point_tree(q.fields)
+    if tree is not None:
+        docs = tree.in_set(q.dim, q.values)[0]
+    else:
+        # fallback: stored-column isin scan (identical semantics)
+        col = reader.stored_column(q.fields[q.dim]).to_numpy(zero_copy_only=False)
+        docs = np.nonzero(np.isin(col, np.asarray(q.values, np.int64)))[0]
+    return _constant(docs, boost)
+
+
+def _function_range_dense(q: FunctionRangeQuery, weight, reader, boost):
+    from .expressions import compile_expression
+
+    expr = compile_expression(q.expression)
+    vals = expr.evaluate({v: _column(reader, v, np.float64) for v in expr.variables})
+    m = np.ones(reader.max_doc, dtype=bool)
+    if q.lower is not None:
+        m &= (vals >= q.lower) if q.include_lower else (vals > q.lower)
+    if q.upper is not None:
+        m &= (vals <= q.upper) if q.include_upper else (vals < q.upper)
+    docs = np.nonzero(m)[0]
+    return docs, (vals[docs] * boost).astype(np.float32)
+
+
+def _synonym_dense(q: SynonymQuery, weight, reader, boost):
+    """Dense SynonymScorer (SynonymQuery.java SynonymScorer.freq()):
+    per-doc freq = sum(boost * tf) over the member terms (float32 —
+    boosts restricted to exact binary fractions keep the sum bit-stable),
+    scored once by the blended SimScorer."""
+    freq = np.zeros(reader.max_doc, dtype=np.float32)
+    for term, tb in q.term_boosts():
+        tid = reader.term_id(term)
+        if tid is None:
+            continue
+        docs, tfs = reader.decode_term_cached(tid)
+        freq[docs] += np.float32(tb) * tfs.astype(np.float32)
+    cand = np.nonzero(freq)[0]
+    return _freq_scored(
+        cand, freq[cand], reader, lambda: weight.synonym_sim_scorer(q.terms, boost)
+    )
+
+
+def _interval_dense(q: IntervalQuery, weight, reader, boost):
+    from .intervals import eval_intervals, min_extent, sloppy_freq_int
+
+    res = eval_intervals(reader, q.node)
+    me = min_extent(q.node)
+    docs_l, scores_l = [], []
+    for d in sorted(res):
+        fi = sloppy_freq_int(res[d], me)
+        if fi:
+            docs_l.append(d)
+            # saturationFunction: w * (1 - pivot/(pivot + freq)), f32
+            scores_l.append(np.float32(boost * (1.0 - q.pivot / (q.pivot + fi / (1 << 20)))))
+    return np.asarray(docs_l, np.int64), np.asarray(scores_l, np.float32)
+
+
+def _max_and_sum(term_boosts, sim_of, reader):
+    """Per-doc float64 max and sum of the clause scores of ``(term,
+    boost)`` pairs, each scored by ``sim_of(term, boost)``, and the docs
+    any clause matched."""
+    norms = np.asarray(reader.norms)
+    mx = np.full(reader.max_doc, -np.inf, dtype=np.float64)
+    sm = np.zeros(reader.max_doc, dtype=np.float64)
+    matched = np.zeros(reader.max_doc, dtype=bool)
+    for term, b in term_boosts:
+        tid = reader.term_id(term)
+        if tid is None:
+            continue
+        docs, freqs = reader.decode_term_cached(tid)
+        sc = sim_of(term, b).score_bulk(freqs, norms[docs]).astype(np.float64)
+        np.maximum.at(mx, docs, sc)
+        sm[docs] += sc
+        matched[docs] = True
+    cand = np.nonzero(matched)[0]
+    return cand, mx[cand], sm[cand]
+
+
+def _dismax_dense(q: DisjunctionMaxQuery, weight, reader, boost):
+    """Per-doc max and sum of clause scores in float64, score =
     f32(max + tie_breaker * (sum - max)) (DisjunctionMaxScorer
     double-accumulator shape, search/DisjunctionMaxScorer.java)."""
 
@@ -1373,70 +1187,151 @@ def dismax_dense_matches(
             return (sub.term, b)
         if isinstance(sub, BoostQuery):
             return leaf(sub.query, b * sub.boost)
-        return None
+        raise TypeError("DisjunctionMaxQuery clauses must be (boosted) terms")
 
-    max_doc = reader.max_doc
-    norms = np.asarray(reader.norms)
-    mx = np.full(max_doc, -np.inf, dtype=np.float64)
-    sm = np.zeros(max_doc, dtype=np.float64)
-    matched = np.zeros(max_doc, dtype=bool)
-    for sub in q.queries:
-        lf = leaf(sub, boost)
-        if lf is None:
-            raise TypeError("DisjunctionMaxQuery clauses must be (boosted) terms")
-        term, b = lf
-        tid = reader.term_id(term)
-        if tid is None:
-            continue
-        docs, freqs = reader.decode_term_cached(tid)
-        sc = weight.sim_scorer(term, b).score_bulk(freqs, norms[docs]).astype(np.float64)
-        np.maximum.at(mx, docs, sc)
-        sm[docs] += sc
-        matched[docs] = True
-    if getattr(reader, "live", None) is not None:
-        matched &= reader.live
-    cand = np.nonzero(matched)[0]
-    if len(cand) == 0:
-        return cand, np.empty(0, dtype=np.float32)
+    leaves = [leaf(sub, boost) for sub in q.queries]
+    cand, mx, sm = _max_and_sum(leaves, weight.sim_scorer, reader)
     tb = float(q.tie_breaker)
-    sc = (mx[cand] + tb * (sm[cand] - mx[cand])).astype(np.float32)
-    return cand, sc
+    return cand, (mx + tb * (sm - mx)).astype(np.float32)
 
 
-def blended_dense_matches(
-    q: BlendedTermQuery, weight: Weight, reader, boost: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (docid, score) matches of a BlendedTermQuery in one segment:
-    per-clause float32 scores from ONE stats-equalized SimScorer per boost
-    (BlendedTermQuery.java blend()), combined in float64 as dismax
+def _blended_dense(q: BlendedTermQuery, weight, reader, boost):
+    """Per-clause float32 scores from ONE stats-equalized SimScorer per
+    boost (BlendedTermQuery.java blend()), combined in float64 as dismax
     (max + tie * (sum - max), DISJUNCTION_MAX_REWRITE shape) or a SHOULD
     sum (BOOLEAN_REWRITE), cast to float32."""
-    max_doc = reader.max_doc
-    norms = np.asarray(reader.norms)
-    mx = np.full(max_doc, -np.inf, dtype=np.float64)
-    sm = np.zeros(max_doc, dtype=np.float64)
-    matched = np.zeros(max_doc, dtype=bool)
-    for term, tb in q.term_boosts():
-        tid = reader.term_id(term)
-        if tid is None:
-            continue
-        docs, freqs = reader.decode_term_cached(tid)
-        sim = weight.blended_sim_scorer(q.terms, boost * float(tb))
-        sc = sim.score_bulk(freqs, norms[docs]).astype(np.float64)
-        np.maximum.at(mx, docs, sc)
-        sm[docs] += sc
-        matched[docs] = True
-    if getattr(reader, "live", None) is not None:
-        matched &= reader.live
-    cand = np.nonzero(matched)[0]
-    if len(cand) == 0:
-        return cand, np.empty(0, dtype=np.float32)
+    cand, mx, sm = _max_and_sum(
+        [(t, boost * float(tb)) for t, tb in q.term_boosts()],
+        lambda t, b: weight.blended_sim_scorer(q.terms, b),
+        reader,
+    )
     if q.rewrite == "boolean":
-        sc = sm[cand].astype(np.float32)
+        return cand, sm.astype(np.float32)
+    tb = float(q.tie_breaker)
+    return cand, (mx + tb * (sm - mx)).astype(np.float32)
+
+
+def _function_score_dense(q: FunctionScoreQuery, weight, reader, boost):
+    """The inner query's dense COMPLETE scores remapped by the
+    DoubleValuesSource product in double, boost folded in before the one
+    float32 cast (queries/function/FunctionScoreQuery.java boostByValue)."""
+    from .oracle import _clause_scores
+
+    docs, scores = _clause_scores(q.query, weight, reader, 1.0)
+    if len(docs) == 0:
+        return None
+    if q.expression:
+        from .expressions import compile_expression
+
+        expr = compile_expression(q.expression)
+        bindings = {"_score": scores.astype(np.float64)}
+        for name in expr.variables:
+            if name != "_score":
+                bindings[name] = _column(reader, name, np.float64)[docs]
+        vals = expr.evaluate(bindings)
     else:
-        tb = float(q.tie_breaker)
-        sc = (mx[cand] + tb * (sm[cand] - mx[cand])).astype(np.float32)
-    return cand, sc
+        v = reader.stored_column(q.field).to_numpy(zero_copy_only=False)[docs]
+        vals = scores.astype(np.float64) * np.log(1.0 + v.astype(np.float64))
+    return docs, (boost * vals).astype(np.float32)
+
+
+def _indri_and_dense(q: IndriAndQuery, weight, reader, boost):
+    """IndriAndScorer.scoreDoc (search/IndriAndScorer.java:44-69): union
+    match set; every clause scores every matched doc (freq=0 smoothing
+    when absent, TermScorer.smoothingScore); boost-weighted mean — per-
+    clause f32 score widened to double, boost-multiplied, summed, divided
+    by boostSum, one final f32 cast (the reference's arithmetic)."""
+    boosts = q.boosts or tuple(1.0 for _ in q.terms)
+    boost_sum = sum(float(b) for b in boosts)
+    if boost_sum == 0:
+        return None
+    freqs_by_term: list[np.ndarray | None] = []
+    union_mask = np.zeros(reader.max_doc, dtype=bool)
+    for t in q.terms:
+        tid = reader.term_id(t)
+        if tid is None:
+            freqs_by_term.append(None)
+            continue
+        docs, fr = reader.decode_term_cached(tid)
+        f = np.zeros(reader.max_doc, dtype=np.int64)
+        f[docs] = fr
+        union_mask[docs] = True
+        freqs_by_term.append(f)
+    docs = np.nonzero(union_mask)[0]
+    if len(docs) == 0:
+        return None
+    total = np.zeros(len(docs), dtype=np.float64)
+    nb = np.asarray(reader.norms)[docs]
+    zeros = np.zeros(len(docs), dtype=np.int64)
+    for t, b, f in zip(q.terms, boosts, freqs_by_term):
+        fr = f[docs] if f is not None else zeros
+        total += weight.sim_scorer(t, 1.0).score_bulk(fr, nb).astype(np.float64) * float(b)
+    return docs, (boost * total / boost_sum).astype(np.float32)
+
+
+def _knn_dense(q: KnnFloatVectorQuery, weight, reader, boost):
+    """Per-segment HNSW search; the filter's live matches are the accept
+    set and the seed query's first max(2k, 16) live matches the entry
+    points."""
+    graph = reader.vector_index(q.field)
+    if graph is None or not len(graph.ids):
+        return None
+    live = getattr(reader, "live", None)
+
+    def docs_of(sub: Query) -> np.ndarray:
+        return live_docids(
+            build_scorer(sub, weight, reader, 1.0, "COMPLETE_NO_SCORES"), live
+        )
+
+    accept = None
+    if q.filter is not None:
+        fdocs = docs_of(q.filter)
+        if len(fdocs) == 0:
+            return None
+        accept = np.zeros(reader.max_doc, dtype=bool)
+        accept[fdocs] = True
+    seeds = docs_of(q.seed)[: max(2 * q.k, 16)] if q.seed is not None else None
+    hits = graph.search(
+        np.asarray(q.vector, dtype=np.float32), q.k, q.ef_search,
+        accept=accept, seeds=seeds, patience=q.patience,
+    )
+    hits.sort()  # ascending docids
+    docs = np.array([d for d, _ in hits], np.int64)
+    return docs, np.array([s * boost for _, s in hits], np.float32)
+
+
+# The dense query types: each kernel answers (q, weight, reader, boost)
+# with its pre-live (ascending docids, float32 scores), or None.
+DENSE_KERNELS = {
+    **dict.fromkeys(
+        (PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, RegexpQuery,
+         TermInSetQuery),
+        _multi_term_dense,
+    ),
+    PhraseQuery: _phrase_dense,
+    MultiPhraseQuery: _multi_phrase_dense,
+    SpanScoreQuery: _span_dense,
+    SpanPayloadCheckQuery: _payload_check_dense,
+    PayloadScoreQuery: _payload_score_dense,
+    CoveringQuery: _covering_dense,
+    FeatureQuery: _feature_dense,
+    DistanceFeatureQuery: _distance_feature_dense,
+    StoredFieldRange: _stored_range_dense,
+    StoredFieldFilter: _stored_filter_dense,
+    DocValuesTermsQuery: _dv_terms_dense,
+    FieldExistsQuery: _field_exists_dense,
+    PointBoxQuery: _point_box_dense,
+    PointMultiRangeQuery: _point_multi_range_dense,
+    PointInSetQuery: _point_in_set_dense,
+    FunctionRangeQuery: _function_range_dense,
+    SynonymQuery: _synonym_dense,
+    IntervalQuery: _interval_dense,
+    DisjunctionMaxQuery: _dismax_dense,
+    BlendedTermQuery: _blended_dense,
+    FunctionScoreQuery: _function_score_dense,
+    IndriAndQuery: _indri_and_dense,
+    KnnFloatVectorQuery: _knn_dense,
+}
 
 
 def _boolean_scorer(

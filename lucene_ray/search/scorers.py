@@ -868,11 +868,13 @@ class MatchAllScorer(Scorer):
 
 
 class PrecomputedScorer(Scorer):
-    """Scorer over a precomputed sorted (docids, scores) pair — backs
-    multi-term rewrites (prefix/wildcard/fuzzy/regexp/range) and phrase
-    scorers when they appear as BOOLEAN CLAUSES rather than top-level
-    queries.  ``get_max_score`` returns the global max of the remaining
-    tail (a valid upper bound for WAND)."""
+    """Scorer over a precomputed sorted (docids, scores) pair: how
+    ``query.build_scorer`` hands out a dense query type's match set
+    (``query.dense_matches`` — multi-term, phrase, span, doc-values,
+    point, feature, kNN, ...), whether the query is a Boolean clause, a
+    top-level COMPLETE search, a count or a delete.  ``get_max_score``
+    returns the global max of the remaining tail (a valid upper bound for
+    WAND)."""
 
     def __init__(self, docids, scores):
         import numpy as np
@@ -973,3 +975,24 @@ class DocValuesVerifyScorer(Scorer):
 
     def get_max_score(self, up_to):
         return self._boost
+
+
+def live_docids(scorer, live) -> np.ndarray:
+    """Ascending local docids of a scorer tree's matches (None: none) that
+    ``live`` keeps (None: all) — the one answer to "which docs match": a
+    ``PrecomputedScorer`` already holds its dense match set, any other
+    tree takes one non-scoring walk."""
+    if scorer is None:
+        return np.empty(0, dtype=np.int64)
+    if isinstance(scorer, PrecomputedScorer):
+        docs = scorer.docids
+    else:
+        out = []
+        doc = scorer.advance(0)
+        while doc != NO_MORE_DOCS:
+            out.append(doc)
+            doc = scorer.next_doc()
+        docs = np.asarray(out, dtype=np.int64)
+    if live is not None and len(docs):
+        docs = docs[live[docs]]
+    return docs

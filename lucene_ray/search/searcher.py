@@ -6,6 +6,14 @@ query (the Weight), score each segment independently with dynamic
 pruning and a min-competitive floor carried across segments, reduce with
 TopDocs.merge tie-break (score desc, segment ordinal asc, docID asc).
 
+Per segment, ``search_segment`` answers a dense query type (query.
+``DENSE_KERNELS``: phrase, multi-term, span, doc-values, point, feature,
+kNN, ...) in TOP_SCORES with one partial select over its
+``query.dense_matches``, a pure-SHOULD term disjunction with the dense
+bulk accumulator, and everything else — and every query in COMPLETE
+mode, the exhaustive differential arm — by collecting ``build_scorer``'s
+scorer tree.  ``count`` is the length of the same match sets.
+
 ``IndexSearcher`` is the only place that does this; every other searcher
 calls it:
 - the time-limited, counting and profiled searches, and the MultiReader
@@ -26,9 +34,8 @@ from .. import store
 from ..index.segment import SegmentReader
 from .bm25 import BM25Similarity, CollectionStatistics, TermStatistics
 from .collector import TopKCollector, merge_top_docs
-from .multiterm import _multi_term_matches, phrase_matches_segment
-from .query import Query, Weight, build_scorer, collect_terms
-from .scorers import NO_MORE_DOCS
+from .query import DENSE_KERNELS, Query, Weight, build_scorer, collect_terms, dense_matches
+from .scorers import NO_MORE_DOCS, live_docids
 
 DEFAULT_TOTAL_HITS_THRESHOLD = 1000  # IndexSearcher.java:100
 
@@ -126,32 +133,47 @@ def _bulk_search_segment(reader, terms_boosts, min_should_match, weight, k):
 
 def _top_k(docs: np.ndarray, sc: np.ndarray, k: int) -> list[tuple[int, np.float32]]:
     """[(doc, float32 score)] of the k best in (score desc, docid asc)
-    order — the TopScoreDocCollector tie-break — from parallel arrays:
-    a partial select keeps everything scoring >= the k-th (ties
-    included), then one lexsort of the survivors."""
+    order — the TopScoreDocCollector tie-break — from parallel arrays
+    with ASCENDING ``docs``: a partial select keeps what scores at least
+    the k-th best, ties at the k-th score taken by position (the
+    smallest docids), then one lexsort of those k.  O(n) however many
+    scores tie."""
     if len(docs) > k:
-        kth = np.partition(-sc, k - 1)[k - 1]  # k-th best score, negated
-        keep = -sc <= kth
+        if (sc[:k] == sc.max()).all():
+            # the k smallest docids tie at the best score (constant scores)
+            return list(zip(docs[:k].tolist(), sc[:k]))
+        kth = np.partition(sc, len(sc) - k)[len(sc) - k]
+        keep = np.flatnonzero(sc >= kth)
+        if len(keep) > k:
+            above = keep[sc[keep] > kth]
+            keep = np.concatenate((above, keep[sc[keep] == kth][: k - len(above)]))
         docs, sc = docs[keep], sc[keep]
     order = np.lexsort((docs, -sc))[:k]
-    return [(int(docs[i]), np.float32(sc[i])) for i in order]
+    return list(zip(docs[order].tolist(), sc[order]))
 
 
 def open_segment(
     seg: dict, mmap: bool = True, reader: SegmentReader | None = None
 ) -> SegmentReader:
     """One manifest entry as a reader at that commit: the segment (or a
-    reused ``reader`` of it) with the entry's live-docs mask and numeric
-    doc-values update overlays applied."""
+    reused ``reader`` of it, opened at the same ``_commit_view``) with the
+    entry's live-docs mask and numeric doc-values update overlays
+    applied."""
     if reader is None:
         reader = SegmentReader(seg["dir"], mmap=mmap)
     lp = seg.get("livedocs")
     if lp and reader.live is None:
         reader.live = store.np_load(lp)
-    # overlays are per generation; the stored-column cache keys on the
-    # overlay path
+    # the stored-column cache keys on the overlay path
     reader.dv_updates = seg.get("dv_updates", {})
     return reader
+
+
+def _commit_view(seg: dict) -> tuple:
+    """What a reader of manifest entry ``seg`` sees beyond its immutable
+    files: the segment, its live-docs mask and its doc-values overlays.
+    A reader is shared between two commits only when this is equal."""
+    return (seg["dir"], seg.get("livedocs"), tuple(sorted(seg.get("dv_updates", {}).items())))
 
 
 class IndexSearcher:
@@ -168,15 +190,14 @@ class IndexSearcher:
 
     def _open(self, manifest: dict, mmap: bool, similarity, reuse: dict | None = None):
         """Open every segment of ``manifest`` at that commit (reusing
-        ``reuse[(dir, livedocs)]`` readers) and aggregate its statistics."""
+        ``reuse[_commit_view(seg)]`` readers) and aggregate its
+        statistics."""
         self.mmap = mmap
         self.manifest = manifest
         self.generation = int(manifest["generation"])
         segments = manifest["segments"]
         self.readers = [
-            open_segment(
-                seg, mmap, reuse.get((seg["dir"], seg.get("livedocs"))) if reuse else None
-            )
+            open_segment(seg, mmap, reuse.get(_commit_view(seg)) if reuse else None)
             for seg in segments
         ]
         self.doc_bases = [int(seg["doc_base"]) for seg in segments]
@@ -386,55 +407,10 @@ class IndexSearcher:
 
     def count(self, query: Query) -> int:
         """Exhaustive match count (non-scoring)."""
-        from .query import (
-            FuzzyQuery,
-            MultiPhraseQuery,
-            PhraseQuery,
-            PrefixQuery,
-            RegexpQuery,
-            TermInSetQuery,
-            TermRangeQuery,
-            WildcardQuery,
-        )
+        from .query import MatchAllDocsQuery, TermQuery
 
         query, weight = self.weigh(query)
         total = 0
-        if isinstance(query, MultiPhraseQuery):
-            from .multiterm import multi_phrase_matches_segment
-
-            for reader in self.readers:
-                docs, _ = multi_phrase_matches_segment(reader, query.slots)
-                total += len(docs)
-            return total
-        if isinstance(query, PhraseQuery):
-            for reader in self.readers:
-                if query.slop > 0:
-                    from .multiterm import sloppy_phrase_matches_segment
-
-                    docs, _ = sloppy_phrase_matches_segment(
-                        reader, query.terms, query.slop
-                    )
-                else:
-                    docs, _ = phrase_matches_segment(reader, query.terms)
-                total += len(docs)
-            return total
-        if isinstance(
-            query,
-            (PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery,
-             RegexpQuery, TermInSetQuery),
-        ):
-            from .cache import cached_filter_docs
-
-            for reader in self.readers:
-                docs = cached_filter_docs(
-                    reader, query, lambda r=reader: _multi_term_matches(r, query)
-                )
-                if reader.live is not None and len(docs):
-                    docs = docs[reader.live[docs]]
-                total += len(docs)
-            return total
-        from .query import MatchAllDocsQuery, TermQuery
-
         for reader in self.readers:
             # Weight#count fast paths (search/TermQuery.java count,
             # MatchAllDocsQuery.java count): on a delete-free segment a
@@ -442,154 +418,14 @@ class IndexSearcher:
             # no postings decode, no iteration
             if reader.live is None:
                 if isinstance(query, TermQuery):
-                    df, _ = reader.term_stats(query.term)
-                    total += df
+                    total += reader.term_stats(query.term)[0]
                     continue
                 if isinstance(query, MatchAllDocsQuery):
                     total += reader.max_doc
                     continue
-            scorer = build_scorer(query, weight, reader, 1.0, "COMPLETE_NO_SCORES", False)
-            total += count_live_matches(scorer, reader.live)
+            scorer = build_scorer(query, weight, reader, 1.0, "COMPLETE_NO_SCORES")
+            total += len(live_docids(scorer, reader.live))
         return total
-
-
-def _function_score_search_segment(reader, query, weight: Weight, k: int):
-    """FunctionScoreQuery: inner dense COMPLETE scores remapped by the
-    DoubleValuesSource product (double math, float32 cast —
-    queries/function/FunctionScoreQuery.java boostByValue)."""
-    from .oracle import _clause_scores
-
-    docs, scores = _clause_scores(query.query, weight, reader, 1.0)
-    if reader.live is not None and len(docs):
-        m = reader.live[docs]
-        docs, scores = docs[m], scores[m]
-    if len(docs) == 0:
-        return []
-    if getattr(query, "expression", ""):
-        from .expressions import compile_expression
-
-        expr = compile_expression(query.expression)
-        bindings = {"_score": scores.astype(np.float64)}
-        for name in expr.variables:
-            if name == "_score":
-                continue
-            bindings[name] = (
-                reader.stored_column(name)
-                .to_numpy(zero_copy_only=False)[docs]
-                .astype(np.float64)
-            )
-        sc = expr.evaluate(bindings).astype(np.float32)
-    else:
-        v = reader.stored_column(query.field).to_numpy(zero_copy_only=False)[docs]
-        sc = (
-            scores.astype(np.float64) * np.log(1.0 + v.astype(np.float64))
-        ).astype(np.float32)
-    return _top_k(docs, sc, k)
-
-
-def _synonym_search_segment(reader, query, weight: Weight, k: int):
-    """Dense SynonymScorer analogue: per-doc freq = sum(boost * tf) over
-    the member terms (float32 — boosts restricted to exact binary fractions
-    keep the sum bit-stable), scored once by the blended SimScorer
-    (SynonymQuery.java SynonymScorer.freq())."""
-    freq = np.zeros(reader.max_doc, dtype=np.float32)
-    for term, boost in query.term_boosts():
-        tid = reader.term_id(term)
-        if tid is None:
-            continue
-        docs, tfs = reader.decode_term_cached(tid)
-        freq[docs] += np.float32(boost) * tfs.astype(np.float32)
-    if reader.live is not None:
-        freq[~reader.live] = 0
-    cand = np.nonzero(freq)[0]
-    if len(cand) == 0:
-        return []
-    sim = weight.synonym_sim_scorer(query.terms, 1.0)
-    sc = sim.score_bulk(freq[cand], np.asarray(reader.norms)[cand])
-    return _top_k(cand, sc, k)
-
-
-def _dismax_search_segment(reader, query, weight: Weight, k: int):
-    """Dense DisjunctionMax top-k via the shared dismax kernel
-    (query.dismax_dense_matches); ties by docid."""
-    from .query import dismax_dense_matches
-
-    return _top_k(*dismax_dense_matches(query, weight, reader), k)
-
-
-def _blended_search_segment(reader, query, weight: Weight, k: int):
-    """Dense BlendedTermQuery top-k via the shared stats-equalized kernel
-    (query.blended_dense_matches); ties by docid."""
-    from .query import blended_dense_matches
-
-    return _top_k(*blended_dense_matches(query, weight, reader), k)
-
-
-def _multi_phrase_search_segment(reader, query, weight: Weight, k: int):
-    from .multiterm import multi_phrase_matches_segment
-
-    docs, freqs = multi_phrase_matches_segment(reader, query.slots)
-    if len(docs) == 0:
-        return []
-    flat = tuple(t for alts in query.slots for t in alts)
-    sim = weight.phrase_sim_scorer(flat, 1.0)
-    sc = sim.score_bulk(freqs, np.asarray(reader.norms)[docs])
-    return _top_k(docs, sc, k)
-
-
-def _phrase_search_segment(reader, query, weight: Weight, k: int):
-    if getattr(query, "slop", 0) > 0:
-        from .multiterm import sloppy_phrase_matches_segment
-
-        docs, freqs = sloppy_phrase_matches_segment(reader, query.terms, query.slop)
-    else:
-        docs, freqs = phrase_matches_segment(reader, query.terms)
-    if len(docs) == 0:
-        return []
-    sim = weight.phrase_sim_scorer(query.terms, 1.0)
-    norms = np.asarray(reader.norms)[docs]
-    sc = sim.score_bulk(freqs, norms)
-    return _top_k(docs, sc, k)
-
-
-def _indri_and_search_segment(reader, query, weight: Weight, k: int):
-    """IndriAndScorer.scoreDoc (search/IndriAndScorer.java:44-69): union
-    match set; every clause scores every matched doc (freq=0 smoothing
-    when absent, TermScorer.smoothingScore); boost-weighted mean — per-
-    clause f32 score widened to double, boost-multiplied, summed, divided
-    by boostSum, one final f32 cast (the reference's arithmetic)."""
-    boosts = query.boosts or tuple(1.0 for _ in query.terms)
-    norms = np.asarray(reader.norms)
-    max_doc = reader.max_doc
-    freqs_by_term: list[np.ndarray | None] = []
-    union_mask = np.zeros(max_doc, dtype=bool)
-    for t in query.terms:
-        tid = reader.term_id(t)
-        if tid is None:
-            freqs_by_term.append(None)
-            continue
-        docs, fr = reader.decode_term_cached(tid)
-        f = np.zeros(max_doc, dtype=np.int64)
-        f[docs] = fr
-        union_mask[docs] = True
-        freqs_by_term.append(f)
-    if reader.live is not None:
-        union_mask &= reader.live
-    docs = np.nonzero(union_mask)[0]
-    if len(docs) == 0:
-        return []
-    total = np.zeros(len(docs), dtype=np.float64)
-    boost_sum = 0.0
-    nb = norms[docs]
-    zeros = np.zeros(len(docs), dtype=np.int64)
-    for t, b, f in zip(query.terms, boosts, freqs_by_term):
-        sim = weight.sim_scorer(t, 1.0)
-        fr = f[docs] if f is not None else zeros
-        total += sim.score_bulk(fr, nb).astype(np.float64) * float(b)
-        boost_sum += float(b)
-    if boost_sum == 0:
-        return []
-    return _top_k(docs, (total / boost_sum).astype(np.float32), k)
 
 
 def search_segment(
@@ -602,54 +438,15 @@ def search_segment(
     allow_bulk: bool = True,
     floor: float = -np.inf,
 ) -> list[tuple[int, np.float32]]:
-    from .query import (
-        BlendedTermQuery,
-        DisjunctionMaxQuery,
-        FunctionScoreQuery,
-        FuzzyQuery,
-        IndriAndQuery,
-        MultiPhraseQuery,
-        PhraseQuery,
-        PrefixQuery,
-        RegexpQuery,
-        SynonymQuery,
-        TermInSetQuery,
-        TermRangeQuery,
-        WildcardQuery,
-    )
-
-    if isinstance(query, IndriAndQuery):
-        return _indri_and_search_segment(reader, query, weight, k)
-    if isinstance(query, FunctionScoreQuery):
-        return _function_score_search_segment(reader, query, weight, k)
-    if isinstance(query, SynonymQuery):
-        return _synonym_search_segment(reader, query, weight, k)
-    if isinstance(query, PhraseQuery):
-        return _phrase_search_segment(reader, query, weight, k)
-    if isinstance(query, MultiPhraseQuery):
-        return _multi_phrase_search_segment(reader, query, weight, k)
-    if isinstance(
-        query,
-        (PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, RegexpQuery,
-         TermInSetQuery),
-    ):
-        from .cache import cached_filter_docs
-
-        docs = cached_filter_docs(
-            reader, query, lambda: _multi_term_matches(reader, query)
-        )
-        if reader.live is not None and len(docs):
-            docs = docs[reader.live[docs]]
-        # constant score 1.0; ties by docID => top-k = k smallest docids
-        return [(int(d), np.float32(1.0)) for d in docs[:k]]
-    if isinstance(query, DisjunctionMaxQuery) and score_mode == "TOP_SCORES":
-        # COMPLETE mode falls through to build_scorer's PrecomputedScorer
-        # path so the differential test exercises an independent code path
-        return _dismax_search_segment(reader, query, weight, k)
-    if isinstance(query, BlendedTermQuery) and score_mode == "TOP_SCORES":
-        return _blended_search_segment(reader, query, weight, k)
-    if allow_bulk and score_mode == "TOP_SCORES":
-        flat = _flatten_should_terms(query)
+    """One segment's top-k.  In TOP_SCORES a dense query type is one
+    partial select over its match set and a pure-SHOULD term disjunction
+    (``allow_bulk``) the dense bulk accumulator; every other query, and
+    every query in COMPLETE mode, collects ``build_scorer``'s tree."""
+    if score_mode == "TOP_SCORES":
+        if type(query) in DENSE_KERNELS:
+            matches = dense_matches(query, weight, reader)
+            return [] if matches is None else _top_k(*matches, k)
+        flat = _flatten_should_terms(query) if allow_bulk else None
         if flat is not None and reader.max_doc <= BULK_MAX_DOC:
             return _bulk_search_segment(reader, flat[0], flat[1], weight, k)
     scorer = build_scorer(query, weight, reader, 1.0, score_mode, top_level=True)
@@ -682,20 +479,6 @@ def collect_top_docs(
                 scorer.set_min_competitive_score(mc)
         doc = scorer.next_doc()
     return collector.top_docs()
-
-
-def count_live_matches(scorer, live) -> int:
-    """How many of a scorer tree's matches (None: none) ``live`` keeps
-    (None: all) — the non-scoring count loop."""
-    if scorer is None:
-        return 0
-    total = 0
-    doc = scorer.advance(0)
-    while doc != NO_MORE_DOCS:
-        if live is None or live[doc]:
-            total += 1
-        doc = scorer.next_doc()
-    return total
 
 
 # --- distributed search over Ray actors ---------------------------------
@@ -942,12 +725,15 @@ def open_if_changed(searcher: IndexSearcher) -> IndexSearcher | None:
     openIfChanged): None when the latest manifest generation equals the
     searcher's; otherwise a NEW IndexSearcher against the latest commit
     that REUSES the old searcher's SegmentReader objects (mmaps, decode
-    caches, query caches) for every segment whose (dir, livedocs) pair is
-    unchanged.  A segment whose live-docs moved to a new generation gets a
-    SHALLOW reader copy sharing the immutable arrays but carrying its own
-    fresh live mask — the old searcher keeps serving its point-in-time
-    view (reader-sharing semantics of the reference's SegmentReader
-    liveDocs wrap)."""
+    caches, query caches) for every segment whose ``_commit_view`` (dir,
+    livedocs, doc-values overlays) is unchanged.  A segment whose live
+    docs or overlays moved to a new generation gets a SHALLOW reader copy
+    sharing the immutable arrays but carrying its own live mask and
+    overlays — the old searcher keeps serving its point-in-time view
+    (reader-sharing semantics of the reference's SegmentReader liveDocs
+    and doc-values updates wrap).  A copy whose overlays changed starts
+    a fresh query cache: cached stored-column filters read the old
+    values."""
     import copy
 
     from ..index.manifest import latest_generation
@@ -958,14 +744,17 @@ def open_if_changed(searcher: IndexSearcher) -> IndexSearcher | None:
     reuse: dict = {}
     by_dir: dict = {}
     for r, seg in zip(searcher.readers, searcher.manifest["segments"]):
-        reuse[(seg["dir"], seg.get("livedocs"))] = r
-        by_dir[seg["dir"]] = r
+        reuse[_commit_view(seg)] = r
+        by_dir[seg["dir"]] = (r, seg)
     new_man = read_manifest(searcher.index_dir, gen)
     for seg in new_man["segments"]:
-        key = (seg["dir"], seg.get("livedocs"))
+        key = _commit_view(seg)
         if key not in reuse and seg["dir"] in by_dir:
-            clone = copy.copy(by_dir[seg["dir"]])
+            old, old_seg = by_dir[seg["dir"]]
+            clone = copy.copy(old)
             clone.live = None  # open_segment loads this commit's mask
+            if _commit_view(old_seg)[2] != key[2]:
+                clone.query_cache = None
             reuse[key] = clone
     return IndexSearcher(
         searcher.index_dir,

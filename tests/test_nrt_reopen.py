@@ -84,3 +84,32 @@ def test_distributed_refresh(tmp_path, ray_session):
     assert ds.refresh() is True
     assert len(ds.search(TermQuery("quuxify"), 3)) == 1
     assert ds.refresh() is False
+
+
+def test_reopen_keeps_overlays_point_in_time(tmp_path):
+    """A doc-values update and a soft delete reach the reopened searcher
+    only: the old one keeps counting like a fresh searcher of its own
+    generation, cached stored-column filters included."""
+    from lucene_ray.index.deletes import update_numeric_docvalue
+    from lucene_ray.index.softdeletes import soft_delete_by_query, wrap_soft_deletes
+    from lucene_ray.search.query import DocValuesTermsQuery, StoredFieldRange, bool_query
+    from tests.util import small_dv_index
+
+    idx = small_dv_index(tmp_path, "pit")
+    in_range = bool_query(filter=[StoredFieldRange("n", 999, 1000)])
+    in_set = DocValuesTermsQuery("n", (999,))
+
+    def view(s):
+        return (s.count(in_range), s.count(in_set), wrap_soft_deletes(s).count(TermQuery("alpha")))
+
+    s1 = IndexSearcher(idx)
+    for _ in range(2):  # the second use puts in_set in the query cache
+        before = view(s1)
+    assert before[:2] == (0, 0)
+    update_numeric_docvalue(idx, TermQuery("spark"), "n", 999)
+    soft_delete_by_query(idx, TermQuery("alpha"))
+    s2 = open_if_changed(s1)
+    assert view(s1) == before == view(IndexSearcher(idx, generation=s1.generation))
+    after = view(IndexSearcher(idx))
+    assert after != before and after[2] == 0
+    assert view(s2) == after

@@ -9,8 +9,9 @@ from lucene_ray.analysis.analyzers import make_analyzer
 from lucene_ray.corpus import generate_corpus
 from lucene_ray.index.build import build_index_local
 from lucene_ray.index.manifest import read_manifest
+from lucene_ray.search.multiterm import phrase_matches_segment
 from lucene_ray.search.query import PhraseQuery
-from lucene_ray.search.searcher import IndexSearcher, phrase_matches_segment
+from lucene_ray.search.searcher import IndexSearcher
 
 
 @pytest.fixture(scope="module")

@@ -144,3 +144,19 @@ def test_rearrange_index(src, tmp_path):
     r0 = SegmentReader(segs[0]["dir"])
     got = [r0.stored_column("sha256")[d].as_py() for d in range(r0.max_doc)]
     assert sorted(got) == sorted(src_shas[200:300])
+
+
+def test_pk_split_rewrites_query(tmp_path):
+    """The split weighs its query like a search does: a satu feature
+    clause gets its pivot from the rewrite."""
+    from lucene_ray.index.split import split_index_by_query
+    from lucene_ray.search.query import FeatureQuery, bool_query
+    from tests.util import small_dv_index
+
+    src = small_dv_index(tmp_path, "src")
+    q = bool_query(must=[TermQuery("spark")], should=[FeatureQuery("n", "satu")])
+    n_match = IndexSearcher(src).count(q)
+    assert 0 < n_match < 40
+    m1, m2 = split_index_by_query(src, str(tmp_path / "pk1"), str(tmp_path / "pk2"), q)
+    assert sum(int(s["max_doc"]) for s in m1["segments"]) == n_match
+    assert sum(int(s["max_doc"]) for s in m2["segments"]) == 40 - n_match

@@ -34,3 +34,31 @@ def test_empty_calls_skip_ray(monkeypatch):
     monkeypatch.setattr(ray, "remote", boom)
     monkeypatch.setattr(ray, "get", boom)
     assert run_tasks(_square_once_dying, []) == []
+
+
+def _double(i: int) -> int:
+    return 2 * i
+
+
+def test_remote_wrapper_made_once(monkeypatch):
+    """Two calls with the same function and CPUs share one remote wrapper."""
+    made = []
+
+    class Wrapper:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def remote(self, *args, **kwargs):
+            return self.fn(*args, **kwargs)
+
+    def fake_remote(num_cpus):
+        made.append(num_cpus)
+        return Wrapper
+
+    monkeypatch.setattr(ray, "remote", fake_remote)
+    monkeypatch.setattr(ray, "get", list)
+    assert run_tasks(_double, [(1,), (2,)]) == [2, 4]
+    assert run_tasks(_double, [(3,)]) == [6]
+    assert made == [1]
+    assert run_tasks(_double, [(3,)], num_cpus=2) == [6]
+    assert made == [1, 2]
