@@ -58,7 +58,7 @@ def load_queries(parquet_path: str, query_ids: list[int], id_col: str = "vec_id"
 
 def _keep_topk_ties(cand_sims: np.ndarray, k: int) -> np.ndarray:
     """Boolean keep-mask of the k best sims INCLUDING ties at the k-th score
-    (the kth/keep pattern from searcher._bulk_search_segment): per-block
+    (the kth/keep pattern of searcher._top_k): per-block
     pruning must never drop one side of a tie that the deterministic global
     (sim desc, neighbor_id asc) reduce would order differently."""
     if len(cand_sims) <= k:

@@ -1051,10 +1051,10 @@ def _scored_matches(reader, queries, weight):
     """(qid, live matching docs, their scores) for each non-empty query
     of ``queries`` (term tuples) in one segment — dense COMPLETE
     scoring."""
-    from ..search.oracle import _clause_scores
+    from ..search.query import scored_matches
 
     for qid, terms in enumerate(queries):
-        docs, scores = _clause_scores(_terms_query(terms), weight, reader, 1.0)
+        docs, scores = scored_matches(_terms_query(terms), weight, reader, 1.0)
         m = _alive(reader, docs)
         if m.any():
             yield qid, docs[m], scores[m]
@@ -1540,7 +1540,7 @@ def _seg_block_join(
         parent_docids,
         to_parent_partials,
     )
-    from ..search.oracle import _clause_scores
+    from ..search.query import scored_matches
 
     out = {c: [] for c in BLOCK_JOIN_SCHEMA.names}
 
@@ -1555,7 +1555,7 @@ def _seg_block_join(
     check_join_index(reader, BLOCK_BUCKET)
     parents = parent_docids(reader)
     for qid, terms in enumerate(queries):
-        docs, scores = _clause_scores(_terms_query(terms), weight, reader, 1.0)
+        docs, scores = scored_matches(_terms_query(terms), weight, reader, 1.0)
         if len(docs) == 0:
             continue
         pids, mx, mn, sum_i, cnt = to_parent_partials(docs, scores, parents)
@@ -1572,7 +1572,7 @@ def _seg_block_join(
     # ToChildBlockJoinQuery with doScores=true: the PARENT's score
     # (here: the qid-0 ToParent-max aggregate) propagates to every
     # child (join/ToChildBlockJoinQuery.java parentScore passthrough)
-    docs, scores = _clause_scores(_terms_query(JOIN_QUERIES[0]), weight, reader, 1.0)
+    docs, scores = scored_matches(_terms_query(JOIN_QUERIES[0]), weight, reader, 1.0)
     if len(docs):
         pids, mx, _mn, _si, _c = to_parent_partials(docs, scores, parents)
         kids2 = children_of(pids, parents)
@@ -1678,7 +1678,7 @@ def block_grouped_topk(sf_dir: str) -> pa.Table:
     parent block docid (string, the family's group-key column), doc_id =
     child block-index docid."""
     from ..search.blockjoin import parent_docids
-    from ..search.oracle import _clause_scores
+    from ..search.query import scored_matches
 
     idx = ensure_block_index(sf_dir)
     weight = _terms_weight(IndexSearcher(idx), {t for q in JOIN_QUERIES for t in q})
@@ -1689,7 +1689,7 @@ def block_grouped_topk(sf_dir: str) -> pa.Table:
         out = {c: [] for c in schema.names}
         parents = parent_docids(reader)
         for qid, qterms in enumerate(JOIN_QUERIES):
-            docs, scores = _clause_scores(_terms_query(qterms), weight, reader, 1.0)
+            docs, scores = scored_matches(_terms_query(qterms), weight, reader, 1.0)
             if not len(docs):
                 continue
             # the parent is the first parent docid ABOVE the child

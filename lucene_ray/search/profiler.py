@@ -9,14 +9,19 @@ match counts, without changing results.
 This engine's phases map naturally: CREATE_WEIGHT = the rewrite and the
 term-stats gather, per-segment SCORE = one vectorized search_segment call
 (scorer build and bulk scoring are fused in the dense path), plus the
-final TopDocs merge.  The profile rides back beside bit-identical hits.
+final TopDocs merge.  Each segment entry also says which path answered
+it (``path``: "dense" — one select over a whole match set — or "tree",
+the per-doc scorer tree) and, on the dense path, how many matches it
+scored before the top-k select (``candidates``; None on the tree path),
+read from ``searcher.SEGMENT_PATH_STATS``.  The profile rides back
+beside bit-identical hits.
 """
 
 from __future__ import annotations
 
 import time
 
-from .searcher import DEFAULT_TOTAL_HITS_THRESHOLD, IndexSearcher
+from .searcher import DEFAULT_TOTAL_HITS_THRESHOLD, SEGMENT_PATH_STATS, IndexSearcher
 from .collector import merge_top_docs
 
 
@@ -39,15 +44,19 @@ class QueryProfilerSearcher(IndexSearcher):
         seg_profiles = []
         leaves = self.leaves(query, weight, k, total_hits_threshold, score_mode)
         for reader in self.readers:
+            dense0, cand0 = SEGMENT_PATH_STATS["dense"], SEGMENT_PATH_STATS["candidates"]
             s0 = time.perf_counter_ns()
             ord_, hits = next(leaves)
             s1 = time.perf_counter_ns()
+            dense = SEGMENT_PATH_STATS["dense"] > dense0
             seg_profiles.append(
                 {
                     "ordinal": ord_,
                     "max_doc": int(reader.max_doc),
                     "score_ns": s1 - s0,
                     "n_hits": len(hits),
+                    "path": "dense" if dense else "tree",
+                    "candidates": SEGMENT_PATH_STATS["candidates"] - cand0 if dense else None,
                 }
             )
             per_segment.append(hits)

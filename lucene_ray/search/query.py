@@ -13,6 +13,13 @@ computes its whole per-segment match set and float32 scores, and
 use as a Boolean clause, the doc-values side of IndexOrDocValuesQuery,
 deletes and splits all read a dense type's matches from there (the
 single Weight/Scorer per query type of the reference).
+
+``bulk_matches`` is the whole-match-set twin of the scorer tree for
+term, match-all and dense leaves under any Boost / ConstantScore /
+Boolean nesting: the searcher's TOP_SCORES path, and the inner scores of
+covering and function-score queries (``scored_matches``).  It reproduces
+``combine_clause_scorers``' float nesting exactly; the tree stays the
+COMPLETE-mode arm and answers count and explain.
 """
 
 from __future__ import annotations
@@ -876,7 +883,12 @@ def dense_matches(q: Query, weight: Weight, reader, boost: float = 1.0):
     dense type's matching and scoring lives.  Its kernel
     (``DENSE_KERNELS[type(q)]``) returns the pre-live match set (or None);
     the live mask is applied here."""
-    matches = DENSE_KERNELS[type(q)](q, weight, reader, boost)
+    return live_matches(reader, DENSE_KERNELS[type(q)](q, weight, reader, boost))
+
+
+def live_matches(reader, matches):
+    """``matches`` (None, or parallel docids / scores arrays) restricted
+    to the docs ``reader.live`` keeps; None when none is left."""
     if matches is None:
         return None
     docs, scores = matches
@@ -885,6 +897,29 @@ def dense_matches(q: Query, weight: Weight, reader, boost: float = 1.0):
         keep = live[docs]
         docs, scores = docs[keep], scores[keep]
     return (docs, scores) if len(docs) else None
+
+
+def scored_matches(q: Query, weight: Weight, reader, boost: float = 1.0):
+    """(ascending docids, float32 scores) of ANY query in one segment,
+    empty arrays when nothing matches: ``bulk_matches`` when it can
+    express ``q``, else one COMPLETE walk of ``build_scorer``'s tree.
+    Deleted docs may remain (term leaves are pre-live)."""
+    if bulk_expressible(q):
+        matches = bulk_matches(q, weight, reader, boost)
+    else:
+        scorer = build_scorer(q, weight, reader, boost, "COMPLETE")
+        matches = None
+        if scorer is not None:
+            docs, scores = [], []
+            doc = scorer.advance(0)
+            while doc != NO_MORE_DOCS:
+                docs.append(doc)
+                scores.append(scorer.score())
+                doc = scorer.next_doc()
+            matches = np.asarray(docs, np.int64), np.asarray(scores, np.float32)
+    if matches is None:
+        return np.empty(0, np.int64), np.empty(0, np.float32)
+    return matches
 
 
 def _constant(docs: np.ndarray, boost: float):
@@ -966,12 +1001,10 @@ def _payload_score_dense(q: PayloadScoreQuery, weight, reader, boost):
 
 
 def _covering_dense(q: CoveringQuery, weight, reader, boost):
-    from .oracle import _clause_scores
-
     sums = np.zeros(reader.max_doc, dtype=np.float64)
     cnt = np.zeros(reader.max_doc, dtype=np.int32)
     for c in q.clauses:
-        docs, scores = _clause_scores(c, weight, reader, boost)
+        docs, scores = scored_matches(c, weight, reader, boost)
         sums[docs] += scores.astype(np.float64)
         cnt[docs] += 1
     required = np.maximum(1, 1 + _column(reader, q.min_field, np.int64) % q.min_mod)
@@ -1212,12 +1245,11 @@ def _blended_dense(q: BlendedTermQuery, weight, reader, boost):
 
 
 def _function_score_dense(q: FunctionScoreQuery, weight, reader, boost):
-    """The inner query's dense COMPLETE scores remapped by the
-    DoubleValuesSource product in double, boost folded in before the one
-    float32 cast (queries/function/FunctionScoreQuery.java boostByValue)."""
-    from .oracle import _clause_scores
-
-    docs, scores = _clause_scores(q.query, weight, reader, 1.0)
+    """The inner query's COMPLETE scores (``scored_matches``) remapped by
+    the DoubleValuesSource product in double, boost folded in before the
+    one float32 cast (queries/function/FunctionScoreQuery.java
+    boostByValue)."""
+    docs, scores = scored_matches(q.query, weight, reader, 1.0)
     if len(docs) == 0:
         return None
     if q.expression:
@@ -1334,6 +1366,154 @@ DENSE_KERNELS = {
 }
 
 
+# --- the bulk Boolean kernel ---------------------------------------------
+
+def bulk_expressible(q: Query) -> bool:
+    """True when ``bulk_matches`` answers ``q``: term, match-all and
+    ``DENSE_KERNELS`` leaves under any nesting of Boost, ConstantScore
+    and Boolean queries."""
+    t = type(q)
+    if t is TermQuery or t is MatchAllDocsQuery or t in DENSE_KERNELS:
+        return True
+    if t is BoostQuery or t is ConstantScoreQuery:
+        return bulk_expressible(q.query)
+    if t is BooleanQuery:
+        return all(bulk_expressible(c.query) for c in q.clauses)
+    return False
+
+
+def bulk_matches(q: Query, weight: Weight, reader, boost: float = 1.0, scores: bool = True):
+    """(ascending docids, float32 scores) of a ``bulk_expressible`` query
+    in one segment — its whole match set at once, scored with exactly the
+    float nesting of ``build_scorer``'s tree — or None exactly where
+    ``build_scorer`` returns None: a Boolean parent counts a present
+    clause that matches nothing apart from an absent one, as the tree
+    does.  With ``scores=False`` the scores are None (a FILTER, MUST_NOT
+    or ConstantScore operand).  Term leaves are pre-live; dense leaves
+    come through ``dense_matches``, so they are live."""
+    t = type(q)
+    if t is TermQuery:
+        ts = weight.term_stats.get(q.term)
+        tid = reader.term_id(q.term) if ts is not None and ts.doc_freq else None
+        if tid is None:
+            return None
+        docs, freqs = reader.decode_term_cached(tid)
+        if not scores:
+            return docs, None
+        sim = weight.sim_scorer(q.term, boost)
+        return docs, sim.score_bulk(freqs, np.asarray(reader.norms)[docs])
+    if t is BoostQuery:
+        return bulk_matches(q.query, weight, reader, boost * q.boost, scores)
+    if t is MatchAllDocsQuery:
+        docs = np.arange(reader.max_doc, dtype=np.int64)
+        return _constant(docs, boost) if scores else (docs, None)
+    if t is ConstantScoreQuery:
+        inner = bulk_matches(q.query, weight, reader, 1.0, False)
+        if inner is None:
+            return None
+        return _constant(inner[0], boost) if scores else (inner[0], None)
+    if t is BooleanQuery:
+        return _boolean_bulk(q, weight, reader, boost, scores)
+    return dense_matches(q, weight, reader, boost)
+
+
+def _boolean_bulk(q: BooleanQuery, weight: Weight, reader, boost: float, scores: bool):
+    """``combine_clause_scorers`` over whole match sets.  A doc matches
+    every MUST and FILTER clause and no MUST_NOT clause; the SHOULD side
+    (docs matching >= max(msm, 1) present SHOULD clauses) is required
+    when msm > 0 or when no MUST clause is present.  Sums are float64 in
+    clause order: conj = Σ MUST, opt = f32(Σ SHOULD) (the WANDScorer
+    accumulator); the score is f32(conj + opt) when msm > 0,
+    f32(f32(conj) + opt) where the optional SHOULD side matches, f32(conj)
+    elsewhere, opt alone without a MUST clause, 0 for FILTER alone."""
+    msm = q.min_should_match
+    musts, filters, shoulds = [], [], []
+    for c in q.clauses:
+        if c.occur == MUST or c.occur == FILTER:
+            must = c.occur == MUST
+            m = bulk_matches(c.query, weight, reader, boost if must else 1.0, scores and must)
+            if m is None:
+                return None
+            (musts if must else filters).append(m)
+    # optional SHOULD clauses only score: skip them when nothing is scored
+    if scores or msm > 0 or not musts:
+        for c in q.clauses:
+            if c.occur == SHOULD:
+                m = bulk_matches(c.query, weight, reader, boost, scores)
+                if m is not None:
+                    shoulds.append(m)
+    if len(shoulds) < msm or not (musts or filters or shoulds):
+        return None
+    n = reader.max_doc
+
+    sc = None
+    if len(musts) + len(filters) + len(shoulds) == 1:
+        # one positive clause: its own match set and score
+        cand, sc = (musts or filters or shoulds)[0]
+        if filters and scores:
+            sc = np.zeros(len(cand), np.float32)
+    else:
+        required = musts + filters
+        mask = _in_at_least(n, required, len(required)) if required else None
+        if shoulds:
+            smatch = _in_at_least(n, shoulds, msm)
+            if msm > 0 or not musts:
+                mask = smatch if mask is None else mask & smatch
+        cand = np.flatnonzero(mask)
+    excl = None
+    for c in q.clauses:
+        if c.occur == MUST_NOT and len(cand):
+            m = bulk_matches(c.query, weight, reader, 1.0, False)
+            if m is not None:
+                if excl is None:
+                    excl = np.zeros(n, dtype=bool)
+                excl[m[0]] = True
+    if excl is not None:
+        keep = ~excl[cand]
+        cand = cand[keep]
+        if sc is not None:
+            sc = sc[keep]
+    if not scores or sc is not None:
+        return cand, sc
+
+    if shoulds:
+        opt = _sum_at(n, shoulds, cand).astype(np.float32)
+    if not musts:
+        return cand, opt if shoulds else np.zeros(len(cand), np.float32)
+    conj = _sum_at(n, musts, cand)
+    if not shoulds:
+        return cand, conj.astype(np.float32)
+    if msm > 0:
+        return cand, (conj + opt).astype(np.float32)
+    sc = conj.astype(np.float32)
+    hit = smatch[cand]
+    sc[hit] = (sc[hit].astype(np.float64) + opt[hit]).astype(np.float32)
+    return cand, sc
+
+
+def _in_at_least(n: int, matches, need: int) -> np.ndarray:
+    """Bool mask over ``n`` docs: in at least max(need, 1) of the
+    ``matches`` (docids, scores) pairs' doc sets."""
+    if need <= 1:
+        mask = np.zeros(n, dtype=bool)
+        for docs, _ in matches:
+            mask[docs] = True
+        return mask
+    cnt = np.zeros(n, dtype=np.int32)
+    for docs, _ in matches:
+        cnt[docs] += 1
+    return cnt >= need
+
+
+def _sum_at(n: int, matches, cand: np.ndarray) -> np.ndarray:
+    """float64 sums at ``cand`` of the ``matches`` pairs' float32 scores,
+    added in order (the scorer tree's double accumulator)."""
+    acc = np.zeros(n, dtype=np.float64)
+    for docs, s in matches:
+        acc[docs] += s
+    return acc[cand]
+
+
 def _boolean_scorer(
     q: BooleanQuery, weight: Weight, reader, boost: float, score_mode: str, top_level: bool
 ) -> Scorer | None:
@@ -1393,7 +1573,11 @@ def combine_clause_scorers(
     opt: Scorer | None = None
     if len(shoulds) == 1:
         opt = shoulds[0]
-    elif len(shoulds) > 1:
+    elif len(shoulds) == msm > 1:
+        # every present SHOULD clause must match: their conjunction, which
+        # sums like the WANDScorer accumulator (WANDScorer needs msm < n)
+        opt = ConjunctionScorer(shoulds, shoulds)
+    elif shoulds:
         opt = WANDScorer(shoulds, msm, score_mode)
 
     # required side

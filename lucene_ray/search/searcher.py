@@ -6,13 +6,16 @@ query (the Weight), score each segment independently with dynamic
 pruning and a min-competitive floor carried across segments, reduce with
 TopDocs.merge tie-break (score desc, segment ordinal asc, docID asc).
 
-Per segment, ``search_segment`` answers a dense query type (query.
+Per segment, ``search_segment`` answers in TOP_SCORES with one partial
+select over a whole match set: a dense query type (query.
 ``DENSE_KERNELS``: phrase, multi-term, span, doc-values, point, feature,
-kNN, ...) in TOP_SCORES with one partial select over its
-``query.dense_matches``, a pure-SHOULD term disjunction with the dense
-bulk accumulator, and everything else — and every query in COMPLETE
-mode, the exhaustive differential arm — by collecting ``build_scorer``'s
-scorer tree.  ``count`` is the length of the same match sets.
+kNN, ...) through ``query.dense_matches``, and a term, match-all or
+Boolean tree of such leaves (any occur, any min_should_match, nested)
+through the bulk kernel ``query.bulk_matches``.  A tree with a leaf the
+kernel cannot express, and every query in COMPLETE mode or with
+``allow_bulk=False`` — the exhaustive differential arm — is answered by
+collecting ``build_scorer``'s per-doc scorer tree, which also answers
+``count`` and ``explain``.
 
 ``IndexSearcher`` is the only place that does this; every other searcher
 calls it:
@@ -34,23 +37,40 @@ from .. import store
 from ..index.segment import SegmentReader
 from .bm25 import BM25Similarity, CollectionStatistics, TermStatistics
 from .collector import TopKCollector, merge_top_docs
-from .query import DENSE_KERNELS, Query, Weight, build_scorer, collect_terms, dense_matches
+from .query import (
+    DENSE_KERNELS,
+    Query,
+    Weight,
+    build_scorer,
+    bulk_expressible,
+    bulk_matches,
+    collect_terms,
+    live_matches,
+)
 from .scorers import NO_MORE_DOCS, live_docids
 
 DEFAULT_TOTAL_HITS_THRESHOLD = 1000  # IndexSearcher.java:100
 
-# Dense bulk scoring is used for pure-SHOULD disjunctions (and single terms)
-# on segments up to this many docs — the BooleanScorer/TermScorer
-# nextDocsAndScores analogue (reference search/TermScorer.java:134-167 bulk
-# block scoring; search/MaxScoreBulkScorer.java dense windows).  The gate is
-# a MEMORY bound (float64 acc + int32 counts = 12B/doc => 48MB at 4M docs,
-# fine inside a query actor), not a speed crossover: in this Python engine
-# the vectorized dense scan beats the per-doc WAND loop at every feasible
-# segment size — block-max pruning only wins for compiled per-doc scorers
-# like the reference's.  WAND is the COMPLETE-mode verification arm and
-# answers exactly above the gate; no workload or stress build makes a
-# segment that large.
+# Bulk scoring (``query.bulk_matches``) answers term, match-all and
+# Boolean trees on segments up to this many docs — the BooleanScorer /
+# TermScorer nextDocsAndScores analogue (reference search/TermScorer.java:
+# 134-167 bulk block scoring; search/MaxScoreBulkScorer.java dense
+# windows).  The gate is a MEMORY bound (a Boolean node holds a few
+# max_doc-long arrays — a float64 sum, an int32 count, bool masks — tens
+# of MB at 4M docs, fine inside a query actor), not a speed crossover: in
+# this Python engine the vectorized scan beats the per-doc WAND and
+# conjunction loops at every feasible segment size — block-max pruning
+# only wins for compiled per-doc scorers like the reference's.  The
+# scorer tree is the COMPLETE-mode verification arm and answers exactly
+# above the gate; no workload or stress build makes a segment that large.
 BULK_MAX_DOC = 1 << 22
+
+# Per-process counters of how ``search_segment`` answered: segments
+# answered from a whole match set ("dense") or by the scorer tree
+# ("tree"), and the matches the dense path scored before its top-k
+# select.  ``QueryProfilerSearcher`` reads their deltas; they never
+# change results.
+SEGMENT_PATH_STATS = {"dense": 0, "tree": 0, "candidates": 0}
 
 
 class TimeExceededException(Exception):
@@ -67,68 +87,6 @@ class TimeExceededException(Exception):
         self.elapsed = elapsed
         self.segments_searched = segments_searched
         self.partial_hits: list = []
-
-
-def _leaf_term(q: Query, boost: float = 1.0):
-    """(term, boost) for a (possibly boost-wrapped) TermQuery leaf, else None.
-    Nested BooleanQuery is NOT a leaf: its score is float32-cast before the
-    outer sum, so flattening it would change float32 results."""
-    from .query import BoostQuery, TermQuery
-
-    if isinstance(q, TermQuery):
-        return (q.term, boost)
-    if isinstance(q, BoostQuery):
-        return _leaf_term(q.query, boost * q.boost)
-    return None
-
-
-def _flatten_should_terms(q: Query):
-    """([(term, boost)], min_should_match) if ``q`` is a single term or a
-    pure-SHOULD disjunction of term leaves, else None."""
-    from .query import SHOULD, BooleanQuery
-
-    leaf = _leaf_term(q)
-    if leaf is not None:
-        return [leaf], 0
-    if isinstance(q, BooleanQuery):
-        out = []
-        for c in q.clauses:
-            if c.occur != SHOULD:
-                return None
-            sub = _leaf_term(c.query)
-            if sub is None:
-                return None
-            out.append(sub)
-        return (out, q.min_should_match) if out else None
-    return None
-
-
-def _bulk_search_segment(reader, terms_boosts, min_should_match, weight, k):
-    """Exact dense top-k: float64 accumulator of float32 clause scores,
-    final cast to float32 (the WANDScorer double-accumulator shape), ties
-    broken (score desc, docid asc) like TopScoreDocCollector."""
-    max_doc = reader.max_doc
-    acc = None
-    counts = None
-    norms = np.asarray(reader.norms)
-    for term, boost in terms_boosts:
-        tid = reader.term_id(term)
-        if tid is None:
-            continue
-        docs, freqs = reader.decode_term_cached(tid)
-        scores = weight.sim_scorer(term, boost).score_bulk(freqs, norms[docs])
-        if acc is None:
-            acc = np.zeros(max_doc, dtype=np.float64)
-            counts = np.zeros(max_doc, dtype=np.int32)
-        acc[docs] += scores.astype(np.float64)
-        counts[docs] += 1
-    if acc is None:
-        return []
-    mask = counts >= max(min_should_match, 1)
-    if reader.live is not None:
-        mask &= reader.live
-    cand = np.nonzero(mask)[0]
-    return _top_k(cand, acc[cand].astype(np.float32), k)
 
 
 def _top_k(docs: np.ndarray, sc: np.ndarray, k: int) -> list[tuple[int, np.float32]]:
@@ -438,17 +396,21 @@ def search_segment(
     allow_bulk: bool = True,
     floor: float = -np.inf,
 ) -> list[tuple[int, np.float32]]:
-    """One segment's top-k.  In TOP_SCORES a dense query type is one
-    partial select over its match set and a pure-SHOULD term disjunction
-    (``allow_bulk``) the dense bulk accumulator; every other query, and
-    every query in COMPLETE mode, collects ``build_scorer``'s tree."""
-    if score_mode == "TOP_SCORES":
-        if type(query) in DENSE_KERNELS:
-            matches = dense_matches(query, weight, reader)
-            return [] if matches is None else _top_k(*matches, k)
-        flat = _flatten_should_terms(query) if allow_bulk else None
-        if flat is not None and reader.max_doc <= BULK_MAX_DOC:
-            return _bulk_search_segment(reader, flat[0], flat[1], weight, k)
+    """One segment's top-k.  In TOP_SCORES a dense query type, and (with
+    ``allow_bulk``, up to ``BULK_MAX_DOC`` docs) a ``bulk_expressible``
+    tree, is one partial select over its whole match set; every other
+    query, and every query in COMPLETE mode, collects ``build_scorer``'s
+    tree."""
+    if score_mode == "TOP_SCORES" and (type(query) in DENSE_KERNELS or (
+        allow_bulk and reader.max_doc <= BULK_MAX_DOC and bulk_expressible(query)
+    )):
+        matches = live_matches(reader, bulk_matches(query, weight, reader))
+        SEGMENT_PATH_STATS["dense"] += 1
+        if matches is None:
+            return []
+        SEGMENT_PATH_STATS["candidates"] += len(matches[0])
+        return _top_k(*matches, k)
+    SEGMENT_PATH_STATS["tree"] += 1
     scorer = build_scorer(query, weight, reader, 1.0, score_mode, top_level=True)
     return collect_top_docs(scorer, reader.live, k, total_hits_threshold, score_mode, floor)
 

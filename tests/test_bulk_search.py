@@ -1,19 +1,41 @@
-"""Differential: dense bulk scorer vs the WAND/ImpactsDISI scorer loop.
+"""Differential: the bulk Boolean kernel vs the per-doc scorer tree.
 
-The bulk path (searcher.BULK_MAX_DOC gate) must be score- and
-rank-identical to both the pruned scorer path and the exhaustive COMPLETE
-path — the CheckHits.checkTopScores discipline (SURVEY §5.3) applied to a
-third implementation.
+The bulk path (``query.bulk_matches`` under the searcher.BULK_MAX_DOC
+gate) must be score- and rank-identical to both the pruned scorer tree
+(``allow_bulk=False``) and the exhaustive COMPLETE path — the
+CheckHits.checkTopScores discipline (SURVEY §5.3) applied to a third
+implementation — for every Boolean shape: any occur, any
+min_should_match, boosts, nesting, dense leaves, deletes and segments
+whose docs hold no tokens.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from lucene_ray.corpus import generate_corpus
 from lucene_ray.index.build import build_index_local
-from lucene_ray.search.query import BoostQuery, TermQuery, bool_query
+from lucene_ray.index.deletes import delete_by_query
+from lucene_ray.search.query import (
+    FILTER,
+    MUST,
+    MUST_NOT,
+    SHOULD,
+    BooleanClause,
+    BooleanQuery,
+    BoostQuery,
+    ConstantScoreQuery,
+    MatchAllDocsQuery,
+    PhraseQuery,
+    PrefixQuery,
+    TermQuery,
+    bool_query,
+    bulk_matches,
+    live_matches,
+)
 from lucene_ray.search.searcher import IndexSearcher, search_segment
 
 
@@ -24,7 +46,7 @@ def idx(tmp_path_factory):
     d = tmp_path_factory.mktemp("bulk_corpus")
     pq.write_table(generate_corpus(800, seed=21), str(d / "c.parquet"), row_group_size=100)
     out = str(tmp_path_factory.mktemp("bulk_idx"))
-    build_index_local(str(d), out, docs_per_segment=100)
+    build_index_local(str(d), out, docs_per_segment=100, index_options="positions")
     return out
 
 
@@ -41,6 +63,31 @@ QUERIES = [
         should=[TermQuery("def"), TermQuery("return"), TermQuery("import")],
         min_should_match=2,
     ),
+    bool_query(must=[TermQuery("def")]),
+    bool_query(must=[TermQuery("def"), TermQuery("return")]),
+    bool_query(must=[TermQuery("return")], must_not=[TermQuery("import")]),
+    bool_query(must=[TermQuery("class")], filter=[TermQuery("return")]),
+    bool_query(should=[TermQuery("def"), TermQuery("static")], filter=[TermQuery("return")]),
+    *(
+        bool_query(
+            must=[TermQuery("return")],
+            should=[TermQuery("def"), TermQuery("import"), TermQuery("class")],
+            min_should_match=msm,
+        )
+        for msm in (0, 1, 2)
+    ),
+    bool_query(
+        must=[BoostQuery(TermQuery("return"), 1.5)],
+        should=[BoostQuery(TermQuery("def"), 0.5), TermQuery("import")],
+    ),
+    bool_query(
+        must=[bool_query(should=[TermQuery("def"), TermQuery("import")])],
+        should=[TermQuery("class")],
+        must_not=[bool_query(must=[TermQuery("static"), TermQuery("void")])],
+    ),
+    bool_query(must=[PhraseQuery(("return", "import"))], should=[TermQuery("class")]),
+    bool_query(must=[PrefixQuery("cla")], should=[TermQuery("return")]),
+    bool_query(must=[TermQuery("zzz_not_a_term"), TermQuery("def")]),
 ]
 
 
@@ -135,3 +182,126 @@ def test_block_max_conjunction_pruning(idx):
             assert [(d, np.float32(sc)) for d, sc in aggressive] == [
                 (d, np.float32(sc)) for d, sc in complete
             ], (q, k)
+
+
+WORDS = "red green blue spark join merge alpha beta".split()
+
+
+def _index(root, texts, docs_per_segment):
+    src = str(root / "c.parquet")
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": pa.array(texts)}),
+        src,
+        row_group_size=docs_per_segment,
+    )
+    out = str(root / "idx")
+    build_index_local(src, out, docs_per_segment=docs_per_segment, content_column="text",
+                      meta_columns=("doc_id",), index_options="positions")
+    return out
+
+
+@pytest.fixture(scope="module")
+def shapes_index(tmp_path_factory):
+    """Six 20-doc segments over an 8-word vocabulary; the last segment's
+    docs hold no tokens, and every ``merge`` doc is deleted (so ``merge``
+    keeps its term statistics but matches no live doc)."""
+    rng = np.random.default_rng(5)
+    texts = [
+        " ".join(rng.choice(WORDS, size=int(rng.integers(1, 10))).tolist()) if i < 100 else ""
+        for i in range(120)
+    ]
+    out = _index(tmp_path_factory.mktemp("shapes"), texts, 20)
+    delete_by_query(out, TermQuery("merge"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def no_token_index(tmp_path_factory):
+    """One segment of three docs whose text is empty: the collection has
+    no field length to average, so no SimScorer can be built."""
+    return _index(tmp_path_factory.mktemp("no_tokens"), ["", "", ""], 20)
+
+
+def _leaf(rng):
+    x = rng.random()
+    if x < 0.5:
+        q = TermQuery(str(rng.choice(WORDS + ["absent"])))
+    elif x < 0.62:
+        q = PhraseQuery(tuple(rng.choice(WORDS, 2, replace=False).tolist()))
+    elif x < 0.72:
+        q = PrefixQuery(str(rng.choice(["b", "s", "m", "zz"])))
+    elif x < 0.82:
+        q = ConstantScoreQuery(TermQuery(str(rng.choice(WORDS))))
+    elif x < 0.86:
+        q = MatchAllDocsQuery()
+    else:
+        q = TermQuery(str(rng.choice(WORDS)))
+    if rng.random() < 0.25:
+        q = BoostQuery(q, float(rng.choice([0.5, 2.0, 3.25])))
+    return q
+
+
+def random_shape(rng, depth=0):
+    """A random Boolean tree: 1-4 clauses of any occur over term, phrase,
+    prefix, constant-score and match-all leaves (some boosted), nested up
+    to two levels, min_should_match from 0 to one past the SHOULD count."""
+    clauses = []
+    for _ in range(int(rng.integers(1, 5))):
+        occur = str(rng.choice([SHOULD, SHOULD, MUST, MUST, FILTER, MUST_NOT]))
+        sub = random_shape(rng, depth + 1) if depth < 2 and rng.random() < 0.25 else _leaf(rng)
+        clauses.append(BooleanClause(sub, occur))
+    n_should = sum(c.occur == SHOULD for c in clauses)
+    msm = int(rng.integers(0, n_should + 2)) if rng.random() < 0.4 else 0
+    q = BooleanQuery(tuple(clauses), msm)
+    return BoostQuery(q, 1.5) if rng.random() < 0.1 else q
+
+
+def _bits(hits):
+    return [(d, int(np.float32(sc).view(np.uint32))) for d, sc in hits]
+
+
+@pytest.mark.parametrize("index", ["shapes_index", "no_token_index"])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_boolean_shapes_agree(request, index, seed):
+    """Three arms agree bitwise (docids and float32 score bits) on every
+    segment and k: the bulk kernel (TOP_SCORES), the pruned scorer tree
+    (``allow_bulk=False``) and the exhaustive COMPLETE tree; the merged
+    search equals the COMPLETE search; ``count`` equals the COMPLETE
+    match count and the bulk kernel's live match count."""
+    s = IndexSearcher(request.getfixturevalue(index))
+    n_docs = sum(r.max_doc for r in s.readers)
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        q, weight = s.weigh(random_shape(rng))
+        for reader in s.readers:
+            for k in (3, 10, reader.max_doc):
+                bulk = search_segment(reader, q, weight, k, 1000, "TOP_SCORES")
+                tree = search_segment(reader, q, weight, k, 1000, "TOP_SCORES", allow_bulk=False)
+                complete = search_segment(reader, q, weight, k, np.inf, "COMPLETE")
+                assert _bits(bulk) == _bits(tree) == _bits(complete), (q, k)
+        everything = s.search(q, n_docs, total_hits_threshold=np.inf, score_mode="COMPLETE")
+        assert _bits(s.search(q, 10)) == _bits(everything[:10]), q
+        bulk_count = 0
+        for reader in s.readers:
+            m = live_matches(reader, bulk_matches(q, weight, reader))
+            bulk_count += 0 if m is None else len(m[0])
+        assert s.count(q) == len(everything) == bulk_count, q
+
+
+def test_min_should_match_equal_to_present_should_clauses(shapes_index):
+    """msm equal to the number of SHOULD clauses present in a segment
+    makes every one required; the tree answers it (it raised ValueError
+    from WANDScorer, which needs msm below the clause count) like the
+    bulk kernel."""
+    s = IndexSearcher(shapes_index)
+    for q in (
+        bool_query(should=[TermQuery("red"), TermQuery("blue")], min_should_match=2),
+        bool_query(
+            must=[TermQuery("alpha")],
+            should=[TermQuery("red"), TermQuery("blue"), TermQuery("absent")],
+            min_should_match=2,
+        ),
+    ):
+        top = s.search(q, 10)
+        complete = s.search(q, 10, total_hits_threshold=np.inf, score_mode="COMPLETE")
+        assert top and _bits(top) == _bits(complete)

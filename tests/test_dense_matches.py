@@ -27,6 +27,7 @@ from lucene_ray.search.query import (
     FunctionRangeQuery,
     FunctionScoreQuery,
     FuzzyQuery,
+    IndexOrDocValuesQuery,
     IndriAndQuery,
     IntervalQuery,
     KnnFloatVectorQuery,
@@ -56,6 +57,8 @@ from tests.util import DV_WORDS
 N_DOCS = 60
 DIM = 4
 VEC = (0.3, -0.2, 0.9, 0.1)
+
+MUST_SHOULD = bool_query(must=[TermQuery("red")], should=[TermQuery("blue"), TermQuery("green")])
 
 CASES = [
     PrefixQuery("s"),
@@ -92,6 +95,15 @@ CASES = [
     IndriAndQuery(("red", "blue")),
     KnnFloatVectorQuery("embedding", VEC, 5),
     KnnFloatVectorQuery("embedding", VEC, 5, filter=TermQuery("red")),
+    # inner queries of every kind: a dense leaf, a Boolean tree, and one
+    # the bulk kernel cannot express (scored by a COMPLETE tree walk)
+    FunctionScoreQuery(PhraseQuery(("red", "green")), field="n"),
+    CoveringQuery((PrefixQuery("s"), TermQuery("red")), "n"),
+    FunctionScoreQuery(MUST_SHOULD, field="n"),
+    FunctionScoreQuery(
+        IndexOrDocValuesQuery(StoredFieldFilter("lang", "en"), DocValuesTermsQuery("lang", ("en",))),
+        expression="_score + n",
+    ),
 ]
 
 
@@ -206,3 +218,17 @@ def test_knn_filter_and_seed_terms_are_weighed(dense_index):
     assert hits and {d for d, _ in hits} <= red
     seeded = KnnFloatVectorQuery("embedding", VEC, 5, seed=TermQuery("red"))
     assert s.count(seeded) == len(s.search(seeded, N_DOCS))
+
+
+def test_function_score_inner_scores_like_search(dense_index):
+    """An inner query's ``_score`` is the engine's own score for it: the
+    float nesting of a MUST+SHOULD tree, not one flat sum."""
+    s = IndexSearcher(dense_index)
+    for inner in (TermQuery("red"), bool_query(should=[TermQuery("red"), TermQuery("blue")]),
+                  MUST_SHOULD):
+        want = s.search(inner, N_DOCS, score_mode="COMPLETE")
+        got = s.search(FunctionScoreQuery(inner, expression="_score"), N_DOCS, score_mode="COMPLETE")
+        assert got, inner
+        assert sorted((d, sc.view(np.uint32)) for d, sc in got) == sorted(
+            (d, sc.view(np.uint32)) for d, sc in want
+        ), inner

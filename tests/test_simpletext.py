@@ -11,7 +11,7 @@ from lucene_ray.index import manifest as mf
 from lucene_ray.pipelines import fulltext as ft
 from lucene_ray.search.bm25 import CollectionStatistics, TermStatistics
 from lucene_ray.search.query import TermQuery, Weight, bool_query
-from lucene_ray.search.searcher import _bulk_search_segment
+from lucene_ray.search.searcher import search_segment
 
 SF = "/root/testdata/sf0.001"
 
@@ -36,7 +36,7 @@ def test_simpletext_round_trip_and_search_parity(tmp_path, ray_session):
         for a, b in zip(r.term_positions(tid), st.term_positions(tid)):
             assert np.array_equal(a, b)
     assert np.array_equal(np.asarray(r.norms), st.norms)
-    # search parity: the dense bulk scorer runs unchanged on SimpleText
+    # search parity: the bulk kernel runs unchanged on SimpleText
     stats = st.collection_partials()
     cs = CollectionStatistics(
         max_doc=st.max_doc,
@@ -47,7 +47,7 @@ def test_simpletext_round_trip_and_search_parity(tmp_path, ray_session):
     for terms in (["spark"], ["join", "merge"]):
         tstats = {t: TermStatistics(t, *st.term_stats(t)) for t in terms}
         w = Weight(collection_stats=cs, term_stats=tstats)
-        tb = [(t, 1.0) for t in terms]
-        got = _bulk_search_segment(st, tb, 0, w, 10)
-        want = _bulk_search_segment(r, tb, 0, w, 10)
-        assert got == want
+        q = bool_query(should=[TermQuery(t) for t in terms])
+        got = search_segment(st, q, w, 10, 1000, "TOP_SCORES")
+        want = search_segment(r, q, w, 10, 1000, "TOP_SCORES")
+        assert got and got == want
