@@ -95,14 +95,23 @@ CASES = [
     IndriAndQuery(("red", "blue")),
     KnnFloatVectorQuery("embedding", VEC, 5),
     KnnFloatVectorQuery("embedding", VEC, 5, filter=TermQuery("red")),
-    # inner queries of every kind: a dense leaf, a Boolean tree, and one
-    # the bulk kernel cannot express (scored by a COMPLETE tree walk)
-    FunctionScoreQuery(PhraseQuery(("red", "green")), field="n"),
-    CoveringQuery((PrefixQuery("s"), TermQuery("red")), "n"),
-    FunctionScoreQuery(MUST_SHOULD, field="n"),
-    FunctionScoreQuery(
-        IndexOrDocValuesQuery(StoredFieldFilter("lang", "en"), DocValuesTermsQuery("lang", ("en",))),
-        expression="_score + n",
+]
+
+# inner queries of every kind: a dense leaf, a Boolean tree, and one the
+# bulk kernel cannot express (scored by a COMPLETE tree walk)
+INNER_CASES = [
+    pytest.param(FunctionScoreQuery(PhraseQuery(("red", "green")), field="n"),
+                 id="FunctionScoreQuery_of_phrase"),
+    pytest.param(CoveringQuery((PrefixQuery("s"), TermQuery("red")), "n"),
+                 id="CoveringQuery_of_prefix_and_term"),
+    pytest.param(FunctionScoreQuery(MUST_SHOULD, field="n"), id="FunctionScoreQuery_of_boolean"),
+    pytest.param(
+        FunctionScoreQuery(
+            IndexOrDocValuesQuery(StoredFieldFilter("lang", "en"),
+                                  DocValuesTermsQuery("lang", ("en",))),
+            expression="_score + n",
+        ),
+        id="FunctionScoreQuery_of_index_or_docvalues",
     ),
 ]
 
@@ -183,7 +192,7 @@ def test_cases_cover_every_dense_type():
 
 
 @pytest.mark.parametrize("index", ["dense_index", "no_token_index"])
-@pytest.mark.parametrize("q", CASES, ids=lambda q: type(q).__name__)
+@pytest.mark.parametrize("q", CASES + INNER_CASES, ids=lambda q: type(q).__name__)
 def test_dense_type_answers_alike(request, index, q):
     """count == the COMPLETE hit count; TOP_SCORES top-10 == the COMPLETE
     top-10 (docids and float32 scores); as a FILTER beside a term, the
