@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 import pyarrow as pa
@@ -1792,7 +1793,7 @@ rel AS (
          (rr.lo <= rq.qhi AND rr.hi >= rq.qlo) AS isect,
          (rr.lo >= rq.qlo AND rr.hi <= rq.qhi) AS within,
          (rr.lo <= rq.qlo AND rr.hi >= rq.qhi) AS contains
-  FROM rq CROSS JOIN rr
+  FROM rq LEFT JOIN rr ON true
 )
 SELECT 'range_field_contains' AS family, qid::BIGINT AS qid,
        count(*) FILTER (WHERE contains)::BIGINT AS cnt FROM rel GROUP BY qid
@@ -1835,7 +1836,7 @@ rel AS (
           AND bb.lon0 >= bq.qlon0 AND bb.lon1 <= bq.qlon1) AS within,
          (bb.lat0 <= bq.qlat0 AND bb.lat1 >= bq.qlat1
           AND bb.lon0 <= bq.qlon0 AND bb.lon1 >= bq.qlon1) AS contains
-  FROM bq CROSS JOIN bb
+  FROM bq LEFT JOIN bb ON true
 )
 SELECT 'latlon_bbox_contains' AS family, qid::BIGINT AS qid,
        count(*) FILTER (WHERE contains)::BIGINT AS cnt FROM rel GROUP BY qid
@@ -2001,38 +2002,122 @@ def _embs(sf_dir: str):
     return read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
 
 
+def _events(sf_dir: str):
+    return read_parquet(os.path.join(sf_dir, "events.parquet"))
+
+
+def _frame(result, schema=None):
+    """A pipeline result (DataFrame, Arrow table or bounded Dataset) as
+    pandas; ``schema`` types an all-empty Dataset (``ft.gather``)."""
+    import pandas as pd
+
+    return result if isinstance(result, pd.DataFrame) else ft.gather(result, schema).to_pandas()
+
+
+def _family(col: str, *arms, schema=None):
+    """A family entry: every (label, pipeline) arm runs in order and its
+    rows are tagged with the label in the discriminator column ``col``;
+    an arm that returns a dict contributes one part per key (label + key,
+    keys sorted).  Only ever applied to already-reduced outputs (top-k /
+    count tables), never to bulk data."""
+    import pandas as pd
+
+    def run(sf_dir: str):
+        dfs = []
+        for label, arm in arms:
+            out = arm(sf_dir)
+            for key, part in sorted(out.items()) if isinstance(out, dict) else [("", out)]:
+                df = _frame(part, schema).copy()
+                df[col] = label + key
+                dfs.append(df)
+        return pd.concat(dfs, ignore_index=True)
+
+    return run
+
+
+def _n_starts(pipeline, col: str | None = None):
+    """An intervals-family arm: the pipeline's count column ``col`` renamed
+    n_starts, or n_starts = -1 for a match-set-only pipeline."""
+
+    def arm(sf_dir: str):
+        df = _frame(pipeline(sf_dir))
+        if col is None:
+            df["n_starts"] = -1
+            return df
+        return df.rename(columns={col: "n_starts"})
+
+    return arm
+
+
 ANN_QUERY_IDS = [0, 1, 2, 3, 4]
-
-
-def _ann_brute(sf_dir: str):
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    return ann.brute_topk(_embs(sf_dir), q, k=10)
-
-
-def _ann_mip(sf_dir: str):
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    return ann.mip_topk(_embs(sf_dir), q, k=10)
-
-
-def _ann_l2(sf_dir: str):
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    return ann.euclidean_topk(_embs(sf_dir), q, k=10)
-
-
-def _ann_byte_dot(sf_dir: str):
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    return ann.byte_dot_topk(_embs(sf_dir), q, k=10)
-
-
+HNSW_MIN_RECALL = 0.9
+SQ8_MIN_RECALL = 0.9
+LSH_MIN_RECALL = 0.7
+RADIUS_TAU = 0.30
 RRF_CAND = 20  # per-arm candidate depth feeding the fusion
+
+
+def _ann_queries(sf_dir: str):
+    """The ANN_QUERY_IDS embeddings: every ANN arm's query vectors."""
+    from lucene_ray.ops import ann
+
+    return ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
+
+
+def _ann(topk, *args, embs=_embs, **kw):
+    """An ANN arm: ``topk(embeddings, query vectors, *args, **kw)``."""
+    return lambda sf_dir: topk(embs(sf_dir), _ann_queries(sf_dir), *args, **kw)
+
+
+def _lang_embs(sf_dir: str, lang: str = "en"):
+    """The embeddings of the docs whose lang is ``lang``."""
+    import duckdb
+    import numpy as np
+
+    allowed = set(
+        duckdb.sql(
+            f"SELECT doc_id FROM read_parquet('{os.path.join(sf_dir, 'documents.parquet')}') "
+            f"WHERE lang = '{lang}'"
+        ).df()["doc_id"]
+    )
+
+    def _mask(batch: pa.Table) -> pa.Table:
+        ids = batch.column("vec_id").to_numpy()
+        return batch.filter(pa.array(np.array([int(i) in allowed for i in ids], bool)))
+
+    return _embs(sf_dir).map_batches(_mask, batch_format="pyarrow")
+
+
+def _recall_gated(what: str, approx, min_recall: float, embs=_embs):
+    """An approximate ANN arm made driver-checkable: run ``approx``, assert
+    per-query recall@10 >= ``min_recall`` against the exact brute cosine
+    top-k over ``embs`` (a regression, or an empty result, turns the row
+    red instead of silently passing), and return that exact top-k, which
+    the DuckDB list_cosine_similarity oracle reproduces hash-exactly."""
+    from lucene_ray.ops import ann
+
+    def arm(sf_dir: str):
+        got = _frame(approx(sf_dir)).groupby("query_id")["neighbor_id"].apply(set)
+        exact = _frame(_ann(ann.brute_topk, k=10, embs=embs)(sf_dir))
+        e = exact.groupby("query_id")["neighbor_id"].apply(set)
+        recalls = {int(q): len(got.get(q, set()) & e[q]) / len(e[q]) for q in e.index}
+        worst = min(recalls.values(), default=0.0)
+        if worst < min_recall:
+            raise AssertionError(
+                f"{what} recall@10 regression: min over queries {worst:.3f} < "
+                f"{min_recall} ({recalls})"
+            )
+        return pa.Table.from_pandas(exact, preserve_index=False)
+
+    return arm
+
+
+def _knn(**kw):
+    """A KnnFloatVectorQuery arm: per-SEGMENT persisted HNSW graphs
+    (index/vectors.py, the Lucene99HnswVectorsWriter shape, one graph per
+    segment keyed on local docids) searched through the ordinary
+    distributed search path with the TopDocs merge."""
+    return lambda sf_dir: ft.knn_index_topk(sf_dir, ANN_QUERY_IDS, k=10, **kw)
 
 
 def _ann_rrf_hybrid(sf_dir: str):
@@ -2048,23 +2133,13 @@ def _ann_rrf_hybrid(sf_dir: str):
     from lucene_ray.search.searcher import IndexSearcher
 
     searcher = IndexSearcher(ft.ensure_index(sf_dir))
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    vec = ann.brute_topk(_embs(sf_dir), q, k=RRF_CAND).to_pandas()
+    vec = _ann(ann.brute_topk, k=RRF_CAND)(sf_dir).to_pandas()
     ranked = []
     for qid in ANN_QUERY_IDS:
         lex = [doc for doc, _s in searcher.search(TermQuery(ft.QUERY_TERMS[qid]), RRF_CAND)]
         v = vec[vec.query_id == qid].sort_values("rnk")["neighbor_id"].tolist()
         ranked.append((qid, [doc for doc, _s in rrf([lex, v], 10)]))
     return ft.ranked_table(ranked).rename_columns(["query_id", "rnk", "neighbor_id"])
-
-
-def _ann_ivf(sf_dir: str):
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    # nprobe = all partitions -> exact (oracle-checked); lower nprobe is the
-    # approximate scale path exercised in tests/test_ops_ann.py
-    return ann.ivf_topk(_embs(sf_dir), q, k=10, nprobe=10)
 
 
 def _ann_ivf_persisted(sf_dir: str):
@@ -2076,126 +2151,10 @@ def _ann_ivf_persisted(sf_dir: str):
 
     from lucene_ray.ops import ann
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    q = ann.load_queries(path, ANN_QUERY_IDS)
     idx = os.path.join("/tmp", "lucene_ray_ivf", os.path.basename(sf_dir.rstrip("/")))
     if not glob.glob(os.path.join(idx, "cell=*")):
         ann.build_ivf_index(_embs(sf_dir), idx, k=8, iters=3)
-    return ann.ivf_index_topk(idx, q, k=10, nprobe=8)
-
-
-HNSW_MIN_RECALL = 0.9
-SQ8_MIN_RECALL = 0.9
-LSH_MIN_RECALL = 0.7
-RADIUS_TAU = 0.30
-
-
-def _ann_hnsw(sf_dir: str, patience: bool = False):
-    """INDEX-INTEGRATED KnnFloatVectorQuery: per-SEGMENT persisted HNSW
-    graphs (index/vectors.py — the Lucene99HnswVectorsWriter shape, one
-    graph per segment keyed on local docids) searched through the
-    ordinary distributed search path with the TopDocs merge.
-
-    DRIVER-CHECKABLE (was rows-only): the callable runs the HNSW path,
-    computes the EXACT brute cosine top-k in-engine, ASSERTS per-query
-    recall@10 >= HNSW_MIN_RECALL — a recall regression turns this row red
-    (err) instead of silently passing — and returns the exact top-k, which
-    the DuckDB list_cosine_similarity oracle reproduces hash-exactly."""
-    from lucene_ray.ops import ann
-
-    hnsw = ft.knn_index_topk(
-        sf_dir, ANN_QUERY_IDS, k=10, patience=patience
-    ).to_pandas()
-    exact = ann.brute_topk(
-        _embs(sf_dir),
-        ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS),
-        k=10,
-    ).to_pandas()
-    h = hnsw.groupby("query_id")["neighbor_id"].apply(set)
-    e = exact.groupby("query_id")["neighbor_id"].apply(set)
-    recalls = {int(q): len(h.get(q, set()) & e[q]) / len(e[q]) for q in e.index}
-    worst = min(recalls.values())
-    if worst < HNSW_MIN_RECALL:
-        raise AssertionError(
-            f"HNSW recall@10 regression: min over queries {worst:.3f} < "
-            f"{HNSW_MIN_RECALL} ({recalls})"
-        )
-    import pyarrow as pa
-
-    return pa.Table.from_pandas(exact, preserve_index=False)
-
-
-def _ann_hnsw_seeded(sf_dir: str):
-    """SeededKnnVectorQuery (search/SeededKnnVectorQuery.java +
-    util/hnsw/SeededHnswGraphSearcher.java): a seed query's per-segment
-    matches (lang='en' docs here) become the HNSW entry points instead of
-    the graph's global entry; ranking semantics are unchanged, so the
-    same exact brute top-k is both the recall gate and the returned
-    (hash-exact) result."""
-    from lucene_ray.ops import ann
-
-    hnsw = ft.knn_index_topk(
-        sf_dir, ANN_QUERY_IDS, k=10, seed_lang="en"
-    ).to_pandas()
-    exact = ann.brute_topk(
-        _embs(sf_dir),
-        ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS),
-        k=10,
-    ).to_pandas()
-    h = hnsw.groupby("query_id")["neighbor_id"].apply(set)
-    e = exact.groupby("query_id")["neighbor_id"].apply(set)
-    recalls = {int(q): len(h.get(q, set()) & e[q]) / len(e[q]) for q in e.index}
-    worst = min(recalls.values())
-    if worst < HNSW_MIN_RECALL:
-        raise AssertionError(
-            f"seeded-HNSW recall@10 regression: min over queries {worst:.3f} < "
-            f"{HNSW_MIN_RECALL} ({recalls})"
-        )
-    import pyarrow as pa
-
-    return pa.Table.from_pandas(exact, preserve_index=False)
-
-
-def _ann_hnsw_filtered(sf_dir: str, lang: str = "en"):
-    """FILTERED kNN (KnnFloatVectorQuery with a filter Query): the HNSW
-    path restricted to docs with lang = 'en', recall-gated against the
-    exact FILTERED brute top-k (computed over the lang-masked embedding
-    dataset), returning the exact result the SQL oracle reproduces."""
-    import duckdb
-    import pyarrow as pa
-
-    from lucene_ray.ops import ann
-
-    hnsw = ft.knn_index_topk(sf_dir, ANN_QUERY_IDS, k=10, filter_lang=lang).to_pandas()
-    allowed = set(
-        duckdb.sql(
-            f"SELECT doc_id FROM read_parquet('{os.path.join(sf_dir, 'documents.parquet')}') "
-            f"WHERE lang = '{lang}'"
-        ).df()["doc_id"]
-    )
-
-    def _mask(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        ids = batch.column("vec_id").to_numpy()
-        keep = np.array([int(i) in allowed for i in ids], bool)
-        return batch.filter(pa.array(keep))
-
-    exact = ann.brute_topk(
-        _embs(sf_dir).map_batches(_mask, batch_format="pyarrow"),
-        ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS),
-        k=10,
-    ).to_pandas()
-    h = hnsw.groupby("query_id")["neighbor_id"].apply(set)
-    e = exact.groupby("query_id")["neighbor_id"].apply(set)
-    recalls = {int(q): len(h.get(q, set()) & e[q]) / len(e[q]) for q in e.index}
-    worst = min(recalls.values()) if recalls else 0.0
-    if worst < HNSW_MIN_RECALL:
-        raise AssertionError(
-            f"filtered-HNSW recall@10 regression: min over queries {worst:.3f} < "
-            f"{HNSW_MIN_RECALL} ({recalls})"
-        )
-    return pa.Table.from_pandas(exact, preserve_index=False)
+    return ann.ivf_index_topk(idx, _ann_queries(sf_dir), k=10, nprobe=8)
 
 
 def _ann_kmeans_ivf(sf_dir: str):
@@ -2206,10 +2165,8 @@ def _ann_kmeans_ivf(sf_dir: str):
     exercised in tests/test_ops_semantics.py."""
     from lucene_ray.ops import ann
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    q = ann.load_queries(path, ANN_QUERY_IDS)
     cents = ann.kmeans(_embs(sf_dir), k=8, iters=3)
-    return ann.ivf_topk_kmeans(_embs(sf_dir), q, cents, k=10, nprobe=8)
+    return ann.ivf_topk_kmeans(_embs(sf_dir), _ann_queries(sf_dir), cents, k=10, nprobe=8)
 
 
 def _augmented_embs(sf_dir: str):
@@ -2276,12 +2233,6 @@ def _tx_doc_stats(sf_dir: str):
     return df.drop(columns=["nb_logodds"])
 
 
-def _near_dup(sf_dir: str):
-    from lucene_ray.ops import ann
-
-    return ann.near_dup_pairs(_augmented_embs(sf_dir), tau=0.95)
-
-
 def _merged_bm25(sf_dir: str):
     """BM25 over an index that went through tiered force-merge: many tiny
     segments -> 1.  Results must equal the unmerged oracle rank-identically
@@ -2305,71 +2256,6 @@ def _distributed_bm25(sf_dir: str):
     return ft.hits_table(searcher, [TermQuery(t) for t in ft.QUERY_TERMS], 10)
 
 
-def _concat_rows(*parts):
-    """Row-concat results that already share a schema (incl. their own
-    discriminator column)."""
-    import pandas as pd
-
-    return pd.concat(
-        [p if isinstance(p, pd.DataFrame) else ft.gather(p).to_pandas() for p in parts],
-        ignore_index=True,
-    )
-
-
-def _concat_family(parts, col: str = "family"):
-    """Combine several small FINAL results (top-k / count tables) into one
-    driver-checkable frame with a discriminator column.  Only ever applied
-    to already-reduced outputs (k*queries rows), never to bulk data."""
-    import pandas as pd
-
-    dfs = []
-    for label, r in parts:
-        df = r if isinstance(r, pd.DataFrame) else ft.gather(r).to_pandas()
-        df = df.copy()
-        df[col] = label
-        dfs.append(df)
-    return pd.concat(dfs, ignore_index=True)
-
-
-def _grouped_family(sf_dir: str):
-    """grouping module family: the two-pass TopGroups collector beside
-    AllGroupsCollector / AllGroupHeadsCollector."""
-    groups_tbl, heads_tbl = ft.group_all(sf_dir)
-    return _concat_family(
-        [
-            ("top_groups", ft.grouped_topk(sf_dir)),
-            ("all_groups", groups_tbl),
-            ("all_group_heads", heads_tbl),
-            # BlockGroupingCollector: groups are index-time doc blocks
-            ("block", ft.block_grouped_topk(sf_dir)),
-            # DistinctValuesCollector: distinct lang count per group
-            ("distinct_values", ft.distinct_values_groups(sf_dir)),
-        ],
-        col="arm",
-    )
-
-
-def _bm25_variants(sf_dir: str):
-    """One entry for the BM25 top-k variants: actor-pool distributed
-    search and the tiered force-merged index (each must be rank-identical
-    to the same oracle), plus the query-side variants."""
-    return _concat_family(
-        [
-            ("distributed", _distributed_bm25(sf_dir)),
-            ("merged", _merged_bm25(sf_dir)),
-            ("disjunction", ft.bm25_disjunction_topk(sf_dir)),
-            ("boosted", ft.bm25_boosted_topk(sf_dir)),
-            ("common_terms", ft.common_terms_topk(sf_dir)),
-            # DiversifiedTopDocsCollector: per-key-capped top-k
-            ("diversified", ft.diversified_topk(sf_dir)),
-            # IndexSearcher.searchAfter: hits strictly after page 1's last
-            # (score, doc) cursor, re-ranked 1..10
-            ("page2", _page2_bm25(sf_dir)),
-        ],
-        col="variant",
-    )
-
-
 def _page2_bm25(sf_dir: str):
     from lucene_ray.search.query import TermQuery
     from lucene_ray.search.searcher import IndexSearcher
@@ -2383,171 +2269,6 @@ def _page2_bm25(sf_dir: str):
         after = (float(page1[-1][1]), int(page1[-1][0]))
         ranked.append((qid, [d for d, _s in searcher.search_after(TermQuery(term), 10, after)]))
     return ft.ranked_table(ranked)
-
-
-def _ann_sq8(sf_dir: str):
-    """int8-scalar-quantized brute cosine (ScalarQuantizer /
-    Lucene99ScalarQuantizedVectorsFormat analogue, per-block scale):
-    APPROXIMATE, so driver-checked the HNSW way — run the quantized path,
-    assert per-query recall@10 >= SQ8_MIN_RECALL against the exact top-k
-    (a quantization regression turns the row red), return the exact top-k
-    the SQL oracle reproduces."""
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    sq = ann.sq8_topk(_embs(sf_dir), q, k=10).to_pandas()
-    exact = ann.brute_topk(_embs(sf_dir), q, k=10).to_pandas()
-    s = sq.groupby("query_id")["neighbor_id"].apply(set)
-    e = exact.groupby("query_id")["neighbor_id"].apply(set)
-    recalls = {int(qi): len(s.get(qi, set()) & e[qi]) / len(e[qi]) for qi in e.index}
-    worst = min(recalls.values())
-    if worst < SQ8_MIN_RECALL:
-        raise AssertionError(
-            f"SQ8 recall@10 regression: min over queries {worst:.3f} < "
-            f"{SQ8_MIN_RECALL} ({recalls})"
-        )
-    import pyarrow as pa
-
-    return pa.Table.from_pandas(exact, preserve_index=False)
-
-
-def _ann_lsh(sf_dir: str):
-    """LSH-bucketed ANN (random-hyperplane band buckets gate the scoring)
-    — approximate, so recall-gated the SQ8/HNSW way and returning the
-    exact top-k the SQL oracle reproduces."""
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    lsh = ann.lsh_topk(_embs(sf_dir), q, k=10).to_pandas()
-    exact = ann.brute_topk(_embs(sf_dir), q, k=10).to_pandas()
-    s = lsh.groupby("query_id")["neighbor_id"].apply(set)
-    e = exact.groupby("query_id")["neighbor_id"].apply(set)
-    recalls = {int(qi): len(s.get(qi, set()) & e[qi]) / len(e[qi]) for qi in e.index}
-    worst = min(recalls.values())
-    if worst < LSH_MIN_RECALL:
-        raise AssertionError(
-            f"LSH recall@10 regression: min over queries {worst:.3f} < "
-            f"{LSH_MIN_RECALL} ({recalls})"
-        )
-    import pyarrow as pa
-
-    return pa.Table.from_pandas(exact, preserve_index=False)
-
-
-def _ann_variants(sf_dir: str):
-    """Brute-force / fixed-grid IVF / learned k-means IVF cosine top-k in
-    one entry (all exact at nprobe=all, so one brute-force oracle covers
-    the three scoring paths), plus the int8 scalar-quantized and
-    LSH-bucketed arms checked through their recall gates."""
-    return _concat_family(
-        [
-            ("brute", _ann_brute(sf_dir)),
-            ("ivf", _ann_ivf(sf_dir)),
-            ("kmeans_ivf", _ann_kmeans_ivf(sf_dir)),
-            ("sq8", _ann_sq8(sf_dir)),
-            ("lsh", _ann_lsh(sf_dir)),
-            ("radius", _ann_radius(sf_dir)),
-            # ColBERT MaxSim over deterministic rolled multi-vectors
-            # (LateInteractionFloatValuesSource SumMaxSimilarity)
-            ("late_interaction", _ann_late(sf_dir)),
-            # LateInteractionRescorer: single-vector top-50 nominate,
-            # MaxSim REPLACES the first-pass score for ranking
-            ("late_rescored", _ann_late_rescored(sf_dir)),
-            # TopDocs.rrf: BM25 + cosine rankings fused by 1/(60+rank)
-            ("rrf_hybrid", _ann_rrf_hybrid(sf_dir)),
-            # KnnByteVectorQuery DOT_PRODUCT: fixed int8 quantization,
-            # exact integer-dot ranking (score monotone in the dot)
-            ("byte_dot", _ann_byte_dot(sf_dir)),
-            # MAXIMUM_INNER_PRODUCT: raw-dot ranking (scale fn monotone)
-            ("max_inner_product", _ann_mip(sf_dir)),
-            # EUCLIDEAN: ascending squared-L2 ranking (1/(1+d2) monotone)
-            ("euclidean", _ann_l2(sf_dir)),
-        ],
-        col="variant",
-    )
-
-
-def _ann_late(sf_dir: str):
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    return ann.late_interaction_topk(_embs(sf_dir), q, k=10)
-
-
-def _ann_late_rescored(sf_dir: str):
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    return ann.late_rescored_topk(_embs(sf_dir), q, k=10, first_n=50)
-
-
-def _ann_radius(sf_dir: str):
-    """Radius search (FloatVectorSimilarityQuery): ALL matches with
-    cosine >= RADIUS_TAU, exact brute over batches (threshold-bounded
-    output)."""
-    from lucene_ray.ops import ann
-
-    q = ann.load_queries(os.path.join(sf_dir, "embeddings.parquet"), ANN_QUERY_IDS)
-    return ann.radius_matches(_embs(sf_dir), q, RADIUS_TAU)
-
-
-def _multiterm_matches(sf_dir: str):
-    """Prefix + wildcard + regexp + fuzzy expansion matches in one entry
-    (the whole MultiTermQuery family; fuzzy's part of the oracle is the
-    DuckDB damerau_levenshtein differential)."""
-    return _concat_family(
-        [
-            ("prefix", ft.prefix_matches(sf_dir)),
-            ("prefix_scored", ft.prefix_scored_matches(sf_dir)),
-            ("in_set", ft.term_in_set_matches(sf_dir)),
-            # doc-values twin of in_set (sandbox DocValuesTermsQuery)
-            ("in_set_dv", ft.dv_terms_matches(sf_dir)),
-            # numeric-set twin (sandbox DocValuesNumbersQuery)
-            ("in_set_numbers_dv", ft.dv_numbers_matches(sf_dir)),
-            # IDVersion PK seekExact (sandbox idversion + PerThreadPK
-            # Lookup): rnk=0 row carries found, rnk=1 the version
-            ("pk_lookup", ft.pk_lookup_rows(sf_dir)),
-            ("wildcard", ft.wildcard_matches(sf_dir)),
-            ("regexp", ft.regexp_matches(sf_dir)),
-            ("fuzzy", ft.fuzzy_matches(sf_dir)),
-            # FuzzyQuery's DEFAULT rewrite: top-terms blended-freq scoring
-            ("fuzzy_scored", ft.fuzzy_scored_matches(sf_dir)),
-        ]
-    )
-
-
-def _term_postings_family(sf_dir: str):
-    """Inverted postings dump + per-doc term-vector (forward index) dump in
-    one entry: identical (term, doc_id, tf) semantics read through two
-    different index structures."""
-    return _concat_family(
-        [
-            ("postings", ft.term_postings(sf_dir)),
-            ("vectors", ft.term_vectors_dump(sf_dir)),
-        ]
-    )
-
-
-def _sort_family(sf_dir: str):
-    """SortField top-k (full scan, partial per-segment top-k) + index-time
-    sorted early-terminating top-k in one entry (search/Sort.java and
-    index/Sorter.java analogues; both (qid, rnk, doc_id)-shaped)."""
-    return _concat_family(
-        [
-            ("stored", ft.sort_by_field_topk(sf_dir)),
-            ("index_sorted", ft.index_sorted_topk(sf_dir)),
-            ("compound", ft.compound_sort_topk(sf_dir)),
-            # SortedNumericSortField: selector-collapsed multi-valued sort
-            ("sorted_numeric", ft.sorted_numeric_sort_topk(sf_dir)),
-            # SortedSetSortField: lexicographic MIN/MAX over a
-            # multi-valued string field
-            ("sorted_set", ft.sorted_set_sort_topk(sf_dir)),
-            # LatLonPointSortField: nearest-first distance comparator
-            ("distance", ft.distance_sort_topk(sf_dir)),
-            # SortRescorer: re-sort the BM25 first pass by a field sort
-            ("sort_rescorer", ft.sort_rescored_topk(sf_dir)),
-        ]
-    )
 
 
 def _dd_duplicate_clusters(sf_dir: str):
@@ -2643,140 +2364,6 @@ def _dd_signatures(sf_dir: str):
     return out[["method", "doc_id", "i", "sig"]]
 
 
-def _mlt_family(sf_dir: str):
-    """MoreLikeThis + FuzzyLikeThisQuery top-k rows, method-tagged."""
-    import pandas as pd
-
-    mlt = ft.mlt_topk(sf_dir).to_pandas()
-    mlt.insert(0, "method", "mlt")
-    flt = ft.fuzzy_like_this_topk(sf_dir).to_pandas()
-    flt.insert(0, "method", "flt")
-    txt = ft.mlt_text_topk(sf_dir).to_pandas()
-    txt.insert(0, "method", "mlt_text")
-    return pd.concat([mlt, flt, txt], ignore_index=True)
-
-
-def _bm25_store_family(sf_dir: str):
-    """BM25 top-k family over (store, analyzer): LOCAL + REMOTE index roots
-    (the store Directory seam) with the standard analyzer, plus the
-    english_minimal analysis chain (stop set + S-stemmer) on the local
-    root.  One oracle certifies BM25, the shared-storage path and the
-    English chain's tf/norm/df semantics at once."""
-    import pandas as pd
-
-    local = ft.bm25_topk(sf_dir).to_pandas()
-    local.insert(0, "analyzer", "standard")
-    local.insert(0, "store", "local")
-    remote = ft.bm25_topk_remote(sf_dir).to_pandas()
-    remote.insert(0, "analyzer", "standard")
-    remote.insert(0, "store", "remote")
-    en = ft.bm25_topk(sf_dir, analyzer="english_minimal").to_pandas()
-    en.insert(0, "analyzer", "english_minimal")
-    en.insert(0, "store", "local")
-    return pd.concat([local, remote, en], ignore_index=True)
-
-
-def _term_stats_family(sf_dir: str):
-    """Standard- and code-analyzer (term, doc_freq, total_term_freq) stats
-    as one analyzer-tagged family (same schema, two indexes)."""
-    import pandas as pd
-
-    arms = [
-        (name, ft.term_stats_all(sf_dir, analyzer=name))
-        for name in (
-            "standard",
-            "code",
-            "english_minimal",
-            "synonym",
-            "edge_ngram",
-            "ngram",
-            "reverse",
-            "mapped",
-            "custom_chain",
-            "pattern",
-            "common_grams",
-            "fingerprint",
-            "keyword_repeat",
-            "synonym_graph",
-        )
-    ]
-    arms += [
-        (name, ft.path_term_stats(sf_dir, reverse=rev))
-        for name, rev in (("path_hierarchy", False), ("path_hierarchy_reverse", True))
-    ]
-    arms += [
-        (name, ft.contact_term_stats(sf_dir, analyzer=name))
-        for name in ("classic", "uax29_url_email")
-    ]
-    arms += [
-        ("cjk_bigram", ft.cjk_term_stats(sf_dir)),
-        ("ja", ft.ja_term_stats(sf_dir)),
-        ("ko", ft.ko_term_stats(sf_dir)),
-        ("icu_folding", ft.icu_term_stats(sf_dir)),
-        ("zh", ft.zh_term_stats(sf_dir)),
-    ]
-    parts = []
-    for name, ds in arms:
-        p = ft.gather(ds, ft.TERM_STATS_SCHEMA).to_pandas()
-        p.insert(0, "analyzer", name)
-        parts.append(p)
-    return pd.concat(parts, ignore_index=True)
-
-
-def _dd_near_pairs(sf_dir: str):
-    """LSH-banded MinHash candidates + SimHash near pairs + n-gram Jaccard
-    pairs in one entry: (method, doc_a, doc_b, m1, m2) where m1/m2 are the
-    method's own integers (lsh: -1/-1, simhash: hamming/-1, ngram:
-    intersection/union sizes)."""
-    import pandas as pd
-
-    from lucene_ray.ops import dedup
-
-    lsh = dedup.lsh_candidate_pairs(_docs(sf_dir), max_group=10**6).to_pandas()
-    lsh["m1"] = -1
-    lsh["m2"] = -1
-    lsh["method"] = "lsh"
-    sh = dedup.simhash_near_pairs(_docs(sf_dir), max_group=10**6).to_pandas()
-    sh = sh.rename(columns={"hamming": "m1"})
-    sh["m2"] = -1
-    sh["method"] = "simhash"
-    ng = dedup.ngram_jaccard_pairs(
-        _docs(sf_dir), min_jaccard_pct=20, max_group=10**6
-    ).to_pandas()
-    ng = ng.rename(columns={"inter": "m1", "union_sz": "m2"})
-    ng["method"] = "ngram"
-    out = pd.concat([lsh, sh, ng], ignore_index=True)
-    for c in ("doc_a", "doc_b", "m1", "m2"):
-        out[c] = out[c].astype("int64")
-    return out[["method", "doc_a", "doc_b", "m1", "m2"]]
-
-
-def _function_score_family(sf_dir: str):
-    """FunctionScoreQuery boostByValue top-k + CoveringQuery (sandbox:
-    per-doc dynamic minimum-match, matching-clause score sum) as one
-    family-tagged entry."""
-    # FeatureField arms ride this family (driver 50-entry cap): one arm
-    # per feature function, the fn discriminator folded into the label
-    feat = ft.feature_topk(sf_dir).to_pandas()
-    return _concat_family(
-        [
-            ("fn", ft.function_score_topk(sf_dir)),
-            ("covering", ft.covering_topk(sf_dir)),
-            # FunctionRangeQuery: expression-valued match + score
-            ("fn_range", ft.function_range_topk(sf_dir)),
-        ]
-        + [
-            (f"feature_{fn}", g.drop(columns=["fn"]).reset_index(drop=True))
-            for fn, g in feat.groupby("fn", sort=True)
-        ]
-        + [
-            # RescoreTopNQuery: match set re-scored purely by a
-            # DoubleValuesSource at rewrite time, cut to top n
-            ("rescore_topn", ft.rescore_topn_topk(sf_dir)),
-        ]
-    )
-
-
 def _rescore_sql() -> str:
     """QueryRescorer oracle: first_n base hits by float32 score, combined
     = f32(base_f32 + w * second_f32) re-ranked top-10 (the engine's exact
@@ -2810,19 +2397,6 @@ comb AS (
 """
 
 
-def _multifield_family(sf_dir: str):
-    """Cross-field conjunction + the MultiFieldQueryParser expansion as
-    one family-tagged entry."""
-    return _concat_family(
-        [
-            ("conj", ft.multifield_topk(sf_dir)),
-            ("parsed", ft.multifield_parsed_topk(sf_dir)),
-            # PerFieldSimilarityWrapper: text=Classic, lang=BM25
-            ("perfield_sim", ft.multifield_perfield_topk(sf_dir)),
-        ]
-    )
-
-
 def _mfp_values() -> str:
     """(qid, field, term, boost) rows compiled from the SAME
     parse_multifield expansion the engine executes."""
@@ -2833,132 +2407,6 @@ def _mfp_values() -> str:
         for c in parse_multifield(qs, ("text", "title"), {"title": ft.TITLE_BOOST}):
             rows.append(f"({qid}, '{c.field}', '{c.query.term}', {c.boost})")
     return ", ".join(rows)
-
-
-def _phrase_topk_family(sf_dir: str):
-    """Exact-phrase BM25 top-k + the SpanScoreQuery top-k (SpanWeight /
-    SpanScorer scoring analogue: freq = distinct-span count) as one
-    family-tagged entry."""
-    return _concat_family(
-        [
-            ("exact", ft.phrase_topk(sf_dir)),
-            ("span", ft.span_score_topk(sf_dir)),
-            # PhraseWildcardQuery (sandbox): multi-term slots, idf summed
-            # over every budget-collected expansion
-            ("wildcard", ft.phrase_wildcard_topk(sf_dir)),
-            # IntervalQuery saturation scoring over the fn: expressions
-            ("interval_score", ft.interval_score_topk(sf_dir)),
-        ]
-    )
-
-
-def _proximity_family(sf_dir: str):
-    """The intervals family in one entry: unordered (minimal-window sweep),
-    ordered (greedy chain), containing/notContaining (windows filtered by
-    third-term containment) and or-slot sources; unordered rows carry
-    n_starts = -1 (its count is boolean-match only)."""
-    un = ft.gather(ft.proximity_matches(sf_dir)).to_pandas()
-    un["n_starts"] = -1
-    cont = ft.gather(ft.containing_proximity_matches(sf_dir)).to_pandas()
-    cont = cont.rename(columns={"n": "n_starts"})
-    disj = ft.gather(ft.or_proximity_matches(sf_dir)).to_pandas()
-    disj = disj.rename(columns={"n": "n_starts"})
-    # queryparser/surround language (booleans + W/N distance + truncation),
-    # parsed then evaluated per segment; match-set only (n_starts = -1)
-    sur = ft.gather(ft.surround_matches(sf_dir)).to_pandas()
-    sur["n_starts"] = -1
-    # SpanQuery family (queries/spans): distinct-span counts from the
-    # compositional span algebra, oracle-compiled from the same ASTs
-    spn = ft.gather(ft.span_matches(sf_dir)).to_pandas().rename(columns={"n": "n_starts"})
-    # FieldMaskingSpanQuery (queries/spans/FieldMaskingSpanQuery.java):
-    # masked clauses read the title sub-index's positions
-    msk = ft.gather(ft.field_masked_matches(sf_dir)).to_pandas().rename(
-        columns={"n": "n_starts"}
-    )
-    # TermAutomatonQuery (sandbox): graph proximity, match-set only
-    auto = ft.gather(ft.automaton_matches(sf_dir)).to_pandas()
-    auto["n_starts"] = -1
-    return _concat_family(
-        [
-            ("unordered", un),
-            ("ordered", ft.ordered_proximity_matches(sf_dir)),
-            ("containing", cont),
-            ("or", disj),
-            ("surround", sur),
-            ("spans", spn),
-            ("masked", msk),
-            ("automaton", auto),
-            # StandardQueryParser fn: interval functions (queryparser/
-            # flexible) over the minimal-interval algebra
-            (
-                "intervals_fn",
-                ft.gather(ft.intervals_fn_matches(sf_dir))
-                .to_pandas()
-                .rename(columns={"n": "n_starts"}),
-            ),
-            # phrase-frequency counts ride this family too (driver
-            # 50-entry cap): exact / multi-slot / sloppy phrase freqs
-            (
-                "phrase_exact",
-                ft.gather(ft.phrase_counts(sf_dir))
-                .to_pandas()
-                .rename(columns={"phrase_freq": "n_starts"}),
-            ),
-            (
-                "phrase_multi",
-                ft.gather(ft.multi_phrase_counts(sf_dir))
-                .to_pandas()
-                .rename(columns={"phrase_freq": "n_starts"}),
-            ),
-            (
-                "phrase_sloppy",
-                ft.gather(ft.phrase_sloppy_counts(sf_dir))
-                .to_pandas()
-                .rename(columns={"sloppy_freq": "n_starts"}),
-            ),
-        ]
-    )
-
-
-def _ev_window_counts(sf_dir: str):
-    """Tumbling + hopping + watermark-late-exclusion window aggregates in
-    one entry (the watermark kind drops events arriving behind the
-    running-max-ts watermark minus the allowed lateness)."""
-    from lucene_ray.ops import events
-
-    return _concat_family(
-        [
-            ("tumbling", events.windowed_counts(_events(sf_dir))),
-            ("hopping", events.hopping_counts(_events(sf_dir))),
-            ("tumbling_watermark", events.watermark_windowed_counts(_events(sf_dir))),
-            # HLL-gated exact distinct users (ops/sketch.py): the sketch
-            # estimate is asserted within 5% per group, exact returned
-            ("hll_distinct_users", events.hll_distinct_users(_events(sf_dir))),
-            # CMS-screened exact heavy hitters (rank rides sum_cents)
-            ("cm_top_events", events.cm_top_events(_events(sf_dir))),
-        ]
-        + [
-            # KMV bottom-k quantile sketch: the deterministic md5 bottom-m
-            # sample (mergeable partials) beside the exact quantiles; the
-            # sample's TRUE rank error is gated in-engine, and BOTH arms
-            # are hash-exact (the sample itself is SQL-reproducible)
-            (f"value_quantiles_{label}", tbl)
-            for label, tbl in zip(
-                ("exact", "sample"), events.value_quantiles(_events(sf_dir))
-            )
-        ],
-        col="kind",
-    )
-
-
-def _ev_join_family(sf_dir: str):
-    """Event-time join family (kind, event_id, v): as-of join (v = epoch-us
-    of the latest same-user login <= the purchase, -1 if none) + interval
-    join (v = same-user clicks in the preceding hour)."""
-    from lucene_ray.ops import events
-
-    # ONE keyed shuffle: both joins ride the same groupby(user_id)
-    return events.join_family(_events(sf_dir)).to_pandas()
 
 
 def _clean_corpus(sf_dir: str):
@@ -2972,265 +2420,38 @@ def _clean_corpus(sf_dir: str):
     return clean_corpus(_docs(sf_dir, ("doc_id", "text", "lang")), out_dir=out)
 
 
-def _training_mix(sf_dir: str):
-    from lucene_ray.ops.clean import training_mix
+def _dd_near_pairs(sf_dir: str):
+    """LSH-banded MinHash candidates + SimHash near pairs + n-gram Jaccard
+    pairs in one entry: (method, doc_a, doc_b, m1, m2) where m1/m2 are the
+    method's own integers (lsh: -1/-1, simhash: hamming/-1, ngram:
+    intersection/union sizes)."""
+    from lucene_ray.ops import dedup
 
-    return training_mix(_docs(sf_dir, ("doc_id", "text", "lang")))
+    def pairs(fn, cols, **kw):
+        return lambda sf: _frame(fn(_docs(sf), max_group=10**6, **kw)).rename(columns=cols)
 
-
-def _events(sf_dir: str):
-    return read_parquet(os.path.join(sf_dir, "events.parquet"))
-
-
-def queries() -> dict[str, Callable[[str], Any]]:
-    from lucene_ray.ops import dedup, events, monitor, multimodal, text
-
-    return {
-        # --- fulltext index pipelines (the flagship) ---
-        # standard + code analyzer (WordDelimiter-lite camelCase/snake_case
-        # split) term stats as one analyzer-tagged family entry
-        "ft_term_stats": _term_stats_family,
-        # inverted postings + term-vector forward index (one oracle both
-        # ways certifies the TermVectorsWriter-analogue artifact)
-        "ft_term_postings": _term_postings_family,
-        "ft_doc_norms": ft.doc_norms,
-        "ft_collection_stats": ft.collection_stats,
-        "ft_top_terms": ft.top_terms,
-        # family: same query set answered from a LOCAL index root and from
-        # a REMOTE (fsspec file://) root through the store Directory seam —
-        # one oracle certifies BM25 and the shared-storage IO path at once
-        "ft_bm25_topk": _bm25_store_family,
-        "ft_bool_counts": ft.bool_counts,
-        "ft_multiterm_matches": _multiterm_matches,
-        # SynonymQuery (one pseudo-term: df=max, ttf=sum, freq=sum(boost*tf))
-        # beside BlendedTermQuery (separate clauses with EQUALIZED df=max
-        # stats, dismax tie=0.01 / SHOULD-sum rewrites) over the same groups
-        # + the DisjunctionMax / QueryRescorer arms (driver 50-entry cap)
-        "ft_synonym_topk": lambda sf: _concat_family(
-            [
-                ("synonym", ft.synonym_topk(sf)),
-                ("blended_dismax", ft.blended_topk(sf, "dismax")),
-                ("blended_bool", ft.blended_topk(sf, "boolean")),
-                ("dismax", ft.dismax_topk(sf)),
-                ("rescored", ft.rescored_topk(sf)),
-            ],
-            col="arm",
-        ),
-        # lucene/suggest family: weighted prefix completion from the term
-        # dictionary + the DirectSpellChecker candidate scan and the other
-        # suggesters, all (qid, rnk, term, weight)
-        "ft_suggest_family": lambda sf: _concat_family(
-            [
-                ("prefix", ft.suggest_prefix(sf)),
-                # RegexCompletionQuery: regex-accepted prefix completions
-                ("regex", ft.regex_suggest(sf)),
-                ("spell", ft.spell_suggest(sf)),
-                ("freetext", ft.freetext_suggest(sf)),
-                ("wordbreak", ft.wordbreak_suggest(sf)),
-                ("spell_jaro", ft.spell_suggest_jaro(sf)),
-                # AnalyzingInfixSuggester: prefix matches EITHER bigram token
-                ("infix", ft.infix_suggest(sf)),
-                # BlendedInfixSuggester: weight blended by first-match
-                # position (linear / reciprocal), reference long math
-                ("blended_linear", ft.blended_infix_suggest(sf, "linear")),
-                ("blended_recip", ft.blended_infix_suggest(sf, "reciprocal")),
-                # FuzzySuggester: prefix within 1 Damerau edit completes
-                ("fuzzy", ft.fuzzy_suggest(sf)),
-                # DocumentDictionary: entries from stored doc fields
-                # (title, n_chars weight), whole-entry prefix lookup
-                ("document", ft.document_suggest(sf)),
-                # ContextQuery: lang-context filtering + boosting over
-                # ContextSuggestField-style entries
-                ("context", ft.context_suggest(sf)),
-            ],
-            col="method",
-        ),
-        # lucene/grouping analogue: top groups by best hit + top docs per
-        # group, beside AllGroupsCollector (group set + sizes) and
-        # AllGroupHeadsCollector (global best doc per group)
-        "ft_grouped_topk": lambda sf: _grouped_family(sf),
-        # queries/function FunctionScoreQuery: score * ln(1 + n_chars)
-        "ft_function_score_topk": _function_score_family,
-        # core/document/FeatureField: BM25 MUST + feature SHOULD, one arm
-        # per FeatureFunction (linear/log/satu/sigm) over the 9-bit-
-        # mantissa-quantized n_chars feature; satu exercises the
-        # computed-pivot rewrite
-        # misc DocValuesStatsCollector: per-query aggregate stats of the
-        # n_chars doc-values column over matching docs (exact integer
-        # partials per segment; mean/variance one double expression)
-        "ft_dv_stats": lambda sf: ft.doc_values_stats(sf),
-        # benchmark/quality (QualityBenchmark + TrecJudge + QualityStats):
-        # BM25 top-20 judged against tf>=2 relevance — integer-exact
-        # per-rank rows; judgments from INDEX postings, oracle recounts text
-        "ft_quality_run": lambda sf: ft.quality_judged_run(sf),
-        # lucene/join JoinUtil query-time self-join (modes max/min/total/avg
-        # over the source join field) beside the INDEX-TIME block join family
-        # (ToParent ScoreModes + ToChildBlockJoin children, block-index
-        # docids) — one mode-discriminated table
-        "ft_join_topk": lambda sf: pa.concat_tables(
-            [ft.join_topk(sf), ft.block_join_topk(sf)]
-        ),
-        # queries/mlt MoreLikeThis (seed term vector -> tf*idf term
-        # selection -> SHOULD disjunction, seed excluded) + FuzzyLikeThisQuery
-        # (sandbox/queries/FuzzyLikeThisQuery.java, ignoreTF mode) as one
-        # method-tagged family
-        "ft_mlt_topk": _mlt_family,
-        # lucene/monitor percolator: registered queries broadcast, the
-        # corpus STREAMS through matchers (inverted dataflow)
-        "ft_percolate_counts": _percolate_both_paths,
-        # lucene/highlighter analogue: best W-token passage per top doc,
-        # integer (n_uniq, n_hits, earliest) scoring over the positions
-        # index (BreakIterator-passage deviation documented in the module)
-        "ft_highlight_passages": ft.highlight_passages,
-        # term-dictionary ranges + the sandbox index-sort binary-search
-        # numeric range (one contiguous span per segment, no scan)
-        "ft_range_counts": lambda sf: _concat_family(
-            [
-                ("term", ft.range_counts(sf)),
-                ("index_sorted_numeric", ft.index_sorted_range_counts(sf)),
-                # sandbox MultiRangeQuery: deduped union of BKD ranges
-                ("multi_range", ft.multi_range_counts(sf)),
-                # PointInSetQuery: one shared traversal per sorted set
-                ("point_in_set", ft.point_in_set_counts(sf)),
-                # LatLonPoint.newBoxQuery over GeoEncodingUtils-encoded
-                # lat/lon (incl. the dateline-crossing split)
-                ("geo_box", ft.geo_box_counts(sf)),
-                # spatial3d Geo3D shapes: unit-sphere circle/polygon/path
-                # membership, tree-pruned + exact-verified
-                ("geo3d", ft.geo3d_counts(sf)),
-                # DoublePoint/FloatPoint ranges via the sortable-bits
-                # encodings (NumericUtils), cross-checked in-engine
-                ("double_range", ft.double_range_counts(sf)),
-                # RangeFieldQuery (LongRange): the four QueryType relations
-                *[
-                    (f"range_field_{rel}", tbl)
-                    for rel, tbl in sorted(ft.range_field_counts(sf).items())
-                ],
-                # LatLonBoundingBox: 2-D box relations on the 4-dim tree
-                *[
-                    (f"latlon_bbox_{rel}", tbl)
-                    for rel, tbl in sorted(ft.latlon_bbox_counts(sf).items())
-                ],
-                # InetAddressPoint exact / CIDR-prefix / range queries
-                ("inet", ft.inet_range_counts(sf)),
-                # HalfFloatPoint ranges via sortable-short encoding
-                ("half_float", ft.half_float_range_counts(sf)),
-            ]
-        ),
-        "ft_bm25_topk_variants": _bm25_variants,
-        "ft_phrase_topk": _phrase_topk_family,
-        "ft_proximity_matches": _proximity_family,
-        "ft_filtered_topk": ft.filtered_topk,
-        "ft_range_filtered_topk": ft.range_filtered_topk,
-        # 2-dim BKD point tree (util/bkd BKDWriter/BKDReader analogue):
-        # per-segment persisted block k-d tree, box filter clause
-        "ft_point_box_topk": ft.point_box_topk,
-        # LatLonPoint distance query analogue: BKD radius traversal,
-        # integer squared distances, sorted nearest-first — plus the
-        # 'haversine' arm: true great-circle radius on GeoEncodingUtils-
-        # encoded lat/lon via the monotone haversinSortKey (asin-free)
-        "ft_point_distance": lambda sf: pa.concat_tables(
-            [
-                ft.point_distance_topk(sf),
-                (lambda t: t.add_column(
-                    0, "family", pa.array(["haversine"] * len(t), pa.string())
-                ))(ft.geo_distance_topk(sf)),
-            ]
-        ),
-        # classic query parser end-to-end (queryparser/classic semantics:
-        # grouping, AND/OR/NOT promotion, ^boosts, [a TO b] ranges)
-        "ft_parsed_topk": ft.parsed_topk,
-        "ft_delete_search": ft.delete_search_topk,
-        "ft_multifield_topk": _multifield_family,
-        # Classic TF-IDF + Boolean + LMDirichlet over the same index: the
-        # pluggable-similarity (SimScorer) seam as one family entry
-        "ft_similarity_topk": ft.similarity_topk,
-        "ft_combined_field_topk": ft.combined_field_topk,
-        # SortField top-k + index-time-sorted early-terminating top-k
-        # (search/Sort.java + index/Sorter.java) as one family entry
-        "ft_sort_family": _sort_family,
-        # facet family + the misc DocValuesStats rows (same facet-tagged
-        # shape; dv_stats reduces min/max/sum/count on the driver) + the
-        # DynamicRangeUtil equi-weight ranges (greedy scan over globally
-        # sorted (value, weight) pairs — pair partials per segment)
-        "ft_facet_counts": lambda sf: _concat_rows(
-            ft.facet_counts(sf), ft.dv_stats(sf), ft.dynamic_range_facets(sf),
-            # GroupFacetCollector: distinct-group counts per facet value
-            ft.grouped_facet_counts(sf),
-        ),
-        # --- text analysis ---
-        # token_stats + quality_stats + lang-ID + fingerprints fused into
-        # one per-doc profile (single read pass; frees driver-cap slots)
-        # + benchmark decontamination columns (GPT-3 App. C / The Pile
-        # n-gram overlap vs a leaked eval set; small side broadcast)
-        # + DSIR importance weights (Xie et al. 2023) vs the same target
-        # docs — integer dot products against a broadcast score table
-        # + NB quality-voting classifier columns (fastText-filter stand-in;
-        # integer voting checked, float log-odds agreement-gated in-engine)
-        "tx_doc_stats": _tx_doc_stats,
-        "tx_scrub_pii": lambda sf: text.scrub_pii(_docs(sf)),
-        # sampling family: hash-gated per-stratum pct arm + token-budget
-        # domain-mixture arm (greedy fill in deterministic hash order —
-        # the Pile/DoReMi-style static mixture step)
-        "tx_stratified_sample": lambda sf: text.sample_family(
-            _docs(sf, ("doc_id", "text", "lang")),
-            {"en": 50, "de": 25, "fr": 10},
-            {"en": 4000, "de": 1500, "fr": 2000},
-        ),
-        # --- dedup ---
-        # MinHash + SimHash + exact-survivor signatures in one family entry
-        "dd_signatures": _dd_signatures,
-        # LSH-band / SimHash-band / n-gram-Jaccard near-pair family
-        "dd_near_pairs": _dd_near_pairs,
-        # connected components over the verified near-dup pairs: distributed
-        # min-label propagation, every round a Ray Data shuffle.  Family:
-        # jaccard (shingle-overlap edges) + semantic (SemDeDup, Abbas et
-        # al. 2023: exact hashed-TF cosine components returned, the k-means
-        # scale path gated in-engine — see _dd_duplicate_clusters)
-        "dd_duplicate_clusters": _dd_duplicate_clusters,
-        # --- similarity search ---
-        "ann_topk_variants": _ann_variants,
-        "ann_ivf_persisted": _ann_ivf_persisted,
-        # approximate (HNSW): each arm asserts recall >= HNSW_MIN_RECALL vs
-        # the in-engine exact top-k, then returns that exact top-k, which
-        # the oracle reproduces (tests/test_ops_semantics.py pins recall)
-        "ann_hnsw_topk": lambda sf: _concat_family(
-            [
-                ("plain", _ann_hnsw(sf)),
-                ("filtered", _ann_hnsw_filtered(sf)),
-                # SeededKnnVectorQuery: seed-query matches as entry points
-                ("seeded", _ann_hnsw_seeded(sf)),
-                # PatienceKnnVectorQuery: saturation early exit, same
-                # recall gate (a too-eager exit turns the row red)
-                ("patience", _ann_hnsw(sf, patience=True)),
-            ],
-            col="variant",
-        ),
-        "ann_near_dup_pairs": _near_dup,
-        # --- multimodal: REAL BMP/PNG header decode + resize, one pass ---
-        "mm_image_stats": lambda sf: multimodal.image_stats(_docs(sf, None)),
-        "mm_frame_samples": lambda sf: multimodal.frame_samples(_docs(sf, None)),
-        # --- full cleaning pipeline (quality -> dedup -> partitioned sink) ---
-        "pl_clean_corpus": _clean_corpus,
-        # the composed LLM training-data pipeline: lang gate -> quality +
-        # repetition gate -> exact dedup -> near-dup cluster collapse
-        "pl_training_mix": _training_mix,
-        # --- event-table operators (windowed agg / sessions / as-of join) ---
-        "ev_window_counts": _ev_window_counts,
-        "ev_sessionize": lambda sf: events.sessionize(_events(sf)),
-        # event-time join family: as-of (latest login <= purchase) +
-        # stream-stream interval join (clicks in the preceding hour)
-        "ev_asof_last_login": _ev_join_family,
-    }
+    out = _family(
+        "method",
+        ("lsh", pairs(dedup.lsh_candidate_pairs, {})),
+        ("simhash", pairs(dedup.simhash_near_pairs, {"hamming": "m1"})),
+        ("ngram", pairs(dedup.ngram_jaccard_pairs, {"inter": "m1", "union_sz": "m2"}, min_jaccard_pct=20)),
+    )(sf_dir).fillna({"m1": -1, "m2": -1})
+    return out.astype({c: "int64" for c in ("doc_a", "doc_b", "m1", "m2")})[
+        ["method", "doc_a", "doc_b", "m1", "m2"]
+    ]
 
 
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
 
-def oracle_sql() -> dict[str, str]:
+def _table() -> list[tuple[str, Callable[[str], Any], str]]:
+    """The driver entries in order: (name, pipeline, oracle SQL)."""
+    import pandas as pd
+
+    from lucene_ray.ops import ann, events, multimodal, text
     from lucene_ray.ops import semdedup as semdedup_mod
-    from lucene_ray.ops import text
+    from lucene_ray.ops.clean import training_mix
 
     qterms_in = ", ".join(f"'{t}'" for t in ft.QUERY_TERMS)
     # ft_quality_run: cumulative relevant count per rank
@@ -3240,8 +2461,31 @@ def oracle_sql() -> dict[str, str]:
     )
     # ft_suggest_family: suggestions ranked per query
     suggest_out = "qid::BIGINT AS qid, rnk::BIGINT AS rnk, term, weight"
-    return {
-        "ft_term_stats": f"""
+    return [
+        # --- fulltext index pipelines (the flagship) ---
+        # standard + code analyzer (WordDelimiter-lite camelCase/snake_case
+        # split) term stats as one analyzer-tagged family entry
+        ("ft_term_stats", _family(
+            "analyzer",
+            *[
+                (name, partial(ft.term_stats_all, analyzer=name))
+                for name in (
+                    "standard", "code", "english_minimal", "synonym", "edge_ngram",
+                    "ngram", "reverse", "mapped", "custom_chain", "pattern",
+                    "common_grams", "fingerprint", "keyword_repeat", "synonym_graph",
+                )
+            ],
+            ("path_hierarchy", ft.path_term_stats),
+            ("path_hierarchy_reverse", partial(ft.path_term_stats, reverse=True)),
+            ("classic", partial(ft.contact_term_stats, analyzer="classic")),
+            ("uax29_url_email", partial(ft.contact_term_stats, analyzer="uax29_url_email")),
+            ("cjk_bigram", ft.cjk_term_stats),
+            ("ja", ft.ja_term_stats),
+            ("ko", ft.ko_term_stats),
+            ("icu_folding", ft.icu_term_stats),
+            ("zh", ft.zh_term_stats),
+            schema=ft.TERM_STATS_SCHEMA,
+        ), f"""
 SELECT 'standard' AS analyzer, s.* FROM (
 WITH {_TOKS}
 SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
@@ -3591,31 +2835,35 @@ SELECT gtz.term, count(*)::BIGINT AS doc_freq,
        sum(gtz.tf)::BIGINT AS total_term_freq
 FROM docszh JOIN gtz ON docszh.t = gtz.t GROUP BY gtz.term
 ) zt
-""",
-        "ft_term_postings": f"""
+"""),
+        # inverted postings + term-vector forward index (one oracle both
+        # ways certifies the TermVectorsWriter-analogue artifact)
+        ("ft_term_postings", _family(
+            "family", ("postings", ft.term_postings), ("vectors", ft.term_vectors_dump)
+        ), f"""
 WITH {_TOKS}
 SELECT 'postings' AS family, tok AS term, doc_id, tf
 FROM tf WHERE tok IN ({qterms_in})
 UNION ALL
 SELECT 'vectors', tok, doc_id, tf
 FROM tf WHERE doc_id IN ({", ".join(str(d) for d in ft.TV_SAMPLE_DOCS)})
-""",
-        "ft_doc_norms": f"""
+"""),
+        ("ft_doc_norms", ft.doc_norms, f"""
 WITH {_COLLECTION}
 SELECT d.doc_id,
        (SELECT max(nb) FROM lt WHERE lt.L <= d.dl)::BIGINT AS norm_byte,
        d.ql AS dl_quantized
 FROM dlq d
-""",
-        "ft_collection_stats": f"""
+"""),
+        ("ft_collection_stats", ft.collection_stats, f"""
 WITH {_COLLECTION}
 SELECT (SELECT count(*) FROM documents)::BIGINT AS max_doc,
        doc_count,
        sum_ttf AS sum_total_term_freq,
        (SELECT count(*) FROM tf)::BIGINT AS sum_doc_freq
 FROM stats
-""",
-        "ft_top_terms": f"""
+"""),
+        ("ft_top_terms", ft.top_terms, f"""
 WITH {_TOKS},
 ts AS (
   SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
@@ -3627,8 +2875,20 @@ SELECT 'ttf' AS ord, term, doc_freq, total_term_freq FROM
 UNION ALL
 SELECT 'df' AS ord, term, doc_freq, total_term_freq FROM
   (SELECT * FROM ts ORDER BY doc_freq DESC, term ASC LIMIT 25)
-""",
-        "ft_bm25_topk": f"""
+"""),
+        # family: same query set answered from a LOCAL index root and from
+        # a REMOTE (fsspec file://) root through the store Directory seam —
+        # one oracle certifies BM25 and the shared-storage IO path at once
+        ("ft_bm25_topk", _family(
+            "store",
+            ("local", _family(
+                "analyzer",
+                ("standard", ft.bm25_topk),
+                # the english_minimal analysis chain (stop set + S-stemmer)
+                ("english_minimal", partial(ft.bm25_topk, analyzer="english_minimal")),
+            )),
+            ("remote", _family("analyzer", ("standard", ft.bm25_topk_remote))),
+        ), f"""
 SELECT s.store, 'standard' AS analyzer, r.* FROM (
 WITH {_COLLECTION},
 q(qid, term) AS (VALUES {_QTERMS_VALUES}),
@@ -3640,12 +2900,64 @@ WITH {_collection(_TOKS_EN)},
 q(qid, term) AS (VALUES {_QTERMS_VALUES}),
 {_BM25_COMMON}
 ) r2
-""",
-
+"""),
+        ("ft_bool_counts", ft.bool_counts, _bool_counts_sql()),
+        ("ft_multiterm_matches", _family(
+            "family",
+            ("prefix", ft.prefix_matches),
+            ("prefix_scored", ft.prefix_scored_matches),
+            ("in_set", ft.term_in_set_matches),
+            # doc-values twin of in_set (sandbox DocValuesTermsQuery)
+            ("in_set_dv", ft.dv_terms_matches),
+            # numeric-set twin (sandbox DocValuesNumbersQuery)
+            ("in_set_numbers_dv", ft.dv_numbers_matches),
+            # IDVersion PK seekExact (sandbox idversion + PerThreadPK
+            # Lookup): rnk=0 row carries found, rnk=1 the version
+            ("pk_lookup", ft.pk_lookup_rows),
+            ("wildcard", ft.wildcard_matches),
+            ("regexp", ft.regexp_matches),
+            ("fuzzy", ft.fuzzy_matches),
+            # FuzzyQuery's DEFAULT rewrite: top-terms blended-freq scoring
+            ("fuzzy_scored", ft.fuzzy_scored_matches),
+        ), f"""
+SELECT 'prefix' AS family, * FROM ({_prefix_sql()})
+UNION ALL SELECT 'prefix_scored', * FROM ({_prefix_scored_sql()})
+UNION ALL SELECT 'in_set', * FROM ({_in_set_sql()})
+UNION ALL SELECT 'in_set_dv', * FROM ({_in_set_dv_sql()})
+UNION ALL SELECT 'in_set_numbers_dv', * FROM ({_in_set_numbers_dv_sql()})
+UNION ALL SELECT 'pk_lookup', * FROM (
+WITH q(qid, id, minv) AS (VALUES {", ".join(f"({i}, {idv}, {mv})" for i, (idv, mv) in enumerate(ft.PK_LOOKUPS))}),
+pk AS (
+  SELECT q.qid::BIGINT AS qid,
+         (CASE WHEN d.doc_id IS NOT NULL AND d.n_chars >= q.minv
+               THEN 1 ELSE 0 END)::BIGINT AS found,
+         (CASE WHEN d.doc_id IS NOT NULL AND d.n_chars >= q.minv
+               THEN d.n_chars ELSE -1 END)::BIGINT AS version
+  FROM q LEFT JOIN documents d ON d.doc_id = q.id
+)
+SELECT qid, 0::BIGINT AS rnk, found AS doc_id FROM pk
+UNION ALL SELECT qid, 1::BIGINT, version FROM pk
+)
+UNION ALL SELECT 'fuzzy_scored', * FROM ({_fuzzy_scored_sql()})
+UNION ALL SELECT 'wildcard', * FROM ({_wildcard_sql()})
+UNION ALL SELECT 'regexp', * FROM ({_regexp_sql()})
+UNION ALL SELECT 'fuzzy', * FROM ({_fuzzy_sql()})
+"""),
+        # SynonymQuery (one pseudo-term: df=max, ttf=sum, freq=sum(boost*tf))
+        # beside BlendedTermQuery (separate clauses with EQUALIZED df=max
+        # stats, dismax tie=0.01 / SHOULD-sum rewrites) over the same groups
+        # + the DisjunctionMax / QueryRescorer arms (driver 50-entry cap)
         # SynonymQuery blended scoring (SynonymQuery.java): ONE idf from the
         # blended df=max(term df); freq = sum(boost*tf); terms with df=0
         # drop out of both naturally
-        "ft_synonym_topk": f"""
+        ("ft_synonym_topk", _family(
+            "arm",
+            ("synonym", ft.synonym_topk),
+            ("blended_dismax", partial(ft.blended_topk, rewrite="dismax")),
+            ("blended_bool", partial(ft.blended_topk, rewrite="boolean")),
+            ("dismax", ft.dismax_topk),
+            ("rescored", ft.rescored_topk),
+        ), f"""
 WITH syn AS (
 WITH {_COLLECTION},
 q(qid, term, boost) AS (VALUES {_SYN_VALUES}),
@@ -3668,485 +2980,36 @@ UNION ALL SELECT 'blended_dismax', b.* FROM ({_blended_sql("dismax")}) b
 UNION ALL SELECT 'blended_bool', b2.* FROM ({_blended_sql("boolean")}) b2
 UNION ALL SELECT 'dismax', d.* FROM ({_dismax_sql()}) d
 UNION ALL SELECT 'rescored', r.* FROM ({_rescore_sql()}) r
-""",
-        # JoinUtil ScoreMode.Max: join value's best float32 from-score
-        # becomes every to-side doc's score; ties by doc_id
-        "ft_join_topk": f"""
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_JOIN_VALUES}),
-{_term_scores(combine="sum(score)::FLOAT")},
--- f32 from-scores are exact integers on the 2^-40 grid: TOTAL/AVG become
--- order-independent integer sums (mirrors pipelines/fulltext.py)
-vals AS (
-  SELECT s.qid, d.{ft.JOIN_FIELD} AS v,
-         max(s.score) AS max_s, min(s.score) AS min_s,
-         sum((s.score::DOUBLE * 1099511627776.0)::BIGINT)::BIGINT AS sum_i,
-         count(*)::BIGINT AS cnt
-  FROM scored s JOIN documents d ON d.doc_id = s.doc_id
-  GROUP BY s.qid, d.{ft.JOIN_FIELD}
-),
-modes AS (
-  SELECT 'max' AS mode, qid, v, max_s::DOUBLE AS jscore FROM vals
-  UNION ALL SELECT 'min', qid, v, min_s::DOUBLE FROM vals
-  UNION ALL SELECT 'total', qid, v, sum_i::DOUBLE FROM vals
-  UNION ALL SELECT 'avg', qid, v, sum_i::DOUBLE / cnt::DOUBLE FROM vals
-),
-to_side AS (
-  SELECT m.mode, m.qid, dd.doc_id, m.jscore
-  FROM modes m JOIN documents dd ON dd.{ft.JOIN_FIELD} = m.v
-),
-ranked AS (
-  SELECT mode, qid, doc_id,
-         row_number() OVER (
-           PARTITION BY mode, qid ORDER BY jscore DESC, doc_id
-         ) AS rnk
-  FROM to_side
-),
--- INDEX-TIME block join over the _BLOCK_POS docids
-{_BLOCK_POS},
-bagg AS (
-  SELECT s.qid, cp.parent_docid,
-         max(s.score) AS mx, min(s.score) AS mn,
-         sum((s.score::DOUBLE * 1099511627776.0)::BIGINT)::BIGINT AS si,
-         count(*)::BIGINT AS c
-  FROM scored s JOIN cpos cp ON cp.doc_id = s.doc_id
-  GROUP BY s.qid, cp.parent_docid
-),
-bmodes AS (
-  SELECT 'block_max' AS mode, qid, parent_docid AS did, mx::DOUBLE AS jscore FROM bagg
-  UNION ALL SELECT 'block_min', qid, parent_docid, mn::DOUBLE FROM bagg
-  UNION ALL SELECT 'block_total', qid, parent_docid, si::DOUBLE FROM bagg
-  UNION ALL SELECT 'block_avg', qid, parent_docid, si::DOUBLE / c::DOUBLE FROM bagg
-  UNION ALL SELECT 'block_none', qid, parent_docid, 0.0 FROM bagg
-),
-branked AS (
-  SELECT mode, qid, did,
-         row_number() OVER (PARTITION BY mode, qid ORDER BY jscore DESC, did) AS rnk
-  FROM bmodes
-),
-tchild AS (
-  SELECT 'block_children' AS mode, 0 AS qid, child_docid AS did,
-         row_number() OVER (ORDER BY child_docid) AS rnk
-  FROM cpos WHERE source IN ({", ".join(f"'{s}'" for s in ft.BLOCK_CHILD_SOURCES)})
-),
--- ToChildBlockJoin doScores: each child carries its parent's qid-0
--- ToParent-max score
-tchildsc AS (
-  SELECT 'block_child_scores' AS mode, 0 AS qid, cp.child_docid AS did,
-         row_number() OVER (ORDER BY b.mx DESC, cp.child_docid) AS rnk
-  FROM bagg b JOIN cpos cp ON cp.parent_docid = b.parent_docid
-  WHERE b.qid = 0
-)
-SELECT mode, qid::BIGINT AS qid, rnk::BIGINT AS rnk, doc_id FROM ranked WHERE rnk <= 10
-UNION ALL
-SELECT mode, qid::BIGINT, rnk::BIGINT, did FROM branked WHERE rnk <= 10
-UNION ALL
-SELECT mode, qid::BIGINT, rnk::BIGINT, did FROM tchild WHERE rnk <= 10
-UNION ALL
-SELECT mode, qid::BIGINT, rnk::BIGINT, did FROM tchildsc WHERE rnk <= 10
-""",
-        # MoreLikeThis: seed's term vector -> tf*(ln((N+1)/(df+1))+1) term
-        # selection (top 10, ties term-asc) -> BM25 SHOULD disjunction,
-        # seed doc excluded from the hits
-        "ft_mlt_topk": f"""
-SELECT 'mlt' AS method, m.* FROM (
-WITH {_COLLECTION},
-seeds(sid, sdoc) AS (VALUES {", ".join(f"({i}, {d})" for i, d in enumerate(ft.MLT_SEEDS))}),
-dfs AS (SELECT tok, count(*)::BIGINT AS df FROM tf GROUP BY tok),
-seedterms AS (
-  SELECT s.sid, t.tok,
-         t.tf * (ln((st.doc_count + 1.0) / (d.df + 1.0)) + 1.0) AS mscore
-  FROM seeds s
-  JOIN tf t ON t.doc_id = s.sdoc
-  JOIN dfs d ON d.tok = t.tok
-  CROSS JOIN stats st
-  WHERE t.tf >= {ft.MLT_MIN_TF} AND d.df >= {ft.MLT_MIN_DF}
-),
-q AS (
-  SELECT sid AS qid, tok AS term FROM (
-    SELECT sid, tok,
-           row_number() OVER (PARTITION BY sid ORDER BY mscore DESC, tok) AS r
-    FROM seedterms) z
-  WHERE r <= {ft.MLT_MAX_TERMS}
-),
-{_term_scores()},
-excl AS (
-  SELECT sc.qid, sc.doc_id, sc.score
-  FROM scored sc JOIN seeds s ON s.sid = sc.qid
-  WHERE sc.doc_id != s.sdoc
-),
-{_topk("excl", out="qid::BIGINT AS sid, rnk::BIGINT AS rnk, doc_id")}
-) m
-UNION ALL
--- FuzzyLikeThisQuery (sandbox/queries/FuzzyLikeThisQuery.java, ignoreTF):
--- fuzzify sources over the dictionary, boost = 1 - ed/minlen (1.0 exact),
--- top 50 variants per source, score = boost^2 * idf(source df | avg
--- variant df), global top maxNumTerms, constant-score SHOULD sum
-SELECT 'flt', fz.* FROM (
-WITH {_TOKS},
-vocab AS (SELECT tok AS term, count(*)::BIGINT AS df FROM tf GROUP BY tok),
-srcs(qid, source) AS (VALUES {", ".join(f"({q}, '{t}')" for q, t in ft._flt_sources())}),
-cand AS (
-  SELECT s.qid, s.source, v.term AS variant,
-         damerau_levenshtein(s.source, v.term)::BIGINT AS dist, v.df
-  FROM srcs s JOIN vocab v
-    ON damerau_levenshtein(s.source, v.term) <= {ft.FLT_MAX_EDITS}
-),
-boosted AS (
-  SELECT qid, source, variant, df, dist,
-         CASE WHEN dist = 0 THEN 1.0::FLOAT
-              ELSE (1.0::FLOAT
-                    - dist::FLOAT / least(length(source), length(variant))::FLOAT)
-         END AS boost
-  FROM cand
-),
-src_df AS (
-  SELECT qid, source,
-         coalesce(max(CASE WHEN dist = 0 THEN df END),
-                  sum(df) // count(*))::BIGINT AS df_src
-  FROM cand GROUP BY qid, source
-),
-topvar AS (
-  SELECT * FROM (
-    SELECT b.*,
-           row_number() OVER (PARTITION BY qid, source
-                              ORDER BY boost DESC, variant ASC) AS vr
-    FROM boosted b) z WHERE vr <= {ft.FLT_MAX_VARIANTS}
-),
-scored AS (
-  SELECT t.qid, t.variant,
-         ((t.boost * t.boost)
-          * (ln(((SELECT count(*) FROM documents) + 1) / (s.df_src + 1.0))
-             + 1.0)::FLOAT)::FLOAT AS score
-  FROM topvar t JOIN src_df s ON s.qid = t.qid AND s.source = t.source
-),
-sel AS (
-  SELECT * FROM (
-    SELECT qid, variant, score,
-           row_number() OVER (PARTITION BY qid
-                              ORDER BY score DESC, variant ASC) AS tr
-    FROM scored) z WHERE tr <= {ft.FLT_MAX_TERMS}
-),
-docscore AS (
-  SELECT s.qid, f.doc_id, sum(s.score::DOUBLE) AS ds
-  FROM sel s JOIN tf f ON f.tok = s.variant
-  GROUP BY s.qid, f.doc_id
-)
-SELECT qid::BIGINT AS sid, rnk::BIGINT AS rnk, doc_id FROM (
-  SELECT qid, doc_id,
-         row_number() OVER (PARTITION BY qid ORDER BY ds DESC, doc_id ASC) AS rnk
-  FROM docscore) z WHERE rnk <= {ft.FLT_K}
-) fz
-UNION ALL
--- MoreLikeThisQuery like-TEXT mode: interesting terms from the free
--- text's own tf, df from the index, same selection + BM25 disjunction
-SELECT 'mlt_text', mt.* FROM (
-WITH {_COLLECTION},
-ltq(qid, qtext) AS (VALUES {", ".join(f"({i}, '{t}')" for i, t in enumerate(ft.MLT_TEXTS))}),
-qtf AS (
-  SELECT qid, tok, count(*)::BIGINT AS qf
-  FROM (SELECT qid, unnest(regexp_extract_all(qtext, '{TOKEN_PATTERN}')) AS tok
-        FROM ltq)
-  GROUP BY qid, tok
-),
-dfs AS (SELECT tok, count(*)::BIGINT AS df FROM tf GROUP BY tok),
-candt AS (
-  SELECT q.qid, q.tok,
-         q.qf * (ln((st.doc_count + 1.0) / (d.df + 1.0)) + 1.0) AS mscore
-  FROM qtf q JOIN dfs d ON d.tok = q.tok CROSS JOIN stats st
-  WHERE q.qf >= {ft.MLT_MIN_TF} AND d.df >= {ft.MLT_MIN_DF}
-),
-qsel AS (
-  SELECT qid, tok AS term FROM (
-    SELECT qid, tok,
-           row_number() OVER (PARTITION BY qid ORDER BY mscore DESC, tok) AS r
-    FROM candt) z
-  WHERE r <= {ft.MLT_MAX_TERMS}
-),
-{_term_scores(q="qsel")},
-{_topk("scored", out="qid::BIGINT AS sid, rnk::BIGINT AS rnk, doc_id")}
-) mt
-""",
-        "ft_point_distance": f"""
-WITH q(qid, cx, cy, r2) AS (VALUES {", ".join(f"({i}, {cx}, {cy}, {r2})" for i, (cx, cy, r2) in enumerate(ft.POINT_DISTANCE_QUERIES))}),
-d2 AS (
-  SELECT q.qid, d.doc_id,
-         ((d.n_chars - q.cx) * (d.n_chars - q.cx)
-          + (d.doc_id - q.cy) * (d.doc_id - q.cy))::BIGINT AS dist2,
-         q.r2
-  FROM q, documents d
-),
-ranked AS (
-  SELECT qid, doc_id, dist2,
-         row_number() OVER (PARTITION BY qid ORDER BY dist2, doc_id) AS rnk
-  FROM d2 WHERE dist2 <= r2
-),
--- family='nearest': true k-NN, no radius (NearestNeighbor.java best-first)
-nranked AS (
-  SELECT qid, doc_id, dist2,
-         row_number() OVER (PARTITION BY qid ORDER BY dist2, doc_id) AS rnk
-  FROM d2
-)
-SELECT 'radius' AS family, qid::BIGINT AS qid, rnk::BIGINT AS rnk, doc_id, dist2
-FROM ranked WHERE rnk <= 10
-UNION ALL
-SELECT 'nearest', qid::BIGINT, rnk::BIGINT, doc_id, dist2
-FROM nranked WHERE rnk <= 10
-UNION ALL
--- 'haversine': great-circle radius on the derived lat/lon grid; the
--- sort key mirrors ft._geo_sortkey operation for operation (sin/cos are
--- bit-identical numpy<->DuckDB on this libm; asin deliberately avoided),
--- thresholds/literals are the exact Python doubles the engine used
-SELECT 'haversine', qid::BIGINT, rnk::BIGINT, doc_id, dist2 FROM (
-WITH hq(qid, qlat, qlon, thr) AS (VALUES {", ".join(f"({i}, {qlat!r}, {qlon!r}, {ft.geo_sortkey_threshold(r)!r})" for i, (qlat, qlon, r) in enumerate(ft.GEO_DISTANCE_QUERIES))}),
-g AS (
-  SELECT doc_id,
-         (((doc_id * 37) % 18000) / 100.0 - 90.0) AS lat,
-         (((doc_id * 53) % 36000) / 100.0 - 180.0) AS lon
-  FROM documents
-),
-sk AS (
-  SELECT hq.qid, g.doc_id,
-         sin((hq.qlat - g.lat) * {ft.GEO_TO_RAD!r} * 0.5)
-           * sin((hq.qlat - g.lat) * {ft.GEO_TO_RAD!r} * 0.5)
-         + cos(g.lat * {ft.GEO_TO_RAD!r}) * cos(hq.qlat * {ft.GEO_TO_RAD!r})
-           * sin((hq.qlon - g.lon) * {ft.GEO_TO_RAD!r} * 0.5)
-           * sin((hq.qlon - g.lon) * {ft.GEO_TO_RAD!r} * 0.5) AS sk,
-         hq.thr
-  FROM hq, g
-),
-hranked AS (
-  SELECT qid, doc_id,
-         CAST(floor(sk * {ft.GEO_KEY_SCALE!r}) AS BIGINT) AS dist2,
-         row_number() OVER (PARTITION BY qid ORDER BY CAST(floor(sk * {ft.GEO_KEY_SCALE!r}) AS BIGINT), doc_id) AS rnk
-  FROM sk WHERE sk <= thr
-)
-SELECT qid, rnk, doc_id, dist2 FROM hranked WHERE rnk <= 10
-) h
-""",
-        "ft_percolate_counts": _percolate_sql(),
-        # highlighter: window anchored at a match position, scored by
-        # (distinct terms, total hits, earliest start) — all integers
-        "ft_highlight_passages": f"""
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_DISJ_VALUES}),
-{_term_scores()},
-top AS (
-  SELECT qid, doc_id FROM (
-    SELECT qid, doc_id,
-           row_number() OVER (PARTITION BY qid ORDER BY score::FLOAT DESC, doc_id) AS rnk
-    FROM scored) z WHERE rnk <= {ft.HIGHLIGHT_K}
-),
-s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),
-mp AS (
-  SELECT q.qid, s.doc_id, s.i AS p, s.ts[s.i + 1] AS tok
-  FROM s JOIN q ON s.ts[s.i + 1] = q.term
-),
-mpt AS (SELECT mp.* FROM mp JOIN top ON top.qid = mp.qid AND top.doc_id = mp.doc_id),
-win AS (
-  SELECT a.qid, a.doc_id, a.p AS pstart,
-         count(*)::BIGINT AS n_hits, count(DISTINCT b.tok)::BIGINT AS n_uniq
-  FROM mpt a JOIN mpt b ON b.qid = a.qid AND b.doc_id = a.doc_id
-       AND b.p >= a.p AND b.p < a.p + {ft.HIGHLIGHT_WINDOW}
-  GROUP BY a.qid, a.doc_id, a.p
-),
-best AS (
-  SELECT qid, doc_id, pstart, n_hits, n_uniq,
-         row_number() OVER (
-           PARTITION BY qid, doc_id ORDER BY n_uniq DESC, n_hits DESC, pstart
-         ) AS r
-  FROM win
-)
-SELECT qid::BIGINT AS qid, doc_id, pstart, n_hits, n_uniq FROM best WHERE r = 1
-""",
-        # FunctionScoreQuery: float32 inner BM25 score times ln(1+n_chars)
-        # in double, float32 cast for ranking
-        "ft_function_score_topk": f"""
-SELECT 'fn' AS family, r.* FROM (
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_FSQ_VALUES}),
-{_term_scores()},
-fs AS (
-  SELECT s.qid, s.doc_id,
-         (s.score::FLOAT * ln(1 + d.{ft.FUNCTION_SCORE_FIELD}))::FLOAT AS fscore
-  FROM scored s JOIN documents d ON d.doc_id = s.doc_id
-),
-{_topk("fs", "fscore DESC, doc_id")}
-) r
-UNION ALL
--- CoveringQuery (sandbox): docs matching >= greatest(1, 1 + n_chars % 3)
--- clauses, scored by the sum of the matching clauses' BM25 scores
-SELECT 'covering', r.* FROM (
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_COVERING_VALUES}),
-{_term_scores()},
-cov AS (
-  SELECT a.qid, a.doc_id, a.score
-  FROM scored a JOIN documents d ON d.doc_id = a.doc_id
-  WHERE a.nmatch >= greatest(1, 1 + (d.n_chars % 3))
-),
-{_topk("cov")}
-) r
-UNION ALL
--- FunctionRangeQuery: expression value is both the match predicate
--- (inclusive range) and the score
-SELECT 'fn_range', fr.* FROM ({_fn_range_sql()}) fr
-UNION ALL
--- FeatureField: BM25 conjunction + per-function feature score over the
--- 9-bit-mantissa-quantized n_chars "static rank" (fn label folded into
--- the family discriminator — driver 50-entry cap)
-SELECT 'feature_' || f.fn, f.qid, f.rnk, f.doc_id FROM ({_FEATURE_SQL}) f
-UNION ALL
--- RescoreTopNQuery: the inner match set (COMPLETE_NO_SCORES — the
--- inner score never contributes) re-scored by the expression alone
-SELECT 'rescore_topn', rt.* FROM (
-WITH {_TOKS},
-rq(qid, expr_id) AS (VALUES (0, 0), (1, 1), (2, 2)),
-m0 AS (SELECT DISTINCT 0 AS qid, doc_id FROM tf WHERE tok = 'spark'),
-m1 AS (SELECT DISTINCT 1 AS qid, doc_id FROM tf WHERE tok IN ('join', 'order')),
-m2 AS (SELECT DISTINCT 2 AS qid, doc_id FROM tf WHERE tok = 'the'),
-mm AS (SELECT * FROM m0 UNION ALL SELECT * FROM m1 UNION ALL SELECT * FROM m2),
-vals AS (
-  SELECT mm.qid, mm.doc_id,
-         CASE mm.qid
-           WHEN 0 THEN ln(1 + d.n_chars)
-           WHEN 1 THEN d.n_chars - 97 * floor(d.n_chars / 97.0)
-           ELSE -abs(d.n_chars - 250)
-         END AS v
-  FROM mm JOIN documents d ON d.doc_id = mm.doc_id
-),
-{_topk("vals", "v DESC, doc_id", k=ft.RESCORE_TOPN_N)}
-) rt
-""",
-        # benchmark/quality judged run: BM25 top-20 + tf>=2 judgment,
-        # cumulative relevant count per rank (all integers)
-        "ft_quality_run": f"""
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
-{_term_scores()},
--- one term per query: a hit is relevant when its own tf is high enough
-judged AS (
-  SELECT *, (CASE WHEN tf >= {ft.QUALITY_REL_TF} THEN 1 ELSE 0 END)::BIGINT AS relevant
-  FROM clause
-),
-{_topk("judged", k=ft.QUALITY_K, out=quality_out)}
-""",
-        # DocValuesStatsCollector: exact integer stats + double mean/var
-        # (the engine's (sum_sq - sum^2/n)/n expression, mirrored)
-        "ft_dv_stats": f"""
-WITH {_TOKS},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
-m AS (
-  SELECT q.qid, d.doc_id, d.n_chars
-  FROM q JOIN tf ON tf.tok = q.term
-  JOIN documents d ON d.doc_id = tf.doc_id
-)
-SELECT qid::BIGINT AS qid,
-       count(n_chars)::BIGINT AS n,
-       (count(*) - count(n_chars))::BIGINT AS missing,
-       coalesce(min(n_chars), 0)::BIGINT AS min_v,
-       coalesce(max(n_chars), 0)::BIGINT AS max_v,
-       coalesce(sum(n_chars), 0)::BIGINT AS sum_v,
-       CASE WHEN count(n_chars) > 0
-            THEN sum(n_chars)::DOUBLE / count(n_chars) ELSE 0.0 END AS mean,
-       CASE WHEN count(n_chars) > 0
-            THEN (sum(n_chars::BIGINT * n_chars)::DOUBLE
-                  - (sum(n_chars)::DOUBLE * sum(n_chars)::DOUBLE)
-                    / count(n_chars)) / count(n_chars)
-            ELSE 0.0 END AS variance
-FROM m GROUP BY qid
-""",
-        # grouping: groups ranked by their best hit (float32 score desc,
-        # head doc asc), docs within a group by (score desc, doc asc)
-        "ft_grouped_topk": f"""
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_GROUPED_VALUES}),
-{_term_scores()},
-gs AS (
-  SELECT s.qid, d.{ft.GROUP_FIELD} AS grp, s.doc_id, s.score::FLOAT AS fscore
-  FROM scored s JOIN documents d ON d.doc_id = s.doc_id
-),
-within AS (
-  SELECT qid, grp, doc_id,
-         row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, doc_id) AS rnk
-  FROM gs
-),
-heads AS (
-  SELECT qid, grp, fscore, doc_id FROM (
-    SELECT qid, grp, fscore, doc_id,
-           row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, doc_id) AS hr
-    FROM gs) h WHERE hr = 1
-),
-granks AS (
-  SELECT qid, grp,
-         row_number() OVER (PARTITION BY qid ORDER BY fscore DESC, doc_id) AS grp_rnk
-  FROM heads
-),
--- BlockGroupingCollector (grouping/BlockGroupingCollector.java): groups
--- are the index-time _BLOCK_POS blocks, scored by the join queries
-bscored AS (
-  WITH q(qid, term) AS (VALUES {_JOIN_VALUES}),
-  {_term_scores()}
-  SELECT qid, doc_id, score::FLOAT AS fscore FROM scored
-),
-{_BLOCK_POS},
-bg AS (
-  SELECT s.qid, cp.parent_docid AS grp, cp.child_docid AS cdoc, s.fscore
-  FROM bscored s JOIN cpos cp ON cp.doc_id = s.doc_id
-),
-bheads AS (
-  SELECT qid, grp, fscore, cdoc FROM (
-    SELECT qid, grp, fscore, cdoc,
-           row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, cdoc) AS hr
-    FROM bg) h WHERE hr = 1
-),
-bgrank AS (
-  SELECT qid, grp,
-         row_number() OVER (PARTITION BY qid ORDER BY fscore DESC, cdoc) AS grp_rnk
-  FROM bheads
-),
-bwithin AS (
-  SELECT qid, grp, cdoc,
-         row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, cdoc) AS rnk
-  FROM bg
-)
-SELECT 'top_groups' AS arm, w.qid::BIGINT AS qid, g.grp_rnk::BIGINT AS grp_rnk,
-       w.grp, w.rnk::BIGINT AS rnk, w.doc_id
-FROM within w JOIN granks g ON g.qid = w.qid AND g.grp = w.grp
-WHERE g.grp_rnk <= {ft.N_GROUPS} AND w.rnk <= {ft.K_IN_GROUP}
-UNION ALL
--- AllGroupsCollector: the full matching group set (+ sizes in doc_id)
-SELECT 'all_groups', qid::BIGINT, row_number() OVER (PARTITION BY qid ORDER BY grp)::BIGINT,
-       grp, 0::BIGINT, count(*)::BIGINT
-FROM gs GROUP BY qid, grp
-UNION ALL
--- AllGroupHeadsCollector: global best doc per group, every group
-SELECT 'all_group_heads', qid::BIGINT,
-       row_number() OVER (PARTITION BY qid ORDER BY grp)::BIGINT,
-       grp, 0::BIGINT, doc_id
-FROM (
-  SELECT qid, grp, doc_id,
-         row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, doc_id) AS hr
-  FROM gs) h WHERE hr = 1
-UNION ALL
-SELECT 'block', w.qid::BIGINT, g.grp_rnk::BIGINT, w.grp::VARCHAR,
-       w.rnk::BIGINT, w.cdoc
-FROM bwithin w JOIN bgrank g ON g.qid = w.qid AND g.grp = w.grp
-WHERE g.grp_rnk <= {ft.N_GROUPS} AND w.rnk <= {ft.K_IN_GROUP}
-UNION ALL
--- DistinctValuesCollector: distinct lang values per group of matches
-SELECT 'distinct_values', z.qid::BIGINT,
-       row_number() OVER (PARTITION BY z.qid ORDER BY z.grp)::BIGINT,
-       z.grp, 0::BIGINT, z.nd
-FROM (
-  SELECT s.qid, d.{ft.GROUP_FIELD} AS grp, count(DISTINCT d.lang)::BIGINT AS nd
-  FROM scored s JOIN documents d ON d.doc_id = s.doc_id
-  GROUP BY s.qid, d.{ft.GROUP_FIELD}
-) z
-""",
+"""),
+        # lucene/suggest family: weighted prefix completion from the term
+        # dictionary + the DirectSpellChecker candidate scan and the other
+        # suggesters, all (qid, rnk, term, weight)
         # suggester: completions = dictionary terms under the prefix,
         # weight = doc freq, ties broken term-ascending
-        "ft_suggest_family": f"""
+        ("ft_suggest_family", _family(
+            "method",
+            ("prefix", ft.suggest_prefix),
+            # RegexCompletionQuery: regex-accepted prefix completions
+            ("regex", ft.regex_suggest),
+            ("spell", ft.spell_suggest),
+            ("freetext", ft.freetext_suggest),
+            ("wordbreak", ft.wordbreak_suggest),
+            ("spell_jaro", ft.spell_suggest_jaro),
+            # AnalyzingInfixSuggester: prefix matches EITHER bigram token
+            ("infix", ft.infix_suggest),
+            # BlendedInfixSuggester: weight blended by first-match
+            # position (linear / reciprocal), reference long math
+            ("blended_linear", partial(ft.blended_infix_suggest, blender="linear")),
+            ("blended_recip", partial(ft.blended_infix_suggest, blender="reciprocal")),
+            # FuzzySuggester: prefix within 1 Damerau edit completes
+            ("fuzzy", ft.fuzzy_suggest),
+            # DocumentDictionary: entries from stored doc fields
+            # (title, n_chars weight), whole-entry prefix lookup
+            ("document", ft.document_suggest),
+            # ContextQuery: lang-context filtering + boosting over
+            # ContextSuggestField-style entries
+            ("context", ft.context_suggest),
+        ), f"""
 SELECT r.*, 'prefix' AS method FROM (
 WITH {_TOKS},
 ts AS (SELECT tok AS term, count(*)::BIGINT AS weight FROM tf GROUP BY tok),
@@ -4336,33 +3199,510 @@ cand AS (
 ),
 {_topk("cand", "weight DESC, term", out=suggest_out)}
 ) r
-""",
-        "ft_bool_counts": _bool_counts_sql(),
-        "ft_multiterm_matches": f"""
-SELECT 'prefix' AS family, * FROM ({_prefix_sql()})
-UNION ALL SELECT 'prefix_scored', * FROM ({_prefix_scored_sql()})
-UNION ALL SELECT 'in_set', * FROM ({_in_set_sql()})
-UNION ALL SELECT 'in_set_dv', * FROM ({_in_set_dv_sql()})
-UNION ALL SELECT 'in_set_numbers_dv', * FROM ({_in_set_numbers_dv_sql()})
-UNION ALL SELECT 'pk_lookup', * FROM (
-WITH q(qid, id, minv) AS (VALUES {", ".join(f"({i}, {idv}, {mv})" for i, (idv, mv) in enumerate(ft.PK_LOOKUPS))}),
-pk AS (
-  SELECT q.qid::BIGINT AS qid,
-         (CASE WHEN d.doc_id IS NOT NULL AND d.n_chars >= q.minv
-               THEN 1 ELSE 0 END)::BIGINT AS found,
-         (CASE WHEN d.doc_id IS NOT NULL AND d.n_chars >= q.minv
-               THEN d.n_chars ELSE -1 END)::BIGINT AS version
-  FROM q LEFT JOIN documents d ON d.doc_id = q.id
+"""),
+        # lucene/grouping analogue: top groups by best hit + top docs per
+        # group, beside AllGroupsCollector (group set + sizes) and
+        # AllGroupHeadsCollector (global best doc per group)
+        # grouping: groups ranked by their best hit (float32 score desc,
+        # head doc asc), docs within a group by (score desc, doc asc)
+        ("ft_grouped_topk", _family(
+            "arm",
+            ("top_groups", ft.grouped_topk),
+            ("", lambda sf: dict(zip(("all_groups", "all_group_heads"), ft.group_all(sf)))),
+            # BlockGroupingCollector: groups are index-time doc blocks
+            ("block", ft.block_grouped_topk),
+            # DistinctValuesCollector: distinct lang count per group
+            ("distinct_values", ft.distinct_values_groups),
+        ), f"""
+WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_GROUPED_VALUES}),
+{_term_scores()},
+gs AS (
+  SELECT s.qid, d.{ft.GROUP_FIELD} AS grp, s.doc_id, s.score::FLOAT AS fscore
+  FROM scored s JOIN documents d ON d.doc_id = s.doc_id
+),
+within AS (
+  SELECT qid, grp, doc_id,
+         row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, doc_id) AS rnk
+  FROM gs
+),
+heads AS (
+  SELECT qid, grp, fscore, doc_id FROM (
+    SELECT qid, grp, fscore, doc_id,
+           row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, doc_id) AS hr
+    FROM gs) h WHERE hr = 1
+),
+granks AS (
+  SELECT qid, grp,
+         row_number() OVER (PARTITION BY qid ORDER BY fscore DESC, doc_id) AS grp_rnk
+  FROM heads
+),
+-- BlockGroupingCollector (grouping/BlockGroupingCollector.java): groups
+-- are the index-time _BLOCK_POS blocks, scored by the join queries
+bscored AS (
+  WITH q(qid, term) AS (VALUES {_JOIN_VALUES}),
+  {_term_scores()}
+  SELECT qid, doc_id, score::FLOAT AS fscore FROM scored
+),
+{_BLOCK_POS},
+bg AS (
+  SELECT s.qid, cp.parent_docid AS grp, cp.child_docid AS cdoc, s.fscore
+  FROM bscored s JOIN cpos cp ON cp.doc_id = s.doc_id
+),
+bheads AS (
+  SELECT qid, grp, fscore, cdoc FROM (
+    SELECT qid, grp, fscore, cdoc,
+           row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, cdoc) AS hr
+    FROM bg) h WHERE hr = 1
+),
+bgrank AS (
+  SELECT qid, grp,
+         row_number() OVER (PARTITION BY qid ORDER BY fscore DESC, cdoc) AS grp_rnk
+  FROM bheads
+),
+bwithin AS (
+  SELECT qid, grp, cdoc,
+         row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, cdoc) AS rnk
+  FROM bg
 )
-SELECT qid, 0::BIGINT AS rnk, found AS doc_id FROM pk
-UNION ALL SELECT qid, 1::BIGINT, version FROM pk
+SELECT 'top_groups' AS arm, w.qid::BIGINT AS qid, g.grp_rnk::BIGINT AS grp_rnk,
+       w.grp, w.rnk::BIGINT AS rnk, w.doc_id
+FROM within w JOIN granks g ON g.qid = w.qid AND g.grp = w.grp
+WHERE g.grp_rnk <= {ft.N_GROUPS} AND w.rnk <= {ft.K_IN_GROUP}
+UNION ALL
+-- AllGroupsCollector: the full matching group set (+ sizes in doc_id)
+SELECT 'all_groups', qid::BIGINT, row_number() OVER (PARTITION BY qid ORDER BY grp)::BIGINT,
+       grp, 0::BIGINT, count(*)::BIGINT
+FROM gs GROUP BY qid, grp
+UNION ALL
+-- AllGroupHeadsCollector: global best doc per group, every group
+SELECT 'all_group_heads', qid::BIGINT,
+       row_number() OVER (PARTITION BY qid ORDER BY grp)::BIGINT,
+       grp, 0::BIGINT, doc_id
+FROM (
+  SELECT qid, grp, doc_id,
+         row_number() OVER (PARTITION BY qid, grp ORDER BY fscore DESC, doc_id) AS hr
+  FROM gs) h WHERE hr = 1
+UNION ALL
+SELECT 'block', w.qid::BIGINT, g.grp_rnk::BIGINT, w.grp::VARCHAR,
+       w.rnk::BIGINT, w.cdoc
+FROM bwithin w JOIN bgrank g ON g.qid = w.qid AND g.grp = w.grp
+WHERE g.grp_rnk <= {ft.N_GROUPS} AND w.rnk <= {ft.K_IN_GROUP}
+UNION ALL
+-- DistinctValuesCollector: distinct lang values per group of matches
+SELECT 'distinct_values', z.qid::BIGINT,
+       row_number() OVER (PARTITION BY z.qid ORDER BY z.grp)::BIGINT,
+       z.grp, 0::BIGINT, z.nd
+FROM (
+  SELECT s.qid, d.{ft.GROUP_FIELD} AS grp, count(DISTINCT d.lang)::BIGINT AS nd
+  FROM scored s JOIN documents d ON d.doc_id = s.doc_id
+  GROUP BY s.qid, d.{ft.GROUP_FIELD}
+) z
+"""),
+        # queries/function FunctionScoreQuery: score * ln(1 + n_chars)
+        # FunctionScoreQuery: float32 inner BM25 score times ln(1+n_chars)
+        # in double, float32 cast for ranking
+        ("ft_function_score_topk", _family(
+            "family",
+            ("fn", ft.function_score_topk),
+            ("covering", ft.covering_topk),
+            # FunctionRangeQuery: expression-valued match + score
+            ("fn_range", ft.function_range_topk),
+            # FeatureField: one arm per feature function, the fn
+            # discriminator folded into the label
+            ("feature_", lambda sf: {
+                fn: g.drop(columns=["fn"]).reset_index(drop=True)
+                for fn, g in ft.feature_topk(sf).to_pandas().groupby("fn")
+            }),
+            # RescoreTopNQuery: match set re-scored purely by a
+            # DoubleValuesSource at rewrite time, cut to top n
+            ("rescore_topn", ft.rescore_topn_topk),
+        ), f"""
+SELECT 'fn' AS family, r.* FROM (
+WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_FSQ_VALUES}),
+{_term_scores()},
+fs AS (
+  SELECT s.qid, s.doc_id,
+         (s.score::FLOAT * ln(1 + d.{ft.FUNCTION_SCORE_FIELD}))::FLOAT AS fscore
+  FROM scored s JOIN documents d ON d.doc_id = s.doc_id
+),
+{_topk("fs", "fscore DESC, doc_id")}
+) r
+UNION ALL
+-- CoveringQuery (sandbox): docs matching >= greatest(1, 1 + n_chars % 3)
+-- clauses, scored by the sum of the matching clauses' BM25 scores
+SELECT 'covering', r.* FROM (
+WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_COVERING_VALUES}),
+{_term_scores()},
+cov AS (
+  SELECT a.qid, a.doc_id, a.score
+  FROM scored a JOIN documents d ON d.doc_id = a.doc_id
+  WHERE a.nmatch >= greatest(1, 1 + (d.n_chars % 3))
+),
+{_topk("cov")}
+) r
+UNION ALL
+-- FunctionRangeQuery: expression value is both the match predicate
+-- (inclusive range) and the score
+SELECT 'fn_range', fr.* FROM ({_fn_range_sql()}) fr
+UNION ALL
+-- FeatureField: BM25 conjunction + per-function feature score over the
+-- 9-bit-mantissa-quantized n_chars "static rank" (fn label folded into
+-- the family discriminator — driver 50-entry cap)
+SELECT 'feature_' || f.fn, f.qid, f.rnk, f.doc_id FROM ({_FEATURE_SQL}) f
+UNION ALL
+-- RescoreTopNQuery: the inner match set (COMPLETE_NO_SCORES — the
+-- inner score never contributes) re-scored by the expression alone
+SELECT 'rescore_topn', rt.* FROM (
+WITH {_TOKS},
+rq(qid, expr_id) AS (VALUES (0, 0), (1, 1), (2, 2)),
+m0 AS (SELECT DISTINCT 0 AS qid, doc_id FROM tf WHERE tok = 'spark'),
+m1 AS (SELECT DISTINCT 1 AS qid, doc_id FROM tf WHERE tok IN ('join', 'order')),
+m2 AS (SELECT DISTINCT 2 AS qid, doc_id FROM tf WHERE tok = 'the'),
+mm AS (SELECT * FROM m0 UNION ALL SELECT * FROM m1 UNION ALL SELECT * FROM m2),
+vals AS (
+  SELECT mm.qid, mm.doc_id,
+         CASE mm.qid
+           WHEN 0 THEN ln(1 + d.n_chars)
+           WHEN 1 THEN d.n_chars - 97 * floor(d.n_chars / 97.0)
+           ELSE -abs(d.n_chars - 250)
+         END AS v
+  FROM mm JOIN documents d ON d.doc_id = mm.doc_id
+),
+{_topk("vals", "v DESC, doc_id", k=ft.RESCORE_TOPN_N)}
+) rt
+"""),
+        # core/document/FeatureField: BM25 MUST + feature SHOULD, one arm
+        # per FeatureFunction (linear/log/satu/sigm) over the 9-bit-
+        # mantissa-quantized n_chars feature; satu exercises the
+        # computed-pivot rewrite
+        # misc DocValuesStatsCollector: per-query aggregate stats of the
+        # n_chars doc-values column over matching docs (exact integer
+        # partials per segment; mean/variance one double expression)
+        # DocValuesStatsCollector: exact integer stats + double mean/var
+        # (the engine's (sum_sq - sum^2/n)/n expression, mirrored)
+        ("ft_dv_stats", ft.doc_values_stats, f"""
+WITH {_TOKS},
+q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+m AS (
+  SELECT q.qid, d.doc_id, d.n_chars
+  FROM q JOIN tf ON tf.tok = q.term
+  JOIN documents d ON d.doc_id = tf.doc_id
 )
-UNION ALL SELECT 'fuzzy_scored', * FROM ({_fuzzy_scored_sql()})
-UNION ALL SELECT 'wildcard', * FROM ({_wildcard_sql()})
-UNION ALL SELECT 'regexp', * FROM ({_regexp_sql()})
-UNION ALL SELECT 'fuzzy', * FROM ({_fuzzy_sql()})
-""",
-        "ft_range_counts": f"""
+SELECT q.qid::BIGINT AS qid,
+       count(n_chars)::BIGINT AS n,
+       (count(m.doc_id) - count(n_chars))::BIGINT AS missing,
+       coalesce(min(n_chars), 0)::BIGINT AS min_v,
+       coalesce(max(n_chars), 0)::BIGINT AS max_v,
+       coalesce(sum(n_chars), 0)::BIGINT AS sum_v,
+       CASE WHEN count(n_chars) > 0
+            THEN sum(n_chars)::DOUBLE / count(n_chars) ELSE 0.0 END AS mean,
+       CASE WHEN count(n_chars) > 0
+            THEN (sum(n_chars::BIGINT * n_chars)::DOUBLE
+                  - (sum(n_chars)::DOUBLE * sum(n_chars)::DOUBLE)
+                    / count(n_chars)) / count(n_chars)
+            ELSE 0.0 END AS variance
+FROM q LEFT JOIN m ON m.qid = q.qid GROUP BY q.qid
+"""),
+        # benchmark/quality (QualityBenchmark + TrecJudge + QualityStats):
+        # BM25 top-20 judged against tf>=2 relevance — integer-exact
+        # per-rank rows; judgments from INDEX postings, oracle recounts text
+        # benchmark/quality judged run: BM25 top-20 + tf>=2 judgment,
+        # cumulative relevant count per rank (all integers)
+        ("ft_quality_run", ft.quality_judged_run, f"""
+WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_term_scores()},
+-- one term per query: a hit is relevant when its own tf is high enough
+judged AS (
+  SELECT *, (CASE WHEN tf >= {ft.QUALITY_REL_TF} THEN 1 ELSE 0 END)::BIGINT AS relevant
+  FROM clause
+),
+{_topk("judged", k=ft.QUALITY_K, out=quality_out)}
+"""),
+        # lucene/join JoinUtil query-time self-join (modes max/min/total/avg
+        # over the source join field) beside the INDEX-TIME block join family
+        # (ToParent ScoreModes + ToChildBlockJoin children, block-index
+        # docids) — one mode-discriminated table
+        # JoinUtil ScoreMode.Max: join value's best float32 from-score
+        # becomes every to-side doc's score; ties by doc_id
+        ("ft_join_topk", lambda sf: pa.concat_tables(
+            [ft.join_topk(sf), ft.block_join_topk(sf)]
+        ), f"""
+WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_JOIN_VALUES}),
+{_term_scores(combine="sum(score)::FLOAT")},
+-- f32 from-scores are exact integers on the 2^-40 grid: TOTAL/AVG become
+-- order-independent integer sums (mirrors pipelines/fulltext.py)
+vals AS (
+  SELECT s.qid, d.{ft.JOIN_FIELD} AS v,
+         max(s.score) AS max_s, min(s.score) AS min_s,
+         sum((s.score::DOUBLE * 1099511627776.0)::BIGINT)::BIGINT AS sum_i,
+         count(*)::BIGINT AS cnt
+  FROM scored s JOIN documents d ON d.doc_id = s.doc_id
+  GROUP BY s.qid, d.{ft.JOIN_FIELD}
+),
+modes AS (
+  SELECT 'max' AS mode, qid, v, max_s::DOUBLE AS jscore FROM vals
+  UNION ALL SELECT 'min', qid, v, min_s::DOUBLE FROM vals
+  UNION ALL SELECT 'total', qid, v, sum_i::DOUBLE FROM vals
+  UNION ALL SELECT 'avg', qid, v, sum_i::DOUBLE / cnt::DOUBLE FROM vals
+),
+to_side AS (
+  SELECT m.mode, m.qid, dd.doc_id, m.jscore
+  FROM modes m JOIN documents dd ON dd.{ft.JOIN_FIELD} = m.v
+),
+ranked AS (
+  SELECT mode, qid, doc_id,
+         row_number() OVER (
+           PARTITION BY mode, qid ORDER BY jscore DESC, doc_id
+         ) AS rnk
+  FROM to_side
+),
+-- INDEX-TIME block join over the _BLOCK_POS docids
+{_BLOCK_POS},
+bagg AS (
+  SELECT s.qid, cp.parent_docid,
+         max(s.score) AS mx, min(s.score) AS mn,
+         sum((s.score::DOUBLE * 1099511627776.0)::BIGINT)::BIGINT AS si,
+         count(*)::BIGINT AS c
+  FROM scored s JOIN cpos cp ON cp.doc_id = s.doc_id
+  GROUP BY s.qid, cp.parent_docid
+),
+bmodes AS (
+  SELECT 'block_max' AS mode, qid, parent_docid AS did, mx::DOUBLE AS jscore FROM bagg
+  UNION ALL SELECT 'block_min', qid, parent_docid, mn::DOUBLE FROM bagg
+  UNION ALL SELECT 'block_total', qid, parent_docid, si::DOUBLE FROM bagg
+  UNION ALL SELECT 'block_avg', qid, parent_docid, si::DOUBLE / c::DOUBLE FROM bagg
+  UNION ALL SELECT 'block_none', qid, parent_docid, 0.0 FROM bagg
+),
+branked AS (
+  SELECT mode, qid, did,
+         row_number() OVER (PARTITION BY mode, qid ORDER BY jscore DESC, did) AS rnk
+  FROM bmodes
+),
+tchild AS (
+  SELECT 'block_children' AS mode, 0 AS qid, child_docid AS did,
+         row_number() OVER (ORDER BY child_docid) AS rnk
+  FROM cpos WHERE source IN ({", ".join(f"'{s}'" for s in ft.BLOCK_CHILD_SOURCES)})
+),
+-- ToChildBlockJoin doScores: each child carries its parent's qid-0
+-- ToParent-max score
+tchildsc AS (
+  SELECT 'block_child_scores' AS mode, 0 AS qid, cp.child_docid AS did,
+         row_number() OVER (ORDER BY b.mx DESC, cp.child_docid) AS rnk
+  FROM bagg b JOIN cpos cp ON cp.parent_docid = b.parent_docid
+  WHERE b.qid = 0
+)
+SELECT mode, qid::BIGINT AS qid, rnk::BIGINT AS rnk, doc_id FROM ranked WHERE rnk <= 10
+UNION ALL
+SELECT mode, qid::BIGINT, rnk::BIGINT, did FROM branked WHERE rnk <= 10
+UNION ALL
+SELECT mode, qid::BIGINT, rnk::BIGINT, did FROM tchild WHERE rnk <= 10
+UNION ALL
+SELECT mode, qid::BIGINT, rnk::BIGINT, did FROM tchildsc WHERE rnk <= 10
+"""),
+        # queries/mlt MoreLikeThis (seed term vector -> tf*idf term
+        # selection -> SHOULD disjunction, seed excluded) + FuzzyLikeThisQuery
+        # (sandbox/queries/FuzzyLikeThisQuery.java, ignoreTF mode) as one
+        # method-tagged family
+        # MoreLikeThis: seed's term vector -> tf*(ln((N+1)/(df+1))+1) term
+        # selection (top 10, ties term-asc) -> BM25 SHOULD disjunction,
+        # seed doc excluded from the hits
+        ("ft_mlt_topk", _family(
+            "method",
+            ("mlt", ft.mlt_topk),
+            ("flt", ft.fuzzy_like_this_topk),
+            ("mlt_text", ft.mlt_text_topk),
+        ), f"""
+SELECT 'mlt' AS method, m.* FROM (
+WITH {_COLLECTION},
+seeds(sid, sdoc) AS (VALUES {", ".join(f"({i}, {d})" for i, d in enumerate(ft.MLT_SEEDS))}),
+dfs AS (SELECT tok, count(*)::BIGINT AS df FROM tf GROUP BY tok),
+seedterms AS (
+  SELECT s.sid, t.tok,
+         t.tf * (ln((st.doc_count + 1.0) / (d.df + 1.0)) + 1.0) AS mscore
+  FROM seeds s
+  JOIN tf t ON t.doc_id = s.sdoc
+  JOIN dfs d ON d.tok = t.tok
+  CROSS JOIN stats st
+  WHERE t.tf >= {ft.MLT_MIN_TF} AND d.df >= {ft.MLT_MIN_DF}
+),
+q AS (
+  SELECT sid AS qid, tok AS term FROM (
+    SELECT sid, tok,
+           row_number() OVER (PARTITION BY sid ORDER BY mscore DESC, tok) AS r
+    FROM seedterms) z
+  WHERE r <= {ft.MLT_MAX_TERMS}
+),
+{_term_scores()},
+excl AS (
+  SELECT sc.qid, sc.doc_id, sc.score
+  FROM scored sc JOIN seeds s ON s.sid = sc.qid
+  WHERE sc.doc_id != s.sdoc
+),
+{_topk("excl", out="qid::BIGINT AS sid, rnk::BIGINT AS rnk, doc_id")}
+) m
+UNION ALL
+-- FuzzyLikeThisQuery (sandbox/queries/FuzzyLikeThisQuery.java, ignoreTF):
+-- fuzzify sources over the dictionary, boost = 1 - ed/minlen (1.0 exact),
+-- top 50 variants per source, score = boost^2 * idf(source df | avg
+-- variant df), global top maxNumTerms, constant-score SHOULD sum
+SELECT 'flt', fz.* FROM (
+WITH {_TOKS},
+vocab AS (SELECT tok AS term, count(*)::BIGINT AS df FROM tf GROUP BY tok),
+srcs(qid, source) AS (VALUES {", ".join(f"({q}, '{t}')" for q, t in ft._flt_sources())}),
+cand AS (
+  SELECT s.qid, s.source, v.term AS variant,
+         damerau_levenshtein(s.source, v.term)::BIGINT AS dist, v.df
+  FROM srcs s JOIN vocab v
+    ON damerau_levenshtein(s.source, v.term) <= {ft.FLT_MAX_EDITS}
+),
+boosted AS (
+  SELECT qid, source, variant, df, dist,
+         CASE WHEN dist = 0 THEN 1.0::FLOAT
+              ELSE (1.0::FLOAT
+                    - dist::FLOAT / least(length(source), length(variant))::FLOAT)
+         END AS boost
+  FROM cand
+),
+src_df AS (
+  SELECT qid, source,
+         coalesce(max(CASE WHEN dist = 0 THEN df END),
+                  sum(df) // count(*))::BIGINT AS df_src
+  FROM cand GROUP BY qid, source
+),
+topvar AS (
+  SELECT * FROM (
+    SELECT b.*,
+           row_number() OVER (PARTITION BY qid, source
+                              ORDER BY boost DESC, variant ASC) AS vr
+    FROM boosted b) z WHERE vr <= {ft.FLT_MAX_VARIANTS}
+),
+scored AS (
+  SELECT t.qid, t.variant,
+         ((t.boost * t.boost)
+          * (ln(((SELECT count(*) FROM documents) + 1) / (s.df_src + 1.0))
+             + 1.0)::FLOAT)::FLOAT AS score
+  FROM topvar t JOIN src_df s ON s.qid = t.qid AND s.source = t.source
+),
+sel AS (
+  SELECT * FROM (
+    SELECT qid, variant, score,
+           row_number() OVER (PARTITION BY qid
+                              ORDER BY score DESC, variant ASC) AS tr
+    FROM scored) z WHERE tr <= {ft.FLT_MAX_TERMS}
+),
+docscore AS (
+  SELECT s.qid, f.doc_id, sum(s.score::DOUBLE) AS ds
+  FROM sel s JOIN tf f ON f.tok = s.variant
+  GROUP BY s.qid, f.doc_id
+)
+SELECT qid::BIGINT AS sid, rnk::BIGINT AS rnk, doc_id FROM (
+  SELECT qid, doc_id,
+         row_number() OVER (PARTITION BY qid ORDER BY ds DESC, doc_id ASC) AS rnk
+  FROM docscore) z WHERE rnk <= {ft.FLT_K}
+) fz
+UNION ALL
+-- MoreLikeThisQuery like-TEXT mode: interesting terms from the free
+-- text's own tf, df from the index, same selection + BM25 disjunction
+SELECT 'mlt_text', mt.* FROM (
+WITH {_COLLECTION},
+ltq(qid, qtext) AS (VALUES {", ".join(f"({i}, '{t}')" for i, t in enumerate(ft.MLT_TEXTS))}),
+qtf AS (
+  SELECT qid, tok, count(*)::BIGINT AS qf
+  FROM (SELECT qid, unnest(regexp_extract_all(qtext, '{TOKEN_PATTERN}')) AS tok
+        FROM ltq)
+  GROUP BY qid, tok
+),
+dfs AS (SELECT tok, count(*)::BIGINT AS df FROM tf GROUP BY tok),
+candt AS (
+  SELECT q.qid, q.tok,
+         q.qf * (ln((st.doc_count + 1.0) / (d.df + 1.0)) + 1.0) AS mscore
+  FROM qtf q JOIN dfs d ON d.tok = q.tok CROSS JOIN stats st
+  WHERE q.qf >= {ft.MLT_MIN_TF} AND d.df >= {ft.MLT_MIN_DF}
+),
+qsel AS (
+  SELECT qid, tok AS term FROM (
+    SELECT qid, tok,
+           row_number() OVER (PARTITION BY qid ORDER BY mscore DESC, tok) AS r
+    FROM candt) z
+  WHERE r <= {ft.MLT_MAX_TERMS}
+),
+{_term_scores(q="qsel")},
+{_topk("scored", out="qid::BIGINT AS sid, rnk::BIGINT AS rnk, doc_id")}
+) mt
+"""),
+        # lucene/monitor percolator: registered queries broadcast, the
+        # corpus STREAMS through matchers (inverted dataflow)
+        ("ft_percolate_counts", _percolate_both_paths, _percolate_sql()),
+        # lucene/highlighter analogue: best W-token passage per top doc,
+        # integer (n_uniq, n_hits, earliest) scoring over the positions
+        # index (BreakIterator-passage deviation documented in the module)
+        # highlighter: window anchored at a match position, scored by
+        # (distinct terms, total hits, earliest start) — all integers
+        ("ft_highlight_passages", ft.highlight_passages, f"""
+WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_DISJ_VALUES}),
+{_term_scores()},
+top AS (
+  SELECT qid, doc_id FROM (
+    SELECT qid, doc_id,
+           row_number() OVER (PARTITION BY qid ORDER BY score::FLOAT DESC, doc_id) AS rnk
+    FROM scored) z WHERE rnk <= {ft.HIGHLIGHT_K}
+),
+s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),
+mp AS (
+  SELECT q.qid, s.doc_id, s.i AS p, s.ts[s.i + 1] AS tok
+  FROM s JOIN q ON s.ts[s.i + 1] = q.term
+),
+mpt AS (SELECT mp.* FROM mp JOIN top ON top.qid = mp.qid AND top.doc_id = mp.doc_id),
+win AS (
+  SELECT a.qid, a.doc_id, a.p AS pstart,
+         count(*)::BIGINT AS n_hits, count(DISTINCT b.tok)::BIGINT AS n_uniq
+  FROM mpt a JOIN mpt b ON b.qid = a.qid AND b.doc_id = a.doc_id
+       AND b.p >= a.p AND b.p < a.p + {ft.HIGHLIGHT_WINDOW}
+  GROUP BY a.qid, a.doc_id, a.p
+),
+best AS (
+  SELECT qid, doc_id, pstart, n_hits, n_uniq,
+         row_number() OVER (
+           PARTITION BY qid, doc_id ORDER BY n_uniq DESC, n_hits DESC, pstart
+         ) AS r
+  FROM win
+)
+SELECT qid::BIGINT AS qid, doc_id, pstart, n_hits, n_uniq FROM best WHERE r = 1
+"""),
+        # term-dictionary ranges + the sandbox index-sort binary-search
+        # numeric range (one contiguous span per segment, no scan)
+        ("ft_range_counts", _family(
+            "family",
+            ("term", ft.range_counts),
+            ("index_sorted_numeric", ft.index_sorted_range_counts),
+            # sandbox MultiRangeQuery: deduped union of BKD ranges
+            ("multi_range", ft.multi_range_counts),
+            # PointInSetQuery: one shared traversal per sorted set
+            ("point_in_set", ft.point_in_set_counts),
+            # LatLonPoint.newBoxQuery over GeoEncodingUtils-encoded
+            # lat/lon (incl. the dateline-crossing split)
+            ("geo_box", ft.geo_box_counts),
+            # spatial3d Geo3D shapes: unit-sphere circle/polygon/path
+            # membership, tree-pruned + exact-verified
+            ("geo3d", ft.geo3d_counts),
+            # DoublePoint/FloatPoint ranges via the sortable-bits
+            # encodings (NumericUtils), cross-checked in-engine
+            ("double_range", ft.double_range_counts),
+            # RangeFieldQuery (LongRange): the four QueryType relations
+            ("range_field_", ft.range_field_counts),
+            # LatLonBoundingBox: 2-D box relations on the 4-dim tree
+            ("latlon_bbox_", ft.latlon_bbox_counts),
+            # InetAddressPoint exact / CIDR-prefix / range queries
+            ("inet", ft.inet_range_counts),
+            # HalfFloatPoint ranges via sortable-short encoding
+            ("half_float", ft.half_float_range_counts),
+        ), f"""
 SELECT 'term' AS family, t.* FROM ({_range_counts_sql()}) t
 UNION ALL
 SELECT 'index_sorted_numeric', s.* FROM ({_sorted_numeric_range_sql()}) s
@@ -4403,8 +3743,101 @@ SELECT hq.qid::BIGINT AS qid,
         WHERE d.doc_id % 2048 BETWEEN hq.lo AND hq.hi)::BIGINT AS cnt
 FROM hq
 ) hf
-""",
-        "ft_phrase_topk": f"""
+"""),
+        ("ft_bm25_topk_variants", _family(
+            "variant",
+            ("distributed", _distributed_bm25),
+            ("merged", _merged_bm25),
+            ("disjunction", ft.bm25_disjunction_topk),
+            ("boosted", ft.bm25_boosted_topk),
+            ("common_terms", ft.common_terms_topk),
+            # DiversifiedTopDocsCollector: per-key-capped top-k
+            ("diversified", ft.diversified_topk),
+            # IndexSearcher.searchAfter: hits strictly after page 1's last
+            # (score, doc) cursor, re-ranked 1..10
+            ("page2", _page2_bm25),
+        ), f"""
+SELECT v.variant, b.*
+FROM (WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_BM25_COMMON}) b
+CROSS JOIN (VALUES ('distributed'), ('merged')) v(variant)
+UNION ALL
+SELECT 'disjunction', b.*
+FROM (WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_DISJ_VALUES}),
+{_BM25_COMMON}) b
+UNION ALL
+-- searchAfter page 2: ranks 11..20 of the page-1 ordering, renumbered
+SELECT 'page2', b.qid, b.rnk - 10 AS rnk, b.doc_id
+FROM (WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_term_scores()},
+{_topk("scored", "score DESC, doc_id", k=20)}) b
+WHERE b.rnk > 10
+UNION ALL
+SELECT 'boosted', b.* FROM ({_boosted_sql()}) b
+UNION ALL
+-- CommonTermsQuery: df/maxDoc > cutoff -> high-freq; docs must match a
+-- low-freq term (when any exist), every matching term's BM25 sums
+SELECT 'common_terms', b.* FROM (
+WITH {_COLLECTION},
+q(qid, term) AS (VALUES {", ".join(f"({qi}, '{t}')" for qi, terms in enumerate(ft.COMMON_TERMS_QUERIES) for t in terms)}),
+{_postings()},
+cls AS (
+  SELECT d.qid, d.tok, d.df,
+         CASE WHEN d.df * 1.0 / (SELECT count(*) FROM documents) > {ft.CTQ_MAX_TERM_FREQ}
+              THEN 1 ELSE 0 END AS hi
+  FROM df d
+),
+haslow AS (SELECT DISTINCT qid FROM cls WHERE hi = 0),
+lowmatch AS (
+  SELECT DISTINCT p.qid, p.doc_id
+  FROM posting p JOIN cls c ON c.qid = p.qid AND c.tok = p.tok AND c.hi = 0
+),
+{_clauses()},
+ctq AS (
+  SELECT c.qid, c.doc_id, sum(c.score) AS score
+  FROM clause c
+  WHERE c.qid NOT IN (SELECT qid FROM haslow)
+     OR EXISTS (SELECT 1 FROM lowmatch lm
+                WHERE lm.qid = c.qid AND lm.doc_id = c.doc_id)
+  GROUP BY c.qid, c.doc_id
+),
+{_topk("ctq", "score DESC, doc_id")}
+) b
+UNION ALL
+-- DiversifiedTopDocsCollector: global top-k with at most
+-- DIVERSIFY_MAX_PER_KEY hits per lang == per-key top-m (the collector's
+-- per-key queues) then a global top-k of the survivors; f32 scores,
+-- docid ties
+SELECT 'diversified', b.* FROM (
+WITH {_COLLECTION},
+q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_term_scores(combine="sum(score)::FLOAT")},
+keyed AS (
+  SELECT s.qid, s.doc_id, s.score, dd.{ft.DIVERSIFY_KEY} AS key
+  FROM scored s JOIN documents dd ON dd.doc_id = s.doc_id
+),
+perkey AS (
+  SELECT *, row_number() OVER (
+    PARTITION BY qid, key ORDER BY score DESC, doc_id) AS kr
+  FROM keyed
+),
+{_topk("perkey WHERE kr <= " + str(ft.DIVERSIFY_MAX_PER_KEY), "score DESC, doc_id")}
+) b
+"""),
+        ("ft_phrase_topk", _family(
+            "family",
+            ("exact", ft.phrase_topk),
+            # SpanScoreQuery (SpanWeight / SpanScorer: freq = distinct-span count)
+            ("span", ft.span_score_topk),
+            # PhraseWildcardQuery (sandbox): multi-term slots, idf summed
+            # over every budget-collected expansion
+            ("wildcard", ft.phrase_wildcard_topk),
+            # IntervalQuery saturation scoring over the fn: expressions
+            ("interval_score", ft.interval_score_topk),
+        ), f"""
 SELECT 'exact' AS family, p.* FROM ({_phrase_topk_sql()}) p
 UNION ALL
 SELECT 'span', s.* FROM ({_span_topk_sql()}) s
@@ -4412,8 +3845,33 @@ UNION ALL
 SELECT 'wildcard', w.* FROM ({_phrase_wildcard_sql()}) w
 UNION ALL
 SELECT 'interval_score', i.* FROM ({_interval_score_sql()}) i
-""",
-        "ft_proximity_matches": f"""
+"""),
+        ("ft_proximity_matches", _family(
+            "family",
+            ("unordered", _n_starts(ft.proximity_matches)),
+            ("ordered", ft.ordered_proximity_matches),
+            ("containing", _n_starts(ft.containing_proximity_matches, "n")),
+            ("or", _n_starts(ft.or_proximity_matches, "n")),
+            # queryparser/surround language (booleans + W/N distance +
+            # truncation), parsed then evaluated per segment
+            ("surround", _n_starts(ft.surround_matches)),
+            # SpanQuery family (queries/spans): distinct-span counts from
+            # the compositional span algebra, oracle-compiled from the same ASTs
+            ("spans", _n_starts(ft.span_matches, "n")),
+            # FieldMaskingSpanQuery: masked clauses read the title
+            # sub-index's positions
+            ("masked", _n_starts(ft.field_masked_matches, "n")),
+            # TermAutomatonQuery (sandbox): graph proximity
+            ("automaton", _n_starts(ft.automaton_matches)),
+            # StandardQueryParser fn: interval functions (queryparser/
+            # flexible) over the minimal-interval algebra
+            ("intervals_fn", _n_starts(ft.intervals_fn_matches, "n")),
+            # phrase-frequency counts ride this family too (driver
+            # 50-entry cap): exact / multi-slot / sloppy phrase freqs
+            ("phrase_exact", _n_starts(ft.phrase_counts, "phrase_freq")),
+            ("phrase_multi", _n_starts(ft.multi_phrase_counts, "phrase_freq")),
+            ("phrase_sloppy", _n_starts(ft.phrase_sloppy_counts, "sloppy_freq")),
+        ), f"""
 SELECT 'unordered' AS family, qid, doc_id, -1::BIGINT AS n_starts
 FROM (WITH {_TOKS}, {_proximity_sql()} SELECT qid, doc_id FROM prox)
 UNION ALL
@@ -4468,8 +3926,8 @@ UNION ALL
 SELECT 'phrase_sloppy', qid, doc_id, sloppy_freq
 FROM (WITH {_TOKS}, {_phrase_sloppy_sql()}
   SELECT qid, doc_id, sloppy_freq FROM sp)
-""",
-        "ft_filtered_topk": f"""
+"""),
+        ("ft_filtered_topk", ft.filtered_topk, f"""
 WITH {_COLLECTION},
 q(qid, term, fld, val) AS (VALUES {_FILTERED_VALUES}),
 {_term_scores()},
@@ -4484,227 +3942,11 @@ filtered AS (
      OR (q.fld = 'source' AND doc.source = q.val)
 ),
 {_topk("filtered", "score DESC, doc_id")}
-""",
-        "ft_delete_search": f"""
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
-{_term_scores()},
--- live-docs semantics: stats/scores computed over the FULL corpus
--- (deletes don't change them until a merge), deleted docs just drop out
-live AS (
-  SELECT c.qid, c.doc_id, c.score
-  FROM clause c JOIN documents doc ON doc.doc_id = c.doc_id
-  WHERE doc.lang != '{ft.DELETE_LANG}'
-),
-{_topk("live", "score DESC, doc_id")}
-""",
-        "ft_multifield_topk": f"""
-SELECT 'conj' AS family, r.* FROM (
-WITH {_COLLECTION},
-q(qid, term, lv) AS (VALUES {_MF_VALUES}),
-{_LANG_FIELD},
-{_postings()},
-{_clauses(f"{_bm25('p.tf')} + {_LANG_BM25}", _LANG_JOINS)},
-{_topk("clause", "score DESC, doc_id")}
-) r
-UNION ALL
--- PerFieldSimilarityWrapper: same conjunction, text clause scored with
--- ClassicSimilarity (its field stats), lang clause with BM25
-SELECT 'perfield_sim', r.* FROM (
-WITH {_COLLECTION},
-q(qid, term, lv) AS (VALUES {_MF_VALUES}),
-{_LANG_FIELD},
-{_postings()},
--- engine: each clause is ITS OWN float32 score; the conjunction sums
--- them in double with one final float32 cast (ConjunctionScorer.score)
-{_clauses(_PERFIELD_SCORE, _LANG_JOINS)},
-{_topk("clause", "score DESC, doc_id")}
-) r
-UNION ALL
--- MultiFieldQueryParser expansion over text+title: SHOULD sum of
--- per-(field, term) BM25 clauses, each with ITS field's stats and the
--- per-field boost (title = first {ft.TITLE_TOKENS} tokens of text)
-SELECT 'parsed', r.* FROM (
-WITH {_COLLECTION},
-q(qid, fld, term, boost) AS (VALUES {_mfp_values()}),
-ttf AS (
-  SELECT doc_id, tok, count(*)::BIGINT AS tf
-  FROM (SELECT doc_id, unnest(ts[1 : {ft.TITLE_TOKENS}]) AS tok FROM toks)
-  GROUP BY doc_id, tok
-),
-tdl AS (SELECT t.doc_id, least(len(ts), {ft.TITLE_TOKENS})::BIGINT AS tl FROM toks t),
-tstats AS (
-  SELECT count(*) FILTER (WHERE tl > 0)::BIGINT AS doc_count,
-         coalesce(sum(tl), 0)::BIGINT AS sum_ttf
-  FROM tdl
-),
-ptext AS (
-  SELECT q.qid, q.term, q.boost, tf.doc_id, tf.tf
-  FROM q JOIN tf ON tf.tok = q.term WHERE q.fld = 'text'
-),
-ptitle AS (
-  SELECT q.qid, q.term, q.boost, tt.doc_id, tt.tf
-  FROM q JOIN ttf tt ON tt.tok = q.term WHERE q.fld = 'title'
-),
-dfx AS (SELECT qid, term, count(*)::BIGINT AS df FROM ptext GROUP BY qid, term),
-dft AS (SELECT qid, term, count(*)::BIGINT AS df FROM ptitle GROUP BY qid, term),
-clauses AS (
-  SELECT p.qid, p.doc_id,
-         {_bm25("p.tf", idf=f"p.boost * {_idf('dfx.df')}")} AS score
-  FROM ptext p
-  JOIN dfx ON dfx.qid = p.qid AND dfx.term = p.term
-  JOIN dlq d ON d.doc_id = p.doc_id
-  CROSS JOIN stats s
-  UNION ALL
-  SELECT p.qid, p.doc_id,
-         {_bm25("p.tf", ql="(SELECT max(L) FROM lt WHERE lt.L <= td.tl)",
-                s="ts", idf=f"p.boost * {_idf('dft.df', 'ts')}")} AS score
-  FROM ptitle p
-  JOIN dft ON dft.qid = p.qid AND dft.term = p.term
-  JOIN tdl td ON td.doc_id = p.doc_id
-  CROSS JOIN tstats ts
-),
-scored AS (SELECT qid, doc_id, sum(score) AS score FROM clauses GROUP BY qid, doc_id),
-{_topk("scored")}
-) r
-""",
-        "ft_similarity_topk": _similarity_sql(),
-        "ft_facet_counts": f"""
-WITH {_TOKS},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
-m AS (
-  SELECT q.qid, d.doc_id, d.lang, d.source, d.n_chars
-  FROM q JOIN tf ON tf.tok = q.term
-  JOIN documents d ON d.doc_id = tf.doc_id
-),
-{_dyn_range_sql()}
-SELECT 'lang' AS facet, qid, lang AS value, count(*)::BIGINT AS n
-FROM m GROUP BY qid, lang
-UNION ALL
--- RandomSamplingFacetsCollector: lang counts over the deterministic
--- md5-gated doc sample, plus amortizeFacetCounts (integer floor scale
--- back by the inverse sampling rate, applied to the summed counts)
-SELECT 'sampled_lang', qid, lang, count(*)::BIGINT
-FROM m WHERE md5_number_lower('graft' || cast(doc_id as varchar)) % 100
-        < {ft.SAMPLE_FACET_PCT}
-GROUP BY qid, lang
-UNION ALL
-SELECT 'sampled_lang_amortized', qid, lang,
-       (count(*) * 100 // {ft.SAMPLE_FACET_PCT})::BIGINT
-FROM m WHERE md5_number_lower('graft' || cast(doc_id as varchar)) % 100
-        < {ft.SAMPLE_FACET_PCT}
-GROUP BY qid, lang
-UNION ALL
-SELECT 'source', qid, source, count(*)::BIGINT FROM m GROUP BY qid, source
-UNION ALL
--- RangeOnRangeFacetCounts: per-doc [lo, hi] range vs CLOSED buckets,
--- multi-bucket overlap membership
-SELECT 'range_on_range', qid, rb.lab, count(*)::BIGINT
-FROM m JOIN (VALUES {", ".join(f"('{lab}', {blo}, {bhi})" for lab, blo, bhi in ft.RANGE_FACET_BUCKETS)}) rb(lab, blo, bhi)
-  ON ((m.doc_id * 17) % 2000) <= rb.bhi
- AND ((m.doc_id * 17) % 2000 + 1 + (m.n_chars % 97)) >= rb.blo
-GROUP BY qid, rb.lab
-UNION ALL
-SELECT 'n_chars_range', qid,
-       CASE WHEN n_chars < 100 THEN '[0,100)'
-            WHEN n_chars < 200 THEN '[100,200)'
-            WHEN n_chars < 400 THEN '[200,400)'
-            ELSE '[400,inf)' END,
-       count(*)::BIGINT
-FROM m WHERE n_chars >= 0 GROUP BY 2, 3
-UNION ALL
-SELECT 'drilldown_lang', qid, lang, count(*)::BIGINT
-FROM m WHERE n_chars >= 100 AND n_chars < 400 GROUP BY qid, lang
-UNION ALL
--- DrillSideways (facet/DrillSideways.java) over dims {{lang = '{ft.DRILL_LANG}',
--- n_chars range}}: range counts with the range dim dropped + all-dims hits
-SELECT 'sideways_range', qid,
-       CASE WHEN n_chars < 100 THEN '[0,100)'
-            WHEN n_chars < 200 THEN '[100,200)'
-            WHEN n_chars < 400 THEN '[200,400)'
-            ELSE '[400,inf)' END,
-       count(*)::BIGINT
-FROM m WHERE lang = '{ft.DRILL_LANG}' AND n_chars >= 0 GROUP BY 2, 3
-UNION ALL
-SELECT 'drill_hits', qid, 'hits', count(*)::BIGINT
-FROM m WHERE lang = '{ft.DRILL_LANG}' AND n_chars >= 100 AND n_chars < 400
-GROUP BY qid
-UNION ALL
--- hierarchical taxonomy dim lang/source: child counts + parent rollup
-SELECT 'taxo', qid, lang || '/' || source, count(*)::BIGINT
-FROM m GROUP BY qid, lang, source
-UNION ALL
-SELECT 'taxo', qid, lang, count(*)::BIGINT FROM m GROUP BY qid, lang
-UNION ALL
--- ordinal-machinery twin (index/taxonomy.py DirectoryTaxonomyWriter /
--- FastTaxonomyFacetCounts analogue): same hierarchical counts, computed
--- in-engine over stable int ordinals with a post-sum parent rollup
-SELECT 'taxo_ord', qid, lang || '/' || source, count(*)::BIGINT
-FROM m GROUP BY qid, lang, source
-UNION ALL
-SELECT 'taxo_ord', qid, lang, count(*)::BIGINT FROM m GROUP BY qid, lang
-UNION ALL
--- Int-association facet (TaxonomyFacetIntAssociations SUM): each
--- matching doc's n_chars association sums into its lang label
-SELECT 'assoc_sum_lang', qid, lang, sum(n_chars)::BIGINT
-FROM m GROUP BY qid, lang
-UNION ALL
--- sandbox facet LongAggregationsFacetRecorder: per-label MAX
-SELECT 'assoc_max_lang', qid, lang, max(n_chars)::BIGINT
-FROM m GROUP BY qid, lang
-UNION ALL
--- LongValueFacetCounts: per-distinct-value counts of the value source
--- n_chars // {ft.LONG_VALUE_DIV}
-SELECT 'long_value', qid, cast(n_chars // {ft.LONG_VALUE_DIV} as varchar),
-       count(*)::BIGINT
-FROM m GROUP BY qid, 3
-UNION ALL
--- HistogramCollector (sandbox facet/plain/histograms): match-all
--- floorDiv(n_chars, W) buckets; the engine bulk-counts whole point-tree
--- cells (PointTreeBulkCollector), SQL recounts per doc
-SELECT 'histogram', 0, cast(n_chars // {ft.HIST_BUCKET_W} as varchar),
-       count(*)::BIGINT
-FROM documents GROUP BY 3
-UNION ALL
--- FacetSet ExactFacetSetMatcher: doc set (n_chars % 8, n_chars // 100)
-SELECT 'facetset_exact', qid, s.lab, count(*)::BIGINT
-FROM m JOIN (VALUES {", ".join(f"('{a}/{b}', {a}, {b})" for a, b in ft.FACETSET_EXACT)})
-  s(lab, a, b) ON m.n_chars % 8 = s.a AND m.n_chars // 100 = s.b
-GROUP BY qid, s.lab
-UNION ALL
--- FacetSet RangeFacetSetMatcher: per-dim inclusive ranges
-SELECT 'facetset_range', qid, s.lab, count(*)::BIGINT
-FROM m JOIN (VALUES {", ".join(f"('{lab}', {l0}, {h0}, {l1}, {h1})" for lab, (l0, h0), (l1, h1) in ft.FACETSET_RANGES)})
-  s(lab, l0, h0, l1, h1)
-  ON m.n_chars % 8 BETWEEN s.l0 AND s.h0
- AND m.n_chars // 100 BETWEEN s.l1 AND s.h1
-GROUP BY qid, s.lab
-UNION ALL
--- GroupFacetCollector: DISTINCT source groups per lang facet value
-SELECT 'grouped_lang', qid, lang, count(DISTINCT source)::BIGINT
-FROM m GROUP BY qid, lang
-UNION ALL
--- DynamicRangeUtil equi-weight ranges: count / weight / value-sum rows
-SELECT 'dynamic_range', qid, lab, cnt FROM dynout
-UNION ALL
-SELECT 'dynamic_range_weight', qid, lab, wsum FROM dynout
-UNION ALL
-SELECT 'dynamic_range_vsum', qid, lab, vsum FROM dynout
-UNION ALL
--- misc DocValuesStats (LongDocValuesStats): n_chars over matching docs
-SELECT 'dv_stats', qid, s.value, s.n FROM (
-  SELECT qid,
-         min(n_chars)::BIGINT AS "min", max(n_chars)::BIGINT AS "max",
-         sum(n_chars)::BIGINT AS "sum", count(*)::BIGINT AS "count",
-         0::BIGINT AS "missing"
-  FROM m GROUP BY qid
-) u, LATERAL (VALUES ('min', u."min"), ('max', u."max"), ('sum', u."sum"),
-                     ('count', u."count"), ('missing', u."missing")) s(value, n)
-""",
+"""),
         # the engine runs the same predicate through BOTH filter executions
         # (plain doc-values range AND IndexOrDocValuesQuery) and asserts they
         # agree, so the oracle is the one ranking under each method label
-        "ft_range_filtered_topk": f"""
+        ("ft_range_filtered_topk", ft.range_filtered_topk, f"""
 SELECT m.method, r.* FROM (
 WITH {_COLLECTION},
 q(qid, term, lo, hi) AS (VALUES {_RANGEF_VALUES}),
@@ -4720,8 +3962,140 @@ filtered AS (
 ),
 {_topk("filtered", "score DESC, doc_id")}
 ) r, (VALUES ('dv'), ('index_or_dv')) m(method)
-""",
-        "ft_parsed_topk": f"""
+"""),
+        # 2-dim BKD point tree (util/bkd BKDWriter/BKDReader analogue):
+        # per-segment persisted block k-d tree, box filter clause
+        ("ft_point_box_topk", ft.point_box_topk, f"""
+WITH {_COLLECTION},
+q(qid, term, clo, chi, dlo, dhi) AS (VALUES {_PBOX_VALUES}),
+{_term_scores()},
+-- 2-dim box: per dimension lower inclusive, upper EXCLUSIVE, NULL = open
+inbox AS (
+  SELECT q.qid, doc.doc_id
+  FROM q JOIN documents doc
+    ON (q.clo IS NULL OR doc.n_chars >= q.clo)
+   AND (q.chi IS NULL OR doc.n_chars < q.chi)
+   AND (q.dlo IS NULL OR doc.doc_id >= q.dlo)
+   AND (q.dhi IS NULL OR doc.doc_id < q.dhi)
+),
+boxcnt AS (SELECT qid, count(*)::BIGINT AS n_match FROM inbox GROUP BY qid),
+filtered AS (
+  SELECT c.qid, c.doc_id, c.score, bc.n_match
+  FROM clause c
+  JOIN inbox i ON i.qid = c.qid AND i.doc_id = c.doc_id
+  JOIN boxcnt bc ON bc.qid = c.qid
+),
+-- indexed shapes: per-doc rectangle synthesized from (doc_id, n_chars);
+-- boundary-INCLUSIVE relations (ShapeField.QueryRelation semantics)
+shp AS (
+  SELECT doc_id,
+         (doc_id * 37) % 1200 AS x0,
+         (doc_id * 91 + n_chars) % 1100 AS y0,
+         (doc_id * 37) % 1200 + 8 + (doc_id % 73) AS x1,
+         (doc_id * 91 + n_chars) % 1100 + 8 + (n_chars % 61) AS y1
+  FROM documents WHERE doc_id % {ft.SHAPE_MOD} <> 0
+),
+bq(qid, qxlo, qxhi, qylo, qyhi) AS (VALUES {_SHAPE_BOX_VALUES}),
+pq(qid, px, py) AS (VALUES {_SHAPE_PT_VALUES}),
+sfam AS (
+  SELECT 'shape_intersects' AS family, b.qid, s.doc_id
+  FROM bq b JOIN shp s
+    ON s.x0 <= b.qxhi AND s.x1 >= b.qxlo AND s.y0 <= b.qyhi AND s.y1 >= b.qylo
+  UNION ALL
+  SELECT 'shape_within', b.qid, s.doc_id
+  FROM bq b JOIN shp s
+    ON s.x0 >= b.qxlo AND s.x1 <= b.qxhi AND s.y0 >= b.qylo AND s.y1 <= b.qyhi
+  UNION ALL
+  SELECT 'shape_disjoint', b.qid, s.doc_id
+  FROM bq b JOIN shp s
+    ON NOT (s.x0 <= b.qxhi AND s.x1 >= b.qxlo AND s.y0 <= b.qyhi AND s.y1 >= b.qylo)
+  UNION ALL
+  SELECT 'shape_contains_pt', p.qid, s.doc_id
+  FROM pq p JOIN shp s
+    ON s.x0 <= p.px AND p.px <= s.x1 AND s.y0 <= p.py AND p.py <= s.y1
+),
+sranked AS (
+  SELECT family, qid, doc_id,
+         row_number() OVER (PARTITION BY family, qid ORDER BY doc_id) AS rnk,
+         count(*) OVER (PARTITION BY family, qid) AS n_match
+  FROM sfam
+),
+{_topk("filtered", "score DESC, doc_id", out="'box' AS family, qid::BIGINT AS qid, rnk::BIGINT AS rnk, doc_id, n_match")}
+UNION ALL
+SELECT family, qid::BIGINT, rnk::BIGINT, doc_id, n_match::BIGINT
+FROM sranked WHERE rnk <= 10
+"""),
+        # LatLonPoint distance query analogue: BKD radius traversal,
+        # integer squared distances, sorted nearest-first — plus the
+        # 'haversine' arm: true great-circle radius on GeoEncodingUtils-
+        # encoded lat/lon via the monotone haversinSortKey (asin-free)
+        ("ft_point_distance", lambda sf: pa.concat_tables(
+            [
+                ft.point_distance_topk(sf),
+                (lambda t: t.add_column(
+                    0, "family", pa.array(["haversine"] * len(t), pa.string())
+                ))(ft.geo_distance_topk(sf)),
+            ]
+        ), f"""
+WITH q(qid, cx, cy, r2) AS (VALUES {", ".join(f"({i}, {cx}, {cy}, {r2})" for i, (cx, cy, r2) in enumerate(ft.POINT_DISTANCE_QUERIES))}),
+d2 AS (
+  SELECT q.qid, d.doc_id,
+         ((d.n_chars - q.cx) * (d.n_chars - q.cx)
+          + (d.doc_id - q.cy) * (d.doc_id - q.cy))::BIGINT AS dist2,
+         q.r2
+  FROM q, documents d
+),
+ranked AS (
+  SELECT qid, doc_id, dist2,
+         row_number() OVER (PARTITION BY qid ORDER BY dist2, doc_id) AS rnk
+  FROM d2 WHERE dist2 <= r2
+),
+-- family='nearest': true k-NN, no radius (NearestNeighbor.java best-first)
+nranked AS (
+  SELECT qid, doc_id, dist2,
+         row_number() OVER (PARTITION BY qid ORDER BY dist2, doc_id) AS rnk
+  FROM d2
+)
+SELECT 'radius' AS family, qid::BIGINT AS qid, rnk::BIGINT AS rnk, doc_id, dist2
+FROM ranked WHERE rnk <= 10
+UNION ALL
+SELECT 'nearest', qid::BIGINT, rnk::BIGINT, doc_id, dist2
+FROM nranked WHERE rnk <= 10
+UNION ALL
+-- 'haversine': great-circle radius on the derived lat/lon grid; the
+-- sort key mirrors ft._geo_sortkey operation for operation (sin/cos are
+-- bit-identical numpy<->DuckDB on this libm; asin deliberately avoided),
+-- thresholds/literals are the exact Python doubles the engine used
+SELECT 'haversine', qid::BIGINT, rnk::BIGINT, doc_id, dist2 FROM (
+WITH hq(qid, qlat, qlon, thr) AS (VALUES {", ".join(f"({i}, {qlat!r}, {qlon!r}, {ft.geo_sortkey_threshold(r)!r})" for i, (qlat, qlon, r) in enumerate(ft.GEO_DISTANCE_QUERIES))}),
+g AS (
+  SELECT doc_id,
+         (((doc_id * 37) % 18000) / 100.0 - 90.0) AS lat,
+         (((doc_id * 53) % 36000) / 100.0 - 180.0) AS lon
+  FROM documents
+),
+sk AS (
+  SELECT hq.qid, g.doc_id,
+         sin((hq.qlat - g.lat) * {ft.GEO_TO_RAD!r} * 0.5)
+           * sin((hq.qlat - g.lat) * {ft.GEO_TO_RAD!r} * 0.5)
+         + cos(g.lat * {ft.GEO_TO_RAD!r}) * cos(hq.qlat * {ft.GEO_TO_RAD!r})
+           * sin((hq.qlon - g.lon) * {ft.GEO_TO_RAD!r} * 0.5)
+           * sin((hq.qlon - g.lon) * {ft.GEO_TO_RAD!r} * 0.5) AS sk,
+         hq.thr
+  FROM hq, g
+),
+hranked AS (
+  SELECT qid, doc_id,
+         CAST(floor(sk * {ft.GEO_KEY_SCALE!r}) AS BIGINT) AS dist2,
+         row_number() OVER (PARTITION BY qid ORDER BY CAST(floor(sk * {ft.GEO_KEY_SCALE!r}) AS BIGINT), doc_id) AS rnk
+  FROM sk WHERE sk <= thr
+)
+SELECT qid, rnk, doc_id, dist2 FROM hranked WHERE rnk <= 10
+) h
+"""),
+        # classic query parser end-to-end (queryparser/classic semantics:
+        # grouping, AND/OR/NOT promotion, ^boosts, [a TO b] ranges)
+        ("ft_parsed_topk", ft.parsed_topk, f"""
 WITH {_COLLECTION},
 -- per-(doc, term) BM25 for every term any parsed query scores
 pq(qid, term) AS (VALUES {", ".join(f"(0, '{t}')" for t in ("spark", "join", "merge", "window", "scan"))}),
@@ -4866,68 +4240,100 @@ u AS (
   UNION ALL SELECT * FROM q16
 ),
 {_topk("u")}
-""",
-        "ft_point_box_topk": f"""
+"""),
+        ("ft_delete_search", ft.delete_search_topk, f"""
 WITH {_COLLECTION},
-q(qid, term, clo, chi, dlo, dhi) AS (VALUES {_PBOX_VALUES}),
+q(qid, term) AS (VALUES {_QTERMS_VALUES}),
 {_term_scores()},
--- 2-dim box: per dimension lower inclusive, upper EXCLUSIVE, NULL = open
-inbox AS (
-  SELECT q.qid, doc.doc_id
-  FROM q JOIN documents doc
-    ON (q.clo IS NULL OR doc.n_chars >= q.clo)
-   AND (q.chi IS NULL OR doc.n_chars < q.chi)
-   AND (q.dlo IS NULL OR doc.doc_id >= q.dlo)
-   AND (q.dhi IS NULL OR doc.doc_id < q.dhi)
+-- live-docs semantics: stats/scores computed over the FULL corpus
+-- (deletes don't change them until a merge), deleted docs just drop out
+live AS (
+  SELECT c.qid, c.doc_id, c.score
+  FROM clause c JOIN documents doc ON doc.doc_id = c.doc_id
+  WHERE doc.lang != '{ft.DELETE_LANG}'
 ),
-boxcnt AS (SELECT qid, count(*)::BIGINT AS n_match FROM inbox GROUP BY qid),
-filtered AS (
-  SELECT c.qid, c.doc_id, c.score, bc.n_match
-  FROM clause c
-  JOIN inbox i ON i.qid = c.qid AND i.doc_id = c.doc_id
-  JOIN boxcnt bc ON bc.qid = c.qid
-),
--- indexed shapes: per-doc rectangle synthesized from (doc_id, n_chars);
--- boundary-INCLUSIVE relations (ShapeField.QueryRelation semantics)
-shp AS (
-  SELECT doc_id,
-         (doc_id * 37) % 1200 AS x0,
-         (doc_id * 91 + n_chars) % 1100 AS y0,
-         (doc_id * 37) % 1200 + 8 + (doc_id % 73) AS x1,
-         (doc_id * 91 + n_chars) % 1100 + 8 + (n_chars % 61) AS y1
-  FROM documents WHERE doc_id % {ft.SHAPE_MOD} <> 0
-),
-bq(qid, qxlo, qxhi, qylo, qyhi) AS (VALUES {_SHAPE_BOX_VALUES}),
-pq(qid, px, py) AS (VALUES {_SHAPE_PT_VALUES}),
-sfam AS (
-  SELECT 'shape_intersects' AS family, b.qid, s.doc_id
-  FROM bq b JOIN shp s
-    ON s.x0 <= b.qxhi AND s.x1 >= b.qxlo AND s.y0 <= b.qyhi AND s.y1 >= b.qylo
-  UNION ALL
-  SELECT 'shape_within', b.qid, s.doc_id
-  FROM bq b JOIN shp s
-    ON s.x0 >= b.qxlo AND s.x1 <= b.qxhi AND s.y0 >= b.qylo AND s.y1 <= b.qyhi
-  UNION ALL
-  SELECT 'shape_disjoint', b.qid, s.doc_id
-  FROM bq b JOIN shp s
-    ON NOT (s.x0 <= b.qxhi AND s.x1 >= b.qxlo AND s.y0 <= b.qyhi AND s.y1 >= b.qylo)
-  UNION ALL
-  SELECT 'shape_contains_pt', p.qid, s.doc_id
-  FROM pq p JOIN shp s
-    ON s.x0 <= p.px AND p.px <= s.x1 AND s.y0 <= p.py AND p.py <= s.y1
-),
-sranked AS (
-  SELECT family, qid, doc_id,
-         row_number() OVER (PARTITION BY family, qid ORDER BY doc_id) AS rnk,
-         count(*) OVER (PARTITION BY family, qid) AS n_match
-  FROM sfam
-),
-{_topk("filtered", "score DESC, doc_id", out="'box' AS family, qid::BIGINT AS qid, rnk::BIGINT AS rnk, doc_id, n_match")}
+{_topk("live", "score DESC, doc_id")}
+"""),
+        ("ft_multifield_topk", _family(
+            "family",
+            ("conj", ft.multifield_topk),
+            ("parsed", ft.multifield_parsed_topk),
+            # PerFieldSimilarityWrapper: text=Classic, lang=BM25
+            ("perfield_sim", ft.multifield_perfield_topk),
+        ), f"""
+SELECT 'conj' AS family, r.* FROM (
+WITH {_COLLECTION},
+q(qid, term, lv) AS (VALUES {_MF_VALUES}),
+{_LANG_FIELD},
+{_postings()},
+{_clauses(f"{_bm25('p.tf')} + {_LANG_BM25}", _LANG_JOINS)},
+{_topk("clause", "score DESC, doc_id")}
+) r
 UNION ALL
-SELECT family, qid::BIGINT, rnk::BIGINT, doc_id, n_match::BIGINT
-FROM sranked WHERE rnk <= 10
-""",
-        "ft_combined_field_topk": f"""
+-- PerFieldSimilarityWrapper: same conjunction, text clause scored with
+-- ClassicSimilarity (its field stats), lang clause with BM25
+SELECT 'perfield_sim', r.* FROM (
+WITH {_COLLECTION},
+q(qid, term, lv) AS (VALUES {_MF_VALUES}),
+{_LANG_FIELD},
+{_postings()},
+-- engine: each clause is ITS OWN float32 score; the conjunction sums
+-- them in double with one final float32 cast (ConjunctionScorer.score)
+{_clauses(_PERFIELD_SCORE, _LANG_JOINS)},
+{_topk("clause", "score DESC, doc_id")}
+) r
+UNION ALL
+-- MultiFieldQueryParser expansion over text+title: SHOULD sum of
+-- per-(field, term) BM25 clauses, each with ITS field's stats and the
+-- per-field boost (title = first {ft.TITLE_TOKENS} tokens of text)
+SELECT 'parsed', r.* FROM (
+WITH {_COLLECTION},
+q(qid, fld, term, boost) AS (VALUES {_mfp_values()}),
+ttf AS (
+  SELECT doc_id, tok, count(*)::BIGINT AS tf
+  FROM (SELECT doc_id, unnest(ts[1 : {ft.TITLE_TOKENS}]) AS tok FROM toks)
+  GROUP BY doc_id, tok
+),
+tdl AS (SELECT t.doc_id, least(len(ts), {ft.TITLE_TOKENS})::BIGINT AS tl FROM toks t),
+tstats AS (
+  SELECT count(*) FILTER (WHERE tl > 0)::BIGINT AS doc_count,
+         coalesce(sum(tl), 0)::BIGINT AS sum_ttf
+  FROM tdl
+),
+ptext AS (
+  SELECT q.qid, q.term, q.boost, tf.doc_id, tf.tf
+  FROM q JOIN tf ON tf.tok = q.term WHERE q.fld = 'text'
+),
+ptitle AS (
+  SELECT q.qid, q.term, q.boost, tt.doc_id, tt.tf
+  FROM q JOIN ttf tt ON tt.tok = q.term WHERE q.fld = 'title'
+),
+dfx AS (SELECT qid, term, count(*)::BIGINT AS df FROM ptext GROUP BY qid, term),
+dft AS (SELECT qid, term, count(*)::BIGINT AS df FROM ptitle GROUP BY qid, term),
+clauses AS (
+  SELECT p.qid, p.doc_id,
+         {_bm25("p.tf", idf=f"p.boost * {_idf('dfx.df')}")} AS score
+  FROM ptext p
+  JOIN dfx ON dfx.qid = p.qid AND dfx.term = p.term
+  JOIN dlq d ON d.doc_id = p.doc_id
+  CROSS JOIN stats s
+  UNION ALL
+  SELECT p.qid, p.doc_id,
+         {_bm25("p.tf", ql="(SELECT max(L) FROM lt WHERE lt.L <= td.tl)",
+                s="ts", idf=f"p.boost * {_idf('dft.df', 'ts')}")} AS score
+  FROM ptitle p
+  JOIN dft ON dft.qid = p.qid AND dft.term = p.term
+  JOIN tdl td ON td.doc_id = p.doc_id
+  CROSS JOIN tstats ts
+),
+scored AS (SELECT qid, doc_id, sum(score) AS score FROM clauses GROUP BY qid, doc_id),
+{_topk("scored")}
+) r
+"""),
+        # Classic TF-IDF + Boolean + LMDirichlet over the same index: the
+        # pluggable-similarity (SimScorer) seam as one family entry
+        ("ft_similarity_topk", ft.similarity_topk, _similarity_sql()),
+        ("ft_combined_field_topk", ft.combined_field_topk, f"""
 WITH {_TOKS}, {_LT},
 q(qid, term) AS (VALUES {_QTERMS_VALUES}),
 -- title = first {ft.TITLE_TOKENS} tokens; blended BM25F virtual field:
@@ -4967,8 +4373,24 @@ scored AS (
   CROSS JOIN stats s
 ),
 {_topk("scored")}
-""",
-        "ft_sort_family": f"""
+"""),
+        # SortField top-k + index-time-sorted early-terminating top-k
+        # (search/Sort.java + index/Sorter.java) as one family entry
+        ("ft_sort_family", _family(
+            "family",
+            ("stored", ft.sort_by_field_topk),
+            ("index_sorted", ft.index_sorted_topk),
+            ("compound", ft.compound_sort_topk),
+            # SortedNumericSortField: selector-collapsed multi-valued sort
+            ("sorted_numeric", ft.sorted_numeric_sort_topk),
+            # SortedSetSortField: lexicographic MIN/MAX over a
+            # multi-valued string field
+            ("sorted_set", ft.sorted_set_sort_topk),
+            # LatLonPointSortField: nearest-first distance comparator
+            ("distance", ft.distance_sort_topk),
+            # SortRescorer: re-sort the BM25 first pass by a field sort
+            ("sort_rescorer", ft.sort_rescored_topk),
+        ), f"""
 SELECT 'stored' AS family, s.* FROM (
 WITH {_TOKS},
 q(qid, term, fld, dir) AS (VALUES {_SORTED_VALUES}),
@@ -5053,201 +4475,165 @@ resorted AS (
 )
 SELECT qid::BIGINT AS qid, rnk::BIGINT AS rnk, doc_id FROM resorted WHERE rnk <= 10
 ) sr
-""",
-        "dd_duplicate_clusters": f"""
-WITH RECURSIVE {_TOKS}, {_SHINGLES},
-inter AS (
-  SELECT a.doc_id AS da, b.doc_id AS db_, count(*)::BIGINT AS inter
-  FROM sh a JOIN sh b ON a.shingle = b.shingle AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-),
-sizes AS (SELECT doc_id, count(*)::BIGINT AS sz FROM sh GROUP BY doc_id),
-pairs AS (
-  SELECT da, db_ FROM inter
-  JOIN sizes sa ON sa.doc_id = da
-  JOIN sizes sb ON sb.doc_id = db_
-  WHERE 100 * inter >= 20 * (sa.sz + sb.sz - inter)
-),
-edges AS (
-  SELECT da AS a, db_ AS b FROM pairs
-  UNION ALL SELECT db_, da FROM pairs
-),
-nodes AS (SELECT DISTINCT a AS node FROM edges),
-reach(node, lbl) AS (
-  SELECT node, node FROM nodes
-  UNION
-  SELECT e.b, r.lbl FROM reach r JOIN edges e ON e.a = r.node
-),
-lab AS (SELECT node, min(lbl) AS cluster_id FROM reach GROUP BY node),
--- SemDeDup exact arm: hashed-TF (feature-hashing) vectors, cosine >= 0.9
--- evaluated as the EXACT integer comparison 100*dot^2 >= 81*|a|^2*|b|^2,
--- then the same min-label components
-stf AS (
-  SELECT doc_id, cast(md5_number_lower(tok) % {semdedup_mod.DIM} as bigint) AS b,
-         count(*)::BIGINT AS c
-  FROM tok GROUP BY 1, 2
-),
-sn2 AS (SELECT doc_id, sum(c * c)::BIGINT AS n2 FROM stf GROUP BY doc_id),
--- multi-probe sign-bucket restriction (the engine's scale path): plane
--- dots against md5-derived integer hyperplanes h_p(b) in [-1000,1000];
--- a plane with dot² < WILD_M2·|v|² is a WILDCARD and the doc lands in
--- every consistent bucket (same rule as ops/semdedup.probe_buckets)
-shyp AS (
-  SELECT p.p, b.b,
-         (md5_number_lower('sem|' || p.p || '|' || b.b) % 2001)::BIGINT - 1000 AS h
-  FROM (SELECT unnest(range({semdedup_mod.N_PLANES})) AS p) p,
-       (SELECT unnest(range({semdedup_mod.DIM})) AS b) b
-),
-splane AS (
-  SELECT d.doc_id, d.p, d.dot > 0 AS pos,
-         d.dot * d.dot < {semdedup_mod.WILD_M2} * n.n2 AS wild
-  FROM (
-    SELECT stf.doc_id, shyp.p, sum(stf.c * shyp.h)::BIGINT AS dot
-    FROM stf JOIN shyp ON shyp.b = stf.b GROUP BY 1, 2
-  ) d JOIN sn2 n ON n.doc_id = d.doc_id
-),
-sbkt AS (
-  SELECT s.doc_id, k.k AS bucket
-  FROM splane s, (SELECT unnest(range({1 << semdedup_mod.N_PLANES})) AS k) k
-  GROUP BY s.doc_id, k.k
-  HAVING bool_and(((k.k >> s.p) & 1 = CASE WHEN s.pos THEN 1 ELSE 0 END) OR s.wild)
-),
-sdots AS (
-  SELECT a.doc_id AS da, b.doc_id AS db_, sum(a.c * b.c)::BIGINT AS dot
-  FROM stf a JOIN stf b ON a.b = b.b AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-),
-spairs AS (
-  SELECT da, db_ FROM sdots
-  JOIN sn2 x ON x.doc_id = da JOIN sn2 y ON y.doc_id = db_
-  WHERE dot > 0
-    AND EXISTS (SELECT 1 FROM sbkt ba JOIN sbkt bb ON ba.bucket = bb.bucket
-                WHERE ba.doc_id = da AND bb.doc_id = db_)
-    AND {semdedup_mod.TAU_DEN} * dot * dot >= {semdedup_mod.TAU_NUM} * x.n2 * y.n2
-),
-sedges AS (
-  SELECT da AS a, db_ AS b FROM spairs UNION ALL SELECT db_, da FROM spairs
-),
-snodes AS (SELECT DISTINCT a AS node FROM sedges),
-sreach(node, lbl) AS (
-  SELECT node, node FROM snodes
-  UNION
-  SELECT e.b, r.lbl FROM sreach r JOIN sedges e ON e.a = r.node
-),
-slab AS (SELECT node, min(lbl) AS cluster_id FROM sreach GROUP BY node)
-SELECT 'jaccard' AS family, node::BIGINT AS doc_id, cluster_id::BIGINT AS cluster_id,
-       (count(*) OVER (PARTITION BY cluster_id))::BIGINT AS cluster_size
-FROM lab
-UNION ALL
-SELECT 'semantic', node::BIGINT, cluster_id::BIGINT,
-       (count(*) OVER (PARTITION BY cluster_id))::BIGINT
-FROM slab
-""",
-        "ft_bm25_topk_variants": f"""
-SELECT v.variant, b.*
-FROM (WITH {_COLLECTION},
+"""),
+        # facet family + the misc DocValuesStats rows (same facet-tagged
+        # shape; dv_stats reduces min/max/sum/count on the driver) + the
+        # DynamicRangeUtil equi-weight ranges (greedy scan over globally
+        # sorted (value, weight) pairs — pair partials per segment)
+        ("ft_facet_counts", lambda sf: pd.concat(
+            [
+                _frame(arm(sf))
+                for arm in (
+                    ft.facet_counts, ft.dv_stats, ft.dynamic_range_facets,
+                    # GroupFacetCollector: distinct-group counts per facet value
+                    ft.grouped_facet_counts,
+                )
+            ],
+            ignore_index=True,
+        ), f"""
+WITH {_TOKS},
 q(qid, term) AS (VALUES {_QTERMS_VALUES}),
-{_BM25_COMMON}) b
-CROSS JOIN (VALUES ('distributed'), ('merged')) v(variant)
-UNION ALL
-SELECT 'disjunction', b.*
-FROM (WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_DISJ_VALUES}),
-{_BM25_COMMON}) b
-UNION ALL
--- searchAfter page 2: ranks 11..20 of the page-1 ordering, renumbered
-SELECT 'page2', b.qid, b.rnk - 10 AS rnk, b.doc_id
-FROM (WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
-{_term_scores()},
-{_topk("scored", "score DESC, doc_id", k=20)}) b
-WHERE b.rnk > 10
-UNION ALL
-SELECT 'boosted', b.* FROM ({_boosted_sql()}) b
-UNION ALL
--- CommonTermsQuery: df/maxDoc > cutoff -> high-freq; docs must match a
--- low-freq term (when any exist), every matching term's BM25 sums
-SELECT 'common_terms', b.* FROM (
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {", ".join(f"({qi}, '{t}')" for qi, terms in enumerate(ft.COMMON_TERMS_QUERIES) for t in terms)}),
-{_postings()},
-cls AS (
-  SELECT d.qid, d.tok, d.df,
-         CASE WHEN d.df * 1.0 / (SELECT count(*) FROM documents) > {ft.CTQ_MAX_TERM_FREQ}
-              THEN 1 ELSE 0 END AS hi
-  FROM df d
+m AS (
+  SELECT q.qid, d.doc_id, d.lang, d.source, d.n_chars
+  FROM q JOIN tf ON tf.tok = q.term
+  JOIN documents d ON d.doc_id = tf.doc_id
 ),
-haslow AS (SELECT DISTINCT qid FROM cls WHERE hi = 0),
-lowmatch AS (
-  SELECT DISTINCT p.qid, p.doc_id
-  FROM posting p JOIN cls c ON c.qid = p.qid AND c.tok = p.tok AND c.hi = 0
-),
-{_clauses()},
-ctq AS (
-  SELECT c.qid, c.doc_id, sum(c.score) AS score
-  FROM clause c
-  WHERE c.qid NOT IN (SELECT qid FROM haslow)
-     OR EXISTS (SELECT 1 FROM lowmatch lm
-                WHERE lm.qid = c.qid AND lm.doc_id = c.doc_id)
-  GROUP BY c.qid, c.doc_id
-),
-{_topk("ctq", "score DESC, doc_id")}
-) b
+{_dyn_range_sql()}
+SELECT 'lang' AS facet, qid, lang AS value, count(*)::BIGINT AS n
+FROM m GROUP BY qid, lang
 UNION ALL
--- DiversifiedTopDocsCollector: global top-k with at most
--- DIVERSIFY_MAX_PER_KEY hits per lang == per-key top-m (the collector's
--- per-key queues) then a global top-k of the survivors; f32 scores,
--- docid ties
-SELECT 'diversified', b.* FROM (
-WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
-{_term_scores(combine="sum(score)::FLOAT")},
-keyed AS (
-  SELECT s.qid, s.doc_id, s.score, dd.{ft.DIVERSIFY_KEY} AS key
-  FROM scored s JOIN documents dd ON dd.doc_id = s.doc_id
-),
-perkey AS (
-  SELECT *, row_number() OVER (
-    PARTITION BY qid, key ORDER BY score DESC, doc_id) AS kr
-  FROM keyed
-),
-{_topk("perkey WHERE kr <= " + str(ft.DIVERSIFY_MAX_PER_KEY), "score DESC, doc_id")}
-) b
-""",
-        "tx_scrub_pii": """
-SELECT doc_id,
-       len(regexp_extract_all(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}'))::BIGINT AS n_email,
-       len(regexp_extract_all(coalesce(text, ''), '\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\b'))::BIGINT AS n_ipv4,
-       len(regexp_extract_all(coalesce(text, ''), '\b\\d{9,}\b'))::BIGINT AS n_longnum,
-       md5(regexp_replace(regexp_replace(regexp_replace(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}', '<EMAIL>', 'g'), '\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\b', '<IP>', 'g'), '\b\\d{9,}\b', '<NUM>', 'g')) AS clean_sha
-FROM documents
-""",
-        "tx_stratified_sample": f"""
-WITH per AS (
-  SELECT doc_id, lang,
-         md5_number_lower('graft' || cast(doc_id as varchar)) AS h,
-         cast(len(regexp_extract_all(lower(coalesce(text, '')),
-              '{text.TOKEN_PATTERN}')) as bigint) AS n_tokens
-  FROM documents
-)
-SELECT 'pct' AS mode, doc_id, lang, n_tokens
-FROM per
-WHERE h % 100
-      < (CASE lang WHEN 'de' THEN 25 WHEN 'en' THEN 50 WHEN 'fr' THEN 10 ELSE 0 END)
+-- RandomSamplingFacetsCollector: lang counts over the deterministic
+-- md5-gated doc sample, plus amortizeFacetCounts (integer floor scale
+-- back by the inverse sampling rate, applied to the summed counts)
+SELECT 'sampled_lang', qid, lang, count(*)::BIGINT
+FROM m WHERE md5_number_lower('graft' || cast(doc_id as varchar)) % 100
+        < {ft.SAMPLE_FACET_PCT}
+GROUP BY qid, lang
 UNION ALL
--- token-budget domain mixture: greedy fill in deterministic hash order;
--- the doc CROSSING the budget is kept (exclusive prefix < budget)
-SELECT 'budget', doc_id, lang, n_tokens FROM (
-  SELECT doc_id, lang, n_tokens,
-         coalesce(sum(n_tokens) OVER (PARTITION BY lang ORDER BY h, doc_id
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS prefix
-  FROM per WHERE lang IN ('de', 'en', 'fr')
-)
-WHERE prefix < (CASE lang WHEN 'en' THEN 4000 WHEN 'de' THEN 1500 ELSE 2000 END)
-""",
+SELECT 'sampled_lang_amortized', qid, lang,
+       (count(*) * 100 // {ft.SAMPLE_FACET_PCT})::BIGINT
+FROM m WHERE md5_number_lower('graft' || cast(doc_id as varchar)) % 100
+        < {ft.SAMPLE_FACET_PCT}
+GROUP BY qid, lang
+UNION ALL
+SELECT 'source', qid, source, count(*)::BIGINT FROM m GROUP BY qid, source
+UNION ALL
+-- RangeOnRangeFacetCounts: per-doc [lo, hi] range vs CLOSED buckets,
+-- multi-bucket overlap membership
+SELECT 'range_on_range', qid, rb.lab, count(*)::BIGINT
+FROM m JOIN (VALUES {", ".join(f"('{lab}', {blo}, {bhi})" for lab, blo, bhi in ft.RANGE_FACET_BUCKETS)}) rb(lab, blo, bhi)
+  ON ((m.doc_id * 17) % 2000) <= rb.bhi
+ AND ((m.doc_id * 17) % 2000 + 1 + (m.n_chars % 97)) >= rb.blo
+GROUP BY qid, rb.lab
+UNION ALL
+SELECT 'n_chars_range', qid,
+       CASE WHEN n_chars < 100 THEN '[0,100)'
+            WHEN n_chars < 200 THEN '[100,200)'
+            WHEN n_chars < 400 THEN '[200,400)'
+            ELSE '[400,inf)' END,
+       count(*)::BIGINT
+FROM m WHERE n_chars >= 0 GROUP BY 2, 3
+UNION ALL
+SELECT 'drilldown_lang', qid, lang, count(*)::BIGINT
+FROM m WHERE n_chars >= 100 AND n_chars < 400 GROUP BY qid, lang
+UNION ALL
+-- DrillSideways (facet/DrillSideways.java) over dims {{lang = '{ft.DRILL_LANG}',
+-- n_chars range}}: range counts with the range dim dropped + all-dims hits
+SELECT 'sideways_range', qid,
+       CASE WHEN n_chars < 100 THEN '[0,100)'
+            WHEN n_chars < 200 THEN '[100,200)'
+            WHEN n_chars < 400 THEN '[200,400)'
+            ELSE '[400,inf)' END,
+       count(*)::BIGINT
+FROM m WHERE lang = '{ft.DRILL_LANG}' AND n_chars >= 0 GROUP BY 2, 3
+UNION ALL
+SELECT 'drill_hits', qid, 'hits', count(*)::BIGINT
+FROM m WHERE lang = '{ft.DRILL_LANG}' AND n_chars >= 100 AND n_chars < 400
+GROUP BY qid
+UNION ALL
+-- hierarchical taxonomy dim lang/source: child counts + parent rollup
+SELECT 'taxo', qid, lang || '/' || source, count(*)::BIGINT
+FROM m GROUP BY qid, lang, source
+UNION ALL
+SELECT 'taxo', qid, lang, count(*)::BIGINT FROM m GROUP BY qid, lang
+UNION ALL
+-- ordinal-machinery twin (index/taxonomy.py DirectoryTaxonomyWriter /
+-- FastTaxonomyFacetCounts analogue): same hierarchical counts, computed
+-- in-engine over stable int ordinals with a post-sum parent rollup
+SELECT 'taxo_ord', qid, lang || '/' || source, count(*)::BIGINT
+FROM m GROUP BY qid, lang, source
+UNION ALL
+SELECT 'taxo_ord', qid, lang, count(*)::BIGINT FROM m GROUP BY qid, lang
+UNION ALL
+-- Int-association facet (TaxonomyFacetIntAssociations SUM): each
+-- matching doc's n_chars association sums into its lang label
+SELECT 'assoc_sum_lang', qid, lang, sum(n_chars)::BIGINT
+FROM m GROUP BY qid, lang
+UNION ALL
+-- sandbox facet LongAggregationsFacetRecorder: per-label MAX
+SELECT 'assoc_max_lang', qid, lang, max(n_chars)::BIGINT
+FROM m GROUP BY qid, lang
+UNION ALL
+-- LongValueFacetCounts: per-distinct-value counts of the value source
+-- n_chars // {ft.LONG_VALUE_DIV}
+SELECT 'long_value', qid, cast(n_chars // {ft.LONG_VALUE_DIV} as varchar),
+       count(*)::BIGINT
+FROM m GROUP BY qid, 3
+UNION ALL
+-- HistogramCollector (sandbox facet/plain/histograms): match-all
+-- floorDiv(n_chars, W) buckets; the engine bulk-counts whole point-tree
+-- cells (PointTreeBulkCollector), SQL recounts per doc
+SELECT 'histogram', 0, cast(n_chars // {ft.HIST_BUCKET_W} as varchar),
+       count(*)::BIGINT
+FROM documents GROUP BY 3
+UNION ALL
+-- FacetSet ExactFacetSetMatcher: doc set (n_chars % 8, n_chars // 100)
+SELECT 'facetset_exact', qid, s.lab, count(*)::BIGINT
+FROM m JOIN (VALUES {", ".join(f"('{a}/{b}', {a}, {b})" for a, b in ft.FACETSET_EXACT)})
+  s(lab, a, b) ON m.n_chars % 8 = s.a AND m.n_chars // 100 = s.b
+GROUP BY qid, s.lab
+UNION ALL
+-- FacetSet RangeFacetSetMatcher: per-dim inclusive ranges
+SELECT 'facetset_range', qid, s.lab, count(*)::BIGINT
+FROM m JOIN (VALUES {", ".join(f"('{lab}', {l0}, {h0}, {l1}, {h1})" for lab, (l0, h0), (l1, h1) in ft.FACETSET_RANGES)})
+  s(lab, l0, h0, l1, h1)
+  ON m.n_chars % 8 BETWEEN s.l0 AND s.h0
+ AND m.n_chars // 100 BETWEEN s.l1 AND s.h1
+GROUP BY qid, s.lab
+UNION ALL
+-- GroupFacetCollector: DISTINCT source groups per lang facet value
+SELECT 'grouped_lang', qid, lang, count(DISTINCT source)::BIGINT
+FROM m GROUP BY qid, lang
+UNION ALL
+-- DynamicRangeUtil equi-weight ranges: count / weight / value-sum rows
+SELECT 'dynamic_range', qid, lab, cnt FROM dynout
+UNION ALL
+SELECT 'dynamic_range_weight', qid, lab, wsum FROM dynout
+UNION ALL
+SELECT 'dynamic_range_vsum', qid, lab, vsum FROM dynout
+UNION ALL
+-- misc DocValuesStats (LongDocValuesStats): n_chars over matching docs
+SELECT 'dv_stats', qid, s.value, s.n FROM (
+  SELECT qid,
+         min(n_chars)::BIGINT AS "min", max(n_chars)::BIGINT AS "max",
+         sum(n_chars)::BIGINT AS "sum", count(*)::BIGINT AS "count",
+         0::BIGINT AS "missing"
+  FROM m GROUP BY qid
+) u, LATERAL (VALUES ('min', u."min"), ('max', u."max"), ('sum', u."sum"),
+                     ('count', u."count"), ('missing', u."missing")) s(value, n)
+"""),
+        # --- text analysis ---
+        # token_stats + quality_stats + lang-ID + fingerprints fused into
+        # one per-doc profile (single read pass; frees driver-cap slots)
+        # + benchmark decontamination columns (GPT-3 App. C / The Pile
+        # n-gram overlap vs a leaked eval set; small side broadcast)
+        # + DSIR importance weights (Xie et al. 2023) vs the same target
+        # docs — integer dot products against a broadcast score table
+        # + NB quality-voting classifier columns (fastText-filter stand-in;
+        # integer voting checked, float log-odds agreement-gated in-engine)
         # per-doc profile: token/quality stats + lang-ID + fingerprints
         # joined on doc_id (mirrors ops/text.doc_profile's fused pass)
-        "tx_doc_stats": f"""
+        ("tx_doc_stats", _tx_doc_stats, f"""
 SELECT s.*, l.* EXCLUDE (doc_id), f.fp, f.roll_fp,
        COALESCE(c.contam_hits, 0)::BIGINT AS contam_hits,
        (CASE WHEN COALESCE(c.contam_hits, 0) > 0 THEN 1 ELSE 0 END)::BIGINT
@@ -5335,8 +4721,48 @@ LEFT JOIN (
   LEFT JOIN vote USING (tok)
   GROUP BY t.doc_id
 ) nb USING (doc_id)
-""",
-        "dd_signatures": f"""
+"""),
+        ("tx_scrub_pii", lambda sf: text.scrub_pii(_docs(sf)), """
+SELECT doc_id,
+       len(regexp_extract_all(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}'))::BIGINT AS n_email,
+       len(regexp_extract_all(coalesce(text, ''), '\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\b'))::BIGINT AS n_ipv4,
+       len(regexp_extract_all(coalesce(text, ''), '\b\\d{9,}\b'))::BIGINT AS n_longnum,
+       md5(regexp_replace(regexp_replace(regexp_replace(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}', '<EMAIL>', 'g'), '\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\b', '<IP>', 'g'), '\b\\d{9,}\b', '<NUM>', 'g')) AS clean_sha
+FROM documents
+"""),
+        # sampling family: hash-gated per-stratum pct arm + token-budget
+        # domain-mixture arm (greedy fill in deterministic hash order —
+        # the Pile/DoReMi-style static mixture step)
+        ("tx_stratified_sample", lambda sf: text.sample_family(
+            _docs(sf, ("doc_id", "text", "lang")),
+            {"en": 50, "de": 25, "fr": 10},
+            {"en": 4000, "de": 1500, "fr": 2000},
+        ), f"""
+WITH per AS (
+  SELECT doc_id, lang,
+         md5_number_lower('graft' || cast(doc_id as varchar)) AS h,
+         cast(len(regexp_extract_all(lower(coalesce(text, '')),
+              '{text.TOKEN_PATTERN}')) as bigint) AS n_tokens
+  FROM documents
+)
+SELECT 'pct' AS mode, doc_id, lang, n_tokens
+FROM per
+WHERE h % 100
+      < (CASE lang WHEN 'de' THEN 25 WHEN 'en' THEN 50 WHEN 'fr' THEN 10 ELSE 0 END)
+UNION ALL
+-- token-budget domain mixture: greedy fill in deterministic hash order;
+-- the doc CROSSING the budget is kept (exclusive prefix < budget)
+SELECT 'budget', doc_id, lang, n_tokens FROM (
+  SELECT doc_id, lang, n_tokens,
+         coalesce(sum(n_tokens) OVER (PARTITION BY lang ORDER BY h, doc_id
+           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS prefix
+  FROM per WHERE lang IN ('de', 'en', 'fr')
+)
+WHERE prefix < (CASE lang WHEN 'en' THEN 4000 WHEN 'de' THEN 1500 ELSE 2000 END)
+"""),
+        # --- dedup ---
+        # MinHash + SimHash + exact-survivor signatures in one family entry
+        ("dd_signatures", _dd_signatures, f"""
 SELECT 'exact' AS method, min(doc_id)::BIGINT AS doc_id, 0::BIGINT AS i,
        (md5_number_lower(coalesce(text, '')) % 9223372036854775808)::UBIGINT AS sig
 FROM documents GROUP BY text, 4
@@ -5394,8 +4820,9 @@ SELECT doc_id,
        coalesce(string_agg(line, ' ' ORDER BY idx) FILTER (WHERE NOT dup), '') AS kt
 FROM ldmarked GROUP BY doc_id
 )
-""",
-        "dd_near_pairs": f"""
+"""),
+        # LSH-band / SimHash-band / n-gram-Jaccard near-pair family
+        ("dd_near_pairs", _dd_near_pairs, f"""
 SELECT 'lsh' AS method, doc_a, doc_b, -1::BIGINT AS m1, -1::BIGINT AS m2
 FROM (
 WITH {_TOKS}, {_SHINGLES}, {_MINHASH},
@@ -5457,8 +4884,132 @@ JOIN sizes sa ON sa.doc_id = da
 JOIN sizes sb ON sb.doc_id = db_
 WHERE 100 * inter >= 20 * (sa.sz + sb.sz - inter)
 )
-""",
-        "ann_topk_variants": f"""
+"""),
+        # connected components over the verified near-dup pairs: distributed
+        # min-label propagation, every round a Ray Data shuffle.  Family:
+        # jaccard (shingle-overlap edges) + semantic (SemDeDup, Abbas et
+        # al. 2023: exact hashed-TF cosine components returned, the k-means
+        # scale path gated in-engine — see _dd_duplicate_clusters)
+        ("dd_duplicate_clusters", _dd_duplicate_clusters, f"""
+WITH RECURSIVE {_TOKS}, {_SHINGLES},
+inter AS (
+  SELECT a.doc_id AS da, b.doc_id AS db_, count(*)::BIGINT AS inter
+  FROM sh a JOIN sh b ON a.shingle = b.shingle AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
+),
+sizes AS (SELECT doc_id, count(*)::BIGINT AS sz FROM sh GROUP BY doc_id),
+pairs AS (
+  SELECT da, db_ FROM inter
+  JOIN sizes sa ON sa.doc_id = da
+  JOIN sizes sb ON sb.doc_id = db_
+  WHERE 100 * inter >= 20 * (sa.sz + sb.sz - inter)
+),
+edges AS (
+  SELECT da AS a, db_ AS b FROM pairs
+  UNION ALL SELECT db_, da FROM pairs
+),
+nodes AS (SELECT DISTINCT a AS node FROM edges),
+reach(node, lbl) AS (
+  SELECT node, node FROM nodes
+  UNION
+  SELECT e.b, r.lbl FROM reach r JOIN edges e ON e.a = r.node
+),
+lab AS (SELECT node, min(lbl) AS cluster_id FROM reach GROUP BY node),
+-- SemDeDup exact arm: hashed-TF (feature-hashing) vectors, cosine >= 0.9
+-- evaluated as the EXACT integer comparison 100*dot^2 >= 81*|a|^2*|b|^2,
+-- then the same min-label components
+stf AS (
+  SELECT doc_id, cast(md5_number_lower(tok) % {semdedup_mod.DIM} as bigint) AS b,
+         count(*)::BIGINT AS c
+  FROM tok GROUP BY 1, 2
+),
+sn2 AS (SELECT doc_id, sum(c * c)::BIGINT AS n2 FROM stf GROUP BY doc_id),
+-- multi-probe sign-bucket restriction (the engine's scale path): plane
+-- dots against md5-derived integer hyperplanes h_p(b) in [-1000,1000];
+-- a plane with dot² < WILD_M2·|v|² is a WILDCARD and the doc lands in
+-- every consistent bucket (same rule as ops/semdedup.probe_buckets)
+shyp AS (
+  SELECT p.p, b.b,
+         (md5_number_lower('sem|' || p.p || '|' || b.b) % 2001)::BIGINT - 1000 AS h
+  FROM (SELECT unnest(range({semdedup_mod.N_PLANES})) AS p) p,
+       (SELECT unnest(range({semdedup_mod.DIM})) AS b) b
+),
+splane AS (
+  SELECT d.doc_id, d.p, d.dot > 0 AS pos,
+         d.dot * d.dot < {semdedup_mod.WILD_M2} * n.n2 AS wild
+  FROM (
+    SELECT stf.doc_id, shyp.p, sum(stf.c * shyp.h)::BIGINT AS dot
+    FROM stf JOIN shyp ON shyp.b = stf.b GROUP BY 1, 2
+  ) d JOIN sn2 n ON n.doc_id = d.doc_id
+),
+sbkt AS (
+  SELECT s.doc_id, k.k AS bucket
+  FROM splane s, (SELECT unnest(range({1 << semdedup_mod.N_PLANES})) AS k) k
+  GROUP BY s.doc_id, k.k
+  HAVING bool_and(((k.k >> s.p) & 1 = CASE WHEN s.pos THEN 1 ELSE 0 END) OR s.wild)
+),
+sdots AS (
+  SELECT a.doc_id AS da, b.doc_id AS db_, sum(a.c * b.c)::BIGINT AS dot
+  FROM stf a JOIN stf b ON a.b = b.b AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
+),
+spairs AS (
+  SELECT da, db_ FROM sdots
+  JOIN sn2 x ON x.doc_id = da JOIN sn2 y ON y.doc_id = db_
+  WHERE dot > 0
+    AND EXISTS (SELECT 1 FROM sbkt ba JOIN sbkt bb ON ba.bucket = bb.bucket
+                WHERE ba.doc_id = da AND bb.doc_id = db_)
+    AND {semdedup_mod.TAU_DEN} * dot * dot >= {semdedup_mod.TAU_NUM} * x.n2 * y.n2
+),
+sedges AS (
+  SELECT da AS a, db_ AS b FROM spairs UNION ALL SELECT db_, da FROM spairs
+),
+snodes AS (SELECT DISTINCT a AS node FROM sedges),
+sreach(node, lbl) AS (
+  SELECT node, node FROM snodes
+  UNION
+  SELECT e.b, r.lbl FROM sreach r JOIN sedges e ON e.a = r.node
+),
+slab AS (SELECT node, min(lbl) AS cluster_id FROM sreach GROUP BY node)
+SELECT 'jaccard' AS family, node::BIGINT AS doc_id, cluster_id::BIGINT AS cluster_id,
+       (count(*) OVER (PARTITION BY cluster_id))::BIGINT AS cluster_size
+FROM lab
+UNION ALL
+SELECT 'semantic', node::BIGINT, cluster_id::BIGINT,
+       (count(*) OVER (PARTITION BY cluster_id))::BIGINT
+FROM slab
+"""),
+        # --- similarity search ---
+        ("ann_topk_variants", _family(
+            "variant",
+            ("brute", _ann(ann.brute_topk, k=10)),
+            # nprobe = all partitions -> exact (oracle-checked); lower nprobe
+            # is the approximate scale path exercised in tests/test_ops_ann.py
+            ("ivf", _ann(ann.ivf_topk, k=10, nprobe=10)),
+            ("kmeans_ivf", _ann_kmeans_ivf),
+            # int8-scalar-quantized brute cosine (ScalarQuantizer /
+            # Lucene99ScalarQuantizedVectorsFormat analogue, per-block scale)
+            ("sq8", _recall_gated("SQ8", _ann(ann.sq8_topk, k=10), SQ8_MIN_RECALL)),
+            # LSH-bucketed ANN (random-hyperplane band buckets gate the scoring)
+            ("lsh", _recall_gated("LSH", _ann(ann.lsh_topk, k=10), LSH_MIN_RECALL)),
+            # FloatVectorSimilarityQuery: ALL matches with cosine >= RADIUS_TAU
+            ("radius", _ann(ann.radius_matches, RADIUS_TAU)),
+            # ColBERT MaxSim over deterministic rolled multi-vectors
+            # (LateInteractionFloatValuesSource SumMaxSimilarity)
+            ("late_interaction", _ann(ann.late_interaction_topk, k=10)),
+            # LateInteractionRescorer: single-vector top-50 nominate,
+            # MaxSim REPLACES the first-pass score for ranking
+            ("late_rescored", _ann(ann.late_rescored_topk, k=10, first_n=50)),
+            # TopDocs.rrf: BM25 + cosine rankings fused by 1/(60+rank)
+            ("rrf_hybrid", _ann_rrf_hybrid),
+            # KnnByteVectorQuery DOT_PRODUCT: fixed int8 quantization,
+            # exact integer-dot ranking (score monotone in the dot)
+            ("byte_dot", _ann(ann.byte_dot_topk, k=10)),
+            # MAXIMUM_INNER_PRODUCT: raw-dot ranking (scale fn monotone)
+            ("max_inner_product", _ann(ann.mip_topk, k=10)),
+            # EUCLIDEAN: ascending squared-L2 ranking (1/(1+d2) monotone)
+            ("euclidean", _ann(ann.euclidean_topk, k=10)),
+        ), f"""
 SELECT v.variant, b.*
 FROM ({_cosine_topk()}) b
 CROSS JOIN (VALUES ('brute'), ('ivf'), ('kmeans_ivf'), ('sq8'), ('lsh')) v(variant)
@@ -5585,8 +5136,26 @@ dd AS (
 ),
 {_topk("dd", "d2, vec_id", out=_ANN_OUT)}
 ) l2
-""",
-        "ann_hnsw_topk": f"""
+"""),
+        ("ann_ivf_persisted", _ann_ivf_persisted, _cosine_topk()),
+        # approximate (HNSW): each arm asserts recall >= HNSW_MIN_RECALL vs
+        # the in-engine exact top-k, then returns that exact top-k, which
+        # the oracle reproduces (tests/test_ops_semantics.py pins recall)
+        ("ann_hnsw_topk", _family(
+            "variant",
+            ("plain", _recall_gated("HNSW", _knn(), HNSW_MIN_RECALL)),
+            # KnnFloatVectorQuery with a lang = 'en' filter Query, gated
+            # against the exact top-k over the en embeddings
+            ("filtered", _recall_gated(
+                "filtered-HNSW", _knn(filter_lang="en"), HNSW_MIN_RECALL, embs=_lang_embs
+            )),
+            # SeededKnnVectorQuery: seed-query matches (lang='en' docs) as
+            # entry points instead of the graph's global entry
+            ("seeded", _recall_gated("seeded-HNSW", _knn(seed_lang="en"), HNSW_MIN_RECALL)),
+            # PatienceKnnVectorQuery: saturation early exit, same
+            # recall gate (a too-eager exit turns the row red)
+            ("patience", _recall_gated("HNSW", _knn(patience=True), HNSW_MIN_RECALL)),
+        ), f"""
 SELECT 'plain' AS variant, p.* FROM ({_cosine_topk()}) p
 UNION ALL
 -- filtered kNN: only lang='en' docs may be returned (pre-filter Query)
@@ -5599,9 +5168,8 @@ UNION ALL
 -- PatienceKnnVectorQuery: the saturation early exit changes traversal
 -- cost, not semantics — gated on recall, exact top-k returned
 SELECT 'patience', pt.* FROM ({_cosine_topk()}) pt
-""",
-        "ann_ivf_persisted": _cosine_topk(),
-        "ann_near_dup_pairs": """
+"""),
+        ("ann_near_dup_pairs", lambda sf: ann.near_dup_pairs(_augmented_embs(sf), tau=0.95), """
 -- same planted-near-duplicate derivation as _augmented_embs: exact
 -- copies of every 97th vec_id, x2-scaled copies of every 89th
 WITH aug AS (
@@ -5615,10 +5183,67 @@ WITH aug AS (
 SELECT a.vec_id::BIGINT AS doc_a, b.vec_id::BIGINT AS doc_b
 FROM aug a JOIN aug b ON a.vec_id < b.vec_id
 WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.95
-""",
-        "pl_clean_corpus": _clean_corpus_sql(),
-        "pl_training_mix": _training_mix_sql(),
-        "ev_window_counts": """
+"""),
+        # --- multimodal: REAL BMP/PNG header decode + resize, one pass ---
+        # mm_image_stats verifies the REAL BMP/PNG encode->header-parse round
+        # trip: the Ray side parses width/height/channels from actual binary
+        # headers (struct-packed, CRC-checked for PNG); the oracle recomputes
+        # the dimension derivation + header size (54B BMP / 33B PNG prefix)
+        ("mm_image_stats", lambda sf: multimodal.image_stats(_docs(sf, None)), """
+SELECT doc_id,
+       (CASE WHEN doc_id % 2 = 0 THEN 'bmp' ELSE 'png' END) AS format,
+       (strlen(text) + CASE WHEN doc_id % 2 = 0 THEN 54 ELSE 33 END)::BIGINT AS n_bytes,
+       (128 + md5_number_lower(text) % 896)::BIGINT AS width,
+       (128 + md5_number_upper(text) % 896)::BIGINT AS height,
+       3::BIGINT AS channels,
+       md5_number_lower(text || '|feat')::UBIGINT AS feat,
+       (CASE WHEN (128 + md5_number_lower(text) % 896) <= (128 + md5_number_upper(text) % 896)
+             THEN 224
+             ELSE ((128 + md5_number_lower(text) % 896) * 224) // (128 + md5_number_upper(text) % 896)
+        END)::BIGINT AS rs_width,
+       (CASE WHEN (128 + md5_number_lower(text) % 896) <= (128 + md5_number_upper(text) % 896)
+             THEN ((128 + md5_number_upper(text) % 896) * 224) // (128 + md5_number_lower(text) % 896)
+             ELSE 224
+        END)::BIGINT AS rs_height,
+       md5_number_lower(text || '|resize224')::UBIGINT AS resized_fp
+FROM documents
+"""),
+        ("mm_frame_samples", lambda sf: multimodal.frame_samples(_docs(sf, None)), """
+WITH n AS (
+  SELECT doc_id, text,
+         (1 + (md5_number_lower(text) % 16) // 4)::BIGINT AS n_frames
+  FROM documents
+)
+SELECT doc_id, k AS frame,
+       md5_number_lower(text || '|frame' || k)::UBIGINT AS frame_fp
+FROM n, unnest(range(n_frames)) AS t(k)
+"""),
+        # --- full cleaning pipeline (quality -> dedup -> partitioned sink) ---
+        ("pl_clean_corpus", _clean_corpus, _clean_corpus_sql()),
+        # the composed LLM training-data pipeline: lang gate -> quality +
+        # repetition gate -> exact dedup -> near-dup cluster collapse
+        ("pl_training_mix", lambda sf: training_mix(_docs(sf, ("doc_id", "text", "lang"))), _training_mix_sql()),
+        # --- event-table operators (windowed agg / sessions / as-of join) ---
+        ("ev_window_counts", _family(
+            "kind",
+            ("tumbling", lambda sf: events.windowed_counts(_events(sf))),
+            ("hopping", lambda sf: events.hopping_counts(_events(sf))),
+            # the watermark kind drops events arriving behind the
+            # running-max-ts watermark minus the allowed lateness
+            ("tumbling_watermark", lambda sf: events.watermark_windowed_counts(_events(sf))),
+            # HLL-gated exact distinct users (ops/sketch.py): the sketch
+            # estimate is asserted within 5% per group, exact returned
+            ("hll_distinct_users", lambda sf: events.hll_distinct_users(_events(sf))),
+            # CMS-screened exact heavy hitters (rank rides sum_cents)
+            ("cm_top_events", lambda sf: events.cm_top_events(_events(sf))),
+            # KMV bottom-k quantile sketch: the deterministic md5 bottom-m
+            # sample (mergeable partials) beside the exact quantiles; the
+            # sample's TRUE rank error is gated in-engine, and BOTH arms
+            # are hash-exact (the sample itself is SQL-reproducible)
+            ("value_quantiles_", lambda sf: dict(
+                zip(("exact", "sample"), events.value_quantiles(_events(sf)))
+            )),
+        ), """
 SELECT 'tumbling' AS kind, event_type, date_trunc('hour', ts) AS window_start,
        count(*)::BIGINT AS n_events,
        sum(floor(value * 100.0 + 0.5)::BIGINT)::BIGINT AS sum_cents
@@ -5697,8 +5322,8 @@ SELECT 'value_quantiles_sample', event_type, window_start, p.pct, p.q FROM (
     ) WHERE rn <= 256
   ) GROUP BY 1, 2
 ) u, LATERAL (VALUES (50::BIGINT, u.q50), (95, u.q95), (99, u.q99)) p(pct, q)
-""",
-        "ev_sessionize": """
+"""),
+        ("ev_sessionize", lambda sf: events.sessionize(_events(sf)), """
 WITH e AS (
   SELECT user_id, ts,
          CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id)
@@ -5707,8 +5332,10 @@ WITH e AS (
 )
 SELECT user_id, (sum(brk) + 1)::BIGINT AS n_sessions, count(*)::BIGINT AS n_events
 FROM e GROUP BY user_id
-""",
-        "ev_asof_last_login": """
+"""),
+        # event-time join family: as-of (latest login <= purchase) +
+        # stream-stream interval join (clicks in the preceding hour)
+        ("ev_asof_last_login", lambda sf: events.join_family(_events(sf)), """
 SELECT 'asof' AS kind, p.event_id,
        coalesce((SELECT epoch_us(max(l.ts)) FROM events l
                  WHERE l.user_id = p.user_id AND l.event_type = 'login'
@@ -5722,41 +5349,16 @@ SELECT 'interval_clicks', p.event_id,
         WHERE c.user_id = p.user_id AND c.event_type = 'click'
           AND c.ts <= p.ts AND c.ts > p.ts - INTERVAL 60 MINUTE)::BIGINT
 FROM events p WHERE p.event_type = 'purchase'
-""",
-        # mm_image_stats verifies the REAL BMP/PNG encode->header-parse round
-        # trip: the Ray side parses width/height/channels from actual binary
-        # headers (struct-packed, CRC-checked for PNG); the oracle recomputes
-        # the dimension derivation + header size (54B BMP / 33B PNG prefix)
-        "mm_image_stats": """
-SELECT doc_id,
-       (CASE WHEN doc_id % 2 = 0 THEN 'bmp' ELSE 'png' END) AS format,
-       (strlen(text) + CASE WHEN doc_id % 2 = 0 THEN 54 ELSE 33 END)::BIGINT AS n_bytes,
-       (128 + md5_number_lower(text) % 896)::BIGINT AS width,
-       (128 + md5_number_upper(text) % 896)::BIGINT AS height,
-       3::BIGINT AS channels,
-       md5_number_lower(text || '|feat')::UBIGINT AS feat,
-       (CASE WHEN (128 + md5_number_lower(text) % 896) <= (128 + md5_number_upper(text) % 896)
-             THEN 224
-             ELSE ((128 + md5_number_lower(text) % 896) * 224) // (128 + md5_number_upper(text) % 896)
-        END)::BIGINT AS rs_width,
-       (CASE WHEN (128 + md5_number_lower(text) % 896) <= (128 + md5_number_upper(text) % 896)
-             THEN ((128 + md5_number_upper(text) % 896) * 224) // (128 + md5_number_lower(text) % 896)
-             ELSE 224
-        END)::BIGINT AS rs_height,
-       md5_number_lower(text || '|resize224')::UBIGINT AS resized_fp
-FROM documents
-""",
-        "mm_frame_samples": """
-WITH n AS (
-  SELECT doc_id, text,
-         (1 + (md5_number_lower(text) % 16) // 4)::BIGINT AS n_frames
-  FROM documents
-)
-SELECT doc_id, k AS frame,
-       md5_number_lower(text || '|frame' || k)::UBIGINT AS frame_fp
-FROM n, unnest(range(n_frames)) AS t(k)
-""",
-    }
+"""),
+    ]
+
+
+def queries() -> dict[str, Callable[[str], Any]]:
+    return {name: pipeline for name, pipeline, _sql in _table()}
+
+
+def oracle_sql() -> dict[str, str]:
+    return {name: sql for name, _pipeline, sql in _table()}
 
 
 # ---------------------------------------------------------------------------

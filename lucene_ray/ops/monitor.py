@@ -158,7 +158,7 @@ def percolate_counts(ds, queries: list[tuple] | None = None) -> pa.Table:
     to one row per query: (qid, n_matches, sum_doc, min_doc, max_doc)."""
     queries = queries if queries is not None else MONITOR_QUERIES
     return _reduce_matches(
-        ds.map_batches(lambda b: match_batch(b, queries), batch_format="pyarrow")
+        ds.map_batches(lambda b: match_batch(b, queries), batch_format="pyarrow"), len(queries)
     )
 
 
@@ -167,9 +167,9 @@ MATCH_SCHEMA = pa.schema(
 )
 
 
-def _reduce_matches(parts) -> pa.Table:
+def _reduce_matches(parts, n_queries: int) -> pa.Table:
     """Per-batch match partials (MATCH_SCHEMA) -> one row per query in qid
-    order."""
+    order, a query no document matches (or an empty corpus) included."""
     from ray.data.aggregate import Max, Min, Sum
 
     from .util import gather
@@ -185,11 +185,14 @@ def _reduce_matches(parts) -> pa.Table:
             MATCH_SCHEMA,
         )
         .to_pandas()
-        .sort_values("qid")
+        .set_index("qid")
+        .reindex(range(n_queries), fill_value=0)
+        .rename_axis("qid")
+        .reset_index()
     )
     # zero-match queries keep sentinel min/max; normalize to -1
     part.loc[part["n_matches"] == 0, ["min_doc", "max_doc"]] = -1
-    return pa.Table.from_pandas(part.reset_index(drop=True), preserve_index=False)
+    return pa.Table.from_pandas(part, preserve_index=False)
 
 
 def compile_query(spec: tuple):
@@ -261,6 +264,7 @@ class ExactPercolator:
 
 def percolate_counts_exact(ds, queries: list[tuple] | None = None) -> pa.Table:
     """percolate_counts via the MemoryIndex exact path (actor pool)."""
+    queries = queries if queries is not None else MONITOR_QUERIES
     return _reduce_matches(
         ds.map_batches(
             ExactPercolator,
@@ -268,7 +272,8 @@ def percolate_counts_exact(ds, queries: list[tuple] | None = None) -> pa.Table:
             batch_format="pyarrow",
             concurrency=(1, 4),
             batch_size=256,
-        )
+        ),
+        len(queries),
     )
 
 
@@ -419,5 +424,6 @@ def percolate_counts_presearch(
             fn_constructor_kwargs={"queries": queries},
             batch_format="pyarrow",
             concurrency=concurrency,
-        )
+        ),
+        len(queries),
     )

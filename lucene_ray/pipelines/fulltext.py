@@ -37,6 +37,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..index import manifest as mf
 from ..index.build import build_index
@@ -249,6 +250,16 @@ def _terms_weight(searcher: IndexSearcher, terms):
 def _alive(reader, docs: np.ndarray) -> np.ndarray:
     """Mask over ``docs``: True where the document is not deleted."""
     return np.ones(len(docs), bool) if reader.live is None else reader.live[docs]
+
+
+def _live_docs(reader, term: str) -> np.ndarray:
+    """The local docids of ``term``'s live matches in the segment (empty
+    when the segment does not hold the term)."""
+    tid = reader.term_id(term)
+    if tid is None:
+        return np.empty(0, np.int64)
+    docs = reader.decode_term_cached(tid)[0]
+    return docs if reader.live is None else docs[reader.live[docs]]
 
 
 # --- term-level dumps (Ray pipelines over the segment list) ---------------
@@ -1620,16 +1631,7 @@ def distinct_values_groups(sf_dir: str) -> pa.Table:
         grp_col = r.stored_column(GROUP_FIELD).to_numpy(zero_copy_only=False)
         lang_col = r.stored_column("lang").to_numpy(zero_copy_only=False)
         for qid, terms in enumerate(GROUPED_QUERIES):
-            matched = []
-            for t in terms:
-                tid = r.term_id(t)
-                if tid is None:
-                    continue
-                docs, _ = r.decode_term_cached(tid)
-                matched.append(docs[_alive(r, docs)])
-            if not matched:
-                continue
-            docs = np.unique(np.concatenate(matched))
+            docs = np.unique(np.concatenate([_live_docs(r, t) for t in terms]))
             pairs = np.unique(
                 np.char.add(
                     np.char.add(grp_col[docs].astype(str), "\x1f"),
@@ -2490,8 +2492,6 @@ def point_box_topk(sf_dir: str, k: int = 10) -> pa.Table:
     global merge is tiny.  Trees and triangle tables are persisted
     per-segment artifacts (build once, resumable); query fan-out is a
     segment_map over the segment list."""
-    import pyarrow.compute as pc
-
     from ..index.points import PointTree, build_point_index, point_file
     from ..index.shapes import ShapeReader, build_shape_index
     from ..search.query import PointBoxQuery
@@ -3397,8 +3397,6 @@ def document_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     )
 
     def _cand(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         out = []
         for qid, pref in enumerate(DOC_SUGGEST_QUERIES):
             m = pc.starts_with(b.column("term"), pref)
@@ -3490,8 +3488,6 @@ def context_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     )
 
     def _cand(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         out = []
         for qid, pref in enumerate(DOC_SUGGEST_QUERIES):
             m = pc.starts_with(b.column("term"), pref)
@@ -3673,8 +3669,6 @@ def fuzzy_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     from ..search.multiterm import fuzzy_prefix_dists
 
     def _seg(r, doc_base: int) -> pa.Table:
-        import pyarrow.compute as pc
-
         qids, terms, dfs = [], [], []
         vocab = r.terms_array()
         for qid, q in enumerate(FUZZY_SUGGEST_QUERIES):
@@ -3825,13 +3819,48 @@ def dv_numbers_matches(sf_dir: str, k: int = 10) -> pa.Table:
 SORTED_NUMERIC_RANGES = [(100, 400), (None, 200), (250, None), (380, 390)]
 
 
-def _count_sums(ds, keys=("qid",)) -> pa.Table:
-    """Gathered per-segment (*keys, cnt) partial counts summed per key,
-    in key order."""
-    parts = gather(ds)
-    df = parts.to_pandas().groupby(list(keys), sort=True)["cnt"].sum().reset_index()
-    schema = pa.schema([parts.schema.field(c) for c in keys] + [pa.field("cnt", pa.int64())])
-    return pa.Table.from_pandas(df, schema=schema, preserve_index=False)
+COUNT_SCHEMA = _schema(qid=pa.int64(), cnt=pa.int64())
+
+
+def _count_sums(ds, n_queries: int) -> pa.Table:
+    """Gathered per-segment (qid, cnt) partial counts summed per qid: one
+    row for each of the ``n_queries`` queries, 0 when nothing matched."""
+    cnt = gather(ds, COUNT_SCHEMA).to_pandas().groupby("qid")["cnt"].sum()
+    df = cnt.reindex(range(n_queries), fill_value=0).rename_axis("qid").reset_index()
+    return pa.Table.from_pandas(df, schema=COUNT_SCHEMA, preserve_index=False)
+
+
+def count_table(searcher, queries) -> pa.Table:
+    """(qid, cnt) for ``enumerate(queries)``: ``searcher.count(q)``, one
+    row per query (built like ``hits_table``)."""
+    return pa.table(
+        {
+            "qid": pa.array(range(len(queries)), pa.int64()),
+            "cnt": pa.array([searcher.count(q) for q in queries], pa.int64()),
+        }
+    )
+
+
+def _seg_point_counts(r, doc_base: int, field: str, queries: list) -> pa.Table:
+    """Per-segment (qid, cnt) partials over the segment's persisted
+    ``field`` point tree: query qid counts sum(sign * points in [low,
+    high)) over its (sign, low, high) boxes — disjoint boxes add, an
+    inclusion-exclusion relation subtracts."""
+    from ..index.points import PointTree, point_file
+
+    tree = PointTree.load(point_file(r.src_dir, field))
+    cnt = [sum(s * len(tree.intersect(lo, hi)[0]) for s, lo, hi in boxes) for boxes in queries]
+    return pa.table({"qid": pa.array(range(len(queries)), pa.int64()), "cnt": pa.array(cnt, pa.int64())})
+
+
+def _point_counts(sf_dir: str, field: str, values, queries: list) -> pa.Table:
+    """(qid, cnt) of ``_seg_point_counts`` summed over the segments, the
+    ``field`` tree built per segment from ``values(reader)``."""
+    from ..index.points import build_point_index_fn
+
+    idx = ensure_index(sf_dir)
+    build_point_index_fn(idx, field, values)
+    return _count_sums(segment_map(idx, _seg_point_counts, field=field, queries=queries), len(queries))
 
 
 def index_sorted_range_counts(sf_dir: str) -> pa.Table:
@@ -3845,31 +3874,19 @@ def index_sorted_range_counts(sf_dir: str) -> pa.Table:
     idx = ensure_index(sf_dir, index_sort=INDEX_SORT)
 
     def _seg(r, doc_base: int) -> pa.Table:
-        qids, cnts = [], []
+        cnts = []
         # ascending view of the DESC-sorted doc values (negate once)
         asc = -r.stored_column("n_chars").to_numpy()
-        for qid, (lo, hi) in enumerate(SORTED_NUMERIC_RANGES):
-            start = (
-                0 if hi is None else int(np.searchsorted(asc, -hi, side="right"))
-            )
-            end = (
-                len(asc)
-                if lo is None
-                else int(np.searchsorted(asc, -lo, side="right"))
-            )
+        for lo, hi in SORTED_NUMERIC_RANGES:
+            start = 0 if hi is None else int(np.searchsorted(asc, -hi, side="right"))
+            end = len(asc) if lo is None else int(np.searchsorted(asc, -lo, side="right"))
             n = max(0, end - start)
             if r.live is not None and n:
                 n = int(r.live[start:end].sum())
-            qids.append(qid)
             cnts.append(n)
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "cnt": pa.array(cnts, pa.int64()),
-            }
-        )
+        return pa.table({"qid": pa.array(range(len(cnts)), pa.int64()), "cnt": pa.array(cnts, pa.int64())})
 
-    return _count_sums(segment_map(idx, _seg))
+    return _count_sums(segment_map(idx, _seg), len(SORTED_NUMERIC_RANGES))
 
 
 # --- range fields (document/RangeFieldQuery.java + LongRange.java) ---------
@@ -3900,49 +3917,51 @@ def _range_field_values(reader) -> np.ndarray:
     return np.stack([lo, lo + 1 + nch % 97], axis=1)
 
 
-def range_field_counts(sf_dir: str) -> dict:
-    """{relation: (qid, cnt) DataFrame} for LongRange.newIntersectsQuery /
-    newWithinQuery / newContainsQuery / newCrossesQuery counts.  Per
-    segment everything is three tree traversals + one set difference;
-    only (relation, qid, cnt) partials leave the task."""
-    from ..index.points import PointTree, build_point_index_fn, point_file
+RELATIONS = ("contains", "crosses", "intersects", "within")
 
-    idx = ensure_index(sf_dir)
-    build_point_index_fn(idx, "range_field", _range_field_values)
 
-    def _seg(r, doc_base: int) -> pa.Table:
-        rels, qs, cs = [], [], []
-        tree = PointTree.load(point_file(r.src_dir, "range_field"))
-        for qid, (qlo, qhi) in enumerate(RANGE_FIELD_QUERIES):
-            # dims are (lo, hi); intersect bounds are [low, high)
-            inter, _ = tree.intersect((None, qlo), (qhi + 1, None))
-            within, _ = tree.intersect((qlo, None), (None, qhi + 1))
-            contains, _ = tree.intersect((None, qhi), (qlo + 1, None))
-            crosses = np.setdiff1d(
-                inter, np.union1d(within, contains), assume_unique=True
-            )
-            for rel, got in (
-                ("intersects", inter),
-                ("within", within),
-                ("contains", contains),
-                ("crosses", crosses),
-            ):
-                rels.append(rel)
-                qs.append(qid)
-                cs.append(len(got))
-        return pa.table(
-            {
-                "relation": pa.array(rels, pa.string()),
-                "qid": pa.array(qs, pa.int64()),
-                "cnt": pa.array(cs, pa.int64()),
-            }
+def _relation_counts(sf_dir: str, field: str, values, boxes: list) -> dict:
+    """{relation: (qid, cnt) DataFrame} for the RangeFieldQuery relations
+    of each query box ((min, max) per dim, inclusive) over range points
+    laid out (min_0, max_0, min_1, max_1, ...).  Each relation is a
+    bounding predicate on that point space (intersect bounds [low,
+    high)); CROSSES = intersects - within - contains + (within AND
+    contains), as within and contains both lie inside intersects."""
+
+    def box(dims, low, high):
+        return (
+            tuple(x for a, b in dims for x in low(a, b)),
+            tuple(x for a, b in dims for x in high(a, b)),
         )
 
-    agg = _count_sums(segment_map(idx, _seg), ("relation", "qid")).to_pandas()
+    def signed(dims) -> dict:
+        inter = box(dims, lambda a, b: (None, a), lambda a, b: (b + 1, None))
+        within = box(dims, lambda a, b: (a, None), lambda a, b: (None, b + 1))
+        contains = box(dims, lambda a, b: (None, b), lambda a, b: (a + 1, None))
+        equal = box(dims, lambda a, b: (a, b), lambda a, b: (a + 1, b + 1))
+        return {
+            "contains": [(1, *contains)],
+            "crosses": [(1, *inter), (-1, *within), (-1, *contains), (1, *equal)],
+            "intersects": [(1, *inter)],
+            "within": [(1, *within)],
+        }
+
+    per_box = [signed(dims) for dims in boxes]
+    queries = [b[rel] for rel in RELATIONS for b in per_box]
+    cnt = _point_counts(sf_dir, field, values, queries).to_pandas()
+    n = len(boxes)
     return {
-        rel: grp[["qid", "cnt"]].reset_index(drop=True)
-        for rel, grp in agg.groupby("relation", sort=True)
+        rel: cnt.iloc[i * n:(i + 1) * n].assign(qid=np.arange(n, dtype=np.int64)).reset_index(drop=True)
+        for i, rel in enumerate(RELATIONS)
     }
+
+
+def range_field_counts(sf_dir: str) -> dict:
+    """{relation: (qid, cnt) DataFrame} for LongRange.newIntersectsQuery /
+    newWithinQuery / newContainsQuery / newCrossesQuery counts; only
+    (qid, cnt) partials leave the per-segment task."""
+    boxes = [((lo, hi),) for lo, hi in RANGE_FIELD_QUERIES]
+    return _relation_counts(sf_dir, "range_field", _range_field_values, boxes)
 
 
 # --- LatLonBoundingBox (sandbox/document/LatLonBoundingBox.java): each
@@ -3974,52 +3993,9 @@ def _latlon_bbox_values(reader) -> np.ndarray:
 
 def latlon_bbox_counts(sf_dir: str) -> dict:
     """{relation: (qid, cnt)} for LatLonBoundingBox newIntersects /
-    newWithin / newContains / newCrosses queries — one 4-dim traversal
-    per relation, CROSSES as the set difference."""
-    from ..index.points import PointTree, build_point_index_fn, point_file
-
-    idx = ensure_index(sf_dir)
-    build_point_index_fn(idx, "latlon_bbox", _latlon_bbox_values)
-
-    def _seg(r, doc_base: int) -> pa.Table:
-        rels, qs, cs = [], [], []
-        tree = PointTree.load(point_file(r.src_dir, "latlon_bbox"))
-        for qid, (qlat0, qlat1, qlon0, qlon1) in enumerate(LATLON_BBOX_QUERIES):
-            # dims: (latMin, latMax, lonMin, lonMax); bounds [low, high)
-            inter, _ = tree.intersect(
-                (None, qlat0, None, qlon0), (qlat1 + 1, None, qlon1 + 1, None)
-            )
-            within, _ = tree.intersect(
-                (qlat0, None, qlon0, None), (None, qlat1 + 1, None, qlon1 + 1)
-            )
-            contains, _ = tree.intersect(
-                (None, qlat1, None, qlon1), (qlat0 + 1, None, qlon0 + 1, None)
-            )
-            crosses = np.setdiff1d(
-                inter, np.union1d(within, contains), assume_unique=True
-            )
-            for rel, got in (
-                ("intersects", inter),
-                ("within", within),
-                ("contains", contains),
-                ("crosses", crosses),
-            ):
-                rels.append(rel)
-                qs.append(qid)
-                cs.append(len(got))
-        return pa.table(
-            {
-                "relation": pa.array(rels, pa.string()),
-                "qid": pa.array(qs, pa.int64()),
-                "cnt": pa.array(cs, pa.int64()),
-            }
-        )
-
-    agg = _count_sums(segment_map(idx, _seg), ("relation", "qid")).to_pandas()
-    return {
-        rel: grp[["qid", "cnt"]].reset_index(drop=True)
-        for rel, grp in agg.groupby("relation", sort=True)
-    }
+    newWithin / newContains / newCrosses queries on the 4-dim tree."""
+    boxes = [((a, b), (c, d)) for a, b, c, d in LATLON_BBOX_QUERIES]
+    return _relation_counts(sf_dir, "latlon_bbox", _latlon_bbox_values, boxes)
 
 
 # --- LatLonPoint box queries (document/LatLonPoint.java newBoxQuery +
@@ -4145,7 +4121,7 @@ def geo3d_counts(sf_dir: str) -> pa.Table:
             {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
         )
 
-    return _count_sums(segment_map(idx, _seg))
+    return _count_sums(segment_map(idx, _seg), len(shapes))
 
 
 def geo3d_sql() -> str:
@@ -4183,32 +4159,13 @@ def geo_box_counts(sf_dir: str) -> pa.Table:
     point tree; a dateline-crossing box splits into the western + eastern
     longitude ranges (LatLonPointBoundingBoxQuery's crossesDateline
     path), two disjoint intersects per segment."""
-    from ..index.points import PointTree, build_point_index_fn, point_file
-
-    idx = ensure_index(sf_dir)
-    build_point_index_fn(idx, "geo", _geo_values)
     enc_180 = 2147483648  # floor(180/180 * 2^31); int64 tree, no clamp
-    enc_m180 = -2147483648
-
-    def _seg(r, doc_base: int) -> pa.Table:
-        qs, cs = [], []
-        tree = PointTree.load(point_file(r.src_dir, "geo"))
-        for qid, box in enumerate(GEO_BOXES):
-            lat0, lat1, lon0, lon1, crosses = geo_encode_bounds(box)
-            if crosses:
-                west, _ = tree.intersect((lat0, lon0), (lat1 + 1, enc_180 + 1))
-                east, _ = tree.intersect((lat0, enc_m180), (lat1 + 1, lon1 + 1))
-                n = len(west) + len(east)  # disjoint lon ranges
-            else:
-                hits, _ = tree.intersect((lat0, lon0), (lat1 + 1, lon1 + 1))
-                n = len(hits)
-            qs.append(qid)
-            cs.append(n)
-        return pa.table(
-            {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
-        )
-
-    return _count_sums(segment_map(idx, _seg))
+    queries = []
+    for box in GEO_BOXES:
+        lat0, lat1, lon0, lon1, crosses = geo_encode_bounds(box)
+        lons = [(lon0, enc_180), (-enc_180, lon1)] if crosses else [(lon0, lon1)]
+        queries.append([(1, (lat0, a), (lat1 + 1, b + 1)) for a, b in lons])
+    return _point_counts(sf_dir, "geo", _geo_values, queries)
 
 
 # --- DoublePoint / FloatPoint (document/DoublePoint.java newRangeQuery
@@ -4262,35 +4219,27 @@ def double_range_counts(sf_dir: str) -> pa.Table:
     """(qid, cnt) per DoublePoint range [lo, hi] (dim 0), plus the
     FloatPoint recount on dim 1 asserted equal in-engine when the bounds
     are exactly representable in float32 (all of DOUBLE_RANGES are)."""
-    from ..index.points import PointTree, build_point_index_fn, point_file
 
-    idx = ensure_index(sf_dir)
-    build_point_index_fn(idx, "double_pt", _double_point_values)
+    def enc(fn, v, dtype=np.float64):
+        return int(fn(np.array([v], dtype))[0])
 
-    def _seg(r, doc_base: int) -> pa.Table:
-        qs, cs = [], []
-        tree = PointTree.load(point_file(r.src_dir, "double_pt"))
-        for qid, (lo, hi) in enumerate(DOUBLE_RANGES):
-            elo = int(double_to_sortable_long(np.array([lo]))[0])
-            ehi = int(double_to_sortable_long(np.array([hi]))[0])
-            hits, _ = tree.intersect((elo, None), (ehi + 1, None))
-            flo = int(float_to_sortable_int(np.array([lo], np.float32))[0])
-            fhi = int(float_to_sortable_int(np.array([hi], np.float32))[0])
-            fhits, _ = tree.intersect((None, flo), (None, fhi + 1))
-            if len(hits) != len(fhits):
-                # f32-representable bounds: only docs whose double
-                # rounds across a bound could differ — none by design
-                raise AssertionError(
-                    f"Double/Float point range disagree: q{qid} "
-                    f"{len(hits)} vs {len(fhits)}"
-                )
-            qs.append(qid)
-            cs.append(len(hits))
-        return pa.table(
-            {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
-        )
-
-    return _count_sums(segment_map(idx, _seg))
+    dbl = [
+        [(1, (enc(double_to_sortable_long, lo), None), (enc(double_to_sortable_long, hi) + 1, None))]
+        for lo, hi in DOUBLE_RANGES
+    ]
+    flt = [
+        [(1, (None, enc(float_to_sortable_int, lo, np.float32)),
+          (None, enc(float_to_sortable_int, hi, np.float32) + 1))]
+        for lo, hi in DOUBLE_RANGES
+    ]
+    cnt = _point_counts(sf_dir, "double_pt", _double_point_values, dbl + flt)
+    n = len(DOUBLE_RANGES)
+    d, f = cnt["cnt"].to_pylist()[:n], cnt["cnt"].to_pylist()[n:]
+    if d != f:
+        # f32-representable bounds: only docs whose double rounds across
+        # a bound could differ — none by design
+        raise AssertionError(f"Double/Float point range counts disagree: {d} vs {f}")
+    return cnt.slice(0, n)
 
 
 # InetAddressPoint (document/InetAddressPoint.java): every doc carries
@@ -4341,35 +4290,19 @@ def half_float_range_counts(sf_dir: str) -> pa.Table:
     """(qid, cnt) per HalfFloatPoint range query — values and bounds go
     through the real half-float sortable-short encoding."""
     from ..index.halffloat import half_to_sortable_short
-    from ..index.points import PointTree, build_point_index_fn, point_file
 
-    idx = ensure_index(sf_dir)
-    build_point_index_fn(idx, "half_pt", _half_point_values)
-
-    def _seg(r, doc_base: int) -> pa.Table:
-        qs, cs = [], []
-        tree = PointTree.load(point_file(r.src_dir, "half_pt"))
-        for qid, (lo, hi) in enumerate(HALF_FLOAT_RANGES):
-            slo = int(half_to_sortable_short([lo])[0])
-            shi = int(half_to_sortable_short([hi])[0])
-            hits, _ = tree.intersect((slo,), (shi + 1,))
-            qs.append(qid)
-            cs.append(len(hits))
-        return pa.table(
-            {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
-        )
-
-    return _count_sums(segment_map(idx, _seg))
+    queries = [
+        [(1, (int(half_to_sortable_short([lo])[0]),), (int(half_to_sortable_short([hi])[0]) + 1,))]
+        for lo, hi in HALF_FLOAT_RANGES
+    ]
+    return _point_counts(sf_dir, "half_pt", _half_point_values, queries)
 
 
 def inet_range_counts(sf_dir: str) -> pa.Table:
     """(qid, cnt) per InetAddressPoint query over the derived per-doc
     IPv4 point tree (exact = degenerate range, prefix = CIDR bounds)."""
     from ..index import inet
-    from ..index.points import PointTree, build_point_index_fn, point_file
 
-    idx = ensure_index(sf_dir)
-    build_point_index_fn(idx, "inet_pt", _inet_point_values)
     bounds = []
     for kind, args in INET_QUERIES:
         if kind == "exact":
@@ -4380,35 +4313,17 @@ def inet_range_counts(sf_dir: str) -> pa.Table:
         else:
             bounds.append(inet.range_bounds(*args))
     # shift into the tree's int64 space (all bounds are v4-mapped here)
-    bounds = [
-        (lo - inet.V4_MAPPED_BASE, hi - inet.V4_MAPPED_BASE) for lo, hi in bounds
-    ]
-
-    def _seg(r, doc_base: int) -> pa.Table:
-        qs, cs = [], []
-        tree = PointTree.load(point_file(r.src_dir, "inet_pt"))
-        for qid, (lo, hi) in enumerate(bounds):
-            hits, _ = tree.intersect((lo,), (hi + 1,))
-            qs.append(qid)
-            cs.append(len(hits))
-        return pa.table(
-            {"qid": pa.array(qs, pa.int64()), "cnt": pa.array(cs, pa.int64())}
-        )
-
-    return _count_sums(segment_map(idx, _seg))
+    base = inet.V4_MAPPED_BASE
+    queries = [[(1, (lo - base,), (hi - base + 1,))] for lo, hi in bounds]
+    return _point_counts(sf_dir, "inet_pt", _inet_point_values, queries)
 
 
 def range_counts(sf_dir: str) -> pa.Table:
     """(qid, cnt) for TermRangeQuery [lower, upper) matches."""
     from ..search.query import TermRangeQuery
 
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, cnts = [], []
-    for qid, (lo, hi) in enumerate(TERM_RANGES):
-        qids.append(qid)
-        cnts.append(searcher.count(TermRangeQuery(lo, hi)))
-    return pa.table({"qid": pa.array(qids, pa.int64()), "cnt": pa.array(cnts, pa.int64())})
+    searcher = IndexSearcher(ensure_index(sf_dir))
+    return count_table(searcher, [TermRangeQuery(lo, hi) for lo, hi in TERM_RANGES])
 
 
 # MultiRangeQuery range unions over n_chars ([lo, hi), None = open);
@@ -4430,16 +4345,11 @@ def multi_range_counts(sf_dir: str) -> pa.Table:
 
     idx = ensure_index(sf_dir)
     build_point_index(idx, POINT_FIELDS)
-    searcher = IndexSearcher(idx)
-    qids, cnts = [], []
-    for qid, ranges in enumerate(MULTI_RANGES):
-        q = PointMultiRangeQuery(
-            POINT_FIELDS,
-            tuple(((lo, None), (hi, None)) for lo, hi in ranges),
-        )
-        qids.append(qid)
-        cnts.append(searcher.count(q))
-    return pa.table({"qid": pa.array(qids, pa.int64()), "cnt": pa.array(cnts, pa.int64())})
+    queries = [
+        PointMultiRangeQuery(POINT_FIELDS, tuple(((lo, None), (hi, None)) for lo, hi in ranges))
+        for ranges in MULTI_RANGES
+    ]
+    return count_table(IndexSearcher(idx), queries)
 
 
 POINT_IN_SETS = [
@@ -4459,15 +4369,8 @@ def point_in_set_counts(sf_dir: str) -> pa.Table:
 
     idx = ensure_index(sf_dir)
     build_point_index(idx, POINT_FIELDS)
-    searcher = IndexSearcher(idx)
-    qids, cnts = [], []
-    for qid, values in enumerate(POINT_IN_SETS):
-        q = PointInSetQuery(POINT_FIELDS, 0, values)
-        qids.append(qid)
-        cnts.append(searcher.count(q))
-    return pa.table(
-        {"qid": pa.array(qids, pa.int64()), "cnt": pa.array(cnts, pa.int64())}
-    )
+    queries = [PointInSetQuery(POINT_FIELDS, 0, values) for values in POINT_IN_SETS]
+    return count_table(IndexSearcher(idx), queries)
 
 
 WILDCARDS = ["s*k", "w?ndow", "*tor", "b*", "?a??"]
@@ -4743,19 +4646,15 @@ def regexp_matches(sf_dir: str, k: int = 10) -> pa.Table:
 
 def bool_counts(sf_dir: str) -> pa.Table:
     """Exhaustive boolean match counts: (qid, cnt)."""
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
-    qids, cnts = [], []
-    for qid, (op, a, b) in enumerate(BOOL_COUNTS):
+    queries = []
+    for op, a, b in BOOL_COUNTS:
         if op == "and":
-            q = bool_query(must=[TermQuery(a), TermQuery(b)])
+            queries.append(bool_query(must=[TermQuery(a), TermQuery(b)]))
         elif op == "or":
-            q = bool_query(should=[TermQuery(a), TermQuery(b)])
+            queries.append(bool_query(should=[TermQuery(a), TermQuery(b)]))
         else:  # and_not
-            q = bool_query(must=[TermQuery(a)], must_not=[TermQuery(b)])
-        qids.append(qid)
-        cnts.append(searcher.count(q))
-    return pa.table({"qid": pa.array(qids, pa.int64()), "cnt": pa.array(cnts, pa.int64())})
+            queries.append(bool_query(must=[TermQuery(a)], must_not=[TermQuery(b)]))
+    return count_table(IndexSearcher(ensure_index(sf_dir)), queries)
 
 
 PROXIMITY_QUERIES = [
@@ -5101,16 +5000,7 @@ def rescore_topn_topk(sf_dir: str) -> pa.Table:
         for reader, seg in zip(searcher.readers, searcher.manifest["segments"]):
             # match set only — reuse the non-scoring count machinery's
             # per-segment union (terms are plain postings reads)
-            mask = np.zeros(reader.max_doc, dtype=bool)
-            for t in terms:
-                tid = reader.term_id(t)
-                if tid is None:
-                    continue
-                dd, _ = reader.decode_term_cached(tid)
-                mask[dd] = True
-            if reader.live is not None:
-                mask &= reader.live
-            d = np.nonzero(mask)[0]
+            d = np.unique(np.concatenate([_live_docs(reader, t) for t in terms]))
             if not len(d):
                 continue
             cols = {"n_chars": reader.stored_column("n_chars").to_numpy()[d]}
@@ -5336,6 +5226,14 @@ def ensure_taxonomy(idx: str, sf_dir: str) -> str:
     return tax_path
 
 
+FACET_SCHEMA = _schema(facet=pa.string(), qid=pa.int64(), value=pa.string(), n=pa.int64())
+
+
+def _facet_table(rows) -> pa.Table:
+    """(facet, qid, value, n) rows as a FACET_SCHEMA table."""
+    return pa.Table.from_pylist([dict(zip(FACET_SCHEMA.names, row)) for row in rows], FACET_SCHEMA)
+
+
 def _seg_facet_counts(r, doc_base: int, terms: list[str], tax_path: str | None = None) -> pa.Table:
     """Per-segment PARTIAL facet counts for the facet FAMILY: for each
     query term, matching-doc counts per (a) string facet value ('lang',
@@ -5346,17 +5244,19 @@ def _seg_facet_counts(r, doc_base: int, terms: list[str], tax_path: str | None =
     dimension filter).  One postings decode per term feeds all four
     facets; the shuffle sees only (facet, qid, value, n) partials —
     never doc lists."""
-    import numpy as np
-    import pyarrow.compute as pc
+    rows = []
 
-    facets, qids, vals, ns = [], [], [], []
+    def add(facet: str, qid: int, counts) -> None:
+        rows.extend((facet, qid, str(v), int(n)) for v, n in counts)
 
     def emit(facet: str, qid: int, arr: pa.Array) -> None:
-        for item in pc.value_counts(arr).to_pylist():
-            facets.append(facet)
-            qids.append(qid)
-            vals.append(str(item["values"]))
-            ns.append(item["counts"])
+        add(facet, qid, ((it["values"], it["counts"]) for it in pc.value_counts(arr).to_pylist()))
+
+    def bucket_counts(facet: str, qid: int, vals, ranges) -> None:
+        idx, ok, labels = _range_labels(vals, ranges)
+        if ok.any():
+            cnt = np.bincount(idx[ok], minlength=len(labels))
+            add(facet, qid, ((lab, c) for lab, c in zip(labels, cnt) if c))
 
     lang = r.stored_column("lang")
     source = r.stored_column("source")
@@ -5377,11 +5277,7 @@ def _seg_facet_counts(r, doc_base: int, terms: list[str], tax_path: str | None =
     else:
         live_nc = nchars if r.live is None else nchars[r.live]
         hb, hc = np.unique(live_nc // HIST_BUCKET_W, return_counts=True)
-    for v, c in zip(hb, hc):
-        facets.append("histogram")
-        qids.append(0)
-        vals.append(str(int(v)))
-        ns.append(int(c))
+    add("histogram", 0, ((int(v), c) for v, c in zip(hb, hc)))
     # FastTaxonomyFacetCounts analogue: one leaf-ordinal per doc
     # (facet/taxonomy/FastTaxonomyFacetCounts.java counts int
     # ordinals, not strings); the exchange below carries bincount
@@ -5406,12 +5302,7 @@ def _seg_facet_counts(r, doc_base: int, terms: list[str], tax_path: str | None =
     rf_lo = (ids_np.astype(np.int64) * 17) % 2000
     rf_hi = rf_lo + 1 + nchars.astype(np.int64) % 97
     for qid, t in enumerate(terms):
-        tid = r.term_id(t)
-        if tid is None:
-            continue
-        docs, _ = decode_term(r.enc, tid)
-        if r.live is not None:
-            docs = docs[r.live[docs]]
+        docs = _live_docs(r, t)
         if not len(docs):
             continue
         take = pa.array(docs)
@@ -5426,9 +5317,7 @@ def _seg_facet_counts(r, doc_base: int, terms: list[str], tax_path: str | None =
         # FacetsConfig.setHierarchical + TaxonomyFacetCounts rollup):
         # child counts at 'lang/source', parent counts at 'lang' are
         # the rollup sums over the children
-        import pyarrow.compute as _pc
-
-        paths = _pc.binary_join_element_wise(
+        paths = pc.binary_join_element_wise(
             lang.take(take).cast(pa.string()),
             source.take(take).cast(pa.string()),
             "/",
@@ -5439,105 +5328,52 @@ def _seg_facet_counts(r, doc_base: int, terms: list[str], tax_path: str | None =
         # per-segment bincount over LEAF ordinals (ints on the wire)
         if doc_ord is not None:
             cnt = np.bincount(doc_ord[docs], minlength=n_ords)
-            for o in np.nonzero(cnt)[0]:
-                facets.append("taxo_ord_leaf")
-                qids.append(qid)
-                vals.append(str(int(o)))
-                ns.append(int(cnt[o]))
+            add("taxo_ord_leaf", qid, ((int(o), cnt[o]) for o in np.nonzero(cnt)[0]))
         nc = nchars[docs]
-        idx, ok, labels = _range_labels(nc, FACET_RANGES)
-        if ok.any():
-            cnt = np.bincount(idx[ok], minlength=len(labels))
-            for i, lab in enumerate(labels):
-                if cnt[i]:
-                    facets.append("n_chars_range")
-                    qids.append(qid)
-                    vals.append(lab)
-                    ns.append(int(cnt[i]))
+        bucket_counts("n_chars_range", qid, nc, FACET_RANGES)
         # RangeOnRangeFacetCounts: the doc's [lo, hi] RANGE counts in
         # every CLOSED bucket it overlaps (multi-bucket membership,
         # unlike the single-bucket n_chars point ranges above)
         dlo, dhi = rf_lo[docs], rf_hi[docs]
-        for lab, blo, bhi in RANGE_FACET_BUCKETS:
-            c = int(((dlo <= bhi) & (dhi >= blo)).sum())
-            if c:
-                facets.append("range_on_range")
-                qids.append(qid)
-                vals.append(lab)
-                ns.append(c)
+        overlaps = (
+            (lab, int(((dlo <= bhi) & (dhi >= blo)).sum())) for lab, blo, bhi in RANGE_FACET_BUCKETS
+        )
+        add("range_on_range", qid, ((lab, c) for lab, c in overlaps if c))
         # Int-association facet (facet/taxonomy/
         # TaxonomyFacetIntAssociations.java, AssociationAggregation
         # Function.SUM over IntAssociationFacetField): each matching
         # doc contributes its n_chars association value to its lang
         # label; partials sum in the same (facet, qid, value, n) shape
         lang_np = lang.take(take).to_numpy(zero_copy_only=False)
-        for lab in np.unique(lang_np):
-            facets.append("assoc_sum_lang")
-            qids.append(qid)
-            vals.append(str(lab))
-            ns.append(int(nc[lang_np == lab].sum()))
+        add("assoc_sum_lang", qid, ((lab, nc[lang_np == lab].sum()) for lab in np.unique(lang_np)))
         # LongValueFacetCounts (facet/LongValueFacetCounts.java):
         # per-distinct-value counts of the LongValuesSource
         # n_chars // LONG_VALUE_DIV over the matching docs
-        for v, c in zip(*np.unique(nc // LONG_VALUE_DIV, return_counts=True)):
-            facets.append("long_value")
-            qids.append(qid)
-            vals.append(str(int(v)))
-            ns.append(int(c))
+        add("long_value", qid, ((int(v), c) for v, c in zip(*np.unique(nc // LONG_VALUE_DIV, return_counts=True))))
         # FacetSet matchers (facet/facetset/MatchingFacetSetsCounts +
         # ExactFacetSetMatcher / RangeFacetSetMatcher): one 2-dim set
         # per doc; counts per matcher label (only nonzero emitted,
         # matching getTopChildren's skip-zero rule)
         d0, d1 = FACETSET_DIMS(nc)
-        for t0, t1 in FACETSET_EXACT:
-            c = int(((d0 == t0) & (d1 == t1)).sum())
-            if c:
-                facets.append("facetset_exact")
-                qids.append(qid)
-                vals.append(f"{t0}/{t1}")
-                ns.append(c)
-        for lab, (l0, h0), (l1, h1) in FACETSET_RANGES:
-            c = int(
-                ((d0 >= l0) & (d0 <= h0) & (d1 >= l1) & (d1 <= h1)).sum()
-            )
-            if c:
-                facets.append("facetset_range")
-                qids.append(qid)
-                vals.append(lab)
-                ns.append(c)
+        exact = ((f"{t0}/{t1}", ((d0 == t0) & (d1 == t1)).sum()) for t0, t1 in FACETSET_EXACT)
+        add("facetset_exact", qid, ((lab, c) for lab, c in exact if c))
+        boxes = (
+            (lab, ((d0 >= l0) & (d0 <= h0) & (d1 >= l1) & (d1 <= h1)).sum())
+            for lab, (l0, h0), (l1, h1) in FACETSET_RANGES
+        )
+        add("facetset_range", qid, ((lab, c) for lab, c in boxes if c))
         drill = (nc >= DRILL_RANGE[0]) & (nc < DRILL_RANGE[1])
         if drill.any():
             emit("drilldown_lang", qid, lang.take(pa.array(docs[drill])))
         # DrillSideways over dims {lang, n_chars range}: range-bucket
         # counts with the range dim DROPPED (lang dim still applied),
         # plus the all-dims hit count
-        lang_match = pc.equal(lang.take(take), DRILL_LANG).to_numpy(
-            zero_copy_only=False
-        )
+        lang_match = pc.equal(lang.take(take), DRILL_LANG).to_numpy(zero_copy_only=False)
         if lang_match.any():
-            idx2, ok2, labels2 = _range_labels(nc[lang_match], FACET_RANGES)
-            if ok2.any():
-                cnt2 = np.bincount(idx2[ok2], minlength=len(labels2))
-                for i, lab in enumerate(labels2):
-                    if cnt2[i]:
-                        facets.append("sideways_range")
-                        qids.append(qid)
-                        vals.append(lab)
-                        ns.append(int(cnt2[i]))
+            bucket_counts("sideways_range", qid, nc[lang_match], FACET_RANGES)
         n_hits = int((drill & lang_match).sum())
-        if n_hits:
-            facets.append("drill_hits")
-            qids.append(qid)
-            vals.append("hits")
-            ns.append(n_hits)
-    return pa.table(
-        {
-            "facet": pa.array(facets, pa.string()),
-            "qid": pa.array(qids, pa.int64()),
-            "value": pa.array(vals, pa.string()),
-            "n": pa.array(ns, pa.int64()),
-        }
-    )
+        add("drill_hits", qid, [("hits", n_hits)] if n_hits else [])
+    return _facet_table(rows)
 
 
 def facet_counts(sf_dir: str):
@@ -5571,7 +5407,6 @@ def facet_counts(sf_dir: str):
         # inverse sampling rate AFTER the global sum (each grouped key
         # appears exactly once, so per-row derivation is sound); integer
         # floor keeps the result combine-order-independent
-        import pyarrow.compute as pc
 
         # taxonomy rollup (TaxonomyFacets.java): the exchange carried
         # LEAF-ordinal bincount partials; after the global sum, add each
@@ -5637,83 +5472,63 @@ def facet_counts(sf_dir: str):
     return final.groupby("qid").map_groups(_finish, batch_format="pyarrow")
 
 
+DV_STATS_SCHEMA = _schema(
+    qid=pa.int64(), lang=pa.string(), n=pa.int64(), missing=pa.int64(),
+    mn=pa.int64(), mx=pa.int64(), sm=pa.int64(), sq=pa.int64(),
+)
+_I64 = np.iinfo(np.int64)
+
+
+def _seg_dv_stats(r, doc_base: int) -> pa.Table:
+    """Per-segment PARTIAL stats of the n_chars doc values over each
+    QUERY_TERMS term's live matches: one whole-query row (lang "") and one
+    row per lang of (n, missing, min, max, sum, sum of squares) — exact
+    integers that merge by sum / min / max (``dv_stats``,
+    ``doc_values_stats``)."""
+    col = r.stored_column("n_chars")
+    vals = col.to_numpy(zero_copy_only=False)
+    null = col.is_null().to_numpy(zero_copy_only=False)
+    langs = r.stored_column("lang").to_numpy(zero_copy_only=False)
+    rows = []
+    for qid, t in enumerate(QUERY_TERMS):
+        docs = _live_docs(r, t)
+        lv = langs[docs]
+        for lab in ["", *np.unique(lv)] if len(docs) else []:
+            d = docs if lab == "" else docs[lv == lab]
+            v = vals[d[~null[d]]].astype(np.int64)
+            lo, hi = (int(v.min()), int(v.max())) if len(v) else (_I64.max, _I64.min)
+            rows.append((qid, str(lab), len(v), len(d) - len(v), lo, hi, int(v.sum()), int((v * v).sum())))
+    return pa.Table.from_pylist([dict(zip(DV_STATS_SCHEMA.names, r)) for r in rows], DV_STATS_SCHEMA)
+
+
+def _dv_stats_parts(sf_dir: str):
+    """``_seg_dv_stats`` partials of every segment (<= segments * queries *
+    (langs + 1) rows) as pandas, whole-query rows reduced per qid."""
+    parts = gather(segment_map(ensure_index(sf_dir), _seg_dv_stats), DV_STATS_SCHEMA).to_pandas()
+    whole = parts[parts["lang"] == ""].groupby("qid").agg(
+        n=("n", "sum"), missing=("missing", "sum"), mn=("mn", "min"),
+        mx=("mx", "max"), sm=("sm", "sum"), sq=("sq", "sum"),
+    )
+    return parts, whole
+
+
 def dv_stats(sf_dir: str):
     """DocValuesStats analogue (reference misc/search/DocValuesStats.java
     LongDocValuesStats + DocValuesStatsCollector): min / max / sum /
-    count of the n_chars doc-values over each query term's matching docs
-    (missing always 0 here — every doc stores the column).  Per-segment
-    PARTIAL (min, max, sum, count) rows reduce on the driver (5 rows per
-    segment per query); emitted in the facet family's (facet, qid,
-    value, n) shape as facet='dv_stats'."""
-
-    def _seg(r, doc_base: int) -> pa.Table:
-        qids, langs, mins, maxs, sums, cnts = [], [], [], [], [], []
-        nchars = r.stored_column("n_chars").to_numpy()
-        langcol = r.stored_column("lang").to_numpy(zero_copy_only=False)
-        for qid, t in enumerate(QUERY_TERMS):
-            tid = r.term_id(t)
-            if tid is None:
-                continue
-            docs, _ = r.decode_term_cached(tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
-            if not len(docs):
-                continue
-            v = nchars[docs]
-            qids.append(qid)
-            langs.append("")  # whole-query row (DocValuesStats)
-            mins.append(int(v.min()))
-            maxs.append(int(v.max()))
-            sums.append(int(v.sum()))
-            cnts.append(len(v))
-            # sandbox facet LongAggregationsFacetRecorder: per-LABEL
-            # long aggregation partials (max per lang here) riding
-            # the same tiny reduce
-            lv = langcol[docs]
-            for lab in np.unique(lv):
-                qids.append(qid)
-                langs.append(str(lab))
-                m = v[lv == lab]
-                mins.append(int(m.min()))
-                maxs.append(int(m.max()))
-                sums.append(int(m.sum()))
-                cnts.append(len(m))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "lang": pa.array(langs, pa.string()),
-                "mn": pa.array(mins, pa.int64()),
-                "mx": pa.array(maxs, pa.int64()),
-                "sm": pa.array(sums, pa.int64()),
-                "ct": pa.array(cnts, pa.int64()),
-            }
-        )
-
-    parts = gather(segment_map(ensure_index(sf_dir), _seg)).to_pandas()  # <= segments * queries rows
+    count / missing of the n_chars doc-values over each query term's
+    matching docs, from the ``_seg_dv_stats`` partials; emitted in the
+    facet family's (facet, qid, value, n) shape as facet='dv_stats'."""
+    parts, whole = _dv_stats_parts(sf_dir)
     rows = []
-    whole = parts[parts["lang"] == ""]
-    for qid, g in whole.groupby("qid"):
-        rows += [
-            ("dv_stats", int(qid), "min", int(g.mn.min())),
-            ("dv_stats", int(qid), "max", int(g.mx.max())),
-            ("dv_stats", int(qid), "sum", int(g.sm.sum())),
-            ("dv_stats", int(qid), "count", int(g.ct.sum())),
-            ("dv_stats", int(qid), "missing", 0),
-        ]
+    for qid, g in whole.iterrows():
+        for stat, v in (("min", g.mn), ("max", g.mx), ("sum", g.sm), ("count", g.n), ("missing", g.missing)):
+            rows.append(("dv_stats", int(qid), stat, int(v)))
     # sandbox facet LongAggregationsFacetRecorder (sandbox/facet/
     # recorders/LongAggregationsFacetRecorder.java): per facet label,
     # a long aggregation over matching docs — max(n_chars) per lang
-    per_label = parts[parts["lang"] != ""]
-    for (qid, lab), g in per_label.groupby(["qid", "lang"]):
-        rows.append(("assoc_max_lang", int(qid), str(lab), int(g.mx.max())))
-    return pa.table(
-        {
-            "facet": pa.array([r[0] for r in rows], pa.string()),
-            "qid": pa.array([r[1] for r in rows], pa.int64()),
-            "value": pa.array([r[2] for r in rows], pa.string()),
-            "n": pa.array([r[3] for r in rows], pa.int64()),
-        }
-    )
+    per_label = parts[parts["lang"] != ""].groupby(["qid", "lang"])["mx"].max()
+    rows += [("assoc_max_lang", int(qid), lab, int(mx)) for (qid, lab), mx in per_label.items()]
+    return _facet_table(rows)
 
 
 def grouped_facet_counts(sf_dir: str) -> pa.Table:
@@ -5732,12 +5547,7 @@ def grouped_facet_counts(sf_dir: str) -> pa.Table:
         lang = r.stored_column("lang").to_numpy(zero_copy_only=False)
         source = r.stored_column("source").to_numpy(zero_copy_only=False)
         for qid, t in enumerate(QUERY_TERMS):
-            tid = r.term_id(t)
-            if tid is None:
-                continue
-            docs, _ = r.decode_term_cached(tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
+            docs = _live_docs(r, t)
             for lv, sv in {(a, b) for a, b in zip(lang[docs], source[docs])}:
                 qids.append(qid)
                 langs.append(str(lv))
@@ -5835,12 +5645,7 @@ def dynamic_range_facets(sf_dir: str) -> pa.Table:
         qids, vs, ws, cs = [], [], [], []
         nchars = r.stored_column("n_chars").to_numpy()
         for qid, t in enumerate(QUERY_TERMS):
-            tid = r.term_id(t)
-            if tid is None:
-                continue
-            docs, _ = r.decode_term_cached(tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
+            docs = _live_docs(r, t)
             if not len(docs):
                 continue
             v = nchars[docs]
@@ -5892,8 +5697,6 @@ def dynamic_range_facets(sf_dir: str) -> pa.Table:
 
 
 def pc_cast_i64(col):
-    import pyarrow.compute as pc
-
     return pc.cast(col, pa.int64())
 
 
@@ -6131,57 +5934,16 @@ def sorted_set_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
     search/SortedSetSortField.java + SortedSetSelector.java MIN/MAX over
     SORTED_SET doc values): vectorized per-segment selector collapse,
     bounded partial-top-k exchange, tiny driver merge."""
-    idx = ensure_index(sf_dir)
 
-    def _seg(r, doc_base: int) -> pa.Table:
-        qids, keys, gdocs_out = [], [], []
-        ids = (
-            r.stored_column("doc_id")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        lang = r.stored_column("lang").to_numpy(zero_copy_only=False).astype(str)
-        src = r.stored_column("source").to_numpy(zero_copy_only=False).astype(str)
+    def keys(r, base, docs, selector):
+        lang = _stored(r, "lang", docs).astype(str)
+        src = _stored(r, "source", docs).astype(str)
         lt = lang < src  # unicode widths differ: compare, then pick
-        sel = {
-            "min": np.where(lt, lang, src),
-            "max": np.where(lt, src, lang),
-        }
-        for qid, (term, selector, direction) in enumerate(SORTED_SET_QUERIES):
-            tid = r.term_id(term)
-            if tid is None:
-                continue
-            docs, _ = r.decode_term_cached(tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
-            if not len(docs):
-                continue
-            vals = sel[selector][docs]
-            gdocs = ids[docs]
-            # partial top-k on (key, doc) — desc flips via the dense
-            # rank codes (strings can't negate), ships real strings
-            codes = np.unique(vals, return_inverse=True)[1].astype(np.int64)
-            key = -codes if direction == "desc" else codes
-            order = np.lexsort((gdocs, key))[:k]
-            qids.extend([qid] * len(order))
-            keys.extend(vals[order].tolist())
-            gdocs_out.extend(gdocs[order].tolist())
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "key": pa.array(keys, pa.string()),
-                "doc_id": pa.array(gdocs_out, pa.int64()),
-            }
-        )
+        pick = np.where(lt, lang, src) if selector == "min" else np.where(lt, src, lang)
+        return [pick, _stored(r, "doc_id", docs)]
 
-    parts = gather(segment_map(idx, _seg)).to_pandas()
-    ranked = []
-    for qid, (_, _, direction) in enumerate(SORTED_SET_QUERIES):
-        sub = parts[parts["qid"] == qid]
-        rows = sorted(zip(sub["key"].tolist(), sub["doc_id"].tolist()), key=lambda r: r[1])
-        rows.sort(key=lambda r: r[0], reverse=(direction == "desc"))  # stable
-        ranked.append((qid, [d for _, d in rows[:k]]))
-    return ranked_table(ranked)
+    sorts = [(t, d == "desc", s) for t, s, d in SORTED_SET_QUERIES]
+    return _sort_topk(ensure_index(sf_dir), sorts, keys, pa.string(), k)
 
 
 # SortedNumericSortField + SortedNumericSelector (search/
@@ -6201,52 +5963,14 @@ def sorted_numeric_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """(qid, rnk, doc_id) top-k under a SortedNumericSortField: per
     segment the selector collapses the value set vectorized, then the
     same bounded partial-top-k exchange as the stored-field sort."""
-    idx = ensure_index(sf_dir)
 
-    def _seg(r, doc_base: int) -> pa.Table:
-        qids, keys, gdocs_out = [], [], []
-        ids = (
-            r.stored_column("doc_id")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        nch = (
-            r.stored_column("n_chars")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        vset = np.stack([nch, (ids * 7) % 1000, (ids * 13) % 1000])
-        sel = {"min": vset.min(axis=0), "max": vset.max(axis=0)}
-        for qid, (term, selector, direction) in enumerate(
-            SORTED_NUMERIC_QUERIES
-        ):
-            tid = r.term_id(term)
-            if tid is None:
-                continue
-            docs, _ = r.decode_term_cached(tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
-            if not len(docs):
-                continue
-            vals = sel[selector][docs]
-            gdocs = ids[docs]
-            key = -vals if direction == "desc" else vals
-            if len(key) > k:
-                kth = np.partition(key, k - 1)[k - 1]
-                keep = key <= kth
-                key, gdocs = key[keep], gdocs[keep]
-            qids.extend([qid] * len(key))
-            keys.extend(key.tolist())
-            gdocs_out.extend(gdocs.tolist())
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "key": pa.array(keys, pa.int64()),
-                "doc_id": pa.array(gdocs_out, pa.int64()),
-            }
-        )
+    def keys(r, base, docs, selector):
+        ids = _stored(r, "doc_id", docs)
+        vset = np.stack([_stored(r, "n_chars", docs), (ids * 7) % 1000, (ids * 13) % 1000])
+        return [vset.min(axis=0) if selector == "min" else vset.max(axis=0), ids]
 
-    return _top_rows(gather(segment_map(idx, _seg)), ["key", "doc_id"], [True, True], k)
+    sorts = [(t, d == "desc", s) for t, s, d in SORTED_NUMERIC_QUERIES]
+    return _sort_topk(ensure_index(sf_dir), sorts, keys, pa.int64(), k)
 
 
 # LatLonPointSortField + LatLonPointDistanceComparator (document/
@@ -6265,47 +5989,13 @@ DISTANCE_SORT_QUERIES = [
 def distance_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """(qid, rnk, doc_id) nearest-first matching docs; same bounded
     per-segment partial-top-k exchange as the other sort arms."""
-    idx = ensure_index(sf_dir)
 
-    def _seg(r, doc_base: int) -> pa.Table:
-        qids, keys, gdocs_out = [], [], []
-        ids = (
-            r.stored_column("doc_id")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        nch = (
-            r.stored_column("n_chars")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        for qid, (term, cx, cy) in enumerate(DISTANCE_SORT_QUERIES):
-            tid = r.term_id(term)
-            if tid is None:
-                continue
-            docs, _ = r.decode_term_cached(tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
-            if not len(docs):
-                continue
-            key = (nch[docs] - cx) ** 2 + (ids[docs] - cy) ** 2
-            gdocs = ids[docs]
-            if len(key) > k:
-                kth = np.partition(key, k - 1)[k - 1]
-                keep = key <= kth
-                key, gdocs = key[keep], gdocs[keep]
-            qids.extend([qid] * len(key))
-            keys.extend(key.tolist())
-            gdocs_out.extend(gdocs.tolist())
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "key": pa.array(keys, pa.int64()),
-                "doc_id": pa.array(gdocs_out, pa.int64()),
-            }
-        )
+    def keys(r, base, docs, center):
+        ids = _stored(r, "doc_id", docs)
+        return [(_stored(r, "n_chars", docs) - center[0]) ** 2 + (ids - center[1]) ** 2, ids]
 
-    return _top_rows(gather(segment_map(idx, _seg)), ["key", "doc_id"], [True, True], k)
+    sorts = [(t, False, (cx, cy)) for t, cx, cy in DISTANCE_SORT_QUERIES]
+    return _sort_topk(ensure_index(sf_dir), sorts, keys, pa.int64(), k)
 
 
 COMPOUND_SORT_QUERIES = ["spark", "join", "window"]
@@ -6315,44 +6005,15 @@ def compound_sort_topk(sf_dir: str, k: int = 10) -> pa.Table:
     """Multi-key Sort — a SortField LIST (search/Sort.java: setSort(
     SortField...), compared field by field): matching docs ordered by
     (lang ASC, n_chars DESC, doc ASC).  The compound key ends in the
-    unique doc id, so per-segment partial top-k rows merge exactly (no
-    tie handling needed); the exchange carries <= k * segments rows of
-    (qid, lang, -n_chars, doc_id).  (qid, rnk, doc_id)."""
-    idx = ensure_index(sf_dir)
+    unique doc id, so per-segment partial top-k rows merge exactly; the
+    exchange carries <= k * segments rows of (qid, lang, -n_chars,
+    doc_id).  (qid, rnk, doc_id)."""
 
-    def _seg(r, base: int) -> pa.Table:
-        qids, langs, nns, gdocs_out = [], [], [], []
-        lang_col = r.stored_column("lang")
-        nchars = r.stored_column("n_chars").to_numpy()
-        for qid, term in enumerate(COMPOUND_SORT_QUERIES):
-            tid = r.term_id(term)
-            if tid is None:
-                continue
-            docs, _ = r.decode_term_cached(tid)
-            if r.live is not None:
-                docs = docs[r.live[docs]]
-            if not len(docs):
-                continue
-            lv = lang_col.take(pa.array(docs)).to_pylist()
-            nn = (-nchars[docs]).tolist()
-            gd = (docs + base).tolist()
-            rows = sorted(zip(lv, nn, gd))[:k]
-            for lg, n_, d_ in rows:
-                qids.append(qid)
-                langs.append(lg)
-                nns.append(int(n_))
-                gdocs_out.append(int(d_))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "lang": pa.array(langs, pa.string()),
-                "nn": pa.array(nns, pa.int64()),
-                "doc_id": pa.array(gdocs_out, pa.int64()),
-            }
-        )
+    def keys(r, base, docs, _):
+        return [_stored(r, "lang", docs).astype(str), -_stored(r, "n_chars", docs), docs + base]
 
-    parts = gather(segment_map(idx, _seg))  # <= k * segments * queries rows by construction
-    return _top_rows(parts, ["lang", "nn", "doc_id"], [True, True, True], k)
+    sorts = [(t, False, None) for t in COMPOUND_SORT_QUERIES]
+    return _sort_topk(ensure_index(sf_dir), sorts, keys, [pa.string(), pa.int64()], k)
 
 
 SORT_RESCORE_QUERIES = ["spark", "merge", "window"]
@@ -6457,43 +6118,51 @@ def index_sorted_topk(sf_dir: str, k: int = 10) -> pa.Table:
     return _top_rows(gather(parts), ["key", "doc_id"], [False, True], k)
 
 
-def _seg_sort_field_partials(r, base: int, queries: list, k: int) -> pa.Table:
-    """Per-segment PARTIAL sort-field top-k (ties kept at the k-th value):
-    only (qid, direction-adjusted key, global doc_id) candidate rows cross
-    the exchange — the reduce sees <= (k + ties) * segments rows per
-    query, never a doc-values column."""
-    qids, keys, gdocs_out = [], [], []
-    for qid, (term, field, direction) in enumerate(queries):
-        tid = r.term_id(term)
-        if tid is None:
-            continue
-        docs, _ = r.decode_term_cached(tid)
-        if r.live is not None:
-            docs = docs[r.live[docs]]
+def _stored(r, field: str, docs: np.ndarray) -> np.ndarray:
+    """Segment ``r``'s stored ``field`` values at local ``docs`` (integer
+    columns as int64)."""
+    v = r.stored_column(field).take(pa.array(docs)).to_numpy(zero_copy_only=False)
+    return v.astype(np.int64) if v.dtype.kind in "iu" else v
+
+
+def _seg_sort_partials(r, base: int, sorts: list, keys, k: int, schema: pa.Schema) -> pa.Table:
+    """Per-segment PARTIAL sort-field top-k.  For every (term, desc, arg)
+    of ``sorts`` (qid = position), ``keys(r, base, docs, arg)`` gives the
+    term's live matches' sort columns in ``schema`` order, the global
+    doc_id last; the segment keeps its first k rows in that order (the
+    first column descending when ``desc``), ranking each column by its
+    dense codes so strings sort like integers.  Only these (qid, key...,
+    doc_id) rows cross the exchange, never a doc-values column."""
+    parts = [schema.empty_table()]
+    for qid, (term, desc, arg) in enumerate(sorts):
+        docs = _live_docs(r, term)
         if not len(docs):
             continue
-        vals = (
-            r.stored_column(field)
-            .take(pa.array(docs))
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        gdocs = docs + base
-        key = -vals if direction == "desc" else vals
-        if len(key) > k:
-            kth = np.partition(key, k - 1)[k - 1]
-            keep = key <= kth
-            key, gdocs = key[keep], gdocs[keep]
-        qids.extend([qid] * len(key))
-        keys.extend(key.tolist())
-        gdocs_out.extend(gdocs.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "key": pa.array(keys, pa.int64()),
-            "doc_id": pa.array(gdocs_out, pa.int64()),
-        }
-    )
+        cols = keys(r, base, docs, arg)
+        ranks = [np.unique(c, return_inverse=True)[1] for c in cols]
+        if desc:
+            ranks[0] = -ranks[0]
+        top = np.lexsort(ranks[::-1])[:k]
+        parts.append(pa.table([np.full(len(top), qid, np.int64)] + [c[top] for c in cols], schema=schema))
+    return pa.concat_tables(parts)
+
+
+def _sort_topk(idx: str, sorts: list, keys, key_types, k: int) -> pa.Table:
+    """(qid, rnk, doc_id) sort-field top-k: ``_seg_sort_partials`` per
+    segment (key columns of ``key_types``), merged by ``_top_rows`` — the
+    ascending and the descending queries apart."""
+    key_types = key_types if isinstance(key_types, list) else [key_types]
+    schema = _schema(qid=pa.int64(), **{f"k{i}": t for i, t in enumerate(key_types)}, doc_id=pa.int64())
+    parts = gather(segment_map(idx, _seg_sort_partials, sorts=sorts, keys=keys, k=k, schema=schema), schema)
+    desc = pc.is_in(parts["qid"], pa.array([q for q, s in enumerate(sorts) if s[1]], pa.int64()))
+    order = schema.names[1:]
+    rest = [True] * (len(order) - 1)
+    return pa.concat_tables(
+        [
+            _top_rows(parts.filter(pc.invert(desc)), order, [True] + rest, k),
+            _top_rows(parts.filter(desc), order, [False] + rest, k),
+        ]
+    ).sort_by([("qid", "ascending"), ("rnk", "ascending")])
 
 
 def sort_by_field_topk(sf_dir: str, k: int = 10) -> pa.Table:
@@ -6502,86 +6171,41 @@ def sort_by_field_topk(sf_dir: str, k: int = 10) -> pa.Table:
     stored fields (search/Sort.java + SortField.java; our doc-values are
     the per-segment parquet metadata columns).  Tie-break: doc_id asc.
     Per segment only the matching docs' column values are gathered and a
-    partial top-k (ties kept) is emitted; the reduce sees k * segments
-    rows."""
-    parts = segment_map(  # <= (k + ties) * segments * queries rows by construction
-        ensure_index(sf_dir), _seg_sort_field_partials, queries=SORTED_QUERIES, k=k
-    )
-    return _top_rows(gather(parts), ["key", "doc_id"], [True, True], k)
+    partial top-k is emitted; the reduce sees k * segments rows."""
+    sorts = [(t, d == "desc", f) for t, f, d in SORTED_QUERIES]
+    keys = lambda r, base, docs, field: [_stored(r, field, docs), docs + base]  # noqa: E731
+    return _sort_topk(ensure_index(sf_dir), sorts, keys, pa.int64(), k)
 
 
 def doc_values_stats(sf_dir: str) -> pa.Table:
     """DocValuesStatsCollector (reference misc/search/DocValuesStats.java
     + DocValuesStatsCollector.java): per query, aggregate stats of the
     n_chars doc-values column over the MATCHING docs — (qid, n, missing,
-    min_v, max_v, sum_v, mean, variance).  Deviation (documented): the
-    reference accumulates mean/variance with Welford's streaming update
+    min_v, max_v, sum_v, mean, variance), a row per query even when
+    nothing matches.  Deviation (documented): the reference accumulates
+    mean/variance with Welford's streaming update
     (DocValuesStats.java:167-169); this engine keeps exact integer
     (count, sum, sum_sq, min, max) partials per segment — order-
     independent, mergeable, the repo's summation discipline — and derives
     mean = sum/n, variance = (sum_sq - sum*sum/n)/n (the same population
     variance Welford converges to, modulo fp round) in one double
     expression mirrored by the SQL oracle."""
-    idx = ensure_index(sf_dir)
-    searcher = IndexSearcher(idx)
+    whole = _dv_stats_parts(sf_dir)[1].reindex(range(len(QUERY_TERMS)), fill_value=0)
     rows = []
-    for qid, term in enumerate(QUERY_TERMS):
-        n = 0
-        sum_v = 0
-        sum_sq = 0
-        min_v: int | None = None
-        max_v: int | None = None
-        missing = 0
-        for reader in searcher.readers:
-            tid = reader.term_id(term)
-            if tid is None:
-                continue
-            docs, _tfs = reader.decode_term_cached(tid)
-            if reader.live is not None and len(docs):
-                docs = docs[reader.live[docs]]
-            if not len(docs):
-                continue
-            vals_col = reader.stored_column("n_chars")
-            vals = vals_col.to_numpy(zero_copy_only=False)[docs]
-            null_mask = np.asarray(
-                pa.compute.is_null(vals_col).to_numpy(zero_copy_only=False)
-            )[docs] if vals_col.null_count else np.zeros(len(docs), bool)
-            present = vals[~null_mask].astype(np.int64)
-            missing += int(null_mask.sum())
-            if not len(present):
-                continue
-            n += len(present)
-            sum_v += int(present.sum())
-            sum_sq += int((present * present).sum())
-            lo, hi = int(present.min()), int(present.max())
-            min_v = lo if min_v is None else min(min_v, lo)
-            max_v = hi if max_v is None else max(max_v, hi)
-        mean = float(sum_v) / n if n else 0.0
-        variance = (float(sum_sq) - (float(sum_v) * float(sum_v)) / n) / n if n else 0.0
+    for qid, g in whole.iterrows():
+        n, s, sq = int(g.n), int(g.sm), int(g.sq)
         rows.append(
             {
-                "qid": qid,
-                "n": n,
-                "missing": missing,
-                "min_v": min_v if min_v is not None else 0,
-                "max_v": max_v if max_v is not None else 0,
-                "sum_v": sum_v,
-                "mean": mean,
-                "variance": variance,
+                "qid": int(qid), "n": n, "missing": int(g.missing),
+                "min_v": int(g.mn) if n else 0, "max_v": int(g.mx) if n else 0, "sum_v": s,
+                "mean": float(s) / n if n else 0.0,
+                "variance": (float(sq) - (float(s) * float(s)) / n) / n if n else 0.0,
             }
         )
     return pa.Table.from_pylist(rows).cast(
-        pa.schema(
-            [
-                ("qid", pa.int64()),
-                ("n", pa.int64()),
-                ("missing", pa.int64()),
-                ("min_v", pa.int64()),
-                ("max_v", pa.int64()),
-                ("sum_v", pa.int64()),
-                ("mean", pa.float64()),
-                ("variance", pa.float64()),
-            ]
+        _schema(
+            qid=pa.int64(), n=pa.int64(), missing=pa.int64(), min_v=pa.int64(),
+            max_v=pa.int64(), sum_v=pa.int64(), mean=pa.float64(), variance=pa.float64(),
         )
     )
 

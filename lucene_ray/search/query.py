@@ -1421,11 +1421,12 @@ def _boolean_bulk(q: BooleanQuery, weight: Weight, reader, boost: float, scores:
     """``combine_clause_scorers`` over whole match sets.  A doc matches
     every MUST and FILTER clause and no MUST_NOT clause; the SHOULD side
     (docs matching >= max(msm, 1) present SHOULD clauses) is required
-    when msm > 0 or when no MUST clause is present.  Sums are float64 in
-    clause order: conj = Σ MUST, opt = f32(Σ SHOULD) (the WANDScorer
-    accumulator); the score is f32(conj + opt) when msm > 0,
+    when msm > 0 or when no MUST or FILTER clause is present.  Sums are
+    float64 in clause order: conj = Σ MUST, opt = f32(Σ SHOULD) (the
+    WANDScorer accumulator); the score is f32(conj + opt) when msm > 0,
     f32(f32(conj) + opt) where the optional SHOULD side matches, f32(conj)
-    elsewhere, opt alone without a MUST clause, 0 for FILTER alone."""
+    elsewhere, opt (0 where no SHOULD clause matches) without a MUST
+    clause, 0 for FILTER alone."""
     msm = q.min_should_match
     musts, filters, shoulds = [], [], []
     for c in q.clauses:
@@ -1436,13 +1437,14 @@ def _boolean_bulk(q: BooleanQuery, weight: Weight, reader, boost: float, scores:
                 return None
             (musts if must else filters).append(m)
     # optional SHOULD clauses only score: skip them when nothing is scored
-    if scores or msm > 0 or not musts:
+    required = musts + filters
+    if scores or msm > 0 or not required:
         for c in q.clauses:
             if c.occur == SHOULD:
                 m = bulk_matches(c.query, weight, reader, boost, scores)
                 if m is not None:
                     shoulds.append(m)
-    if len(shoulds) < msm or not (musts or filters or shoulds):
+    if len(shoulds) < msm or not (required or shoulds):
         return None
     n = reader.max_doc
 
@@ -1453,11 +1455,10 @@ def _boolean_bulk(q: BooleanQuery, weight: Weight, reader, boost: float, scores:
         if filters and scores:
             sc = np.zeros(len(cand), np.float32)
     else:
-        required = musts + filters
         mask = _in_at_least(n, required, len(required)) if required else None
         if shoulds:
             smatch = _in_at_least(n, shoulds, msm)
-            if msm > 0 or not musts:
+            if msm > 0 or not required:
                 mask = smatch if mask is None else mask & smatch
         cand = np.flatnonzero(mask)
     excl = None
@@ -1589,12 +1590,8 @@ def combine_clause_scorers(
             scoring = musts + [opt]
             positive = ConjunctionScorer(required, scoring)
         elif opt is not None:
-            if musts:
-                conj = ConjunctionScorer(required, musts)
-                positive = ReqOptSumScorer(conj, opt)
-            else:
-                # filters only + optional scoring side: optional drives scoring
-                positive = ConjunctionScorer(required + [opt], [opt])
+            # msm = 0 beside a required clause: the SHOULD side only scores
+            positive = ReqOptSumScorer(ConjunctionScorer(required, musts), opt)
         else:
             if not musts:
                 # filter-only query: constant zero scores? give constant 0

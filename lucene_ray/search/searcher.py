@@ -571,35 +571,34 @@ def _explain_node(searcher: "IndexSearcher", q, weight: Weight, reader, local: i
             "details": [],
         }
     if isinstance(q, BooleanQuery):
-        details = []
+        details, musts, shoulds = [], [], []
         for c in q.clauses:
+            sub = _explain_node(searcher, c.query, weight, reader, local)
             if c.occur == "MUST_NOT":
-                sub = _explain_node(searcher, c.query, weight, reader, local)
                 if sub is not None:
                     return None
-                continue
-            sub = _explain_node(searcher, c.query, weight, reader, local)
-            if sub is None:
+            elif sub is None:
                 if c.occur in ("MUST", "FILTER"):
                     return None
-                continue
             # FILTER matches are required but never contribute score
-            if c.occur in ("MUST", "SHOULD"):
+            elif c.occur != "FILTER":
                 details.append(sub)
-        should_present = [c for c in q.clauses if c.occur == "SHOULD"]
-        matched_should = sum(
-            1
-            for c in should_present
-            if _explain_node(searcher, c.query, weight, reader, local) is not None
-        )
-        if should_present and not any(
-            c.occur == "MUST" for c in q.clauses
-        ) and matched_should == 0:
+                (musts if c.occur == "MUST" else shoulds).append(np.float64(sub["value"]))
+        msm = getattr(q, "min_should_match", 0)
+        required = any(c.occur in ("MUST", "FILTER") for c in q.clauses)
+        if len(shoulds) < msm or not (required or shoulds):
             return None
-        if matched_should < getattr(q, "min_should_match", 0):
-            return None
-        # sum in double of float32 clause scores, cast once (BooleanScorer)
-        val = np.float32(np.sum([np.float64(d["value"]) for d in details]))
+        # search's float nesting (combine_clause_scorers): the SHOULD side
+        # is one float32 sum, added to the float32 MUST sum when optional
+        opt = np.float32(sum(shoulds)) if shoulds else None
+        if not musts:
+            val = opt if opt is not None else np.float32(0.0)
+        elif opt is None:
+            val = np.float32(sum(musts))
+        elif msm > 0:
+            val = np.float32(sum(musts) + np.float64(opt))
+        else:
+            val = np.float32(np.float64(np.float32(sum(musts))) + np.float64(opt))
         return {"value": float(val), "description": "sum of:", "details": details}
     raise NotImplementedError(f"explain: unsupported query {type(q).__name__}")
 

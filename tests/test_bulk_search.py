@@ -305,3 +305,24 @@ def test_min_should_match_equal_to_present_should_clauses(shapes_index):
         top = s.search(q, 10)
         complete = s.search(q, 10, total_hits_threshold=np.inf, score_mode="COMPLETE")
         assert top and _bits(top) == _bits(complete)
+
+
+@pytest.mark.parametrize("should", ["green", "absent", "merge"])
+def test_should_beside_filter_is_optional(shapes_index, should):
+    """With msm = 0, a SHOULD clause beside a FILTER clause only scores:
+    the match set is the FILTER's on every arm, whether the SHOULD term
+    occurs in the segment (``green``), nowhere (``absent``) or only in
+    deleted docs (``merge``)."""
+    s = IndexSearcher(shapes_index)
+    q, weight = s.weigh(bool_query(filter=[TermQuery("red")], should=[TermQuery(should)]))
+    f, f_weight = s.weigh(bool_query(filter=[TermQuery("red")]))
+    for reader in s.readers:
+        n = reader.max_doc
+        want = sorted(d for d, _ in search_segment(reader, f, f_weight, n, np.inf, "COMPLETE"))
+        for arm in (
+            search_segment(reader, q, weight, n, 1000, "TOP_SCORES"),
+            search_segment(reader, q, weight, n, 1000, "TOP_SCORES", allow_bulk=False),
+            search_segment(reader, q, weight, n, np.inf, "COMPLETE"),
+        ):
+            assert sorted(d for d, _ in arm) == want, (should, reader)
+    assert s.count(q) == s.count(f) > 0

@@ -430,9 +430,26 @@ def test_explain_matches_search_scores(built):
         bool_query(should=[TermQuery("def"), TermQuery("import")]),
         bool_query(must=[TermQuery("def")], must_not=[TermQuery("zzz_q")]),
         bool_query(must=[TermQuery("import")], filter=[TermQuery("def")]),
+        # MUST + optional SHOULD: f32(f32(Σ MUST) + f32(Σ SHOULD)), not one
+        # flat sum (the two differ by an ulp on some of these hits)
+        bool_query(must=[TermQuery("import")], should=[TermQuery("return"), TermQuery("def")]),
+        bool_query(
+            must=[TermQuery("the")],
+            should=[TermQuery("public"), TermQuery("func"), TermQuery("import")],
+        ),
+        bool_query(
+            must=[TermQuery("return")],
+            should=[TermQuery("def"), TermQuery("the"), TermQuery("import")],
+            min_should_match=2,
+        ),
+        bool_query(
+            must=[BoostQuery(TermQuery("return"), 2.0)],
+            should=[TermQuery("def"), TermQuery("import")],
+            min_should_match=1,
+        ),
     ]
     for q in queries:
-        hits = searcher.search(q, 5, total_hits_threshold=np.inf, score_mode="COMPLETE")
+        hits = searcher.search(q, 50, total_hits_threshold=np.inf, score_mode="COMPLETE")
         assert hits
         for doc, score in hits:
             ex = searcher.explain(q, int(doc))

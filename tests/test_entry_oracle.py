@@ -79,10 +79,11 @@ def empty_sf(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", EMPTY_CORPUS_FAMILIES)
-def test_empty_corpus_keeps_columns(name, empty_sf, con, ray_session, monkeypatch):
+def test_empty_corpus_keeps_columns(name, empty_sf, con, empty_con, ray_session, monkeypatch):
     monkeypatch.setenv("LUCENE_RAY_INDEX_ROOT", os.path.join(empty_sf, "idx"))
     got = to_pandas(QUERIES[name](empty_sf))
-    assert len(got) == 0
+    # zero rows, except the per-query count rows every count family keeps
+    assert len(got) == len(empty_con.sql(ORACLES[name]).df())
     # the family's normal columns are its oracle's
     assert sorted(got.columns) == sorted(con.sql(ORACLES[name]).df().columns)
 
@@ -104,6 +105,36 @@ def test_oracle_runs_on_empty_corpus(name, empty_con, con):
     # runs over a zero-row documents table and keeps its columns
     got = empty_con.sql(ORACLES[name]).df()
     assert list(got.columns) == con.sql(ORACLES[name]).columns
+
+
+@pytest.mark.parametrize("name", [n for n in QUERIES if n.startswith("ft_")])
+def test_empty_corpus_matches_oracle(name, empty_sf, empty_con, ray_session, monkeypatch):
+    # one rule on both sides: a per-query count or stat row exists even
+    # when nothing matches, so every fulltext entry agrees with its oracle
+    # over a zero-row documents table too
+    monkeypatch.setenv("LUCENE_RAY_INDEX_ROOT", os.path.join(empty_sf, "idx"))
+    got = to_pandas(QUERIES[name](empty_sf))
+    problems = compare(name, got, empty_con.sql(ORACLES[name]).df())
+    assert not problems, problems
+
+
+def test_recall_gate_fails_an_empty_result(ray_session):
+    # the approximate ANN arms return the exact top-k only behind the
+    # recall gate; an arm that finds nothing must turn its row red
+    import pyarrow as pa
+
+    def nothing(sf_dir):
+        return pa.table({c: pa.array([], pa.int64()) for c in ("query_id", "rnk", "neighbor_id")})
+
+    with pytest.raises(AssertionError, match="recall@10 regression"):
+        entry_mod._recall_gated("empty", nothing, entry_mod.LSH_MIN_RECALL)(SF_DIR)
+
+
+def test_queries_and_oracles_share_one_table():
+    # queries() and oracle_sql() are views of one (name, pipeline, oracle)
+    # table: the same names in the same order
+    assert list(QUERIES) == list(ORACLES)
+    assert [name for name, _pipeline, _sql in entry_mod._table()] == list(QUERIES)
 
 
 def test_queries_fit_driver_cap():
