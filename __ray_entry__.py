@@ -1186,6 +1186,7 @@ def _pw_slot_cond(col: str, spec) -> str:
 
 _ANN_OUT = "qid::BIGINT AS query_id, rnk::BIGINT AS rnk, vec_id::BIGINT AS neighbor_id"
 _EN_ONLY = "\n  JOIN documents d ON d.doc_id = e.vec_id AND d.lang = 'en'"
+_IN_DOCS = "\n  JOIN documents d ON d.doc_id = e.vec_id"
 
 
 def _cosine_topk(join: str = "") -> str:
@@ -1998,6 +1999,25 @@ def _docs(sf_dir: str, columns: tuple[str, ...] | None = ("doc_id", "text")):
     return read_parquet(os.path.join(sf_dir, "documents.parquet"), columns)
 
 
+def _no_docs(sf_dir: str, columns: tuple[str, ...] = ("doc_id", "text")) -> pa.Table:
+    """A zero-row batch of the documents ``columns``.  Ray runs no batch
+    function over zero rows, so a per-document map's result over an empty
+    corpus has no columns; its batch function over this batch names them."""
+    import pyarrow.parquet as pq
+
+    schema = pq.read_schema(os.path.join(sf_dir, "documents.parquet")).remove_metadata()
+    return schema.empty_table().select(list(columns))
+
+
+def _per_doc(pipeline, batch_fn, columns: tuple[str, ...] = ("doc_id", "text")):
+    """An entry that maps the documents ``columns`` through ``pipeline``
+    (whose batch function is ``batch_fn``), typed when the corpus is
+    empty."""
+    return lambda sf: _frame(
+        pipeline(_docs(sf, columns)), batch_fn(_no_docs(sf, columns)).schema
+    )
+
+
 def _embs(sf_dir: str):
     return read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
 
@@ -2069,15 +2089,16 @@ def _ann(topk, *args, embs=_embs, **kw):
     return lambda sf_dir: topk(embs(sf_dir), _ann_queries(sf_dir), *args, **kw)
 
 
-def _lang_embs(sf_dir: str, lang: str = "en"):
-    """The embeddings of the docs whose lang is ``lang``."""
+def _lang_embs(sf_dir: str, lang: str | None = "en"):
+    """The embeddings of the docs (whose lang is ``lang``, unless None)."""
     import duckdb
     import numpy as np
 
+    where = f" WHERE lang = '{lang}'" if lang else ""
     allowed = set(
         duckdb.sql(
-            f"SELECT doc_id FROM read_parquet('{os.path.join(sf_dir, 'documents.parquet')}') "
-            f"WHERE lang = '{lang}'"
+            f"SELECT doc_id FROM read_parquet('{os.path.join(sf_dir, 'documents.parquet')}')"
+            + where
         ).df()["doc_id"]
     )
 
@@ -2097,8 +2118,11 @@ def _recall_gated(what: str, approx, min_recall: float, embs=_embs):
     from lucene_ray.ops import ann
 
     def arm(sf_dir: str):
-        got = _frame(approx(sf_dir)).groupby("query_id")["neighbor_id"].apply(set)
-        exact = _frame(_ann(ann.brute_topk, k=10, embs=embs)(sf_dir))
+        got = _frame(approx(sf_dir), _ANN_SCHEMA)
+        exact = _frame(_ann(ann.brute_topk, k=10, embs=embs)(sf_dir), _ANN_SCHEMA)
+        if len(exact) == 0 == len(got):  # no vectors to find
+            return pa.Table.from_pandas(exact, preserve_index=False)
+        got = got.groupby("query_id")["neighbor_id"].apply(set)
         e = exact.groupby("query_id")["neighbor_id"].apply(set)
         recalls = {int(q): len(got.get(q, set()) & e[q]) / len(e[q]) for q in e.index}
         worst = min(recalls.values(), default=0.0)
@@ -2110,6 +2134,10 @@ def _recall_gated(what: str, approx, min_recall: float, embs=_embs):
         return pa.Table.from_pandas(exact, preserve_index=False)
 
     return arm
+
+
+_ANN_SCHEMA = pa.schema([("query_id", pa.int64()), ("rnk", pa.int64()), ("neighbor_id", pa.int64())])
+_doc_embs = partial(_lang_embs, lang=None)
 
 
 def _knn(**kw):
@@ -2216,12 +2244,16 @@ def _tx_doc_stats(sf_dir: str):
     from lucene_ray.ops import text
 
     path = os.path.join(sf_dir, "documents.parquet")
-    df = text.doc_profile(
-        _docs(sf_dir, ("doc_id", "text", "lang")),
-        bench_grams=text.benchmark_grams(path),
-        dsir=text.dsir_scores(path),
-        nb=text.nb_votes(path),
-    ).to_pandas()
+    kw = {
+        "bench_grams": text.benchmark_grams(path),
+        "dsir": text.dsir_scores(path),
+        "nb": text.nb_votes(path),
+    }
+    cols = ("doc_id", "text", "lang")
+    df = _frame(
+        text.doc_profile(_docs(sf_dir, cols), **kw),
+        text.doc_profile_batch(_no_docs(sf_dir, cols), **kw).schema,
+    )
     votes = df["nb_label"].to_numpy()
     flo = np.sign(df["nb_logodds"].to_numpy()).astype(np.int64)
     decided = (votes != 0) & (flo != 0)
@@ -2290,11 +2322,14 @@ def _dd_duplicate_clusters(sf_dir: str):
 
     from lucene_ray.ops import dedup, semdedup
 
-    jac = dedup.duplicate_clusters(_docs(sf_dir)).to_pandas()
+    clusters = pa.schema([(c, pa.int64()) for c in ("doc_id", "cluster_id", "cluster_size")])
+    jac = _frame(dedup.duplicate_clusters(_docs(sf_dir)), clusters)
     jac.insert(0, "family", "jaccard")
     # ONE tokenize+hash scan shared by the checked bucketed arm and the
     # two driver-scale gates
     tf = semdedup.hashed_tf(_docs(sf_dir)).materialize()
+    if not tf.count():  # an empty corpus: no clusters, nothing to gate
+        return jac
     sem = semdedup.semantic_duplicate_clusters_bucketed(None, tf=tf).to_pandas()
     sem.insert(0, "family", "semantic")
 
@@ -2328,28 +2363,31 @@ def _dd_signatures(sf_dir: str):
 
     from lucene_ray.ops import dedup
 
-    mh = dedup.minhash_signatures(_docs(sf_dir)).to_pandas()
+    def part(ds, *cols):  # typed: an empty corpus yields no columns
+        return _frame(ds, pa.schema([(c, pa.string() if c == "digest" else pa.int64()) for c in cols]))
+
+    mh = part(dedup.minhash_signatures(_docs(sf_dir)), "doc_id", "i", "sig")
     mh["method"] = "minhash"
     mh["sig"] = mh["sig"].astype("uint64")
-    sh = dedup.simhash(_docs(sf_dir)).to_pandas()
+    sh = part(dedup.simhash(_docs(sf_dir)), "doc_id", "simhash")
     sh = sh.rename(columns={"simhash": "sig"})
     sh["sig"] = sh["sig"].astype("uint64")
     sh["i"] = 0
     sh["method"] = "simhash"
-    ex = dedup.exact_survivor_signatures(_docs(sf_dir)).to_pandas()
+    ex = part(dedup.exact_survivor_signatures(_docs(sf_dir)), "doc_id", "sig")
     ex["sig"] = ex["sig"].astype("uint64")
     ex["i"] = 0
     ex["method"] = "exact"
     # duplicate-substring window hashes (Lee et al. shape; window=20 so the
     # short driver docs yield multiple windows)
-    sub = dedup.substring_window_signatures(_docs(sf_dir), window=20).to_pandas()
+    sub = part(dedup.substring_window_signatures(_docs(sf_dir), window=20), "doc_id", "i", "sig")
     sub["sig"] = sub["sig"].astype("uint64")
     sub["method"] = "substr"
     # CCNet/RefinedWeb line-level dedup riding this family (driver
     # 50-entry cap): i packs (kept, dropped) counts, sig = the uint64
     # md5_number_lower image of the reassembled text (digest bytes
     # [8:16] little-endian — exactly md5_u64 of the kept text)
-    ld = dedup.line_dedup(_docs(sf_dir)).to_pandas()
+    ld = part(dedup.line_dedup(_docs(sf_dir)), "doc_id", "kept", "dropped", "digest")
     ld["i"] = ld["kept"] * 1_000_000 + ld["dropped"]
     ld["sig"] = ld["digest"].map(
         lambda h: int.from_bytes(bytes.fromhex(h)[8:16], "little")
@@ -2427,8 +2465,9 @@ def _dd_near_pairs(sf_dir: str):
     intersection/union sizes)."""
     from lucene_ray.ops import dedup
 
-    def pairs(fn, cols, **kw):
-        return lambda sf: _frame(fn(_docs(sf), max_group=10**6, **kw)).rename(columns=cols)
+    def pairs(fn, cols, **kw):  # typed: an empty corpus yields no columns
+        schema = pa.schema([(c, pa.int64()) for c in ("doc_a", "doc_b", *cols)])
+        return lambda sf: _frame(fn(_docs(sf), max_group=10**6, **kw), schema).rename(columns=cols)
 
     out = _family(
         "method",
@@ -4722,7 +4761,7 @@ LEFT JOIN (
   GROUP BY t.doc_id
 ) nb USING (doc_id)
 """),
-        ("tx_scrub_pii", lambda sf: text.scrub_pii(_docs(sf)), """
+        ("tx_scrub_pii", _per_doc(text.scrub_pii, text.scrub_pii_batch), """
 SELECT doc_id,
        len(regexp_extract_all(coalesce(text, ''), '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}'))::BIGINT AS n_email,
        len(regexp_extract_all(coalesce(text, ''), '\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\b'))::BIGINT AS n_ipv4,
@@ -4733,11 +4772,11 @@ FROM documents
         # sampling family: hash-gated per-stratum pct arm + token-budget
         # domain-mixture arm (greedy fill in deterministic hash order —
         # the Pile/DoReMi-style static mixture step)
-        ("tx_stratified_sample", lambda sf: text.sample_family(
+        ("tx_stratified_sample", lambda sf: _frame(text.sample_family(
             _docs(sf, ("doc_id", "text", "lang")),
             {"en": 50, "de": 25, "fr": 10},
             {"en": 4000, "de": 1500, "fr": 2000},
-        ), f"""
+        ), text.SAMPLE_FAMILY_SCHEMA), f"""
 WITH per AS (
   SELECT doc_id, lang,
          md5_number_lower('graft' || cast(doc_id as varchar)) AS h,
@@ -5141,9 +5180,11 @@ dd AS (
         # approximate (HNSW): each arm asserts recall >= HNSW_MIN_RECALL vs
         # the in-engine exact top-k, then returns that exact top-k, which
         # the oracle reproduces (tests/test_ops_semantics.py pins recall)
+        # the index-integrated arms index the vectors of the corpus docs:
+        # neighbors are embeddings of documents (_IN_DOCS)
         ("ann_hnsw_topk", _family(
             "variant",
-            ("plain", _recall_gated("HNSW", _knn(), HNSW_MIN_RECALL)),
+            ("plain", _recall_gated("HNSW", _knn(), HNSW_MIN_RECALL, embs=_doc_embs)),
             # KnnFloatVectorQuery with a lang = 'en' filter Query, gated
             # against the exact top-k over the en embeddings
             ("filtered", _recall_gated(
@@ -5151,23 +5192,23 @@ dd AS (
             )),
             # SeededKnnVectorQuery: seed-query matches (lang='en' docs) as
             # entry points instead of the graph's global entry
-            ("seeded", _recall_gated("seeded-HNSW", _knn(seed_lang="en"), HNSW_MIN_RECALL)),
+            ("seeded", _recall_gated("seeded-HNSW", _knn(seed_lang="en"), HNSW_MIN_RECALL, embs=_doc_embs)),
             # PatienceKnnVectorQuery: saturation early exit, same
             # recall gate (a too-eager exit turns the row red)
-            ("patience", _recall_gated("HNSW", _knn(patience=True), HNSW_MIN_RECALL)),
+            ("patience", _recall_gated("HNSW", _knn(patience=True), HNSW_MIN_RECALL, embs=_doc_embs)),
         ), f"""
-SELECT 'plain' AS variant, p.* FROM ({_cosine_topk()}) p
+SELECT 'plain' AS variant, p.* FROM ({_cosine_topk(_IN_DOCS)}) p
 UNION ALL
 -- filtered kNN: only lang='en' docs may be returned (pre-filter Query)
 SELECT 'filtered', f.* FROM ({_cosine_topk(_EN_ONLY)}) f
 UNION ALL
 -- SeededKnnVectorQuery: seeding changes entry points, not semantics —
 -- the exact top-k is the same as the plain arm
-SELECT 'seeded', s.* FROM ({_cosine_topk()}) s
+SELECT 'seeded', s.* FROM ({_cosine_topk(_IN_DOCS)}) s
 UNION ALL
 -- PatienceKnnVectorQuery: the saturation early exit changes traversal
 -- cost, not semantics — gated on recall, exact top-k returned
-SELECT 'patience', pt.* FROM ({_cosine_topk()}) pt
+SELECT 'patience', pt.* FROM ({_cosine_topk(_IN_DOCS)}) pt
 """),
         ("ann_near_dup_pairs", lambda sf: ann.near_dup_pairs(_augmented_embs(sf), tau=0.95), """
 -- same planted-near-duplicate derivation as _augmented_embs: exact
@@ -5189,7 +5230,9 @@ WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.95
         # trip: the Ray side parses width/height/channels from actual binary
         # headers (struct-packed, CRC-checked for PNG); the oracle recomputes
         # the dimension derivation + header size (54B BMP / 33B PNG prefix)
-        ("mm_image_stats", lambda sf: multimodal.image_stats(_docs(sf, None)), """
+        ("mm_image_stats", _per_doc(
+            multimodal.image_stats, multimodal.image_stats_batch, ("doc_id", "text")
+        ), """
 SELECT doc_id,
        (CASE WHEN doc_id % 2 = 0 THEN 'bmp' ELSE 'png' END) AS format,
        (strlen(text) + CASE WHEN doc_id % 2 = 0 THEN 54 ELSE 33 END)::BIGINT AS n_bytes,
@@ -5208,7 +5251,9 @@ SELECT doc_id,
        md5_number_lower(text || '|resize224')::UBIGINT AS resized_fp
 FROM documents
 """),
-        ("mm_frame_samples", lambda sf: multimodal.frame_samples(_docs(sf, None)), """
+        ("mm_frame_samples", _per_doc(
+            multimodal.frame_samples, multimodal.frame_samples_batch, ("doc_id", "text")
+        ), """
 WITH n AS (
   SELECT doc_id, text,
          (1 + (md5_number_lower(text) % 16) // 4)::BIGINT AS n_frames
@@ -5222,7 +5267,10 @@ FROM n, unnest(range(n_frames)) AS t(k)
         ("pl_clean_corpus", _clean_corpus, _clean_corpus_sql()),
         # the composed LLM training-data pipeline: lang gate -> quality +
         # repetition gate -> exact dedup -> near-dup cluster collapse
-        ("pl_training_mix", lambda sf: training_mix(_docs(sf, ("doc_id", "text", "lang"))), _training_mix_sql()),
+        ("pl_training_mix", lambda sf: _frame(
+            training_mix(_docs(sf, ("doc_id", "text", "lang"))),
+            pa.schema([("doc_id", pa.int64()), ("lang", pa.string()), ("n_tokens", pa.int64())]),
+        ), _training_mix_sql()),
         # --- event-table operators (windowed agg / sessions / as-of join) ---
         ("ev_window_counts", _family(
             "kind",

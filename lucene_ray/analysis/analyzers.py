@@ -7,6 +7,36 @@ analysis/standard/StandardAnalyzer.java:37,51-53,85-96) — and a
 ``SimpleCodeAnalyzer`` whose semantics are exactly expressible in ANSI SQL
 (used for the DuckDB oracle comparisons).
 
+The batch token stream
+----------------------
+Every analyzer analyzes a batch of documents through ONE method,
+``_batch_token_stream(texts) -> TokenStream`` (the reference's TokenStream,
+one whole batch at a time).  A stream has one entry per emitted token, in
+document order, in 8 fields ``(vocab, tids, doc_ids, positions, lengths,
+n_docs, off_s, off_e)``:
+
+- ``vocab``: the batch's distinct terms (``list[str]``) in UTF-8 byte
+  order; every entry is used by at least one token.
+- ``tids`` / ``doc_ids`` / ``positions`` / ``off_s`` / ``off_e`` (int64,
+  one per token): the token's index into ``vocab``, its document
+  (``0..n_docs-1``), its position in that document (a dropped token leaves
+  a gap, a posIncrement-0 overlap shares its source's position) and its
+  char offsets into the document.
+- ``lengths`` (int64, one per document): the norm length
+  (FieldInvertState length — posIncrement-0 overlaps are discounted).
+
+Each decision of that contract is one function: ``byte_order`` (the only
+vocabulary sort — the reference sorts term bytes once, at flush),
+``empty_stream``, ``token_stream`` (a stream from token strings or unique
+strings + ids), ``TokenStream.keep`` (drop tokens), ``TokenStream.relabel``
+(rename, merge or drop vocabulary entries), ``TokenStream.extend`` (insert
+tokens), ``scan_stream`` (the vectorized scan prelude of the UAX#29 and
+whitespace tokenizers), ``stream_from_doc_tokens`` (per-document
+tokenizers, see ``DocTokensAnalyzer``) and ``postings_rows`` (the stream as
+postings rows for an index option; ``analyze_batch`` is its docs_freqs
+view).  A custom analyzer plugs in by defining ``_batch_token_stream`` or,
+per document, ``_doc_tokens``.
+
 An analyzer is instantiated ONCE per Ray actor (tables loaded in __init__)
 and invoked per Arrow batch; see lucene_ray/index/build.py.
 """
@@ -15,10 +45,237 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
 from . import scanner
+
+
+def byte_order(terms: list[str]) -> tuple[list[str], np.ndarray]:
+    """The vocabulary order: the distinct ``terms`` sorted by their UTF-8
+    bytes, and each input term's index into that list.  UTF-8 byte order
+    is code point order, which is how Python compares ``str``.  The dedup
+    keeps first-seen order, so the sorted runs callers pass (one per token
+    length, one per fragment) stay runs for the sort."""
+    vocab = sorted(dict.fromkeys(terms))
+    index = dict(zip(vocab, range(len(vocab))))
+    return vocab, np.fromiter(map(index.__getitem__, terms), np.int64, len(terms))
+
+
+class TokenStream(NamedTuple):
+    """A batch's tokens; the contract is in the module docstring."""
+
+    vocab: list[str]
+    tids: np.ndarray
+    doc_ids: np.ndarray
+    positions: np.ndarray
+    lengths: np.ndarray
+    n_docs: int
+    off_s: np.ndarray
+    off_e: np.ndarray
+
+    def keep(self, mask: np.ndarray) -> TokenStream:
+        """Drop the tokens where ``mask`` is False (survivors keep their
+        positions, the StopFilter gap), recount ``lengths`` and drop the
+        vocabulary entries left without tokens."""
+        if mask.all():
+            return self
+        doc_ids = self.doc_ids[mask]
+        lengths = np.bincount(doc_ids, minlength=self.n_docs).astype(np.int64)
+        if not len(doc_ids):
+            return empty_stream(self.n_docs, lengths)
+        tids = self.tids[mask]
+        used = np.unique(tids)
+        compact = np.full(len(self.vocab), -1, np.int64)
+        compact[used] = np.arange(len(used), dtype=np.int64)
+        return TokenStream(
+            [self.vocab[i] for i in used.tolist()],
+            compact[tids],
+            doc_ids,
+            self.positions[mask],
+            lengths,
+            self.n_docs,
+            self.off_s[mask],
+            self.off_e[mask],
+        )
+
+    def relabel(self, mapped: list[str | None]) -> TokenStream:
+        """Rename vocabulary entry i to ``mapped[i]``; entries given the
+        same name merge into one term.  A None entry drops its tokens, as
+        ``keep`` does."""
+        live = [i for i, m in enumerate(mapped) if m is not None]
+        vocab, ids = byte_order([mapped[i] for i in live])
+        if len(live) == len(mapped):
+            return self._replace(vocab=vocab, tids=ids[self.tids])
+        old2new = np.full(len(mapped), -1, np.int64)
+        old2new[live] = ids
+        tids = old2new[self.tids]
+        return self._replace(vocab=vocab, tids=tids).keep(tids >= 0)
+
+    def extend(self, groups) -> TokenStream:
+        """This stream with tokens appended after its own, one group of
+        ``(term, doc_ids, positions, off_s, off_e)`` at a time.  ``lengths``
+        stay as they are (inserted tokens are posIncrement-0 overlaps unless
+        the caller recounts)."""
+        if not groups:
+            return self
+        ids = np.repeat(
+            np.arange(len(groups), dtype=np.int64) + len(self.vocab),
+            [len(g[1]) for g in groups],
+        )
+        d, p, os_, oe = (
+            np.concatenate([a] + [g[k] for g in groups])
+            for k, a in enumerate((self.doc_ids, self.positions, self.off_s, self.off_e), 1)
+        )
+        return token_stream(
+            self.vocab + [g[0] for g in groups],
+            d,
+            p,
+            self.n_docs,
+            os_,
+            oe,
+            lengths=self.lengths,
+            ids=np.concatenate((self.tids, ids)),
+        )
+
+    def stack(self, pairs) -> TokenStream:
+        """For each ``(g, term)`` of ``pairs``, insert ``term`` on every
+        token of vocabulary entry ``g``, at its position and offsets
+        (posIncrement 0)."""
+        groups = []
+        for g, term in pairs:
+            sel = np.flatnonzero(self.tids == g)
+            groups.append((term, self.doc_ids[sel], self.positions[sel], self.off_s[sel], self.off_e[sel]))
+        return self.extend(groups)
+
+
+def empty_stream(n_docs: int, lengths: np.ndarray | None = None) -> TokenStream:
+    """The stream of ``n_docs`` documents without tokens."""
+    e = np.empty(0, np.int64)
+    if lengths is None:
+        lengths = np.zeros(n_docs, np.int64)
+    return TokenStream([], e, e, e, lengths, n_docs, e, e)
+
+
+def token_stream(
+    terms, doc_ids, positions, n_docs, off_s, off_e, lengths=None, ids=None
+) -> TokenStream:
+    """The stream whose token j is ``terms[j]`` or, with ``ids``,
+    ``terms[ids[j]]`` (``terms`` may then repeat a string); its vocabulary
+    is ``byte_order(terms)``.  ``lengths`` defaults to each document's
+    token count."""
+    vocab, tids = byte_order(terms)
+    doc_ids = np.asarray(doc_ids, np.int64)
+    if lengths is None:
+        lengths = np.bincount(doc_ids, minlength=n_docs).astype(np.int64)
+    return TokenStream(
+        vocab,
+        tids if ids is None else tids[ids],
+        doc_ids,
+        np.asarray(positions, np.int64),
+        lengths,
+        n_docs,
+        np.asarray(off_s, np.int64),
+        np.asarray(off_e, np.int64),
+    )
+
+
+def scan_stream(texts: list[str], spans, fold: np.ndarray | None = None) -> TokenStream:
+    """The vectorized scan prelude: the batch as one code point array
+    (documents joined by '\\n'), ``spans(cps) -> (starts, ends)`` its token
+    spans in document order, positions = token ordinals per document, and
+    one unique pass per token length over the code points (mapped through
+    ``fold`` first, e.g. the lowercase table).  No per-token Python
+    objects; lengths count the tokens."""
+    if not texts:
+        return empty_stream(0)
+    joined = "\n".join(t or "" for t in texts)
+    cps = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
+    doc_lens = np.array([len(t or "") for t in texts], dtype=np.int64)
+    # doc i occupies [doc_off[i], doc_off[i] + len_i); +1 for the '\n'
+    doc_off = np.concatenate(([0], np.cumsum(doc_lens + 1)))[:-1]
+    starts, ends = spans(cps)
+    n_tok = len(starts)
+    if n_tok == 0:
+        return empty_stream(len(texts))
+    doc_ids = np.searchsorted(doc_off, starts, side="right") - 1
+    # position = token ordinal within its doc (scan order is doc order)
+    run_start = np.empty(n_tok, dtype=np.int64)
+    first = np.empty(n_tok, dtype=bool)
+    first[0] = True
+    first[1:] = doc_ids[1:] != doc_ids[:-1]
+    run_start[first] = np.flatnonzero(first)
+    np.maximum.accumulate(np.where(first, run_start, 0), out=run_start)
+    positions = np.arange(n_tok, dtype=np.int64) - run_start
+
+    chars = cps if fold is None else fold[cps]
+    tok_lens = ends - starts
+    ids = np.zeros(n_tok, dtype=np.int64)
+    terms: list[str] = []
+    for L in np.unique(tok_lens):
+        sel = np.flatnonzero(tok_lens == L)
+        mat = chars[starts[sel, None] + np.arange(L)[None, :]]
+        mat = np.ascontiguousarray(mat.astype("<u4"))
+        uniq, inv = np.unique(mat.view(f"V{int(L) * 4}").ravel(), return_inverse=True)
+        ids[sel] = len(terms) + inv
+        ubytes = uniq.tobytes()
+        step = int(L) * 4
+        terms.extend(
+            ubytes[i : i + step].decode("utf-32-le") for i in range(0, len(ubytes), step)
+        )
+    # doc-relative char offsets per occurrence
+    off = doc_off[doc_ids]
+    return token_stream(terms, doc_ids, positions, len(texts), starts - off, ends - off, ids=ids)
+
+
+def stream_from_doc_tokens(texts: list[str], fn) -> TokenStream:
+    """The stream of a per-document tokenizer ``fn(text) ->
+    list[(term, start, end)]`` (tokens in position order, posIncrement 1
+    each) or ``list[(term, pos, start, end)]`` with explicit positions
+    (StopFilter gaps); a document's length is its token count.  For short
+    whole-value fields (paths, derived contact lines) a per-doc Python
+    expansion is the honest shape — vocabulary dedup and the stream
+    arrays stay numpy."""
+    rows: list[tuple] = []
+    counts = np.zeros(len(texts), np.int64)
+    for di, text in enumerate(texts):
+        toks = fn(text or "")
+        counts[di] = len(toks)
+        rows.extend(t if len(t) == 4 else (t[0], p, t[1], t[2]) for p, t in enumerate(toks))
+    terms, pos, starts, ends = zip(*rows) if rows else ((), (), (), ())
+    doc_ids = np.repeat(np.arange(len(texts), dtype=np.int64), counts)
+    return token_stream(list(terms), doc_ids, pos, len(texts), starts, ends)
+
+
+def postings_rows(s: TokenStream, index_options: str = "docs_freqs"):
+    """The stream as postings rows, one per (doc, term), sorted by doc
+    then term (stream order is doc order, so the sort is short):
+    ``(vocab, tids, doc_ids, tfs, lengths)``.  Any other index option adds
+    the rows' token positions, start and end offsets, concatenated row
+    after row in stream order (``tfs`` gives each row's count, so row
+    offsets are a prefix sum): ``(vocab, tids, doc_ids, tfs, lengths,
+    positions, off_s, off_e)``."""
+    V = np.int64(max(len(s.vocab), 1))
+    keys = s.doc_ids * V + s.tids
+    if index_options == "docs_freqs":
+        ukeys, tfs = np.unique(keys, return_counts=True)
+        return s.vocab, ukeys % V, ukeys // V, tfs.astype(np.int64), s.lengths
+    order = np.argsort(keys, kind="stable")  # stable: in-row stream order kept
+    k = keys[order]
+    first = np.flatnonzero(np.diff(k, prepend=-1))
+    tfs = np.diff(np.append(first, len(k)))
+    o = order[first]
+    return (
+        s.vocab,
+        s.tids[o],
+        s.doc_ids[o],
+        tfs,
+        s.lengths,
+        s.positions[order],
+        s.off_s[order],
+        s.off_e[order],
+    )
 
 
 class StandardAnalyzer:
@@ -67,171 +324,47 @@ class StandardAnalyzer:
         return self.tables.lower[cps].astype("<u4").tobytes().decode("utf-32-le")
 
     def analyze_batch(self, texts: list[str]):
-        """Vectorized whole-batch analysis.
+        """Vectorized whole-batch analysis: the docs_freqs rows of the
+        batch's token stream, ``(vocab, term_ids, doc_ids, tfs, lengths)``
+        (see ``postings_rows``); ``lengths[i]`` is doc i's norm length.
+        A docs_freqs build analyzes through this method."""
+        return postings_rows(self._batch_token_stream(texts))
 
-        Returns ``(uniq_terms, term_ids, doc_ids, tfs, lengths)`` where
-        ``uniq_terms`` is the batch vocabulary sorted in UTF-8 byte order
-        (list[str]), ``(term_ids, doc_ids, tfs)`` are aligned postings rows
-        (int64, doc-local tf aggregated), and ``lengths[i]`` is doc i's
-        surviving token count (the FieldInvertState length for the norm).
-
-        No per-token Python objects: one codepoint array for the batch,
-        one batch scan, lowercase via table lookup, term dedup via
-        per-length void views, tf via a single np.unique over packed
-        (doc, term) keys.
-        """
-        vocab, gids, doc_ids, _pos, lengths, n_docs, _os, _oe = self._batch_token_stream(texts)
-        if not vocab:
-            return [], np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), lengths
-        keys = doc_ids * np.int64(len(vocab)) + gids
-        ukeys, counts = np.unique(keys, return_counts=True)
-        out_docs = (ukeys // len(vocab)).astype(np.int64)
-        out_tids = (ukeys % len(vocab)).astype(np.int64)
-        return vocab, out_tids, out_docs, counts.astype(np.int64), lengths
-
-    def analyze_batch_positions(self, texts: list[str]):
-        """Like ``analyze_batch`` but also returns per-occurrence positions.
-
-        Returns ``(vocab, term_ids, doc_ids, tfs, lengths, pos_flat)``:
-        rows are SORTED by (term_id, doc_id); ``pos_flat`` concatenates each
-        row's ascending position list (``tfs`` gives the per-row counts, so
-        offsets are a prefix sum).  Positions are token ordinals BEFORE any
-        stop filtering (Lucene position-increment-gap semantics).
-        """
-        vocab, gids, doc_ids, pos, lengths, _, _os, _oe = self._batch_token_stream(texts)
-        if not vocab:
-            e = np.empty(0, np.int64)
-            return [], e, e, e, lengths, e
-        order = np.lexsort((doc_ids, gids))  # stable: in-doc pos order kept
-        g, d, p = gids[order], doc_ids[order], pos[order]
-        boundary = np.empty(len(g), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (g[1:] != g[:-1]) | (d[1:] != d[:-1])
-        row_idx = np.flatnonzero(boundary)
-        tfs = np.diff(np.concatenate((row_idx, [len(g)]))).astype(np.int64)
-        return vocab, g[row_idx], d[row_idx], tfs, lengths, p.astype(np.int64)
-
-    def analyze_batch_offsets(self, texts: list[str]):
-        """``analyze_batch_positions`` + per-occurrence doc-relative CHAR
-        offsets (IndexOptions DOCS_AND_FREQS_AND_POSITIONS_AND_OFFSETS,
-        reference OffsetAttribute: startOffset/endOffset of each token).
-
-        Returns ``(vocab, term_ids, doc_ids, tfs, lengths, pos_flat,
-        off_start_flat, off_end_flat)`` — the two offset streams are
-        aligned 1:1 with ``pos_flat`` (same row structure, same prefix-sum
-        offsets from ``tfs``)."""
-        vocab, gids, doc_ids, pos, lengths, _, off_s, off_e = (
-            self._batch_token_stream(texts)
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        """UAX#29 spans, lowercased through the code point table, then the
+        stop filter (dropped tokens leave position gaps)."""
+        s = scan_stream(
+            texts,
+            lambda cps: scanner.scan_spans_batch(cps, self.max_token_length),
+            self.tables.lower,
         )
-        if not vocab:
-            e = np.empty(0, np.int64)
-            return [], e, e, e, lengths, e, e, e
-        order = np.lexsort((doc_ids, gids))
-        g, d, p = gids[order], doc_ids[order], pos[order]
-        os_, oe_ = off_s[order], off_e[order]
-        boundary = np.empty(len(g), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (g[1:] != g[:-1]) | (d[1:] != d[:-1])
-        row_idx = np.flatnonzero(boundary)
-        tfs = np.diff(np.concatenate((row_idx, [len(g)]))).astype(np.int64)
-        return (
-            vocab,
-            g[row_idx],
-            d[row_idx],
-            tfs,
-            lengths,
-            p.astype(np.int64),
-            os_.astype(np.int64),
-            oe_.astype(np.int64),
-        )
-
-    def _batch_token_stream(self, texts: list[str]):
-        """Shared core: (vocab sorted, per-token sorted-vocab ids, doc ids,
-        positions, per-doc surviving lengths, n_docs, doc-relative start
-        offsets, end offsets); tokens in doc order."""
-        if not texts:
-            e = np.empty(0, np.int64)
-            return [], e, e, e, np.empty(0, np.int64), 0, e, e
-        joined = "\n".join(t or "" for t in texts)
-        cps = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
-        doc_lens = np.array([len(t or "") for t in texts], dtype=np.int64)
-        # doc i occupies [doc_off[i], doc_off[i] + len_i); +1 for the '\n'
-        doc_off = np.concatenate(([0], np.cumsum(doc_lens + 1)))[:-1]
-
-        starts, ends = scanner.scan_spans_batch(cps, self.max_token_length)
-        n_tok = len(starts)
-        lengths = np.zeros(len(texts), dtype=np.int64)
-        e = np.empty(0, np.int64)
-        if n_tok == 0:
-            return [], e, e, e, lengths, len(texts), e, e
-        doc_ids = np.searchsorted(doc_off, starts, side="right") - 1
-        # position = token ordinal within its doc (scan order is doc order)
-        run_start = np.empty(n_tok, dtype=np.int64)
-        first = np.empty(n_tok, dtype=bool)
-        first[0] = True
-        first[1:] = doc_ids[1:] != doc_ids[:-1]
-        run_start[first] = np.flatnonzero(first)
-        np.maximum.accumulate(np.where(first, run_start, 0), out=run_start)
-        positions = np.arange(n_tok, dtype=np.int64) - run_start
-
-        low = self.tables.lower[cps]
-        tok_lens = ends - starts
-        gids = np.zeros(n_tok, dtype=np.int64)
-        vocab: list[str] = []
-        base = 0
-        for L in np.unique(tok_lens):
-            sel = np.flatnonzero(tok_lens == L)
-            mat = low[starts[sel, None] + np.arange(L)[None, :]]
-            mat = np.ascontiguousarray(mat.astype("<u4"))
-            view = mat.view(f"V{int(L) * 4}").ravel()
-            uniq, inv = np.unique(view, return_inverse=True)
-            gids[sel] = base + inv
-            ubytes = uniq.tobytes()
-            step = int(L) * 4
-            vocab.extend(
-                ubytes[i : i + step].decode("utf-32-le")
-                for i in range(0, len(ubytes), step)
-            )
-            base += len(uniq)
-
-        # doc-relative char offsets per occurrence (offsets ride the same
-        # arrays positions do; IndexOptions ..._AND_OFFSETS analogue)
-        off_s = starts - doc_off[doc_ids]
-        off_e = ends - doc_off[doc_ids]
-
-        if self.stop_words:
-            keep_term = np.array([t not in self.stop_words for t in vocab])
-            keep = keep_term[gids]
-            doc_ids, gids, positions = doc_ids[keep], gids[keep], positions[keep]
-            off_s, off_e = off_s[keep], off_e[keep]
-            if len(gids) == 0:
-                return [], e, e, e, lengths, len(texts), e, e
-            used = np.unique(gids)  # compact the vocab to surviving terms
-            compact = np.full(len(vocab), -1, dtype=np.int64)
-            compact[used] = np.arange(len(used), dtype=np.int64)
-            vocab = [vocab[i] for i in used.tolist()]
-            gids = compact[gids]
-
-        lengths = np.bincount(doc_ids, minlength=len(texts)).astype(np.int64)
-
-        # vocabulary in UTF-8 byte order + remap of per-token ids
-        encd = [t.encode("utf-8") for t in vocab]
-        order = sorted(range(len(vocab)), key=encd.__getitem__)
-        remap = np.empty(len(vocab), dtype=np.int64)
-        remap[np.asarray(order, dtype=np.int64)] = np.arange(len(vocab), dtype=np.int64)
-        sorted_vocab = [vocab[i] for i in order]
-        tids = remap[gids]
-        return sorted_vocab, tids, doc_ids, positions, lengths, len(texts), off_s, off_e
+        if not self.stop_words:
+            return s
+        stopped = np.array([t in self.stop_words for t in s.vocab], dtype=bool)
+        return s.keep(~stopped[s.tids])
 
 
-class SimpleCodeAnalyzer:
+class DocTokensAnalyzer(StandardAnalyzer):
+    """An analyzer whose tokenizer runs per document: ``_doc_tokens(text)``
+    lists a document's tokens as ``(term, start, end)`` or ``(term,
+    position, start, end)``, and ``stream_from_doc_tokens`` builds the
+    batch stream from them."""
+
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        return stream_from_doc_tokens(texts, self._doc_tokens)
+
+
+class SimpleCodeAnalyzer(DocTokensAnalyzer):
     """ASCII identifier tokenizer with exact SQL-oracle parity.
 
     Semantics: ``regexp_extract_all(lower(text), '[a-z0-9_]+')`` — the Python
     implementation below produces identical tokens for any input because both
     sides lowercase with full Unicode case mapping and then keep only ASCII
     ``[a-z0-9_]`` runs (non-ASCII lowercase output never matches the class).
-    Used by the DuckDB-checked query entries in __ray_entry__.py.
+    Used by the DuckDB-checked query entries in __ray_entry__.py.  Offsets
+    refer to the lowercased text (identical to the original unless a char
+    changes length when lowercased, as PatternAnalyzer documents); a stop
+    word leaves a position gap, an over-long token none.
     """
 
     _PAT = re.compile(r"[a-z0-9_]+")
@@ -258,33 +391,21 @@ class SimpleCodeAnalyzer:
     def normalize(self, term: str) -> str:
         return term.lower()
 
-    def analyze_batch(self, texts: list[str]):
-        """Generic (per-doc loop) batch interface so non-vectorized
-        analyzers plug into the same build pipeline (SURVEY §2.9 custom-
-        Analyzer hook).  Same contract as StandardAnalyzer.analyze_batch."""
-        per_doc = []
-        vocab_set: set[str] = set()
-        lengths = np.zeros(len(texts), dtype=np.int64)
-        for i, t in enumerate(texts):
-            terms, tfs, ln = self.analyze(t or "")
-            lengths[i] = ln
-            per_doc.append((terms, tfs))
-            vocab_set.update(terms)
-        vocab = sorted(vocab_set, key=lambda s: s.encode("utf-8"))
-        gid = {t: j for j, t in enumerate(vocab)}
-        out_t, out_d, out_f = [], [], []
-        for i, (terms, tfs) in enumerate(per_doc):
-            for t, f in zip(terms, tfs):
-                out_t.append(gid[t])
-                out_d.append(i)
-                out_f.append(f)
-        return (
-            vocab,
-            np.asarray(out_t, dtype=np.int64),
-            np.asarray(out_d, dtype=np.int64),
-            np.asarray(out_f, dtype=np.int64),
-            lengths,
-        )
+    def _matches(self, text: str):
+        return self._PAT.finditer(text.lower())
+
+    def _doc_tokens(self, text: str) -> list[tuple[str, int, int, int]]:
+        out = []
+        pos = 0
+        cap = self.max_token_length
+        for m in self._matches(text):
+            t = m.group(0).lower()
+            if cap and len(t) > cap:
+                continue
+            if t not in self.stop_words:
+                out.append((t, pos, m.start(), m.end()))
+            pos += 1
+        return out
 
 
 class CodeAnalyzer(SimpleCodeAnalyzer):
@@ -300,10 +421,13 @@ class CodeAnalyzer(SimpleCodeAnalyzer):
         -> lower -> split on [ _]+
 
     over raw ``[A-Za-z0-9_]+`` runs of the ORIGINAL (case-preserved) text.
+    A part is an upper-case run followed by a lower-case/digit run, so the
+    stream finds the parts, with their offsets, as matches of ``_PART``.
     """
 
     _RUN = re.compile(r"[A-Za-z0-9_]+")
     _CAMEL = re.compile(r"([a-z0-9])([A-Z])")
+    _PART = re.compile(r"[A-Z]+[a-z0-9]*|[a-z0-9]+")
 
     def tokens(self, text: str) -> list[str]:
         out: list[str] = []
@@ -318,8 +442,11 @@ class CodeAnalyzer(SimpleCodeAnalyzer):
     def normalize(self, term: str) -> str:
         return term.lower()
 
+    def _matches(self, text: str):
+        return self._PART.finditer(text)
 
-class KeywordAnalyzer:
+
+class KeywordAnalyzer(DocTokensAnalyzer):
     """Whole-value-as-one-token analyzer (reference
     analysis/core/KeywordAnalyzer.java): no tokenization, no case folding —
     the field for exact-match metadata like ``lang`` / ``source`` / ids.
@@ -337,26 +464,8 @@ class KeywordAnalyzer:
     def normalize(self, term: str) -> str:
         return term
 
-    def analyze_batch(self, texts: list[str]):
-        vocab = sorted({t for t in texts if t}, key=lambda s: s.encode("utf-8"))
-        gid = {t: i for i, t in enumerate(vocab)}
-        doc_ids, tids = [], []
-        for i, t in enumerate(texts):
-            if t:
-                doc_ids.append(i)
-                tids.append(gid[t])
-        lengths = np.array([1 if t else 0 for t in texts], dtype=np.int64)
-        return (
-            vocab,
-            np.asarray(tids, dtype=np.int64),
-            np.asarray(doc_ids, dtype=np.int64),
-            np.ones(len(tids), dtype=np.int64),
-            lengths,
-        )
-
-    def analyze_batch_positions(self, texts: list[str]):
-        vocab, tids, docs, tfs, lengths = self.analyze_batch(texts)
-        return vocab, tids, docs, tfs, lengths, np.zeros(len(tids), dtype=np.int64)
+    def _doc_tokens(self, text: str) -> list[tuple[str, int, int]]:
+        return [(text, 0, len(text))] if text else []
 
 
 class ChainedVocabAnalyzer(StandardAnalyzer):
@@ -400,45 +509,13 @@ class ChainedVocabAnalyzer(StandardAnalyzer):
         m = self.map_term(super().normalize(term))
         return m if m is not None else ""
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        keep0 = self._stream_keep(doc_ids, positions)
-        if keep0 is not None and not keep0.all():
-            tids, doc_ids, positions = tids[keep0], doc_ids[keep0], positions[keep0]
-            off_s, off_e = off_s[keep0], off_e[keep0]
-            lengths = np.bincount(doc_ids, minlength=n_docs).astype(np.int64)
-            used = np.unique(tids)
-            if len(used) < len(vocab):
-                vocab = [vocab[i] for i in used]  # stays sorted (used asc)
-                remap = np.full(int(used[-1]) + 1 if len(used) else 0, -1, np.int64)
-                remap[used] = np.arange(len(used), dtype=np.int64)
-                tids = remap[tids]
-            if len(tids) == 0:
-                e = np.empty(0, np.int64)
-                return [], e, e, e, lengths, n_docs, e, e
-        mapped = [self.map_term(t) for t in vocab]
-        drop = np.array([m is None for m in mapped], dtype=bool)
-        if drop.any():
-            keep = ~drop[tids]
-            tids, doc_ids, positions = tids[keep], doc_ids[keep], positions[keep]
-            off_s, off_e = off_s[keep], off_e[keep]
-            # FieldInvertState.length counts only surviving tokens
-            lengths = np.bincount(doc_ids, minlength=n_docs).astype(np.int64)
-            if len(tids) == 0:
-                e = np.empty(0, np.int64)
-                return [], e, e, e, lengths, n_docs, e, e
-        new_vocab = sorted(
-            {m for m in mapped if m is not None}, key=lambda s: s.encode("utf-8")
-        )
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
-        old2new = np.array(
-            [pos_of[m] if m is not None else -1 for m in mapped], dtype=np.int64
-        )
-        return new_vocab, old2new[tids], doc_ids, positions, lengths, n_docs, off_s, off_e
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        keep = self._stream_keep(s.doc_ids, s.positions)
+        if keep is not None:
+            s = s.keep(keep)
+        # FieldInvertState.length counts only the tokens map_term keeps
+        return s.relabel([self.map_term(t) for t in s.vocab])
 
 
 class EnglishAnalyzer(ChainedVocabAnalyzer):
@@ -574,41 +651,12 @@ class SynonymExpandAnalyzer(StandardAnalyzer):
         # length counts ORIGINAL tokens only (inserted = posInc-0 overlaps)
         return list(counts.keys()), list(counts.values()), len(base)
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        hits = [(g, self.synonyms[t]) for g, t in enumerate(vocab) if t in self.synonyms]
-        if not hits:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        new_vocab = sorted(
-            set(vocab) | {m for _, mem in hits for m in mem},
-            key=lambda s: s.encode("utf-8"),
-        )
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
-        remap = np.array([pos_of[t] for t in vocab], dtype=np.int64)
-        parts_t = [remap[tids]]
-        parts_d, parts_p = [doc_ids], [positions]
-        parts_os, parts_oe = [off_s], [off_e]
-        for g, members in hits:
-            sel = np.flatnonzero(tids == g)
-            for m in members:
-                parts_t.append(np.full(len(sel), pos_of[m], dtype=np.int64))
-                parts_d.append(doc_ids[sel])
-                parts_p.append(positions[sel])  # same position: posInc 0
-                parts_os.append(off_s[sel])
-                parts_oe.append(off_e[sel])
-        return (
-            new_vocab,
-            np.concatenate(parts_t),
-            np.concatenate(parts_d),
-            np.concatenate(parts_p),
-            lengths,  # unchanged: overlaps are discounted from the norm
-            n_docs,
-            np.concatenate(parts_os),
-            np.concatenate(parts_oe),
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        # members stack on the source (posInc 0): lengths stay, overlaps
+        # are discounted from the norm
+        return s.stack(
+            [(g, m) for g, t in enumerate(s.vocab) for m in self.synonyms.get(t, ())]
         )
 
 
@@ -689,16 +737,13 @@ class SynonymGraphAnalyzer(StandardAnalyzer):
         )
         return list(counts.keys()), list(counts.values()), len(base) + tails
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        tid_of = {t: i for i, t in enumerate(vocab)}
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        tids, doc_ids, positions, off_s, off_e = s.tids, s.doc_ids, s.positions, s.off_s, s.off_e
+        tid_of = {t: i for i, t in enumerate(s.vocab)}
         # inserted rows: (term, docs, positions, off_start, off_end)
         inserts: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        extra_lengths = np.zeros(n_docs, np.int64)
+        extra_lengths = np.zeros(s.n_docs, np.int64)
 
         # phrase -> word: adjacent stream rows (a at p, b at p+1, same doc)
         same = (doc_ids[1:] == doc_ids[:-1]) & (positions[1:] == positions[:-1] + 1)
@@ -720,35 +765,13 @@ class SynonymGraphAnalyzer(StandardAnalyzer):
             if g is None:
                 continue
             sel = np.flatnonzero(tids == g)
-            if not len(sel):
-                continue
             for j, w in enumerate(outs):
                 inserts.append(
                     (w, doc_ids[sel], positions[sel] + j, off_s[sel], off_e[sel])
                 )
                 if j > 0:  # posInc-1 tail: counts toward the norm
                     np.add.at(extra_lengths, doc_ids[sel], 1)
-
-        if not inserts:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        new_vocab = sorted(
-            set(vocab) | {t for t, *_ in inserts}, key=lambda s: s.encode("utf-8")
-        )
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
-        remap = np.array([pos_of[t] for t in vocab], np.int64)
-        return (
-            new_vocab,
-            np.concatenate(
-                [remap[tids]]
-                + [np.full(len(d), pos_of[t], np.int64) for t, d, *_ in inserts]
-            ),
-            np.concatenate([doc_ids] + [d for _, d, *_ in inserts]),
-            np.concatenate([positions] + [p for _, _, p, *_ in inserts]),
-            lengths + extra_lengths,
-            n_docs,
-            np.concatenate([off_s] + [s for *_, s, _ in inserts]),
-            np.concatenate([off_e] + [e for *_, e in inserts]),
-        )
+        return s.extend(inserts)._replace(lengths=s.lengths + extra_lengths)
 
 
 class ShingleAnalyzer(StandardAnalyzer):
@@ -759,45 +782,22 @@ class ShingleAnalyzer(StandardAnalyzer):
     oracle builds.  Norm length = number of shingles (n_tokens - 1 per
     doc with >= 2 tokens)."""
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
         # stream is in doc order with positions = in-doc ordinals: adjacent
         # rows within a doc are consecutive tokens
-        n = len(tids)
-        if n < 2:
-            e = np.empty(0, np.int64)
-            return [], e, e, e, np.zeros(n_docs, np.int64), n_docs, e, e
-        same_doc = doc_ids[1:] == doc_ids[:-1]
-        a, b = tids[:-1][same_doc], tids[1:][same_doc]
-        sh_docs = doc_ids[:-1][same_doc]
-        sh_pos = positions[:-1][same_doc]
-        sh_os = off_s[:-1][same_doc]
-        sh_oe = off_e[1:][same_doc]
-        # vocab of shingle strings from the (a, b) id pairs
-        pair_keys = a * np.int64(len(vocab)) + b
+        same_doc = s.doc_ids[1:] == s.doc_ids[:-1]
+        V = np.int64(len(s.vocab))
+        pair_keys = s.tids[:-1][same_doc] * V + s.tids[1:][same_doc]
         upairs, inv = np.unique(pair_keys, return_inverse=True)
-        sh_vocab = [
-            f"{vocab[int(k // len(vocab))]} {vocab[int(k % len(vocab))]}"
-            for k in upairs
-        ]
-        order = sorted(range(len(sh_vocab)), key=lambda i: sh_vocab[i].encode("utf-8"))
-        remap = np.empty(len(sh_vocab), dtype=np.int64)
-        remap[np.asarray(order)] = np.arange(len(sh_vocab))
-        sorted_vocab = [sh_vocab[i] for i in order]
-        lengths = np.bincount(sh_docs, minlength=n_docs).astype(np.int64)
-        return (
-            sorted_vocab,
-            remap[inv],
-            sh_docs,
-            sh_pos,
-            lengths,
-            n_docs,
-            sh_os,
-            sh_oe,
+        return token_stream(
+            [f"{s.vocab[int(k // V)]} {s.vocab[int(k % V)]}" for k in upairs],
+            s.doc_ids[:-1][same_doc],
+            s.positions[:-1][same_doc],
+            s.n_docs,
+            s.off_s[:-1][same_doc],
+            s.off_e[1:][same_doc],
+            ids=inv,
         )
 
     def tokens(self, text: str) -> list[str]:
@@ -836,53 +836,33 @@ class CommonGramsAnalyzer(StandardAnalyzer):
 
     common = COMMON_GRAMS_WORDS
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab or len(tids) < 2:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        is_common = np.array([v in self.common for v in vocab], dtype=bool)[tids]
-        same_doc = doc_ids[1:] == doc_ids[:-1]
-        pm = same_doc & (is_common[:-1] | is_common[1:])
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        tids, doc_ids = s.tids, s.doc_ids
+        is_common = np.array([v in self.common for v in s.vocab], dtype=bool)[tids]
+        pm = (doc_ids[1:] == doc_ids[:-1]) & (is_common[:-1] | is_common[1:])
         if not pm.any():
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        a, b = tids[:-1][pm], tids[1:][pm]
-        g_docs = doc_ids[:-1][pm]
-        g_pos = positions[:-1][pm]  # posInc 0: the gram sits at w1's slot
-        g_os = off_s[:-1][pm]
-        g_oe = off_e[1:][pm]
-        pair_keys = a * np.int64(len(vocab)) + b
-        upairs, inv = np.unique(pair_keys, return_inverse=True)
-        gram_strs = [
-            f"{vocab[int(k // len(vocab))]}_{vocab[int(k % len(vocab))]}"
-            for k in upairs
-        ]
-        # merged vocabulary, UTF-8 sorted (gram strings may collide with
-        # genuine '_'-bearing tokens — the reference's separator has the
-        # same property)
-        merged = sorted(set(vocab) | set(gram_strs), key=lambda s: s.encode())
-        code = {t: i for i, t in enumerate(merged)}
-        uni_map = np.array([code[t] for t in vocab], np.int64)
-        gram_map = np.array([code[t] for t in gram_strs], np.int64)
-        all_tids = np.concatenate((uni_map[tids], gram_map[inv]))
-        all_docs = np.concatenate((doc_ids, g_docs))
-        all_pos = np.concatenate((positions, g_pos))
-        all_os = np.concatenate((off_s, g_os))
-        all_oe = np.concatenate((off_e, g_oe))
+            return s
+        V = np.int64(len(s.vocab))
+        upairs, inv = np.unique(tids[:-1][pm] * V + tids[1:][pm], return_inverse=True)
+        # gram strings may collide with genuine '_'-bearing tokens — the
+        # reference's separator has the same property
+        grams = [f"{s.vocab[int(k // V)]}_{s.vocab[int(k % V)]}" for k in upairs]
+        ids = np.concatenate((tids, inv + V))
+        docs = np.concatenate((doc_ids, doc_ids[:-1][pm]))
+        pos = np.concatenate((s.positions, s.positions[:-1][pm]))  # gram at w1's slot
         # doc-ordered stream, grams after their unigram at the same slot
-        # (unigram index < gram index pre-sort; lexsort is stable)
-        order = np.lexsort((all_pos, all_docs))
-        # lengths unchanged: discountOverlaps skips posInc-0 tokens
-        return (
-            merged,
-            all_tids[order],
-            all_docs[order],
-            all_pos[order],
-            lengths,
-            n_docs,
-            all_os[order],
-            all_oe[order],
+        # (unigram index < gram index; lexsort is stable)
+        order = np.lexsort((pos, docs))
+        return token_stream(
+            s.vocab + grams,
+            docs[order],
+            pos[order],
+            s.n_docs,
+            np.concatenate((s.off_s, s.off_s[:-1][pm]))[order],
+            np.concatenate((s.off_e, s.off_e[1:][pm]))[order],
+            lengths=s.lengths,  # discountOverlaps skips posInc-0 tokens
+            ids=ids[order],
         )
 
     def _with_grams(self, toks: list[str]) -> list[str]:
@@ -940,27 +920,15 @@ class WhitespaceAnalyzer(StandardAnalyzer):
     def normalize(self, term: str) -> str:
         return term  # no lowercase: KeywordTokenizer-style normalization
 
-    def _batch_token_stream(self, texts: list[str]):
-        if not texts:
-            e = np.empty(0, np.int64)
-            return [], e, e, e, np.empty(0, np.int64), 0, e, e
-        joined = "\n".join(t or "" for t in texts)
-        cps = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
-        doc_lens = np.array([len(t or "") for t in texts], dtype=np.int64)
-        doc_off = np.concatenate(([0], np.cumsum(doc_lens + 1)))[:-1]
-        lengths = np.zeros(len(texts), dtype=np.int64)
-        e = np.empty(0, np.int64)
-        if len(cps) == 0:
-            return [], e, e, e, lengths, len(texts), e, e
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        return scan_stream(texts, self._spans)
 
+    def _spans(self, cps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         is_tok = ~np.isin(cps, self._ws_cps())
-        n = len(cps)
         starts = np.flatnonzero(is_tok & ~np.concatenate(([False], is_tok[:-1])))
         ends = np.flatnonzero(is_tok & ~np.concatenate((is_tok[1:], [False]))) + 1
-        if len(starts) == 0:
-            return [], e, e, e, lengths, len(texts), e, e
         cap = self.max_token_length
-        if (ends - starts).max() > cap:  # chunk long runs (rare path)
+        if len(starts) and (ends - starts).max() > cap:  # chunk long runs (rare path)
             ns, ne = [], []
             for s, t in zip(starts.tolist(), ends.tolist()):
                 while t - s > cap:
@@ -971,54 +939,7 @@ class WhitespaceAnalyzer(StandardAnalyzer):
                 ne.append(t)
             starts = np.array(ns, dtype=np.int64)
             ends = np.array(ne, dtype=np.int64)
-        n_tok = len(starts)
-        doc_ids = np.searchsorted(doc_off, starts, side="right") - 1
-        run_start = np.empty(n_tok, dtype=np.int64)
-        first = np.empty(n_tok, dtype=bool)
-        first[0] = True
-        first[1:] = doc_ids[1:] != doc_ids[:-1]
-        run_start[first] = np.flatnonzero(first)
-        np.maximum.accumulate(np.where(first, run_start, 0), out=run_start)
-        positions = np.arange(n_tok, dtype=np.int64) - run_start
-
-        tok_lens = ends - starts
-        gids = np.zeros(n_tok, dtype=np.int64)
-        vocab: list[str] = []
-        base = 0
-        for L in np.unique(tok_lens):
-            sel = np.flatnonzero(tok_lens == L)
-            mat = cps[starts[sel, None] + np.arange(L)[None, :]]
-            mat = np.ascontiguousarray(mat.astype("<u4"))
-            view = mat.view(f"V{int(L) * 4}").ravel()
-            uniq, inv = np.unique(view, return_inverse=True)
-            gids[sel] = base + inv
-            ubytes = uniq.tobytes()
-            step = int(L) * 4
-            vocab.extend(
-                ubytes[i : i + step].decode("utf-32-le")
-                for i in range(0, len(ubytes), step)
-            )
-            base += len(uniq)
-
-        off_s = starts - doc_off[doc_ids]
-        off_e = ends - doc_off[doc_ids]
-        lengths = np.bincount(doc_ids, minlength=len(texts)).astype(np.int64)
-
-        encd = [t.encode("utf-8") for t in vocab]
-        order = sorted(range(len(vocab)), key=encd.__getitem__)
-        remap = np.empty(len(vocab), dtype=np.int64)
-        remap[np.asarray(order, dtype=np.int64)] = np.arange(len(vocab), dtype=np.int64)
-        sorted_vocab = [vocab[i] for i in order]
-        return (
-            sorted_vocab,
-            remap[gids],
-            doc_ids,
-            positions,
-            lengths,
-            len(texts),
-            off_s,
-            off_e,
-        )
+        return starts, ends
 
 
 class WordDelimiterGraphAnalyzer(WhitespaceAnalyzer):
@@ -1071,69 +992,55 @@ class WordDelimiterGraphAnalyzer(WhitespaceAnalyzer):
     def normalize(self, term: str) -> str:
         return term.lower()  # query-side single-term normalization
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        e = np.empty(0, np.int64)
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        tids, n_docs = s.tids, s.n_docs
 
         # per-unique-term expansion tables
-        exps = [self._expand(t) for t in vocab]
-        new_vocab = sorted(
-            {em.text for ex in exps for em in ex if em.text is not None},
-            key=lambda s: s.encode("utf-8"),
-        )
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
+        exps = [self._expand(t) for t in s.vocab]
+        emits = [em for ex in exps for em in ex]
         counts = np.array([len(ex) for ex in exps], dtype=np.int64)
         tbase = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        flat_tid = np.array(
-            [pos_of[em.text] if em.text is not None else -1 for ex in exps for em in ex],
-            dtype=np.int64,
-        )
-        flat_rs = np.array([em.rel_s for ex in exps for em in ex], dtype=np.int64)
-        flat_re = np.array([em.rel_e for ex in exps for em in ex], dtype=np.int64)
-        flat_adv = np.array([em.advance for ex in exps for em in ex], dtype=np.int64)
+        names = [em.text for em in emits if em.text is not None]
+        has_text = np.array([em.text is not None for em in emits], dtype=bool)
+        flat_tid = np.full(len(emits), -1, np.int64)
+        flat_tid[has_text] = np.arange(len(names), dtype=np.int64)
+        flat_rs = np.array([em.rel_s for em in emits], dtype=np.int64)
+        flat_re = np.array([em.rel_e for em in emits], dtype=np.int64)
+        flat_adv = np.array([em.advance for em in emits], dtype=np.int64)
 
         # replay: row r emits counts[tids[r]] sub-rows in stream order
         per_row = counts[tids]
         total = int(per_row.sum())
-        if total == 0:
-            return [], e, e, e, np.zeros(n_docs, np.int64), n_docs, e, e
         rep = np.repeat(np.arange(len(tids), dtype=np.int64), per_row)
         row_base = np.concatenate(([0], np.cumsum(per_row)))[:-1]
         k = np.arange(total, dtype=np.int64) - row_base[rep]
         eidx = tbase[tids[rep]] + k
 
         adv = flat_adv[eidx]
-        new_docs = doc_ids[rep]
+        new_docs = s.doc_ids[rep]
         # per-doc position = inclusive cumsum of advances - 1, reset per doc
         g = np.cumsum(adv)
-        doc_first = np.empty(total, dtype=bool)
-        doc_first[0] = True
+        doc_first = np.ones(total, dtype=bool)
         doc_first[1:] = new_docs[1:] != new_docs[:-1]
         seed = np.where(doc_first, g - adv, 0)
         np.maximum.accumulate(seed, out=seed)
         new_pos = np.maximum(g - seed - 1, 0)  # clamp: overlap before any real token
 
         new_tids = flat_tid[eidx]
-        new_os = off_s[rep] + flat_rs[eidx]
-        new_oe = off_s[rep] + flat_re[eidx]
+        new_os = s.off_s[rep] + flat_rs[eidx]
+        new_oe = s.off_s[rep] + flat_re[eidx]
 
         real = new_tids >= 0
-        lengths = np.bincount(
-            new_docs[real & (adv == 1)], minlength=n_docs
-        ).astype(np.int64)
-        return (
-            new_vocab,
-            new_tids[real],
+        return token_stream(
+            names,
             new_docs[real],
             new_pos[real],
-            lengths,
             n_docs,
             new_os[real],
             new_oe[real],
+            lengths=np.bincount(new_docs[real & (adv == 1)], minlength=n_docs).astype(np.int64),
+            ids=new_tids[real],
         )
 
 
@@ -1196,46 +1103,31 @@ class EdgeNGramAnalyzer(StandardAnalyzer):
     def normalize(self, term: str) -> str:
         return super().normalize(term)[: self.max_gram]
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        e = np.empty(0, np.int64)
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        exps = [self._grams_off(t) for t in vocab]
-        new_vocab = sorted(
-            {g for ex in exps for g, _ in ex}, key=lambda s: s.encode("utf-8")
-        )
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        exps = [self._grams_off(t) for t in s.vocab]
         counts = np.array([len(ex) for ex in exps], dtype=np.int64)
         tbase = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        flat_tid = np.array([pos_of[g] for ex in exps for g, _ in ex], dtype=np.int64)
         flat_len = np.array([len(g) for ex in exps for g, _ in ex], dtype=np.int64)
         flat_off = np.array([o for ex in exps for _, o in ex], dtype=np.int64)
 
-        per_row = counts[tids]
-        total = int(per_row.sum())
-        if total == 0:
-            return [], e, e, e, np.zeros(n_docs, np.int64), n_docs, e, e
-        rep = np.repeat(np.arange(len(tids), dtype=np.int64), per_row)
+        per_row = counts[s.tids]
+        rep = np.repeat(np.arange(len(s.tids), dtype=np.int64), per_row)
         row_base = np.concatenate(([0], np.cumsum(per_row)))[:-1]
-        k = np.arange(total, dtype=np.int64) - row_base[rep]
-        eidx = tbase[tids[rep]] + k
+        k = np.arange(int(per_row.sum()), dtype=np.int64) - row_base[rep]
+        eidx = tbase[s.tids[rep]] + k
         # grams keep the source token's position (posInc 0 overlaps after
         # the first); norm length counts source tokens that emitted >= 1
-        lengths = np.bincount(
-            doc_ids[per_row > 0], minlength=n_docs
-        ).astype(np.int64)
-        return (
-            new_vocab,
-            flat_tid[eidx],
-            doc_ids[rep],
-            positions[rep],
-            lengths,
-            n_docs,
-            off_s[rep] + flat_off[eidx],
-            off_s[rep] + flat_off[eidx] + flat_len[eidx],
+        start = s.off_s[rep] + flat_off[eidx]
+        return token_stream(
+            [g for ex in exps for g, _ in ex],
+            s.doc_ids[rep],
+            s.positions[rep],
+            s.n_docs,
+            start,
+            start + flat_len[eidx],
+            lengths=np.bincount(s.doc_ids[per_row > 0], minlength=s.n_docs).astype(np.int64),
+            ids=eidx,
         )
 
 
@@ -1329,22 +1221,18 @@ class MappedCharFilterAnalyzer(StandardAnalyzer):
         # (Analyzer.initReaderForNormalization)
         return super().normalize(self._filter_one(term)[0])
 
-    def _batch_token_stream(self, texts: list[str]):
-        filtered = [self._filter_one(t) for t in texts]
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream([f[0] for f in filtered])
-        )
-        if len(off_s):
-            off_s = off_s.copy()
-            off_e = off_e.copy()
-            for d in np.unique(doc_ids):
-                pts, diffs = filtered[int(d)][1], filtered[int(d)][2]
-                if len(pts) == 1:
-                    continue  # no replacements in this doc
-                m = doc_ids == d
-                off_s[m] = self._correct(pts, diffs, off_s[m])
-                off_e[m] = self._correct(pts, diffs, off_e[m])
-        return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        filtered = [self._filter_one(t or "") for t in texts]
+        s = super()._batch_token_stream([f[0] for f in filtered])
+        off_s, off_e = s.off_s.copy(), s.off_e.copy()
+        for d in np.unique(s.doc_ids):
+            pts, diffs = filtered[int(d)][1], filtered[int(d)][2]
+            if len(pts) == 1:
+                continue  # no replacements in this doc
+            m = s.doc_ids == d
+            off_s[m] = self._correct(pts, diffs, off_s[m])
+            off_e[m] = self._correct(pts, diffs, off_e[m])
+        return s._replace(off_s=off_s, off_e=off_e)
 
 
 class PatternReplaceCharFilterAnalyzer(MappedCharFilterAnalyzer):
@@ -1443,33 +1331,12 @@ class ReverseAnalyzer(StandardAnalyzer):
     def tokens(self, text: str) -> list[str]:
         return [t[::-1] for t in super().tokens(text)]
 
-    def analyze(self, text: str):
-        vocab, counts, n = super().analyze(text)
-        return [v[::-1] for v in vocab], counts, n
-
     def normalize(self, term: str) -> str:
         return super().normalize(term)[::-1]
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        rev = [v[::-1] for v in vocab]
-        new_vocab = sorted(set(rev), key=lambda s: s.encode("utf-8"))
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
-        remap = np.array([pos_of[r] for r in rev], dtype=np.int64)
-        return (
-            new_vocab,
-            remap[tids],
-            doc_ids,
-            positions,
-            lengths,
-            n_docs,
-            off_s,
-            off_e,
-        )
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        return s.relabel([v[::-1] for v in s.vocab])
 
 
 # --- CustomAnalyzer-style composable filter chain -------------------------
@@ -2019,7 +1886,7 @@ class CustomChainAnalyzer(ChainedVocabAnalyzer):
         return positions < int(self.limit)
 
 
-class PatternAnalyzer(StandardAnalyzer):
+class PatternAnalyzer(DocTokensAnalyzer):
     """PatternTokenizer in MATCH mode + LowerCaseFilter (reference
     analysis/pattern/PatternTokenizer.java with group=0, the
     PatternAnalyzer chain): tokens are the regex matches over the
@@ -2052,48 +1919,17 @@ class PatternAnalyzer(StandardAnalyzer):
     def normalize(self, term: str) -> str:
         return term.lower()
 
-    def _batch_token_stream(self, texts: list[str]):
-        toks: list[str] = []
-        doc_ids: list[int] = []
-        positions: list[int] = []
-        off_s: list[int] = []
-        off_e: list[int] = []
-        cap = self.max_token_length
-        for di, text in enumerate(texts):
-            p = 0
-            for m in self._rx.finditer((text or "").lower()):
-                t = m.group(0)
-                if len(t) > cap:
-                    continue
-                if t in self.stop:
-                    p += 1  # StopFilter posIncrement gap
-                    continue
-                toks.append(t)
-                doc_ids.append(di)
-                positions.append(p)
-                off_s.append(m.start())
-                off_e.append(m.end())
-                p += 1
-        lengths = np.bincount(
-            np.asarray(doc_ids, np.int64), minlength=len(texts)
-        ).astype(np.int64)
-        if not toks:
-            e = np.empty(0, np.int64)
-            return [], e, e, e, lengths, len(texts), e, e
-        uniq, inv = np.unique(np.asarray(toks, dtype=object), return_inverse=True)
-        vocab = sorted(uniq.tolist(), key=lambda s: s.encode("utf-8"))
-        pos_of = {t: i for i, t in enumerate(vocab)}
-        remap = np.array([pos_of[t] for t in uniq.tolist()], np.int64)
-        return (
-            vocab,
-            remap[inv],
-            np.asarray(doc_ids, np.int64),
-            np.asarray(positions, np.int64),
-            lengths,
-            len(texts),
-            np.asarray(off_s, np.int64),
-            np.asarray(off_e, np.int64),
-        )
+    def _doc_tokens(self, text: str) -> list[tuple[str, int, int, int]]:
+        out = []
+        p = 0
+        for m in self._rx.finditer(text.lower()):
+            t = m.group(0)
+            if len(t) > self.max_token_length:
+                continue
+            if t not in self.stop:
+                out.append((t, p, m.start(), m.end()))
+            p += 1  # a stop word leaves a posIncrement gap
+        return out
 
 
 class PatternSplitAnalyzer(PatternAnalyzer):
@@ -2103,47 +1939,17 @@ class PatternSplitAnalyzer(PatternAnalyzer):
     (PatternTokenizer group=-1 split mode), lowercased like the pattern
     analyzer chain."""
 
-    def _batch_token_stream(self, texts: list[str]):
-        # reuse the match-mode machinery by inverting: scan split points
-        toks: list[str] = []
-        doc_ids: list[int] = []
-        positions: list[int] = []
-        off_s: list[int] = []
-        off_e: list[int] = []
-        cap = self.max_token_length
-        for di, text in enumerate(texts):
-            low = (text or "").lower()
-            p = 0
-            prev = 0
-            for m in list(self._rx.finditer(low)) + [None]:
-                s, e = (m.start(), m.end()) if m is not None else (len(low), len(low))
-                t = low[prev:s]
-                if t and len(t) <= cap and t not in self.stop:
-                    toks.append(t)
-                    doc_ids.append(di)
-                    positions.append(p)
-                    off_s.append(prev)
-                    off_e.append(s)
-                    p += 1
-                prev = e
-        lengths = np.bincount(
-            np.asarray(doc_ids, np.int64), minlength=len(texts)
-        ).astype(np.int64)
-        if not toks:
-            e_ = np.empty(0, np.int64)
-            return [], e_, e_, e_, lengths, len(texts), e_, e_
-        vocab = sorted(set(toks), key=lambda s: s.encode("utf-8"))
-        pos_of = {t: i for i, t in enumerate(vocab)}
-        return (
-            vocab,
-            np.array([pos_of[t] for t in toks], np.int64),
-            np.asarray(doc_ids, np.int64),
-            np.asarray(positions, np.int64),
-            lengths,
-            len(texts),
-            np.asarray(off_s, np.int64),
-            np.asarray(off_e, np.int64),
-        )
+    def _doc_tokens(self, text: str) -> list[tuple[str, int, int]]:
+        low = text.lower()
+        out = []
+        prev = 0
+        for m in list(self._rx.finditer(low)) + [None]:
+            s, e = (m.start(), m.end()) if m is not None else (len(low), len(low))
+            t = low[prev:s]
+            if t and len(t) <= self.max_token_length and t not in self.stop:
+                out.append((t, prev, s))
+            prev = e
+        return out
 
     def tokens(self, text: str) -> list[str]:
         cap = self.max_token_length
@@ -2226,57 +2032,28 @@ class FingerprintAnalyzer(StandardAnalyzer):
             return [], [], 0
         return toks, [1], 1
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        V = np.int64(len(vocab))
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        n_docs, V = s.n_docs, np.int64(len(s.vocab))
         # unique (doc, term) pairs — doc-major; tid order within a doc IS
         # byte order because the vocab contract sorts by utf-8
-        ukeys = np.unique(doc_ids * V + tids)
-        udocs = (ukeys // V).astype(np.int64)
-        uterms = (ukeys % V).astype(np.int64)
+        ukeys = np.unique(s.doc_ids * V + s.tids)
+        udocs = (ukeys // max(V, 1)).astype(np.int64)
+        uterms = (ukeys % max(V, 1)).astype(np.int64)
         min_s = np.full(n_docs, np.iinfo(np.int64).max, np.int64)
-        np.minimum.at(min_s, doc_ids, off_s)
+        np.minimum.at(min_s, s.doc_ids, s.off_s)
         max_e = np.zeros(n_docs, np.int64)
-        np.maximum.at(max_e, doc_ids, off_e)
-        cut = np.flatnonzero(np.diff(udocs)) + 1
-        starts = np.concatenate(([0], cut))
-        ends = np.concatenate((cut, [len(udocs)]))
+        np.maximum.at(max_e, s.doc_ids, s.off_e)
+        starts = np.flatnonzero(np.diff(udocs, prepend=-1))  # each doc's first pair
         fps: list[str] = []
         fdocs: list[int] = []
-        fs: list[int] = []
-        fe: list[int] = []
-        cap = self.max_output_token_size
-        sep = self.separator
-        for s, e in zip(starts, ends):
-            fp = sep.join(vocab[int(i)] for i in uterms[s:e])
-            if len(fp) > cap:
-                continue
-            d = int(udocs[s])
-            fps.append(fp)
-            fdocs.append(d)
-            fs.append(int(min_s[d]))
-            fe.append(int(max_e[d]))
-        out_lengths = np.zeros(n_docs, np.int64)
-        if not fps:
-            emp = np.empty(0, np.int64)
-            return [], emp, emp, emp, out_lengths, n_docs, emp, emp
-        fdocs_np = np.asarray(fdocs, np.int64)
-        out_lengths[fdocs_np] = 1
-        uniq = sorted(set(fps), key=lambda s: s.encode("utf-8"))
-        pos_of = {t: i for i, t in enumerate(uniq)}
-        return (
-            uniq,
-            np.array([pos_of[f] for f in fps], np.int64),
-            fdocs_np,
-            np.zeros(len(fps), np.int64),
-            out_lengths,
-            n_docs,
-            np.asarray(fs, np.int64),
-            np.asarray(fe, np.int64),
+        for a, b in zip(starts, np.append(starts[1:], len(udocs))):
+            fp = self.separator.join(s.vocab[int(i)] for i in uterms[a:b])
+            if len(fp) <= self.max_output_token_size:
+                fps.append(fp)
+                fdocs.append(int(udocs[a]))
+        return token_stream(
+            fps, fdocs, np.zeros(len(fps), np.int64), n_docs, min_s[fdocs], max_e[fdocs]
         )
 
 
@@ -2318,97 +2095,17 @@ class KeywordRepeatAnalyzer(StandardAnalyzer):
         counts = Counter(toks)
         return list(counts.keys()), list(counts.values()), len(base)
 
-
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
         from .english import english_minimal_stem
 
-        hits = [
-            (g, s)
-            for g, t in enumerate(vocab)
-            if (s := english_minimal_stem(t)) != t
-        ]
-        if not hits:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        new_vocab = sorted(
-            set(vocab) | {s for _, s in hits}, key=lambda s: s.encode("utf-8")
-        )
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
-        remap = np.array([pos_of[t] for t in vocab], dtype=np.int64)
-        parts_t = [remap[tids]]
-        parts_d, parts_p = [doc_ids], [positions]
-        parts_os, parts_oe = [off_s], [off_e]
-        for g, stem in hits:
-            sel = np.flatnonzero(tids == g)
-            parts_t.append(np.full(len(sel), pos_of[stem], dtype=np.int64))
-            parts_d.append(doc_ids[sel])
-            parts_p.append(positions[sel])  # same position: posInc 0
-            parts_os.append(off_s[sel])
-            parts_oe.append(off_e[sel])
-        return (
-            new_vocab,
-            np.concatenate(parts_t),
-            np.concatenate(parts_d),
-            np.concatenate(parts_p),
-            lengths,  # overlaps discounted from the norm
-            n_docs,
-            np.concatenate(parts_os),
-            np.concatenate(parts_oe),
+        s = super()._batch_token_stream(texts)
+        # stems stack on the original (posInc 0): overlaps leave lengths
+        return s.stack(
+            [(g, st) for g, t in enumerate(s.vocab) if (st := english_minimal_stem(t)) != t]
         )
 
 
-def stream_from_doc_tokens(texts, fn):
-    """Build the 8-tuple ``_batch_token_stream`` contract from a per-doc
-    token function ``fn(text) -> list[(term, start, end)]`` (tokens in
-    position order, posIncrement 1 each) or ``list[(term, pos, start,
-    end)]`` with explicit positions (StopFilter gaps).  For short
-    whole-value fields (paths, derived contact lines) a per-doc Python
-    expansion is the honest shape — vocabulary dedup and the stream
-    arrays stay numpy."""
-    e = np.empty(0, np.int64)
-    lengths = np.zeros(len(texts), dtype=np.int64)
-    if not texts:
-        return [], e, e, e, lengths, 0, e, e
-    toks: list[str] = []
-    docs: list[int] = []
-    poss: list[int] = []
-    oss: list[int] = []
-    oes: list[int] = []
-    for di, text in enumerate(texts):
-        tl = fn(text or "")
-        lengths[di] = len(tl)
-        for p, item in enumerate(tl):
-            if len(item) == 4:
-                t, p, a, b = item
-            else:
-                t, a, b = item
-            toks.append(t)
-            docs.append(di)
-            poss.append(p)
-            oss.append(a)
-            oes.append(b)
-    if not toks:
-        return [], e, e, e, lengths, len(texts), e, e
-    vocab = sorted(set(toks), key=lambda t: t.encode("utf-8"))
-    pos_of = {t: i for i, t in enumerate(vocab)}
-    tids = np.array([pos_of[t] for t in toks], dtype=np.int64)
-    return (
-        vocab,
-        tids,
-        np.array(docs, dtype=np.int64),
-        np.array(poss, dtype=np.int64),
-        lengths,
-        len(texts),
-        np.array(oss, dtype=np.int64),
-        np.array(oes, dtype=np.int64),
-    )
-
-
-class PathHierarchyAnalyzer(StandardAnalyzer):
+class PathHierarchyAnalyzer(DocTokensAnalyzer):
     """PathHierarchyTokenizer (reference analysis/path/
     PathHierarchyTokenizer.java:113-182) / ReversePathHierarchyTokenizer
     (ReversePathHierarchyTokenizer.java:126-175) as a whole-value
@@ -2474,12 +2171,12 @@ class PathHierarchyAnalyzer(StandardAnalyzer):
         end = bounds[k]
         return [(bounds[j], end) for j in range(k)]
 
-    def _path_tokens(self, text: str) -> list[tuple[str, int, int]]:
+    def _doc_tokens(self, text: str) -> list[tuple[str, int, int]]:
         rep = text.replace(self.delimiter, self.replacement)
         return [(rep[a:b], a, b) for a, b in self._spans(text)]
 
     def tokens(self, text: str) -> list[str]:
-        return [t for t, _, _ in self._path_tokens(text)]
+        return [t for t, _, _ in self._doc_tokens(text)]
 
     def normalize(self, term: str) -> str:
         return term.replace(self.delimiter, self.replacement)
@@ -2490,9 +2187,6 @@ class PathHierarchyAnalyzer(StandardAnalyzer):
             return [], [], 0
         counts = Counter(toks)
         return list(counts.keys()), list(counts.values()), len(toks)
-
-    def _batch_token_stream(self, texts: list[str]):
-        return stream_from_doc_tokens(texts, self._path_tokens)
 
 
 class DelimitedPayloadAnalyzer(WhitespaceAnalyzer):
@@ -2524,32 +2218,16 @@ class DelimitedPayloadAnalyzer(WhitespaceAnalyzer):
     def normalize(self, term: str) -> str:
         return self._split(term)[0]
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        splits = [self._split(t) for t in vocab]
-        new_vocab = sorted({b for b, _ in splits}, key=lambda s: s.encode("utf-8"))
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
-        remap = np.array([pos_of[b] for b, _ in splits], dtype=np.int64)
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        splits = [self._split(t) for t in s.vocab]
         pays = np.array([0 if p is None else p for _, p in splits], dtype=np.int64)
         has_pay = np.array([p is not None for _, p in splits], dtype=bool)
         # delimited tokens carry their parsed payload (negative values
         # included — IntegerEncoder encodes them faithfully); others keep
         # the char-start-offset default
-        new_off_s = np.where(has_pay[tids], pays[tids], off_s)
-        return (
-            new_vocab,
-            remap[tids],
-            doc_ids,
-            positions,
-            lengths,
-            n_docs,
-            new_off_s,
-            off_e,
-        )
+        off_s = np.where(has_pay[s.tids], pays[s.tids], s.off_s)
+        return s._replace(off_s=off_s).relabel([b for b, _ in splits])
 
 
 class DelimitedTermFrequencyAnalyzer(WhitespaceAnalyzer):
@@ -2584,35 +2262,25 @@ class DelimitedTermFrequencyAnalyzer(WhitespaceAnalyzer):
     def normalize(self, term: str) -> str:
         return self._split(term)[0]
 
-    def _batch_token_stream(self, texts: list[str]):
-        (vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e) = (
-            super()._batch_token_stream(texts)
-        )
-        if not vocab:
-            return vocab, tids, doc_ids, positions, lengths, n_docs, off_s, off_e
-        splits = [self._split(t) for t in vocab]
-        new_vocab = sorted({b for b, _ in splits}, key=lambda s: s.encode("utf-8"))
-        pos_of = {t: i for i, t in enumerate(new_vocab)}
-        remap = np.array([pos_of[b] for b, _ in splits], dtype=np.int64)
-        freqs = np.array([f for _, f in splits], dtype=np.int64)
-        rep = freqs[tids]
-        idx = np.repeat(np.arange(len(tids), dtype=np.int64), rep)
-        lengths = np.bincount(doc_ids, weights=rep, minlength=n_docs).astype(
-            np.int64
-        )
-        return (
-            new_vocab,
-            remap[tids][idx],
-            doc_ids[idx],
-            positions[idx],  # repeats share the occurrence's position
-            lengths,
-            n_docs,
-            off_s[idx],
-            off_e[idx],
+    def _batch_token_stream(self, texts: list[str]) -> TokenStream:
+        s = super()._batch_token_stream(texts)
+        splits = [self._split(t) for t in s.vocab]
+        freqs = np.array([f for _, f in splits], dtype=np.int64)[s.tids]
+        # each occurrence repeats freq times at its position: tf and the
+        # norm length both count it freq times
+        idx = np.repeat(np.arange(len(s.tids), dtype=np.int64), freqs)
+        return token_stream(
+            [b for b, _ in splits],
+            s.doc_ids[idx],
+            s.positions[idx],
+            s.n_docs,
+            s.off_s[idx],
+            s.off_e[idx],
+            ids=s.tids[idx],
         )
 
 
-class CJKBigramAnalyzer(StandardAnalyzer):
+class CJKBigramAnalyzer(DocTokensAnalyzer):
     """StandardTokenizer -> LowerCase -> CJKBigramFilter (reference
     analysis/cjk/CJKBigramFilter.java, default flags HAN | HIRAGANA |
     KATAKANA | HANGUL, outputUnigrams=false): characters of consecutive
@@ -2676,9 +2344,6 @@ class CJKBigramAnalyzer(StandardAnalyzer):
             return [], [], 0
         counts = Counter(toks)
         return list(counts.keys()), list(counts.values()), len(toks)
-
-    def _batch_token_stream(self, texts: list[str]):
-        return stream_from_doc_tokens(texts, self._doc_tokens)
 
 
 ANALYZERS = {

@@ -25,6 +25,8 @@ from collections import Counter
 
 import numpy as np
 
+from .analyzers import DocTokensAnalyzer
+
 # --- character classes ------------------------------------------------------
 
 HAN, LATIN, DIGIT, SYMBOL, SPACE = range(5)
@@ -146,7 +148,7 @@ def tokenize(text: str, discard_punctuation: bool = True, user_dict=None):
     return _tokenizer(user_dict).tokenize(text, "normal", discard_punctuation)
 
 
-class SmartChineseAnalyzer:
+class SmartChineseAnalyzer(DocTokensAnalyzer):
     """smartcn-shaped analyzer: lattice word segmentation + punctuation
     discard + latin lowercase (analysis/cn/smart/SmartChineseAnalyzer.java
     without its stopword list — see module docstring)."""
@@ -174,23 +176,3 @@ class SmartChineseAnalyzer:
             return [], [], 0
         counts = Counter(toks)
         return list(counts.keys()), list(counts.values()), len(toks)
-
-    def _batch_token_stream(self, texts: list[str]):
-        from .analyzers import stream_from_doc_tokens
-
-        return stream_from_doc_tokens(texts, self._doc_tokens)
-
-    def analyze_batch(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch(self, texts)
-
-    def analyze_batch_positions(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch_positions(self, texts)
-
-    def analyze_batch_offsets(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch_offsets(self, texts)

@@ -30,7 +30,7 @@ import re
 import numpy as np
 
 from . import scanner
-from .analyzers import StandardAnalyzer, stream_from_doc_tokens
+from .analyzers import DocTokensAnalyzer
 from .english import ENGLISH_STOP_WORDS
 
 # CJ ranges per ClassicTokenizerImpl.jflex:116 (Chinese + Japanese kana,
@@ -102,7 +102,7 @@ def classic_filter(tok: str, typ: str) -> str:
     return tok
 
 
-class ClassicAnalyzer(StandardAnalyzer):
+class ClassicAnalyzer(DocTokensAnalyzer):
     """ClassicTokenizer -> ClassicFilter -> LowerCase ->
     Stop(ENGLISH_STOP_WORDS_SET), maxTokenLength 255 (reference
     classic/ClassicAnalyzer.java:40-90).  Positions are pre-stop-filter
@@ -128,9 +128,6 @@ class ClassicAnalyzer(StandardAnalyzer):
     def tokens(self, text: str) -> list[str]:
         return [it[0] for it in self._doc_tokens(text or "")]
 
-    def _batch_token_stream(self, texts: list[str]):
-        return stream_from_doc_tokens(texts, self._doc_tokens)
-
 
 # --- UAX29URLEmail ---------------------------------------------------------
 
@@ -154,7 +151,7 @@ _EMAIL_RE = re.compile(
 _PRE_RE = re.compile(f"(?:{_URL_RE.pattern})|(?:{_EMAIL_RE.pattern})")
 
 
-class UAX29URLEmailAnalyzer(StandardAnalyzer):
+class UAX29URLEmailAnalyzer(DocTokensAnalyzer):
     """URL/EMAIL whole tokens + UAX#29 word tokens, then LowerCase ->
     Stop(ENGLISH_STOP_WORDS_SET) — reference email/UAX29URLEmailAnalyzer
     .java:90-95 (see module docstring for the URL-grammar subset
@@ -195,6 +192,3 @@ class UAX29URLEmailAnalyzer(StandardAnalyzer):
 
     def tokens(self, text: str) -> list[str]:
         return [it[0] for it in self._doc_tokens(text or "")]
-
-    def _batch_token_stream(self, texts: list[str]):
-        return stream_from_doc_tokens(texts, self._doc_tokens)

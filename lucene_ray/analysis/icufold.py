@@ -24,6 +24,8 @@ from __future__ import annotations
 import unicodedata as ud
 from collections import Counter
 
+from .analyzers import DocTokensAnalyzer
+
 # stroked / ligature Latin letters with no canonical or compatibility
 # decomposition (the reference reaches these through its diacritic- and
 # letterform-folding tables; ASCIIFoldingFilter folds them identically)
@@ -55,7 +57,7 @@ def icu_fold(s: str) -> str:
     return ud.normalize("NFC", "".join(out))
 
 
-class ICUFoldingAnalyzer:
+class ICUFoldingAnalyzer(DocTokensAnalyzer):
     """StandardTokenizer -> ICU fold (the reference's usual composition:
     ICUFoldingFilter subsumes lowercase + ASCII-fold + width folding).
     Registry-compatible (same contract as StandardAnalyzer)."""
@@ -96,23 +98,3 @@ class ICUFoldingAnalyzer:
             return [], [], 0
         counts = Counter(toks)
         return list(counts.keys()), list(counts.values()), len(toks)
-
-    def _batch_token_stream(self, texts: list[str]):
-        from .analyzers import stream_from_doc_tokens
-
-        return stream_from_doc_tokens(texts, self._doc_tokens)
-
-    def analyze_batch(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch(self, texts)
-
-    def analyze_batch_positions(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch_positions(self, texts)
-
-    def analyze_batch_offsets(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch_offsets(self, texts)

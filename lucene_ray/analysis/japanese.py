@@ -34,6 +34,8 @@ from collections import Counter
 
 import numpy as np
 
+from .analyzers import DocTokensAnalyzer
+
 # --- character classes ------------------------------------------------------
 
 KANJI, HIRAGANA, KATAKANA, LATIN, DIGIT, SYMBOL, SPACE = range(7)
@@ -221,7 +223,7 @@ def tokenize(
     return _tokenizer(user_dict).tokenize(text, mode, discard_punctuation)
 
 
-class JapaneseAnalyzer:
+class JapaneseAnalyzer(DocTokensAnalyzer):
     """SEARCH-mode lattice tokenizer + punctuation discard + latin
     lowercase (analysis/ja/JapaneseAnalyzer.java shape; see module
     docstring for deviations).  Interface-compatible with the analyzers
@@ -254,23 +256,3 @@ class JapaneseAnalyzer:
             return [], [], 0
         counts = Counter(toks)
         return list(counts.keys()), list(counts.values()), len(toks)
-
-    def _batch_token_stream(self, texts: list[str]):
-        from .analyzers import stream_from_doc_tokens
-
-        return stream_from_doc_tokens(texts, self._doc_tokens)
-
-    def analyze_batch(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch(self, texts)
-
-    def analyze_batch_positions(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch_positions(self, texts)
-
-    def analyze_batch_offsets(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch_offsets(self, texts)

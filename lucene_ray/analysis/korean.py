@@ -25,6 +25,8 @@ from collections import Counter
 
 import numpy as np
 
+from .analyzers import DocTokensAnalyzer
+
 # --- character classes ------------------------------------------------------
 
 HANGUL, LATIN, DIGIT, SYMBOL, SPACE = range(5)
@@ -158,7 +160,7 @@ def tokenize(
     )
 
 
-class KoreanAnalyzer:
+class KoreanAnalyzer(DocTokensAnalyzer):
     """Nori-shaped analyzer: lattice tokenizer, DISCARD decompound,
     punctuation discard, latin lowercase (analysis/ko/KoreanAnalyzer.java;
     no POS-stop filter or reading-form filter — see module docstring)."""
@@ -189,23 +191,3 @@ class KoreanAnalyzer:
             return [], [], 0
         counts = Counter(toks)
         return list(counts.keys()), list(counts.values()), len(toks)
-
-    def _batch_token_stream(self, texts: list[str]):
-        from .analyzers import stream_from_doc_tokens
-
-        return stream_from_doc_tokens(texts, self._doc_tokens)
-
-    def analyze_batch(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch(self, texts)
-
-    def analyze_batch_positions(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch_positions(self, texts)
-
-    def analyze_batch_offsets(self, texts: list[str]):
-        from .analyzers import StandardAnalyzer
-
-        return StandardAnalyzer.analyze_batch_offsets(self, texts)

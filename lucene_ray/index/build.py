@@ -43,7 +43,7 @@ import pyarrow.parquet as pq
 
 from .. import store
 from ..tasks import run_tasks
-from ..analysis.analyzers import make_analyzer
+from ..analysis.analyzers import byte_order, make_analyzer, postings_rows
 from ..smallfloat import int_to_byte4_array
 from . import manifest as mf
 
@@ -187,10 +187,13 @@ class FusedSegmentBuilder:
     from in-memory Arrow tables (``build_one(seg, tables)``, the NRT
     append); everything after the read is shared.
 
-    Stays dictionary-encoded end to end: fragment vocabularies are merged
-    (python set union over ~10^4 strings), per-fragment term ids remapped
-    with one dict lookup pass, rows integer-lexsorted and handed straight
-    to the block encoder — no Arrow string sort, no per-token objects.
+    Stays dictionary-encoded end to end: each fragment's analyzer stream
+    becomes postings rows (``postings_rows``), the fragment vocabularies
+    merge through ``byte_order`` (the one vocabulary sort: dedup + UTF-8
+    byte order over their concatenation, which also gives each fragment's
+    ids into the merged list), rows are integer-lexsorted and handed
+    straight to the block encoder — no Arrow string sort, no per-token
+    objects.
     """
 
     def __init__(
@@ -218,33 +221,23 @@ class FusedSegmentBuilder:
             raise ValueError("index_sort needs write_doc_tables (the sort field is a stored field)")
         self.index_sort = tuple(index_sort) if index_sort else None
 
-    def _analyze(self, frag: dict, texts: list) -> dict:
-        """Vectorized fragment analysis -> dictionary-encoded postings:
-        {vocab (UTF-8-byte-sorted list[str]), tids, docids (segment-local),
-        tfs, lengths (per fragment row), positions, off_s, off_e}."""
-        off_s = off_e = pos = None
-        if self.index_options in ("offsets", "payloads"):
-            # payloads ride the offsets analysis: the default payload
-            # source is the occurrence's char START OFFSET (the
-            # TokenOffsetPayloadTokenFilter analogue — occurrence-specific
-            # and recomputable, which the tests exploit)
-            (
-                vocab, tids, docs, tfs, lengths, pos, off_s, off_e,
-            ) = self.analyzer.analyze_batch_offsets(texts)
-        elif self.index_options == "positions":
-            vocab, tids, docs, tfs, lengths, pos = self.analyzer.analyze_batch_positions(texts)
-        else:
+    def _analyze(self, frag: dict, texts: list) -> tuple:
+        """One fragment's postings rows ``(vocab, tids, docids
+        (segment-local), tfs, lengths, positions, off_s, off_e)``; the last
+        three are None in a docs_freqs build (see ``postings_rows``)."""
+        if self.index_options == "docs_freqs":
+            # analyze_batch is the rows view's docs_freqs entry point
             vocab, tids, docs, tfs, lengths = self.analyzer.analyze_batch(texts)
-        return {
-            "vocab": vocab,
-            "tids": tids,
-            "docids": docs + frag["local_base"],
-            "tfs": tfs,
-            "lengths": lengths,
-            "positions": pos,
-            "off_s": off_s,
-            "off_e": off_e,
-        }
+            rest = [None, None, None]
+        else:
+            # payloads ride the offsets: the default payload source is the
+            # occurrence's char START OFFSET (the TokenOffsetPayloadTokenFilter
+            # analogue — occurrence-specific and recomputable, which the
+            # tests exploit)
+            vocab, tids, docs, tfs, lengths, *rest = postings_rows(
+                self.analyzer._batch_token_stream(texts), self.index_options
+            )
+        return (vocab, tids, docs + frag["local_base"], tfs, lengths, *rest)
 
     def build_one(self, seg: dict, tables: list[pa.Table] | None = None) -> dict:
         """Build and write segment ``seg`` (a ``plan_segments`` descriptor);
@@ -277,33 +270,21 @@ class FusedSegmentBuilder:
                     os.path.join(self.index_dir, "docs"),
                 )
             frags.append(self._analyze(frag, tbl.column(self.content_column).to_pylist()))
-        vocab_set: set[str] = set()
-        for fr in frags:
-            vocab_set.update(fr["vocab"])
-        vocab = sorted(vocab_set, key=lambda s: s.encode("utf-8"))
-        gid = {t: i for i, t in enumerate(vocab)}
+        # one vocabulary: fragment i's ids shift by the vocabulary sizes
+        # before it into byte_order's ids over the concatenation
+        cols = list(zip(*frags)) or [()] * 8
+        vocab, ids = byte_order([t for v in cols[0] for t in v])
+        base = np.cumsum([0] + [len(v) for v in cols[0]])
+
+        def cat(parts):
+            return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+        tids = cat([ids[b + t] for b, t in zip(base, cols[1])])
+        docs, tfs = cat(cols[2]), cat(cols[3])
+        lengths = cat(cols[4]) if frags else np.zeros(seg["max_doc"], np.int64)
         with_off = self.index_options == "offsets"
         with_pay = self.index_options == "payloads"
         with_pos = self.index_options == "positions" or with_off or with_pay
-
-        tid_parts, doc_parts, tf_parts, len_parts, pos_parts = [], [], [], [], []
-        offs_parts, offe_parts = [], []
-        for fr in frags:
-            if fr["vocab"]:
-                remap = np.array([gid[t] for t in fr["vocab"]], dtype=np.int64)
-                tid_parts.append(remap[fr["tids"]])
-                doc_parts.append(fr["docids"])
-                tf_parts.append(fr["tfs"])
-                if with_pos:
-                    pos_parts.append(fr["positions"])
-                if with_off or with_pay:
-                    offs_parts.append(fr["off_s"])
-                    offe_parts.append(fr["off_e"])
-            len_parts.append(fr["lengths"])
-        lengths = np.concatenate(len_parts) if len_parts else np.zeros(seg["max_doc"], np.int64)
-        tids = np.concatenate(tid_parts) if tid_parts else np.empty(0, np.int64)
-        docs = np.concatenate(doc_parts) if doc_parts else np.empty(0, np.int64)
-        tfs = np.concatenate(tf_parts) if tf_parts else np.empty(0, np.int64)
 
         sort_meta = None
         if self.index_sort is not None:
@@ -319,19 +300,15 @@ class FusedSegmentBuilder:
             # offset/payload streams are 1:1 with positions and ride the
             # same gather); a segment without postings still writes its
             # (empty) streams, so readers see the index options it has
-            pos_flat = np.concatenate(pos_parts) if pos_parts else np.empty(0, np.int64)
             order = np.lexsort((docs, tids))
-            positions = _gather_row_slices(pos_flat, tfs, order)
-            if with_off or with_pay:
-                offs_flat = np.concatenate(offs_parts) if offs_parts else np.empty(0, np.int64)
-                offe_flat = np.concatenate(offe_parts) if offe_parts else np.empty(0, np.int64)
-                if with_off:
-                    offsets = (
-                        _gather_row_slices(offs_flat, tfs, order),
-                        _gather_row_slices(offe_flat, tfs, order),
-                    )
-                else:
-                    payloads = _gather_row_slices(offs_flat, tfs, order)
+            positions = _gather_row_slices(cat(cols[5]), tfs, order)
+            if with_off:
+                offsets = (
+                    _gather_row_slices(cat(cols[6]), tfs, order),
+                    _gather_row_slices(cat(cols[7]), tfs, order),
+                )
+            elif with_pay:
+                payloads = _gather_row_slices(cat(cols[6]), tfs, order)
             tids, docs, tfs = tids[order], docs[order], tfs[order]
             presorted = True
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import smallfloat
-from ..analysis.analyzers import make_analyzer
+from ..analysis.analyzers import make_analyzer, postings_rows
 from . import postings as codec
 from .segment import SegmentReader
 
@@ -29,28 +29,10 @@ from .segment import SegmentReader
 class MemoryIndex:
     def __init__(self, text: str, analyzer="standard"):
         a = make_analyzer(analyzer) if isinstance(analyzer, str) else analyzer
-        vocab, tids, _dids, tfs, lengths, pos_flat = a.analyze_batch_positions(
-            [text]
+        # rows sorted by term (one doc), positions row after row
+        vocab, tids, _dids, tfs, lengths, pos_flat, _os, _oe = postings_rows(
+            a._batch_token_stream([text]), "positions"
         )
-        vocab = np.asarray(vocab)
-        tids = np.asarray(tids, dtype=np.int64)
-        tfs = np.asarray(tfs, dtype=np.int64)
-        # segment dictionaries are UTF-8-byte sorted; remap defensively
-        keys = np.array([v.encode("utf-8") for v in vocab], dtype=object)
-        order = np.argsort(keys)
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        row_order = np.argsort(rank[tids], kind="stable")
-        # positions ride the row permutation (row i owns tfs[i] positions) —
-        # gather with the PRE-permutation row lengths
-        from .build import _gather_row_slices
-
-        pos_flat = _gather_row_slices(
-            np.asarray(pos_flat, dtype=np.int32), np.asarray(tfs), row_order
-        ) if len(pos_flat) else np.zeros(0, dtype=np.int32)
-        tids = rank[tids][row_order]
-        tfs = tfs[row_order]
-
         length = int(lengths[0]) if len(lengths) else 0
         norms = np.array([smallfloat.int_to_byte4(length)], dtype=np.uint8)
         n_terms = len(vocab)
@@ -59,18 +41,17 @@ class MemoryIndex:
         r.dir = "<memory>"
         r._decode_cache_size = 16
         r._decode_cache = {}
-        sorted_keys = keys[order]
-        blob = b"".join(sorted_keys)
+        keys = [v.encode("utf-8") for v in vocab]
         offs = np.zeros(n_terms + 1, dtype=np.int64)
-        np.cumsum([len(k) for k in sorted_keys], out=offs[1:])
+        np.cumsum([len(k) for k in keys], out=offs[1:])
         r.term_offsets = offs
-        r.term_bytes = np.frombuffer(blob, dtype=np.uint8)
+        r.term_bytes = np.frombuffer(b"".join(keys), dtype=np.uint8)
         r.enc = codec.encode_postings(
             tids, np.zeros(len(tids), dtype=np.int64), tfs, norms, n_terms
         )
         r.norms = norms
         r.has_positions = True
-        r.pos_data = pos_flat
+        r.pos_data = pos_flat.astype(np.int32)
         # one row per nonzero-df term, in tid order; row_start by term
         df = np.asarray(r.enc.doc_freq, dtype=np.int64)
         r.pos_row_start = np.concatenate(([0], np.cumsum(df)))

@@ -69,7 +69,8 @@ def build_segment_vectors(
     if not keep.all():
         tbl = tbl.filter(pa.array(keep))
         vec_ids = vec_ids[keep]
-    mat = np.stack(tbl.column(field).to_numpy(zero_copy_only=False))
+    vecs = tbl.column(field).to_numpy(zero_copy_only=False)
+    mat = np.stack(vecs) if len(vecs) else np.zeros((0, 0), np.float32)
     # map embedding rows -> local docids; docs without a vector are absent
     # from the graph (they simply can't match a knn query)
     pos = {int(v): j for j, v in enumerate(vec_ids)}

@@ -100,8 +100,16 @@ def _topk_candidates(batch: pa.Table, q_ref, k: int, id_col: str = "vec_id") -> 
     return _emit_candidates(q_ids, ids, sims, k)
 
 
+_CANDIDATES = pa.schema(
+    [("query_id", pa.int64()), ("neighbor_id", pa.int64()), ("sim", pa.float64())]
+)
+
+
 def _finish_topk(cands_ds, k: int, return_stats: bool = False):
-    df = cands_ds.to_pandas()  # ~k * num_blocks rows — small by construction
+    from .util import gather
+
+    # ~k * num_blocks rows — small by construction (typed when no rows)
+    df = gather(cands_ds, _CANDIDATES).to_pandas()
     stats_rows = df[df["query_id"] < 0]
     stats = {
         "scanned_rows": int(stats_rows["neighbor_id"].sum()),

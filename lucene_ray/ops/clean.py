@@ -87,9 +87,9 @@ def clean_corpus(ds, out_dir: str | None = None) -> pa.Table:
             out_dir, partition_cols=["bucket"]
         )
         # count what actually landed (doubles as a sink sanity check)
-        import pyarrow.parquet as pq
+        import pyarrow.dataset as pads
 
-        n_kept = pq.read_table(out_dir, columns=["doc_id"]).num_rows
+        n_kept = pads.dataset(out_dir, format="parquet", partitioning="hive").count_rows()
     else:
         n_kept = int(kept.count())
 
@@ -207,9 +207,9 @@ def training_mix(ds):
     ).materialize()
 
     clusters = duplicate_clusters(survivors).to_pandas()
-    dropped = set(
-        clusters.loc[clusters["doc_id"] != clusters["cluster_id"], "doc_id"]
-    )
+    dropped = set()
+    if len(clusters):  # no pairs: a frame without columns
+        dropped = set(clusters.loc[clusters["doc_id"] != clusters["cluster_id"], "doc_id"])
     drop_ref = ray.put(dropped)
 
     def _collapse(batch: pa.Table) -> pa.Table:

@@ -133,7 +133,8 @@ def unigram_counts_and_vocab(ds) -> tuple[dict, int]:
 
     agg = ds.map_batches(_partial, batch_format="pyarrow").groupby("w").sum("c")
     tbl = agg.to_pandas()  # vocab-bounded (the broadcastable small side)
-    counts = dict(zip(tbl["w"], tbl["sum(c)"].astype(int)))
+    # (an empty corpus aggregates to a frame without columns)
+    counts = dict(zip(tbl["w"], tbl["sum(c)"].astype(int))) if len(tbl) else {}
     # V = distinct token vocabulary (for add-one smoothing's denominator)
     def _vocab_partial(batch: pa.Table) -> pa.Table:
         df = (

@@ -31,15 +31,15 @@ import pyarrow.compute as pc
 from .util import md5_u64, md5_u64_hi
 
 
+def payload_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
+    """One batch of ``attach_payload``."""
+    return batch.append_column("payload", pc.cast(batch.column(text_col), pa.large_binary()))
+
+
 def attach_payload(ds, text_col: str = "text"):
     """Materialize the opaque binary column (here: utf-8 bytes of ``text``;
     in production this is the raw image/audio bytes read from storage)."""
-
-    def _to_bin(batch: pa.Table) -> pa.Table:
-        payload = pc.cast(batch.column(text_col), pa.large_binary())
-        return batch.append_column("payload", payload)
-
-    return ds.map_batches(_to_bin, batch_format="pyarrow")
+    return ds.map_batches(payload_batch, batch_format="pyarrow", fn_kwargs={"text_col": text_col})
 
 
 # --- REAL header codec ------------------------------------------------------
@@ -104,24 +104,27 @@ def parse_image_header(payload: bytes) -> tuple[int, int, int, bytes]:
     raise ValueError(f"unknown image magic {payload[:8]!r}")
 
 
+def image_payload_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
+    """One batch of ``attach_image_payload``."""
+    from .util import strip_schema_metadata
+
+    batch = strip_schema_metadata(batch)
+    texts = batch.column(text_col).to_pylist()
+    ids = batch.column("doc_id").to_pylist()
+    payloads = [
+        encode_bmp(t.encode()) if d % 2 == 0 else encode_png(t.encode())
+        for d, t in zip(ids, texts)
+    ]
+    return batch.append_column("payload", pa.array(payloads, pa.large_binary()))
+
+
 def attach_image_payload(ds, text_col: str = "text"):
     """Materialize a REAL encoded binary image column: even doc_ids get a
     BMP, odd doc_ids a PNG (proves multi-format dispatch in the decoder).
     In production this column is the raw bytes read from blob storage."""
-
-    def _encode(batch: pa.Table) -> pa.Table:
-        from .util import strip_schema_metadata
-
-        batch = strip_schema_metadata(batch)
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column("doc_id").to_pylist()
-        payloads = [
-            encode_bmp(t.encode()) if d % 2 == 0 else encode_png(t.encode())
-            for d, t in zip(ids, texts)
-        ]
-        return batch.append_column("payload", pa.array(payloads, pa.large_binary()))
-
-    return ds.map_batches(_encode, batch_format="pyarrow")
+    return ds.map_batches(
+        image_payload_batch, batch_format="pyarrow", fn_kwargs={"text_col": text_col}
+    )
 
 
 class ImageStatsDecoder:
@@ -167,6 +170,11 @@ class ImageStatsDecoder:
                 "resized_fp": pa.array(np.array(rfps, dtype=np.uint64), pa.uint64()),
             }
         )
+
+
+def image_stats_batch(batch: pa.Table, target: int = 224) -> pa.Table:
+    """``image_stats`` of one batch of documents."""
+    return ImageStatsDecoder(target)(image_payload_batch(batch))
 
 
 def image_stats(ds, target: int = 224, concurrency=(1, 4), batch_size: int = 64):
@@ -312,6 +320,11 @@ class FakeFrameSampler:
                 "frame_fp": pa.array(np.array(fps_, dtype=np.uint64), pa.uint64()),
             }
         )
+
+
+def frame_samples_batch(batch: pa.Table) -> pa.Table:
+    """``frame_samples`` of one batch of documents."""
+    return FakeFrameSampler()(payload_batch(batch))
 
 
 def frame_samples(ds, concurrency=(1, 4), batch_size: int = 32):

@@ -319,6 +319,27 @@ def fingerprints_combined(ds):
     return _map(ds, _both)
 
 
+def doc_profile_batch(batch: pa.Table, bench_grams: frozenset | None = None, dsir=None, nb=None) -> pa.Table:
+    """One batch of ``doc_profile``."""
+    stats = doc_stats_batch(batch).sort_by("doc_id")
+    lang = lang_id_batch(batch).sort_by("doc_id")
+    fp = fingerprint_batch(batch).sort_by("doc_id")
+    roll = rolling_fingerprint_batch(batch).sort_by("doc_id")
+    extras = [lang, fp, roll]
+    if bench_grams is not None:
+        extras.append(contamination_batch(batch, bench_grams).sort_by("doc_id"))
+    if dsir is not None:
+        extras.append(dsir_weight_batch(batch, dsir).sort_by("doc_id"))
+    if nb is not None:
+        extras.append(nb_quality_batch(batch, nb).sort_by("doc_id"))
+    out = stats
+    for extra in extras:
+        for name in extra.column_names:
+            if name != "doc_id":
+                out = out.append_column(name, extra.column(name))
+    return out
+
+
 def doc_profile(ds, bench_grams: frozenset | None = None, dsir=None, nb=None):
     """token/quality stats + language-ID + both fingerprints (+ optional
     benchmark-contamination, DSIR importance-weight and NB quality-vote
@@ -331,27 +352,8 @@ def doc_profile(ds, bench_grams: frozenset | None = None, dsir=None, nb=None):
     log-odds rides along as an ``nb_logodds`` column for the CALLER's
     corpus-level agreement gate (per-batch agreement is too noisy to
     gate on; see __ray_entry__'s tx_doc_stats wrapper)."""
-
-    def _all(batch: pa.Table) -> pa.Table:
-        stats = doc_stats_batch(batch).sort_by("doc_id")
-        lang = lang_id_batch(batch).sort_by("doc_id")
-        fp = fingerprint_batch(batch).sort_by("doc_id")
-        roll = rolling_fingerprint_batch(batch).sort_by("doc_id")
-        extras = [lang, fp, roll]
-        if bench_grams is not None:
-            extras.append(contamination_batch(batch, bench_grams).sort_by("doc_id"))
-        if dsir is not None:
-            extras.append(dsir_weight_batch(batch, dsir).sort_by("doc_id"))
-        if nb is not None:
-            extras.append(nb_quality_batch(batch, nb).sort_by("doc_id"))
-        out = stats
-        for extra in extras:
-            for name in extra.column_names:
-                if name != "doc_id":
-                    out = out.append_column(name, extra.column(name))
-        return out
-
-    return _map(ds, _all)
+    kw = {"bench_grams": bench_grams, "dsir": dsir, "nb": nb}
+    return _map(ds, doc_profile_batch, fn_kwargs=kw)
 
 
 # --- benchmark decontamination --------------------------------------------
@@ -746,15 +748,16 @@ def token_budget_sample(ds, budgets: dict[str, int]):
         _mix_annotate, batch_format="pyarrow", fn_kwargs={"budgets": budgets}
     ).materialize()
     # bounded driver table: <= |domains| * 2^MIX_BUCKET_BITS rows
-    per_bucket = (
-        annotated.groupby(["lang", "bucket"]).sum("toks").to_pandas()
-    ).sort_values(["lang", "bucket"])
-    per_bucket["offset"] = (
-        per_bucket.groupby("lang")["sum(toks)"].cumsum() - per_bucket["sum(toks)"]
-    )
-    offsets = {
-        (r.lang, int(r.bucket)): int(r.offset) for r in per_bucket.itertuples()
-    }
+    per_bucket = annotated.groupby(["lang", "bucket"]).sum("toks").to_pandas()
+    offsets = {}
+    if len(per_bucket):  # a corpus without budgeted docs has no buckets
+        per_bucket = per_bucket.sort_values(["lang", "bucket"])
+        per_bucket["offset"] = (
+            per_bucket.groupby("lang")["sum(toks)"].cumsum() - per_bucket["sum(toks)"]
+        )
+        offsets = {
+            (r.lang, int(r.bucket)): int(r.offset) for r in per_bucket.itertuples()
+        }
     offsets_ref = ray.put(offsets)
 
     def _keep(group: pa.Table) -> pa.Table:
@@ -809,6 +812,11 @@ def _pct_with_tokens(batch: pa.Table, pct_by_group: dict) -> pa.Table:
         )
         .arrow()
     )
+
+
+SAMPLE_FAMILY_SCHEMA = pa.schema(
+    [("mode", pa.string()), ("doc_id", pa.int64()), ("lang", pa.string()), ("n_tokens", pa.int64())]
+)
 
 
 def sample_family(ds, pct_by_group: dict, budgets: dict[str, int]):

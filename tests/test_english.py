@@ -14,6 +14,7 @@ from lucene_ray.analysis.analyzers import (
     StandardAnalyzer,
     SynonymExpandAnalyzer,
     make_analyzer,
+    postings_rows,
 )
 from lucene_ray.analysis.english import (
     ENGLISH_STOP_WORDS,
@@ -121,8 +122,8 @@ def test_batch_matches_per_doc():
 
 def test_positions_skip_stopped_tokens():
     a = EnglishAnalyzer()
-    vocab, tids, docs, tfs, lengths, pos = a.analyze_batch_positions(
-        ["the quick rabbits jumped"]
+    vocab, tids, docs, tfs, lengths, pos, _os, _oe = postings_rows(
+        a._batch_token_stream(["the quick rabbits jumped"]), "positions"
     )
     by_term = {
         vocab[int(t)]: pos[int(s) : int(s + f)]
@@ -203,8 +204,8 @@ def test_length_filter_and_keyword_marker():
     # dropped tokens still leave position gaps
     import numpy as np
 
-    vocab, tids, docs, tfs, lengths, pos = a.analyze_batch_positions(
-        ["up running up jumped"]
+    vocab, tids, docs, tfs, lengths, pos, _os, _oe = postings_rows(
+        a._batch_token_stream(["up running up jumped"]), "positions"
     )
     by_term = {}
     starts = np.concatenate(([0], np.cumsum(tfs)))

@@ -31,7 +31,7 @@ def test_payloads_match_recomputed_offsets(pay_index):
     """Every stored payload equals the occurrence's char start offset,
     recomputed from the raw text with the same analyzer."""
     idx, src = pay_index
-    from lucene_ray.analysis.analyzers import StandardAnalyzer
+    from lucene_ray.analysis.analyzers import StandardAnalyzer, postings_rows
 
     texts = pq.read_table(src, columns=["content"]).column("content").to_pylist()
     a = StandardAnalyzer()
@@ -45,7 +45,7 @@ def test_payloads_match_recomputed_offsets(pay_index):
     for doc, p in zip(docs[:10], pays[:10]):
         text = texts[int(doc)]
         # recompute: start offsets of this term's occurrences
-        vocab, tids, dd, tfs, _l, pos, off_s, off_e = a.analyze_batch_offsets([text])
+        vocab, tids, dd, tfs, _l, pos, off_s, off_e = postings_rows(a._batch_token_stream([text]), "offsets")
         gid = vocab.index(term)
         starts = np.concatenate(([0], np.cumsum(tfs)))
         row = int(np.flatnonzero(tids == gid)[0])
@@ -112,7 +112,7 @@ def test_span_payload_check_query(pay_index):
     INT payloads = char start offsets here): EQ/GT/LT occurrence filters
     match a brute recompute from the analyzer's offsets, and phrase-form
     checks require the predicate at EVERY span position."""
-    from lucene_ray.analysis.analyzers import StandardAnalyzer
+    from lucene_ray.analysis.analyzers import StandardAnalyzer, postings_rows
     from lucene_ray.search.query import SpanPayloadCheckQuery
 
     idx, src = pay_index
@@ -121,8 +121,8 @@ def test_span_payload_check_query(pay_index):
     a = StandardAnalyzer()
 
     def occs(term, doc):
-        vocab, tids, _d, tfs, _l, _pos, off_s, _off_e = a.analyze_batch_offsets(
-            [texts[doc]]
+        vocab, tids, _d, tfs, _l, _pos, off_s, _off_e = postings_rows(
+            a._batch_token_stream([texts[doc]]), "offsets"
         )
         if term not in vocab:
             return np.empty(0, np.int64)
