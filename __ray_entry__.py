@@ -263,6 +263,7 @@ perm AS (
 """
 
 _QTERMS_VALUES = ", ".join(f"({i}, '{t}')" for i, t in enumerate(ft.QUERY_TERMS))
+_Q_TERMS = f"q(qid, term) AS (VALUES {_QTERMS_VALUES})"
 _INDRI_AND_VALUES = ", ".join(
     f"({i}, '{t1}', '{t2}')" for i, (t1, t2) in enumerate(ft.INDRI_AND_QUERIES)
 )
@@ -586,7 +587,7 @@ def _similarity_sql() -> str:
     sql = "\nUNION ALL\n".join(
         f"""SELECT '{label}' AS sim, r.* FROM (
 WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 {body}
 ) r"""
         for label, body in arms
@@ -773,6 +774,228 @@ LEFT JOIN rep r USING (doc_id)
 """
 
 
+# the token-position CTEs of the positional oracles: `s` = one row per
+# (doc, position i, the doc's token list ts), `p` = (doc_id, tok, i)
+_S_CTE = "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0)"
+_SPAN_POS_CTE = f"{_S_CTE},\np AS (SELECT doc_id, ts[i + 1] AS tok, i FROM s)"
+
+
+def _union_cte(name: str, parts: list[str], pos: str = _SPAN_POS_CTE) -> str:
+    """The ``pos`` CTEs, then ``name`` AS the UNION ALL of the per-query
+    ``parts``."""
+    return f"{pos},\n{name} AS (" + " UNION ALL ".join(parts) + ")"
+
+
+def _term_stats(src: str = "tfs") -> str:
+    """(term, doc_freq, total_term_freq) over a (doc_id, tok, tf) relation."""
+    return (
+        "SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq\n"
+        f"FROM {src} GROUP BY tok"
+    )
+
+
+def _path_tokens(name: str, slice_: str) -> str:
+    """The PathHierarchyTokenizer arms' tokens: the derived
+    source/lang/bN/doc_N.txt path split on '/', one token per ``slice_``
+    of the parts ``ps`` at 1-based part index i."""
+    return f"""{name}p AS (
+  SELECT doc_id, string_split(
+           source || '/' || lang || '/b' || CAST(doc_id % 10 AS VARCHAR)
+           || '/doc_' || CAST(doc_id AS VARCHAR) || '.txt', '/') AS ps
+  FROM documents
+),
+{name} AS (
+  SELECT doc_id, array_to_string({slice_}, '/') AS tok
+  FROM (SELECT doc_id, ps, unnest(range(1, len(ps) + 1)) AS i FROM {name}p)
+)"""
+
+
+def _term_stats_sql() -> str:
+    """ft_term_stats: one arm per analyzer.  A token arm is (label, CTEs,
+    token relation): the CTEs end in a (doc_id, tok) relation holding one
+    row per emitted token, counted into tf per (doc, term); a golden arm
+    maps doc_id % 10 to a pinned per-template (t, term, tf) list (the
+    VALUES-mapped pattern of the lattice tokenizers and ICU folding)."""
+    def grams(gram: str, src: str = "g1") -> str:  # 1..2-char grams per token
+        return f"""{_TOKS},
+g1 AS (
+  SELECT doc_id, tok, unnest(range(1, least(length(tok), 2) + 1)) AS g FROM tok
+),
+grams AS (SELECT doc_id, {gram} AS tok FROM {src})"""
+
+    pairs = "spos AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 1)"
+    ith = "ts[CAST(i AS INT) + 1]"
+    nxt = "ts[CAST(i AS INT) + 2]"
+    token_arms = [
+        ("standard", _TOKS, "tok"),
+        # code analyzer: WordDelimiter-lite camelCase / snake_case split
+        ("code", """runs AS (
+  SELECT doc_id, unnest(regexp_extract_all(text, '[A-Za-z0-9_]+')) AS run
+  FROM documents
+),
+subs AS (
+  SELECT doc_id,
+         unnest(string_split_regex(
+           lower(regexp_replace(run, '([a-z0-9])([A-Z])', '\\1 \\2', 'g')),
+           '[ _]+')) AS tok
+  FROM runs
+),
+kept AS (SELECT doc_id, tok FROM subs WHERE tok != '')""", "kept"),
+        ("english_minimal", _TOKS_EN, "stemr"),
+        ("synonym", f"""{_TOKS},
+syn(a, b) AS (VALUES {_SYNONYM_VALUES}),
+expanded AS (
+  SELECT doc_id, tok FROM tok
+  UNION ALL
+  SELECT t.doc_id, s.b FROM tok t JOIN syn s ON s.a = t.tok
+)""", "expanded"),
+        # CommonGramsFilter: unigrams + '_'-joined bigrams for adjacent
+        # pairs where either side is a common word
+        ("common_grams", f"""{_TOKS},
+{pairs},
+grams AS (
+  SELECT doc_id, {ith} || '_' || {nxt} AS tok
+  FROM spos
+  WHERE i < len(ts) - 1
+    AND ({ith} IN ('key', 'order', 'scan') OR {nxt} IN ('key', 'order', 'scan'))
+),
+allt AS (SELECT doc_id, tok FROM tok UNION ALL SELECT doc_id, tok FROM grams)""", "allt"),
+        # EdgeNGramTokenFilter (min_gram=1, max_gram=2 Lucene defaults):
+        # each token contributes its 1..min(len,2)-char prefixes
+        ("edge_ngram", grams("substr(tok, 1, CAST(g AS INT))"), "grams"),
+        # NGramTokenFilter (same defaults): each token contributes ALL its
+        # 1..2-char substrings (every occurrence counted)
+        ("ngram", grams(
+            "substr(tok, CAST(i AS INT), CAST(g AS INT))",
+            "(SELECT doc_id, tok, g, unnest(range(1, length(tok) - g + 2)) AS i FROM g1)",
+        ), "grams"),
+        # ReverseStringFilter: every token reversed (the leading-wildcard shape)
+        ("reverse", f"{_TOKS},\nrev AS (SELECT doc_id, reverse(tok) AS tok FROM tok)", "rev"),
+        # MappingCharFilter: literal rewrites BEFORE tokenization (rules
+        # are non-overlapping, so sequential replace == the engine's scan)
+        ("mapped", f"""toksm AS (
+  SELECT doc_id,
+         unnest(regexp_extract_all(replace(replace(lower(text), 'spark', 'fire'),
+                                           'group by', 'groupby'),
+                                   '{TOKEN_PATTERN}')) AS tok
+  FROM documents
+)""", "toksm"),
+        # CustomAnalyzer chain: LimitTokenCount(40) -> PatternReplace(strip
+        # vowels) -> Truncate(6) -> Length(min 2)
+        ("custom_chain", f"""mappedc AS (
+  SELECT doc_id, substr(regexp_replace(tok, '[aeiou]', '', 'g'), 1, 6) AS tok
+  FROM (SELECT doc_id,
+               unnest(list_slice(regexp_extract_all(lower(text), '{TOKEN_PATTERN}'), 1, 40)) AS tok
+        FROM documents)
+),
+keptc AS (SELECT doc_id, tok FROM mappedc WHERE length(tok) >= 2)""", "keptc"),
+        # PatternTokenizer (match mode, '[a-z]{3,}') + LowerCase
+        ("pattern", """tokp AS (
+  SELECT doc_id, unnest(regexp_extract_all(lower(text), '[a-z]{3,}')) AS tok
+  FROM documents
+)""", "tokp"),
+        # FingerprintFilter (miscellaneous/FingerprintFilter.java): one
+        # token per doc = sorted de-duplicated tokens joined by ' ';
+        # >1024 chars emits none
+        ("fingerprint", f"""{_TOKS},
+fps AS (
+  SELECT doc_id, array_to_string(list_sort(list_distinct(ts)), ' ') AS tok
+  FROM toks WHERE len(ts) > 0
+),
+fpk AS (SELECT doc_id, tok FROM fps WHERE length(tok) <= 1024)""", "fpk"),
+        # KeywordRepeatFilter -> EnglishMinimalStem -> RemoveDuplicates:
+        # each occurrence emits the original and (when different) its stem
+        ("keyword_repeat", f"""{_TOKS},
+pairs AS (
+  SELECT doc_id, unnest(list_distinct([tok, {_en_min_stem_case('tok')}])) AS tok
+  FROM tok
+)""", "pairs"),
+        # SynonymGraphFilter multi-token rules + FlattenGraph, expand
+        # mode: phrase "order by" => orderby, word spark => "fire storm"
+        ("synonym_graph", f"""{_TOKS},
+{pairs},
+grams AS (
+  SELECT doc_id, 'orderby' AS tok
+  FROM spos
+  WHERE i < len(ts) - 1 AND {ith} = 'order' AND {nxt} = 'by'
+),
+expd AS (SELECT doc_id, unnest(['fire', 'storm']) AS tok FROM tok WHERE tok = 'spark'),
+allt AS (
+  SELECT doc_id, tok FROM tok
+  UNION ALL SELECT doc_id, tok FROM grams
+  UNION ALL SELECT doc_id, tok FROM expd
+)""", "allt"),
+        # PathHierarchyTokenizer: each path emits its cumulative
+        # '/'-prefixes; ReversePathHierarchyTokenizer its '/'-suffixes
+        ("path_hierarchy", _path_tokens("pathf", "ps[1:CAST(i AS INT)]"), "pathf"),
+        ("path_hierarchy_reverse", _path_tokens("pathr", "ps[CAST(i AS INT):len(ps)]"), "pathr"),
+        # ClassicAnalyzer over the derived contact line: the grammar's
+        # expected tokens by construction (HOST src.io, NUM en/docN +
+        # version + date, EMAIL, APOSTROPHE-'s, ACRONYM dots removed,
+        # COMPANY; 'or'/'on' stopped, 'visit' twice)
+        ("classic", """tokcl AS (
+  SELECT doc_id, unnest([
+    'visit', 'visit', 'https', source || '.io',
+    lang || '/doc' || CAST(doc_id AS VARCHAR),
+    'email',
+    'user_' || CAST(doc_id AS VARCHAR) || '@' || source || '.example.com',
+    're', 'o''brien', 'usa', 'at&t', 'rev',
+    '1.' || CAST(doc_id % 7 AS VARCHAR) || '.' || CAST(doc_id % 13 AS VARCHAR),
+    '2024-03-' || CAST(doc_id % 28 + 1 AS VARCHAR)
+  ]) AS tok FROM documents
+)""", "tokcl"),
+        # UAX29URLEmailAnalyzer over the same line: whole URL + EMAIL
+        # tokens, UAX#29 for the rest (u.s.a keeps inner dots, AT&T splits
+        # and 'at' is stopped, the date splits on hyphens)
+        ("uax29_url_email", """tokue AS (
+  SELECT doc_id, unnest([
+    'visit', 'visit',
+    'https://' || source || '.io/' || lang || '/doc' || CAST(doc_id AS VARCHAR),
+    'email',
+    'user_' || CAST(doc_id AS VARCHAR) || '@' || source || '.example.com',
+    're', 'o''brien''s', 'u.s.a', 't', 'rev',
+    '1.' || CAST(doc_id % 7 AS VARCHAR) || '.' || CAST(doc_id % 13 AS VARCHAR),
+    '2024', '03', CAST(doc_id % 28 + 1 AS VARCHAR)
+  ]) AS tok FROM documents
+)""", "tokue"),
+        # CJKBigramFilter over 'cjk <han(doc_id)> mid かな end': the Han
+        # numerals form one bigram run (unigram when doc_id has one
+        # digit), the kana pair another; ASCII words pass through
+        ("cjk_bigram", f"""basec AS (
+  SELECT doc_id,
+         translate(CAST(doc_id AS VARCHAR), '0123456789', '{ft.HAN_DIGITS}') AS h
+  FROM documents
+),
+tokcj AS (
+  SELECT doc_id, substr(h, CAST(i AS INT), 2) AS tok
+  FROM (SELECT doc_id, h, unnest(range(1, greatest(length(h) - 1, 1) + 1)) AS i
+        FROM basec)
+  UNION ALL SELECT doc_id, unnest(['cjk', 'mid', 'かな', 'end']) FROM documents
+)""", "tokcj"),
+    ]
+    arms = [
+        f"""SELECT '{label}' AS analyzer, a{i}.* FROM (
+WITH {ctes},
+tfs AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM {src} GROUP BY doc_id, tok)
+{_term_stats()}
+) a{i}"""
+        for i, (label, ctes, src) in enumerate(token_arms)
+    ]
+    # the lattice tokenizers (ja kuromoji-style, ko nori-style, zh
+    # smartcn-style) and ICU folding: the segmentation is the pinned
+    # golden list (ft.*_GOLDENS, asserted by their analyzer tests)
+    for label, goldens in (
+        ("ja", ft.JA_GOLDENS), ("ko", ft.KO_GOLDENS),
+        ("icu_folding", ft.ICU_GOLDENS), ("zh", ft.ZH_GOLDENS),
+    ):
+        arms.append(f"""SELECT '{label}' AS analyzer, a{len(arms)}.* FROM (
+WITH gt(t, tok, tf) AS (VALUES {ft.goldens_sql_values(goldens)}),
+tfs AS (SELECT d.doc_id, gt.tok, gt.tf FROM documents d JOIN gt ON d.doc_id % 10 = gt.t)
+{_term_stats()}
+) a{len(arms)}""")
+    return "\nUNION ALL\n".join(arms)
+
+
 def _phrase_match_sql() -> str:
     """Per-phrase (qid, doc_id, pf) via consecutive-position checks."""
     parts = []
@@ -783,10 +1006,7 @@ def _phrase_match_sql() -> str:
             f"SELECT {qid}::BIGINT AS qid, doc_id, count(*)::BIGINT AS pf "
             f"FROM s WHERE i + {n} <= len(ts) AND {conds} GROUP BY doc_id"
         )
-    return (
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-        "ph AS (" + " UNION ALL ".join(parts) + ")"
-    )
+    return _union_cte("ph", parts, _S_CTE)
 
 
 def _multi_phrase_sql() -> str:
@@ -802,10 +1022,7 @@ def _multi_phrase_sql() -> str:
             f"SELECT {qid}::BIGINT AS qid, doc_id, count(*)::BIGINT AS pf "
             f"FROM s WHERE i + {n} <= len(ts) AND {conds} GROUP BY doc_id"
         )
-    return (
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-        "mph AS (" + " UNION ALL ".join(parts) + ")"
-    )
+    return _union_cte("mph", parts, _S_CTE)
 
 
 def _proximity_sql() -> str:
@@ -824,11 +1041,7 @@ def _proximity_sql() -> str:
             f"SELECT DISTINCT {qid}::BIGINT AS qid, p0.doc_id FROM {froms} "
             f"WHERE {conds} AND greatest({g}) - least({g}) + 1 <= {w}"
         )
-    return (
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-        "p AS (SELECT doc_id, ts[i + 1] AS tok, i FROM s),\n"
-        "prox AS (" + " UNION ALL ".join(parts) + ")"
-    )
+    return _union_cte("prox", parts)
 
 
 def _containing_sql() -> str:
@@ -860,11 +1073,7 @@ def _containing_sql() -> str:
             f"AND f.tok = '{f}' AND f.i BETWEEN wnd.l AND wnd.r) "
             f"GROUP BY doc_id"
         )
-    return (
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-        "p AS (SELECT doc_id, ts[i + 1] AS tok, i FROM s),\n"
-        "cprox AS (" + " UNION ALL ".join(parts) + ")"
-    )
+    return _union_cte("cprox", parts)
 
 
 def _or_proximity_sql() -> str:
@@ -895,11 +1104,7 @@ def _or_proximity_sql() -> str:
             f"    AND NOT ({cover('a.i', 'b.i - 1')})"
             f") wnd GROUP BY doc_id"
         )
-    return (
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-        "p AS (SELECT doc_id, ts[i + 1] AS tok, i FROM s),\n"
-        "orprox AS (" + " UNION ALL ".join(parts) + ")"
-    )
+    return _union_cte("orprox", parts)
 
 
 def _ordered_proximity_sql() -> str:
@@ -921,11 +1126,7 @@ def _ordered_proximity_sql() -> str:
             f"count(DISTINCT p0.i)::BIGINT AS n_starts "
             f"FROM {froms} WHERE {' AND '.join(conds)} GROUP BY p0.doc_id"
         )
-    return (
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-        "p AS (SELECT doc_id, ts[i + 1] AS tok, i FROM s),\n"
-        "oprox AS (" + " UNION ALL ".join(parts) + ")"
-    )
+    return _union_cte("oprox", parts)
 
 
 def _span_sub(node) -> str:
@@ -1011,12 +1212,6 @@ def _span_sub(node) -> str:
     return sub(node)
 
 
-_SPAN_POS_CTE = (
-    "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-    "p AS (SELECT doc_id, ts[i + 1] AS tok, i FROM s)"
-)
-
-
 def _spans_sql() -> str:
     """Per-doc distinct-span counts for every SpanQuery AST (see
     _span_sub)."""
@@ -1025,7 +1220,7 @@ def _spans_sql() -> str:
         f"FROM {_span_sub(q)} r GROUP BY doc_id"
         for qid, q in enumerate(ft._span_queries())
     ]
-    return f"{_SPAN_POS_CTE},\nspn AS (" + " UNION ALL ".join(parts) + ")"
+    return _union_cte("spn", parts)
 
 
 def _masked_spans_sql() -> str:
@@ -1038,12 +1233,9 @@ def _masked_spans_sql() -> str:
         f"FROM {_span_sub(q)} r GROUP BY doc_id"
         for qid, q in enumerate(ft._masked_span_queries())
     ]
-    return (
-        _SPAN_POS_CTE
-        + f",\np_title AS (SELECT doc_id, tok, i FROM p WHERE i < {ft.TITLE_TOKENS}),\n"
-        + "mspn AS ("
-        + " UNION ALL ".join(parts)
-        + ")"
+    return _union_cte(
+        "mspn", parts,
+        f"{_SPAN_POS_CTE},\np_title AS (SELECT doc_id, tok, i FROM p WHERE i < {ft.TITLE_TOKENS})",
     )
 
 
@@ -1126,11 +1318,7 @@ def _surround_sql() -> str:
         f"WHERE {pred(parse_surround(qs))}"
         for qid, qs in enumerate(ft.SURROUND_QUERIES)
     ]
-    return (
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-        "p AS (SELECT doc_id, ts[i + 1] AS tok, i FROM s),\n"
-        "sur AS (" + " UNION ALL ".join(parts) + ")"
-    )
+    return _union_cte("sur", parts)
 
 
 def _phrase_sloppy_sql() -> str:
@@ -1149,11 +1337,7 @@ def _phrase_sloppy_sql() -> str:
             f"WHERE {toks} "
             f"AND greatest({shifted}) - least({shifted}) <= {slop} GROUP BY p0.doc_id"
         )
-    return (
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0),\n"
-        "p AS (SELECT doc_id, ts[i + 1] AS tok, i FROM s),\n"
-        "sp AS (" + " UNION ALL ".join(parts) + ")"
-    )
+    return _union_cte("sp", parts)
 
 
 def _phrase_counts_sql() -> str:
@@ -1965,9 +2149,7 @@ def _percolate_sql() -> str:
             f" FROM toks"
         )
     return (
-        f"WITH {_TOKS},\n"
-        "s AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 0)\n"
-        + " UNION ALL ".join(parts)
+        f"WITH {_TOKS},\n{_S_CTE}\n" + " UNION ALL ".join(parts)
     )
 
 
@@ -2363,43 +2545,33 @@ def _dd_signatures(sf_dir: str):
 
     from lucene_ray.ops import dedup
 
-    def part(ds, *cols):  # typed: an empty corpus yields no columns
-        return _frame(ds, pa.schema([(c, pa.string() if c == "digest" else pa.int64()) for c in cols]))
-
-    mh = part(dedup.minhash_signatures(_docs(sf_dir)), "doc_id", "i", "sig")
-    mh["method"] = "minhash"
-    mh["sig"] = mh["sig"].astype("uint64")
-    sh = part(dedup.simhash(_docs(sf_dir)), "doc_id", "simhash")
-    sh = sh.rename(columns={"simhash": "sig"})
-    sh["sig"] = sh["sig"].astype("uint64")
-    sh["i"] = 0
-    sh["method"] = "simhash"
-    ex = part(dedup.exact_survivor_signatures(_docs(sf_dir)), "doc_id", "sig")
-    ex["sig"] = ex["sig"].astype("uint64")
-    ex["i"] = 0
-    ex["method"] = "exact"
-    # duplicate-substring window hashes (Lee et al. shape; window=20 so the
-    # short driver docs yield multiple windows)
-    sub = part(dedup.substring_window_signatures(_docs(sf_dir), window=20), "doc_id", "i", "sig")
-    sub["sig"] = sub["sig"].astype("uint64")
-    sub["method"] = "substr"
-    # CCNet/RefinedWeb line-level dedup riding this family (driver
-    # 50-entry cap): i packs (kept, dropped) counts, sig = the uint64
-    # md5_number_lower image of the reassembled text (digest bytes
-    # [8:16] little-endian — exactly md5_u64 of the kept text)
-    ld = part(dedup.line_dedup(_docs(sf_dir)), "doc_id", "kept", "dropped", "digest")
-    ld["i"] = ld["kept"] * 1_000_000 + ld["dropped"]
-    ld["sig"] = ld["digest"].map(
-        lambda h: int.from_bytes(bytes.fromhex(h)[8:16], "little")
-    ).astype("uint64")
-    ld["method"] = "line_dedup"
-    ld = ld[["method", "doc_id", "i", "sig"]]
-    # concat on pre-cast uint64 columns (int64+uint64 would promote to
-    # float64 and shred the high bits)
-    out = pd.concat([mh, sh, ex, sub, ld], ignore_index=True)
-    out["sig"] = out["sig"].astype("uint64")
+    parts = []
+    for method, fn, cols in (
+        ("minhash", dedup.minhash_signatures, ("doc_id", "i", "sig")),
+        ("simhash", dedup.simhash, ("doc_id", "simhash")),
+        ("exact", dedup.exact_survivor_signatures, ("doc_id", "sig")),
+        # duplicate-substring window hashes (Lee et al. shape; window=20
+        # so the short driver docs yield multiple windows)
+        ("substr", partial(dedup.substring_window_signatures, window=20), ("doc_id", "i", "sig")),
+        # CCNet/RefinedWeb line-level dedup riding this family (driver
+        # 50-entry cap): i packs (kept, dropped) counts, sig = the uint64
+        # md5_number_lower image of the reassembled text (digest bytes
+        # [8:16] little-endian — exactly md5_u64 of the kept text)
+        ("line_dedup", dedup.line_dedup, ("doc_id", "kept", "dropped", "digest")),
+    ):
+        # typed: an empty corpus yields no columns
+        df = _frame(fn(_docs(sf_dir)), pa.schema([(c, pa.string() if c == "digest" else pa.int64()) for c in cols]))
+        df = df.rename(columns={"simhash": "sig"})
+        if method == "line_dedup":
+            df["i"] = df["kept"] * 1_000_000 + df["dropped"]
+            df["sig"] = df["digest"].map(lambda h: int.from_bytes(bytes.fromhex(h)[8:16], "little"))
+        # cast each part before the concat (int64+uint64 would promote to
+        # float64 and shred the high bits)
+        df["sig"] = df["sig"].astype("uint64")
+        parts.append(df.assign(method=method, i=df["i"] if "i" in df else 0)[["method", "doc_id", "i", "sig"]])
+    out = pd.concat(parts, ignore_index=True)
     out["i"] = out["i"].astype("int64")
-    return out[["method", "doc_id", "i", "sig"]]
+    return out
 
 
 def _rescore_sql() -> str:
@@ -2514,367 +2686,9 @@ def _table() -> list[tuple[str, Callable[[str], Any], str]]:
                     "common_grams", "fingerprint", "keyword_repeat", "synonym_graph",
                 )
             ],
-            ("path_hierarchy", ft.path_term_stats),
-            ("path_hierarchy_reverse", partial(ft.path_term_stats, reverse=True)),
-            ("classic", partial(ft.contact_term_stats, analyzer="classic")),
-            ("uax29_url_email", partial(ft.contact_term_stats, analyzer="uax29_url_email")),
-            ("cjk_bigram", ft.cjk_term_stats),
-            ("ja", ft.ja_term_stats),
-            ("ko", ft.ko_term_stats),
-            ("icu_folding", ft.icu_term_stats),
-            ("zh", ft.zh_term_stats),
+            *[(arm, partial(ft.derived_term_stats, arm=arm)) for arm in ft.DERIVED_ARMS],
             schema=ft.TERM_STATS_SCHEMA,
-        ), f"""
-SELECT 'standard' AS analyzer, s.* FROM (
-WITH {_TOKS}
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tf GROUP BY tok
-) s
-UNION ALL
-SELECT 'code', c.* FROM (
-WITH runs AS (
-  SELECT doc_id, unnest(regexp_extract_all(text, '[A-Za-z0-9_]+')) AS run
-  FROM documents
-),
-subs AS (
-  SELECT doc_id,
-         unnest(string_split_regex(
-           lower(regexp_replace(run, '([a-z0-9])([A-Z])', '\\1 \\2', 'g')),
-           '[ _]+')) AS tok
-  FROM runs
-),
-tf2 AS (
-  SELECT doc_id, tok, count(*)::BIGINT AS tf
-  FROM subs WHERE tok != '' GROUP BY doc_id, tok
-)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tf2 GROUP BY tok
-) c
-UNION ALL
-SELECT 'english_minimal', e.* FROM (
-WITH {_TOKS_EN}
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tf GROUP BY tok
-) e
-UNION ALL
-SELECT 'synonym', sy.* FROM (
-WITH {_TOKS},
-syn(a, b) AS (VALUES {_SYNONYM_VALUES}),
-expanded AS (
-  SELECT doc_id, tok FROM tok
-  UNION ALL
-  SELECT t.doc_id, s.b FROM tok t JOIN syn s ON s.a = t.tok
-),
-tfx AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM expanded GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfx GROUP BY tok
-) sy
-UNION ALL
--- CommonGramsFilter: unigrams + '_'-joined bigrams for adjacent pairs
--- where either side is a common word
-SELECT 'common_grams', cg.* FROM (
-WITH {_TOKS},
-spos AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 1),
-grams AS (
-  SELECT doc_id, ts[CAST(i AS INT) + 1] || '_' || ts[CAST(i AS INT) + 2] AS tok
-  FROM spos
-  WHERE i < len(ts) - 1
-    AND (ts[CAST(i AS INT) + 1] IN ('key', 'order', 'scan')
-         OR ts[CAST(i AS INT) + 2] IN ('key', 'order', 'scan'))
-),
-allt AS (SELECT doc_id, tok FROM tok UNION ALL SELECT doc_id, tok FROM grams),
-tfc AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM allt GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfc GROUP BY tok
-) cg
-UNION ALL
--- EdgeNGramTokenFilter (min_gram=1, max_gram=2 Lucene defaults): each
--- token contributes its 1..min(len,2)-char prefixes
-SELECT 'edge_ngram', eg.* FROM (
-WITH {_TOKS},
-grams AS (
-  SELECT doc_id, substr(tok, 1, CAST(g AS INT)) AS gram
-  FROM (SELECT doc_id, tok,
-               unnest(range(1, least(length(tok), 2) + 1)) AS g
-        FROM tok)
-),
-tfg AS (SELECT doc_id, gram, count(*)::BIGINT AS tf FROM grams GROUP BY doc_id, gram)
-SELECT gram AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfg GROUP BY gram
-) eg
-UNION ALL
--- NGramTokenFilter (min_gram=1, max_gram=2 Lucene defaults): each token
--- contributes ALL its 1..2-char substrings (every occurrence counted)
-SELECT 'ngram', ng.* FROM (
-WITH {_TOKS},
-g1 AS (
-  SELECT doc_id, tok, unnest(range(1, least(length(tok), 2) + 1)) AS g FROM tok
-),
-grams AS (
-  SELECT doc_id, substr(tok, CAST(i AS INT), CAST(g AS INT)) AS gram
-  FROM (SELECT doc_id, tok, g, unnest(range(1, length(tok) - g + 2)) AS i FROM g1)
-),
-tfg AS (SELECT doc_id, gram, count(*)::BIGINT AS tf FROM grams GROUP BY doc_id, gram)
-SELECT gram AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfg GROUP BY gram
-) ng
-UNION ALL
--- ReverseStringFilter: every token reversed (the leading-wildcard shape)
-SELECT 'reverse', rv.* FROM (
-WITH {_TOKS},
-tfr AS (
-  SELECT doc_id, reverse(tok) AS rtok, count(*)::BIGINT AS tf
-  FROM tok GROUP BY doc_id, reverse(tok)
-)
-SELECT rtok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfr GROUP BY rtok
-) rv
-UNION ALL
--- MappingCharFilter: literal rewrites BEFORE tokenization (rules are
--- non-overlapping, so sequential replace == the engine's scan)
-SELECT 'mapped', mp.* FROM (
-WITH toksm AS (
-  SELECT doc_id,
-         regexp_extract_all(replace(replace(lower(text), 'spark', 'fire'),
-                                    'group by', 'groupby'),
-                            '{TOKEN_PATTERN}') AS ts
-  FROM documents
-),
-tfm AS (
-  SELECT doc_id, tok, count(*)::BIGINT AS tf
-  FROM (SELECT doc_id, unnest(ts) AS tok FROM toksm)
-  GROUP BY doc_id, tok
-)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfm GROUP BY tok
-) mp
-UNION ALL
--- CustomAnalyzer chain: LimitTokenCount(40) -> PatternReplace(strip
--- vowels) -> Truncate(6) -> Length(min 2)
-SELECT 'custom_chain', cc.* FROM (
-WITH toksc AS (
-  SELECT doc_id,
-         list_slice(regexp_extract_all(lower(text), '{TOKEN_PATTERN}'), 1, 40) AS ts
-  FROM documents
-),
-mappedc AS (
-  SELECT doc_id,
-         substr(regexp_replace(tok, '[aeiou]', '', 'g'), 1, 6) AS tok
-  FROM (SELECT doc_id, unnest(ts) AS tok FROM toksc)
-),
-tfc AS (
-  SELECT doc_id, tok, count(*)::BIGINT AS tf
-  FROM mappedc WHERE length(tok) >= 2
-  GROUP BY doc_id, tok
-)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfc GROUP BY tok
-) cc
-UNION ALL
--- PatternTokenizer (match mode, '[a-z]{{3,}}') + LowerCase
-SELECT 'pattern', pt.* FROM (
-WITH tokp AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text), '[a-z]{{3,}}')) AS tok
-  FROM documents
-),
-tfp AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM tokp GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfp GROUP BY tok
-) pt
-UNION ALL
--- FingerprintFilter (miscellaneous/FingerprintFilter.java): one token per
--- doc = sorted de-duplicated tokens joined by ' '; >1024 chars emits none
-SELECT 'fingerprint', fpp.* FROM (
-WITH {_TOKS},
-fps AS (
-  SELECT doc_id, array_to_string(list_sort(list_distinct(ts)), ' ') AS fp
-  FROM toks WHERE len(ts) > 0
-)
-SELECT fp AS term, count(*)::BIGINT AS doc_freq, count(*)::BIGINT AS total_term_freq
-FROM fps WHERE length(fp) <= 1024 GROUP BY fp
-) fpp
-UNION ALL
--- KeywordRepeatFilter -> EnglishMinimalStem -> RemoveDuplicates: each
--- occurrence emits the original and (when different) its stem
-SELECT 'keyword_repeat', kr.* FROM (
-WITH {_TOKS},
-pairs AS (
-  SELECT doc_id, unnest(list_distinct([tok, {_en_min_stem_case('tok')}])) AS term
-  FROM tok
-),
-tfk AS (SELECT doc_id, term, count(*)::BIGINT AS tf FROM pairs GROUP BY doc_id, term)
-SELECT term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfk GROUP BY term
-) kr
-UNION ALL
--- SynonymGraphFilter multi-token rules + FlattenGraph, expand mode:
--- phrase "order by" => orderby, word spark => "fire storm"
-SELECT 'synonym_graph', sg.* FROM (
-WITH {_TOKS},
-spos AS (SELECT doc_id, ts, unnest(range(len(ts))) AS i FROM toks WHERE len(ts) > 1),
-grams AS (
-  SELECT doc_id, 'orderby' AS tok
-  FROM spos
-  WHERE i < len(ts) - 1
-    AND ts[CAST(i AS INT) + 1] = 'order' AND ts[CAST(i AS INT) + 2] = 'by'
-),
-expd AS (
-  SELECT doc_id, unnest(['fire', 'storm']) AS tok FROM tok WHERE tok = 'spark'
-),
-allt AS (
-  SELECT doc_id, tok FROM tok
-  UNION ALL SELECT doc_id, tok FROM grams
-  UNION ALL SELECT doc_id, tok FROM expd
-),
-tfg AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM allt GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfg GROUP BY tok
-) sg
-UNION ALL
--- PathHierarchyTokenizer over the derived source/lang/bN/doc_N.txt path:
--- each path emits its cumulative '/'-prefixes
-SELECT 'path_hierarchy', ph.* FROM (
-WITH pathsf AS (
-  SELECT doc_id,
-         source || '/' || lang || '/b' || CAST(doc_id % 10 AS VARCHAR)
-                || '/doc_' || CAST(doc_id AS VARCHAR) || '.txt' AS path
-  FROM documents
-),
-partsf AS (SELECT doc_id, string_split(path, '/') AS ps FROM pathsf),
-tokf AS (
-  SELECT doc_id, array_to_string(ps[1:CAST(i AS INT)], '/') AS tok
-  FROM (SELECT doc_id, ps, unnest(range(1, len(ps) + 1)) AS i FROM partsf)
-),
-tff AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM tokf GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tff GROUP BY tok
-) ph
-UNION ALL
--- ReversePathHierarchyTokenizer: the '/'-suffixes of the same path
-SELECT 'path_hierarchy_reverse', pr.* FROM (
-WITH pathsr AS (
-  SELECT doc_id,
-         source || '/' || lang || '/b' || CAST(doc_id % 10 AS VARCHAR)
-                || '/doc_' || CAST(doc_id AS VARCHAR) || '.txt' AS path
-  FROM documents
-),
-partsr AS (SELECT doc_id, string_split(path, '/') AS ps FROM pathsr),
-tokr AS (
-  SELECT doc_id, array_to_string(ps[CAST(i AS INT):len(ps)], '/') AS tok
-  FROM (SELECT doc_id, ps, unnest(range(1, len(ps) + 1)) AS i FROM partsr)
-),
-tfr2 AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM tokr GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfr2 GROUP BY tok
-) pr
-UNION ALL
--- ClassicAnalyzer over the derived contact line: the oracle emits the
--- grammar's expected tokens by construction (HOST src.io, NUM en/docN +
--- version + date, EMAIL, APOSTROPHE-'s, ACRONYM dots removed, COMPANY;
--- 'or'/'on' stopped, 'visit' twice)
-SELECT 'classic', cl.* FROM (
-WITH tokcl AS (
-  SELECT doc_id, unnest([
-    'visit', 'visit', 'https', source || '.io',
-    lang || '/doc' || CAST(doc_id AS VARCHAR),
-    'email',
-    'user_' || CAST(doc_id AS VARCHAR) || '@' || source || '.example.com',
-    're', 'o''brien', 'usa', 'at&t', 'rev',
-    '1.' || CAST(doc_id % 7 AS VARCHAR) || '.' || CAST(doc_id % 13 AS VARCHAR),
-    '2024-03-' || CAST(doc_id % 28 + 1 AS VARCHAR)
-  ]) AS tok FROM documents
-),
-tfcl AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM tokcl GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfcl GROUP BY tok
-) cl
-UNION ALL
--- UAX29URLEmailAnalyzer over the same line: whole URL + EMAIL tokens,
--- UAX#29 for the rest (u.s.a keeps inner dots, AT&T splits and 'at' is
--- stopped, the date splits on hyphens)
-SELECT 'uax29_url_email', ue.* FROM (
-WITH tokue AS (
-  SELECT doc_id, unnest([
-    'visit', 'visit',
-    'https://' || source || '.io/' || lang || '/doc' || CAST(doc_id AS VARCHAR),
-    'email',
-    'user_' || CAST(doc_id AS VARCHAR) || '@' || source || '.example.com',
-    're', 'o''brien''s', 'u.s.a', 't', 'rev',
-    '1.' || CAST(doc_id % 7 AS VARCHAR) || '.' || CAST(doc_id % 13 AS VARCHAR),
-    '2024', '03', CAST(doc_id % 28 + 1 AS VARCHAR)
-  ]) AS tok FROM documents
-),
-tfue AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM tokue GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfue GROUP BY tok
-) ue
-UNION ALL
--- CJKBigramFilter over 'cjk <han(doc_id)> mid かな end': the Han
--- numerals form one bigram run (unigram when doc_id has one digit),
--- the kana pair another; ASCII words pass through
-SELECT 'cjk_bigram', cj.* FROM (
-WITH basec AS (
-  SELECT doc_id,
-         translate(CAST(doc_id AS VARCHAR), '0123456789',
-                   '{ft.HAN_DIGITS}') AS h
-  FROM documents
-),
-hb AS (
-  SELECT doc_id, substr(h, CAST(i AS INT), 2) AS tok
-  FROM (SELECT doc_id, h,
-               unnest(range(1, greatest(length(h) - 1, 1) + 1)) AS i
-        FROM basec)
-),
-tokcj AS (
-  SELECT doc_id, tok FROM hb
-  UNION ALL SELECT doc_id, unnest(['cjk', 'mid', 'かな', 'end']) FROM documents
-),
-tfcj AS (SELECT doc_id, tok, count(*)::BIGINT AS tf FROM tokcj GROUP BY doc_id, tok)
-SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-FROM tfcj GROUP BY tok
-) cj
-UNION ALL
--- Japanese lattice tokenizer (kuromoji-style Viterbi, SEARCH mode):
--- one of ten fixed sentences per doc; the segmentation is the pinned
--- golden list (VALUES-mapped; see ft.JA_GOLDENS / tests/test_japanese.py)
-SELECT 'ja', jt.* FROM (
-WITH gt(t, term, tf) AS (VALUES {ft.ja_goldens_sql_values()}),
-docsja AS (SELECT doc_id, doc_id % 10 AS t FROM documents)
-SELECT gt.term, count(*)::BIGINT AS doc_freq,
-       sum(gt.tf)::BIGINT AS total_term_freq
-FROM docsja JOIN gt ON docsja.t = gt.t GROUP BY gt.term
-) jt
-UNION ALL
--- Korean lattice tokenizer (nori-style, DISCARD decompound): same
--- VALUES-mapped pinned-golden pattern (ft.KO_GOLDENS / tests/test_korean.py)
-SELECT 'ko', kt.* FROM (
-WITH gtk(t, term, tf) AS (VALUES {ft.ko_goldens_sql_values()}),
-docsko AS (SELECT doc_id, doc_id % 10 AS t FROM documents)
-SELECT gtk.term, count(*)::BIGINT AS doc_freq,
-       sum(gtk.tf)::BIGINT AS total_term_freq
-FROM docsko JOIN gtk ON docsko.t = gtk.t GROUP BY gtk.term
-) kt
-UNION ALL
--- ICU folding (utr30-style fold over StandardTokenizer output): same
--- VALUES-mapped pinned-golden pattern (ft.ICU_GOLDENS / tests/test_icufold.py)
-SELECT 'icu_folding', it.* FROM (
-WITH gti(t, term, tf) AS (VALUES {ft.icu_goldens_sql_values()}),
-docsicu AS (SELECT doc_id, doc_id % 10 AS t FROM documents)
-SELECT gti.term, count(*)::BIGINT AS doc_freq,
-       sum(gti.tf)::BIGINT AS total_term_freq
-FROM docsicu JOIN gti ON docsicu.t = gti.t GROUP BY gti.term
-) it
-UNION ALL
--- Chinese lattice segmentation (smartcn-style): same VALUES-mapped
--- pinned-golden pattern (ft.ZH_GOLDENS / tests/test_chinese.py)
-SELECT 'zh', zt.* FROM (
-WITH gtz(t, term, tf) AS (VALUES {ft.zh_goldens_sql_values()}),
-docszh AS (SELECT doc_id, doc_id % 10 AS t FROM documents)
-SELECT gtz.term, count(*)::BIGINT AS doc_freq,
-       sum(gtz.tf)::BIGINT AS total_term_freq
-FROM docszh JOIN gtz ON docszh.t = gtz.t GROUP BY gtz.term
-) zt
-"""),
+        ), _term_stats_sql()),
         # inverted postings + term-vector forward index (one oracle both
         # ways certifies the TermVectorsWriter-analogue artifact)
         ("ft_term_postings", _family(
@@ -2904,10 +2718,7 @@ FROM stats
 """),
         ("ft_top_terms", ft.top_terms, f"""
 WITH {_TOKS},
-ts AS (
-  SELECT tok AS term, count(*)::BIGINT AS doc_freq, sum(tf)::BIGINT AS total_term_freq
-  FROM tf GROUP BY tok
-)
+ts AS ({_term_stats("tf")})
 -- HighFreqTerms (misc/HighFreqTerms.java): both comparators
 SELECT 'ttf' AS ord, term, doc_freq, total_term_freq FROM
   (SELECT * FROM ts ORDER BY total_term_freq DESC, term ASC LIMIT 25)
@@ -2930,13 +2741,13 @@ SELECT 'df' AS ord, term, doc_freq, total_term_freq FROM
         ), f"""
 SELECT s.store, 'standard' AS analyzer, r.* FROM (
 WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 {_BM25_COMMON}
 ) r CROSS JOIN (VALUES ('local'), ('remote')) s(store)
 UNION ALL
 SELECT 'local', 'english_minimal', r2.* FROM (
 WITH {_collection(_TOKS_EN)},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 {_BM25_COMMON}
 ) r2
 """),
@@ -3424,7 +3235,7 @@ vals AS (
         # (the engine's (sum_sq - sum^2/n)/n expression, mirrored)
         ("ft_dv_stats", ft.doc_values_stats, f"""
 WITH {_TOKS},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 m AS (
   SELECT q.qid, d.doc_id, d.n_chars
   FROM q JOIN tf ON tf.tok = q.term
@@ -3452,7 +3263,7 @@ FROM q LEFT JOIN m ON m.qid = q.qid GROUP BY q.qid
         # cumulative relevant count per rank (all integers)
         ("ft_quality_run", ft.quality_judged_run, f"""
 WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 {_term_scores()},
 -- one term per query: a hit is relevant when its own tf is high enough
 judged AS (
@@ -3798,7 +3609,7 @@ FROM hq
         ), f"""
 SELECT v.variant, b.*
 FROM (WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 {_BM25_COMMON}) b
 CROSS JOIN (VALUES ('distributed'), ('merged')) v(variant)
 UNION ALL
@@ -3810,7 +3621,7 @@ UNION ALL
 -- searchAfter page 2: ranks 11..20 of the page-1 ordering, renumbered
 SELECT 'page2', b.qid, b.rnk - 10 AS rnk, b.doc_id
 FROM (WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 {_term_scores()},
 {_topk("scored", "score DESC, doc_id", k=20)}) b
 WHERE b.rnk > 10
@@ -3852,7 +3663,7 @@ UNION ALL
 -- docid ties
 SELECT 'diversified', b.* FROM (
 WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 {_term_scores(combine="sum(score)::FLOAT")},
 keyed AS (
   SELECT s.qid, s.doc_id, s.score, dd.{ft.DIVERSIFY_KEY} AS key
@@ -4282,7 +4093,7 @@ u AS (
 """),
         ("ft_delete_search", ft.delete_search_topk, f"""
 WITH {_COLLECTION},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 {_term_scores()},
 -- live-docs semantics: stats/scores computed over the FULL corpus
 -- (deletes don't change them until a merge), deleted docs just drop out
@@ -4374,7 +4185,7 @@ scored AS (SELECT qid, doc_id, sum(score) AS score FROM clauses GROUP BY qid, do
         ("ft_similarity_topk", ft.similarity_topk, _similarity_sql()),
         ("ft_combined_field_topk", ft.combined_field_topk, f"""
 WITH {_TOKS}, {_LT},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 -- title = first {ft.TITLE_TOKENS} tokens; blended BM25F virtual field:
 -- tf' = tf_text + {ft.TITLE_WEIGHT}*tf_title, dl' = dlq_text + {ft.TITLE_WEIGHT}*dlq_title
 ttf AS (
@@ -4531,7 +4342,7 @@ SELECT qid::BIGINT AS qid, rnk::BIGINT AS rnk, doc_id FROM resorted WHERE rnk <=
             ignore_index=True,
         ), f"""
 WITH {_TOKS},
-q(qid, term) AS (VALUES {_QTERMS_VALUES}),
+{_Q_TERMS},
 m AS (
   SELECT q.qid, d.doc_id, d.lang, d.source, d.n_chars
   FROM q JOIN tf ON tf.tok = q.term

@@ -114,10 +114,12 @@ class TokenStream(NamedTuple):
         return self._replace(vocab=vocab, tids=tids).keep(tids >= 0)
 
     def extend(self, groups) -> TokenStream:
-        """This stream with tokens appended after its own, one group of
-        ``(term, doc_ids, positions, off_s, off_e)`` at a time.  ``lengths``
-        stay as they are (inserted tokens are posIncrement-0 overlaps unless
-        the caller recounts)."""
+        """This stream with tokens inserted, one group of ``(term, doc_ids,
+        positions, off_s, off_e)`` at a time, then ordered stably by (doc,
+        position): an inserted token follows the stream's own tokens at its
+        position, so every posting lists its positions in order.
+        ``lengths`` stay as they are (inserted tokens are posIncrement-0
+        overlaps unless the caller recounts)."""
         if not groups:
             return self
         ids = np.repeat(
@@ -125,18 +127,19 @@ class TokenStream(NamedTuple):
             [len(g[1]) for g in groups],
         )
         d, p, os_, oe = (
-            np.concatenate([a] + [g[k] for g in groups])
+            np.concatenate([a] + [g[k] for g in groups]).astype(np.int64)
             for k, a in enumerate((self.doc_ids, self.positions, self.off_s, self.off_e), 1)
         )
+        order = np.lexsort((p, d))
         return token_stream(
             self.vocab + [g[0] for g in groups],
-            d,
-            p,
+            d[order],
+            p[order],
             self.n_docs,
-            os_,
-            oe,
+            os_[order],
+            oe[order],
             lengths=self.lengths,
-            ids=np.concatenate((self.tids, ids)),
+            ids=np.concatenate((self.tids, ids))[order],
         )
 
     def stack(self, pairs) -> TokenStream:

@@ -18,7 +18,11 @@ segment (one Ray task per segment — segments are independent):
    (freq, norm) pair actually present in the block (pruning legality,
    SURVEY §7.5) and term-level skylines dominate block-level ones
 4. norms: byte-quantization fixed-point (int_to_byte4(byte4_to_int(b)) == b)
-   and norm == quantized sum(tf) per doc
+   and norm == the quantized length, which discounts posIncrement-0
+   overlaps (FieldInvertState discountOverlaps): quantized sum(tf) bounds
+   the norm from above, and with positions the doc's count of distinct
+   positions bounds it from below (equal unless tokens share a position;
+   a delimited_tf repeat counts toward the length at one position)
 5. segment stats == recomputed aggregates (doc_count, sum_ttf, sum_df)
 6. manifest: doc_base prefix-sum density, ordinal order, collection
    stats == sum of segment partials, and a declared ``index_sort`` is
@@ -168,31 +172,43 @@ def check_segment(seg_dir: str, raise_on_error: bool = True) -> dict:
                     _chk(dominated, f"{name}: term {tid} block {b} impact does not cover (f={f}, n={nb})", errors, raise_on_error)
                 pos += n
 
-    # 3b. positions (when present): per-posting lists ascending, in range,
-    # and count == tf (IndexOptions DOCS_AND_FREQS_AND_POSITIONS)
+    # 3b. positions (when present): per-posting lists non-decreasing (the
+    # reference rejects pos < lastPos; tokens stacked at one position share
+    # it), in range, and count == tf (DOCS_AND_FREQS_AND_POSITIONS)
+    lengths = None
     if getattr(r, "has_positions", False):
         pos_off = np.asarray(r.pos_off)
         row = 0
+        row_docs = []
         for tid in range(r.n_terms):
             docs, freqs = codec.decode_term(enc, tid)
+            row_docs.append(docs)
             for i in range(len(docs)):
                 p = np.asarray(r.pos_data[pos_off[row] : pos_off[row + 1]])
                 _chk(len(p) == int(freqs[i]), f"{name}: term {tid} posting {i} pos count != tf", errors, raise_on_error)
                 if len(p):
-                    _chk(bool((np.diff(p) > 0).all()) if len(p) > 1 else True, f"{name}: term {tid} posting {i} positions not ascending", errors, raise_on_error)
+                    _chk(bool((np.diff(p) >= 0).all()), f"{name}: term {tid} posting {i} positions not ascending", errors, raise_on_error)
                     _chk(int(p[0]) >= 0, f"{name}: term {tid} posting {i} negative position", errors, raise_on_error)
                 row += 1
         _chk(row == len(pos_off) - 1, f"{name}: position row count mismatch", errors, raise_on_error)
+        if row == len(pos_off) - 1:
+            # the least overlap-discounted length: distinct positions per doc
+            pos = np.asarray(r.pos_data, dtype=np.int64)
+            doc = np.repeat(np.concatenate(row_docs or [np.empty(0, np.int64)]).astype(np.int64), np.diff(pos_off))
+            span = int(pos.max()) + 1 if len(pos) else 1
+            lengths = np.bincount(np.unique(doc * span + pos) // span, minlength=r.max_doc)
 
-    # 4. norms are quantized token counts
+    # 4. norms are quantized lengths
     for d in range(r.max_doc):
         nb = int(norms[d])
         _chk(int_to_byte4(byte4_to_int(nb)) == nb, f"{name}: norm byte {nb} not a fixed point", errors, raise_on_error)
-        _chk(nb == int_to_byte4(int(tf_per_doc[d])), f"{name}: doc {d} norm != quantized length", errors, raise_on_error)
+        _chk(nb <= int_to_byte4(int(tf_per_doc[d])), f"{name}: doc {d} norm above quantized length", errors, raise_on_error)
+        if lengths is not None:
+            _chk(nb >= int_to_byte4(int(lengths[d])), f"{name}: doc {d} norm below quantized distinct positions", errors, raise_on_error)
 
     # 3b2. offsets (when present): aligned 1:1 with positions, start < end,
-    # ascending starts within each posting (CheckIndex.checkFields offset
-    # rules: startOffset monotone, endOffset >= startOffset)
+    # non-decreasing starts within each posting (CheckIndex.checkFields
+    # offset rules: startOffset monotone, endOffset >= startOffset)
     if getattr(r, "has_offsets", False):
         _chk(getattr(r, "has_positions", False), f"{name}: offsets without positions", errors, raise_on_error)
         os_, oe_ = np.asarray(r.off_start), np.asarray(r.off_end)
@@ -203,7 +219,7 @@ def check_segment(seg_dir: str, raise_on_error: bool = True) -> dict:
         for row in range(len(pos_off) - 1):
             s = os_[pos_off[row] : pos_off[row + 1]]
             if len(s) > 1:
-                _chk(bool((np.diff(s) > 0).all()), f"{name}: row {row} start offsets not ascending", errors, raise_on_error)
+                _chk(bool((np.diff(s) >= 0).all()), f"{name}: row {row} start offsets not ascending", errors, raise_on_error)
 
     # 3b3. payloads (when present): the stream is 1:1 with positions
     # (CheckIndex.checkFields payload rule: a payload per position slot)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _emb_matrix(tbl: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -89,42 +90,59 @@ def _emit_candidates(q_ids, ids, sims, k: int) -> pa.Table:
     )
 
 
-def _topk_candidates(batch: pa.Table, q_ref, k: int, id_col: str = "vec_id") -> pa.Table:
-    import ray
-
-    q_ids, q_mat, q_norm = ray.get(q_ref) if not isinstance(q_ref, tuple) else q_ref
-    emb = _emb_matrix(batch)
-    ids = batch.column(id_col).to_numpy()
-    norms = np.linalg.norm(emb, axis=1)
-    sims = (emb @ q_mat.T) / (norms[:, None] * q_norm[None, :])
-    return _emit_candidates(q_ids, ids, sims, k)
-
-
 _CANDIDATES = pa.schema(
     [("query_id", pa.int64()), ("neighbor_id", pa.int64()), ("sim", pa.float64())]
 )
 
 
 def _finish_topk(cands_ds, k: int, return_stats: bool = False):
-    from .util import gather
+    from .util import gather, top_rows
 
     # ~k * num_blocks rows — small by construction (typed when no rows)
-    df = gather(cands_ds, _CANDIDATES).to_pandas()
-    stats_rows = df[df["query_id"] < 0]
+    tbl = gather(cands_ds, _CANDIDATES)
+    stats_rows = tbl.filter(pc.less(tbl.column("query_id"), 0))
     stats = {
-        "scanned_rows": int(stats_rows["neighbor_id"].sum()),
-        "total_rows": int(stats_rows["sim"].sum()),
+        "scanned_rows": int(pc.sum(stats_rows.column("neighbor_id")).as_py() or 0),
+        "total_rows": int(pc.sum(stats_rows.column("sim")).as_py() or 0),
     }
-    df = df[df["query_id"] >= 0]
-    df = df.sort_values(["query_id", "sim", "neighbor_id"], ascending=[True, False, True])
-    df["rnk"] = df.groupby("query_id").cumcount() + 1
-    df = df[df["rnk"] <= k][["query_id", "rnk", "neighbor_id"]].reset_index(drop=True)
-    tbl = pa.Table.from_pandas(df, preserve_index=False).cast(
-        pa.schema(
-            [("query_id", pa.int64()), ("rnk", pa.int64()), ("neighbor_id", pa.int64())]
-        )
+    tbl = top_rows(
+        tbl.filter(pc.greater_equal(tbl.column("query_id"), 0)),
+        ["sim", "neighbor_id"], [False, True], k, by=("query_id",), cols=("neighbor_id",),
     )
     return (tbl, stats) if return_stats else tbl
+
+
+def scored_topk(ds, queries, k: int, score) -> pa.Table:
+    """Exact top-k (query_id, rnk, neighbor_id) per query, self excluded,
+    ranked (score desc, id asc): ``queries`` is a tuple whose first item
+    is the query ids, broadcast once via ``ray.put``; ``score(batch,
+    queries) -> (ids, sims)`` is each batch's (rows x queries) score
+    matrix over its rows ``ids`` (-inf: not a candidate), and only the
+    batch's local top-k per query (ties at the k-th score kept) leaves
+    the task."""
+    import ray
+
+    ref = ray.put(queries)
+
+    def _cand(batch: pa.Table) -> pa.Table:
+        q = ray.get(ref)
+        ids, sims = score(batch, q)
+        return _emit_candidates(q[0], ids, sims, k)
+
+    return _finish_topk(ds.map_batches(_cand, batch_format="pyarrow"), k)
+
+
+def _ids(batch: pa.Table) -> np.ndarray:
+    return batch.column("vec_id").to_numpy()
+
+
+def _cosine(batch: pa.Table, q) -> tuple:
+    """Plain float64 cosine of every row against the (q_ids, q_mat,
+    q_norms, ...) queries."""
+    _q_ids, q_mat, q_norm = q[:3]
+    emb = _emb_matrix(batch)
+    norms = np.linalg.norm(emb, axis=1)
+    return _ids(batch), (emb @ q_mat.T) / (norms[:, None] * q_norm[None, :])
 
 
 def quantize_sq8(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -140,36 +158,23 @@ def quantize_sq8(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
     return q, lo, scale
 
 
-def _topk_candidates_sq8(batch: pa.Table, q_ref, k: int, id_col: str = "vec_id") -> pa.Table:
+def _sq8_cosine(batch: pa.Table, q) -> tuple:
     """Quantize the block to int8 (per-block scale = the per-segment
     ScalarQuantizedVectorsFormat shape), then score cosine against the
     DEQUANTIZED vectors — the quantization error is what the recall gate
     in sq8_topk measures."""
-    import ray
-
-    q_ids, q_mat, q_norm = ray.get(q_ref) if not isinstance(q_ref, tuple) else q_ref
-    emb = _emb_matrix(batch)
-    qv, lo, scale = quantize_sq8(emb)
+    _q_ids, q_mat, q_norm = q
+    qv, lo, scale = quantize_sq8(_emb_matrix(batch))
     deq = lo + qv.astype(np.float64) * scale
-    ids = batch.column(id_col).to_numpy()
     norms = np.linalg.norm(deq, axis=1)
-    sims = (deq @ q_mat.T) / (np.maximum(norms, 1e-12)[:, None] * q_norm[None, :])
-    return _emit_candidates(q_ids, ids, sims, k)
+    return _ids(batch), (deq @ q_mat.T) / (np.maximum(norms, 1e-12)[:, None] * q_norm[None, :])
 
 
 def sq8_topk(ds, queries, k: int = 10) -> pa.Table:
     """int8-scalar-quantized cosine top-k (query_id, rnk, neighbor_id) —
     approximate: ranks come from the dequantized vectors, so they can
     differ from exact within the quantization error."""
-    import ray
-
-    q_ref = ray.put(queries)
-    cands = ds.map_batches(
-        _topk_candidates_sq8,
-        batch_format="pyarrow",
-        fn_kwargs={"q_ref": q_ref, "k": k},
-    )
-    return _finish_topk(cands, k)
+    return scored_topk(ds, queries, k, _sq8_cosine)
 
 
 def lsh_topk(
@@ -189,8 +194,6 @@ def lsh_topk(
     only co-bucketed rows are read; here the same candidate set is
     computed by masking inside each batch (no shuffle needed when the
     query side is small and broadcast)."""
-    import ray
-
     q_ids, q_mat, q_norm = queries
     nbits = bands * band_bits
     first = ds.limit(1).take_all()
@@ -210,25 +213,22 @@ def lsh_topk(
             axis=1,
         )  # (n, bands)
 
-    ctx = ray.put((q_ids, q_mat, q_norm, _keys(q_mat)))
-
-    def _cand(batch: pa.Table) -> pa.Table:
-        qi, qm, qn, qkeys = ray.get(ctx)
+    def _score(batch: pa.Table, q) -> tuple:
+        _qi, qm, qn, qkeys = q
         emb = _emb_matrix(batch)
-        ids = batch.column("vec_id").to_numpy()
+        ids = _ids(batch)
         keys = _keys(emb)  # (n, bands)
         norms = np.linalg.norm(emb, axis=1)
-        sims = np.full((len(ids), len(qi)), -np.inf)
-        for j in range(len(qi)):
+        sims = np.full((len(ids), len(qn)), -np.inf)
+        for j in range(len(qn)):
             cand = (keys == qkeys[j][None, :]).any(axis=1)
             if cand.any():
                 sims[cand, j] = (emb[cand] @ qm[j]) / (
                     np.maximum(norms[cand], 1e-12) * qn[j]
                 )
-        return _emit_candidates(qi, ids, sims, k)
+        return ids, sims
 
-    cands = ds.map_batches(_cand, batch_format="pyarrow")
-    return _finish_topk(cands, k)
+    return scored_topk(ds, (q_ids, q_mat, q_norm, _keys(q_mat)), k, _score)
 
 
 def radius_matches(ds, queries, tau: float) -> pa.Table:
@@ -242,41 +242,30 @@ def radius_matches(ds, queries, tau: float) -> pa.Table:
     matches; self excluded."""
     import ray
 
-    q_ids, q_mat, q_norm = queries
-    q_ref = ray.put((q_ids, q_mat, q_norm))
+    from .util import gather, top_rows
+
+    q_ref = ray.put(queries)
 
     def _cand(batch: pa.Table) -> pa.Table:
         qi, qm, qn = ray.get(q_ref)
         emb = _emb_matrix(batch)
-        ids = batch.column("vec_id").to_numpy()
+        ids = _ids(batch)
         norms = np.linalg.norm(emb, axis=1)
         sims = (emb @ qm.T) / (np.maximum(norms, 1e-12)[:, None] * qn[None, :])
-        out_q, out_id, out_s = [], [], []
-        for j in range(len(qi)):
-            hit = (sims[:, j] >= tau) & (ids != qi[j])
-            out_q.extend([int(qi[j])] * int(hit.sum()))
-            out_id.extend(ids[hit].tolist())
-            out_s.extend(sims[hit, j].tolist())
+        hit = (sims >= tau) & (ids[:, None] != qi[None, :])
+        rows, cols = np.nonzero(hit.T)  # query-major, as the rows emit
         return pa.table(
             {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_id, pa.int64()),
-                "sim": pa.array(out_s, pa.float64()),
+                "query_id": pa.array(qi[rows], pa.int64()),
+                "neighbor_id": pa.array(ids[cols], pa.int64()),
+                "sim": pa.array(sims[cols, rows], pa.float64()),
             }
         )
 
-    df = ds.map_batches(_cand, batch_format="pyarrow").to_pandas()
     # threshold-bounded: a few rows per query by construction
-    df = df.sort_values(["query_id", "sim", "neighbor_id"],
-                        ascending=[True, False, True])
-    df["rnk"] = df.groupby("query_id").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["query_id", "rnk", "neighbor_id"]].reset_index(drop=True),
-        preserve_index=False,
-    ).cast(
-        pa.schema(
-            [("query_id", pa.int64()), ("rnk", pa.int64()), ("neighbor_id", pa.int64())]
-        )
+    cands = gather(ds.map_batches(_cand, batch_format="pyarrow"), _CANDIDATES)
+    return top_rows(
+        cands, ["sim", "neighbor_id"], [False, True], by=("query_id",), cols=("neighbor_id",)
     )
 
 
@@ -285,13 +274,7 @@ def brute_topk(ds, queries, k: int = 10) -> pa.Table:
 
     ``queries`` is the (q_ids, q_mat, q_norms) triple from ``load_queries``.
     """
-    import ray
-
-    q_ref = ray.put(queries)
-    cands = ds.map_batches(
-        _topk_candidates, batch_format="pyarrow", fn_kwargs={"q_ref": q_ref, "k": k}
-    )
-    return _finish_topk(cands, k)
+    return scored_topk(ds, queries, k, _cosine)
 
 
 def _stats_row(scanned: int, total: int) -> pa.Table:
@@ -777,29 +760,25 @@ def pq_topk(codes_ds, queries, codebooks: np.ndarray, k: int = 10) -> pa.Table:
     a float vector.  ``queries`` is the load_queries triple.  Approximate
     by construction (quantization error); recall vs brute cosine is pinned
     in tests."""
-    import ray
-
     m, k_codes, sub = codebooks.shape
     q_ids, q_mat, _q_norms = queries
     qm = np.asarray(q_mat, dtype=np.float64)
     qm /= np.maximum(np.linalg.norm(qm, axis=1, keepdims=True), 1e-30)
     # tables[q, s, c] = <q_sub_s, codeword_c_s>
     tables = np.einsum("qsd,scd->qsc", qm.reshape(len(qm), m, sub), codebooks)
-    t_ref = ray.put((np.asarray(q_ids), tables))
 
-    def _scan(batch: pa.Table) -> pa.Table:
-        qi, t = ray.get(t_ref)
-        ids = batch.column("vec_id").to_numpy()
+    def _scan(batch: pa.Table, q) -> tuple:
+        _qi, t = q
+        ids = _ids(batch)
         flat = np.asarray(batch.column("codes").combine_chunks().values)
         codes = flat.reshape(len(ids), m).astype(np.int64)
         # sims[i, q] = sum_s t[q, s, codes[i, s]]
         sims = np.zeros((len(ids), t.shape[0]))
         for s in range(m):
             sims += t[:, s, :][:, codes[:, s]].T
-        return _emit_candidates(qi, ids, sims, k)
+        return ids, sims
 
-    cands = codes_ds.map_batches(_scan, batch_format="pyarrow")
-    return _finish_topk(cands, k)
+    return scored_topk(codes_ds, (np.asarray(q_ids), tables), k, _scan)
 
 
 def pq_topk_rerank(
@@ -810,29 +789,21 @@ def pq_topk_rerank(
     query, then ONE pass over the raw vectors rescores only nominated ids
     with exact cosine — at scale the rescore is an id-filtered fetch of
     shortlist*queries rows, not a second full scan of floats."""
-    import ray
-
     short = pq_topk(codes_ds, queries, codebooks, k=shortlist).to_pandas()
     by_q = {
         int(q): set(g["neighbor_id"].tolist()) for q, g in short.groupby("query_id")
     }
     q_ids, q_mat, q_norms = queries
-    s_ref = ray.put((by_q, np.asarray(q_ids), q_mat, q_norms))
 
-    def _rescore(batch: pa.Table) -> pa.Table:
-        bq, qi, qm, qn = ray.get(s_ref)
-        emb = _emb_matrix(batch)
-        ids = batch.column("vec_id").to_numpy()
-        norms = np.linalg.norm(emb, axis=1)
-        sims = (emb @ qm.T) / (norms[:, None] * qn[None, :])
+    def _rescore(batch: pa.Table, q) -> tuple:
+        ids, sims = _cosine(batch, q)
         # mask out ids not nominated for that query
-        for j, q in enumerate(qi):
-            keep = np.isin(ids, list(bq.get(int(q), ())))
+        for j, qid in enumerate(q[0]):
+            keep = np.isin(ids, list(q[3].get(int(qid), ())))
             sims[~keep, j] = -np.inf
-        return _emit_candidates(qi, ids, sims, k)
+        return ids, sims
 
-    cands = ds.map_batches(_rescore, batch_format="pyarrow")
-    return _finish_topk(cands, k)
+    return scored_topk(ds, (np.asarray(q_ids), q_mat, q_norms, by_q), k, _rescore)
 
 
 # --- IVF-PQ (IVFADC): coarse cells + residual PQ codes, persisted ----------
@@ -1061,19 +1032,13 @@ def late_interaction_topk(
     the IVF/HNSW nominate-then-rescore shape (late interaction is the
     reference's LateInteractionRescorer seam); here it is the exact
     baseline arm."""
-    import ray
-
     q_ids, q_mat, _ = queries
-    q3 = multi_vectors(q_mat, n_tok)
-    q_ref = ray.put((np.asarray(q_ids), q3))
 
-    def _cand(batch: pa.Table) -> pa.Table:
-        qi, qm = ray.get(q_ref)
-        ids = batch.column("vec_id").to_numpy()
-        d3 = multi_vectors(_emb_matrix(batch), qm.shape[1])
-        return _emit_candidates(qi, ids, late_scores(d3, qm), k)
+    def _score(batch: pa.Table, q) -> tuple:
+        d3 = multi_vectors(_emb_matrix(batch), q[1].shape[1])
+        return _ids(batch), late_scores(d3, q[1])
 
-    return _finish_topk(ds.map_batches(_cand, batch_format="pyarrow"), k)
+    return scored_topk(ds, (np.asarray(q_ids), multi_vectors(q_mat, n_tok)), k, _score)
 
 
 def late_rescored_topk(
@@ -1088,38 +1053,26 @@ def late_rescored_topk(
     nominate-then-rescore shape that makes late interaction affordable at
     100 TB (full MaxSim touches n_tok^2 times the FLOPs of the first
     pass)."""
-    import ray
-
     q_ids, q_mat, _ = queries
-    first = _finish_topk(
-        ds.map_batches(
-            _topk_candidates,
-            batch_format="pyarrow",
-            fn_kwargs={"q_ref": ray.put(queries), "k": first_n},
-        ),
-        first_n,
-    )
+    first = scored_topk(ds, queries, first_n, _cosine)
     nom: dict[int, list[int]] = {int(q): [] for q in q_ids}
     for r in first.to_pylist():  # bounded: first_n * |queries| rows
         nom[int(r["query_id"])].append(int(r["neighbor_id"]))
     noms = {q: np.array(sorted(v), dtype=np.int64) for q, v in nom.items()}
-    q3 = multi_vectors(q_mat, n_tok)
-    ref = ray.put((np.asarray(q_ids), q3, noms))
 
-    def _cand(batch: pa.Table) -> pa.Table:
-        qi, qm, nm = ray.get(ref)
-        ids = batch.column("vec_id").to_numpy()
+    def _score(batch: pa.Table, q) -> tuple:
+        qi, qm, nm = q
+        ids = _ids(batch)
         any_mask = np.isin(ids, np.concatenate(list(nm.values())))
         if not any_mask.any():
-            return _emit_candidates(qi, ids[:0], np.zeros((0, len(qi))), k)
+            return ids[:0], np.zeros((0, len(qi)))
         sub_ids = ids[any_mask]
-        d3 = multi_vectors(_emb_matrix(batch)[any_mask], qm.shape[1])
-        sims = late_scores(d3, qm)
-        for j, q in enumerate(qi):
-            sims[~np.isin(sub_ids, nm[int(q)]), j] = -np.inf
-        return _emit_candidates(qi, sub_ids, sims, k)
+        sims = late_scores(multi_vectors(_emb_matrix(batch)[any_mask], qm.shape[1]), qm)
+        for j, qid in enumerate(qi):
+            sims[~np.isin(sub_ids, nm[int(qid)]), j] = -np.inf
+        return sub_ids, sims
 
-    return _finish_topk(ds.map_batches(_cand, batch_format="pyarrow"), k)
+    return scored_topk(ds, (np.asarray(q_ids), multi_vectors(q_mat, n_tok), noms), k, _score)
 
 
 def quantize_fixed_i8(mat: np.ndarray) -> np.ndarray:
@@ -1132,15 +1085,10 @@ def quantize_fixed_i8(mat: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(mat * 127.0 + 0.5), -127, 127).astype(np.int64)
 
 
-def _byte_dot_candidates(batch: pa.Table, q_ref, k: int, id_col: str = "vec_id") -> pa.Table:
-    import ray
-
-    q_ids, q_mat, _ = ray.get(q_ref) if not isinstance(q_ref, tuple) else q_ref
-    eb = quantize_fixed_i8(_emb_matrix(batch))
-    ids = batch.column(id_col).to_numpy()
+def _byte_dot(batch: pa.Table, q) -> tuple:
     # integer dots are exact in float64 (|dot| <= dims * 127^2)
-    dots = (eb @ quantize_fixed_i8(q_mat).T).astype(np.float64)
-    return _emit_candidates(q_ids, ids, dots, k)
+    eb = quantize_fixed_i8(_emb_matrix(batch))
+    return _ids(batch), (eb @ quantize_fixed_i8(q[1]).T).astype(np.float64)
 
 
 def byte_dot_topk(ds, queries, k: int = 10) -> pa.Table:
@@ -1151,24 +1099,11 @@ def byte_dot_topk(ds, queries, k: int = 10) -> pa.Table:
     dot product, so ranking on the exact int dot gives the reference
     order with no float in the compare path at all.  Vectors quantize
     via quantize_fixed_i8; self excluded; (query_id, rnk, neighbor_id)."""
-    import ray
-
-    q_ref = ray.put(queries)
-    cands = ds.map_batches(
-        _byte_dot_candidates,
-        batch_format="pyarrow",
-        fn_kwargs={"q_ref": q_ref, "k": k},
-    )
-    return _finish_topk(cands, k)
+    return scored_topk(ds, queries, k, _byte_dot)
 
 
-def _mip_candidates(batch: pa.Table, q_ref, k: int, id_col: str = "vec_id") -> pa.Table:
-    import ray
-
-    q_ids, q_mat, _ = ray.get(q_ref) if not isinstance(q_ref, tuple) else q_ref
-    emb = _emb_matrix(batch)
-    ids = batch.column(id_col).to_numpy()
-    return _emit_candidates(q_ids, ids, emb @ q_mat.T, k)
+def _inner_product(batch: pa.Table, q) -> tuple:
+    return _ids(batch), _emb_matrix(batch) @ q[1].T
 
 
 def mip_topk(ds, queries, k: int = 10) -> pa.Table:
@@ -1177,39 +1112,23 @@ def mip_topk(ds, queries, k: int = 10) -> pa.Table:
     : dot+1 — strictly monotone in the dot, so ranking on the raw f64
     inner product gives the reference order; no unit-norm requirement,
     unlike DOT_PRODUCT).  Self excluded; (query_id, rnk, neighbor_id)."""
-    import ray
-
-    q_ref = ray.put(queries)
-    cands = ds.map_batches(
-        _mip_candidates, batch_format="pyarrow", fn_kwargs={"q_ref": q_ref, "k": k}
-    )
-    return _finish_topk(cands, k)
+    return scored_topk(ds, queries, k, _inner_product)
 
 
-def _l2_candidates(batch: pa.Table, q_ref, k: int, id_col: str = "vec_id") -> pa.Table:
-    import ray
-
-    q_ids, q_mat, _ = ray.get(q_ref) if not isinstance(q_ref, tuple) else q_ref
-    emb = _emb_matrix(batch)
-    ids = batch.column(id_col).to_numpy()
+def _neg_sq_l2(batch: pa.Table, q) -> tuple:
     # rank by NEGATIVE squared L2 (EUCLIDEAN score 1/(1+d^2) is monotone
     # decreasing in it); expanded form mirrors list_distance's sum
+    emb, q_mat = _emb_matrix(batch), q[1]
     d2 = (
         (emb * emb).sum(axis=1)[:, None]
         + (q_mat * q_mat).sum(axis=1)[None, :]
         - 2.0 * (emb @ q_mat.T)
     )
-    return _emit_candidates(q_ids, ids, -d2, k)
+    return _ids(batch), -d2
 
 
 def euclidean_topk(ds, queries, k: int = 10) -> pa.Table:
     """EUCLIDEAN top-k (VectorSimilarityFunction.java EUCLIDEAN: score =
     1/(1 + squareDistance) — monotone decreasing in the squared L2, so
     ranking ascends the distance).  Self excluded."""
-    import ray
-
-    q_ref = ray.put(queries)
-    cands = ds.map_batches(
-        _l2_candidates, batch_format="pyarrow", fn_kwargs={"q_ref": q_ref, "k": k}
-    )
-    return _finish_topk(cands, k)
+    return scored_topk(ds, queries, k, _neg_sq_l2)

@@ -583,6 +583,10 @@ def components_from_pairs(pairs, max_rounds: int = 32):
         )
 
     edges = pairs.map_batches(both_dirs, batch_format="pyarrow").materialize()
+    # a shuffle cuts one partition per input block, so the labels of a
+    # round would hold the blocks of the previous labels plus the edges;
+    # repartitioning keeps them at the edges' block count every round
+    n_blocks = edges.num_blocks()
 
     def init_labels(batch: pa.Table) -> pa.Table:
         nodes = batch.column("key").to_numpy()
@@ -625,6 +629,7 @@ def components_from_pairs(pairs, max_rounds: int = 32):
                 ),
                 batch_format="pyarrow",
             )
+            .repartition(n_blocks)
             .materialize()
         )
         new_sum = new_labels.aggregate(Sum("label"))["sum(label)"]

@@ -139,3 +139,28 @@ def strip_schema_metadata(batch):
     if batch.schema.metadata:
         return batch.replace_schema_metadata(None)
     return batch
+
+
+def rank_rows(df, by, order=(), ascending=(), k=None, rnk="rnk"):
+    """``df`` (pandas) sorted by (*by, *order), with a 1-based ``rnk``
+    column counting the rows of each ``by`` group in that order; only the
+    first ``k`` rows of each group when ``k`` is given."""
+    by, order = list(by), list(order)
+    df = df.sort_values(by + order, ascending=[True] * len(by) + list(ascending))
+    df[rnk] = df.groupby(by).cumcount() + 1
+    return df if k is None else df[df[rnk] <= k]
+
+
+def top_rows(parts, order, ascending, k=None, by=("qid",), cols=("doc_id",)):
+    """Final merge of gathered partial rows (an Arrow table): per ``by``
+    group, the first ``k`` rows (all rows when None) by ``order`` as
+    (*by, rnk, *cols), rnk counting from 1."""
+    import pyarrow as pa
+
+    df = rank_rows(parts.to_pandas(), by, order, ascending, k)
+    schema = pa.schema(
+        [parts.schema.field(c) for c in by]
+        + [pa.field("rnk", pa.int64())]
+        + [parts.schema.field(c) for c in cols]
+    )
+    return pa.Table.from_pandas(df[schema.names], schema=schema, preserve_index=False)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -42,7 +43,7 @@ import pyarrow.compute as pc
 from ..index import manifest as mf
 from ..index.build import build_index
 from ..index.postings import decode_term
-from ..ops.util import gather, read_parquet
+from ..ops.util import gather, rank_rows, read_parquet, top_rows
 from ..search.query import TermQuery, bool_query
 from ..search.searcher import IndexSearcher, open_segment
 from ..smallfloat import LENGTH_TABLE
@@ -77,6 +78,15 @@ BOOL_COUNTS = [
 INDEX_LAYOUT_V = 4
 
 
+def _sf_slug(sf_dir: str) -> str:
+    """``<sf basename>-<sha256(realpath | layout version)[:12]>``: the name
+    every index and derived corpus of ``sf_dir`` starts with."""
+    digest = hashlib.sha256(
+        (os.path.realpath(sf_dir) + f"|v{INDEX_LAYOUT_V}").encode()
+    ).hexdigest()[:12]
+    return f"{os.path.basename(sf_dir.rstrip('/'))}-{digest}"
+
+
 def index_dir_for(
     sf_dir: str,
     docs_per_segment: int = DOCS_PER_SEGMENT,
@@ -85,9 +95,6 @@ def index_dir_for(
     index_sort: tuple[str, str] | None = None,
     term_vectors: bool = False,
 ) -> str:
-    slug = hashlib.sha256(
-        (os.path.realpath(sf_dir) + f"|v{INDEX_LAYOUT_V}").encode()
-    ).hexdigest()[:12]
     suffix = "" if index_options == "docs_freqs" else f"-{index_options}"
     if analyzer != "standard":
         suffix += f"-{analyzer}"
@@ -99,10 +106,7 @@ def index_dir_for(
     # index build/read goes through the store Directory seam, so the whole
     # oracle suite can run with its indexes on shared storage
     base = os.environ.get("LUCENE_RAY_INDEX_ROOT", "/tmp/lucene_ray_idx")
-    return os.path.join(
-        base,
-        f"{os.path.basename(sf_dir.rstrip('/'))}-{slug}-d{docs_per_segment}{suffix}",
-    )
+    return os.path.join(base, f"{_sf_slug(sf_dir)}-d{docs_per_segment}{suffix}")
 
 
 def ensure_index(
@@ -196,28 +200,6 @@ def _keyed_concat(col: str, arms, col_type=pa.string()) -> pa.Table:
     )
 
 
-def _top_rows(
-    parts: pa.Table,
-    order: list[str],
-    ascending: list[bool],
-    k: int,
-    by=("qid",),
-    cols=("doc_id",),
-) -> pa.Table:
-    """Final merge of gathered per-segment partial top-k rows: per ``by``
-    group, the first k rows by ``order`` as (*by, rnk, *cols)."""
-    by = list(by)
-    df = parts.to_pandas().sort_values(by + order, ascending=[True] * len(by) + ascending)
-    df = df.groupby(by, sort=True).head(k).copy()
-    df["rnk"] = df.groupby(by).cumcount() + 1
-    schema = pa.schema(
-        [parts.schema.field(c) for c in by]
-        + [pa.field("rnk", pa.int64())]
-        + [parts.schema.field(c) for c in cols]
-    )
-    return pa.Table.from_pandas(df[schema.names], schema=schema, preserve_index=False)
-
-
 def _schema(**cols) -> pa.Schema:
     return pa.schema(list(cols.items()))
 
@@ -262,6 +244,15 @@ def _live_docs(reader, term: str) -> np.ndarray:
     return docs if reader.live is None else docs[reader.live[docs]]
 
 
+def _term_matches(reader, terms=QUERY_TERMS):
+    """(qid, live local docids) for each of ``terms`` that matches in the
+    segment — the per-term partial loop of the facet and stats kernels."""
+    for qid, t in enumerate(terms):
+        docs = _live_docs(reader, t)
+        if len(docs):
+            yield qid, docs
+
+
 # --- term-level dumps (Ray pipelines over the segment list) ---------------
 
 TERM_STATS_SCHEMA = pa.schema(
@@ -297,71 +288,30 @@ def term_stats_all(sf_dir: str, analyzer: str = "standard"):
     return _term_stats_ds(ensure_index(sf_dir, analyzer=analyzer))
 
 
-def _path_values(ids, sources, langs):
-    return [
-        f"{sv}/{lv}/b{iv % 10}/doc_{iv}.txt"
-        for iv, sv, lv in zip(ids, sources, langs)
-    ]
-
-
-def ensure_path_corpus(sf_dir: str) -> str:
-    """(doc_id, path): a deterministic SQL-reproducible hierarchy
-    ``source/lang/b<doc_id%10>/doc_<doc_id>.txt`` — the input for the
-    PathHierarchyTokenizer analyzer arms (a path facet over a code corpus
-    is the tokenizer's reference use case)."""
-    return _ensure_derived_corpus(sf_dir, "paths", "path", _path_values)
-
-
-def _ensure_derived_corpus(sf_dir: str, tag: str, column: str, make_values) -> str:
-    """Distributed derived-corpus builder shared by the analyzer-arm
-    fixtures: one task per documents.parquet row group writes its own
-    ordinal part file with (doc_id, <column>) where ``make_values(
-    doc_ids, sources, langs) -> list[str]`` — derivations use only
-    SQL-visible columns so oracles can reproduce the text by
-    construction."""
-    import pyarrow.parquet as pq
-
-    slug = hashlib.sha256(
-        (os.path.realpath(sf_dir) + f"|v{INDEX_LAYOUT_V}").encode()
-    ).hexdigest()[:12]
-    out_dir = os.path.join(
-        "/tmp", "lucene_ray_idx",
-        f"{os.path.basename(sf_dir.rstrip('/'))}-{slug}-{tag}-src",
-    )
+def _derived_corpus(sf_dir: str, tag: str, parts: dict, write_part) -> str:
+    """A derived corpus of ``sf_dir``: parquet part files under
+    /tmp/lucene_ray_idx/<slug>-<tag>-src.  Derived corpora are LOCAL
+    inputs (not index artifacts), so they stay under /tmp even when
+    LUCENE_RAY_INDEX_ROOT points at shared storage.  One Ray task per
+    ``parts`` item ``name: key`` runs ``write_part(key, path)`` into a
+    temporary path and renames it to ``part-<name>.parquet`` (distributed,
+    streaming, no driver-side corpus); ``_DONE`` marks a complete corpus,
+    which is reused as it is."""
+    out_dir = os.path.join("/tmp", "lucene_ray_idx", f"{_sf_slug(sf_dir)}-{tag}-src")
     done = os.path.join(out_dir, "_DONE")
     if not os.path.exists(done):
         import ray.data as rd
 
         os.makedirs(out_dir, exist_ok=True)
-        src_path = os.path.join(sf_dir, "documents.parquet")
-        md = pq.ParquetFile(src_path).metadata
-        descs = [{"path": src_path, "row_group": rg} for rg in range(md.num_row_groups)]
 
         def _derive(batch: pa.Table) -> pa.Table:
-            rows = []
-            for d in batch.to_pylist():
-                tbl = pq.ParquetFile(d["path"]).read_row_group(
-                    d["row_group"], columns=["doc_id", "lang", "source"]
-                )
-                vals = make_values(
-                    tbl.column("doc_id").to_numpy().tolist(),
-                    tbl.column("source").to_pylist(),
-                    tbl.column("lang").to_pylist(),
-                )
-                out = pa.table(
-                    {
-                        "doc_id": tbl.column("doc_id"),
-                        column: pa.array(vals, pa.string()),
-                    }
-                )
-                part = os.path.join(out_dir, f"part-{d['row_group']:06d}.parquet")
-                tmp_p = part + ".tmp"
-                pq.write_table(out, tmp_p, row_group_size=2000)
-                os.replace(tmp_p, part)
-                rows.append({"row_group": d["row_group"]})
-            return pa.Table.from_pylist(rows)
+            for name, key in zip(batch.column("name").to_pylist(), batch.column("key").to_pylist()):
+                part = os.path.join(out_dir, f"part-{name}.parquet")
+                write_part(key, part + ".tmp")
+                os.replace(part + ".tmp", part)
+            return batch
 
-        rd.from_items(descs).map_batches(
+        rd.from_items([{"name": n, "key": k} for n, k in parts.items()]).map_batches(
             _derive, batch_size=1, batch_format="pyarrow", num_cpus=1
         ).materialize()
         with open(done, "w") as f:
@@ -369,26 +319,37 @@ def _ensure_derived_corpus(sf_dir: str, tag: str, column: str, make_values) -> s
     return out_dir
 
 
-def _derived_term_stats(sf_dir: str, src: str, tag: str, analyzer, column: str):
-    """Build (once) + term-stats over a derived-corpus index."""
-    idx = index_dir_for(sf_dir, analyzer=tag)
-    if mf.latest_generation(idx) is None:
-        build_index(
-            sorted(
-                os.path.join(src, f)
-                for f in os.listdir(src)
-                if f.endswith(".parquet")
-            ),
-            idx,
-            analyzer=analyzer,
-            docs_per_segment=DOCS_PER_SEGMENT,
-            content_column=column,
-            meta_columns=("doc_id",),
-        )
-    return _term_stats_ds(idx)
+def _row_group_corpus(sf_dir: str, tag: str, derive, row_group_size: int, columns=None) -> str:
+    """A derived corpus with one part per documents.parquet row group,
+    ``derive(row group table) -> pa.Table`` (ordinal part names keep docid
+    order == input row order)."""
+    import pyarrow.parquet as pq
+
+    src = os.path.join(sf_dir, "documents.parquet")
+
+    def _write(rg: int, path: str) -> None:
+        tbl = pq.ParquetFile(src).read_row_group(rg, columns=columns)
+        pq.write_table(derive(tbl), path, row_group_size=row_group_size)
+
+    n = pq.ParquetFile(src).metadata.num_row_groups
+    return _derived_corpus(sf_dir, tag, {f"{rg:06d}": rg for rg in range(n)}, _write)
+
+
+def _path_values(ids, sources, langs):
+    """A deterministic SQL-reproducible hierarchy
+    ``source/lang/b<doc_id%10>/doc_<doc_id>.txt`` — the input for the
+    PathHierarchyTokenizer analyzer arms (a path facet over a code corpus
+    is the tokenizer's reference use case)."""
+    return [
+        f"{sv}/{lv}/b{iv % 10}/doc_{iv}.txt"
+        for iv, sv, lv in zip(ids, sources, langs)
+    ]
 
 
 def _contact_values(ids, sources, langs):
+    """A line with a URL, an email, an apostrophe possessive, an acronym,
+    a company name, a version number and a date — the grammar surface
+    ClassicTokenizer and UAX29URLEmailTokenizer exist for."""
     return [
         f"Visit https://{sv}.io/{lv}/doc{iv} or email "
         f"user_{iv}@{sv}.example.com re O'Brien's U.S.A. AT&T "
@@ -397,40 +358,22 @@ def _contact_values(ids, sources, langs):
     ]
 
 
-def ensure_contact_corpus(sf_dir: str) -> str:
-    """(doc_id, contact): a line with a URL, an email, an apostrophe
-    possessive, an acronym, a company name, a version number and a date
-    — the grammar surface ClassicTokenizer and UAX29URLEmailTokenizer
-    exist for."""
-    return _ensure_derived_corpus(sf_dir, "contact", "contact", _contact_values)
-
-
-def contact_term_stats(sf_dir: str, analyzer: str):
-    """(term, doc_freq, total_term_freq) of a classic / uax29_url_email
-    index over the derived contact corpus."""
-    src = ensure_contact_corpus(sf_dir)
-    return _derived_term_stats(
-        sf_dir, src, f"contact-{analyzer}", analyzer, "contact"
-    )
-
-
 # digit -> Han numeral map shared with the oracle's translate() call
 HAN_DIGITS = "零一二三四五六七八九"
 
 
 def _cjk_values(ids, sources, langs):
+    """Han numerals (doc_id digits) form one bigram run and the kana pair
+    another."""
     tr = str.maketrans("0123456789", HAN_DIGITS)
     return [
         f"cjk {str(iv).translate(tr)} mid かな end" for iv in ids
     ]
 
 
-def cjk_term_stats(sf_dir: str):
-    """(term, doc_freq, total_term_freq) of the cjk_bigram index over a
-    derived line whose Han numerals (doc_id digits) form one bigram run
-    and whose kana pair forms another."""
-    src = _ensure_derived_corpus(sf_dir, "cjk", "cjk", _cjk_values)
-    return _derived_term_stats(sf_dir, src, "cjk-bigram", "cjk_bigram", "cjk")
+def _template_values(templates, ids, sources, langs):
+    """doc_id % len(templates) picks one fixed sentence per doc."""
+    return [templates[iv % len(templates)] for iv in ids]
 
 
 # Japanese lattice-tokenizer fixture: doc_id % 10 picks one of ten fixed
@@ -465,24 +408,9 @@ JA_GOLDENS = [
 ]
 
 
-def _ja_values(ids, sources, langs):
-    return [JA_TEMPLATES[iv % len(JA_TEMPLATES)] for iv in ids]
-
-
-def ja_term_stats(sf_dir: str):
-    """(term, doc_freq, total_term_freq) of the kuromoji-style Japanese
-    analyzer (SEARCH-mode Viterbi lattice, analysis/japanese.py) over the
-    ten-sentence derived corpus."""
-    src = _ensure_derived_corpus(sf_dir, "ja", "ja", _ja_values)
-    return _derived_term_stats(sf_dir, src, "ja", "japanese", "ja")
-
-
-def ja_goldens_sql_values() -> str:
-    """The pinned per-template (t, term, tf) rows as a SQL VALUES body."""
-    return _goldens_sql_values(JA_GOLDENS)
-
-
-def _goldens_sql_values(goldens: list[list[str]]) -> str:
+def goldens_sql_values(goldens: list[list[str]]) -> str:
+    """Pinned per-template goldens as the (t, term, tf) rows of a SQL
+    VALUES body."""
     from collections import Counter
 
     rows = []
@@ -521,22 +449,6 @@ KO_GOLDENS = [
 ]
 
 
-def _ko_values(ids, sources, langs):
-    return [KO_TEMPLATES[iv % len(KO_TEMPLATES)] for iv in ids]
-
-
-def ko_term_stats(sf_dir: str):
-    """(term, doc_freq, total_term_freq) of the nori-style Korean analyzer
-    (lattice + DISCARD decompound, analysis/korean.py) over the
-    ten-sentence derived corpus."""
-    src = _ensure_derived_corpus(sf_dir, "ko", "ko", _ko_values)
-    return _derived_term_stats(sf_dir, src, "ko", "korean", "ko")
-
-
-def ko_goldens_sql_values() -> str:
-    return _goldens_sql_values(KO_GOLDENS)
-
-
 # ICU folding fixture (analysis/icu ICUFoldingFilter): ten phrases whose
 # folds exercise casefold (ß, İ, final sigma), accent strip (composed +
 # decomposed), native digits, stroked/ligature Latin, Arabic presentation
@@ -567,22 +479,6 @@ ICU_GOLDENS = [
 ]
 
 
-def _icu_values(ids, sources, langs):
-    return [ICU_TEMPLATES[iv % len(ICU_TEMPLATES)] for iv in ids]
-
-
-def icu_term_stats(sf_dir: str):
-    """(term, doc_freq, total_term_freq) of the ICU-folding analyzer
-    (StandardTokenizer -> utr30-style fold, analysis/icufold.py) over the
-    ten-phrase derived corpus."""
-    src = _ensure_derived_corpus(sf_dir, "icu", "icu", _icu_values)
-    return _derived_term_stats(sf_dir, src, "icu-folding", "icu_folding", "icu")
-
-
-def icu_goldens_sql_values() -> str:
-    return _goldens_sql_values(ICU_GOLDENS)
-
-
 # Chinese (smartcn-style) fixture: same VALUES-mapped-golden pattern.
 ZH_TEMPLATES = [
     "我是中国人。",
@@ -610,34 +506,56 @@ ZH_GOLDENS = [
 ]
 
 
-def _zh_values(ids, sources, langs):
-    return [ZH_TEMPLATES[iv % len(ZH_TEMPLATES)] for iv in ids]
+# analyzer arm -> (corpus tag, corpus column, values(ids, sources, langs),
+# index tag, analyzer): the derived-corpus term-stats fixtures
+DERIVED_ARMS = {
+    "path_hierarchy": (
+        "paths", "path", _path_values, "path-fwd", {"name": "path_hierarchy", "reverse": False},
+    ),
+    "path_hierarchy_reverse": (
+        "paths", "path", _path_values, "path-rev", {"name": "path_hierarchy", "reverse": True},
+    ),
+    "classic": ("contact", "contact", _contact_values, "contact-classic", "classic"),
+    "uax29_url_email": (
+        "contact", "contact", _contact_values, "contact-uax29_url_email", "uax29_url_email",
+    ),
+    "cjk_bigram": ("cjk", "cjk", _cjk_values, "cjk-bigram", "cjk_bigram"),
+    "ja": ("ja", "ja", partial(_template_values, JA_TEMPLATES), "ja", "japanese"),
+    "ko": ("ko", "ko", partial(_template_values, KO_TEMPLATES), "ko", "korean"),
+    "icu_folding": (
+        "icu", "icu", partial(_template_values, ICU_TEMPLATES), "icu-folding", "icu_folding",
+    ),
+    "zh": ("zh", "zh", partial(_template_values, ZH_TEMPLATES), "zh", "chinese"),
+}
 
 
-def zh_term_stats(sf_dir: str):
-    """(term, doc_freq, total_term_freq) of the smartcn-style Chinese
-    analyzer (lattice word segmentation, analysis/chinese.py) over the
-    ten-sentence derived corpus."""
-    src = _ensure_derived_corpus(sf_dir, "zh", "zh", _zh_values)
-    return _derived_term_stats(sf_dir, src, "zh", "chinese", "zh")
+def derived_term_stats(sf_dir: str, arm: str):
+    """(term, doc_freq, total_term_freq) of one DERIVED_ARMS analyzer arm:
+    the (doc_id, <column>) corpus derived from SQL-visible columns only
+    (so the oracle reproduces the text by construction), indexed once
+    with the arm's analyzer."""
+    tag, column, values, index_tag, analyzer = DERIVED_ARMS[arm]
 
+    def _derive(tbl: pa.Table) -> pa.Table:
+        vals = values(
+            tbl.column("doc_id").to_numpy().tolist(),
+            tbl.column("source").to_pylist(),
+            tbl.column("lang").to_pylist(),
+        )
+        return pa.table({"doc_id": tbl.column("doc_id"), column: pa.array(vals, pa.string())})
 
-def zh_goldens_sql_values() -> str:
-    return _goldens_sql_values(ZH_GOLDENS)
-
-
-def path_term_stats(sf_dir: str, reverse: bool = False):
-    """(term, doc_freq, total_term_freq) of the PathHierarchy index over
-    the derived path corpus — the forward arm gives path-prefix facet
-    counts, the reverse arm filename/extension suffix counts."""
-    src = ensure_path_corpus(sf_dir)
-    return _derived_term_stats(
-        sf_dir,
-        src,
-        "path-rev" if reverse else "path-fwd",
-        {"name": "path_hierarchy", "reverse": reverse},
-        "path",
-    )
+    src = _row_group_corpus(sf_dir, tag, _derive, 2000, ["doc_id", "lang", "source"])
+    idx = index_dir_for(sf_dir, analyzer=index_tag)
+    if mf.latest_generation(idx) is None:
+        build_index(
+            sorted(os.path.join(src, f) for f in os.listdir(src) if f.endswith(".parquet")),
+            idx,
+            analyzer=analyzer,
+            docs_per_segment=DOCS_PER_SEGMENT,
+            content_column=column,
+            meta_columns=("doc_id",),
+        )
+    return _term_stats_ds(idx)
 
 
 def _seg_postings(r, base: int, terms: list[str]) -> pa.Table:
@@ -922,7 +840,7 @@ def fuzzy_like_this_topk(sf_dir: str, k: int = FLT_K) -> pa.Table:
         final.extend((qid, v, s) for v, s in rows[:FLT_MAX_TERMS])
 
     parts = gather(segment_map(idx, _seg_flt_score, sel=final, k=k))
-    return _top_rows(parts, ["score", "doc_id"], [False, True], k).rename_columns(
+    return top_rows(parts, ["score", "doc_id"], [False, True], k).rename_columns(
         ["sid", "rnk", "doc_id"]
     )
 
@@ -1050,6 +968,10 @@ def bm25_disjunction_topk(sf_dir: str, k: int = 10, score_mode: str = "TOP_SCORE
 GROUP_FIELD = "source"
 N_GROUPS = 5
 K_IN_GROUP = 3
+GROUP_ROWS_SCHEMA = _schema(qid=pa.int64(), grp=pa.string(), doc_id=pa.int64(), score=pa.float64())
+GROUPED_SCHEMA = _schema(
+    qid=pa.int64(), grp_rnk=pa.int64(), grp=pa.string(), rnk=pa.int64(), doc_id=pa.int64()
+)
 GROUPED_QUERIES = [
     ("spark",),
     ("join",),
@@ -1147,21 +1069,15 @@ def group_all(sf_dir: str) -> tuple[pa.Table, pa.Table]:
         )
     ).to_pandas()
     agg_n = part.groupby(["qid", "grp"], sort=True)["n"].sum().reset_index()
-    agg_n["grp_rnk"] = agg_n.groupby("qid").cumcount() + 1
-    groups_tbl = agg_n.rename(columns={"n": "doc_id"})
-    groups_tbl["rnk"] = 0
-    heads = part.sort_values(
-        ["qid", "grp", "head_score", "head_doc"],
-        ascending=[True, True, False, True],
-    )
-    heads = heads.groupby(["qid", "grp"], sort=True).first().reset_index()
-    heads["grp_rnk"] = heads.groupby("qid").cumcount() + 1
-    heads_tbl = heads.rename(columns={"head_doc": "doc_id"})
-    heads_tbl["rnk"] = 0
+    heads = rank_rows(part, ["qid", "grp"], ["head_score", "head_doc"], [False, True], k=1)
     cols = ["qid", "grp_rnk", "grp", "rnk", "doc_id"]
-    return (
-        pa.Table.from_pandas(groups_tbl[cols].reset_index(drop=True), preserve_index=False),
-        pa.Table.from_pandas(heads_tbl[cols].reset_index(drop=True), preserve_index=False),
+    return tuple(
+        pa.Table.from_pandas(
+            rank_rows(t, ["qid"], ["grp"], [True], rnk="grp_rnk")
+            .rename(columns={key: "doc_id"}).assign(rnk=0)[cols].reset_index(drop=True),
+            preserve_index=False,
+        )
+        for t, key in ((agg_n, "n"), (heads, "head_doc"))
     )
 
 
@@ -1187,23 +1103,23 @@ def grouped_topk(sf_dir: str) -> pa.Table:
 
     part = gather(
         ds.groupby(["qid", "grp"]).map_groups(_reduce_group, batch_format="pandas"),
-        _schema(qid=pa.int64(), grp=pa.string(), doc_id=pa.int64(), score=pa.float64()),
+        GROUP_ROWS_SCHEMA,
     ).to_pandas()
-    # group heads: best (score desc, doc asc) row per (qid, grp)
-    part = part.sort_values(["qid", "grp", "score", "doc_id"],
-                            ascending=[True, True, False, True])
-    heads = part.groupby(["qid", "grp"], sort=False).first().reset_index()
-    heads = heads.sort_values(["qid", "score", "doc_id"],
-                              ascending=[True, False, True])
-    heads["grp_rnk"] = heads.groupby("qid").cumcount() + 1
-    heads = heads[heads["grp_rnk"] <= N_GROUPS][["qid", "grp", "grp_rnk"]]
-    out = part.merge(heads, on=["qid", "grp"], how="inner")
-    out["rnk"] = out.groupby(["qid", "grp"]).cumcount() + 1
-    out = out.sort_values(["qid", "grp_rnk", "rnk"])
-    return pa.Table.from_pandas(
-        out[["qid", "grp_rnk", "grp", "rnk", "doc_id"]].reset_index(drop=True),
-        preserve_index=False,
-    )
+    return _group_heads_topk(part)
+
+
+def _group_heads_topk(part: "pd.DataFrame") -> pa.Table:
+    """The grouping families' final ranking over complete per-group rows
+    (qid, grp, doc_id, score): groups ranked per qid by their head (best
+    row by score desc, doc_id asc), the top N_GROUPS groups kept with
+    their top K_IN_GROUP rows, as (qid, grp_rnk, grp, rnk, doc_id)."""
+    order, asc = ["score", "doc_id"], [False, True]
+    heads = rank_rows(part, ["qid", "grp"], order, asc, k=1)
+    heads = rank_rows(heads, ["qid"], order, asc, k=N_GROUPS, rnk="grp_rnk")
+    out = rank_rows(part, ["qid", "grp"], order, asc, k=K_IN_GROUP)
+    out = out.merge(heads[["qid", "grp", "grp_rnk"]], on=["qid", "grp"], how="inner")
+    out = out.sort_values(["qid", "grp_rnk", "rnk"])[["qid", "grp_rnk", "grp", "rnk", "doc_id"]]
+    return pa.Table.from_pandas(out, schema=GROUPED_SCHEMA, preserve_index=False)
 
 
 # highlighter (lucene/highlighter UnifiedHighlighter analogue): best
@@ -1395,7 +1311,7 @@ def join_topk(sf_dir: str, k: int = 10) -> pa.Table:
         )
 
     cand = gather(segment_map(idx, _seg_to_side))
-    return _top_rows(cand, ["score", "doc_id"], [False, True], k, by=("mode", "qid"))
+    return top_rows(cand, ["score", "doc_id"], [False, True], k, by=("mode", "qid"))
 
 
 # --- index-time block join (lucene/join ToParent/ToChildBlockJoinQuery) --
@@ -1423,92 +1339,42 @@ def ensure_block_corpus(sf_dir: str) -> str:
     arrive assembled — the same contract addDocuments imposes)."""
     import pyarrow.parquet as pq
 
-    slug = hashlib.sha256(
-        (os.path.realpath(sf_dir) + f"|v{INDEX_LAYOUT_V}").encode()
-    ).hexdigest()[:12]
-    out_dir = os.path.join(
-        "/tmp", "lucene_ray_idx",
-        f"{os.path.basename(sf_dir.rstrip('/'))}-{slug}-d{DOCS_PER_SEGMENT}-blocks-src",
+    src_path = os.path.join(sf_dir, "documents.parquet")
+    schema = _schema(
+        doc_id=pa.int64(), text=pa.string(), lang=pa.string(), source=pa.string(),
+        n_chars=pa.int64(), parent=pa.int64(),
     )
-    done = os.path.join(out_dir, "_DONE")
-    if not os.path.exists(done):
-        import ray.data as rd
 
-        os.makedirs(out_dir, exist_ok=True)
-        src_path = os.path.join(sf_dir, "documents.parquet")
-        sources = sorted(
-            pq.read_table(src_path, columns=["source"])
-            .column("source")
-            .unique()
-            .to_pylist()
+    def _write(src: str, path: str) -> None:
+        import polars as pl
+
+        df = (
+            pl.from_arrow(pq.read_table(src_path, filters=[("source", "==", src)]))
+            .with_columns((pl.col("doc_id") // BLOCK_BUCKET).alias("bucket"))
+            .sort(["bucket", "doc_id"])
         )
+        writer = pq.ParquetWriter(path, schema)
+        pend: list[pa.Table] = []
+        pend_rows = 0
+        for (_bucket,), grp in df.group_by(["bucket"], maintain_order=True):
+            child = grp.drop("bucket").with_columns(pl.lit(0, dtype=pl.Int64).alias("parent"))
+            parent = pl.DataFrame(
+                {"doc_id": [-1], "text": [""], "lang": [""], "source": [src], "n_chars": [0], "parent": [1]},
+                schema=child.schema,
+            )
+            block = pl.concat([child, parent]).to_arrow().cast(schema)
+            pend.append(block)
+            pend_rows += block.num_rows
+            # row groups cut ONLY here, at a block boundary
+            if pend_rows >= 200:
+                writer.write_table(pa.concat_tables(pend), row_group_size=pend_rows)
+                pend, pend_rows = [], 0
+        if pend:
+            writer.write_table(pa.concat_tables(pend), row_group_size=pend_rows)
+        writer.close()
 
-        def _derive(batch: pa.Table) -> pa.Table:
-            import polars as pl
-
-            rows = []
-            for d in batch.to_pylist():
-                src = d["source"]
-                tbl = pq.read_table(
-                    src_path, filters=[("source", "==", src)]
-                )
-                df = (
-                    pl.from_arrow(tbl)
-                    .with_columns(
-                        (pl.col("doc_id") // BLOCK_BUCKET).alias("bucket")
-                    )
-                    .sort(["bucket", "doc_id"])
-                )
-                part = os.path.join(out_dir, f"part-{src}.parquet")
-                tmp_p = part + ".tmp"
-                schema = pa.schema(
-                    [
-                        ("doc_id", pa.int64()),
-                        ("text", pa.string()),
-                        ("lang", pa.string()),
-                        ("source", pa.string()),
-                        ("n_chars", pa.int64()),
-                        ("parent", pa.int64()),
-                    ]
-                )
-                writer = pq.ParquetWriter(tmp_p, schema)
-                pend: list[pa.Table] = []
-                pend_rows = 0
-                for (_bucket,), grp in df.group_by(["bucket"], maintain_order=True):
-                    child = grp.drop("bucket").with_columns(
-                        pl.lit(0, dtype=pl.Int64).alias("parent")
-                    )
-                    parent = pl.DataFrame(
-                        {
-                            "doc_id": [-1],
-                            "text": [""],
-                            "lang": [""],
-                            "source": [src],
-                            "n_chars": [0],
-                            "parent": [1],
-                        },
-                        schema=child.schema,
-                    )
-                    block = pl.concat([child, parent]).to_arrow().cast(schema)
-                    pend.append(block)
-                    pend_rows += block.num_rows
-                    # row groups cut ONLY here, at a block boundary
-                    if pend_rows >= 200:
-                        writer.write_table(pa.concat_tables(pend), row_group_size=pend_rows)
-                        pend, pend_rows = [], 0
-                if pend:
-                    writer.write_table(pa.concat_tables(pend), row_group_size=pend_rows)
-                writer.close()
-                os.replace(tmp_p, part)
-                rows.append({"source": src})
-            return pa.Table.from_pylist(rows)
-
-        rd.from_items([{"source": s} for s in sources]).map_batches(
-            _derive, batch_size=1, batch_format="pyarrow", num_cpus=1
-        ).materialize()
-        with open(done, "w") as f:
-            f.write("ok")
-    return out_dir
+    sources = sorted(pq.read_table(src_path, columns=["source"]).column("source").unique().to_pylist())
+    return _derived_corpus(sf_dir, f"d{DOCS_PER_SEGMENT}-blocks", {s: s for s in sources}, _write)
 
 
 def ensure_block_index(sf_dir: str) -> str:
@@ -1610,7 +1476,7 @@ def block_join_topk(sf_dir: str, k: int = 10) -> pa.Table:
         k=k,
     )
     # an empty corpus has no blocks, so no segments: name the schema
-    return _top_rows(
+    return top_rows(
         gather(cand, BLOCK_JOIN_SCHEMA), ["jscore", "doc_id"], [False, True], k, by=("mode", "qid")
     )
 
@@ -1653,8 +1519,7 @@ def distinct_values_groups(sf_dir: str) -> pa.Table:
         .size()
         .reset_index(name="n_distinct")
     )
-    agg = agg.sort_values(["qid", "grp"])
-    agg["grp_rnk"] = agg.groupby("qid").cumcount() + 1
+    agg = rank_rows(agg, ["qid"], ["grp"], [True], rnk="grp_rnk")
     return pa.table(
         {
             "qid": pa.array(agg["qid"].to_numpy().astype(np.int64), pa.int64()),
@@ -1685,10 +1550,8 @@ def block_grouped_topk(sf_dir: str) -> pa.Table:
     idx = ensure_block_index(sf_dir)
     weight = _terms_weight(IndexSearcher(idx), {t for q in JOIN_QUERIES for t in q})
 
-    schema = _schema(qid=pa.int64(), grp=pa.string(), doc_id=pa.int64(), score=pa.float64())
-
     def _seg(reader, base: int) -> pa.Table:
-        out = {c: [] for c in schema.names}
+        out = {c: [] for c in GROUP_ROWS_SCHEMA.names}
         parents = parent_docids(reader)
         for qid, qterms in enumerate(JOIN_QUERIES):
             docs, scores = scored_matches(_terms_query(qterms), weight, reader, 1.0)
@@ -1712,37 +1575,10 @@ def block_grouped_topk(sf_dir: str) -> pa.Table:
                     out["grp"].append(str(gid))
                     out["doc_id"].append(int(docs[r]) + base)
                     out["score"].append(float(scores[r]))
-        return pa.table(out, schema=schema)
+        return pa.table(out, schema=GROUP_ROWS_SCHEMA)
 
-    part = gather(segment_map(idx, _seg), schema).to_pandas()
-    # global group rank by (best child score desc, grp asc), then
-    # within-group child rank — rows per group are already complete
-    part = part.sort_values(
-        ["qid", "grp", "score", "doc_id"], ascending=[True, True, False, True]
-    )
-    heads = part.groupby(["qid", "grp"], sort=False).first().reset_index()
-    heads = heads.sort_values(
-        ["qid", "score", "doc_id"], ascending=[True, False, True]
-    )
-    heads["grp_rnk"] = heads.groupby("qid").cumcount() + 1
-    heads = heads[heads["grp_rnk"] <= N_GROUPS][["qid", "grp", "grp_rnk"]]
-    out = part.merge(heads, on=["qid", "grp"], how="inner")
-    out["rnk"] = out.groupby(["qid", "grp"]).cumcount() + 1
-    out = out[out["rnk"] <= K_IN_GROUP].sort_values(["qid", "grp_rnk", "rnk"])
-    return pa.Table.from_pandas(
-        out[["qid", "grp_rnk", "grp", "rnk", "doc_id"]].reset_index(drop=True),
-        preserve_index=False,
-    ).cast(
-        pa.schema(
-            [
-                ("qid", pa.int64()),
-                ("grp_rnk", pa.int64()),
-                ("grp", pa.string()),
-                ("rnk", pa.int64()),
-                ("doc_id", pa.int64()),
-            ]
-        )
-    )
+    # rows per group are already complete inside their segment
+    return _group_heads_topk(gather(segment_map(idx, _seg), GROUP_ROWS_SCHEMA).to_pandas())
 
 
 # (expression, lower, upper) — inclusive bounds, None = open (reference
@@ -2558,7 +2394,7 @@ def point_box_topk(sf_dir: str, k: int = 10) -> pa.Table:
     tbl = pa.concat_tables(
         [
             _keyed_concat("family", [("box", box)]),
-            _top_rows(shapes, ["doc_id"], [True], k, by=("family", "qid")),
+            top_rows(shapes, ["doc_id"], [True], k, by=("family", "qid")),
         ]
     )
     n_match = [
@@ -2692,7 +2528,7 @@ def geo_distance_topk(sf_dir: str, k: int = 10) -> pa.Table:
         return pa.table({c: pa.array(out[c], pa.int64()) for c in out})
 
     cand = gather(segment_map(idx, _seg))
-    return _top_rows(cand, ["dist2", "doc_id"], [True, True], k, cols=("doc_id", "dist2"))
+    return top_rows(cand, ["dist2", "doc_id"], [True, True], k, cols=("doc_id", "dist2"))
 
 
 def point_distance_topk(sf_dir: str, k: int = 10) -> pa.Table:
@@ -2736,7 +2572,7 @@ def point_distance_topk(sf_dir: str, k: int = 10) -> pa.Table:
         )
 
     cand = gather(segment_map(idx, _seg))
-    return _top_rows(
+    return top_rows(
         cand, ["dist2", "doc_id"], [True, True], k, by=("family", "qid"), cols=("doc_id", "dist2")
     )
 
@@ -3057,25 +2893,45 @@ PREFIXES = ["sp", "wi", "c", "ba", "jo"]
 SUGGEST_SCHEMA = _schema(qid=pa.int64(), term=pa.string(), weight=pa.int64())
 
 
-def _summed_topn(ds, n: int):
-    """(qid, term, weight) partials summed per (qid, term), then each
-    block's top n per qid — the suggesters' bounded exchange."""
-    from ray.data.aggregate import Sum
+def _suggest_table(qids, terms, weights) -> pa.Table:
+    """(qid, term, weight) columns as a SUGGEST_SCHEMA table."""
+    return pa.table({"qid": qids, "term": terms, "weight": weights}, schema=SUGGEST_SCHEMA)
 
+
+def _partial_topn(ds, n: int, fn=None):
+    """Each block's top n per qid (of ``fn(block)`` when given) — the
+    suggesters' bounded exchange; exact because the rows are already
+    (qid, term)-unique."""
     from ..search import suggest
 
-    return (
-        ds.groupby(["qid", "term"])
-        .aggregate(Sum("weight", alias_name="weight"))
-        .map_batches(lambda b: suggest.partial_topn(b, n), batch_format="pyarrow")
+    return ds.map_batches(
+        lambda b: suggest.partial_topn(b if fn is None else fn(b), n), batch_format="pyarrow"
     )
 
 
-def _suggest_rows(cand: pa.Table, n: int, order=("weight", "term"), ascending=(False, True)):
-    """The suggesters' final merge of gathered candidates: (qid, rnk, term,
-    weight), the top n per qid by (weight DESC, term ASC) unless told
-    otherwise."""
-    return _top_rows(cand, list(order), list(ascending), n, cols=("term", "weight"))
+def _summed_topn(ds, n: int):
+    """(qid, term, weight) partials summed per (qid, term), then each
+    block's top n per qid."""
+    from ray.data.aggregate import Sum
+
+    return _partial_topn(ds.groupby(["qid", "term"]).aggregate(Sum("weight", alias_name="weight")), n)
+
+
+def _suggest_rows(cand, n: int, order=("weight", "term"), ascending=(False, True)):
+    """The suggesters' final merge of the candidates (a bounded Dataset or
+    a table): (qid, rnk, term, weight), the top n per qid by (weight DESC,
+    term ASC) unless told otherwise."""
+    return top_rows(gather(cand, SUGGEST_SCHEMA), list(order), list(ascending), n, cols=("term", "weight"))
+
+
+def _prefix_candidates(b: pa.Table, prefixes) -> pa.Table:
+    """(qid, term, weight) for every row of ``b`` whose term starts with
+    ``prefixes[qid]``."""
+    subs = [b.filter(pc.starts_with(b.column("term"), pref)) for pref in prefixes]
+    return pa.concat_tables(
+        _suggest_table(pa.array([qid] * sub.num_rows, pa.int64()), sub.column("term"), sub.column("weight"))
+        for qid, sub in enumerate(subs)
+    )
 
 
 def suggest_prefix(sf_dir: str, n: int = 10) -> pa.Table:
@@ -3088,8 +2944,7 @@ def suggest_prefix(sf_dir: str, n: int = 10) -> pa.Table:
     prefixes = PREFIXES
 
     def _seg(r, doc_base: int) -> pa.Table:
-        q, t, w = suggest.segment_completions(r, prefixes)
-        return pa.table({"qid": q, "term": t, "weight": w}, schema=SUGGEST_SCHEMA)
+        return _suggest_table(*suggest.segment_completions(r, prefixes))
 
     cand = gather(_summed_topn(segment_map(ensure_index(sf_dir), _seg), n), SUGGEST_SCHEMA)
     out = _suggest_rows(cand, n)
@@ -3158,30 +3013,38 @@ def regex_suggest(sf_dir: str, n: int = 10) -> pa.Table:
                     qids.append(qid)
                     terms.append(t)
                     ws.append(int(df[tid]))
-        return pa.table({"qid": qids, "term": terms, "weight": ws}, schema=SUGGEST_SCHEMA)
+        return _suggest_table(qids, terms, ws)
 
-    agg = _summed_topn(segment_map(ensure_index(sf_dir), _seg), n)
-    return _suggest_rows(gather(agg, SUGGEST_SCHEMA), n)
+    return _suggest_rows(_summed_topn(segment_map(ensure_index(sf_dir), _seg), n), n)
 
 
 # (context word, completion prefix) — empty prefix = any next word
 FREETEXT_QUERIES = [("the", "c"), ("spark", ""), ("group", "b"), ("customer", "o")]
 
 
-def _freetext_partials(batch: pa.Table, queries: list) -> pa.Table:
-    """Per-batch bigram partial counts filtered to the query contexts —
-    query-bounded rows leave the task, never the corpus bigram table."""
+def _bigrams(batch: pa.Table):
+    """(vocab, left, right): the batch's standard-analyzer vocabulary and
+    the term ids of every adjacent token pair, or None for a batch
+    without tokens."""
     from ..analysis.analyzers import make_analyzer
 
     texts = batch.column("text").to_pylist()
-    a = make_analyzer("standard")
-    vocab, tids, doc_ids, positions, _l, _n, _os, _oe = a._batch_token_stream(texts)
+    vocab, tids, doc_ids, positions, *_ = make_analyzer("standard")._batch_token_stream(texts)
+    if not vocab:
+        return None
+    order = np.lexsort((positions, doc_ids))
+    t, d, p = tids[order], doc_ids[order], positions[order]
+    adj = (d[1:] == d[:-1]) & (p[1:] == p[:-1] + 1)
+    return vocab, t[:-1][adj], t[1:][adj]
+
+
+def _freetext_partials(batch: pa.Table, queries: list) -> pa.Table:
+    """Per-batch bigram partial counts filtered to the query contexts —
+    query-bounded rows leave the task, never the corpus bigram table."""
     out_q, out_t, out_w = [], [], []
-    if vocab:
-        order = np.lexsort((positions, doc_ids))
-        t, d, p = tids[order], doc_ids[order], positions[order]
-        adj = (d[1:] == d[:-1]) & (p[1:] == p[:-1] + 1)
-        left, right = t[:-1][adj], t[1:][adj]
+    bigrams = _bigrams(batch)
+    if bigrams is not None:
+        vocab, left, right = bigrams
         varr = np.asarray(vocab, dtype=object)
         pos_of = {v: i for i, v in enumerate(vocab)}
         for qid, (ctx, pref) in enumerate(queries):
@@ -3200,13 +3063,7 @@ def _freetext_partials(batch: pa.Table, queries: list) -> pa.Table:
             out_q.extend([qid] * len(cand))
             out_t.extend(varr[cand].tolist())
             out_w.extend(counts.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, pa.int64()),
-            "term": pa.array(out_t, pa.string()),
-            "weight": pa.array(out_w, pa.int64()),
-        }
-    )
+    return _suggest_table(out_q, out_t, out_w)
 
 
 def freetext_suggest(sf_dir: str, n: int = 10) -> pa.Table:
@@ -3224,7 +3081,7 @@ def freetext_suggest(sf_dir: str, n: int = 10) -> pa.Table:
         _freetext_partials, batch_format="pyarrow", fn_kwargs={"queries": FREETEXT_QUERIES}
     )
     # bounded: <= n * num_blocks rows per qid
-    return _suggest_rows(gather(_summed_topn(parts, n), SUGGEST_SCHEMA), n)
+    return _suggest_rows(_summed_topn(parts, n), n)
 
 
 # AnalyzingInfixSuggester lookups: a token prefix that may match EITHER
@@ -3235,43 +3092,23 @@ INFIX_QUERIES = ["str", "cust", "win", "jo"]
 def _infix_partials(batch: pa.Table, queries: list) -> pa.Table:
     """Per-batch bigram partials where the query prefix matches EITHER
     token of the bigram — the infix property.  Output is query-bounded."""
-    from ..analysis.analyzers import make_analyzer
-
-    texts = batch.column("text").to_pylist()
-    a = make_analyzer("standard")
-    vocab, tids, doc_ids, positions, _l, _n, _os, _oe = a._batch_token_stream(texts)
     out_q, out_t, out_w = [], [], []
-    if vocab:
-        order = np.lexsort((positions, doc_ids))
-        t, d, p = tids[order], doc_ids[order], positions[order]
-        adj = (d[1:] == d[:-1]) & (p[1:] == p[:-1] + 1)
-        left, right = t[:-1][adj], t[1:][adj]
+    bigrams = _bigrams(batch)
+    if bigrams is not None:
+        vocab, left, right = bigrams
         varr = np.asarray(vocab, dtype=object)
-        starts = {
-            qid: np.array([v.startswith(pref) for v in vocab], bool)
-            for qid, pref in enumerate(queries)
-        }
         pairs = left * len(vocab) + right
         cand, counts = np.unique(pairs, return_counts=True)
         cl, cr = cand // len(vocab), cand % len(vocab)
         for qid, pref in enumerate(queries):
-            m = starts[qid][cl] | starts[qid][cr]
+            starts = np.array([v.startswith(pref) for v in vocab], bool)
+            m = starts[cl] | starts[cr]
             if not m.any():
                 continue
-            texts2 = [
-                f"{varr[int(a_)]} {varr[int(b_)]}"
-                for a_, b_ in zip(cl[m], cr[m])
-            ]
             out_q.extend([qid] * int(m.sum()))
-            out_t.extend(texts2)
+            out_t.extend(f"{varr[int(a)]} {varr[int(b)]}" for a, b in zip(cl[m], cr[m]))
             out_w.extend(counts[m].tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, pa.int64()),
-            "term": pa.array(out_t, pa.string()),
-            "weight": pa.array(out_w, pa.int64()),
-        }
-    )
+    return _suggest_table(out_q, out_t, out_w)
 
 
 def infix_suggest(sf_dir: str, n: int = 10) -> pa.Table:
@@ -3287,7 +3124,7 @@ def infix_suggest(sf_dir: str, n: int = 10) -> pa.Table:
         _infix_partials, batch_format="pyarrow", fn_kwargs={"queries": INFIX_QUERIES}
     )
     # bounded: <= n * num_blocks rows per qid
-    return _suggest_rows(gather(_summed_topn(parts, n), SUGGEST_SCHEMA), n)
+    return _suggest_rows(_summed_topn(parts, n), n)
 
 
 def blended_weights(
@@ -3322,8 +3159,6 @@ def blended_infix_suggest(
     — we blend every entry exactly.  Top-n by (score DESC, term ASC)."""
     from ray.data.aggregate import Sum
 
-    from ..search import suggest
-
     parts = _corpus(sf_dir, ["text"]).map_batches(
         _infix_partials, batch_format="pyarrow", fn_kwargs={"queries": INFIX_QUERIES}
     )
@@ -3336,22 +3171,11 @@ def blended_infix_suggest(
         for i, (q, t) in enumerate(zip(qid, terms)):
             pref = INFIX_QUERIES[int(q)]
             pos[i] = 0 if t.split(" ", 1)[0].startswith(pref) else 1
-        return pa.table(
-            {
-                "qid": b.column("qid"),
-                "term": b.column("term"),
-                "weight": pa.array(
-                    blended_weights(b.column("weight").to_numpy(), pos, blender),
-                    pa.int64(),
-                ),
-            }
-        )
+        weights = blended_weights(b.column("weight").to_numpy(), pos, blender)
+        return _suggest_table(b.column("qid"), b.column("term"), weights)
 
-    agg = agg.map_batches(
-        lambda b: suggest.partial_topn(_blend(b), n), batch_format="pyarrow"
-    )
     # bounded: <= n * num_blocks rows per qid
-    return _suggest_rows(gather(agg, SUGGEST_SCHEMA), n)
+    return _suggest_rows(_partial_topn(agg, n, _blend), n)
 
 
 # DocumentDictionary suggester: entries from STORED doc content (title =
@@ -3370,53 +3194,22 @@ def document_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     Top-n by (weight DESC, entry ASC): (qid, rnk, term, weight)."""
     from ray.data.aggregate import Max
 
-    from ..search import suggest
-
-    ds = _corpus(sf_dir, ["text", "n_chars"])
-
     def _titles(batch: pa.Table) -> pa.Table:
         import polars as pl
 
-        df = pl.from_arrow(batch)
-        df = df.select(
-            pl.col("text")
-            .fill_null("")
-            .str.to_lowercase()
-            .str.extract_all("[a-z0-9_]+")
-            .list.slice(0, TITLE_TOKENS)
-            .list.join(" ")
-            .alias("term"),
-            pl.col("n_chars").alias("weight"),
-        )
-        return df.to_arrow()
+        return pl.from_arrow(batch).select(
+            title_expr().alias("term"), pl.col("n_chars").alias("weight")
+        ).to_arrow()
 
     agg = (
-        ds.map_batches(_titles, batch_format="pyarrow")
+        _corpus(sf_dir, ["text", "n_chars"])
+        .map_batches(_titles, batch_format="pyarrow")
         .groupby("term")
         .aggregate(Max("weight", alias_name="weight"))
     )
-
-    def _cand(b: pa.Table) -> pa.Table:
-        out = []
-        for qid, pref in enumerate(DOC_SUGGEST_QUERIES):
-            m = pc.starts_with(b.column("term"), pref)
-            sub = b.filter(m)
-            if sub.num_rows:
-                out.append(
-                    sub.append_column(
-                        "qid", pa.array([qid] * sub.num_rows, pa.int64())
-                    )
-                )
-        if not out:
-            return SUGGEST_SCHEMA.empty_table()
-        return pa.concat_tables(out).select(["qid", "term", "weight"])
-
-    cand = agg.map_batches(_cand, batch_format="pyarrow")
-    cand = cand.map_batches(
-        lambda b: suggest.partial_topn(b, n), batch_format="pyarrow"
-    )
+    cand = _partial_topn(agg, n, partial(_prefix_candidates, prefixes=DOC_SUGGEST_QUERIES))
     # bounded: <= n * num_blocks rows per qid
-    return _suggest_rows(gather(cand, SUGGEST_SCHEMA), n)
+    return _suggest_rows(cand, n)
 
 
 # ContextQuery (suggest/document/ContextQuery.java wrapping a
@@ -3436,22 +3229,13 @@ def context_suggest(sf_dir: str, n: int = 10) -> pa.Table:
     (score DESC, term ASC)."""
     from ray.data.aggregate import Max
 
-    from ..search import suggest
-
     ds = _corpus(sf_dir, ["text", "lang", "n_chars"])
 
     def _entries(batch: pa.Table) -> pa.Table:
         import polars as pl
 
-        df = pl.from_arrow(batch)
-        return df.select(
-            pl.col("text")
-            .fill_null("")
-            .str.to_lowercase()
-            .str.extract_all("[a-z0-9_]+")
-            .list.slice(0, TITLE_TOKENS)
-            .list.join(" ")
-            .alias("term"),
+        return pl.from_arrow(batch).select(
+            title_expr().alias("term"),
             pl.col("lang").alias("ctx"),
             pl.col("n_chars").alias("weight"),
         ).to_arrow()
@@ -3487,30 +3271,9 @@ def context_suggest(sf_dir: str, n: int = 10) -> pa.Table:
         .aggregate(Max("weight", alias_name="weight"))
     )
 
-    def _cand(b: pa.Table) -> pa.Table:
-        out = []
-        for qid, pref in enumerate(DOC_SUGGEST_QUERIES):
-            m = pc.starts_with(b.column("term"), pref)
-            sub = b.filter(m)
-            if sub.num_rows:
-                out.append(
-                    pa.table(
-                        {
-                            "qid": pa.array([qid] * sub.num_rows, pa.int64()),
-                            "term": sub.column("term"),
-                            "weight": sub.column("weight"),
-                        }
-                    )
-                )
-        if not out:
-            return SUGGEST_SCHEMA.empty_table()
-        return pa.concat_tables(out)
-
-    cand = best.map_batches(_cand, batch_format="pyarrow").map_batches(
-        lambda b: suggest.partial_topn(b, n), batch_format="pyarrow"
-    )
+    cand = _partial_topn(best, n, partial(_prefix_candidates, prefixes=DOC_SUGGEST_QUERIES))
     # bounded: <= n * num_blocks rows per qid
-    return _suggest_rows(gather(cand, SUGGEST_SCHEMA), n)
+    return _suggest_rows(cand, n)
 
 
 WORDBREAK_QUERIES = ["sparkjoin", "windowbatch", "customerorder", "thegroup"]
@@ -3680,14 +3443,14 @@ def fuzzy_suggest(sf_dir: str, n: int = 10) -> pa.Table:
                 qids.append(qid)
                 terms.append(vocab[int(tid)].as_py())
                 dfs.append(int(r.enc.doc_freq[int(tid)]))
-        return pa.table({"qid": qids, "term": terms, "weight": dfs}, schema=SUGGEST_SCHEMA)
+        return _suggest_table(qids, terms, dfs)
 
     agg = (
         segment_map(ensure_index(sf_dir), _seg)
         .groupby(["qid", "term"])
         .aggregate(Sum("weight", alias_name="weight"))
     )
-    return _suggest_rows(gather(agg, SUGGEST_SCHEMA), n)
+    return _suggest_rows(agg, n)
 
 
 TERM_RANGES = [("a", "d"), ("m", "s"), ("s", None), (None, "h")]
@@ -4519,22 +4282,20 @@ def _seg_diversified(
     frames = []
     keys = reader.stored_column(key_field).to_numpy(zero_copy_only=False)
     for qid, docs, scores in _scored_matches(reader, [(t,) for t in queries], weight):
-        s32 = scores.astype(np.float32)
-        order = np.lexsort((docs, -s32))
-        df = pd.DataFrame(
-            {
-                "qid": qid,
-                "key": keys[docs[order]],
-                "doc_id": docs[order] + base,
-                "score": s32[order].astype(np.float64),
-            }
+        frames.append(
+            pd.DataFrame(
+                {
+                    "qid": qid,
+                    "key": keys[docs],
+                    "doc_id": docs + base,
+                    "score": scores.astype(np.float32).astype(np.float64),
+                }
+            )
         )
-        frames.append(df[df.groupby("key").cumcount() < m])
     if not frames:
         return DIVERSIFIED_SCHEMA.empty_table()
-    return pa.Table.from_pandas(
-        pd.concat(frames, ignore_index=True), schema=DIVERSIFIED_SCHEMA, preserve_index=False
-    )
+    df = rank_rows(pd.concat(frames, ignore_index=True), ["qid", "key"], ["score", "doc_id"], [False, True], k=m)
+    return pa.Table.from_pandas(df, schema=DIVERSIFIED_SCHEMA, preserve_index=False)
 
 
 def diversified_topk(sf_dir: str, k: int = 10) -> pa.Table:
@@ -4555,10 +4316,11 @@ def diversified_topk(sf_dir: str, k: int = 10) -> pa.Table:
         m=DIVERSIFY_MAX_PER_KEY,
     )
     # per-key cap across segments, then the global top-k of the survivors
-    df = gather(cand).to_pandas()
-    df = df.sort_values(["qid", "score", "doc_id"], ascending=[True, False, True])
-    df = df[df.groupby(["qid", "key"]).cumcount() < DIVERSIFY_MAX_PER_KEY]
-    return _top_rows(
+    df = rank_rows(
+        gather(cand).to_pandas(), ["qid", "key"], ["score", "doc_id"], [False, True],
+        k=DIVERSIFY_MAX_PER_KEY,
+    )
+    return top_rows(
         pa.Table.from_pandas(df, schema=DIVERSIFIED_SCHEMA, preserve_index=False),
         ["score", "doc_id"],
         [False, True],
@@ -5057,7 +4819,7 @@ def interval_score_topk(sf_dir: str, k: int = 10) -> pa.Table:
     parts = gather(segment_map(idx, _seg_interval_sloppy, queries=_fn_queries()))
     score = 1.0 - INTERVAL_PIVOT / (INTERVAL_PIVOT + parts["fi"].to_numpy() / SLOPPY_SCALE)
     parts = parts.append_column("score", pa.array(score, pa.float64()))
-    return _top_rows(parts, ["score", "doc_id"], [False, True], k)
+    return top_rows(parts, ["score", "doc_id"], [False, True], k)
 
 
 def automaton_matches(sf_dir: str):
@@ -5301,10 +5063,7 @@ def _seg_facet_counts(r, doc_base: int, terms: list[str], tax_path: str | None =
     # per-doc [lo, hi] range field (range_field_counts synthesis)
     rf_lo = (ids_np.astype(np.int64) * 17) % 2000
     rf_hi = rf_lo + 1 + nchars.astype(np.int64) % 97
-    for qid, t in enumerate(terms):
-        docs = _live_docs(r, t)
-        if not len(docs):
-            continue
+    for qid, docs in _term_matches(r, terms):
         take = pa.array(docs)
         emit("lang", qid, lang.take(take))
         emit("source", qid, source.take(take))
@@ -5490,10 +5249,9 @@ def _seg_dv_stats(r, doc_base: int) -> pa.Table:
     null = col.is_null().to_numpy(zero_copy_only=False)
     langs = r.stored_column("lang").to_numpy(zero_copy_only=False)
     rows = []
-    for qid, t in enumerate(QUERY_TERMS):
-        docs = _live_docs(r, t)
+    for qid, docs in _term_matches(r):
         lv = langs[docs]
-        for lab in ["", *np.unique(lv)] if len(docs) else []:
+        for lab in ["", *np.unique(lv)]:
             d = docs if lab == "" else docs[lv == lab]
             v = vals[d[~null[d]]].astype(np.int64)
             lo, hi = (int(v.min()), int(v.max())) if len(v) else (_I64.max, _I64.min)
@@ -5546,8 +5304,7 @@ def grouped_facet_counts(sf_dir: str) -> pa.Table:
         qids, langs, srcs = [], [], []
         lang = r.stored_column("lang").to_numpy(zero_copy_only=False)
         source = r.stored_column("source").to_numpy(zero_copy_only=False)
-        for qid, t in enumerate(QUERY_TERMS):
-            docs = _live_docs(r, t)
+        for qid, docs in _term_matches(r):
             for lv, sv in {(a, b) for a, b in zip(lang[docs], source[docs])}:
                 qids.append(qid)
                 langs.append(str(lv))
@@ -5564,17 +5321,8 @@ def grouped_facet_counts(sf_dir: str) -> pa.Table:
         segment_map(ensure_index(sf_dir), _seg).groupby(["qid", "lang", "source"]).count(),
         schema,
     ).to_pandas()
-    counts = (
-        triples.groupby(["qid", "lang"]).size().reset_index(name="n")
-    )
-    return pa.table(
-        {
-            "facet": pa.array(["grouped_lang"] * len(counts), pa.string()),
-            "qid": pa.array(counts["qid"].astype("int64")),
-            "value": pa.array(counts["lang"].astype(str)),
-            "n": pa.array(counts["n"].astype("int64")),
-        }
-    )
+    counts = triples.groupby(["qid", "lang"]).size()
+    return _facet_table(("grouped_lang", int(q), str(lab), int(n)) for (q, lab), n in counts.items())
 
 
 def compute_dynamic_numeric_ranges(
@@ -5644,10 +5392,7 @@ def dynamic_range_facets(sf_dir: str) -> pa.Table:
     def _seg(r, doc_base: int) -> pa.Table:
         qids, vs, ws, cs = [], [], [], []
         nchars = r.stored_column("n_chars").to_numpy()
-        for qid, t in enumerate(QUERY_TERMS):
-            docs = _live_docs(r, t)
-            if not len(docs):
-                continue
+        for qid, docs in _term_matches(r):
             v = nchars[docs]
             w = v % DYN_WEIGHT_MOD
             keep = w != 0  # reference: zero weights are skipped
@@ -5686,14 +5431,7 @@ def dynamic_range_facets(sf_dir: str) -> pa.Table:
                 ("dynamic_range_weight", int(qid), lab, wsum),
                 ("dynamic_range_vsum", int(qid), lab, vsum),
             ]
-    return pa.table(
-        {
-            "facet": pa.array([r[0] for r in rows], pa.string()),
-            "qid": pa.array([r[1] for r in rows], pa.int64()),
-            "value": pa.array([r[2] for r in rows], pa.string()),
-            "n": pa.array([r[3] for r in rows], pa.int64()),
-        }
-    )
+    return _facet_table(rows)
 
 
 def pc_cast_i64(col):
@@ -5706,60 +5444,27 @@ TITLE_WEIGHT = 2.0
 TITLE_TOKENS = 5
 
 
-def ensure_titled_corpus(sf_dir: str) -> str:
-    """documents.parquet + a derived ``title`` column (first TITLE_TOKENS
-    tokens) — the two-text-field corpus CombinedField needs; derivation is
-    SQL-reproducible (array_to_string(ts[1:5], ' '))."""
+def title_expr(col: str = "text"):
+    """The derived title of a text column as a polars expression: its
+    first TITLE_TOKENS lowercase ``[a-z0-9_]+`` tokens joined by ' ' (the
+    oracle's array_to_string(ts[1:5], ' '))."""
     import polars as pl
-    import pyarrow.parquet as pq
 
-    # derived corpora are LOCAL inputs (not index artifacts), so they stay
-    # under /tmp even when LUCENE_RAY_INDEX_ROOT points at shared storage
-    slug = hashlib.sha256(
-        (os.path.realpath(sf_dir) + f"|v{INDEX_LAYOUT_V}").encode()
-    ).hexdigest()[:12]
-    out_dir = os.path.join(
-        "/tmp", "lucene_ray_idx",
-        f"{os.path.basename(sf_dir.rstrip('/'))}-{slug}-d{DOCS_PER_SEGMENT}-titled-src",
+    return (
+        pl.col(col).fill_null("").str.to_lowercase().str.extract_all("[a-z0-9_]+")
+        .list.slice(0, TITLE_TOKENS).list.join(" ")
     )
-    done = os.path.join(out_dir, "_DONE")
-    if not os.path.exists(done):
-        import ray.data as rd
 
-        os.makedirs(out_dir, exist_ok=True)
-        src_path = os.path.join(sf_dir, "documents.parquet")
-        # one task per row group, each writing its OWN ordinal-named part
-        # file: distributed, streaming, and docid order == input row order
-        # by construction (no driver-side full-corpus materialization)
-        md = pq.ParquetFile(src_path).metadata
-        descs = [{"path": src_path, "row_group": rg} for rg in range(md.num_row_groups)]
 
-        def _derive(batch: pa.Table) -> pa.Table:
-            rows = []
-            for d in batch.to_pylist():
-                tbl = pq.ParquetFile(d["path"]).read_row_group(d["row_group"])
-                df = pl.from_arrow(tbl).with_columns(
-                    pl.col("text")
-                    .fill_null("")
-                    .str.to_lowercase()
-                    .str.extract_all("[a-z0-9_]+")
-                    .list.slice(0, TITLE_TOKENS)
-                    .list.join(" ")
-                    .alias("title")
-                )
-                part = os.path.join(out_dir, f"part-{d['row_group']:06d}.parquet")
-                tmp_p = part + ".tmp"
-                pq.write_table(df.to_arrow(), tmp_p, row_group_size=200)
-                os.replace(tmp_p, part)
-                rows.append({"row_group": d["row_group"]})
-            return pa.Table.from_pylist(rows)
+def ensure_titled_corpus(sf_dir: str) -> str:
+    """documents.parquet + a derived ``title`` column (``title_expr``) —
+    the two-text-field corpus CombinedField needs."""
+    import polars as pl
 
-        rd.from_items(descs).map_batches(
-            _derive, batch_size=1, batch_format="pyarrow", num_cpus=1
-        ).materialize()
-        with open(done, "w") as f:
-            f.write("ok")
-    return out_dir
+    def _derive(tbl: pa.Table) -> pa.Table:
+        return pl.from_arrow(tbl).with_columns(title_expr().alias("title")).to_arrow()
+
+    return _row_group_corpus(sf_dir, f"d{DOCS_PER_SEGMENT}-titled", _derive, 200)
 
 
 def ensure_combined_index(sf_dir: str) -> str:
@@ -5906,7 +5611,7 @@ def combined_field_topk(sf_dir: str, k: int = 10) -> pa.Table:
         avgdl=avgdl,
         k=k,
     )
-    return _top_rows(gather(cands), ["score", "doc_id"], [False, True], k)
+    return top_rows(gather(cands), ["score", "doc_id"], [False, True], k)
 
 
 SORTED_QUERIES = [
@@ -6115,7 +5820,7 @@ def index_sorted_topk(sf_dir: str, k: int = 10) -> pa.Table:
     parts = segment_map(  # <= k * segments * queries candidate rows
         idx, _seg_index_sorted_topk, terms=INDEX_SORTED_QUERIES, k=k
     )
-    return _top_rows(gather(parts), ["key", "doc_id"], [False, True], k)
+    return top_rows(gather(parts), ["key", "doc_id"], [False, True], k)
 
 
 def _stored(r, field: str, docs: np.ndarray) -> np.ndarray:
@@ -6149,7 +5854,7 @@ def _seg_sort_partials(r, base: int, sorts: list, keys, k: int, schema: pa.Schem
 
 def _sort_topk(idx: str, sorts: list, keys, key_types, k: int) -> pa.Table:
     """(qid, rnk, doc_id) sort-field top-k: ``_seg_sort_partials`` per
-    segment (key columns of ``key_types``), merged by ``_top_rows`` — the
+    segment (key columns of ``key_types``), merged by ``top_rows`` — the
     ascending and the descending queries apart."""
     key_types = key_types if isinstance(key_types, list) else [key_types]
     schema = _schema(qid=pa.int64(), **{f"k{i}": t for i, t in enumerate(key_types)}, doc_id=pa.int64())
@@ -6159,8 +5864,8 @@ def _sort_topk(idx: str, sorts: list, keys, key_types, k: int) -> pa.Table:
     rest = [True] * (len(order) - 1)
     return pa.concat_tables(
         [
-            _top_rows(parts.filter(pc.invert(desc)), order, [True] + rest, k),
-            _top_rows(parts.filter(desc), order, [False] + rest, k),
+            top_rows(parts.filter(pc.invert(desc)), order, [True] + rest, k),
+            top_rows(parts.filter(desc), order, [False] + rest, k),
         ]
     ).sort_by([("qid", "ascending"), ("rnk", "ascending")])
 

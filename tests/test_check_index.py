@@ -171,3 +171,88 @@ def test_check_catches_truncated_payloads(tmp_path):
     np.save(seg + "/pay_data.npy", pay[:-3])  # truncate the stream
     out = check_segment(seg, raise_on_error=False)
     assert any("payload stream length" in e for e in out["errors"])
+
+
+@pytest.fixture(scope="module")
+def offsets_segment(tmp_path_factory):
+    """A clean one-segment offsets index (positions + offsets)."""
+    import pyarrow.parquet as pq
+
+    from lucene_ray.index import manifest as mf
+
+    d = tmp_path_factory.mktemp("off_corpus")
+    pq.write_table(generate_corpus(60, seed=7), str(d / "c.parquet"))
+    idx = str(tmp_path_factory.mktemp("off_idx"))
+    build_index_local(str(d), idx, docs_per_segment=64, index_options="offsets")
+    assert check_index(idx, use_ray=False)["ok"]
+    return mf.read_manifest(idx)["segments"][0]["dir"]
+
+
+def _corrupt(seg: str, dest, fn) -> list[str]:
+    """The CheckIndex errors of a copy of ``seg`` after ``fn(copy dir)``."""
+    import shutil
+
+    bad = str(dest / "bad")
+    shutil.copytree(seg, bad)
+    fn(bad)
+    return check_segment(bad, raise_on_error=False)["errors"]
+
+
+def _edit_npy(path: str, fn) -> None:
+    a = np.load(path)
+    fn(a)
+    np.save(path, a)
+
+
+def _multi_row(seg: str) -> int:
+    """The first posting row holding two distinct positions."""
+    import os
+
+    p, off = np.load(os.path.join(seg, "pos_data.npy")), np.load(os.path.join(seg, "pos_off.npy"))
+    return next(r for r in range(len(off) - 1) if len(set(p[off[r] : off[r + 1]].tolist())) > 1)
+
+
+def test_backwards_start_offset_detected(offsets_segment, tmp_path):
+    import os
+
+    row = _multi_row(offsets_segment)
+    s = int(np.load(os.path.join(offsets_segment, "pos_off.npy"))[row])
+
+    def swap(a):
+        a[s], a[s + 1] = a[s + 1], a[s]
+
+    errors = _corrupt(
+        offsets_segment, tmp_path,
+        lambda bad: [_edit_npy(os.path.join(bad, f), swap) for f in ("off_start.npy", "off_end.npy")],
+    )
+    assert any("start offsets not ascending" in e for e in errors)
+
+
+def test_norm_bounds_detected(offsets_segment, tmp_path):
+    import os
+
+    def edit(bad, delta):
+        _edit_npy(os.path.join(bad, "norms.npy"), lambda a: a.__setitem__(3, a[3] + delta))
+
+    assert any("norm above quantized length" in e for e in _corrupt(offsets_segment, tmp_path / "hi", lambda b: edit(b, 1)))
+    assert any(
+        "norm below quantized distinct positions" in e
+        for e in _corrupt(offsets_segment, tmp_path / "lo", lambda b: edit(b, -1))
+    )
+
+
+def test_shared_positions_pass(offsets_segment, tmp_path):
+    """Tokens stacked on one position (ngram grams, delimited_tf repeats)
+    repeat it within a posting; only a descending position is a fault."""
+    import os
+
+    row = _multi_row(offsets_segment)
+    s = int(np.load(os.path.join(offsets_segment, "pos_off.npy"))[row])
+
+    def repeat(a):
+        a[s + 1] = a[s]
+
+    errors = _corrupt(
+        offsets_segment, tmp_path, lambda bad: _edit_npy(os.path.join(bad, "pos_data.npy"), repeat)
+    )
+    assert not any("positions not ascending" in e for e in errors)

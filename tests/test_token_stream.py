@@ -74,26 +74,6 @@ def corpus_dir(tmp_path_factory):
     return str(d)
 
 
-# CheckIndex findings these analyzers produce at the parent too.  Those
-# that insert posIncrement-0 overlaps discount them from the norm length
-# (FieldInvertState discountOverlaps) while CheckIndex compares each norm
-# with the doc's summed tf; ngram grams and delimited_tf repeats share a
-# position (CheckIndex asks for strictly ascending positions, the
-# reference for non-decreasing ones); synonym_graph rows list inserted
-# tokens after the originals, so a term's positions can run backwards.
-NORM = "norm != quantized length"
-POS, OFF = "positions not ascending", "start offsets not ascending"
-KNOWN = {
-    "synonym": (NORM,),
-    "keyword_repeat": (NORM,),
-    "common_grams": (NORM,),
-    "edge_ngram": (NORM,),
-    "ngram": (NORM, POS),
-    "synonym_graph": (NORM, POS, OFF),
-    "delimited_tf": (POS, OFF),
-}
-
-
 @pytest.mark.parametrize("option", OPTIONS)
 @pytest.mark.parametrize("name", NAMES)
 def test_every_analyzer_builds_every_index_option(name, option, corpus_dir, tmp_path):
@@ -104,8 +84,29 @@ def test_every_analyzer_builds_every_index_option(name, option, corpus_dir, tmp_
     )
     report = check_index(out, use_ray=False, raise_on_error=False)
     assert report["max_doc"] == len(CORPUS)
-    known = KNOWN.get(name, ())
-    assert [e for e in report["errors"] if not any(k in e for k in known)] == []
+    assert report["errors"] == []
+
+
+def test_synonym_graph_postings_list_positions_in_order(corpus_dir, tmp_path):
+    """Each (doc, term) posting of a synonym_graph positions index holds
+    the sorted positions of that term in the batch token stream."""
+    out = str(tmp_path / "idx")
+    build_index_local(
+        corpus_dir, out, analyzer="synonym_graph", docs_per_segment=len(CORPUS),
+        meta_columns=("path",), index_options="positions",
+    )
+    s = am.make_analyzer("synonym_graph")._batch_token_stream(CORPUS)
+    want: dict = {}
+    for t, d, p in zip(s.tids.tolist(), s.doc_ids.tolist(), s.positions.tolist()):
+        want.setdefault((s.vocab[t], d), []).append(p)
+    (reader,) = IndexSearcher(out).readers
+    got = {}
+    for tid in range(reader.n_terms):
+        docs = reader.decode_term_cached(tid)[0].tolist()
+        for d, p in zip(docs, reader.term_positions(tid)):
+            got[(reader.term_string(tid), d)] = p.tolist()
+    assert got == {k: sorted(v) for k, v in want.items()}
+    assert any(len(v) > 1 for v in got.values())
 
 
 def test_code_phrase_matches_brute_force(tmp_path):
@@ -147,7 +148,10 @@ def test_stream_helpers_keep_byte_order():
     assert merged.lengths.tolist() == [1, 1]
     stacked = s.stack([(0, "z")])
     assert stacked.vocab == ["a", "z", "é", "ﬁ"] and stacked.lengths.tolist() == [2, 2]
-    assert stacked.positions.tolist() == [0, 1, 0, 1, 0]
+    # the inserted z follows the stream's own token at its (doc, position)
+    assert stacked.doc_ids.tolist() == [0, 0, 1, 1, 1]
+    assert stacked.positions.tolist() == [0, 1, 0, 0, 1]
+    assert [stacked.vocab[t] for t in stacked.tids] == ["ﬁ", "é", "a", "z", "é"]
     empty = am.empty_stream(3)
     assert am.postings_rows(empty)[0] == [] and empty.lengths.tolist() == [0, 0, 0]
     rows = am.postings_rows(s, "positions")
